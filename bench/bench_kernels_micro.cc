@@ -3,10 +3,8 @@
 // These quantify the per-op gap that the table aggregates per layer type.
 //
 // The BM_Gemm* group benches the GEMM core directly at the Table-4
-// equivalent shapes: prepacked panels vs per-call repack (f32) and the
-// widening SIMD dot-product microkernel vs the scalar register-blocked path
-// (int8) — the two plan-time-packing wins, isolated from interpreter
-// overhead.
+// equivalent shapes: prepacked f32 panels and the widening SIMD int8
+// dot-product microkernel, isolated from interpreter overhead.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -115,7 +113,7 @@ BENCHMARK(BM_DwConv_OptimizedInt8_S2)->Args({16, 32});
 BENCHMARK(BM_Fc_OptimizedInt8)->Args({16, 16});
 BENCHMARK(BM_Fc_ReferenceInt8)->Args({16, 16});
 
-// --- GEMM core: prepacked vs per-call paths at Table-4 shapes --------------
+// --- GEMM core over prepacked B at Table-4 shapes ---------------------------
 // Args are the GEMM problem (m, n, k): Conv2D 16x16x32 3x3 -> (256, 32,
 // 288), Conv2D 32x32x16 3x3 -> (1024, 16, 144), batch-1 FC 4096->16 ->
 // (1, 16, 4096). Single-threaded so the kernel difference is undiluted.
@@ -167,19 +165,7 @@ void BM_GemmF32_Prepacked(benchmark::State& state) {
   for (auto _ : state) {
     gemm_f32_nt(p.m, p.n, p.k, p.a_f32.data(), p.k, p.b_f32.data(), p.k,
                 p.bias_f32.data(), Activation::kNone, p.c_f32.data(), p.n,
-                nullptr, nullptr, &packed);
-    benchmark::DoNotOptimize(p.c_f32.data());
-  }
-}
-
-void BM_GemmF32_RepackEachCall(benchmark::State& state) {
-  GemmProblem p(state.range(0), state.range(1), state.range(2));
-  ScratchArena arena;
-  for (auto _ : state) {
-    arena.reset();
-    gemm_f32_nt(p.m, p.n, p.k, p.a_f32.data(), p.k, p.b_f32.data(), p.k,
-                p.bias_f32.data(), Activation::kNone, p.c_f32.data(), p.n,
-                nullptr, &arena);
+                nullptr, packed);
     benchmark::DoNotOptimize(p.c_f32.data());
   }
 }
@@ -193,29 +179,17 @@ void BM_GemmI8_PackedVec(benchmark::State& state) {
   PackedBI8 packed{panels.data(), col_sums.data()};
   for (auto _ : state) {
     gemm_i8_nt(p.m, p.n, p.k, p.a_i8.data(), p.k, p.b_i8.data(), p.k, p.quant,
-               p.c_i8.data(), p.n, nullptr, &packed);
-    benchmark::DoNotOptimize(p.c_i8.data());
-  }
-}
-
-// The PR-1 int8 path: scalar register-blocked tiles over raw B rows.
-void BM_GemmI8_Scalar(benchmark::State& state) {
-  GemmProblem p(state.range(0), state.range(1), state.range(2));
-  for (auto _ : state) {
-    gemm_i8_nt(p.m, p.n, p.k, p.a_i8.data(), p.k, p.b_i8.data(), p.k, p.quant,
-               p.c_i8.data(), p.n, nullptr);
+               p.c_i8.data(), p.n, nullptr, packed);
     benchmark::DoNotOptimize(p.c_i8.data());
   }
 }
 
 BENCHMARK(BM_GemmF32_Prepacked)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096});
-BENCHMARK(BM_GemmF32_RepackEachCall)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096});
 // (256, 32, 32) is the MobileNet 1x1 pointwise shape where the pair
 // microkernel's reduction-free epilogue matters most; (1, 16, 4096) and
 // (1, 1001, 1024) are the batch-1 FC matvec shapes served by the k-major
 // m==1 dispatch (raw B rows, one widened A chunk reused across columns).
 BENCHMARK(BM_GemmI8_PackedVec)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096})->Args({256, 32, 32})->Args({1, 1001, 1024});
-BENCHMARK(BM_GemmI8_Scalar)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096})->Args({256, 32, 32})->Args({1, 1001, 1024});
 
 // --- dwconv compute tiers at a Table-4 shape -------------------------------
 // Same int8 dwconv graph under each forced tier (src/kernels/dwconv.h):

@@ -4,9 +4,9 @@
 //
 // For every model/dtype it sweeps thread counts and records steady-state
 // invoke throughput plus the memory split the API is designed around:
-// prepared bytes are paid ONCE per model (constant in session count —
-// asserted here via gemm_b_pack_events), while each session pays only its
-// private scratch-arena high-water mark. Near-linear invokes/s scaling with
+// prepared bytes are paid ONCE per model (constant in session count), while
+// each session pays only its private scratch-arena high-water mark.
+// Near-linear invokes/s scaling with
 // threads is the signal that sessions really share the plan without
 // synchronizing.
 //
@@ -47,7 +47,6 @@
 
 #include "src/convert/converter.h"
 #include "src/interpreter/engine.h"
-#include "src/kernels/gemm.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 
@@ -79,7 +78,6 @@ struct Row {
   double arena_hw_kb = 0.0;      // max across sessions
   double activation_kb = 0.0;    // per session
   std::size_t sessions = 0;
-  std::uint64_t pack_events_during_serve = 0;  // must stay 0
 };
 
 // Runs `threads` workers, each invoking its own pooled session
@@ -96,7 +94,6 @@ Row serve(Engine& engine, const std::string& model_name, int threads,
     leases.back()->invoke();
   }
 
-  const std::uint64_t packs_before = gemm_b_pack_events();
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(threads));
   const auto start = Clock::now();
@@ -117,7 +114,6 @@ Row serve(Engine& engine, const std::string& model_name, int threads,
   row.invokes = invokes_per_thread * threads;
   row.us_per_invoke = secs * 1e6 / static_cast<double>(row.invokes);
   row.invokes_per_sec = static_cast<double>(row.invokes) / secs;
-  row.pack_events_during_serve = gemm_b_pack_events() - packs_before;
   const EnginePoolStats stats = engine.pool_stats(model_name);
   row.prepared_kb = static_cast<double>(stats.prepared_bytes) / 1024.0;
   row.sessions = stats.sessions_created;
@@ -141,8 +137,8 @@ Row serve(Engine& engine, const std::string& model_name, int threads,
 // shared worker set, so invoke throughput rising with the cap (on hosts
 // with cores to back it) is the signal that concurrent jobs really run
 // side by side instead of serializing on a process-global queue — the
-// composable-threading contract. Rows keep the serving sweep's invariants:
-// prepared bytes constant in the cap, zero GEMM B re-packs while serving.
+// composable-threading contract. Rows keep the serving sweep's invariant:
+// prepared bytes constant in the cap.
 std::vector<Row> mt_model_sweep(bool quick, unsigned hw) {
   const ZooEntry* entry = nullptr;
   for (const ZooEntry& e : image_zoo()) {
@@ -669,10 +665,8 @@ int run(bool quick) {
     std::printf("      \"sessions\": %zu,\n", r.sessions);
     std::printf("      \"prepared_kb\": %.2f,\n", r.prepared_kb);
     std::printf("      \"arena_high_water_kb\": %.2f,\n", r.arena_hw_kb);
-    std::printf("      \"activation_kb_per_session\": %.2f,\n",
+    std::printf("      \"activation_kb_per_session\": %.2f\n",
                 r.activation_kb);
-    std::printf("      \"gemm_b_pack_events_during_serve\": %llu\n",
-                static_cast<unsigned long long>(r.pack_events_during_serve));
     std::printf("    },\n");
   }
   for (const OpenLoopRow& r : openloop_rows) {

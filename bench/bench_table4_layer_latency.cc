@@ -10,13 +10,13 @@
 //
 // The V3 table splits out the squeeze-excite elementwise groups (Add, Mul,
 // Mean, Logistic, HSwish) that src/kernels/elementwise.h moved onto the
-// integer-only Q31/LUT path, and verifies — via elementwise_pack_events() —
-// that every int8 elementwise node in the plan was prepared by that family,
-// i.e. no double-math reference elementwise remains on the int8 path.
+// integer-only Q31/LUT path, and verifies — from the plan's steps — that
+// every int8 elementwise node in the plan was prepared by that family, i.e.
+// no double-math reference elementwise remains on the int8 path.
 #include "bench/bench_util.h"
 #include "src/convert/converter.h"
 #include "src/interpreter/device_profile.h"
-#include "src/kernels/elementwise.h"
+#include "src/interpreter/execution_plan.h"
 #include "src/models/trained_models.h"
 #include "src/quant/quantizer.h"
 
@@ -91,16 +91,16 @@ int run_model(const char* checkpoint, const char* title) {
 
   // Integer-only verification: every int8 elementwise node must be
   // plan-prepared by the Q31/LUT family (the reference kernels have no
-  // prepare hook, so a node falling back to double math would not tick
-  // elementwise_pack_events() at plan construction).
+  // prepare hook, so a node falling back to double math would have no
+  // prepared storage in the plan).
   int elementwise_nodes = 0;
-  for (const Node& n : quant.nodes) {
-    if (is_elementwise_type(n.type)) ++elementwise_nodes;
+  int prepared = 0;
+  const ExecutionPlan plan(quant, opt, PoolRef());
+  for (const PlanStep& step : plan.steps()) {
+    if (!is_elementwise_type(step.node->type)) continue;
+    ++elementwise_nodes;
+    if (step.kernel->prepare && step.prepared != nullptr) ++prepared;
   }
-  const std::uint64_t probe = elementwise_pack_events();
-  { Interpreter check(&quant, &opt); }
-  const int prepared =
-      static_cast<int>(elementwise_pack_events() - probe);
 
   auto float_opt = measure_by_group(mobile, opt, input, 2);
   auto quant_opt = measure_by_group(quant, opt, input, 2);

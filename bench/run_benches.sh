@@ -211,9 +211,9 @@ digest_overhead "${out_dir}/BENCH_monitor_overhead.json"
 # its one-thread row and stamps the ratios into the JSON context: serving/*
 # rows scale in session count, mtmodel/* rows in the engine's kernel-thread
 # cap (both asserted >= 1.2x at t2 on multi-core hosts). Prepared bytes
-# must be constant in session count and no GEMM B panel may be re-packed
-# while serving (the prepare-once/serve-many contract); fail loudly if the
-# bench recorded otherwise. Multi-thread scaling itself is only *asserted*
+# must be constant in session count (the prepare-once/serve-many
+# contract); fail loudly if the bench recorded otherwise. Multi-thread
+# scaling itself is only *asserted*
 # when the recorded hardware_concurrency offers real parallelism — on a
 # single-core runner the sweep still runs (the concurrency correctness
 # checks above stand) but the scaling factor is reported, not enforced.
@@ -254,8 +254,6 @@ print(f"{'model/dtype':32s} {'t1 inv/s':>10s}  scaling(t2,t4,...)  prepared_kb")
 for key, by_t in sorted(rows.items()):
     base = by_t[min(by_t)]
     for b in by_t.values():
-        assert b["gemm_b_pack_events_during_serve"] == 0, \
-            f"{b['name']}: GEMM B panels re-packed while serving"
         assert b["prepared_kb"] == base["prepared_kb"], \
             f"{b['name']}: prepared bytes changed with session count"
     rel = {t: by_t[t]["invokes_per_second"] / base["invokes_per_second"]

@@ -89,12 +89,14 @@ std::string BinaryReader::read_string() {
 
 void BinaryReader::read_bytes(void* out, std::size_t size) {
   require(size);
+  if (size == 0) return;  // an empty destination may be null
   std::memcpy(out, bytes_.data() + cursor_, size);
   cursor_ += size;
 }
 
 std::vector<float> BinaryReader::read_f32_array() {
   std::uint64_t n = read_u64();
+  MLX_CHECK_LE(n, remaining() / sizeof(float)) << "array past end of input";
   std::vector<float> values(n);
   read_bytes(values.data(), n * sizeof(float));
   return values;
@@ -102,6 +104,8 @@ std::vector<float> BinaryReader::read_f32_array() {
 
 std::vector<std::int32_t> BinaryReader::read_i32_array() {
   std::uint64_t n = read_u64();
+  MLX_CHECK_LE(n, remaining() / sizeof(std::int32_t))
+      << "array past end of input";
   std::vector<std::int32_t> values(n);
   read_bytes(values.data(), n * sizeof(std::int32_t));
   return values;

@@ -58,7 +58,7 @@ class BinaryReader {
 
  private:
   void require(std::size_t n) const {
-    MLX_CHECK_LE(cursor_ + n, bytes_.size()) << "binary read out of bounds";
+    MLX_CHECK_LE(n, remaining()) << "binary read out of bounds";
   }
   std::vector<std::uint8_t> bytes_;
   std::size_t cursor_ = 0;

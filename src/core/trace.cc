@@ -1,5 +1,7 @@
 #include "src/core/trace.h"
 
+#include <algorithm>
+
 #include "src/common/file_io.h"
 #include "src/graph/serialization.h"
 
@@ -129,7 +131,9 @@ Trace deserialize_trace(const std::vector<std::uint8_t>& bytes) {
   Trace trace;
   trace.pipeline_name = r.read_string();
   std::uint32_t frames = r.read_u32();
-  trace.frames.reserve(frames);
+  // The count is untrusted: every frame takes at least one byte, so the
+  // bytes left bound any honest count.
+  trace.frames.reserve(std::min<std::size_t>(frames, r.remaining()));
   for (std::uint32_t i = 0; i < frames; ++i) {
     trace.frames.push_back(deserialize_frame(r, version));
   }
@@ -155,7 +159,7 @@ Trace load_trace_tolerant(const std::filesystem::path& path,
   Trace trace;
   trace.pipeline_name = r.read_string();
   const std::uint32_t promised = r.read_u32();
-  trace.frames.reserve(promised);
+  trace.frames.reserve(std::min<std::size_t>(promised, r.remaining()));
   std::size_t truncated = 0;
   for (std::uint32_t i = 0; i < promised; ++i) {
     // A torn tail frame (killed writer) fails its bounds-checked reads;

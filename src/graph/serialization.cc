@@ -13,8 +13,8 @@ void write_shape(BinaryWriter& w, const Shape& shape) {
 }
 
 Shape read_shape(BinaryReader& r) {
-  int rank = r.read_u8();
-  Shape shape;
+  const int rank = r.read_u8();
+  MLX_CHECK_LE(rank, Shape::kMaxRank) << "bad rank";
   // Build via initializer of correct rank.
   std::int64_t dims[Shape::kMaxRank] = {0};
   for (int d = 0; d < rank; ++d) dims[d] = r.read_i64();
@@ -54,12 +54,27 @@ void serialize_tensor(BinaryWriter& w, const Tensor& tensor) {
 }
 
 Tensor deserialize_tensor(BinaryReader& r) {
-  auto dtype = static_cast<DType>(r.read_u8());
+  const std::uint8_t raw_dtype = r.read_u8();
+  MLX_CHECK_LE(raw_dtype, static_cast<std::uint8_t>(DType::kI32))
+      << "bad dtype";
+  const auto dtype = static_cast<DType>(raw_dtype);
   Shape shape = read_shape(r);
   QuantParams quant = read_quant(r);
-  std::uint64_t bytes = r.read_u64();
+  const std::uint64_t bytes = r.read_u64();
+  // Validate the claimed size before allocating anything: it must fit in
+  // what is left of the input and agree with dtype x dims, computed without
+  // overflow.
+  MLX_CHECK_LE(bytes, r.remaining()) << "tensor payload past end of input";
+  std::uint64_t expected = dtype_size(dtype);
+  for (int d = 0; d < shape.rank(); ++d) {
+    MLX_CHECK_GE(shape.dim(d), 0) << "negative tensor dim";
+    const auto dim = static_cast<std::uint64_t>(shape.dim(d));
+    MLX_CHECK(dim == 0 || expected <= bytes / dim)
+        << "tensor payload size mismatch";
+    expected *= dim;
+  }
+  MLX_CHECK_EQ(expected, bytes) << "tensor payload size mismatch";
   Tensor t(dtype, shape);
-  MLX_CHECK_EQ(t.byte_size(), bytes) << "tensor payload size mismatch";
   r.read_bytes(t.raw_data(), bytes);
   t.quant() = std::move(quant);
   return t;

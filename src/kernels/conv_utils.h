@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/kernels/fixed_point.h"
-#include "src/kernels/kernel.h"
 #include "src/tensor/tensor.h"
 
 namespace mlexray {
@@ -44,17 +43,8 @@ inline RequantScales prepare_requant(const QuantParams& in_q,
   return r;
 }
 
-// Arena-backed view of the Q31 requantization factors, for the optimized
-// kernels' steady-state path: the tables live in the interpreter's scratch
-// arena instead of per-call std::vectors, so repeated invokes do not touch
-// the heap. Valid until the node finishes executing.
-struct RequantView {
-  const std::int32_t* multipliers = nullptr;
-  const int* shifts = nullptr;
-};
-
-// Writes the Q31 tables into caller-provided arrays (scratch or plan-owned
-// prepared storage).
+// Writes the Q31 tables into caller-provided arrays (plan-owned prepared
+// storage).
 inline void fill_requant_tables(const QuantParams& in_q, const QuantParams& w_q,
                                 const QuantParams& out_q,
                                 std::int64_t out_channels,
@@ -65,17 +55,6 @@ inline void fill_requant_tables(const QuantParams& in_q, const QuantParams& w_q,
                    w_q.scale(w_q.per_channel() ? ch : 0) / out_q.scale();
     quantize_multiplier(scale, &multipliers[ch], &shifts[ch]);
   }
-}
-
-inline RequantView prepare_requant_scratch(const KernelContext& ctx,
-                                           const QuantParams& in_q,
-                                           const QuantParams& w_q,
-                                           const QuantParams& out_q,
-                                           std::int64_t out_channels) {
-  auto* multipliers = ctx.scratch<std::int32_t>(out_channels);
-  auto* shifts = ctx.scratch<int>(out_channels);
-  fill_requant_tables(in_q, w_q, out_q, out_channels, multipliers, shifts);
-  return {multipliers, shifts};
 }
 
 }  // namespace mlexray

@@ -14,7 +14,6 @@
 namespace mlexray {
 namespace {
 
-std::atomic<std::uint64_t> g_dw_pack_events{0};
 std::atomic<int> g_tier_override{0};  // DwConvTier
 
 // Stencil windows this large get the inline-bounds fallback instead of the
@@ -333,11 +332,6 @@ void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
       w_sums[c] += v;
     }
   }
-  g_dw_pack_events.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t dwconv_pack_events() {
-  return g_dw_pack_events.load(std::memory_order_relaxed);
 }
 
 void set_dwconv_tier_for_testing(DwConvTier tier) {

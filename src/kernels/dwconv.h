@@ -13,8 +13,7 @@
 //
 //  - f32: nothing to build — the [1, kh, kw, ch] filter already *is* the
 //    tap-major panel layout the vector loop streams, so the packed view
-//    points straight at the node's weights (no copy, on the plan and
-//    no-plan paths alike).
+//    points straight at the node's weights (no copy, and no prepare hook).
 //  - int8: the filter widened to int16 (the widening multiply's weight
 //    operand then loads directly, no per-iteration sign extension), plus a
 //    per-channel fused accumulator bias
@@ -24,11 +23,6 @@
 //    taps minus in_zp * w_sum equals the reference kernel's skipped-tap
 //    accumulation exactly), plus the per-channel Q31 requant tables and the
 //    fused activation clamp range.
-//
-// `dwconv_pack_events()` counts every pack/table build (prepare-time and
-// per-call fallback alike), mirroring `gemm_b_pack_events()`: the
-// conformance tests snapshot it after plan construction and assert
-// steady-state invoke never packs again.
 //
 // Integer accumulation is exact and order-free, so every tier (AVX2,
 // generic GNU-vector, scalar) produces bit-identical int8 output; the f32
@@ -63,8 +57,8 @@ struct DwConvShape {
   std::int64_t depth_mult = 1;
 };
 
-// Packed views (plain pointers into PreparedStorage, scratch, or — for f32,
-// whose source layout is already panel-shaped — the node's own weights).
+// Packed views (plain pointers into PreparedStorage or — for f32, whose
+// source layout is already panel-shaped — the node's own weights).
 struct PackedDwF32 {
   const float* weights = nullptr;  // [kh*kw][out_ch] tap-major
   const float* bias = nullptr;     // [out_ch]
@@ -82,16 +76,10 @@ struct PackedDwI8 {
 };
 
 // Packs the [1, kh, kw, ch] int8 filter: widens to int16 (same tap-major
-// order) and returns per-channel tap sums (for acc_init). Bumps
-// dwconv_pack_events().
+// order) and returns per-channel tap sums (for acc_init).
 void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
                         const std::int8_t* w, std::int16_t* out,
                         std::int32_t* w_sums);
-
-// Monotonic count of dwconv weight packs / table builds (prepare-time and
-// per-call fallback). Plan-prepared kernels make this stand still across
-// invokes; the conformance grid asserts it.
-std::uint64_t dwconv_pack_events();
 
 // Test hook: force the compute tier for subsequent invocations so the
 // conformance grid can assert cross-tier bit-exactness. kAuto restores the

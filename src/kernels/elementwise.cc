@@ -18,7 +18,6 @@
 namespace mlexray {
 namespace {
 
-std::atomic<std::uint64_t> g_ew_pack_events{0};
 std::atomic<int> g_tier_override{0};  // ElementwiseTier
 
 enum class Tier { kAvx2, kGeneric, kScalar };
@@ -48,13 +47,9 @@ Tier resolve_tier() {
   }
 }
 
-void note_pack_event() {
-  g_ew_pack_events.fetch_add(1, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
-// Packed Q31 parameter blocks (PODs living in PreparedStorage, or copied to
-// the stack on the no-plan fallback path — never heap-allocated at invoke).
+// Packed Q31 parameter blocks (PODs living in PreparedStorage — never
+// heap-allocated at invoke).
 // ---------------------------------------------------------------------------
 
 // Add/Sub rescale both operands onto a common grid 2^kAddLeftShift finer
@@ -92,8 +87,7 @@ struct PackedEwLutI8 {
 };
 
 // ---------------------------------------------------------------------------
-// Plan-time builders (also the per-call fallback when ctx.prepared == null).
-// Every build bumps elementwise_pack_events().
+// Plan-time builders, run by the prepare hooks.
 // ---------------------------------------------------------------------------
 
 PackedEwAddI8 build_packed_add_i8(const KernelContext& ctx) {
@@ -123,7 +117,6 @@ PackedEwAddI8 build_packed_add_i8(const KernelContext& ctx) {
   p.act_max = range.max;
   p.broadcast_b = ctx.input(0).shape() == ctx.input(1).shape() ? 0 : 1;
   p.is_sub = ctx.node->type == OpType::kSub ? 1 : 0;
-  note_pack_event();
   return p;
 }
 
@@ -141,7 +134,6 @@ PackedEwMulI8 build_packed_mul_i8(const KernelContext& ctx) {
   p.zb = bq.zero_point();
   p.zo = oq.zero_point();
   p.broadcast_b = ctx.input(0).shape() == ctx.input(1).shape() ? 0 : 1;
-  note_pack_event();
   return p;
 }
 
@@ -160,7 +152,6 @@ PackedEwMeanI8 build_packed_mean_i8(const KernelContext& ctx) {
   p.shift = shift;
   p.in_zp = iq.zero_point();
   p.out_zp = oq.zero_point();
-  note_pack_event();
   return p;
 }
 
@@ -169,12 +160,6 @@ void ew_prepare(const KernelContext& ctx) {
   auto* root = ctx.prepared->allocate_array<Packed>(1);
   *root = kBuild(ctx);
   ctx.prepared->set_root(root);
-}
-
-template <typename Packed, Packed (*kBuild)(const KernelContext&)>
-Packed packed_of(const KernelContext& ctx) {
-  if (ctx.prepared != nullptr) return *ctx.prepared->root<Packed>();
-  return kBuild(ctx);  // no plan (e.g. bare-context invoke): build per call
 }
 
 // ---------------------------------------------------------------------------
@@ -281,8 +266,7 @@ AddSpanFn select_add_span(Tier tier) {
 }
 
 void addsub_i8_opt(const KernelContext& ctx) {
-  const PackedEwAddI8 p =
-      packed_of<PackedEwAddI8, build_packed_add_i8>(ctx);
+  const PackedEwAddI8& p = ctx.prepared_root<PackedEwAddI8>();
   const Tensor& a = ctx.input(0);
   const Tensor& b = ctx.input(1);
   const std::int8_t* pa = a.data<std::int8_t>();
@@ -362,7 +346,7 @@ MulSpanFn select_mul_span(Tier tier) {
 }
 
 void mul_i8_opt(const KernelContext& ctx) {
-  const PackedEwMulI8 p = packed_of<PackedEwMulI8, build_packed_mul_i8>(ctx);
+  const PackedEwMulI8& p = ctx.prepared_root<PackedEwMulI8>();
   const Tensor& a = ctx.input(0);
   const Tensor& b = ctx.input(1);
   const std::int8_t* pa = a.data<std::int8_t>();
@@ -461,8 +445,7 @@ MeanFn select_mean(Tier tier) {
 }
 
 void mean_i8_opt(const KernelContext& ctx) {
-  const PackedEwMeanI8 p =
-      packed_of<PackedEwMeanI8, build_packed_mean_i8>(ctx);
+  const PackedEwMeanI8& p = ctx.prepared_root<PackedEwMeanI8>();
   const Tensor& in = ctx.input(0);
   const Shape& is = in.shape();
   const std::int64_t hw = is.dim(1) * is.dim(2);
@@ -485,32 +468,19 @@ void mean_i8_opt(const KernelContext& ctx) {
 // ---------------------------------------------------------------------------
 
 template <float (*Fn)(float)>
-const std::int8_t* build_lut_into(const KernelContext& ctx,
-                                  std::int8_t* dst) {
-  const auto table =
-      build_i8_lut(ctx.input(0).quant(), ctx.output->quant(), Fn);
-  std::memcpy(dst, table.data(), table.size());
-  note_pack_event();
-  return dst;
-}
-
-template <float (*Fn)(float)>
 void ew_lut_prepare(const KernelContext& ctx) {
   auto* root = ctx.prepared->allocate_array<PackedEwLutI8>(1);
   auto* table = ctx.prepared->allocate_array<std::int8_t>(256);
-  root->table = build_lut_into<Fn>(ctx, table);
+  const auto built =
+      build_i8_lut(ctx.input(0).quant(), ctx.output->quant(), Fn);
+  std::memcpy(table, built.data(), built.size());
+  root->table = table;
   ctx.prepared->set_root(root);
 }
 
-template <float (*Fn)(float)>
 void ew_lut_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
-  const std::int8_t* table;
-  if (ctx.prepared != nullptr) {
-    table = ctx.prepared->root<PackedEwLutI8>()->table;
-  } else {
-    table = build_lut_into<Fn>(ctx, ctx.scratch<std::int8_t>(256));
-  }
+  const std::int8_t* table = ctx.prepared_root<PackedEwLutI8>().table;
   const std::int8_t* src = in.data<std::int8_t>();
   std::int8_t* dst = ctx.output->data<std::int8_t>();
   const std::int64_t n = in.num_elements();
@@ -534,10 +504,6 @@ const char* elementwise_best_tier_name() {
   return "scalar";
 }
 
-std::uint64_t elementwise_pack_events() {
-  return g_ew_pack_events.load(std::memory_order_relaxed);
-}
-
 void register_elementwise_i8_kernels(KernelMap& map) {
   map[{OpType::kAdd, true}] = {
       addsub_i8_opt, ew_prepare<PackedEwAddI8, build_packed_add_i8>};
@@ -547,12 +513,11 @@ void register_elementwise_i8_kernels(KernelMap& map) {
       mul_i8_opt, ew_prepare<PackedEwMulI8, build_packed_mul_i8>};
   map[{OpType::kMean, true}] = {
       mean_i8_opt, ew_prepare<PackedEwMeanI8, build_packed_mean_i8>};
-  map[{OpType::kSigmoid, true}] = {ew_lut_i8_opt<sigmoid_f32>,
+  map[{OpType::kSigmoid, true}] = {ew_lut_i8_opt,
                                    ew_lut_prepare<sigmoid_f32>};
-  map[{OpType::kHardSwish, true}] = {ew_lut_i8_opt<hardswish_f32>,
+  map[{OpType::kHardSwish, true}] = {ew_lut_i8_opt,
                                      ew_lut_prepare<hardswish_f32>};
-  map[{OpType::kTanh, true}] = {ew_lut_i8_opt<tanh_f32>,
-                                ew_lut_prepare<tanh_f32>};
+  map[{OpType::kTanh, true}] = {ew_lut_i8_opt, ew_lut_prepare<tanh_f32>};
 }
 
 }  // namespace mlexray

@@ -25,10 +25,8 @@
 //    under adversarial scale choices) take a scalar positive-shift path on
 //    every tier, keeping the cross-tier contract.
 //
-// `elementwise_pack_events()` counts every Q31 table / LUT build (prepare-time
-// and per-call fallback alike), mirroring `dwconv_pack_events()`: the grid
-// snapshots it after plan construction and asserts steady-state invoke never
-// builds again.
+// Every kernel here has a prepare hook, so it runs only through an
+// ExecutionPlan: invoke reads the prepared block and never builds one.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +44,6 @@ void set_elementwise_tier_for_testing(ElementwiseTier tier);
 // Name of the tier kAuto resolves to on this build ("avx2",
 // "generic-vector", or "scalar"); surfaced by benches.
 const char* elementwise_best_tier_name();
-
-// Monotonic count of elementwise Q31-table / activation-LUT builds
-// (prepare-time and per-call fallback). Plan-prepared kernels make this
-// stand still across invokes; the conformance grid asserts it.
-std::uint64_t elementwise_pack_events();
 
 // Registers the optimized int8 kernels (Add/Sub/Mul/Mean + the LUT
 // activations Logistic/HardSwish/Tanh) with their prepare hooks.

@@ -1,7 +1,6 @@
 #include "src/kernels/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
@@ -21,18 +20,12 @@ namespace {
 // 8-interleaved the inner j loop vectorizes to one 8-wide FMA per row on
 // AVX2 (or two 4-wide mul/adds on plain SSE), and the MR * 8 accumulators
 // stay in vector registers. MR is a template parameter so short matrices
-// (fully-connected with batch 1) still get fully unrolled code. The packed
-// int8 tile is MR x 16: one int32 accumulator lane per output column across
-// the pair-interleaved panel; the unpacked fallback keeps the scalar 4x4
-// register blocking.
+// (fully-connected with batch 1) still get fully unrolled code. The int8
+// tile is MR x 16: one int32 accumulator lane per output column across the
+// pair-interleaved panel.
 constexpr std::int64_t kMr = 4;
 constexpr std::int64_t kNrF = kGemmNrF32;
-// Unpacked int8 register tile width (raw B rows, no-plan fallback); the
-// *packed* int8 panel width is kGemmNrI8 (16).
-constexpr std::int64_t kNrI = 4;
 constexpr std::int64_t kNrIP = kGemmNrI8;
-
-std::atomic<std::uint64_t> g_b_pack_events{0};
 
 // Below this many multiply-accumulates the parallel_for rendezvous costs more
 // than the arithmetic; run on the calling thread.
@@ -107,8 +100,8 @@ inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
 }
 #endif
 
-// Generic tile over unpacked B (any mr <= kMr, nr <= kNrF). Used for the
-// matrix-vector shapes that skip packing and for the n edge.
+// Generic tile over unpacked B (any mr <= kMr, nr <= kNrF): the n % kNrF
+// edge columns no full panel covers (every column when n < kNrF).
 inline void tile_f32_edge(std::int64_t mr, std::int64_t nr, std::int64_t k,
                           const float* a, std::int64_t lda, const float* b,
                           std::int64_t ldb, const float* bias, Activation act,
@@ -126,123 +119,6 @@ inline void tile_f32_edge(std::int64_t mr, std::int64_t nr, std::int64_t k,
   for (std::int64_t i = 0; i < mr; ++i) {
     for (std::int64_t j = 0; j < nr; ++j) {
       c[i * ldc + j] = apply_activation_f32(acc[i][j], act);
-    }
-  }
-}
-
-// Unpacked full-width tile for m too small to amortize packing (e.g.
-// fully-connected with batch 1): B rows are walked directly, with the four
-// accumulator chains per row giving ILP that a naive dot product lacks.
-template <int MR>
-inline void tile_f32_rows(std::int64_t k, const float* a, std::int64_t lda,
-                          const float* b, std::int64_t ldb, const float* bias,
-                          Activation act, float* c, std::int64_t ldc) {
-  float acc[MR][kNrI];
-  const float* ar[MR];
-  for (int i = 0; i < MR; ++i) {
-    ar[i] = a + i * lda;
-    for (std::int64_t j = 0; j < kNrI; ++j) acc[i][j] = bias[j];
-  }
-  const float* b0 = b;
-  const float* b1 = b + ldb;
-  const float* b2 = b + 2 * ldb;
-  const float* b3 = b + 3 * ldb;
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float bv0 = b0[kk], bv1 = b1[kk], bv2 = b2[kk], bv3 = b3[kk];
-    for (int i = 0; i < MR; ++i) {
-      const float av = ar[i][kk];
-      acc[i][0] += av * bv0;
-      acc[i][1] += av * bv1;
-      acc[i][2] += av * bv2;
-      acc[i][3] += av * bv3;
-    }
-  }
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < kNrI; ++j) {
-      c[i * ldc + j] = apply_activation_f32(acc[i][j], act);
-    }
-  }
-}
-
-// Matrix-vector fast path (m == 1, the batch-1 fully-connected shape): eight
-// independent accumulator chains hide the FMA latency a single dot-product
-// chain serializes on. Order per output is still bias-first, k-ascending.
-// The auto-vectorizer must stay away: it fuses the chains into vector lanes
-// fed by insert-loads from eight strided streams, which measures >2x slower
-// than the plain scalar chains. fp-contract is restated because the optimize
-// attribute resets it, and FMA contraction must match the reference kernels'
-// for bitwise parity.
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((
-    optimize("no-tree-vectorize,no-tree-slp-vectorize,fp-contract=fast")))
-#endif
-inline void tile_f32_1x8(std::int64_t k, const float* a, const float* b,
-                         std::int64_t ldb, const float* bias, Activation act,
-                         float* c) {
-  float acc0 = bias[0], acc1 = bias[1], acc2 = bias[2], acc3 = bias[3];
-  float acc4 = bias[4], acc5 = bias[5], acc6 = bias[6], acc7 = bias[7];
-  const float* b0 = b;
-  const float* b1 = b + ldb;
-  const float* b2 = b + 2 * ldb;
-  const float* b3 = b + 3 * ldb;
-  const float* b4 = b + 4 * ldb;
-  const float* b5 = b + 5 * ldb;
-  const float* b6 = b + 6 * ldb;
-  const float* b7 = b + 7 * ldb;
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float av = a[kk];
-    acc0 += av * b0[kk];
-    acc1 += av * b1[kk];
-    acc2 += av * b2[kk];
-    acc3 += av * b3[kk];
-    acc4 += av * b4[kk];
-    acc5 += av * b5[kk];
-    acc6 += av * b6[kk];
-    acc7 += av * b7[kk];
-  }
-  c[0] = apply_activation_f32(acc0, act);
-  c[1] = apply_activation_f32(acc1, act);
-  c[2] = apply_activation_f32(acc2, act);
-  c[3] = apply_activation_f32(acc3, act);
-  c[4] = apply_activation_f32(acc4, act);
-  c[5] = apply_activation_f32(acc5, act);
-  c[6] = apply_activation_f32(acc6, act);
-  c[7] = apply_activation_f32(acc7, act);
-}
-
-template <int MR>
-inline void tile_i8(std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                    const std::int8_t* b, std::int64_t ldb, std::int32_t a_zp,
-                    std::int32_t acc[kMr][kNrI]) {
-  const std::int8_t* ar[MR];
-  for (int i = 0; i < MR; ++i) ar[i] = a + i * lda;
-  const std::int8_t* b0 = b;
-  const std::int8_t* b1 = b + ldb;
-  const std::int8_t* b2 = b + 2 * ldb;
-  const std::int8_t* b3 = b + 3 * ldb;
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const std::int32_t bv0 = b0[kk], bv1 = b1[kk];
-    const std::int32_t bv2 = b2[kk], bv3 = b3[kk];
-    for (int i = 0; i < MR; ++i) {
-      const std::int32_t av = ar[i][kk] - a_zp;
-      acc[i][0] += av * bv0;
-      acc[i][1] += av * bv1;
-      acc[i][2] += av * bv2;
-      acc[i][3] += av * bv3;
-    }
-  }
-}
-
-inline void tile_i8_edge(std::int64_t mr, std::int64_t nr, std::int64_t k,
-                         const std::int8_t* a, std::int64_t lda,
-                         const std::int8_t* b, std::int64_t ldb,
-                         std::int32_t a_zp, std::int32_t acc[kMr][kNrI]) {
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    for (std::int64_t i = 0; i < mr; ++i) {
-      const std::int32_t av = a[i * lda + kk] - a_zp;
-      for (std::int64_t j = 0; j < nr; ++j) {
-        acc[i][j] += av * static_cast<std::int32_t>(b[j * ldb + kk]);
-      }
     }
   }
 }
@@ -675,33 +551,16 @@ void pack_b_i8(std::int64_t n, std::int64_t k, const std::int8_t* b,
   }
 }
 
-std::uint64_t gemm_b_pack_events() {
-  return g_b_pack_events.load(std::memory_order_relaxed);
-}
-
 void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* b,
                  std::int64_t ldb, const float* bias, Activation act, float* c,
-                 std::int64_t ldc, PoolRef pool, ScratchArena* arena,
-                 const PackedBF32* packed) {
+                 std::int64_t ldc, PoolRef pool, const PackedBF32& packed) {
   if (m <= 0 || n <= 0) return;
+  MLX_CHECK_EQ(packed.panel_count, n / kNrF) << "B panels packed for another n";
   // Kernel-level fault point: lets tests originate an MLX_CHECK-style
   // failure inside a real kernel (not just the plan walk) and assert it is
   // contained at the session boundary.
   if (fault::enabled()) fault::check(fault_sites::kKernelGemm);
-  // Prepacked panels (plan-time weight packing) skip the per-call repack
-  // entirely. Otherwise repack B once per call when enough rows reuse it
-  // (the n * k copy is wasted on matrix-vector shapes like batch-1
-  // fully-connected).
-  const float* panels = nullptr;
-  if (packed != nullptr && packed->panel_count > 0) {
-    panels = packed->panels;
-  } else if (arena != nullptr && n >= kNrF && m >= 8) {
-    float* p = arena->allocate_array<float>(packed_b_f32_floats(n, k));
-    pack_b_f32(n, k, b, ldb, p);
-    panels = p;
-    g_b_pack_events.fetch_add(1, std::memory_order_relaxed);
-  }
   const std::int64_t m_tiles = (m + kMr - 1) / kMr;
   auto row_block = [&](std::size_t tile_lo, std::size_t tile_hi) {
     for (std::size_t t = tile_lo; t < tile_hi; ++t) {
@@ -710,29 +569,13 @@ void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
       const float* at = a + i0 * lda;
       float* ct = c + i0 * ldc;
       std::int64_t j0 = 0;
-      if (panels != nullptr) {
-        for (; j0 + kNrF <= n; j0 += kNrF) {
-          const float* bp = panels + (j0 / kNrF) * k * kNrF;
-          switch (mr) {
-            case 4: tile_f32_packed<4>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-            case 3: tile_f32_packed<3>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-            case 2: tile_f32_packed<2>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-            default: tile_f32_packed<1>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-          }
-        }
-      } else if (mr == 1) {
-        for (; j0 + kNrF <= n; j0 += kNrF) {
-          tile_f32_1x8(k, at, b + j0 * ldb, ldb, bias + j0, act, ct + j0);
-        }
-      } else {
-        for (; j0 + kNrI <= n; j0 += kNrI) {
-          const float* bt = b + j0 * ldb;
-          switch (mr) {
-            case 4: tile_f32_rows<4>(k, at, lda, bt, ldb, bias + j0, act, ct + j0, ldc); break;
-            case 3: tile_f32_rows<3>(k, at, lda, bt, ldb, bias + j0, act, ct + j0, ldc); break;
-            case 2: tile_f32_rows<2>(k, at, lda, bt, ldb, bias + j0, act, ct + j0, ldc); break;
-            default: tile_f32_rows<1>(k, at, lda, bt, ldb, bias + j0, act, ct + j0, ldc); break;
-          }
+      for (; j0 + kNrF <= n; j0 += kNrF) {
+        const float* bp = packed.panels + (j0 / kNrF) * k * kNrF;
+        switch (mr) {
+          case 4: tile_f32_packed<4>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
+          case 3: tile_f32_packed<3>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
+          case 2: tile_f32_packed<2>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
+          default: tile_f32_packed<1>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
         }
       }
       for (; j0 < n; j0 += kNrF) {
@@ -751,17 +594,15 @@ void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
 void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, const GemmQuant& q, std::int8_t* c,
-                std::int64_t ldc, PoolRef pool, const PackedBI8* packed) {
+                std::int64_t ldc, PoolRef pool, const PackedBI8& packed) {
   if (m <= 0 || n <= 0) return;
-  const bool use_packed = packed != nullptr && packed->panels != nullptr &&
-                          packed->col_sums != nullptr;
   // Shape dispatch: m == 1 (batch-1 FC / 1x1-output convs) walks raw
   // k-major B rows instead of the pair-interleaved panels — with a single A
   // row the panel walk has no load reuse and regressed matvec latency ~2.7x
   // (see ROADMAP note). Same raw accumulators + identical col_sums
-  // epilogue, so the result is bit-exact vs the panel path (the
-  // matvec-vs-packed parity test pins this).
-  if (use_packed && m == 1 && b != nullptr) {
+  // epilogue, so the result is bit-exact vs the panel path (the naive-loop
+  // parity tests pin both).
+  if (m == 1) {
     constexpr std::int64_t kMvCols = 64;
     std::int32_t acc[kMvCols];
     for (std::int64_t j0 = 0; j0 < n; j0 += kMvCols) {
@@ -774,7 +615,7 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
         const std::size_t col = static_cast<std::size_t>(j0 + j);
         v8s32_fx accv, cs, bs, mu, sh;
         __builtin_memcpy(&accv, acc + j, sizeof(accv));
-        __builtin_memcpy(&cs, packed->col_sums + col, sizeof(cs));
+        __builtin_memcpy(&cs, packed.col_sums + col, sizeof(cs));
         __builtin_memcpy(&bs, q.bias + col, sizeof(bs));
         __builtin_memcpy(&mu, q.multipliers + col, sizeof(mu));
         __builtin_memcpy(&sh, q.shifts + col, sizeof(sh));
@@ -786,7 +627,7 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
       for (; j < nc; ++j) {
         const std::size_t col = static_cast<std::size_t>(j0 + j);
         const std::int32_t sum =
-            acc[j] - q.a_zero_point * packed->col_sums[col];
+            acc[j] - q.a_zero_point * packed.col_sums[col];
         std::int32_t scaled = multiply_by_quantized_multiplier(
             sum + q.bias[col], q.multipliers[col], q.shifts[col]);
         std::int32_t v = scaled + q.out_zero_point;
@@ -798,12 +639,12 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
   }
   const std::int64_t m_tiles = (m + kMr - 1) / kMr;
   const std::int64_t k2 = (k + 1) / 2;
-  // Packed path: pair-broadcast microkernel over the pair-interleaved
-  // panels. Accumulation is *raw* (no per-element zero-point subtraction);
-  // the epilogue corrects with the prepacked column sums. Integer math is
-  // exact, so this produces accumulators identical to the unpacked path's.
-  auto row_block_packed = [&](std::size_t tile_lo, std::size_t tile_hi) {
-    const auto* p16 = reinterpret_cast<const std::int16_t*>(packed->panels);
+  // Pair-broadcast microkernel over the pair-interleaved panels.
+  // Accumulation is *raw* (no per-element zero-point subtraction); the
+  // epilogue corrects with the prepacked column sums. Integer math is exact,
+  // so the result equals sum_k (a - zp) * b to the bit.
+  auto row_block = [&](std::size_t tile_lo, std::size_t tile_hi) {
+    const auto* p16 = reinterpret_cast<const std::int16_t*>(packed.panels);
     for (std::size_t t = tile_lo; t < tile_hi; ++t) {
       const std::int64_t i0 = static_cast<std::int64_t>(t) * kMr;
       const std::int64_t mr = std::min(kMr, m - i0);
@@ -818,16 +659,15 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
           std::int64_t j = 0;
 #if defined(__GNUC__) || defined(__clang__)
           // Vectorized requant epilogue (requant_clamp_store_i8_v8 is the
-          // shared fixed_point.h helper, bit-identical to the scalar loop
-          // below — the prepacked-vs-scalar parity tests compare the two
-          // paths byte for byte). On small-k GEMMs the epilogue costs as
-          // much as the dot products, so this matters.
+          // shared fixed_point.h helper, bit-identical to the scalar tail
+          // loop below). On small-k GEMMs the epilogue costs as much as the
+          // dot products, so this matters.
           const v8s32_fx zp_a = (v8s32_fx){} + q.a_zero_point;
           for (; j + 8 <= nr; j += 8) {
             const std::size_t col = static_cast<std::size_t>(j0 + j);
             v8s32_fx accv, cs, bs, mu, sh;
             __builtin_memcpy(&accv, &acc[i][j], sizeof(accv));
-            __builtin_memcpy(&cs, packed->col_sums + col, sizeof(cs));
+            __builtin_memcpy(&cs, packed.col_sums + col, sizeof(cs));
             __builtin_memcpy(&bs, q.bias + col, sizeof(bs));
             __builtin_memcpy(&mu, q.multipliers + col, sizeof(mu));
             __builtin_memcpy(&sh, q.shifts + col, sizeof(sh));
@@ -839,49 +679,9 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
           for (; j < nr; ++j) {
             const std::size_t col = static_cast<std::size_t>(j0 + j);
             const std::int32_t sum =
-                acc[i][j] - q.a_zero_point * packed->col_sums[col];
+                acc[i][j] - q.a_zero_point * packed.col_sums[col];
             std::int32_t scaled = multiply_by_quantized_multiplier(
                 sum + q.bias[col], q.multipliers[col], q.shifts[col]);
-            std::int32_t v = scaled + q.out_zero_point;
-            v = std::clamp(v, q.act_min, q.act_max);
-            ct[i * ldc + j0 + j] = static_cast<std::int8_t>(v);
-          }
-        }
-      }
-    }
-  };
-  // Unpacked fallback (no plan): scalar register-blocked tiles over raw B
-  // rows with per-element zero-point subtraction.
-  auto row_block = [&](std::size_t tile_lo, std::size_t tile_hi) {
-    if (use_packed) {
-      row_block_packed(tile_lo, tile_hi);
-      return;
-    }
-    for (std::size_t t = tile_lo; t < tile_hi; ++t) {
-      const std::int64_t i0 = static_cast<std::int64_t>(t) * kMr;
-      const std::int64_t mr = std::min(kMr, m - i0);
-      const std::int8_t* at = a + i0 * lda;
-      std::int8_t* ct = c + i0 * ldc;
-      for (std::int64_t j0 = 0; j0 < n; j0 += kNrI) {
-        const std::int64_t nr = std::min(kNrI, n - j0);
-        std::int32_t acc[kMr][kNrI] = {};
-        if (nr == kNrI) {
-          const std::int8_t* bt = b + j0 * ldb;
-          switch (mr) {
-            case 4: tile_i8<4>(k, at, lda, bt, ldb, q.a_zero_point, acc); break;
-            case 3: tile_i8<3>(k, at, lda, bt, ldb, q.a_zero_point, acc); break;
-            case 2: tile_i8<2>(k, at, lda, bt, ldb, q.a_zero_point, acc); break;
-            default: tile_i8<1>(k, at, lda, bt, ldb, q.a_zero_point, acc); break;
-          }
-        } else {
-          tile_i8_edge(mr, nr, k, at, lda, b + j0 * ldb, ldb, q.a_zero_point,
-                       acc);
-        }
-        for (std::int64_t i = 0; i < mr; ++i) {
-          for (std::int64_t j = 0; j < nr; ++j) {
-            const std::size_t col = static_cast<std::size_t>(j0 + j);
-            std::int32_t scaled = multiply_by_quantized_multiplier(
-                acc[i][j] + q.bias[col], q.multipliers[col], q.shifts[col]);
             std::int32_t v = scaled + q.out_zero_point;
             v = std::clamp(v, q.act_min, q.act_max);
             ct[i * ldc + j0 + j] = static_cast<std::int8_t>(v);

@@ -24,7 +24,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/graph/op_types.h"
-#include "src/tensor/scratch_arena.h"
 
 namespace mlexray {
 
@@ -32,10 +31,9 @@ namespace mlexray {
 // Plan-time B prepacking.
 //
 // B is constant for both GEMM consumers (conv filters, FC weights), so the
-// panel layout the inner loops want can be built once at Prepare time and
-// reused by every invoke. The packed views below are plain pointers into
-// plan-owned storage; pass them to the gemm entry points to skip the
-// per-call repack entirely.
+// panel layout the inner loops want is built once at Prepare time and reused
+// by every invoke. The packed views below are plain pointers into plan-owned
+// storage; both gemm entry points require them.
 // ---------------------------------------------------------------------------
 
 // Panel widths (NR) of the register tiles. Exposed so prepare hooks can size
@@ -81,24 +79,17 @@ void pack_b_f32(std::int64_t n, std::int64_t k, const float* b,
 void pack_b_i8(std::int64_t n, std::int64_t k, const std::int8_t* b,
                std::int64_t ldb, std::int8_t* panels, std::int32_t* col_sums);
 
-// Monotonic count of per-call f32 B repacks into the arena. Prepacked
-// weights make this stand still; the steady-state tests assert it.
-std::uint64_t gemm_b_pack_events();
-
 // C[m x n] (row stride ldc) = act(A[m x k] (lda) * B[n x k]^T (ldb) + bias).
 // bias has n entries and must be non-null.
 //
-// When `packed` is non-null its panels are used directly (no per-call
-// repack). Otherwise, when `arena` is non-null and m is large enough to
-// amortize it, B is repacked into NR-interleaved panels (scratch memory, no
-// heap) so the inner loop vectorizes across the NR output columns — SIMD
-// across outputs keeps each individual output's bias-first k-ascending
-// accumulation order intact.
+// `packed` holds B's full panels (pack_b_f32 of the same B); the inner loop
+// vectorizes across their kGemmNrF32 output columns, which keeps each
+// output's bias-first k-ascending accumulation order intact. The n % 8 edge
+// columns (all of them when n < 8) are read from raw B rows.
 void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* b,
                  std::int64_t ldb, const float* bias, Activation act, float* c,
-                 std::int64_t ldc, PoolRef pool, ScratchArena* arena,
-                 const PackedBF32* packed = nullptr);
+                 std::int64_t ldc, PoolRef pool, const PackedBF32& packed);
 
 // Fused requantization parameters for the int8 path (per-output-channel
 // multiplier/shift tables, gemmlowp-style).
@@ -114,16 +105,15 @@ struct GemmQuant {
 
 // C[m x n] int8 = requant(sum_k (A[i,k] - a_zp) * B[j,k] + bias[j]).
 //
-// With `packed` non-null the inner loop is the pair-broadcast vpmaddwd
-// microkernel over the pair-interleaved panels above — SIMD across the 16
-// output columns, one accumulator lane per column, no horizontal reduction
-// (zero-point correction folded into the epilogue via col_sums); otherwise
-// the scalar register-blocked path walks raw B rows. Integer accumulation
-// is exact, so both paths produce bit-identical output.
+// The inner loop is the pair-broadcast vpmaddwd microkernel over the
+// pair-interleaved `packed` panels above — SIMD across the 16 output
+// columns, one accumulator lane per column, no horizontal reduction
+// (zero-point correction folded into the epilogue via col_sums). m == 1
+// instead walks raw k-major B rows with the same col_sums epilogue. Integer
+// accumulation is exact, so both produce bit-identical output.
 void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, const GemmQuant& q, std::int8_t* c,
-                std::int64_t ldc, PoolRef pool,
-                const PackedBI8* packed = nullptr);
+                std::int64_t ldc, PoolRef pool, const PackedBI8& packed);
 
 }  // namespace mlexray

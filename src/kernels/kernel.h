@@ -28,14 +28,24 @@ struct KernelContext {
   Tensor* output = nullptr;           // allocated by the interpreter
   PoolRef pool;                       // null => single-threaded execution
   ScratchArena* arena = nullptr;      // per-interpreter scratch storage
-  // Plan-owned storage filled once by the kernel's prepare hook; null when
-  // the kernel runs outside a plan (e.g. the trainer's forward pass), in
-  // which case invoke falls back to per-call scratch work.
+  // Plan-owned storage filled once by the kernel's prepare hook. A kernel
+  // with a prepare hook runs only through an ExecutionPlan (the trainer
+  // builds a fresh one every forward); it reads its storage through
+  // prepared_root(), which rejects a context without one.
   PreparedStorage* prepared = nullptr;
 
   const Tensor& input(std::size_t i) const {
     MLX_CHECK_LT(i, inputs.size());
     return *inputs[i];
+  }
+
+  // The descriptor this kernel's prepare hook stored.
+  template <typename T>
+  const T& prepared_root() const {
+    MLX_CHECK(prepared) << "node '" << (node ? node->name : "?")
+                        << "' has no prepared storage: kernels with a "
+                           "prepare hook run only through an ExecutionPlan";
+    return *prepared->root<T>();
   }
 
   // Arena-backed scratch, reset between nodes. Call only from the kernel's

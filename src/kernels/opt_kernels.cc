@@ -89,9 +89,8 @@ void im2col(const KernelContext& ctx, const ConvShape& s, const Shape& is,
 // Conv/FC weights are constants, so the GEMM B-panel layouts (and, for int8,
 // the Q31 requantization tables and clamp range) are built exactly once at
 // plan construction into plan-owned PreparedStorage. Steady-state invoke
-// then performs no packing and no table rebuilding at all. When a kernel
-// runs without a plan (ctx.prepared == nullptr, e.g. the trainer's forward
-// pass) the invoke hooks below fall back to the per-call paths.
+// then performs no packing and no table rebuilding at all, and the invoke
+// hooks below have no other path.
 // ---------------------------------------------------------------------------
 
 // Prepared-storage roots (POD).
@@ -157,6 +156,21 @@ PreparedRequant prepare_requant_tables(PreparedStorage& storage,
   QuantActivationRange range = quant_activation_range(
       node.attrs.activation, out_q.scale(), out_q.zero_point());
   return {multipliers, shifts, range.min, range.max};
+}
+
+// The int8 GEMM epilogue parameters: zero points and bias from the tensors,
+// Q31 tables and clamp range from the plan.
+GemmQuant gemm_quant(const Tensor& in, const Tensor& bias, const Tensor& out,
+                     const PreparedRequant& rq) {
+  GemmQuant q;
+  q.a_zero_point = in.quant().zero_point();
+  q.bias = bias.data<std::int32_t>();
+  q.multipliers = rq.multipliers;
+  q.shifts = rq.shifts;
+  q.out_zero_point = out.quant().zero_point();
+  q.act_min = rq.act_min;
+  q.act_max = rq.act_max;
+  return q;
 }
 
 void conv2d_f32_prepare(const KernelContext& ctx) {
@@ -254,42 +268,14 @@ DwConvShape dw_shape(const Node& node, const Shape& is, const Shape& fs,
 // Builds everything the int8 inner loop consumes: pre-widened int16 weight
 // panels, the fused per-channel accumulator bias (bias - in_zp * w_sum), the
 // Q31 requant tables, and the activation clamp range.
-PackedDwI8 build_packed_dw_i8(const Node& node, const QuantParams& in_q,
-                              const QuantParams& out_q, std::int16_t* w16,
-                              std::int32_t* acc_init,
-                              std::int32_t* multipliers, int* shifts) {
+void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
+  const Node& node = *ctx.node;
   const Tensor& filter = node.weights[0];
   const Shape& fs = filter.shape();
   const std::int64_t taps = fs.dim(1) * fs.dim(2);
   const std::int64_t out_ch = fs.dim(3);
-  // acc_init doubles as the w_sums destination, then folds bias and zp.
-  pack_dw_weights_i8(taps, out_ch, filter.data<std::int8_t>(), w16, acc_init);
-  const std::int32_t in_zp = in_q.zero_point();
-  const std::int32_t* bias = node.weights[1].data<std::int32_t>();
-  for (std::int64_t c = 0; c < out_ch; ++c) {
-    acc_init[c] = bias[c] - in_zp * acc_init[c];
-  }
-  fill_requant_tables(in_q, filter.quant(), out_q, out_ch, multipliers,
-                      shifts);
-  QuantActivationRange range = quant_activation_range(
-      node.attrs.activation, out_q.scale(), out_q.zero_point());
-  PackedDwI8 packed;
-  packed.weights = w16;
-  packed.acc_init = acc_init;
-  packed.multipliers = multipliers;
-  packed.shifts = shifts;
-  packed.in_zp = in_zp;
-  packed.out_zp = out_q.zero_point();
-  packed.act_min = range.min;
-  packed.act_max = range.max;
-  return packed;
-}
-
-void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
-  const Node& node = *ctx.node;
-  const Shape& fs = node.weights[0].shape();
-  const std::int64_t taps = fs.dim(1) * fs.dim(2);
-  const std::int64_t out_ch = fs.dim(3);
+  const QuantParams& in_q = ctx.input(0).quant();
+  const QuantParams& out_q = ctx.output->quant();
   PreparedStorage& storage = *ctx.prepared;
   auto* root = storage.allocate_array<PreparedDwI8>(1);
   auto* w16 = storage.allocate_array<std::int16_t>(
@@ -300,10 +286,20 @@ void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
       storage.allocate_array<std::int32_t>(static_cast<std::size_t>(out_ch));
   auto* shifts =
       storage.allocate_array<int>(static_cast<std::size_t>(out_ch));
-  root->packed =
-      build_packed_dw_i8(node, ctx.input(0).quant(), ctx.output->quant(), w16,
-                         acc_init, multipliers, shifts);
-  ctx.prepared->set_root(root);
+  // acc_init doubles as the w_sums destination, then folds bias and zp.
+  pack_dw_weights_i8(taps, out_ch, filter.data<std::int8_t>(), w16, acc_init);
+  const std::int32_t in_zp = in_q.zero_point();
+  const std::int32_t* bias = node.weights[1].data<std::int32_t>();
+  for (std::int64_t c = 0; c < out_ch; ++c) {
+    acc_init[c] = bias[c] - in_zp * acc_init[c];
+  }
+  fill_requant_tables(in_q, filter.quant(), out_q, out_ch, multipliers,
+                      shifts);
+  const QuantActivationRange range = quant_activation_range(
+      node.attrs.activation, out_q.scale(), out_q.zero_point());
+  root->packed = {w16,   acc_init,           multipliers, shifts,
+                  in_zp, out_q.zero_point(), range.min,   range.max};
+  storage.set_root(root);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,6 +307,7 @@ void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
 // ---------------------------------------------------------------------------
 
 void conv2d_f32_opt(const KernelContext& ctx) {
+  const PreparedGemmF32& prep = ctx.prepared_root<PreparedGemmF32>();
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
   const Tensor& filter = node.weights[0];
@@ -329,11 +326,8 @@ void conv2d_f32_opt(const KernelContext& ctx) {
   for (std::int64_t n = 0; n < batch; ++n) {
     im2col(ctx, s, is, os, x, n, col + n * rows * s.patch, 0.0f);
   }
-  const PreparedGemmF32* prep =
-      ctx.prepared != nullptr ? ctx.prepared->root<PreparedGemmF32>() : nullptr;
   gemm_f32_nt(batch * rows, s.out_ch, s.patch, col, s.patch, w, s.patch, bias,
-              node.attrs.activation, y, s.out_ch, ctx.pool, ctx.arena,
-              prep != nullptr ? &prep->packed : nullptr);
+              node.attrs.activation, y, s.out_ch, ctx.pool, prep.packed);
 }
 
 // Depthwise conv: channel-vectorized kernel family (src/kernels/dwconv.h).
@@ -348,8 +342,6 @@ void dwconv2d_f32_opt(const KernelContext& ctx) {
   const Tensor& filter = node.weights[0];
   const DwConvShape s =
       dw_shape(node, in.shape(), filter.shape(), ctx.output->shape());
-  // The filter is used in place (already panel-shaped), so the plan and
-  // no-plan paths are identical.
   const PackedDwF32 packed{filter.data<float>(),
                            node.weights[1].data<float>()};
   dwconv2d_f32(s, in.data<float>(), packed, node.attrs.activation,
@@ -364,12 +356,10 @@ void fc_f32_opt(const KernelContext& ctx) {
   const std::int64_t batch = in.shape().dim(0);
   const std::int64_t in_dim = weight.shape().dim(1);
   const std::int64_t out_dim = weight.shape().dim(0);
-  const PreparedGemmF32* prep =
-      ctx.prepared != nullptr ? ctx.prepared->root<PreparedGemmF32>() : nullptr;
   gemm_f32_nt(batch, out_dim, in_dim, in.data<float>(), in_dim,
               weight.data<float>(), in_dim, bias, node.attrs.activation,
-              ctx.output->data<float>(), out_dim, ctx.pool, ctx.arena,
-              prep != nullptr ? &prep->packed : nullptr);
+              ctx.output->data<float>(), out_dim, ctx.pool,
+              ctx.prepared_root<PreparedGemmF32>().packed);
 }
 
 // Pad with whole-row memcpy (contrast with the reference element loop).
@@ -414,28 +404,8 @@ void conv2d_i8_opt(const KernelContext& ctx) {
   const Shape& os = out.shape();
   const ConvShape s = conv_shape(node, is, filter.shape(), os);
   const auto in_zp = static_cast<std::int8_t>(in.quant().zero_point());
-  const std::int32_t out_zp = out.quant().zero_point();
-  const PreparedGemmI8* prep =
-      ctx.prepared != nullptr ? ctx.prepared->root<PreparedGemmI8>() : nullptr;
-  GemmQuant q;
-  q.a_zero_point = in.quant().zero_point();
-  q.bias = bias.data<std::int32_t>();
-  q.out_zero_point = out_zp;
-  if (prep != nullptr) {
-    q.multipliers = prep->rq.multipliers;
-    q.shifts = prep->rq.shifts;
-    q.act_min = prep->rq.act_min;
-    q.act_max = prep->rq.act_max;
-  } else {
-    RequantView rq = prepare_requant_scratch(ctx, in.quant(), filter.quant(),
-                                             out.quant(), s.out_ch);
-    QuantActivationRange range = quant_activation_range(
-        node.attrs.activation, out.quant().scale(), out_zp);
-    q.multipliers = rq.multipliers;
-    q.shifts = rq.shifts;
-    q.act_min = range.min;
-    q.act_max = range.max;
-  }
+  const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
+  const GemmQuant q = gemm_quant(in, bias, out, prep.rq);
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = filter.data<std::int8_t>();
   std::int8_t* y = out.data<std::int8_t>();
@@ -448,7 +418,7 @@ void conv2d_i8_opt(const KernelContext& ctx) {
     im2col(ctx, s, is, os, x, n, col + n * rows * s.patch, in_zp);
   }
   gemm_i8_nt(batch * rows, s.out_ch, s.patch, col, s.patch, w, s.patch, q, y,
-             s.out_ch, ctx.pool, prep != nullptr ? &prep->packed : nullptr);
+             s.out_ch, ctx.pool, prep.packed);
 }
 
 // Correct int8 path: raw widening dot product over the plan-packed int16
@@ -457,27 +427,12 @@ void conv2d_i8_opt(const KernelContext& ctx) {
 void dwconv2d_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
-  const Shape& fs = filter.shape();
   Tensor& out = *ctx.output;
-  const DwConvShape s = dw_shape(node, in.shape(), fs, out.shape());
-  PackedDwI8 packed;
-  const PreparedDwI8* prep =
-      ctx.prepared != nullptr ? ctx.prepared->root<PreparedDwI8>() : nullptr;
-  if (prep != nullptr) {
-    packed = prep->packed;
-  } else {
-    // No plan: build the panels and tables in per-call scratch.
-    const std::int64_t taps = fs.dim(1) * fs.dim(2);
-    auto* w16 = ctx.scratch<std::int16_t>(taps * s.out_ch);
-    auto* acc_init = ctx.scratch<std::int32_t>(s.out_ch);
-    auto* multipliers = ctx.scratch<std::int32_t>(s.out_ch);
-    auto* shifts = ctx.scratch<int>(s.out_ch);
-    packed = build_packed_dw_i8(node, in.quant(), out.quant(), w16, acc_init,
-                                multipliers, shifts);
-  }
-  dwconv2d_i8(s, in.data<std::int8_t>(), packed, out.data<std::int8_t>(),
-              ctx.pool);
+  const DwConvShape s =
+      dw_shape(node, in.shape(), node.weights[0].shape(), out.shape());
+  dwconv2d_i8(s, in.data<std::int8_t>(),
+              ctx.prepared_root<PreparedDwI8>().packed,
+              out.data<std::int8_t>(), ctx.pool);
 }
 
 // Re-creates the production defect the paper's Fig 6 localises, in the
@@ -501,19 +456,7 @@ void dwconv2d_i8_buggy(const KernelContext& ctx) {
   const std::int64_t dm = s.out_ch / s.in_ch;
   const std::int32_t in_zp = in.quant().zero_point();
   const std::int32_t out_zp = out.quant().zero_point();
-  PreparedRequant rq;
-  if (const PreparedRequant* prep =
-          ctx.prepared != nullptr ? ctx.prepared->root<PreparedRequant>()
-                                  : nullptr) {
-    rq = *prep;
-  } else {
-    RequantView view = prepare_requant_scratch(ctx, in.quant(),
-                                               filter.quant(), out.quant(),
-                                               ch);
-    QuantActivationRange range = quant_activation_range(
-        node.attrs.activation, out.quant().scale(), out_zp);
-    rq = {view.multipliers, view.shifts, range.min, range.max};
-  }
+  const PreparedRequant& rq = ctx.prepared_root<PreparedRequant>();
   QuantActivationRange range{rq.act_min, rq.act_max};
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = filter.data<std::int8_t>();
@@ -592,30 +535,11 @@ void fc_i8_opt(const KernelContext& ctx) {
   const std::int64_t batch = in.shape().dim(0);
   const std::int64_t in_dim = weight.shape().dim(1);
   const std::int64_t out_dim = weight.shape().dim(0);
-  const PreparedGemmI8* prep =
-      ctx.prepared != nullptr ? ctx.prepared->root<PreparedGemmI8>() : nullptr;
-  GemmQuant q;
-  q.a_zero_point = in.quant().zero_point();
-  q.bias = bias.data<std::int32_t>();
-  q.out_zero_point = out.quant().zero_point();
-  if (prep != nullptr) {
-    q.multipliers = prep->rq.multipliers;
-    q.shifts = prep->rq.shifts;
-    q.act_min = prep->rq.act_min;
-    q.act_max = prep->rq.act_max;
-  } else {
-    RequantView rq = prepare_requant_scratch(ctx, in.quant(), weight.quant(),
-                                             out.quant(), out_dim);
-    QuantActivationRange range = quant_activation_range(
-        node.attrs.activation, out.quant().scale(), out.quant().zero_point());
-    q.multipliers = rq.multipliers;
-    q.shifts = rq.shifts;
-    q.act_min = range.min;
-    q.act_max = range.max;
-  }
+  const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
   gemm_i8_nt(batch, out_dim, in_dim, in.data<std::int8_t>(), in_dim,
-             weight.data<std::int8_t>(), in_dim, q, out.data<std::int8_t>(),
-             out_dim, ctx.pool, prep != nullptr ? &prep->packed : nullptr);
+             weight.data<std::int8_t>(), in_dim,
+             gemm_quant(in, bias, out, prep.rq), out.data<std::int8_t>(),
+             out_dim, ctx.pool, prep.packed);
 }
 
 // Integer-only average pool (sum + rounded integer division); assumes the

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/common/rng.h"
+#include "src/interpreter/interpreter.h"
 
 namespace mlexray {
 

@@ -108,8 +108,12 @@ void Trainer::forward(const std::vector<Tensor>& inputs) {
     MLX_CHECK(inputs[i].dtype() == slot.dtype());
     std::memcpy(slot.raw_data(), inputs[i].raw_data(), inputs[i].byte_size());
   }
-  for (const Node& n : model_->nodes) {
-    if (n.type == OpType::kInput) continue;
+  // Weights change between forwards (Adam steps, gradient checks editing
+  // them in place), so each forward prepares a fresh plan over the current
+  // weights: kernels with a prepare hook only ever run on prepared storage.
+  const ExecutionPlan plan(*model_, resolver_, pool_);
+  for (const PlanStep& step : plan.steps()) {
+    const Node& n = *step.node;
     if (n.type == OpType::kBatchNorm) {
       forward_batch_norm(n);
       continue;
@@ -120,10 +124,9 @@ void Trainer::forward(const std::vector<Tensor>& inputs) {
     ctx.pool = pool_;
     arena_.reset();
     ctx.arena = &arena_;
+    ctx.prepared = step.prepared;
     for (int in : n.inputs) ctx.inputs.push_back(&acts_[static_cast<std::size_t>(in)]);
-    // No plan here, so ctx.prepared stays null: kernels take their per-call
-    // fallback paths (arena repacking, scratch requant tables).
-    resolver_.find(n).invoke(ctx);
+    step.kernel->invoke(ctx);
   }
 }
 

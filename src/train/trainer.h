@@ -1,7 +1,8 @@
 // Reverse-mode training on the graph IR.
 //
 // The "training pipeline" substrate the paper's reference baselines come
-// from. Forward reuses the optimized float kernels (BatchNorm runs in
+// from. Forward runs the optimized float kernels through an ExecutionPlan
+// prepared over the current weights on every call (BatchNorm runs in
 // training mode with batch statistics inside the trainer); backward
 // implements per-op gradients; Adam updates weights in place.
 //
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/execution_plan.h"
 #include "src/train/losses.h"
 
 namespace mlexray {
@@ -37,7 +38,8 @@ class Trainer {
   // Clears accumulated gradients (call at the start of each mini-batch).
   void zero_grad();
 
-  // Forward pass on one sample (inputs in model-input order).
+  // Forward pass on one sample (inputs in model-input order). Prepares a
+  // plan over the current weights, so in-place weight edits take effect.
   void forward(const std::vector<Tensor>& inputs);
 
   // Seeds dL/d(activation) at the given nodes and backpropagates,

@@ -2,10 +2,12 @@
 
 #include <filesystem>
 
+#include "src/common/file_io.h"
 #include "src/convert/converter.h"
 #include "src/core/assertions.h"
 #include "src/core/pipelines.h"
 #include "src/core/validation.h"
+#include "src/graph/serialization.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
@@ -41,6 +43,78 @@ TEST(Trace, SerializationRoundTrip) {
   EXPECT_DOUBLE_EQ(back.frames[0].scalar("latency.inference_ms"), 12.5);
   EXPECT_EQ(back.frames[0].layer_names[1], "fc");
   EXPECT_FLOAT_EQ(back.frames[0].tensor("model.input").data<float>()[1], -2.0f);
+}
+
+// Device-supplied bytes are hostile: a crafted length field must fail one
+// MlxError before anything is written out of bounds or allocated to its
+// claimed size.
+void write_tensor_header(BinaryWriter& w, const std::vector<std::int64_t>& dims,
+                         std::uint64_t payload_bytes) {
+  w.write_u8(static_cast<std::uint8_t>(DType::kF32));
+  w.write_u8(static_cast<std::uint8_t>(dims.size()));
+  for (std::int64_t d : dims) w.write_i64(d);
+  w.write_f32_array({});
+  w.write_i32_array({});
+  w.write_i32(-1);
+  w.write_u64(payload_bytes);
+}
+
+TEST(HostileInput, CraftedBytesThrowInsteadOfCrashing) {
+  {
+    // Rank 200: 200 dims would overrun the 5-slot dims array.
+    BinaryWriter w;
+    write_tensor_header(w, std::vector<std::int64_t>(200, 1), 4);
+    BinaryReader r(w.bytes());
+    EXPECT_THROW(deserialize_tensor(r), MlxError);
+  }
+  {
+    // Dims near 2^62: the element count overflows, the payload is tiny.
+    BinaryWriter w;
+    write_tensor_header(w, {std::int64_t{1} << 62, 4}, 16);
+    w.write_f32_array(std::vector<float>(4, 1.0f));
+    BinaryReader r(w.bytes());
+    EXPECT_THROW(deserialize_tensor(r), MlxError);
+  }
+  {
+    // A payload size far past the end of the input.
+    BinaryWriter w;
+    write_tensor_header(w, {std::int64_t{1} << 40}, std::uint64_t{1} << 42);
+    BinaryReader r(w.bytes());
+    EXPECT_THROW(deserialize_tensor(r), MlxError);
+  }
+  {
+    // An unknown dtype.
+    BinaryWriter w;
+    write_tensor_header(w, {1}, 4);
+    std::vector<std::uint8_t> bytes = w.bytes();
+    bytes[0] = 0xEE;
+    BinaryReader r(bytes);
+    EXPECT_THROW(deserialize_tensor(r), MlxError);
+  }
+  {
+    // A quant-scale array claiming 2^61 entries.
+    BinaryWriter w;
+    w.write_u8(static_cast<std::uint8_t>(DType::kF32));
+    w.write_u8(1);
+    w.write_i64(1);
+    w.write_u64(std::uint64_t{1} << 61);
+    BinaryReader r(w.bytes());
+    EXPECT_THROW(deserialize_tensor(r), MlxError);
+  }
+  // A trace promising 0xFFFFFFFF frames and carrying none.
+  Trace t;
+  t.pipeline_name = "edge";
+  std::vector<std::uint8_t> bytes = serialize_trace(t);
+  const std::size_t count_at = trace_frame_count_offset(t.pipeline_name);
+  for (std::size_t i = 0; i < 4; ++i) bytes[count_at + i] = 0xFF;
+  EXPECT_THROW(deserialize_trace(bytes), MlxError);
+  const auto path =
+      std::filesystem::temp_directory_path() / "mlx_hostile.mlxtrace";
+  write_file(path, bytes);
+  std::size_t truncated = 0;
+  EXPECT_TRUE(load_trace_tolerant(path, &truncated).frames.empty());
+  EXPECT_EQ(truncated, 0xFFFFFFFFu);
+  std::filesystem::remove(path);
 }
 
 TEST(Trace, MissingKeyThrows) {

@@ -19,9 +19,9 @@
 //    between every compiled-in tier (integer accumulation is exact, so the
 //    AVX2, generic-vector, and scalar tiers must agree to the bit; the
 //    scalar tier plays the role of the conformance reference);
-//  - every cell asserts steady-state invoke performs zero heap allocations
-//    (global operator-new counter + AllocStats events) and zero dwconv
-//    weight packs after plan construction (dwconv_pack_events()).
+//  - every cell asserts that each plan step whose kernel has a prepare hook
+//    got prepared storage, and that steady-state invoke performs zero heap
+//    allocations (global operator-new counter + AllocStats events).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -179,16 +179,23 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
   set_dwconv_tier_for_testing(DwConvTier::kAuto);
 }
 
-// Steady-state contract: invoke never touches the heap, never registers
-// tensor/arena allocations, and never re-packs dwconv weights once the plan
-// exists. `packs_since_prepare` is the dwconv_pack_events() reading taken
-// right after interpreter construction.
-void expect_steady_state_clean(Interpreter& interp,
-                               std::uint64_t packs_at_prepare,
-                               const DwGridCase& c) {
+// Plan structure: exactly one step has a prepare hook — the op under test;
+// Quantize/Dequantize have none — and it holds the storage its hook filled
+// (its invoke has no other path).
+void expect_prepared_steps(const Interpreter& interp, const DwGridCase& c) {
+  int hooks = 0;
+  for (const PlanStep& step : interp.plan().steps()) {
+    if (!step.kernel->prepare) continue;
+    ++hooks;
+    EXPECT_NE(step.prepared, nullptr) << c << ": " << step.node->name;
+  }
+  EXPECT_EQ(hooks, 1) << c;
+}
+
+// Steady-state contract: invoke never touches the heap and never registers
+// tensor/arena allocations once the plan exists.
+void expect_steady_state_clean(Interpreter& interp, const DwGridCase& c) {
   interp.invoke();  // warmup may grow the scratch arena
-  EXPECT_EQ(dwconv_pack_events(), packs_at_prepare)
-      << c << ": first invoke re-packed dwconv weights despite the plan";
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
@@ -198,8 +205,6 @@ void expect_steady_state_clean(Interpreter& interp,
       << c << ": steady-state invoke registered allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << c << ": steady-state invoke touched the heap";
-  EXPECT_EQ(dwconv_pack_events(), packs_at_prepare)
-      << c << ": steady-state invoke re-packed dwconv weights";
   EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
       << c << ": steady-state invoke grew the scratch arena";
 }
@@ -221,11 +226,9 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
   BuiltinOpResolver opt;
   if (!c.quantized) {
     Interpreter ri(&m, &ref);
-    const std::uint64_t packs_at_prepare_probe = dwconv_pack_events();
     Interpreter oi(&m, &opt, /*num_threads=*/2);
-    // f32 filters are panel-shaped as stored: nothing packs, ever.
-    EXPECT_EQ(dwconv_pack_events(), packs_at_prepare_probe) << c;
-    const std::uint64_t packs_at_prepare = dwconv_pack_events();
+    // f32 filters are panel-shaped as stored: no prepare hook, no storage.
+    EXPECT_EQ(oi.plan().prepared_bytes(), 0u) << c;
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -235,7 +238,7 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     // contraction divergence fails loudly.
     EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
     expect_all_tiers_bit_equal(oi, snapshot(oi.output(0)), c);
-    expect_steady_state_clean(oi, packs_at_prepare, c);
+    expect_steady_state_clean(oi, c);
   } else {
     Calibrator calib(&m);
     Pcg32 crng(7);
@@ -247,10 +250,8 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     // depthwise), asymmetric activation zero points.
     Graph qm = quantize_model(m, calib);
     Interpreter ri(&qm, &ref);
-    const std::uint64_t packs_at_prepare_probe = dwconv_pack_events();
     Interpreter oi(&qm, &opt, /*num_threads=*/2);
-    EXPECT_EQ(dwconv_pack_events(), packs_at_prepare_probe + 1) << c;
-    const std::uint64_t packs_at_prepare = dwconv_pack_events();
+    expect_prepared_steps(oi, c);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -262,68 +263,12 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     // The conformance core: every compiled-in tier, including the scalar
     // reference tier, produces bit-identical integer output.
     expect_all_tiers_bit_equal(oi, snapshot(oi.output(0)), c);
-    expect_steady_state_clean(oi, packs_at_prepare, c);
+    expect_steady_state_clean(oi, c);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(StridePadDepthChannelsBatchDtype, DwConvGrid,
                          ::testing::ValuesIn(make_grid()));
-
-// --- no-plan fallback --------------------------------------------------------
-
-// Without a plan (ctx.prepared == nullptr, e.g. the trainer's forward pass)
-// the int8 kernel builds its panels and tables in per-call scratch: results
-// must be identical, and dwconv_pack_events() must tick once per invoke —
-// proof the counter actually observes the fallback the plan is eliminating.
-// (f32 has no fallback cost: its filter is used in place on both paths.)
-TEST(DwConvFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
-  Pcg32 rng(11);
-  GraphBuilder b("dwfall", &rng);
-  const Shape in_shape{1, 8, 8, 16};
-  int x = b.input(in_shape);
-  b.depthwise_conv2d(x, 3, 3, 1, Padding::kSame, Activation::kRelu, "op");
-  Graph m = b.finish({1});
-  Calibrator calib(&m);
-  Pcg32 crng(13);
-  for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, crng)});
-  Graph qm = quantize_model(m, calib);
-  BuiltinOpResolver opt;
-  Interpreter planned(&qm, &opt);
-  Pcg32 drng(12);
-  Tensor input = random_input(in_shape, drng);
-  planned.set_input(0, input);
-  planned.invoke();
-
-  // Drive the same int8 kernel through a bare KernelContext (no prepared
-  // storage), as a plan-less caller would, feeding it the planned run's
-  // quantized activation.
-  const Node* dw = nullptr;
-  for (const Node& n : qm.nodes) {
-    if (n.type == OpType::kDepthwiseConv2D) dw = &n;
-  }
-  ASSERT_NE(dw, nullptr);
-  const Tensor& quantized_in = planned.node_output(dw->inputs[0]);
-  Tensor out(DType::kI8, dw->output_shape);
-  out.quant() = dw->output_quant;
-  ScratchArena arena;
-  KernelContext ctx;
-  ctx.node = dw;
-  ctx.inputs.push_back(&quantized_in);
-  ctx.output = &out;
-  ctx.arena = &arena;
-  const KernelEntry& entry = opt.find(*dw);
-  const std::uint64_t packs_before = dwconv_pack_events();
-  entry.invoke(ctx);
-  arena.reset();
-  entry.invoke(ctx);
-  EXPECT_EQ(dwconv_pack_events(), packs_before + 2)
-      << "per-call fallback must pack on every invoke";
-  const Tensor& want = planned.node_output(dw->id);
-  ASSERT_EQ(want.num_elements(), out.num_elements());
-  EXPECT_EQ(std::memcmp(want.raw_data(), out.raw_data(),
-                        static_cast<std::size_t>(out.num_elements())),
-            0);
-}
 
 }  // namespace
 }  // namespace mlexray

@@ -17,9 +17,9 @@
 //    vs Q31 fixed point, the documented one-step discrepancy) — and
 //    *bit-exact* agreement between every compiled-in tier, LUT activations
 //    additionally bit-exact vs the reference (same table builder);
-//  - every cell asserts steady-state invoke performs zero heap allocations
-//    (global operator-new counter + AllocStats events) and zero Q31/LUT
-//    builds after plan construction (elementwise_pack_events()).
+//  - every cell asserts that each plan step whose kernel has a prepare hook
+//    got prepared storage, and that steady-state invoke performs zero heap
+//    allocations (global operator-new counter + AllocStats events).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -227,16 +227,23 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
   set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
 }
 
-// Steady-state contract: invoke never touches the heap, never registers
-// tensor/arena allocations, and never rebuilds Q31 tables / LUTs once the
-// plan exists. `packs_at_prepare` is the elementwise_pack_events() reading
-// taken right after interpreter construction.
-void expect_steady_state_clean(Interpreter& interp,
-                               std::uint64_t packs_at_prepare,
-                               const EwGridCase& c) {
+// Plan structure: exactly one step has a prepare hook — the op under test;
+// Quantize/Dequantize have none — and it holds the storage its hook filled
+// (its invoke has no other path).
+void expect_prepared_steps(const Interpreter& interp, const EwGridCase& c) {
+  int hooks = 0;
+  for (const PlanStep& step : interp.plan().steps()) {
+    if (!step.kernel->prepare) continue;
+    ++hooks;
+    EXPECT_NE(step.prepared, nullptr) << c << ": " << step.node->name;
+  }
+  EXPECT_EQ(hooks, 1) << c;
+}
+
+// Steady-state contract: invoke never touches the heap and never registers
+// tensor/arena allocations once the plan exists.
+void expect_steady_state_clean(Interpreter& interp, const EwGridCase& c) {
   interp.invoke();  // warmup may grow the scratch arena
-  EXPECT_EQ(elementwise_pack_events(), packs_at_prepare)
-      << c << ": first invoke rebuilt Q31/LUT state despite the plan";
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
@@ -246,8 +253,6 @@ void expect_steady_state_clean(Interpreter& interp,
       << c << ": steady-state invoke registered allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << c << ": steady-state invoke touched the heap";
-  EXPECT_EQ(elementwise_pack_events(), packs_at_prepare)
-      << c << ": steady-state invoke rebuilt Q31/LUT state";
   EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
       << c << ": steady-state invoke grew the scratch arena";
 }
@@ -323,12 +328,8 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
   RefOpResolver ref;
   BuiltinOpResolver opt;
   Interpreter ri(&qm, &ref);
-  const std::uint64_t packs_at_prepare_probe = elementwise_pack_events();
   Interpreter oi(&qm, &opt, /*num_threads=*/2);
-  // Exactly one Q31 table / LUT build at plan time for the single
-  // elementwise node; Quantize/Dequantize nodes must not tick the counter.
-  EXPECT_EQ(elementwise_pack_events(), packs_at_prepare_probe + 1) << c;
-  const std::uint64_t packs_at_prepare = elementwise_pack_events();
+  expect_prepared_steps(oi, c);
   ri.set_input(0, input);
   oi.set_input(0, input);
   if (is_binary(c.op)) {
@@ -350,7 +351,7 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
   // The conformance core: every compiled-in tier, including the scalar
   // reference tier, produces bit-identical integer output.
   expect_all_tiers_bit_equal(oi, snapshot(oi.output(0)), c);
-  expect_steady_state_clean(oi, packs_at_prepare, c);
+  expect_steady_state_clean(oi, c);
 }
 
 INSTANTIATE_TEST_SUITE_P(OpChannelsBatchActRanges, ElementwiseGrid,
@@ -418,73 +419,6 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
         oi, snapshot(oi.output(0)),
         EwGridCase{type == OpType::kMul ? EwOp::kMul : EwOp::kAdd, 12, 1,
                    Activation::kNone, 0});
-  }
-}
-
-// --- no-plan fallback --------------------------------------------------------
-
-// Without a plan (ctx.prepared == nullptr, e.g. the trainer's forward pass)
-// the int8 kernels build their Q31 tables / LUTs in per-call scratch:
-// results must be identical, and elementwise_pack_events() must tick once
-// per invoke — proof the counter actually observes the fallback the plan is
-// eliminating.
-TEST(ElementwiseFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
-  Pcg32 rng(31);
-  GraphBuilder b("ewfall", &rng);
-  const Shape in_shape{1, 6, 6, 16};
-  int x = b.input(in_shape);
-  int g = b.input(in_shape, DType::kF32, "gate");
-  int a = b.add(x, g, Activation::kRelu, "op");
-  int s = b.sigmoid(a, "gateact");
-  Graph m = b.finish({s});
-  Calibrator calib(&m);
-  Pcg32 crng(32);
-  for (int i = 0; i < 4; ++i) {
-    calib.observe({random_input(in_shape, crng), random_input(in_shape, crng)});
-  }
-  Graph qm = quantize_model(m, calib);
-  BuiltinOpResolver opt;
-  Interpreter planned(&qm, &opt);
-  Pcg32 drng(33);
-  Tensor input = random_input(in_shape, drng);
-  Tensor gate = random_input(in_shape, drng);
-  planned.set_input(0, input);
-  planned.set_input(1, gate);
-  planned.invoke();
-
-  // Drive the same int8 kernels through bare KernelContexts (no prepared
-  // storage), as a plan-less caller would, feeding them the planned run's
-  // quantized activations.
-  for (OpType type : {OpType::kAdd, OpType::kSigmoid}) {
-    const Node* node = nullptr;
-    for (const Node& n : qm.nodes) {
-      if (n.type == type) node = &n;
-    }
-    ASSERT_NE(node, nullptr) << op_type_name(type);
-    Tensor out(DType::kI8, node->output_shape);
-    out.quant() = node->output_quant;
-    ScratchArena arena;
-    KernelContext ctx;
-    ctx.node = node;
-    for (int in : node->inputs) {
-      ctx.inputs.push_back(&planned.node_output(in));
-    }
-    ctx.output = &out;
-    ctx.arena = &arena;
-    const KernelEntry& entry = opt.find(*node);
-    const std::uint64_t packs_before = elementwise_pack_events();
-    entry.invoke(ctx);
-    arena.reset();
-    entry.invoke(ctx);
-    EXPECT_EQ(elementwise_pack_events(), packs_before + 2)
-        << op_type_name(type)
-        << ": per-call fallback must rebuild on every invoke";
-    const Tensor& want = planned.node_output(node->id);
-    ASSERT_EQ(want.num_elements(), out.num_elements());
-    EXPECT_EQ(std::memcmp(want.raw_data(), out.raw_data(),
-                          static_cast<std::size_t>(out.num_elements())),
-              0)
-        << op_type_name(type);
   }
 }
 

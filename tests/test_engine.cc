@@ -3,9 +3,9 @@
 // Locks in the prepare-once/serve-many contracts the serving API claims:
 //  - sessions over one shared Model are bit-exact with a standalone
 //    Interpreter, in f32 and int8;
-//  - prepared storage is built once per Model: gemm_b_pack_events() does
-//    not grow with session count, and every session reports the same
-//    shared prepared_bytes;
+//  - prepared storage is built once per Model: prepared_bytes() does not
+//    grow with session count, and every session reports the same shared
+//    prepared_bytes;
 //  - T threads invoking one Model through pooled Engine sessions produce
 //    bit-identical outputs to a single session run sequentially;
 //  - steady-state acquire/invoke/release performs zero heap allocations,
@@ -32,8 +32,6 @@
 #include "src/interpreter/engine.h"
 #include "src/interpreter/interpreter.h"
 #include "src/interpreter/invoke_observer.h"
-#include "src/kernels/dwconv.h"
-#include "src/kernels/gemm.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 
@@ -122,18 +120,16 @@ TEST(ModelSessionSplit, TwoSessionsShareOnePreparedModel) {
   // Standalone interpreter: the pre-split execution path.
   Interpreter interp(&graph, &opt);
 
-  const std::uint64_t packs_before_model = gemm_b_pack_events();
   Model model(&graph, &opt);
-  const std::uint64_t packs_for_model =
-      gemm_b_pack_events() - packs_before_model;
-  EXPECT_GT(model.prepared_bytes(), 0u);
+  const std::size_t prepared = model.prepared_bytes();
+  EXPECT_GT(prepared, 0u);
 
-  // Creating sessions must not re-pack anything: prepare ran once at Model
+  // Creating sessions must not prepare anything: prepare ran once at Model
   // build.
   Session a(&model);
   Session b(&model);
-  EXPECT_EQ(gemm_b_pack_events(), packs_before_model + packs_for_model)
-      << "session construction re-packed GEMM B panels";
+  EXPECT_EQ(model.prepared_bytes(), prepared)
+      << "session construction grew the prepared storage";
 
   // Both sessions report the same shared prepared storage.
   EXPECT_EQ(a.last_stats().prepared_bytes, model.prepared_bytes());
@@ -157,8 +153,8 @@ TEST(ModelSessionSplit, TwoSessionsShareOnePreparedModel) {
   interp.invoke();
   expect_bit_identical(b.output(0), interp.output(0));
 
-  EXPECT_EQ(gemm_b_pack_events(), packs_before_model + packs_for_model)
-      << "invoking sessions re-packed GEMM B panels";
+  EXPECT_EQ(model.prepared_bytes(), prepared)
+      << "invoking sessions grew the prepared storage";
 }
 
 TEST(ModelSessionSplit, QuantizedSessionsMatchInterpreterBitExact) {
@@ -327,8 +323,6 @@ TEST(EnginePool, SteadyStateAcquireInvokeReleaseIsHeapFree) {
 
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::size_t bytes_before = AllocStats::instance().current_bytes();
-  const std::uint64_t gemm_packs_before = gemm_b_pack_events();
-  const std::uint64_t dw_packs_before = dwconv_pack_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   for (int i = 0; i < 5; ++i) {
     SessionLease lease = engine.acquire(name);
@@ -343,10 +337,6 @@ TEST(EnginePool, SteadyStateAcquireInvokeReleaseIsHeapFree) {
   EXPECT_EQ(AllocStats::instance().current_bytes(), bytes_before);
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "steady-state acquire/try_invoke/release touched the heap";
-  EXPECT_EQ(gemm_b_pack_events(), gemm_packs_before)
-      << "steady-state serving re-packed GEMM B panels";
-  EXPECT_EQ(dwconv_pack_events(), dw_packs_before)
-      << "steady-state serving re-packed depthwise weights";
 }
 
 // --- versioned lifecycle -----------------------------------------------------
@@ -658,7 +648,6 @@ TEST(EnginePool, ConcurrentThreadsOneModelBitExact) {
     }
   }
 
-  const std::uint64_t packs_before = gemm_b_pack_events();
   std::vector<std::thread> workers;
   std::atomic<int> mismatches{0};
   for (int t = 0; t < kThreads; ++t) {
@@ -681,8 +670,6 @@ TEST(EnginePool, ConcurrentThreadsOneModelBitExact) {
   EXPECT_EQ(mismatches.load(), 0)
       << "concurrent sessions over one Model diverged from the sequential "
          "reference";
-  EXPECT_EQ(gemm_b_pack_events(), packs_before)
-      << "concurrent serving re-packed GEMM B panels";
   const EnginePoolStats stats = engine.pool_stats(name);
   EXPECT_LE(stats.sessions_created, static_cast<std::size_t>(kThreads) + 1);
   EXPECT_EQ(stats.leases_issued,
@@ -898,7 +885,6 @@ TEST(EngineThreading, MultiThreadedSteadyStateInvokeIsHeapFree) {
 
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
-  const std::uint64_t packs_before = gemm_b_pack_events();
   for (int i = 0; i < 16; ++i) {
     SessionLease lease = engine.acquire("stack");
     lease->set_input(0, x);
@@ -907,7 +893,6 @@ TEST(EngineThreading, MultiThreadedSteadyStateInvokeIsHeapFree) {
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "multi-threaded steady-state invoke hit operator new";
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before);
-  EXPECT_EQ(gemm_b_pack_events(), packs_before);
 }
 
 }  // namespace

@@ -17,7 +17,10 @@
 // std::vector churn inside kernels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -212,12 +215,23 @@ TEST_P(KernelGrid, OptMatchesRef) {
 INSTANTIATE_TEST_SUITE_P(PaddingStrideActDtype, KernelGrid,
                          ::testing::ValuesIn(make_grid()));
 
-// --- prepacked GEMM vs per-call paths ----------------------------------------
+// --- packed GEMMs vs a naive triple loop -----------------------------------
 
-// Shapes exercise full panels plus a column edge: n = 20 is two f32 panels
-// (8) + 4 edge columns, and for int8 one full 16-column panel plus 4
-// padded columns in the second; odd k = 37 exercises the int8 pair
-// microkernel's zero-padded tail.
+// One accumulation step as the kernels compile it: a fused multiply-add
+// where the target has FMA (GCC contracts their `acc += a * b` into one), a
+// rounded product plus a rounded sum where it does not. Spelling it out
+// keeps the naive loop's rounding independent of how this file's loops
+// happen to be contracted.
+inline float madd(float acc, float a, float b) {
+#if defined(__FMA__)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+// Problem data for one GEMM shape, in f32 and int8, plus naive triple-loop
+// references written here rather than borrowed from the kernels.
 struct GemmData {
   std::int64_t m, n, k;
   std::vector<float> a, b, bias;
@@ -259,36 +273,63 @@ struct GemmData {
     quant.out_zero_point = -3;
   }
 
-  std::vector<float> run_f32(bool prepacked) const {
+  std::vector<float> run_f32() const {
     std::vector<float> c(static_cast<std::size_t>(m * n));
-    if (prepacked) {
-      std::vector<float> panels(
-          static_cast<std::size_t>(packed_b_f32_floats(n, k)));
-      pack_b_f32(n, k, b.data(), k, panels.data());
-      PackedBF32 packed{panels.data(), n / kGemmNrF32};
-      gemm_f32_nt(m, n, k, a.data(), k, b.data(), k, bias.data(),
-                  Activation::kNone, c.data(), n, nullptr, nullptr, &packed);
-    } else {
-      ScratchArena arena;
-      gemm_f32_nt(m, n, k, a.data(), k, b.data(), k, bias.data(),
-                  Activation::kNone, c.data(), n, nullptr, &arena);
+    std::vector<float> panels(
+        static_cast<std::size_t>(packed_b_f32_floats(n, k)));
+    pack_b_f32(n, k, b.data(), k, panels.data());
+    gemm_f32_nt(m, n, k, a.data(), k, b.data(), k, bias.data(),
+                Activation::kNone, c.data(), n, nullptr,
+                PackedBF32{panels.data(), n / kGemmNrF32});
+    return c;
+  }
+
+  // Bias first, then k ascending: the reference kernels' order per output.
+  std::vector<float> naive_f32() const {
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        float acc = bias[static_cast<std::size_t>(j)];
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          acc = madd(acc, a[static_cast<std::size_t>(i * k + kk)],
+                     b[static_cast<std::size_t>(j * k + kk)]);
+        }
+        c[static_cast<std::size_t>(i * n + j)] = acc;
+      }
     }
     return c;
   }
 
-  std::vector<std::int8_t> run_i8(bool prepacked) const {
+  std::vector<std::int8_t> run_i8() const {
     std::vector<std::int8_t> c(static_cast<std::size_t>(m * n));
-    if (prepacked) {
-      std::vector<std::int8_t> panels(
-          static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
-      std::vector<std::int32_t> col_sums(static_cast<std::size_t>(n));
-      pack_b_i8(n, k, b8.data(), k, panels.data(), col_sums.data());
-      PackedBI8 packed{panels.data(), col_sums.data()};
-      gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
-                 nullptr, &packed);
-    } else {
-      gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
-                 nullptr);
+    std::vector<std::int8_t> panels(
+        static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
+    std::vector<std::int32_t> col_sums(static_cast<std::size_t>(n));
+    pack_b_i8(n, k, b8.data(), k, panels.data(), col_sums.data());
+    gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
+               nullptr, PackedBI8{panels.data(), col_sums.data()});
+    return c;
+  }
+
+  // Per-element zero-point subtraction, exact int32 sum, Q31 requant.
+  std::vector<std::int8_t> naive_i8() const {
+    std::vector<std::int8_t> c(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        const auto col = static_cast<std::size_t>(j);
+        std::int32_t acc = 0;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          acc += (a8[static_cast<std::size_t>(i * k + kk)] -
+                  quant.a_zero_point) *
+                 b8[static_cast<std::size_t>(j * k + kk)];
+        }
+        const std::int32_t v =
+            multiply_by_quantized_multiplier(acc + bias32[col],
+                                             multipliers[col], shifts[col]) +
+            quant.out_zero_point;
+        c[static_cast<std::size_t>(i * n + j)] = static_cast<std::int8_t>(
+            std::clamp(v, quant.act_min, quant.act_max));
+      }
     }
     return c;
   }
@@ -305,57 +346,95 @@ std::int64_t max_ulp_diff_span(const std::vector<float>& x,
   return worst;
 }
 
-// f32: the prepacked view and the per-call arena repack feed the same panel
-// layout through the same tiles, so results are bit-identical.
-TEST(PrepackedGemm, F32PrepackedMatchesRepackBitExact) {
-  GemmData d(16, 20, 37, 901);
-  const std::vector<float> repacked = d.run_f32(/*prepacked=*/false);
-  const std::vector<float> prepacked = d.run_f32(/*prepacked=*/true);
-  ASSERT_EQ(repacked.size(), prepacked.size());
-  EXPECT_EQ(std::memcmp(repacked.data(), prepacked.data(),
-                        repacked.size() * sizeof(float)),
-            0);
-}
+using GemmShape = std::array<std::int64_t, 3>;  // m, n, k
 
-// int8: the SIMD dot-product microkernel with epilogue zero-point correction
-// must reproduce the scalar per-element-corrected path exactly (integer
-// accumulation is order-free and exact).
-TEST(PrepackedGemm, I8PrepackedMatchesScalarExact) {
-  for (auto [m, n, k] : {std::array<std::int64_t, 3>{16, 20, 37},
-                         std::array<std::int64_t, 3>{7, 9, 64},
-                         std::array<std::int64_t, 3>{5, 4, 3}}) {
-    GemmData d(m, n, k, 700 + static_cast<std::uint64_t>(m));
-    EXPECT_EQ(d.run_i8(false), d.run_i8(true)) << m << "x" << n << "x" << k;
+// f32: full 8-column panels plus edge columns (n % 8 != 0), n < 8 (no panel
+// at all, every column on the edge tile) and m == 1 (the batch-1 FC shape).
+// Same accumulation order as the naive loop, so only FMA-contraction
+// rounding may differ: the grid's 4-ULP bound.
+TEST(PrepackedGemm, F32MatchesNaiveLoop) {
+  for (const GemmShape& s :
+       {GemmShape{16, 20, 37}, GemmShape{7, 16, 64}, GemmShape{5, 3, 9},
+        GemmShape{1, 24, 129}, GemmShape{1, 5, 33}, GemmShape{1, 1001, 64}}) {
+    GemmData d(s[0], s[1], s[2], 900 + static_cast<std::uint64_t>(s[1]));
+    EXPECT_LE(max_ulp_diff_span(d.naive_f32(), d.run_f32()), 4)
+        << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
 
-// m == 1 (batch-1 fully-connected matvec): the prepacked path now routes
-// through the packed tiles where the per-call path uses the scalar-chain
-// matvec kernel — same bias-first k-ascending order per output, so only
-// FMA-contraction rounding may differ. int8 stays exact.
-TEST(PrepackedGemm, MatvecM1EdgeCase) {
-  GemmData d(1, 24, 129, 903);
-  EXPECT_LE(max_ulp_diff_span(d.run_f32(false), d.run_f32(true)), 4);
-  EXPECT_EQ(d.run_i8(false), d.run_i8(true));
+// int8: integer accumulation is exact, so the pair-panel microkernel (m > 1,
+// padded last 16-column panel, odd k) and the k-major matvec (m == 1, column
+// chunk remainders n % 4 and n % 64, SIMD k tails) must both reproduce the
+// naive loop bit for bit.
+TEST(PrepackedGemm, I8MatchesNaiveLoopExact) {
+  for (const GemmShape& s :
+       {GemmShape{16, 20, 37}, GemmShape{7, 9, 64}, GemmShape{5, 4, 3},
+        GemmShape{1, 1, 1}, GemmShape{1, 3, 33}, GemmShape{1, 7, 64},
+        GemmShape{1, 17, 100}, GemmShape{1, 64, 96}, GemmShape{1, 65, 128},
+        GemmShape{1, 1001, 1024}}) {
+    GemmData d(s[0], s[1], s[2], 700 + static_cast<std::uint64_t>(s[1]));
+    EXPECT_EQ(d.naive_i8(), d.run_i8()) << s[0] << "x" << s[1] << "x" << s[2];
+  }
 }
 
-// m == 1 int8: the prepacked call dispatches to the k-major matvec kernel
-// (raw B rows, SIMD widened-multiply accumulation) instead of the
-// pair-interleaved panel microkernel. Integer accumulation is exact in any
-// order and the col_sums zero-point epilogue is shared, so the matvec must
-// match the scalar unpacked path bit-for-bit across column-chunk remainders
-// (n % 4, n % 64) and k remainders (SIMD chunk tails, odd k).
-TEST(PrepackedGemm, MatvecM1Int8KMajorMatchesScalarExact) {
-  for (auto [n, k] : {std::array<std::int64_t, 2>{1, 1},
-                      std::array<std::int64_t, 2>{3, 33},
-                      std::array<std::int64_t, 2>{7, 64},
-                      std::array<std::int64_t, 2>{17, 100},
-                      std::array<std::int64_t, 2>{64, 96},
-                      std::array<std::int64_t, 2>{65, 128},
-                      std::array<std::int64_t, 2>{1001, 1024}}) {
-    GemmData d(1, n, k, 950 + static_cast<std::uint64_t>(n));
-    EXPECT_EQ(d.run_i8(false), d.run_i8(true)) << "1x" << n << "x" << k;
+// --- kernels with a prepare hook run only through a plan --------------------
+
+// Invoking such a kernel through a bare KernelContext (no ExecutionPlan, so
+// no prepared storage) must fail one MLX_CHECK naming the node — there is no
+// per-call fallback left, and nothing may dereference the missing storage.
+TEST(PlanOnlyKernels, BareContextThrowsNamingTheNode) {
+  Pcg32 rng(91);
+  GraphBuilder b("planonly", &rng);
+  const Shape in_shape{1, 8, 8, 8};
+  int x = b.input(in_shape);
+  int c = b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kNone, "conv");
+  int d = b.depthwise_conv2d(c, 3, 3, 1, Padding::kSame, Activation::kNone,
+                             "dw");
+  int a = b.add(c, d, Activation::kNone, "add");
+  Graph m = b.finish({b.sigmoid(a, "lut")});
+  Calibrator calib(&m);
+  Pcg32 crng(92);
+  for (int i = 0; i < 3; ++i) calib.observe({random_input(in_shape, crng)});
+  Graph qm = quantize_model(m, calib);
+  BuiltinOpResolver opt;
+
+  // Through a plan the same graph runs.
+  Model model(&qm, &opt);
+  Session session(&model);
+  session.set_input(0, random_input(in_shape, crng));
+  session.invoke();
+
+  int refused = 0;
+  for (const Graph* g : {&m, &qm}) {
+    for (const Node& n : g->nodes) {
+      if (n.type == OpType::kInput || !opt.find(n).prepare) continue;
+      std::vector<Tensor> inputs;
+      for (int in : n.inputs) {
+        const Node& producer = g->node(in);
+        inputs.emplace_back(producer.output_dtype, producer.output_shape);
+        inputs.back().quant() = producer.output_quant;
+      }
+      Tensor out(n.output_dtype, n.output_shape);
+      out.quant() = n.output_quant;
+      ScratchArena arena;
+      KernelContext ctx;
+      ctx.node = &n;
+      for (const Tensor& t : inputs) ctx.inputs.push_back(&t);
+      ctx.output = &out;
+      ctx.arena = &arena;
+      try {
+        opt.find(n).invoke(ctx);
+        ADD_FAILURE() << n.name << " ran without prepared storage";
+      } catch (const MlxError& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + n.name + "'"),
+                  std::string::npos)
+            << e.what();
+        ++refused;
+      }
+    }
   }
+  // f32 conv; int8 conv, dwconv, Add and the LUT activation.
+  EXPECT_EQ(refused, 5);
 }
 
 // --- steady-state allocation behaviour --------------------------------------
@@ -377,20 +456,16 @@ TEST(SteadyStateAlloc, InvokeIsHeapFreeAfterWarmup) {
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
   Interpreter interp(&m, &opt, /*num_threads=*/2);
-  // Prepare packed the conv/fc weights into plan-owned storage, so even the
-  // first invoke performs no per-call f32 B repacking.
+  // Prepare packed the conv/fc weights into plan-owned storage.
   EXPECT_GT(interp.plan().prepared_bytes(), 0u);
   EXPECT_EQ(interp.last_stats().prepared_bytes,
             interp.plan().prepared_bytes());
-  const std::uint64_t packs_at_start = gemm_b_pack_events();
   Pcg32 drng(32);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
   interp.set_input(0, input);
   // First invoke may grow the scratch arena.
   interp.invoke();
   EXPECT_GT(interp.scratch_arena().capacity_bytes(), 0u);
-  EXPECT_EQ(gemm_b_pack_events(), packs_at_start)
-      << "prepacked conv/fc still repacked B on the first invoke";
 
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::size_t bytes_before = AllocStats::instance().current_bytes();
@@ -403,8 +478,6 @@ TEST(SteadyStateAlloc, InvokeIsHeapFreeAfterWarmup) {
   EXPECT_EQ(AllocStats::instance().current_bytes(), bytes_before);
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "steady-state invoke() touched the heap (operator new)";
-  EXPECT_EQ(gemm_b_pack_events(), packs_at_start)
-      << "steady-state invoke() performed per-call B packing";
   EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
       << "steady-state invoke() grew the scratch high-water mark";
   EXPECT_EQ(interp.last_stats().arena_high_water_bytes, high_water_before);
