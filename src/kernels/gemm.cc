@@ -16,13 +16,13 @@
 namespace mlexray {
 namespace {
 
-// Register tile extents. The float tile is MR x 8: with B packed
-// 8-interleaved the inner j loop vectorizes to one 8-wide FMA per row on
-// AVX2 (or two 4-wide mul/adds on plain SSE), and the MR * 8 accumulators
-// stay in vector registers. MR is a template parameter so short matrices
-// (fully-connected with batch 1) still get fully unrolled code. The int8
-// tile is MR x 16: one int32 accumulator lane per output column across the
-// pair-interleaved panel.
+// Register tile extents. The float tile is MR x 16 over two 8-interleaved
+// B panels (MR x 8 when a single panel remains): one 8-wide FMA per row and
+// panel on AVX2 (or two 4-wide mul/adds on plain SSE), with every
+// accumulator in a vector register. MR is a template parameter so short
+// matrices (fully-connected with batch 1) still get fully unrolled code.
+// The int8 tile is MR x 16: one int32 accumulator lane per output column
+// across the pair-interleaved panel.
 constexpr std::int64_t kMr = 4;
 constexpr std::int64_t kNrF = kGemmNrF32;
 constexpr std::int64_t kNrIP = kGemmNrI8;
@@ -31,95 +31,133 @@ constexpr std::int64_t kNrIP = kGemmNrI8;
 // than the arithmetic; run on the calling thread.
 constexpr std::int64_t kMinFlopsForPool = 64 * 1024;
 
-// MR x kNrF tile over a packed B panel: bp holds k groups of kNrF column
-// values, contiguous per k step. SIMD runs across the kNrF output columns, so
-// each output's per-element accumulation order (bias first, k ascending) is
-// exactly the reference kernels' — results agree with the reference path to
-// within FMA-contraction rounding. Accumulators are named vector variables,
-// not arrays: GCC reliably keeps them in ymm registers, where an indexed
-// array spills to the stack and throughput drops ~6x.
+// MR x (NP * kNrF) tile over NP adjacent packed B panels: each panel holds
+// k groups of kNrF column values, contiguous per k step. SIMD runs across
+// the output columns, so each output's per-element accumulation order (bias
+// first, k ascending) is exactly the reference kernels' — results agree with
+// the reference path to within FMA-contraction rounding. Two panels give
+// 4 x 2 independent accumulators, enough to cover the FMA latency; one
+// panel (the n % 16 <= 8 tail) gets 4. Accumulators are named vector
+// variables, not arrays: GCC reliably keeps them in ymm registers, where an
+// indexed array spills to the stack and throughput drops ~6x. The last
+// tile of a problem computes all lanes over zero-padded B and bias, and
+// stores only its nr real columns.
 #if defined(__GNUC__) || defined(__clang__)
-#define MLX_GEMM_VECTOR_TILE 1
 using v8f = float __attribute__((vector_size(32)));
 // Unaligned-load flavour for B panels and bias columns.
 using v8f_u = float __attribute__((vector_size(32), aligned(4)));
 
-template <int MR>
+inline v8f load_v8(const float* p) { return *reinterpret_cast<const v8f_u*>(p); }
+
+// The fused activation on a vector of accumulators: per lane the same
+// comparisons and arithmetic as apply_activation_f32, so the result is
+// bit-identical to the scalar epilogue (relu6 is std::clamp's
+// `x < lo ? lo : hi < x ? hi : x`).
+inline v8f activate_v8(v8f x, Activation act) {
+  const v8f zero = {};
+  const v8f six = zero + 6.0f;
+  switch (act) {
+    case Activation::kNone:
+      return x;
+    case Activation::kRelu:
+      return x > zero ? x : zero;
+    case Activation::kRelu6: {
+      const v8f lo = x < zero ? zero : x;
+      return six < lo ? six : lo;
+    }
+    case Activation::kHardSwish: {
+      v8f inner = x + 3.0f;
+      inner = inner < zero ? zero : inner;
+      inner = six < inner ? six : inner;
+      return x * inner / 6.0f;
+    }
+  }
+  return x;
+}
+
+// Activates and stores one panel row: a single vector store when the
+// panel is full, the nr < kNrF real columns lane by lane otherwise.
+inline void store_v8(float* dst, v8f v, Activation act, std::int64_t nr) {
+  v = activate_v8(v, act);
+  if (nr >= kNrF) {
+    __builtin_memcpy(dst, &v, sizeof(v));
+  } else {
+    for (std::int64_t j = 0; j < nr; ++j) dst[j] = v[j];
+  }
+}
+
+template <int MR, int NP>
 inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
                             const float* bp, const float* bias, Activation act,
-                            float* c, std::int64_t ldc) {
-  const v8f bias_v = *reinterpret_cast<const v8f_u*>(bias);
-  v8f acc0 = bias_v, acc1 = bias_v, acc2 = bias_v, acc3 = bias_v;
+                            float* c, std::int64_t ldc, std::int64_t nr) {
+  const float* bq = bp + (NP > 1 ? k * kNrF : 0);  // the second panel
+  const v8f bias0 = load_v8(bias);
+  const v8f bias1 = NP > 1 ? load_v8(bias + kNrF) : v8f{};
+  v8f acc00 = bias0, acc10 = bias0, acc20 = bias0, acc30 = bias0;
+  v8f acc01 = bias1, acc11 = bias1, acc21 = bias1, acc31 = bias1;
   const float* a0 = a;
   const float* a1 = a + (MR > 1 ? lda : 0);
   const float* a2 = a + (MR > 2 ? 2 * lda : 0);
   const float* a3 = a + (MR > 3 ? 3 * lda : 0);
-  (void)a1; (void)a2; (void)a3;
-  (void)acc1; (void)acc2; (void)acc3;
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const v8f bv = *reinterpret_cast<const v8f_u*>(bp + kk * kNrF);
-    acc0 += a0[kk] * bv;
-    if constexpr (MR > 1) acc1 += a1[kk] * bv;
-    if constexpr (MR > 2) acc2 += a2[kk] * bv;
-    if constexpr (MR > 3) acc3 += a3[kk] * bv;
-  }
-  float out[MR][kNrF];
-  __builtin_memcpy(out[0], &acc0, sizeof(v8f));
-  if constexpr (MR > 1) __builtin_memcpy(out[1], &acc1, sizeof(v8f));
-  if constexpr (MR > 2) __builtin_memcpy(out[2], &acc2, sizeof(v8f));
-  if constexpr (MR > 3) __builtin_memcpy(out[3], &acc3, sizeof(v8f));
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < kNrF; ++j) {
-      c[i * ldc + j] = apply_activation_f32(out[i][j], act);
+    const v8f b0 = load_v8(bp + kk * kNrF);
+    acc00 += a0[kk] * b0;
+    if constexpr (MR > 1) acc10 += a1[kk] * b0;
+    if constexpr (MR > 2) acc20 += a2[kk] * b0;
+    if constexpr (MR > 3) acc30 += a3[kk] * b0;
+    if constexpr (NP > 1) {
+      const v8f b1 = load_v8(bq + kk * kNrF);
+      acc01 += a0[kk] * b1;
+      if constexpr (MR > 1) acc11 += a1[kk] * b1;
+      if constexpr (MR > 2) acc21 += a2[kk] * b1;
+      if constexpr (MR > 3) acc31 += a3[kk] * b1;
     }
   }
+  auto store_row = [&](float* cr, v8f lo, v8f hi) {
+    store_v8(cr, lo, act, nr);
+    if constexpr (NP > 1) store_v8(cr + kNrF, hi, act, nr - kNrF);
+  };
+  store_row(c, acc00, acc01);
+  if constexpr (MR > 1) store_row(c + ldc, acc10, acc11);
+  if constexpr (MR > 2) store_row(c + 2 * ldc, acc20, acc21);
+  if constexpr (MR > 3) store_row(c + 3 * ldc, acc30, acc31);
 }
 #else
-template <int MR>
+template <int MR, int NP>
 inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
                             const float* bp, const float* bias, Activation act,
-                            float* c, std::int64_t ldc) {
-  float acc[MR][kNrF];
-  const float* ar[MR];
+                            float* c, std::int64_t ldc, std::int64_t nr) {
+  constexpr std::int64_t kCols = NP * kNrF;
+  float acc[MR][kCols];
   for (int i = 0; i < MR; ++i) {
-    ar[i] = a + i * lda;
-    for (std::int64_t j = 0; j < kNrF; ++j) acc[i][j] = bias[j];
+    for (std::int64_t j = 0; j < kCols; ++j) acc[i][j] = bias[j];
   }
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* bv = bp + kk * kNrF;
     for (int i = 0; i < MR; ++i) {
-      const float av = ar[i][kk];
-      for (std::int64_t j = 0; j < kNrF; ++j) acc[i][j] += av * bv[j];
+      const float av = a[i * lda + kk];
+      for (std::int64_t j = 0; j < kCols; ++j) {
+        acc[i][j] += av * bp[(j / kNrF) * k * kNrF + kk * kNrF + j % kNrF];
+      }
     }
   }
   for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < kNrF; ++j) {
+    for (std::int64_t j = 0; j < std::min(nr, kCols); ++j) {
       c[i * ldc + j] = apply_activation_f32(acc[i][j], act);
     }
   }
 }
 #endif
 
-// Generic tile over unpacked B (any mr <= kMr, nr <= kNrF): the n % kNrF
-// edge columns no full panel covers (every column when n < kNrF).
-inline void tile_f32_edge(std::int64_t mr, std::int64_t nr, std::int64_t k,
-                          const float* a, std::int64_t lda, const float* b,
-                          std::int64_t ldb, const float* bias, Activation act,
-                          float* c, std::int64_t ldc) {
-  float acc[kMr][kNrF];
-  for (std::int64_t i = 0; i < mr; ++i) {
-    for (std::int64_t j = 0; j < nr; ++j) acc[i][j] = bias[j];
-  }
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    for (std::int64_t i = 0; i < mr; ++i) {
-      const float av = a[i * lda + kk];
-      for (std::int64_t j = 0; j < nr; ++j) acc[i][j] += av * b[j * ldb + kk];
-    }
-  }
-  for (std::int64_t i = 0; i < mr; ++i) {
-    for (std::int64_t j = 0; j < nr; ++j) {
-      c[i * ldc + j] = apply_activation_f32(acc[i][j], act);
-    }
+template <int NP>
+inline void tile_f32_rows(std::int64_t mr, std::int64_t k, const float* a,
+                          std::int64_t lda, const float* bp, const float* bias,
+                          Activation act, float* c, std::int64_t ldc,
+                          std::int64_t nr) {
+  switch (mr) {
+    case 4: tile_f32_packed<4, NP>(k, a, lda, bp, bias, act, c, ldc, nr); break;
+    case 3: tile_f32_packed<3, NP>(k, a, lda, bp, bias, act, c, ldc, nr); break;
+    case 2: tile_f32_packed<2, NP>(k, a, lda, bp, bias, act, c, ldc, nr); break;
+    default: tile_f32_packed<1, NP>(k, a, lda, bp, bias, act, c, ldc, nr); break;
   }
 }
 
@@ -489,21 +527,265 @@ inline void matvec_i8_kmajor(std::int64_t nc, std::int64_t k,
 
 #endif
 
+// Requantizes the raw accumulators of columns [j0, j0 + nr) into dst:
+// zero-point correction through the packed column sums, bias, per-channel
+// Q31 multiplier, output zero point, activation clamp. The 8-lane form
+// (requant_clamp_store_i8_v8, fixed_point.h) is bit-identical to the scalar
+// tail; on small-k GEMMs the epilogue costs as much as the dot products, so
+// the vector form matters.
+inline void requant_store_i8(const std::int32_t* acc, std::int64_t j0,
+                             std::int64_t nr, const GemmQuant& q,
+                             const std::int32_t* col_sums, std::int8_t* dst) {
+  std::int64_t j = 0;
+#if defined(__GNUC__) || defined(__clang__)
+  const v8s32_fx zp_a = (v8s32_fx){} + q.a_zero_point;
+  for (; j + 8 <= nr; j += 8) {
+    const std::size_t col = static_cast<std::size_t>(j0 + j);
+    v8s32_fx accv, cs, bs, mu, sh;
+    __builtin_memcpy(&accv, acc + j, sizeof(accv));
+    __builtin_memcpy(&cs, col_sums + col, sizeof(cs));
+    __builtin_memcpy(&bs, q.bias + col, sizeof(bs));
+    __builtin_memcpy(&mu, q.multipliers + col, sizeof(mu));
+    __builtin_memcpy(&sh, q.shifts + col, sizeof(sh));
+    requant_clamp_store_i8_v8(accv - zp_a * cs + bs, mu, -sh,
+                              q.out_zero_point, q.act_min, q.act_max, dst + j);
+  }
+#endif
+  for (; j < nr; ++j) {
+    const std::size_t col = static_cast<std::size_t>(j0 + j);
+    const std::int32_t sum = acc[j] - q.a_zero_point * col_sums[col];
+    const std::int32_t scaled = multiply_by_quantized_multiplier(
+        sum + q.bias[col], q.multipliers[col], q.shifts[col]);
+    dst[j] = static_cast<std::int8_t>(
+        std::clamp(scaled + q.out_zero_point, q.act_min, q.act_max));
+  }
+}
+
+// One A row against all n raw k-major B rows, in column chunks.
+void matvec_i8(std::int64_t n, std::int64_t k, const std::int8_t* a,
+               const std::int8_t* b, std::int64_t ldb, const GemmQuant& q,
+               const std::int32_t* col_sums, std::int8_t* c) {
+  constexpr std::int64_t kMvCols = 64;
+  std::int32_t acc[kMvCols];
+  for (std::int64_t j0 = 0; j0 < n; j0 += kMvCols) {
+    const std::int64_t nc = std::min(kMvCols, n - j0);
+    matvec_i8_kmajor(nc, k, a, b + j0 * ldb, ldb, acc);
+    requant_store_i8(acc, j0, nc, q, col_sums, c + j0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Where a row tile's A comes from. The row-block drivers below call
+// rows.tile(i0, mr, worker) once per MR-row tile and read the returned rows
+// at stride rows.lda for every N panel.
+// ---------------------------------------------------------------------------
+
+// A plain row-major matrix: the tile's rows in place.
+template <typename T>
+struct MatrixRows {
+  const T* a;
+  std::int64_t lda;
+  const T* tile(std::int64_t i0, std::int64_t /*mr*/,
+                std::size_t /*worker*/) const {
+    return a + i0 * lda;
+  }
+};
+
+// Gathers the receptive fields of conv output pixels [i0, i0 + mr) into dst
+// (row stride g.patch()), in OHWI (fy, fx, ic) order; taps outside the
+// input hold `pad`. A filter row whose kw taps are all in bounds is one
+// contiguous kw * in_ch run of the NHWC input and is copied whole.
+template <typename T>
+void gather_patches(const ConvGeometry& g, const T* x, T pad, std::int64_t i0,
+                    std::int64_t mr, T* dst) {
+  const std::int64_t run = g.kw * g.in_ch;
+  std::int64_t ox = i0 % g.out_w;
+  std::int64_t oy = (i0 / g.out_w) % g.out_h;
+  std::int64_t n = i0 / (g.out_w * g.out_h);
+  for (std::int64_t r = 0; r < mr; ++r) {
+    const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
+    const std::int64_t ix0 = ox * g.stride_w - g.pad_w;
+    const bool row_inside = ix0 >= 0 && ix0 + g.kw <= g.in_w;
+    for (int fy = 0; fy < g.kh; ++fy) {
+      T* d = dst + (r * g.kh + fy) * run;
+      const std::int64_t iy = iy0 + fy;
+      if (iy < 0 || iy >= g.in_h) {
+        std::fill_n(d, run, pad);
+        continue;
+      }
+      const T* src = x + (n * g.in_h + iy) * g.in_w * g.in_ch;
+      if (row_inside) {
+        std::memcpy(d, src + ix0 * g.in_ch,
+                    static_cast<std::size_t>(run) * sizeof(T));
+        continue;
+      }
+      for (int fx = 0; fx < g.kw; ++fx) {
+        const std::int64_t ix = ix0 + fx;
+        T* dt = d + fx * g.in_ch;
+        if (ix < 0 || ix >= g.in_w) {
+          std::fill_n(dt, g.in_ch, pad);
+        } else {
+          std::memcpy(dt, src + ix * g.in_ch,
+                      static_cast<std::size_t>(g.in_ch) * sizeof(T));
+        }
+      }
+    }
+    if (++ox == g.out_w) {
+      ox = 0;
+      if (++oy == g.out_h) {
+        oy = 0;
+        ++n;
+      }
+    }
+  }
+}
+
+std::int64_t gather_slice_bytes(const ConvGeometry& g,
+                                std::size_t elem_bytes) {
+  const auto bytes = kMr * g.patch() * static_cast<std::int64_t>(elem_bytes);
+  return (bytes + 63) / 64 * 64;
+}
+
+// Conv receptive fields, gathered per tile into the worker's slice of the
+// caller's gather scratch.
+template <typename T>
+struct PatchRows {
+  const ConvGeometry& g;
+  const T* x;
+  T pad;
+  std::uint8_t* gather;
+  std::int64_t slice_bytes;
+  std::int64_t lda;  // g.patch()
+  const T* tile(std::int64_t i0, std::int64_t mr, std::size_t worker) const {
+    T* dst = reinterpret_cast<T*>(
+        gather + static_cast<std::int64_t>(worker) * slice_bytes);
+    gather_patches(g, x, pad, i0, mr, dst);
+    return dst;
+  }
+};
+
+template <typename T>
+PatchRows<T> patch_rows(const ConvGeometry& g, const T* x, T pad,
+                        void* gather) {
+  MLX_CHECK(gather != nullptr) << "conv gather scratch missing";
+  return {g, x, pad, static_cast<std::uint8_t*>(gather),
+          gather_slice_bytes(g, sizeof(T)), g.patch()};
+}
+
+// The row-block driver both GEMMs share: runs body(i0, mr, a_tile) for each
+// MR-row tile of C, where a_tile holds the tile's A rows (stride rows.lda)
+// and is fetched once for every N panel. Tiles are spread over the pool
+// when the problem pays for the rendezvous; the worker id selects the
+// worker's own gather buffer.
+template <typename Rows, typename Body>
+void for_each_row_tile(const Rows& rows, std::int64_t m, std::int64_t macs,
+                       PoolRef pool, const Body& body) {
+  auto run = [&](std::size_t tile_lo, std::size_t tile_hi,
+                 std::size_t worker) {
+    for (std::size_t t = tile_lo; t < tile_hi; ++t) {
+      const std::int64_t i0 = static_cast<std::int64_t>(t) * kMr;
+      const std::int64_t mr = std::min(kMr, m - i0);
+      body(i0, mr, rows.tile(i0, mr, worker));
+    }
+  };
+  const auto m_tiles = static_cast<std::size_t>((m + kMr - 1) / kMr);
+  if (pool && m_tiles > 1 && macs >= kMinFlopsForPool) {
+    pool.parallel_for_workers(0, m_tiles, run);
+  } else {
+    run(0, m_tiles, 0);
+  }
+}
+
+template <typename Rows>
+void gemm_f32_rows(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const Rows& rows, const float* bias, Activation act,
+                   float* c, std::int64_t ldc, PoolRef pool,
+                   const PackedBF32& packed) {
+  if (m <= 0 || n <= 0) return;
+  MLX_CHECK_EQ(packed.panel_count, (n + kNrF - 1) / kNrF)
+      << "B panels packed for another n";
+  // Kernel-level fault point: lets tests originate an MLX_CHECK-style
+  // failure inside a real kernel (not just the plan walk) and assert it is
+  // contained at the session boundary.
+  if (fault::enabled()) fault::check(fault_sites::kKernelGemm);
+  // Column tiles are two panels wide while more than one panel remains;
+  // only the last tile (at j_tail) can be partial. Its bias is read from a
+  // zero-padded copy, so the tile never reads bias[j] past n.
+  constexpr std::int64_t kTileCols = 2 * kNrF;
+  const std::int64_t j_tail = n > kNrF ? (n - 1) / kTileCols * kTileCols : 0;
+  float bias_tail[kTileCols] = {};
+  std::copy(bias + j_tail, bias + n, bias_tail);
+  for_each_row_tile(rows, m, m * n * k, pool,
+                    [&](std::int64_t i0, std::int64_t mr, const float* at) {
+    float* ct = c + i0 * ldc;
+    for (std::int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+      const float* bp = packed.panels + (j0 / kNrF) * k * kNrF;
+      const float* bj = j0 == j_tail ? bias_tail : bias + j0;
+      const std::int64_t nr = std::min(kTileCols, n - j0);
+      if (nr > kNrF) {
+        tile_f32_rows<2>(mr, k, at, rows.lda, bp, bj, act, ct + j0, ldc, nr);
+      } else {
+        tile_f32_rows<1>(mr, k, at, rows.lda, bp, bj, act, ct + j0, ldc, nr);
+      }
+    }
+  });
+}
+
+template <typename Rows>
+void gemm_i8_rows(std::int64_t m, std::int64_t n, std::int64_t k,
+                  const Rows& rows, const std::int8_t* b, std::int64_t ldb,
+                  const GemmQuant& q, std::int8_t* c, std::int64_t ldc,
+                  PoolRef pool, const PackedBI8& packed) {
+  if (m <= 0 || n <= 0) return;
+  // Shape dispatch: m == 1 (batch-1 FC / 1x1-output convs) walks raw
+  // k-major B rows instead of the pair-interleaved panels — with a single A
+  // row the panel walk has no load reuse and regressed matvec latency ~2.7x
+  // (see ROADMAP note). Same raw accumulators + identical col_sums
+  // epilogue, so the result is bit-exact vs the panel path (the naive-loop
+  // parity tests pin both).
+  if (m == 1) {
+    matvec_i8(n, k, rows.tile(0, 1, 0), b, ldb, q, packed.col_sums, c);
+    return;
+  }
+  const std::int64_t k2 = (k + 1) / 2;
+  const auto* p16 = reinterpret_cast<const std::int16_t*>(packed.panels);
+  // Pair-broadcast microkernel over the pair-interleaved panels.
+  // Accumulation is *raw* (no per-element zero-point subtraction); the
+  // epilogue corrects with the prepacked column sums. Integer math is exact,
+  // so the result equals sum_k (a - zp) * b to the bit.
+  for_each_row_tile(rows, m, m * n * k, pool,
+                    [&](std::int64_t i0, std::int64_t mr,
+                        const std::int8_t* at) {
+    std::int8_t* ct = c + i0 * ldc;
+    for (std::int64_t j0 = 0; j0 < n; j0 += kNrIP) {
+      std::int32_t acc[kMr][kNrIP];
+      panel_i8_pairs(mr, k, at, rows.lda, p16 + (j0 / kNrIP) * k2 * 2 * kNrIP,
+                     acc);
+      for (std::int64_t i = 0; i < mr; ++i) {
+        requant_store_i8(acc[i], j0, std::min(kNrIP, n - j0), q,
+                         packed.col_sums, ct + i * ldc + j0);
+      }
+    }
+  });
+}
+
 }  // namespace
 
 std::int64_t packed_b_f32_floats(std::int64_t n, std::int64_t k) {
-  return (n / kNrF) * k * kNrF;
+  return (n + kNrF - 1) / kNrF * k * kNrF;
 }
 
 void pack_b_f32(std::int64_t n, std::int64_t k, const float* b,
                 std::int64_t ldb, float* panels) {
-  const std::int64_t panel_count = n / kNrF;
+  // Columns past n are zeros: the last panel's padded lanes accumulate
+  // exactly their (zero) bias and are never stored.
+  const std::int64_t panel_count = (n + kNrF - 1) / kNrF;
   for (std::int64_t panel = 0; panel < panel_count; ++panel) {
-    const float* bsrc = b + panel * kNrF * ldb;
     float* pdst = panels + panel * k * kNrF;
     for (std::int64_t kk = 0; kk < k; ++kk) {
       for (std::int64_t j = 0; j < kNrF; ++j) {
-        pdst[kk * kNrF + j] = bsrc[j * ldb + kk];
+        const std::int64_t col = panel * kNrF + j;
+        pdst[kk * kNrF + j] = col < n ? b[col * ldb + kk] : 0.0f;
       }
     }
   }
@@ -552,149 +834,56 @@ void pack_b_i8(std::int64_t n, std::int64_t k, const std::int8_t* b,
 }
 
 void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, const float* b,
-                 std::int64_t ldb, const float* bias, Activation act, float* c,
-                 std::int64_t ldc, PoolRef pool, const PackedBF32& packed) {
-  if (m <= 0 || n <= 0) return;
-  MLX_CHECK_EQ(packed.panel_count, n / kNrF) << "B panels packed for another n";
-  // Kernel-level fault point: lets tests originate an MLX_CHECK-style
-  // failure inside a real kernel (not just the plan walk) and assert it is
-  // contained at the session boundary.
-  if (fault::enabled()) fault::check(fault_sites::kKernelGemm);
-  const std::int64_t m_tiles = (m + kMr - 1) / kMr;
-  auto row_block = [&](std::size_t tile_lo, std::size_t tile_hi) {
-    for (std::size_t t = tile_lo; t < tile_hi; ++t) {
-      const std::int64_t i0 = static_cast<std::int64_t>(t) * kMr;
-      const std::int64_t mr = std::min(kMr, m - i0);
-      const float* at = a + i0 * lda;
-      float* ct = c + i0 * ldc;
-      std::int64_t j0 = 0;
-      for (; j0 + kNrF <= n; j0 += kNrF) {
-        const float* bp = packed.panels + (j0 / kNrF) * k * kNrF;
-        switch (mr) {
-          case 4: tile_f32_packed<4>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-          case 3: tile_f32_packed<3>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-          case 2: tile_f32_packed<2>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-          default: tile_f32_packed<1>(k, at, lda, bp, bias + j0, act, ct + j0, ldc); break;
-        }
-      }
-      for (; j0 < n; j0 += kNrF) {
-        tile_f32_edge(mr, std::min(kNrF, n - j0), k, at, lda, b + j0 * ldb,
-                      ldb, bias + j0, act, ct + j0, ldc);
-      }
-    }
-  };
-  if (pool && m_tiles > 1 && m * n * k >= kMinFlopsForPool) {
-    pool.parallel_for(0, static_cast<std::size_t>(m_tiles), row_block);
-  } else {
-    row_block(0, static_cast<std::size_t>(m_tiles));
-  }
+                 const float* a, std::int64_t lda, const float* bias,
+                 Activation act, float* c, std::int64_t ldc, PoolRef pool,
+                 const PackedBF32& packed) {
+  gemm_f32_rows(m, n, k, MatrixRows<float>{a, lda}, bias, act, c, ldc, pool,
+                packed);
 }
 
 void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, const GemmQuant& q, std::int8_t* c,
                 std::int64_t ldc, PoolRef pool, const PackedBI8& packed) {
-  if (m <= 0 || n <= 0) return;
-  // Shape dispatch: m == 1 (batch-1 FC / 1x1-output convs) walks raw
-  // k-major B rows instead of the pair-interleaved panels — with a single A
-  // row the panel walk has no load reuse and regressed matvec latency ~2.7x
-  // (see ROADMAP note). Same raw accumulators + identical col_sums
-  // epilogue, so the result is bit-exact vs the panel path (the naive-loop
-  // parity tests pin both).
-  if (m == 1) {
-    constexpr std::int64_t kMvCols = 64;
-    std::int32_t acc[kMvCols];
-    for (std::int64_t j0 = 0; j0 < n; j0 += kMvCols) {
-      const std::int64_t nc = std::min(kMvCols, n - j0);
-      matvec_i8_kmajor(nc, k, a, b + j0 * ldb, ldb, acc);
-      std::int64_t j = 0;
-#if defined(__GNUC__) || defined(__clang__)
-      const v8s32_fx zp_a = (v8s32_fx){} + q.a_zero_point;
-      for (; j + 8 <= nc; j += 8) {
-        const std::size_t col = static_cast<std::size_t>(j0 + j);
-        v8s32_fx accv, cs, bs, mu, sh;
-        __builtin_memcpy(&accv, acc + j, sizeof(accv));
-        __builtin_memcpy(&cs, packed.col_sums + col, sizeof(cs));
-        __builtin_memcpy(&bs, q.bias + col, sizeof(bs));
-        __builtin_memcpy(&mu, q.multipliers + col, sizeof(mu));
-        __builtin_memcpy(&sh, q.shifts + col, sizeof(sh));
-        requant_clamp_store_i8_v8(accv - zp_a * cs + bs, mu, -sh,
-                                  q.out_zero_point, q.act_min, q.act_max,
-                                  c + j0 + j);
-      }
-#endif
-      for (; j < nc; ++j) {
-        const std::size_t col = static_cast<std::size_t>(j0 + j);
-        const std::int32_t sum =
-            acc[j] - q.a_zero_point * packed.col_sums[col];
-        std::int32_t scaled = multiply_by_quantized_multiplier(
-            sum + q.bias[col], q.multipliers[col], q.shifts[col]);
-        std::int32_t v = scaled + q.out_zero_point;
-        v = std::clamp(v, q.act_min, q.act_max);
-        c[j0 + j] = static_cast<std::int8_t>(v);
-      }
-    }
+  gemm_i8_rows(m, n, k, MatrixRows<std::int8_t>{a, lda}, b, ldb, q, c, ldc,
+               pool, packed);
+}
+
+std::size_t conv_gather_bytes(const ConvGeometry& g, std::size_t elem_bytes,
+                              std::size_t workers) {
+  if (g.pointwise()) return 0;
+  return static_cast<std::size_t>(gather_slice_bytes(g, elem_bytes)) *
+         workers;
+}
+
+void conv_gemm_f32(const ConvGeometry& g, const float* x, const float* bias,
+                   Activation act, float* y, PoolRef pool,
+                   const PackedBF32& packed, void* gather) {
+  if (g.pointwise()) {
+    gemm_f32_nt(g.rows(), g.out_ch, g.in_ch, x, g.in_ch, bias, act, y,
+                g.out_ch, pool, packed);
     return;
   }
-  const std::int64_t m_tiles = (m + kMr - 1) / kMr;
-  const std::int64_t k2 = (k + 1) / 2;
-  // Pair-broadcast microkernel over the pair-interleaved panels.
-  // Accumulation is *raw* (no per-element zero-point subtraction); the
-  // epilogue corrects with the prepacked column sums. Integer math is exact,
-  // so the result equals sum_k (a - zp) * b to the bit.
-  auto row_block = [&](std::size_t tile_lo, std::size_t tile_hi) {
-    const auto* p16 = reinterpret_cast<const std::int16_t*>(packed.panels);
-    for (std::size_t t = tile_lo; t < tile_hi; ++t) {
-      const std::int64_t i0 = static_cast<std::int64_t>(t) * kMr;
-      const std::int64_t mr = std::min(kMr, m - i0);
-      const std::int8_t* at = a + i0 * lda;
-      std::int8_t* ct = c + i0 * ldc;
-      for (std::int64_t j0 = 0; j0 < n; j0 += kNrIP) {
-        const std::int64_t nr = std::min(kNrIP, n - j0);
-        std::int32_t acc[kMr][kNrIP];
-        panel_i8_pairs(mr, k, at, lda, p16 + (j0 / kNrIP) * k2 * 2 * kNrIP,
-                       acc);
-        for (std::int64_t i = 0; i < mr; ++i) {
-          std::int64_t j = 0;
-#if defined(__GNUC__) || defined(__clang__)
-          // Vectorized requant epilogue (requant_clamp_store_i8_v8 is the
-          // shared fixed_point.h helper, bit-identical to the scalar tail
-          // loop below). On small-k GEMMs the epilogue costs as much as the
-          // dot products, so this matters.
-          const v8s32_fx zp_a = (v8s32_fx){} + q.a_zero_point;
-          for (; j + 8 <= nr; j += 8) {
-            const std::size_t col = static_cast<std::size_t>(j0 + j);
-            v8s32_fx accv, cs, bs, mu, sh;
-            __builtin_memcpy(&accv, &acc[i][j], sizeof(accv));
-            __builtin_memcpy(&cs, packed.col_sums + col, sizeof(cs));
-            __builtin_memcpy(&bs, q.bias + col, sizeof(bs));
-            __builtin_memcpy(&mu, q.multipliers + col, sizeof(mu));
-            __builtin_memcpy(&sh, q.shifts + col, sizeof(sh));
-            requant_clamp_store_i8_v8(accv - zp_a * cs + bs, mu, -sh,
-                                      q.out_zero_point, q.act_min, q.act_max,
-                                      ct + i * ldc + j0 + j);
-          }
-#endif
-          for (; j < nr; ++j) {
-            const std::size_t col = static_cast<std::size_t>(j0 + j);
-            const std::int32_t sum =
-                acc[i][j] - q.a_zero_point * packed.col_sums[col];
-            std::int32_t scaled = multiply_by_quantized_multiplier(
-                sum + q.bias[col], q.multipliers[col], q.shifts[col]);
-            std::int32_t v = scaled + q.out_zero_point;
-            v = std::clamp(v, q.act_min, q.act_max);
-            ct[i * ldc + j0 + j] = static_cast<std::int8_t>(v);
-          }
-        }
-      }
-    }
-  };
-  if (pool && m_tiles > 1 && m * n * k >= kMinFlopsForPool) {
-    pool.parallel_for(0, static_cast<std::size_t>(m_tiles), row_block);
-  } else {
-    row_block(0, static_cast<std::size_t>(m_tiles));
+  gemm_f32_rows(g.rows(), g.out_ch, g.patch(),
+                patch_rows(g, x, 0.0f, gather), bias, act, y, g.out_ch, pool,
+                packed);
+}
+
+void conv_gemm_i8(const ConvGeometry& g, const std::int8_t* x,
+                  const std::int8_t* w, const GemmQuant& q, std::int8_t* y,
+                  PoolRef pool, const PackedBI8& packed, void* gather) {
+  const std::int64_t k = g.patch();
+  if (g.pointwise()) {
+    gemm_i8_nt(g.rows(), g.out_ch, k, x, k, w, k, q, y, g.out_ch, pool,
+               packed);
+    return;
   }
+  // Padded taps hold the input zero point, so (tap - zp) * w contributes 0 —
+  // identical to the reference kernel's skipped out-of-bounds taps.
+  gemm_i8_rows(g.rows(), g.out_ch, k,
+               patch_rows(g, x, static_cast<std::int8_t>(q.a_zero_point),
+                          gather),
+               w, k, q, y, g.out_ch, pool, packed);
 }
 
 }  // namespace mlexray

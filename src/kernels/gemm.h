@@ -1,15 +1,23 @@
 // Register-blocked, multi-threaded GEMM core shared by the optimized
-// convolution (via im2col) and fully-connected kernels.
+// convolution (as an implicit GEMM) and fully-connected kernels.
 //
-// Both consumers present the same "NT" problem: A holds M rows of K
-// contiguous values (im2col patches or flattened input rows), B holds N rows
-// of K contiguous values (OHWI filters or [out, in] weights), and
+// Both consumers present the same "NT" problem: A holds M rows of K values
+// (flattened input rows, or conv receptive fields), B holds N rows of K
+// contiguous values (OHWI filters or [out, in] weights), and
 // C[i, j] = act(dot(A_i, B_j) + bias[j]).
+//
+// One row-block driver walks C in MR-row tiles; only where a tile's A rows
+// come from differs. A plain matrix (FC, 1x1 stride-1 conv) hands out rows
+// in place. A conv gathers the tile's MR receptive fields straight from the
+// NHWC input into a small per-worker buffer and reuses it across every N
+// panel, so no im2col matrix is ever materialized.
 //
 // The inner loops compute an MR x NR register tile: each loaded A/B value
 // feeds NR/MR multiply-accumulates, cutting memory traffic by the tile
-// factor, and the 16 independent accumulators break the loop-carried
+// factor, and the independent accumulators break the loop-carried
 // dependence that serializes a naive dot product on the FPU's add latency.
+// B is packed into zero-padded NR-column panels, so every output column —
+// the n % NR tail included — runs the vector tile.
 //
 // Float accumulation is bias-first then k-ascending per output — exactly the
 // reference kernels' order — so optimized and reference float paths agree to
@@ -20,6 +28,7 @@
 // allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/thread_pool.h"
@@ -41,12 +50,13 @@ namespace mlexray {
 inline constexpr std::int64_t kGemmNrF32 = 8;
 inline constexpr std::int64_t kGemmNrI8 = 16;
 
-// f32: full panels of kGemmNrF32 columns, k-interleaved — panel p holds k
-// groups of the 8 column values for columns [8p, 8p+8). The n % 8 edge
-// columns stay unpacked (the edge tile walks raw B rows).
+// f32: ceil(n / kGemmNrF32) panels of kGemmNrF32 columns, k-interleaved —
+// panel p holds k groups of the 8 column values for columns [8p, 8p+8).
+// Columns past n are zero-filled, so the last panel runs the same vector
+// tile as the others.
 struct PackedBF32 {
   const float* panels = nullptr;
-  std::int64_t panel_count = 0;  // n / kGemmNrF32
+  std::int64_t panel_count = 0;  // ceil(n / kGemmNrF32)
 };
 
 // int8: pair-interleaved, pre-widened panels of kGemmNrI8 (16) columns.
@@ -67,8 +77,8 @@ struct PackedBI8 {
 };
 
 // Sizing for the pack destinations: f32 element count, int8 byte count
-// (pair-interleaved int16 panels, padded columns included — the kernel
-// derives panel indexing from n alone).
+// (padded columns included in both — the kernels derive panel indexing
+// from n alone).
 std::int64_t packed_b_f32_floats(std::int64_t n, std::int64_t k);
 std::int64_t packed_b_i8_bytes(std::int64_t n, std::int64_t k);
 
@@ -79,17 +89,16 @@ void pack_b_f32(std::int64_t n, std::int64_t k, const float* b,
 void pack_b_i8(std::int64_t n, std::int64_t k, const std::int8_t* b,
                std::int64_t ldb, std::int8_t* panels, std::int32_t* col_sums);
 
-// C[m x n] (row stride ldc) = act(A[m x k] (lda) * B[n x k]^T (ldb) + bias).
-// bias has n entries and must be non-null.
-//
-// `packed` holds B's full panels (pack_b_f32 of the same B); the inner loop
-// vectorizes across their kGemmNrF32 output columns, which keeps each
-// output's bias-first k-ascending accumulation order intact. The n % 8 edge
-// columns (all of them when n < 8) are read from raw B rows.
+// C[m x n] (row stride ldc) = act(A[m x k] (lda) * B[n x k]^T + bias).
+// bias has n entries and must be non-null; B is read only through `packed`
+// (pack_b_f32 of the same B). The inner loop vectorizes across each panel's
+// kGemmNrF32 output columns, which keeps each output's bias-first
+// k-ascending accumulation order intact, and applies the fused activation
+// on the vector accumulators with the comparisons of apply_activation_f32.
 void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, const float* b,
-                 std::int64_t ldb, const float* bias, Activation act, float* c,
-                 std::int64_t ldc, PoolRef pool, const PackedBF32& packed);
+                 const float* a, std::int64_t lda, const float* bias,
+                 Activation act, float* c, std::int64_t ldc, PoolRef pool,
+                 const PackedBF32& packed);
 
 // Fused requantization parameters for the int8 path (per-output-channel
 // multiplier/shift tables, gemmlowp-style).
@@ -109,11 +118,57 @@ struct GemmQuant {
 // pair-interleaved `packed` panels above — SIMD across the 16 output
 // columns, one accumulator lane per column, no horizontal reduction
 // (zero-point correction folded into the epilogue via col_sums). m == 1
-// instead walks raw k-major B rows with the same col_sums epilogue. Integer
-// accumulation is exact, so both produce bit-identical output.
+// instead walks raw k-major B rows (b, ldb) with the same col_sums epilogue.
+// Integer accumulation is exact, so both produce bit-identical output.
 void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, const GemmQuant& q, std::int8_t* c,
                 std::int64_t ldc, PoolRef pool, const PackedBI8& packed);
+
+// ---------------------------------------------------------------------------
+// Conv2D as an implicit GEMM.
+//
+// Output pixel i of [batch, out_h, out_w] is A row i: its receptive field in
+// the (fy, fx, ic) order of an OHWI filter row, so k = kh * kw * in_ch and
+// C is the NHWC output itself (ldc = out_ch). Each MR-row tile gathers its
+// rows from the NHWC input into a per-worker buffer; taps outside the input
+// read as 0.0f (f32) or the input zero point (int8) — the values that make
+// them contribute exactly nothing, as the reference kernels' skipped taps
+// do. A 1x1 stride-1 conv needs no gather: the input itself is A
+// (lda = in_ch).
+// ---------------------------------------------------------------------------
+
+struct ConvGeometry {
+  std::int64_t batch = 0;
+  std::int64_t in_h = 0, in_w = 0, in_ch = 0;
+  std::int64_t out_h = 0, out_w = 0, out_ch = 0;
+  int kh = 1, kw = 1;
+  int stride_h = 1, stride_w = 1;
+  std::int64_t pad_h = 0, pad_w = 0;  // top / left padding
+
+  std::int64_t rows() const { return batch * out_h * out_w; }
+  std::int64_t patch() const { return kh * kw * in_ch; }
+  bool pointwise() const {
+    return kh == 1 && kw == 1 && stride_h == 1 && stride_w == 1;
+  }
+};
+
+// Bytes of gather scratch a conv_gemm call with `workers` participants
+// needs: one 64-byte-padded MR x patch() tile buffer per worker, indexed by
+// the parallel_for_workers worker id. 0 for a pointwise conv. Size it from
+// the executing context's worker count (KernelContext::worker_count()).
+std::size_t conv_gather_bytes(const ConvGeometry& g, std::size_t elem_bytes,
+                              std::size_t workers);
+
+// y[rows x out_ch] = conv(x) with filters packed as B (n = out_ch,
+// k = patch()). `gather` holds conv_gather_bytes(g, elem, pool.parallelism())
+// bytes (may be null when that is 0). int8 takes the raw OHWI filter `w` as
+// well, for the m == 1 matvec path.
+void conv_gemm_f32(const ConvGeometry& g, const float* x, const float* bias,
+                   Activation act, float* y, PoolRef pool,
+                   const PackedBF32& packed, void* gather);
+void conv_gemm_i8(const ConvGeometry& g, const std::int8_t* x,
+                  const std::int8_t* w, const GemmQuant& q, std::int8_t* y,
+                  PoolRef pool, const PackedBI8& packed, void* gather);
 
 }  // namespace mlexray

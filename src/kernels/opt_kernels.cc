@@ -15,72 +15,38 @@ namespace mlexray {
 namespace {
 
 // Shared geometry for the conv-family kernels.
-struct ConvShape {
-  int kh, kw;
-  std::int64_t in_ch, out_ch, patch;
-  std::int64_t pad_h, pad_w;
-};
-
-ConvShape conv_shape(const Node& node, const Shape& is, const Shape& fs,
-                     const Shape& os) {
-  ConvShape s;
-  s.kh = static_cast<int>(fs.dim(1));
-  s.kw = static_cast<int>(fs.dim(2));
-  s.in_ch = is.dim(3);
-  s.out_ch = os.dim(3);
-  s.patch = static_cast<std::int64_t>(s.kh) * s.kw * s.in_ch;
-  s.pad_h = node.attrs.padding == Padding::kSame
-                ? same_pad_before(is.dim(1), s.kh, node.attrs.stride_h, os.dim(1))
+ConvGeometry conv_geometry(const Node& node, const Shape& is, const Shape& fs,
+                           const Shape& os) {
+  ConvGeometry g;
+  g.batch = os.dim(0);
+  g.in_h = is.dim(1);
+  g.in_w = is.dim(2);
+  g.in_ch = is.dim(3);
+  g.out_h = os.dim(1);
+  g.out_w = os.dim(2);
+  g.out_ch = os.dim(3);
+  g.kh = static_cast<int>(fs.dim(1));
+  g.kw = static_cast<int>(fs.dim(2));
+  g.stride_h = node.attrs.stride_h;
+  g.stride_w = node.attrs.stride_w;
+  g.pad_h = node.attrs.padding == Padding::kSame
+                ? same_pad_before(g.in_h, g.kh, g.stride_h, g.out_h)
                 : 0;
-  s.pad_w = node.attrs.padding == Padding::kSame
-                ? same_pad_before(is.dim(2), s.kw, node.attrs.stride_w, os.dim(2))
+  g.pad_w = node.attrs.padding == Padding::kSame
+                ? same_pad_before(g.in_w, g.kw, g.stride_w, g.out_w)
                 : 0;
-  return s;
+  return g;
 }
 
-// im2col: one row per output pixel, columns ordered (fy, fx, ic) to match the
-// OHWI filter layout, so the conv becomes a row-major NT GEMM. Out-of-bounds
-// taps are filled with `pad_value` (0.0f for float, the input zero point for
-// int8, both of which contribute exactly zero to the accumulator). The col
-// buffer comes from the interpreter's scratch arena — no heap traffic after
-// the first invoke.
-template <typename T>
-void im2col(const KernelContext& ctx, const ConvShape& s, const Shape& is,
-            const Shape& os, const T* x, std::int64_t batch_index, T* col,
-            T pad_value) {
-  const Node& node = *ctx.node;
-  const std::int64_t out_w = os.dim(2);
-  auto pack_rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const std::int64_t oy = static_cast<std::int64_t>(r) / out_w;
-      const std::int64_t ox = static_cast<std::int64_t>(r) % out_w;
-      T* row = col + static_cast<std::int64_t>(r) * s.patch;
-      for (int fy = 0; fy < s.kh; ++fy) {
-        const std::int64_t iy = oy * node.attrs.stride_h - s.pad_h + fy;
-        for (int fx = 0; fx < s.kw; ++fx) {
-          const std::int64_t ix = ox * node.attrs.stride_w - s.pad_w + fx;
-          T* dst = row + (static_cast<std::int64_t>(fy) * s.kw + fx) * s.in_ch;
-          if (iy < 0 || iy >= is.dim(1) || ix < 0 || ix >= is.dim(2)) {
-            if (pad_value == T{0}) {
-              std::memset(dst, 0, static_cast<std::size_t>(s.in_ch) * sizeof(T));
-            } else {
-              std::fill(dst, dst + s.in_ch, pad_value);
-            }
-          } else {
-            const T* src =
-                x + ((batch_index * is.dim(1) + iy) * is.dim(2) + ix) * s.in_ch;
-            std::memcpy(dst, src, static_cast<std::size_t>(s.in_ch) * sizeof(T));
-          }
-        }
-      }
-    }
-  };
-  const auto rows = static_cast<std::size_t>(os.dim(1) * os.dim(2));
-  if (ctx.pool && rows >= 64) {
-    ctx.pool.parallel_for(0, rows, pack_rows, /*min_chunk=*/8);
-  } else {
-    pack_rows(0, rows);
-  }
+// The implicit-GEMM conv's per-worker patch buffers, sized from the
+// executing context's worker count (none for a pointwise conv).
+void* conv_gather_scratch(const KernelContext& ctx, const ConvGeometry& g,
+                          std::size_t elem_bytes) {
+  const std::size_t bytes =
+      conv_gather_bytes(g, elem_bytes, ctx.worker_count());
+  return bytes > 0 ? ctx.scratch<std::uint8_t>(
+                         static_cast<std::int64_t>(bytes))
+                   : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,15 +80,10 @@ struct PreparedGemmI8 {
 // OHWI filters and FC [out, in] weights already have) into f32 panels.
 PackedBF32 pack_weights_f32(PreparedStorage& storage, std::int64_t n,
                             std::int64_t k, const float* w) {
-  PackedBF32 packed;
-  packed.panel_count = n / kGemmNrF32;
-  if (packed.panel_count > 0) {
-    float* panels = storage.allocate_array<float>(
-        static_cast<std::size_t>(packed_b_f32_floats(n, k)));
-    pack_b_f32(n, k, w, k, panels);
-    packed.panels = panels;
-  }
-  return packed;
+  float* panels = storage.allocate_array<float>(
+      static_cast<std::size_t>(packed_b_f32_floats(n, k)));
+  pack_b_f32(n, k, w, k, panels);
+  return {panels, (n + kGemmNrF32 - 1) / kGemmNrF32};
 }
 
 PackedBI8 pack_weights_i8(PreparedStorage& storage, std::int64_t n,
@@ -306,28 +267,18 @@ void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
 // Float optimized kernels.
 // ---------------------------------------------------------------------------
 
+// Implicit GEMM (gemm.h): each row tile gathers its receptive fields from
+// the NHWC input; all batch images form one GEMM over batch * rows rows.
 void conv2d_f32_opt(const KernelContext& ctx) {
-  const PreparedGemmF32& prep = ctx.prepared_root<PreparedGemmF32>();
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
-  const float* bias = node.weights[1].data<float>();
-  const Shape& is = in.shape();
-  const Shape& os = ctx.output->shape();
-  const ConvShape s = conv_shape(node, is, filter.shape(), os);
-  const float* x = in.data<float>();
-  const float* w = filter.data<float>();
-  float* y = ctx.output->data<float>();
-  const std::int64_t rows = os.dim(1) * os.dim(2);
-  const std::int64_t batch = os.dim(0);
-  // All batch images go into one col matrix so the whole conv is a single
-  // GEMM (B gets packed once, row partitioning sees batch * rows rows).
-  float* col = ctx.scratch<float>(batch * rows * s.patch);
-  for (std::int64_t n = 0; n < batch; ++n) {
-    im2col(ctx, s, is, os, x, n, col + n * rows * s.patch, 0.0f);
-  }
-  gemm_f32_nt(batch * rows, s.out_ch, s.patch, col, s.patch, w, s.patch, bias,
-              node.attrs.activation, y, s.out_ch, ctx.pool, prep.packed);
+  const ConvGeometry g = conv_geometry(node, in.shape(),
+                                       node.weights[0].shape(),
+                                       ctx.output->shape());
+  conv_gemm_f32(g, in.data<float>(), node.weights[1].data<float>(),
+                node.attrs.activation, ctx.output->data<float>(), ctx.pool,
+                ctx.prepared_root<PreparedGemmF32>().packed,
+                conv_gather_scratch(ctx, g, sizeof(float)));
 }
 
 // Depthwise conv: channel-vectorized kernel family (src/kernels/dwconv.h).
@@ -356,10 +307,9 @@ void fc_f32_opt(const KernelContext& ctx) {
   const std::int64_t batch = in.shape().dim(0);
   const std::int64_t in_dim = weight.shape().dim(1);
   const std::int64_t out_dim = weight.shape().dim(0);
-  gemm_f32_nt(batch, out_dim, in_dim, in.data<float>(), in_dim,
-              weight.data<float>(), in_dim, bias, node.attrs.activation,
-              ctx.output->data<float>(), out_dim, ctx.pool,
-              ctx.prepared_root<PreparedGemmF32>().packed);
+  gemm_f32_nt(batch, out_dim, in_dim, in.data<float>(), in_dim, bias,
+              node.attrs.activation, ctx.output->data<float>(), out_dim,
+              ctx.pool, ctx.prepared_root<PreparedGemmF32>().packed);
 }
 
 // Pad with whole-row memcpy (contrast with the reference element loop).
@@ -398,27 +348,14 @@ void conv2d_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
   const Tensor& filter = node.weights[0];
-  const Tensor& bias = node.weights[1];
   Tensor& out = *ctx.output;
-  const Shape& is = in.shape();
-  const Shape& os = out.shape();
-  const ConvShape s = conv_shape(node, is, filter.shape(), os);
-  const auto in_zp = static_cast<std::int8_t>(in.quant().zero_point());
+  const ConvGeometry g =
+      conv_geometry(node, in.shape(), filter.shape(), out.shape());
   const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
-  const GemmQuant q = gemm_quant(in, bias, out, prep.rq);
-  const std::int8_t* x = in.data<std::int8_t>();
-  const std::int8_t* w = filter.data<std::int8_t>();
-  std::int8_t* y = out.data<std::int8_t>();
-  const std::int64_t rows = os.dim(1) * os.dim(2);
-  const std::int64_t batch = os.dim(0);
-  // Padded taps hold the input zero point, so (tap - zp) * w contributes 0 —
-  // identical to the reference kernel's skipped out-of-bounds taps.
-  auto* col = ctx.scratch<std::int8_t>(batch * rows * s.patch);
-  for (std::int64_t n = 0; n < batch; ++n) {
-    im2col(ctx, s, is, os, x, n, col + n * rows * s.patch, in_zp);
-  }
-  gemm_i8_nt(batch * rows, s.out_ch, s.patch, col, s.patch, w, s.patch, q, y,
-             s.out_ch, ctx.pool, prep.packed);
+  conv_gemm_i8(g, in.data<std::int8_t>(), filter.data<std::int8_t>(),
+               gemm_quant(in, node.weights[1], out, prep.rq),
+               out.data<std::int8_t>(), ctx.pool, prep.packed,
+               conv_gather_scratch(ctx, g, sizeof(std::int8_t)));
 }
 
 // Correct int8 path: raw widening dot product over the plan-packed int16
@@ -451,7 +388,7 @@ void dwconv2d_i8_buggy(const KernelContext& ctx) {
   Tensor& out = *ctx.output;
   const Shape& is = in.shape();
   const Shape& os = out.shape();
-  const ConvShape s = conv_shape(node, is, filter.shape(), os);
+  const ConvGeometry s = conv_geometry(node, is, filter.shape(), os);
   const std::int64_t ch = s.out_ch;
   const std::int64_t dm = s.out_ch / s.in_ch;
   const std::int32_t in_zp = in.quant().zero_point();

@@ -1,6 +1,7 @@
-// Optimized kernels: im2col + contiguous dot products, integer-only
-// fixed-point requantization, optional multithreading — the "production"
-// resolver (mirrors TFLite's register.h kernels in the paper §4.4).
+// Optimized kernels: implicit-GEMM convolution and packed GEMMs
+// (src/kernels/gemm.h), integer-only fixed-point requantization, optional
+// multithreading — the "production" resolver (mirrors TFLite's register.h
+// kernels in the paper §4.4).
 //
 // The quantized DepthwiseConv2D kernel optionally emulates the production
 // bug the paper discovered (int16 accumulator overflow wrapping); see

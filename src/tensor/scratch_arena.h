@@ -1,7 +1,7 @@
 // Per-interpreter scratch arena for kernel temporaries.
 //
-// Kernels need short-lived buffers (im2col patches, requantization tables,
-// per-worker accumulators). Allocating them as std::vectors inside every
+// Kernels need short-lived buffers (the implicit-GEMM conv's per-worker
+// patch tiles, softmax rows). Allocating them as std::vectors inside every
 // kernel call puts malloc/free on the hot path of every node of every
 // invoke — exactly the overhead ML-EXray's <0.4% instrumentation budget
 // (Table 2) cannot absorb. The arena bump-allocates from blocks that persist
@@ -15,7 +15,8 @@
 //
 // Not thread-safe: all allocation happens on the interpreter thread before a
 // kernel fans work out to the pool. Kernels that need per-worker storage
-// allocate parallelism() slices up front and index them by worker id.
+// allocate KernelContext::worker_count() slices up front and index them by
+// the parallel_for_workers worker id.
 #pragma once
 
 #include <cstddef>

@@ -26,10 +26,13 @@
 #include <limits>
 #include <new>
 
+#include "src/convert/converter.h"
 #include "src/graph/builder.h"
 #include "src/interpreter/interpreter.h"
+#include "src/kernels/activation.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/gemm.h"
+#include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
@@ -114,41 +117,72 @@ float output_quantum(const Graph& qm) {
   return out.output_quant.scale();
 }
 
+// One opt-vs-ref case. Conv2D sweeps the implicit-GEMM geometry: 1x1, 3x3
+// and 5x5 filters; out_ch 8, 12 and 20 (a full f32 panel, then the n % 8 and
+// n % 16 partial last tiles); the odd in_ch kInCh; SAME/VALID, stride 1/2;
+// batch 1 and 3 over a 9x9 input, whose output area is odd for every
+// geometry but 3x3/VALID/s2 — so 4-row tiles straddle image boundaries;
+// and 1 or 2 threads (per-worker gather buffers). DepthwiseConv2D and
+// FullyConnected keep their activation x dtype coverage.
 struct GridCase {
   OpType op;
+  int kernel;
+  int out_ch;
   Padding padding;
   int stride;
+  int batch;
+  int threads;
   Activation act;
   bool quantized;
 
   friend std::ostream& operator<<(std::ostream& os, const GridCase& c) {
-    return os << op_type_name(c.op)
+    return os << op_type_name(c.op) << "/k" << c.kernel << "/o" << c.out_ch
               << (c.padding == Padding::kSame ? "/Same" : "/Valid") << "/s"
-              << c.stride << "/act" << static_cast<int>(c.act)
-              << (c.quantized ? "/i8" : "/f32");
+              << c.stride << "/b" << c.batch << "/t" << c.threads << "/act"
+              << static_cast<int>(c.act) << (c.quantized ? "/i8" : "/f32");
   }
 };
 
+constexpr int kInCh = 5;
+constexpr Activation kActs[] = {Activation::kNone, Activation::kRelu,
+                                Activation::kRelu6};
+
 std::vector<GridCase> make_grid() {
   std::vector<GridCase> grid;
-  for (OpType op : {OpType::kConv2D, OpType::kDepthwiseConv2D}) {
-    for (Padding padding : {Padding::kSame, Padding::kValid}) {
-      for (int stride : {1, 2}) {
-        for (Activation act :
-             {Activation::kNone, Activation::kRelu, Activation::kRelu6}) {
-          for (bool quantized : {false, true}) {
-            grid.push_back({op, padding, stride, act, quantized});
+  for (int kernel : {1, 3, 5}) {
+    for (int out_ch : {8, 12, 20}) {
+      for (Padding padding : {Padding::kSame, Padding::kValid}) {
+        for (int stride : {1, 2}) {
+          for (int batch : {1, 3}) {
+            for (int threads : {1, 2}) {
+              for (bool quantized : {false, true}) {
+                // Activations cycle across cases instead of multiplying
+                // the grid.
+                const Activation act = kActs[grid.size() % 3];
+                grid.push_back({OpType::kConv2D, kernel, out_ch, padding,
+                                stride, batch, threads, act, quantized});
+              }
+            }
           }
         }
       }
     }
   }
+  for (Padding padding : {Padding::kSame, Padding::kValid}) {
+    for (int stride : {1, 2}) {
+      for (Activation act : kActs) {
+        for (bool quantized : {false, true}) {
+          grid.push_back({OpType::kDepthwiseConv2D, 3, kInCh, padding, stride,
+                          1, 2, act, quantized});
+        }
+      }
+    }
+  }
   // FullyConnected has no geometry axes; cover activation x dtype.
-  for (Activation act :
-       {Activation::kNone, Activation::kRelu, Activation::kRelu6}) {
+  for (Activation act : kActs) {
     for (bool quantized : {false, true}) {
-      grid.push_back({OpType::kFullyConnected, Padding::kSame, 1, act,
-                      quantized});
+      grid.push_back({OpType::kFullyConnected, 1, 10, Padding::kSame, 1, 1, 2,
+                      act, quantized});
     }
   }
   return grid;
@@ -158,18 +192,21 @@ class KernelGrid : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(KernelGrid, OptMatchesRef) {
   const GridCase& c = GetParam();
+  const Shape in_shape{c.batch, 9, 9, kInCh};
   Pcg32 rng(1234);
   GraphBuilder b("grid", &rng);
-  int x = b.input(Shape{1, 9, 9, 6});
+  int x = b.input(in_shape);
   switch (c.op) {
     case OpType::kConv2D:
-      b.conv2d(x, 8, 3, 3, c.stride, c.padding, c.act, "op");
+      b.conv2d(x, c.out_ch, c.kernel, c.kernel, c.stride, c.padding, c.act,
+               "op");
       break;
     case OpType::kDepthwiseConv2D:
-      b.depthwise_conv2d(x, 3, 3, c.stride, c.padding, c.act, "op");
+      b.depthwise_conv2d(x, c.kernel, c.kernel, c.stride, c.padding, c.act,
+                         "op");
       break;
     case OpType::kFullyConnected:
-      b.fully_connected(x, 10, c.act, "op");
+      b.fully_connected(x, c.out_ch, c.act, "op");
       break;
     default:
       MLX_FAIL() << "unexpected grid op";
@@ -177,43 +214,156 @@ TEST_P(KernelGrid, OptMatchesRef) {
   Graph m = b.finish({1});
 
   Pcg32 drng(77);
-  Tensor input = random_input(Shape{1, 9, 9, 6}, drng);
+  Tensor input = random_input(in_shape, drng);
+  Graph qm;
+  if (c.quantized) {
+    Calibrator calib(&m);
+    Pcg32 crng(88);
+    for (int i = 0; i < 6; ++i) calib.observe({random_input(in_shape, crng)});
+    calib.observe({input});
+    qm = quantize_model(m, calib);
+  }
+  const Graph& g = c.quantized ? qm : m;
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
+  Model ref_model(&g, &ref);
+  Model opt_model(&g, &opt, c.threads);
+  Session rs(&ref_model);
+  Session os(&opt_model);
+  rs.set_input(0, input);
+  os.set_input(0, input);
+  rs.invoke();
+  os.invoke();
   if (!c.quantized) {
-    Interpreter ri(&m, &ref);
-    Interpreter oi(&m, &opt, /*num_threads=*/2);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    oi.invoke();
     // Identical accumulation order: only FMA-contraction rounding may
     // differ — at most a few ULPs, where a real geometry bug is thousands.
-    EXPECT_LE(max_ulp_diff(ri.output(0), oi.output(0)), 4) << c;
+    EXPECT_LE(max_ulp_diff(rs.output(0), os.output(0)), 4) << c;
   } else {
-    Calibrator calib(&m);
-    Pcg32 crng(88);
-    for (int i = 0; i < 6; ++i) {
-      calib.observe({random_input(Shape{1, 9, 9, 6}, crng)});
-    }
-    calib.observe({input});
-    Graph qm = quantize_model(m, calib);
-    Interpreter ri(&qm, &ref);
-    Interpreter oi(&qm, &opt, /*num_threads=*/2);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    oi.invoke();
     // Double-rescale (ref) vs Q31 fixed point (opt): at most one quantum.
-    EXPECT_LE(linf_error(ri.output(0), oi.output(0)),
+    EXPECT_LE(linf_error(rs.output(0), os.output(0)),
               1.001f * output_quantum(qm))
         << c;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PaddingStrideActDtype, KernelGrid,
+INSTANTIATE_TEST_SUITE_P(GeometryActDtype, KernelGrid,
                          ::testing::ValuesIn(make_grid()));
+
+// The int8 implicit-GEMM conv against the definition written out here: an
+// explicit im2col of the quantized input (padded taps at the input zero
+// point), a naive int32 dot product per output, and the Q31 per-channel
+// requantization. Integer math is exact, so the kernel must match bit for
+// bit — at every geometry, including tiles that straddle images and run on
+// a second worker's gather buffer.
+TEST(ImplicitGemmConv, Int8MatchesIm2colNaiveLoopExactly) {
+  struct ConvCase {
+    int kernel, out_ch, stride;
+    Padding padding;
+    Activation act;
+  };
+  for (const ConvCase& cc :
+       {ConvCase{3, 12, 1, Padding::kSame, Activation::kRelu},
+        ConvCase{3, 20, 2, Padding::kSame, Activation::kNone},
+        ConvCase{5, 8, 1, Padding::kValid, Activation::kRelu6},
+        ConvCase{5, 12, 2, Padding::kSame, Activation::kNone},
+        ConvCase{1, 20, 2, Padding::kValid, Activation::kRelu},
+        ConvCase{1, 12, 1, Padding::kSame, Activation::kNone}}) {
+    const Shape in_shape{3, 9, 9, kInCh};
+    Pcg32 rng(500 + cc.kernel * 10 + cc.out_ch);
+    GraphBuilder b("exact", &rng);
+    int x = b.input(in_shape);
+    b.conv2d(x, cc.out_ch, cc.kernel, cc.kernel, cc.stride, cc.padding,
+             cc.act, "conv");
+    Graph m = b.finish({1});
+    Calibrator calib(&m);
+    Pcg32 crng(501);
+    for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, crng)});
+    Graph qm = quantize_model(m, calib);
+    BuiltinOpResolver opt;
+    Model model(&qm, &opt, /*num_threads=*/2);
+    Session session(&model);
+    session.set_input(0, random_input(in_shape, crng));
+    session.invoke();
+
+    const Node* conv = nullptr;
+    for (const Node& n : qm.nodes) {
+      if (n.type == OpType::kConv2D) conv = &n;
+    }
+    ASSERT_NE(conv, nullptr);
+    const Tensor& xq = session.node_output(conv->inputs[0]);
+    const Tensor& yq = session.node_output(conv->id);
+    const Tensor& w = conv->weights[0];
+    const std::int32_t* bias = conv->weights[1].data<std::int32_t>();
+    const Shape& is = xq.shape();
+    const Shape& os = yq.shape();
+    const std::int64_t k = cc.kernel * cc.kernel * is.dim(3);
+    const std::int32_t in_zp = xq.quant().zero_point();
+    const std::int32_t out_zp = yq.quant().zero_point();
+    const auto pad_before = [&](std::int64_t in, std::int64_t out) {
+      return cc.padding == Padding::kSame
+                 ? std::max<std::int64_t>(
+                       0, (out - 1) * cc.stride + cc.kernel - in) / 2
+                 : 0;
+    };
+    const std::int64_t pad_h = pad_before(is.dim(1), os.dim(1));
+    const std::int64_t pad_w = pad_before(is.dim(2), os.dim(2));
+
+    // im2col: one row per output pixel, columns in OHWI (fy, fx, ic) order.
+    const std::int64_t rows = os.dim(0) * os.dim(1) * os.dim(2);
+    std::vector<std::int32_t> col(static_cast<std::size_t>(rows * k));
+    const std::int8_t* xp = xq.data<std::int8_t>();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int64_t n = r / (os.dim(1) * os.dim(2));
+      const std::int64_t oy = r / os.dim(2) % os.dim(1);
+      const std::int64_t ox = r % os.dim(2);
+      for (int fy = 0; fy < cc.kernel; ++fy) {
+        for (int fx = 0; fx < cc.kernel; ++fx) {
+          const std::int64_t iy = oy * cc.stride - pad_h + fy;
+          const std::int64_t ix = ox * cc.stride - pad_w + fx;
+          const bool inside =
+              iy >= 0 && iy < is.dim(1) && ix >= 0 && ix < is.dim(2);
+          for (std::int64_t ic = 0; ic < is.dim(3); ++ic) {
+            col[static_cast<std::size_t>(
+                r * k + (fy * cc.kernel + fx) * is.dim(3) + ic)] =
+                inside ? xp[((n * is.dim(1) + iy) * is.dim(2) + ix) *
+                                is.dim(3) +
+                            ic]
+                       : in_zp;
+          }
+        }
+      }
+    }
+    const QuantActivationRange range = quant_activation_range(
+        cc.act, yq.quant().scale(), out_zp);
+    std::vector<std::int8_t> expected(static_cast<std::size_t>(rows) *
+                                      static_cast<std::size_t>(cc.out_ch));
+    for (std::int64_t j = 0; j < cc.out_ch; ++j) {
+      const auto ch = static_cast<std::size_t>(j);
+      std::int32_t multiplier = 0;
+      int shift = 0;
+      quantize_multiplier(static_cast<double>(xq.quant().scale()) *
+                              w.quant().scale(ch) / yq.quant().scale(),
+                          &multiplier, &shift);
+      const std::int8_t* wj = w.data<std::int8_t>() + j * k;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        std::int32_t acc = bias[j];
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          acc += (col[static_cast<std::size_t>(r * k + kk)] - in_zp) * wj[kk];
+        }
+        const std::int32_t v =
+            multiply_by_quantized_multiplier(acc, multiplier, shift) + out_zp;
+        expected[static_cast<std::size_t>(r * cc.out_ch + j)] =
+            static_cast<std::int8_t>(std::clamp(v, range.min, range.max));
+      }
+    }
+    ASSERT_EQ(yq.num_elements(), static_cast<std::int64_t>(expected.size()));
+    EXPECT_EQ(std::memcmp(yq.data<std::int8_t>(), expected.data(),
+                          expected.size()),
+              0)
+        << "k" << cc.kernel << "/o" << cc.out_ch << "/s" << cc.stride;
+  }
+}
 
 // --- packed GEMMs vs a naive triple loop -----------------------------------
 
@@ -247,7 +397,8 @@ struct GemmData {
     a.resize(static_cast<std::size_t>(m * k));
     b.resize(static_cast<std::size_t>(n * k));
     bias.resize(static_cast<std::size_t>(n));
-    for (float& v : a) v = rng.uniform(-1, 1);
+    // A spans [-4, 4] so outputs cross both relu6 clamps.
+    for (float& v : a) v = rng.uniform(-4, 4);
     for (float& v : b) v = rng.uniform(-1, 1);
     for (float& v : bias) v = rng.uniform(-1, 1);
     a8.resize(a.size());
@@ -273,19 +424,18 @@ struct GemmData {
     quant.out_zero_point = -3;
   }
 
-  std::vector<float> run_f32() const {
+  std::vector<float> run_f32(Activation act) const {
     std::vector<float> c(static_cast<std::size_t>(m * n));
     std::vector<float> panels(
         static_cast<std::size_t>(packed_b_f32_floats(n, k)));
     pack_b_f32(n, k, b.data(), k, panels.data());
-    gemm_f32_nt(m, n, k, a.data(), k, b.data(), k, bias.data(),
-                Activation::kNone, c.data(), n, nullptr,
-                PackedBF32{panels.data(), n / kGemmNrF32});
+    gemm_f32_nt(m, n, k, a.data(), k, bias.data(), act, c.data(), n, nullptr,
+                PackedBF32{panels.data(), (n + kGemmNrF32 - 1) / kGemmNrF32});
     return c;
   }
 
   // Bias first, then k ascending: the reference kernels' order per output.
-  std::vector<float> naive_f32() const {
+  std::vector<float> naive_f32(Activation act) const {
     std::vector<float> c(static_cast<std::size_t>(m * n));
     for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {
@@ -294,6 +444,8 @@ struct GemmData {
           acc = madd(acc, a[static_cast<std::size_t>(i * k + kk)],
                      b[static_cast<std::size_t>(j * k + kk)]);
         }
+        if (act == Activation::kRelu) acc = acc > 0.0f ? acc : 0.0f;
+        if (act == Activation::kRelu6) acc = std::clamp(acc, 0.0f, 6.0f);
         c[static_cast<std::size_t>(i * n + j)] = acc;
       }
     }
@@ -348,17 +500,24 @@ std::int64_t max_ulp_diff_span(const std::vector<float>& x,
 
 using GemmShape = std::array<std::int64_t, 3>;  // m, n, k
 
-// f32: full 8-column panels plus edge columns (n % 8 != 0), n < 8 (no panel
-// at all, every column on the edge tile) and m == 1 (the batch-1 FC shape).
-// Same accumulation order as the naive loop, so only FMA-contraction
-// rounding may differ: the grid's 4-ULP bound.
+// f32: B packed into zero-padded 8-column panels. Covers two-panel tiles
+// with a partial second panel (n = 12, 20), a lone partial panel (n = 1, 3,
+// 5), full panels (n = 16, 24), m % 4 row tails and m == 1 (the batch-1 FC
+// shape), each with no activation, relu and relu6 applied on the vector
+// accumulators. Same accumulation order as the naive loop, so only
+// FMA-contraction rounding may differ: the grid's 4-ULP bound.
 TEST(PrepackedGemm, F32MatchesNaiveLoop) {
   for (const GemmShape& s :
        {GemmShape{16, 20, 37}, GemmShape{7, 16, 64}, GemmShape{5, 3, 9},
-        GemmShape{1, 24, 129}, GemmShape{1, 5, 33}, GemmShape{1, 1001, 64}}) {
+        GemmShape{9, 1, 17}, GemmShape{6, 12, 40}, GemmShape{13, 5, 31},
+        GemmShape{1, 24, 129}, GemmShape{1, 5, 33}, GemmShape{1, 12, 8},
+        GemmShape{1, 1001, 64}}) {
     GemmData d(s[0], s[1], s[2], 900 + static_cast<std::uint64_t>(s[1]));
-    EXPECT_LE(max_ulp_diff_span(d.naive_f32(), d.run_f32()), 4)
-        << s[0] << "x" << s[1] << "x" << s[2];
+    for (Activation act : kActs) {
+      EXPECT_LE(max_ulp_diff_span(d.naive_f32(act), d.run_f32(act)), 4)
+          << s[0] << "x" << s[1] << "x" << s[2] << " act "
+          << static_cast<int>(act);
+    }
   }
 }
 
@@ -629,6 +788,21 @@ TEST(SteadyStateAlloc, ArenaIsReusedNotRegrown) {
   for (int i = 0; i < 3; ++i) interp.invoke();
   EXPECT_EQ(interp.scratch_arena().capacity_bytes(), capacity);
   EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water);
+}
+
+// The implicit-GEMM conv keeps only MR patch rows per worker in the arena,
+// so a conv-heavy batched model's scratch high-water mark is a few KiB; a
+// full patch matrix for resnet50v2_mini at batch 8 would take ~3.4 MiB.
+TEST(SteadyStateAlloc, ConvScratchIsPerTileNotPerImage) {
+  Graph g = convert_for_inference(build_resnet50v2_mini(3, 8).model);
+  BuiltinOpResolver opt;
+  Model model(&g, &opt);
+  Session session(&model);
+  Pcg32 drng(4);
+  session.set_input(0, random_input(Shape{8, 32, 32, 3}, drng));
+  session.invoke();
+  EXPECT_GT(session.last_stats().arena_high_water_bytes, 0u);
+  EXPECT_LT(session.last_stats().arena_high_water_bytes, 64u * 1024u);
 }
 
 }  // namespace
