@@ -27,20 +27,21 @@ int run() {
   raw.case_fold = false;
 
   RefOpResolver ref;
-  Interpreter interp(&nnlm, &ref);
+  Model model(&nnlm, &ref);
+  Session session(&model);
   int emb_node = node_id_by_name(nnlm, "embedding");
   double emb_drift = 0.0;
   int folded_correct = 0;
   int raw_correct = 0;
   for (const TextExample& t : texts) {
-    interp.set_input(0, encode_text(t.text, imdb_vocabulary(), folded));
-    interp.invoke();
-    Tensor folded_emb = interp.node_output(emb_node);
-    int folded_pred = argmax(interp.output(0));
-    interp.set_input(0, encode_text(t.text, imdb_vocabulary(), raw));
-    interp.invoke();
-    emb_drift += normalized_rmse(interp.node_output(emb_node), folded_emb);
-    int raw_pred = argmax(interp.output(0));
+    session.set_input(0, encode_text(t.text, imdb_vocabulary(), folded));
+    session.invoke();
+    Tensor folded_emb = session.node_output(emb_node);
+    int folded_pred = argmax(session.output(0));
+    session.set_input(0, encode_text(t.text, imdb_vocabulary(), raw));
+    session.invoke();
+    emb_drift += normalized_rmse(session.node_output(emb_node), folded_emb);
+    int raw_pred = argmax(session.output(0));
     folded_correct += folded_pred == t.label;
     raw_correct += raw_pred == t.label;
   }

@@ -34,7 +34,7 @@
 #include "src/convert/converter.h"
 #include "src/core/monitor.h"
 #include "src/drift/aggregator.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 
@@ -72,34 +72,34 @@ struct OverheadRow {
 enum class Mode { kBare, kDigest, kRaw };
 
 // One timed loop of `invokes` monitored (or bare) frames; returns us/invoke.
-double time_mode(Interpreter& interp, const Tensor& input, Mode mode,
+double time_mode(Session& session, const Tensor& input, Mode mode,
                  std::int64_t invokes, std::size_t* frame_kb) {
   MonitorOptions opts;
   opts.retain_frames = false;
   opts.per_layer_digests = mode == Mode::kDigest;
   opts.per_layer_outputs = mode == Mode::kRaw;
   EdgeMLMonitor monitor(opts);
-  if (mode != Mode::kBare) monitor.observe(interp);
-  interp.set_input(0, input);
+  if (mode != Mode::kBare) monitor.observe(session);
+  session.set_input(0, input);
   // Warm arenas and both capture buffers before the timed window.
   for (int i = 0; i < 3; ++i) {
     if (mode == Mode::kBare) {
-      interp.invoke();
+      session.invoke();
     } else {
       monitor.on_inf_start();
-      interp.invoke();
-      monitor.on_inf_stop(interp);
+      session.invoke();
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     }
   }
   const auto start = Clock::now();
   for (std::int64_t i = 0; i < invokes; ++i) {
     if (mode == Mode::kBare) {
-      interp.invoke();
+      session.invoke();
     } else {
       monitor.on_inf_start();
-      interp.invoke();
-      monitor.on_inf_stop(interp);
+      session.invoke();
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     }
   }
@@ -109,21 +109,22 @@ double time_mode(Interpreter& interp, const Tensor& input, Mode mode,
   if (frame_kb != nullptr && mode != Mode::kBare) {
     *frame_kb = monitor.buffer().frame_capture_bytes();
   }
-  if (mode != Mode::kBare) monitor.unobserve(interp);
+  if (mode != Mode::kBare) monitor.unobserve(session);
   return us;
 }
 
 OverheadRow digest_overhead(const std::string& model_name, Graph graph,
                             const std::string& dtype, bool quick) {
   BuiltinOpResolver resolver;
-  Interpreter interp(&graph, &resolver);
+  Model model(&graph, &resolver);
+  Session session(&model);
   Tensor input = random_model_input(graph, kSeed + 7);
 
   // Calibrate the loop length off a short probe so every mode runs a
   // comparable wall clock.
-  interp.set_input(0, input);
+  session.set_input(0, input);
   const auto probe_start = Clock::now();
-  for (int i = 0; i < 5; ++i) interp.invoke();
+  for (int i = 0; i < 5; ++i) session.invoke();
   const double probe_us =
       std::chrono::duration<double, std::micro>(Clock::now() - probe_start)
           .count() /
@@ -145,12 +146,12 @@ OverheadRow digest_overhead(const std::string& model_name, Graph graph,
   // fastest pass per mode (the standard min-time noise filter).
   for (int rep = 0; rep < 3; ++rep) {
     row.bare_us = std::min(
-        row.bare_us, time_mode(interp, input, Mode::kBare, invokes, nullptr));
+        row.bare_us, time_mode(session, input, Mode::kBare, invokes, nullptr));
     row.digest_us =
-        std::min(row.digest_us, time_mode(interp, input, Mode::kDigest,
+        std::min(row.digest_us, time_mode(session, input, Mode::kDigest,
                                           invokes, &digest_bytes));
     row.raw_us = std::min(
-        row.raw_us, time_mode(interp, input, Mode::kRaw, invokes, &raw_bytes));
+        row.raw_us, time_mode(session, input, Mode::kRaw, invokes, &raw_bytes));
   }
   row.overhead_pct = 100.0 * (row.digest_us - row.bare_us) / row.bare_us;
   row.raw_overhead_pct = 100.0 * (row.raw_us - row.bare_us) / row.bare_us;
@@ -180,20 +181,21 @@ AggregateRow aggregation_throughput(const std::string& model_name, Graph graph,
   // merge cost depends on layer count and frame count, not on which device
   // produced the digests.
   BuiltinOpResolver resolver;
-  Interpreter interp(&graph, &resolver);
+  Model model(&graph, &resolver);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   for (int i = 0; i < frames; ++i) {
-    interp.set_input(0, random_model_input(graph, kSeed + 100 + i));
+    session.set_input(0, random_model_input(graph, kSeed + 100 + i));
     monitor.on_inf_start();
-    interp.invoke();
-    monitor.on_inf_stop(interp);
+    session.invoke();
+    monitor.on_inf_stop(session);
     monitor.next_frame();
   }
   Trace device_trace = monitor.take_trace();
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 
   AggregateRow row;
   row.name = "drift/aggregate/" + model_name;

@@ -29,9 +29,10 @@ bool quantization_ok(const Graph& checkpoint, const Tensor& sample) {
     calib.observe({sample});
     Graph quant = quantize_model(mobile, calib);
     RefOpResolver ref;
-    Interpreter interp(&quant, &ref);
-    interp.set_input(0, sample);
-    interp.invoke();
+    Model model(&quant, &ref);
+    Session session(&model);
+    session.set_input(0, sample);
+    session.invoke();
     return true;
   } catch (const MlxError&) {
     return false;  // e.g. embedding models: int8 embedding unsupported

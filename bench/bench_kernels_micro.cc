@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/dwconv.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
@@ -71,11 +71,12 @@ void run_variant(benchmark::State& state, OpType type, bool reference,
   BuiltinOpResolver opt;
   const OpResolver& resolver = reference ? static_cast<const OpResolver&>(ref)
                                          : static_cast<const OpResolver&>(opt);
-  Interpreter interp(&bench_model, &resolver, reference ? 1 : 2);
-  interp.set_input(0, random_input(size, ch, 2));
+  Model model(&bench_model, &resolver, reference ? 1 : 2);
+  Session session(&model);
+  session.set_input(0, random_input(size, ch, 2));
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
 }
 
@@ -271,12 +272,13 @@ void run_ew_variant(benchmark::State& state, EwBenchOp op, bool reference) {
   BuiltinOpResolver opt;
   const OpResolver& resolver = reference ? static_cast<const OpResolver&>(ref)
                                          : static_cast<const OpResolver&>(opt);
-  Interpreter interp(&qm, &resolver);
-  interp.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
-  if (binary) interp.set_input(1, random_shaped(gate_shape, 3));
+  Model model(&qm, &resolver);
+  Session session(&model);
+  session.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
+  if (binary) session.set_input(1, random_shaped(gate_shape, 3));
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
 }
 

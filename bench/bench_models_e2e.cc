@@ -4,11 +4,11 @@
 // in float and int8).
 //
 // Each benchmark builds a deployment graph at batch 1/4/16, constructs the
-// interpreter once (Prepare: plan, packed weight panels, requant tables) and
+// Model once (Prepare: plan, packed weight panels, requant tables) and
 // times steady-state invoke() only. items_per_second counts images, so the
 // batch rows expose the batched-GEMM win directly. Counters surface the
 // memory side: plan-owned prepared storage and the scratch-arena high-water
-// mark from InterpreterStats.
+// mark from SessionStats.
 //
 // Run via bench/run_benches.sh, which records BENCH_models_e2e.json at the
 // repo root.
@@ -18,7 +18,7 @@
 #include <string>
 
 #include "src/convert/converter.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/models/detection.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
@@ -50,30 +50,31 @@ struct E2ECase {
 };
 
 void run_e2e(benchmark::State& state, const E2ECase& c) {
-  Graph model = c.build(c.batch);
+  Graph graph = c.build(c.batch);
   Graph quantized;
   if (c.quantized) {
     // Calibrate on the batch-1 twin: node ids are batch-independent (batch
     // only changes the input shape) and quantize_model reads ranges by node
     // id, so this avoids paying reference-kernel invokes at batch 16.
-    Graph calib_model = c.batch == 1 ? model : c.build(1);
-    MLX_CHECK_EQ(calib_model.nodes.size(), model.nodes.size());
+    Graph calib_model = c.batch == 1 ? graph : c.build(1);
+    MLX_CHECK_EQ(calib_model.nodes.size(), graph.nodes.size());
     Calibrator calib(&calib_model);
     for (int i = 0; i < 2; ++i) {
       calib.observe({random_model_input(calib_model, kSeed + 100 + i)});
     }
-    quantized = quantize_model(model, calib);
+    quantized = quantize_model(graph, calib);
   }
-  const Graph& bench_model = c.quantized ? quantized : model;
+  const Graph& bench_model = c.quantized ? quantized : graph;
   BuiltinOpResolver opt;
-  Interpreter interp(&bench_model, &opt, /*num_threads=*/2);
-  interp.set_input(0, random_model_input(bench_model, kSeed + 7));
-  interp.invoke();  // warmup: grows the scratch arena to its high-water mark
+  Model model(&bench_model, &opt, /*num_threads=*/2);
+  Session session(&model);
+  session.set_input(0, random_model_input(bench_model, kSeed + 7));
+  session.invoke();  // warmup: grows the scratch arena to its high-water mark
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
-  const InterpreterStats& stats = interp.last_stats();
+  const SessionStats& stats = session.last_stats();
   state.SetItemsProcessed(state.iterations() * c.batch);
   state.counters["prepare_ms"] = stats.prepare_ms;
   state.counters["prepared_kb"] =
@@ -81,7 +82,7 @@ void run_e2e(benchmark::State& state, const E2ECase& c) {
   state.counters["arena_hw_kb"] =
       static_cast<double>(stats.arena_high_water_bytes) / 1024.0;
   state.counters["activation_kb"] =
-      static_cast<double>(interp.activation_bytes()) / 1024.0;
+      static_cast<double>(session.activation_bytes()) / 1024.0;
 }
 
 void register_cases() {

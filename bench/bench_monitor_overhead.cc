@@ -82,41 +82,42 @@ struct OverheadCase {
 };
 
 void run_overhead(benchmark::State& state, const OverheadCase& c) {
-  Graph model = c.build();
+  Graph graph = c.build();
   Graph quantized;
   if (c.quantized) {
-    Calibrator calib(&model);
+    Calibrator calib(&graph);
     for (int i = 0; i < 2; ++i) {
-      calib.observe({random_model_input(model, kSeed + 100 + i)});
+      calib.observe({random_model_input(graph, kSeed + 100 + i)});
     }
-    quantized = quantize_model(model, calib);
+    quantized = quantize_model(graph, calib);
   }
-  const Graph& bench_model = c.quantized ? quantized : model;
+  const Graph& bench_model = c.quantized ? quantized : graph;
   BuiltinOpResolver opt;
-  // Interpreter before monitor: the monitor detaches itself at destruction.
-  Interpreter interp(&bench_model, &opt, /*num_threads=*/2);
+  // Session before monitor: the monitor detaches itself at destruction.
+  Model model(&bench_model, &opt, /*num_threads=*/2);
+  Session session(&model);
   EdgeMLMonitor monitor(mode_options(c.mode));
   const bool instrumented = c.mode != Mode::kBare;
-  if (instrumented) monitor.observe(interp);
-  interp.set_input(0, random_model_input(bench_model, kSeed + 7));
+  if (instrumented) monitor.observe(session);
+  session.set_input(0, random_model_input(bench_model, kSeed + 7));
   // Warm up: arena high-water + both capture buffers (double-buffered).
   for (int i = 0; i < 3; ++i) {
-    interp.invoke();
+    session.invoke();
     if (instrumented) {
-      monitor.on_inf_stop(interp);
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     }
   }
   for (auto _ : state) {
     if (instrumented) {
       monitor.on_inf_start();
-      interp.invoke();
-      monitor.on_inf_stop(interp);
+      session.invoke();
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     } else {
-      interp.invoke();
+      session.invoke();
     }
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
   state.SetItemsProcessed(state.iterations());
   if (instrumented) {

@@ -27,20 +27,21 @@ namespace {
 
 constexpr int kInvokes = 5;
 
-std::map<std::string, double> measure_by_group(const Graph& model,
+std::map<std::string, double> measure_by_group(const Graph& graph,
                                                const OpResolver& resolver,
                                                const Tensor& input,
                                                int num_threads) {
-  Interpreter interp(&model, &resolver, num_threads);
-  interp.set_input(0, input);
-  interp.invoke();  // warm-up
+  Model model(&graph, &resolver, num_threads);
+  Session session(&model);
+  session.set_input(0, input);
+  session.invoke();  // warm-up
   std::map<std::string, double> totals;
   for (int i = 0; i < kInvokes; ++i) {
-    interp.invoke();
-    for (const Node& n : model.nodes) {
+    session.invoke();
+    for (const Node& n : graph.nodes) {
       if (n.type == OpType::kInput) continue;
       totals[op_latency_group(n.type)] +=
-          interp.last_stats().per_node_ms[static_cast<std::size_t>(n.id)] /
+          session.last_stats().per_node_ms[static_cast<std::size_t>(n.id)] /
           kInvokes;
     }
   }

@@ -5,12 +5,13 @@
 
 using namespace mlexray;
 
-void debug_latency_memory(EdgeMLMonitor& monitor, const Interpreter& interp,
+void debug_latency_memory(EdgeMLMonitor& monitor, Session& session,
                           const Trace& edge, const Trace& reference) {
   // [mlx-inst-begin]
+  monitor.observe(session);
   monitor.on_inf_start();
-  // ... interpreter.invoke() ...
-  monitor.on_inf_stop(interp);
+  // ... session.invoke() ...
+  monitor.on_inf_stop(session);
   monitor.next_frame();
   // [mlx-inst-end]
 

@@ -4,17 +4,17 @@
 #include <fstream>
 #include <vector>
 
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 using namespace mlexray;
 
-void debug_latency_memory_manually(Interpreter& interp, const Tensor& input) {
+void debug_latency_memory_manually(Session& session, const Tensor& input) {
   // [mlx-inst-begin]
   using Clock = std::chrono::steady_clock;
   std::vector<double> latencies;
   auto start = Clock::now();
-  interp.set_input(0, input);
-  interp.invoke();
+  session.set_input(0, input);
+  session.invoke();
   auto stop = Clock::now();
   latencies.push_back(
       std::chrono::duration<double, std::milli>(stop - start).count());

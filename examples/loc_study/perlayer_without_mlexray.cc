@@ -5,18 +5,18 @@
 #include <sstream>
 #include <vector>
 
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 using namespace mlexray;
 
-void debug_per_layer_latency_manually(const Graph& model, Interpreter& interp,
+void debug_per_layer_latency_manually(const Graph& model, Session& session,
                                       const Tensor& input) {
   // [mlx-inst-begin]
   std::vector<std::vector<double>> per_layer(model.nodes.size());
   for (int frame = 0; frame < 10; ++frame) {
-    interp.set_input(0, input);
-    interp.invoke();
-    const InvokeStats& stats = interp.last_stats();
+    session.set_input(0, input);
+    session.invoke();
+    const SessionStats& stats = session.last_stats();
     for (std::size_t i = 0; i < stats.per_node_ms.size(); ++i)
       per_layer[i].push_back(stats.per_node_ms[i]);
   }

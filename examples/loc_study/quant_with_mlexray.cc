@@ -5,12 +5,13 @@
 
 using namespace mlexray;
 
-void debug_quantization(EdgeMLMonitor& monitor, const Interpreter& interp,
+void debug_quantization(EdgeMLMonitor& monitor, Session& session,
                         const Trace& edge, const Trace& reference) {
   // [mlx-inst-begin]
+  monitor.observe(session);
   monitor.on_inf_start();
-  // ... interpreter.invoke() in the app loop ...
-  monitor.on_inf_stop(interp);
+  // ... session.invoke() in the app loop ...
+  monitor.on_inf_stop(session);
   MonitorOptions per_layer{.per_layer_outputs = true};
   EdgeMLMonitor offline_monitor(per_layer);
   // [mlx-inst-end]

@@ -7,13 +7,13 @@
 #include <map>
 #include <vector>
 
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 using namespace mlexray;
 
-void debug_quantization_manually(const Graph& model, const Interpreter& interp,
+void debug_quantization_manually(const Graph& model, const Session& session,
                                  const Graph& ref_model,
-                                 const Interpreter& ref_interp) {
+                                 const Session& ref_session) {
   // [mlx-inst-begin]
   std::ofstream meta("layers_meta.txt");
   for (const Node& n : model.nodes) {
@@ -24,7 +24,7 @@ void debug_quantization_manually(const Graph& model, const Interpreter& interp,
   }
   for (const Node& n : model.nodes) {
     if (n.type == OpType::kInput) continue;
-    Tensor out = interp.node_output(n.id).to_f32();
+    Tensor out = session.node_output(n.id).to_f32();
     std::string path = "layer_" + std::to_string(n.id) + ".bin";
     std::ofstream dump(path, std::ios::binary);
     dump.write(static_cast<const char*>(out.raw_data()),
@@ -32,7 +32,7 @@ void debug_quantization_manually(const Graph& model, const Interpreter& interp,
   }
   for (const Node& n : ref_model.nodes) {
     if (n.type == OpType::kInput) continue;
-    Tensor out = ref_interp.node_output(n.id).to_f32();
+    Tensor out = ref_session.node_output(n.id).to_f32();
     std::string path = "ref_layer_" + std::to_string(n.id) + ".bin";
     std::ofstream dump(path, std::ios::binary);
     dump.write(static_cast<const char*>(out.raw_data()),

@@ -41,24 +41,20 @@ void EdgeMLMonitor::unobserve(Session& session) {
 void EdgeMLMonitor::on_inf_start() { inf_start_ = Clock::now(); }
 
 void EdgeMLMonitor::on_inf_stop(const Session& session) {
-  // Legacy pull path for call sites that bracket invoke without observe():
-  // replay the retained node outputs through the push capture storage.
-  if (!buffer_.bound_to(session) || !buffer_.captured_invoke()) {
-    // capture_pull rebinds the buffer's layer layout to `session`; if it
-    // is still attached as another session's observer, that session's
-    // next invoke would trip the layout checks mid-flight. Detach first —
-    // the monitor now follows the session it was handed, as the pull-era
-    // API always did.
-    if (observed_ != nullptr && observed_ != &session) detach();
-    buffer_.capture_pull(session);
+  // Checks the captured state, not session.observer() == &buffer_: a
+  // forwarding observer in front of the buffer (a tracer) still captures.
+  MLX_CHECK(buffer_.bound_to(session) && buffer_.captured_invoke())
+      << "on_inf_stop: no invoke of this session was captured this frame; "
+         "attach the monitor with observe() before invoking the session";
+  if (inf_start_) {
+    // The façade's bracket includes observer capture cost, matching what
+    // the instrumented app experiences; it overwrites the invoke-only total
+    // the buffer recorded.
+    buffer_.set_scalar(
+        key_latency_,
+        std::chrono::duration<double, std::milli>(Clock::now() - *inf_start_)
+            .count());
   }
-  // The façade's bracket includes observer capture cost, matching what the
-  // instrumented app experiences; it overwrites the invoke-only total the
-  // buffer recorded.
-  buffer_.set_scalar(
-      key_latency_,
-      std::chrono::duration<double, std::milli>(Clock::now() - inf_start_)
-          .count());
   // High-water mark of all tracked allocations (tensors, arena blocks,
   // prepared weight panels) — a real peak, not the instantaneous level.
   buffer_.set_scalar(
@@ -83,7 +79,10 @@ void EdgeMLMonitor::log_scalar(const std::string& key, double value) {
   buffer_.set_scalar(buffer_.intern_key(key), value);
 }
 
-void EdgeMLMonitor::next_frame() { buffer_.next_frame(); }
+void EdgeMLMonitor::next_frame() {
+  inf_start_.reset();
+  buffer_.next_frame();
+}
 
 void EdgeMLMonitor::spool_to(const std::filesystem::path& path) {
   buffer_.open_spool(path);

@@ -3,7 +3,7 @@
 // Usage in an app's inference loop (the paper's <5-LoC instrumentation):
 //
 //   EdgeMLMonitor monitor(options);
-//   monitor.observe(session);                          // push-based capture
+//   monitor.observe(session);                          // once, before invoke
 //   ...
 //   monitor.log_tensor(trace_keys::kSensorRaw, raw);   // custom logs
 //   monitor.on_inf_start();
@@ -11,17 +11,15 @@
 //   monitor.on_inf_stop(session);                      // default logs
 //   monitor.next_frame();
 //
-// The monitor is a thin façade over TraceBuffer (src/core/trace_buffer.h):
-// observe() attaches the buffer to the session as an InvokeObserver, so
-// per-layer latencies/outputs and the model outputs are captured *during*
-// invoke into pre-sized storage — no post-hoc model walk, no steady-state
-// heap allocation. Monitors are per-session: many sessions serving one
-// shared Model attach one monitor each, while the weights and prepared
-// packing stay shared. Interpreter overloads keep the pre-Model/Session
-// call sites compiling; they delegate to the interpreter's session. Call
-// sites that skip observe() still work: on_inf_stop detects that no push
-// capture happened and pulls the retained node outputs through the same
-// storage.
+// The monitor is a thin façade over TraceBuffer (src/core/trace_buffer.h),
+// and capture is push-only: observe() attaches the buffer to the session as
+// an InvokeObserver, so per-layer latencies/outputs and the model outputs
+// are captured *during* invoke into pre-sized storage — no post-hoc model
+// walk, no steady-state heap allocation. on_inf_stop(session) only stamps
+// the frame's scalars, and throws MlxError if no invoke of that session was
+// captured this frame (observe() skipped, or another session handed in).
+// Monitors are per-session: many sessions serving one shared Model attach
+// one monitor each, while the weights and prepared packing stay shared.
 //
 // Lifetime: an observed session and its monitor are linked. Destroy the
 // monitor first (it detaches itself), or detach explicitly with unobserve()
@@ -38,9 +36,10 @@
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 
 #include "src/core/trace_buffer.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 namespace mlexray {
 
@@ -56,19 +55,15 @@ class EdgeMLMonitor {
   // InvokeObserver (push-based capture) and pre-sizes capture storage for
   // its model. Re-attaching to a different session detaches the first.
   void observe(Session& session);
-  void observe(Interpreter& interpreter) { observe(interpreter.session()); }
   // Detaches if `session` is the one being observed; call before the
   // session is destroyed if it dies before the monitor.
   void unobserve(Session& session);
-  void unobserve(Interpreter& interpreter) {
-    unobserve(interpreter.session());
-  }
 
+  // Brackets one invoke. on_inf_stop logs the bracket as the frame's
+  // inference latency, or keeps the captured invoke-only time when this
+  // frame had no on_inf_start.
   void on_inf_start();
   void on_inf_stop(const Session& session);
-  void on_inf_stop(const Interpreter& interpreter) {
-    on_inf_stop(interpreter.session());
-  }
   void on_sensor_start();
   void on_sensor_stop();
 
@@ -101,7 +96,7 @@ class EdgeMLMonitor {
   std::uint16_t key_latency_ = 0;
   std::uint16_t key_peak_memory_ = 0;
   std::uint16_t key_sensor_latency_ = 0;
-  Clock::time_point inf_start_{};
+  std::optional<Clock::time_point> inf_start_;  // cleared by next_frame()
   Clock::time_point sensor_start_{};
 };
 

@@ -5,7 +5,7 @@
 #include "src/common/fault_injection.h"
 #include "src/common/file_io.h"
 #include "src/graph/serialization.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 namespace mlexray {
 
@@ -90,14 +90,6 @@ void TraceBuffer::bind(const Session& session) {
   }
   for (CaptureFrame& f : frames_) size_frame(f);
   step_cursor_ = 0;
-}
-
-void TraceBuffer::bind(const Interpreter& interpreter) {
-  bind(interpreter.session());
-}
-
-bool TraceBuffer::bound_to(const Interpreter& interpreter) const {
-  return bound_ == &interpreter.session();
 }
 
 std::uint16_t TraceBuffer::intern_key(const std::string& key) {
@@ -190,22 +182,6 @@ void TraceBuffer::on_invoke_end(const SessionStats& stats) {
       log_tensor(key_model_outputs_[i], bound_->output(static_cast<int>(i)));
     }
   }
-}
-
-void TraceBuffer::capture_pull(const Session& session) {
-  bind(session);
-  const SessionStats& stats = session.last_stats();
-  on_invoke_begin(layers_.size());
-  for (const PlanStep& step : session.plan().steps()) {
-    const auto id = static_cast<std::size_t>(step.node->id);
-    on_step(*step.node, session.node_output(step.node->id),
-            stats.per_node_ms[id]);
-  }
-  on_invoke_end(stats);
-}
-
-void TraceBuffer::capture_pull(const Interpreter& interpreter) {
-  capture_pull(interpreter.session());
 }
 
 void TraceBuffer::reset_frame(CaptureFrame& frame, int frame_id) {

@@ -4,7 +4,9 @@
 // Attached to a Session as its InvokeObserver, it captures per-layer
 // latencies and raw-dtype layer outputs as each prepared step finishes, plus
 // every model output and user scalars/tensors, into pre-sized reusable frame
-// storage:
+// storage. Capture is push-only: an invoke the buffer did not observe is not
+// captured, and nothing re-reads the session's activations afterwards.
+// Storage:
 //
 //  - trace keys are interned once into small integer ids — no std::string
 //    map keys on the hot path;
@@ -45,7 +47,6 @@
 
 namespace mlexray {
 
-class Interpreter;
 class Session;
 
 // Capture configuration (the paper's instrumentation modes). Lives here so
@@ -84,11 +85,9 @@ class TraceBuffer : public InvokeObserver {
   // dtypes, shapes, quant params — shared across frames, not stored per
   // frame), interns a key per model output, and pre-sizes every capture
   // frame to the model's byte sizes. Rebinding to a different session
-  // rebuilds the layout. The Interpreter overload binds its session.
+  // rebuilds the layout.
   void bind(const Session& session);
-  void bind(const Interpreter& interpreter);
   bool bound_to(const Session& session) const { return bound_ == &session; }
-  bool bound_to(const Interpreter& interpreter) const;
 
   // --- keys -----------------------------------------------------------------
   // Returns the stable id for a key, interning it on first sight (the only
@@ -110,12 +109,6 @@ class TraceBuffer : public InvokeObserver {
   void on_step(const Node& node, const Tensor& output,
                double latency_ms) override;
   void on_invoke_end(const SessionStats& stats) override;
-
-  // Pull-style capture for call sites that bracket invoke manually without
-  // attaching the buffer as observer: replays the retained node outputs and
-  // last_stats latencies through the same on_step path (binds on demand).
-  void capture_pull(const Session& session);
-  void capture_pull(const Interpreter& interpreter);
 
   // True if the current frame captured an invoke since the last next_frame().
   bool captured_invoke() const { return frames_[active_].has_invoke; }

@@ -14,9 +14,9 @@
 //   Model model(std::move(graph), &resolver);   // prepare once
 //   Session a(&model), b(&model);               // serve many
 //
-// The Engine (src/interpreter/engine.h) adds a named registry and a session
-// pool on top; Interpreter (src/interpreter/interpreter.h) is a thin
-// compatibility shim that owns a private Model + Session pair.
+// A single caller uses the same pair, declaring the Model first so it
+// outlives its Session. The Engine (src/interpreter/engine.h) adds a named
+// registry and a session pool on top.
 #pragma once
 
 #include <memory>
@@ -40,8 +40,8 @@ class Model {
   // independent — concurrent sessions do not serialize across models.
   Model(Graph graph, const OpResolver* resolver, int num_threads = 1);
 
-  // Non-owning: graph must outlive the Model (the Interpreter shim path,
-  // where call sites traditionally keep the Graph alive themselves).
+  // Non-owning: graph must outlive the Model (call sites that keep the
+  // Graph alive themselves, e.g. to run it under several resolvers).
   Model(const Graph* graph, const OpResolver* resolver, int num_threads = 1);
 
   // Shared-pool variants (the Engine's load path): the model fans work onto

@@ -85,11 +85,6 @@ struct SessionStats {
   std::size_t arena_high_water_bytes = 0;
 };
 
-// Historical names, kept for call sites that predate the Model/Session split
-// and the Prepare/Invoke split respectively.
-using InterpreterStats = SessionStats;
-using InvokeStats = SessionStats;
-
 class Session {
  public:
   // model must outlive the session.

@@ -2,7 +2,7 @@
 //
 // A kernel computes one node's output from its activation inputs. Constant
 // weights live on the node; quantization parameters travel on the tensors
-// (inputs carry theirs, the interpreter pre-sets the output tensor's params
+// (inputs carry theirs, the session pre-sets the output tensor's params
 // from node.output_quant before dispatch).
 //
 // Contexts are prepared once per node by the ExecutionPlan (inputs/output
@@ -25,9 +25,9 @@ namespace mlexray {
 struct KernelContext {
   const Node* node = nullptr;
   std::vector<const Tensor*> inputs;  // activation inputs, in op order
-  Tensor* output = nullptr;           // allocated by the interpreter
+  Tensor* output = nullptr;           // allocated by the session
   PoolRef pool;                       // null => single-threaded execution
-  ScratchArena* arena = nullptr;      // per-interpreter scratch storage
+  ScratchArena* arena = nullptr;      // per-session scratch storage
   // Plan-owned storage filled once by the kernel's prepare hook. A kernel
   // with a prepare hook runs only through an ExecutionPlan (the trainer
   // builds a fresh one every forward); it reads its storage through

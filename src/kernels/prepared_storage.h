@@ -4,7 +4,7 @@
 // weight panels, requantization tables); the results must live somewhere that
 // (a) survives across invokes, unlike the scratch arena which is reset per
 // node, and (b) is owned by the ExecutionPlan, so a model's prepared bytes
-// are accounted per interpreter. PreparedStorage is that place: a bump-style
+// are accounted once per Model. PreparedStorage is that place: a bump-style
 // owner of 64-byte-aligned buffers, plus a typed "root" pointer through which
 // the invoke hook finds its descriptor again.
 //

@@ -13,6 +13,21 @@ namespace {
 // Float reference kernels: naive loops, no blocking, no threading.
 // ---------------------------------------------------------------------------
 
+// The reference kernels exist to be the predictable baseline the optimized
+// path is validated against. GCC's fold-left reduction vectorization would
+// split a dot product's multiply from its add (no FMA contraction) while
+// the scalar/contracted forms fuse them, making ref-vs-opt parity depend on
+// the vectorizer's mood. Pin the conv and FC dot products to plain scalar
+// code with the same contraction setting as the command line.
+#if defined(__GNUC__) && !defined(__clang__)
+#define MLX_REF_SCALAR_DOT \
+  __attribute__((          \
+      optimize("no-tree-vectorize,no-tree-slp-vectorize,fp-contract=fast")))
+#else
+#define MLX_REF_SCALAR_DOT
+#endif
+
+MLX_REF_SCALAR_DOT
 void conv2d_f32(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
@@ -33,24 +48,35 @@ void conv2d_f32(const KernelContext& ctx) {
   const float* x = in.data<float>();
   const float* w = filter.data<float>();
   float* y = ctx.output->data<float>();
+  const std::int64_t out_ch = os.dim(3);
+  const std::int64_t filter_stride = kh * kw * in_ch;  // one output channel
   for (std::int64_t n = 0; n < os.dim(0); ++n) {
     for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
       for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
-        for (std::int64_t oc = 0; oc < os.dim(3); ++oc) {
-          float acc = bias[oc];
-          for (int fy = 0; fy < kh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < kw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              const float* xp = x + ((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch;
-              const float* wp = w + ((oc * kh + fy) * kw + fx) * in_ch;
-              for (std::int64_t ic = 0; ic < in_ch; ++ic) acc += xp[ic] * wp[ic];
+        // Every output channel accumulates its own chain, bias first and then
+        // the taps in (fy, fx, ic) order, straight into the output pixel.
+        // Walking the channels innermost keeps out_ch independent chains in
+        // flight instead of waiting on one chain's latency at a time.
+        float* yp = y + ((n * os.dim(1) + oy) * os.dim(2) + ox) * out_ch;
+        for (std::int64_t oc = 0; oc < out_ch; ++oc) yp[oc] = bias[oc];
+        for (int fy = 0; fy < kh; ++fy) {
+          const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
+          if (iy < 0 || iy >= is.dim(1)) continue;
+          for (int fx = 0; fx < kw; ++fx) {
+            const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
+            if (ix < 0 || ix >= is.dim(2)) continue;
+            const float* xp = x + ((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch;
+            const float* wp = w + (fy * kw + fx) * in_ch;
+            for (std::int64_t ic = 0; ic < in_ch; ++ic) {
+              const float xv = xp[ic];
+              for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+                yp[oc] += xv * wp[oc * filter_stride + ic];
+              }
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * os.dim(3) + oc] =
-              apply_activation_f32(acc, node.attrs.activation);
+        }
+        for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+          yp[oc] = apply_activation_f32(yp[oc], node.attrs.activation);
         }
       }
     }
@@ -103,16 +129,7 @@ void dwconv2d_f32(const KernelContext& ctx) {
   }
 }
 
-// The reference kernels exist to be the predictable baseline the optimized
-// path is validated against. GCC's fold-left reduction vectorization would
-// split this dot product's multiply from its add (no FMA contraction) while
-// the scalar/contracted forms fuse them, making ref-vs-opt parity depend on
-// the vectorizer's mood. Pin the loop to plain scalar code with the same
-// contraction setting as the command line.
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((
-    optimize("no-tree-vectorize,no-tree-slp-vectorize,fp-contract=fast")))
-#endif
+MLX_REF_SCALAR_DOT
 void fc_f32(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;

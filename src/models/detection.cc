@@ -228,17 +228,16 @@ void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
   }
 }
 
-std::vector<DetPrediction> ssd_predict(const SsdModel& ssd,
-                                       Interpreter& interpreter,
+std::vector<DetPrediction> ssd_predict(const SsdModel& ssd, Session& session,
                                        const Tensor& input) {
-  interpreter.set_input(0, input);
-  interpreter.invoke();
+  session.set_input(0, input);
+  session.invoke();
   std::vector<Anchor> anchors = ssd_anchors(ssd);
   std::vector<DetPrediction> raw;
   int offset = 0;
   for (int scale = 0; scale < 2; ++scale) {
-    Tensor cls = interpreter.output(scale * 2).to_f32();
-    Tensor box = interpreter.output(scale * 2 + 1).to_f32();
+    Tensor cls = session.output(scale * 2).to_f32();
+    Tensor box = session.output(scale * 2 + 1).to_f32();
     const int cells = ssd.grid_sizes[static_cast<std::size_t>(scale)] *
                       ssd.grid_sizes[static_cast<std::size_t>(scale)];
     const int head_ch = ssd.num_classes + 1;
@@ -275,12 +274,13 @@ double evaluate_ssd_map(const SsdModel& ssd, const Graph& deployed,
                         const OpResolver& resolver,
                         const std::vector<DetExample>& examples,
                         const ImagePipelineConfig& pipeline) {
-  Interpreter interp(&deployed, &resolver);
+  Model model(&deployed, &resolver);
+  Session session(&model);
   std::vector<std::vector<DetPrediction>> predictions;
   predictions.reserve(examples.size());
   for (const DetExample& ex : examples) {
     Tensor input = run_image_pipeline(ex.image_u8, pipeline);
-    predictions.push_back(ssd_predict(ssd, interp, input));
+    predictions.push_back(ssd_predict(ssd, session, input));
   }
   return mean_average_precision(predictions, examples, ssd.num_classes);
 }

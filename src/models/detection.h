@@ -8,7 +8,7 @@
 
 #include "src/datasets/detection_metrics.h"
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/preprocess/image.h"
 
 namespace mlexray {
@@ -48,8 +48,7 @@ void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
 
 // Runs a deployed variant of the model (same node names / output order) on
 // one preprocessed input and decodes + NMS-filters predictions.
-std::vector<DetPrediction> ssd_predict(const SsdModel& ssd,
-                                       Interpreter& interpreter,
+std::vector<DetPrediction> ssd_predict(const SsdModel& ssd, Session& session,
                                        const Tensor& input);
 
 // End-to-end mAP of a deployed model over sensor examples using a possibly

@@ -91,10 +91,10 @@ void train_deeplab(ZooModel* zm, const std::vector<SegExample>& train_set,
   }
 }
 
-Tensor predict_mask(Interpreter& interpreter, const Tensor& input) {
-  interpreter.set_input(0, input);
-  interpreter.invoke();
-  Tensor prob = interpreter.output(0).to_f32();
+Tensor predict_mask(Session& session, const Tensor& input) {
+  session.set_input(0, input);
+  session.invoke();
+  Tensor prob = session.output(0).to_f32();
   const Shape& s = prob.shape();
   const std::int64_t classes = s.dim(3);
   const std::int64_t pixels = s.dim(1) * s.dim(2);
@@ -114,12 +114,13 @@ Tensor predict_mask(Interpreter& interpreter, const Tensor& input) {
 double evaluate_deeplab_miou(const Graph& deployed, const OpResolver& resolver,
                              const std::vector<SegExample>& examples,
                              const ImagePipelineConfig& pipeline) {
-  Interpreter interp(&deployed, &resolver);
+  Model model(&deployed, &resolver);
+  Session session(&model);
   std::vector<Tensor> predictions;
   predictions.reserve(examples.size());
   for (const SegExample& ex : examples) {
     Tensor input = run_image_pipeline(ex.image_u8, pipeline);
-    predictions.push_back(predict_mask(interp, input));
+    predictions.push_back(predict_mask(session, input));
   }
   return SynthSeg::mean_iou(predictions, examples);
 }

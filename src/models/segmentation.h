@@ -4,7 +4,7 @@
 
 #include "src/datasets/synth_seg.h"
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/models/zoo.h"
 #include "src/preprocess/image.h"
 
@@ -18,7 +18,7 @@ void train_deeplab(ZooModel* zm, const std::vector<SegExample>& train_set,
                    int epochs, std::uint64_t seed, bool verbose = false);
 
 // Predicted label map [H, W] i32 for one preprocessed input.
-Tensor predict_mask(Interpreter& interpreter, const Tensor& input);
+Tensor predict_mask(Session& session, const Tensor& input);
 
 // End-to-end mIoU of a deployed model with a (possibly buggy) pipeline.
 double evaluate_deeplab_miou(const Graph& deployed, const OpResolver& resolver,

@@ -8,8 +8,8 @@
 namespace mlexray {
 
 Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
-    : model_(model), options_(options), interp_(model, &resolver_) {
-  const std::size_t n = model_->nodes.size();
+    : options_(options), model_(model, &resolver_), session_(&model_) {
+  const std::size_t n = model->nodes.size();
   sample_mins_.resize(n);
   sample_maxs_.resize(n);
   ema_min_.assign(n, 0.0f);
@@ -20,13 +20,13 @@ Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
 
 void Calibrator::observe(const std::vector<Tensor>& inputs) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    interp_.set_input(static_cast<int>(i), inputs[i]);
+    session_.set_input(static_cast<int>(i), inputs[i]);
   }
-  interp_.invoke();
-  for (const Node& n : model_->nodes) {
+  session_.invoke();
+  for (const Node& n : model_.graph().nodes) {
     const Tensor& out = n.type == OpType::kInput
                             ? inputs[0]  // input node holds the raw input
-                            : interp_.node_output(n.id);
+                            : session_.node_output(n.id);
     if (out.dtype() != DType::kF32 && n.type != OpType::kInput) continue;
     TensorSummary s = summarize(out);
     const auto id = static_cast<std::size_t>(n.id);

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 namespace mlexray {
 
@@ -40,10 +40,10 @@ class Calibrator {
   int samples_seen() const { return samples_; }
 
  private:
-  const Graph* model_;
   CalibrationOptions options_;
   RefOpResolver resolver_;  // calibration uses reference float kernels
-  Interpreter interp_;
+  Model model_;             // non-owning view of the caller's Graph
+  Session session_;
   // Per node: per-sample extremes (percentile), running EMA, global min/max.
   std::vector<std::vector<float>> sample_mins_;
   std::vector<std::vector<float>> sample_maxs_;

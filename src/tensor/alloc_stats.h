@@ -24,7 +24,7 @@ class AllocStats {
   std::size_t peak_bytes() const { return peak_.load(); }
 
   // Monotonic count of tracked buffer allocations (Tensor buffers and
-  // ScratchArena blocks). Steady-state Interpreter::invoke() must not move
+  // ScratchArena blocks). Steady-state Session::invoke() must not move
   // this counter — the zero-allocation regression tests diff it around an
   // invoke.
   std::uint64_t alloc_events() const { return events_.load(); }

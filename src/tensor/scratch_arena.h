@@ -1,4 +1,4 @@
-// Per-interpreter scratch arena for kernel temporaries.
+// Per-session scratch arena for kernel temporaries.
 //
 // Kernels need short-lived buffers (the implicit-GEMM conv's per-worker
 // patch tiles, softmax rows). Allocating them as std::vectors inside every
@@ -9,11 +9,11 @@
 // every later invoke reuses the same memory with zero heap traffic.
 //
 // reset() rewinds all blocks without releasing them; it is called by the
-// interpreter before each node. Blocks are chained (never reallocated or
+// session before each node. Blocks are chained (never reallocated or
 // moved), so pointers handed out earlier in the same node stay valid when a
 // later request forces growth.
 //
-// Not thread-safe: all allocation happens on the interpreter thread before a
+// Not thread-safe: all allocation happens on the invoking thread before a
 // kernel fans work out to the pool. Kernels that need per-worker storage
 // allocate KernelContext::worker_count() slices up front and index them by
 // the parallel_for_workers worker id.

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "src/common/rng.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 namespace mlexray {
 
@@ -102,16 +102,17 @@ int argmax(const Tensor& tensor) {
   return best;
 }
 
-double evaluate_classifier(const Graph& model, const OpResolver& resolver,
+double evaluate_classifier(const Graph& graph, const OpResolver& resolver,
                            const std::vector<LabeledExample>& examples,
                            int num_threads) {
   MLX_CHECK(!examples.empty());
-  Interpreter interp(&model, &resolver, num_threads);
+  Model model(&graph, &resolver, num_threads);
+  Session session(&model);
   int correct = 0;
   for (const LabeledExample& ex : examples) {
-    interp.set_input(0, ex.input);
-    interp.invoke();
-    if (argmax(interp.output(0)) == ex.label) ++correct;
+    session.set_input(0, ex.input);
+    session.invoke();
+    if (argmax(session.output(0)) == ex.label) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(examples.size());
 }

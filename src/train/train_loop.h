@@ -28,7 +28,7 @@ double fit_classifier(Graph* model, int logits_node,
 
 // Top-1 accuracy of a model on examples (argmax of output 0, which may be
 // float logits/probabilities or a quantized tensor — dequantized first).
-double evaluate_classifier(const Graph& model, const OpResolver& resolver,
+double evaluate_classifier(const Graph& graph, const OpResolver& resolver,
                            const std::vector<LabeledExample>& examples,
                            int num_threads = 1);
 

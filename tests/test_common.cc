@@ -456,7 +456,7 @@ TEST(LocCounter, CountsMarkedRegions) {
 int main() {
   // [mlx-inst-begin]
   monitor.on_inf_start();
-  monitor.on_inf_stop(interp);
+  monitor.on_inf_stop(session);
 
   // a comment inside does not count
   // [mlx-inst-end]

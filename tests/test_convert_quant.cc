@@ -4,7 +4,7 @@
 
 #include "src/convert/converter.h"
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
 
@@ -82,8 +82,10 @@ TEST(Converter, FoldedModelMatchesCheckpoint) {
   EXPECT_LT(converted.nodes.size(), ckpt.nodes.size());
 
   RefOpResolver ref;
-  Interpreter ci(&ckpt, &ref);
-  Interpreter vi(&converted, &ref);
+  Model ckpt_model(&ckpt, &ref);
+  Session ci(&ckpt_model);
+  Model converted_model(&converted, &ref);
+  Session vi(&converted_model);
   Pcg32 rng(2);
   for (int i = 0; i < 3; ++i) {
     Tensor input = random_input(Shape{1, 8, 8, 3}, rng);
@@ -105,8 +107,10 @@ TEST(Converter, PreActBatchNormBecomesDepthwise) {
   EXPECT_EQ(bn_count, 0);
 
   RefOpResolver ref;
-  Interpreter ci(&ckpt, &ref);
-  Interpreter vi(&converted, &ref);
+  Model ckpt_model(&ckpt, &ref);
+  Session ci(&ckpt_model);
+  Model converted_model(&converted, &ref);
+  Session vi(&converted_model);
   Pcg32 rng(4);
   Tensor input = random_input(Shape{1, 8, 8, 4}, rng);
   ci.set_input(0, input);
@@ -145,8 +149,10 @@ TEST(Converter, SharedProducerNotFused) {
   }
   EXPECT_TRUE(has_standalone_relu);
   RefOpResolver ref;
-  Interpreter ci(&m, &ref);
-  Interpreter vi(&converted, &ref);
+  Model ckpt_model(&m, &ref);
+  Session ci(&ckpt_model);
+  Model converted_model(&converted, &ref);
+  Session vi(&converted_model);
   Tensor input = random_input(Shape{1, 4, 4, 2}, rng);
   ci.set_input(0, input);
   vi.set_input(0, input);
@@ -276,8 +282,10 @@ TEST(QuantizeModel, EndToEndAccuracyClose) {
   }
   Graph qm = quantize_model(converted, calib);
   RefOpResolver ref;
-  Interpreter fi(&converted, &ref);
-  Interpreter qi(&qm, &ref);
+  Model f32_model(&converted, &ref);
+  Session fi(&f32_model);
+  Model int8_model(&qm, &ref);
+  Session qi(&int8_model);
   double worst = 0.0;
   for (int i = 0; i < 8; ++i) {
     Tensor input = random_input(Shape{1, 8, 8, 3}, rng);

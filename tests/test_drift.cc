@@ -30,7 +30,7 @@
 #include "src/drift/digest.h"
 #include "src/graph/builder.h"
 #include "src/interpreter/engine.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/quant/quantizer.h"
 
 namespace mlexray {
@@ -408,33 +408,35 @@ TEST(DigestCapture, ObserverDigestsMatchDirectAccumulate) {
   }
 
   // Digest-mode capture (the fleet monitoring mode)...
-  Interpreter ia(&ga, &opt);
+  Model model_a(&ga, &opt);
+  Session sa(&model_a);
   MonitorOptions digest_opts;
   digest_opts.per_layer_outputs = false;
   digest_opts.per_layer_digests = true;
   EdgeMLMonitor ma(digest_opts);
-  ma.observe(ia);
+  ma.observe(sa);
   // ...and raw-output capture of the same run, as the digest ground truth.
-  Interpreter ib(&gb, &opt);
+  Model model_b(&gb, &opt);
+  Session sb(&model_b);
   MonitorOptions raw_opts;
   raw_opts.per_layer_outputs = true;
   EdgeMLMonitor mb(raw_opts);
-  mb.observe(ib);
+  mb.observe(sb);
 
-  auto run_frame = [](EdgeMLMonitor& monitor, Interpreter& interp,
+  auto run_frame = [](EdgeMLMonitor& monitor, Session& session,
                       const Tensor& in) {
-    interp.set_input(0, in);
+    session.set_input(0, in);
     monitor.on_inf_start();
-    interp.invoke();
-    monitor.on_inf_stop(interp);
+    session.invoke();
+    monitor.on_inf_stop(session);
     monitor.next_frame();
   };
   for (const Tensor& in : inputs) {
-    run_frame(ma, ia, in);
-    run_frame(mb, ib, in);
+    run_frame(ma, sa, in);
+    run_frame(mb, sb, in);
   }
-  ma.unobserve(ia);
-  mb.unobserve(ib);
+  ma.unobserve(sa);
+  mb.unobserve(sb);
 
   const Trace& digest_trace = ma.trace();
   const Trace& raw_trace = mb.trace();
@@ -475,25 +477,26 @@ TEST(DigestCapture, QuantizedLayersTakeTheExactHistogramPath) {
   }
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
-  Interpreter interp(&qm, &opt);
+  Model model(&qm, &opt);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(373);
-  interp.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
+  session.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
   monitor.on_inf_start();
-  interp.invoke();
-  monitor.on_inf_stop(interp);
+  session.invoke();
+  monitor.on_inf_stop(session);
   monitor.next_frame();
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 
   const FrameTrace& f = monitor.trace().frames.at(0);
   int int8_digests = 0;
   for (std::size_t i = 0; i < f.layer_digests.size(); ++i) {
     const LayerDigest& d = f.layer_digests[i];
     const Tensor& retained =
-        interp.node_output(interp.plan().steps()[i].node->id);
+        session.node_output(session.plan().steps()[i].node->id);
     EXPECT_EQ(d.dtype, retained.dtype());
     if (d.integer_path()) {
       ++int8_digests;
@@ -554,33 +557,35 @@ TEST(Canary, FirstSuspectMatchesOfflinePerLayerDrift) {
   {
     Pcg32 rng_again(kSeed);
     Graph prod_again = conv_stack_model(&rng_again);
-    Interpreter interp(&prod_again, &opt);
+    Model model(&prod_again, &opt);
+    Session session(&model);
     EdgeMLMonitor monitor(mopts);
-    monitor.observe(interp);
+    monitor.observe(session);
     for (const Tensor& in : inputs) {
-      interp.set_input(0, in);
+      session.set_input(0, in);
       monitor.on_inf_start();
-      interp.invoke();
-      monitor.on_inf_stop(interp);
+      session.invoke();
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     }
     edge_trace = monitor.take_trace();
-    monitor.unobserve(interp);
+    monitor.unobserve(session);
   }
   {
     Graph ref_again = perturbed_conv_stack(kSeed, bug_layer, 1.75f);
-    Interpreter interp(&ref_again, &opt);
+    Model model(&ref_again, &opt);
+    Session session(&model);
     EdgeMLMonitor monitor(mopts);
-    monitor.observe(interp);
+    monitor.observe(session);
     for (const Tensor& in : inputs) {
-      interp.set_input(0, in);
+      session.set_input(0, in);
       monitor.on_inf_start();
-      interp.invoke();
-      monitor.on_inf_stop(interp);
+      session.invoke();
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     }
     ref_trace = monitor.take_trace();
-    monitor.unobserve(interp);
+    monitor.unobserve(session);
   }
   DeploymentValidator validator;
   const PerLayerReport offline = validator.per_layer_drift(
@@ -716,21 +721,22 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
 // Records a digest-only trace of `frames` invokes of `graph`.
 Trace record_digest_trace(Graph& graph, const BuiltinOpResolver& opt,
                           std::uint64_t input_seed, int frames) {
-  Interpreter interp(&graph, &opt);
+  Model model(&graph, &opt);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(input_seed);
   for (int i = 0; i < frames; ++i) {
-    interp.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
+    session.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
     monitor.on_inf_start();
-    interp.invoke();
-    monitor.on_inf_stop(interp);
+    session.invoke();
+    monitor.on_inf_stop(session);
     monitor.next_frame();
   }
   Trace t = monitor.take_trace();
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
   return t;
 }
 
@@ -750,21 +756,22 @@ TEST(FleetAggregator, RanksOutlierDeviceAndLocalizesSuspectLayer) {
   {
     Pcg32 rng(kSeed);
     Graph g = conv_stack_model(&rng);
-    Interpreter interp(&g, &opt);
+    Model model(&g, &opt);
+    Session session(&model);
     MonitorOptions opts;
     opts.per_layer_outputs = true;
     EdgeMLMonitor monitor(opts);
-    monitor.observe(interp);
+    monitor.observe(session);
     Pcg32 drng(4310);
     for (int i = 0; i < 16; ++i) {
-      interp.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
+      session.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
       monitor.on_inf_start();
-      interp.invoke();
-      monitor.on_inf_stop(interp);
+      session.invoke();
+      monitor.on_inf_stop(session);
       monitor.next_frame();
     }
     ref_trace = monitor.take_trace();
-    monitor.unobserve(interp);
+    monitor.unobserve(session);
   }
 
   // Two healthy devices (same model, device-local inputs) and one device

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/dwconv.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
@@ -160,16 +160,16 @@ class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {
   }
 };
 
-// Invokes `interp` under every forced tier and asserts each result is
+// Invokes `session` under every forced tier and asserts each result is
 // byte-identical to `want` (the kAuto result).
-void expect_all_tiers_bit_equal(Interpreter& interp,
+void expect_all_tiers_bit_equal(Session& session,
                                 const std::vector<float>& want,
                                 const DwGridCase& c) {
   for (DwConvTier tier :
        {DwConvTier::kGenericVector, DwConvTier::kScalar}) {
     set_dwconv_tier_for_testing(tier);
-    interp.invoke();
-    const Tensor& out = interp.output(0);
+    session.invoke();
+    const Tensor& out = session.output(0);
     ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
     EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
                           want.size() * sizeof(float)),
@@ -182,9 +182,9 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
 // Plan structure: exactly one step has a prepare hook — the op under test;
 // Quantize/Dequantize have none — and it holds the storage its hook filled
 // (its invoke has no other path).
-void expect_prepared_steps(const Interpreter& interp, const DwGridCase& c) {
+void expect_prepared_steps(const Session& session, const DwGridCase& c) {
   int hooks = 0;
-  for (const PlanStep& step : interp.plan().steps()) {
+  for (const PlanStep& step : session.plan().steps()) {
     if (!step.kernel->prepare) continue;
     ++hooks;
     EXPECT_NE(step.prepared, nullptr) << c << ": " << step.node->name;
@@ -194,18 +194,18 @@ void expect_prepared_steps(const Interpreter& interp, const DwGridCase& c) {
 
 // Steady-state contract: invoke never touches the heap and never registers
 // tensor/arena allocations once the plan exists.
-void expect_steady_state_clean(Interpreter& interp, const DwGridCase& c) {
-  interp.invoke();  // warmup may grow the scratch arena
+void expect_steady_state_clean(Session& session, const DwGridCase& c) {
+  session.invoke();  // warmup may grow the scratch arena
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
-      interp.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 3; ++i) interp.invoke();
+      session.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 3; ++i) session.invoke();
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << c << ": steady-state invoke registered allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << c << ": steady-state invoke touched the heap";
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
       << c << ": steady-state invoke grew the scratch arena";
 }
 
@@ -225,8 +225,10 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
   RefOpResolver ref;
   BuiltinOpResolver opt;
   if (!c.quantized) {
-    Interpreter ri(&m, &ref);
-    Interpreter oi(&m, &opt, /*num_threads=*/2);
+    Model ref_model(&m, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&m, &opt, /*num_threads=*/2);
+    Session oi(&opt_model);
     // f32 filters are panel-shaped as stored: no prepare hook, no storage.
     EXPECT_EQ(oi.plan().prepared_bytes(), 0u) << c;
     ri.set_input(0, input);
@@ -249,8 +251,10 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     // Default quantizer options: per-channel weight scales (axis 3 for
     // depthwise), asymmetric activation zero points.
     Graph qm = quantize_model(m, calib);
-    Interpreter ri(&qm, &ref);
-    Interpreter oi(&qm, &opt, /*num_threads=*/2);
+    Model ref_model(&qm, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&qm, &opt, /*num_threads=*/2);
+    Session oi(&opt_model);
     expect_prepared_steps(oi, c);
     ri.set_input(0, input);
     oi.set_input(0, input);

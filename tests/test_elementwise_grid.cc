@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/elementwise.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
@@ -208,16 +208,16 @@ class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {
   }
 };
 
-// Invokes `interp` under every forced tier and asserts each result is
+// Invokes `session` under every forced tier and asserts each result is
 // byte-identical to `want` (the kAuto result).
-void expect_all_tiers_bit_equal(Interpreter& interp,
+void expect_all_tiers_bit_equal(Session& session,
                                 const std::vector<float>& want,
                                 const EwGridCase& c) {
   for (ElementwiseTier tier :
        {ElementwiseTier::kGenericVector, ElementwiseTier::kScalar}) {
     set_elementwise_tier_for_testing(tier);
-    interp.invoke();
-    const Tensor& out = interp.output(0);
+    session.invoke();
+    const Tensor& out = session.output(0);
     ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
     EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
                           want.size() * sizeof(float)),
@@ -230,9 +230,9 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
 // Plan structure: exactly one step has a prepare hook — the op under test;
 // Quantize/Dequantize have none — and it holds the storage its hook filled
 // (its invoke has no other path).
-void expect_prepared_steps(const Interpreter& interp, const EwGridCase& c) {
+void expect_prepared_steps(const Session& session, const EwGridCase& c) {
   int hooks = 0;
-  for (const PlanStep& step : interp.plan().steps()) {
+  for (const PlanStep& step : session.plan().steps()) {
     if (!step.kernel->prepare) continue;
     ++hooks;
     EXPECT_NE(step.prepared, nullptr) << c << ": " << step.node->name;
@@ -242,18 +242,18 @@ void expect_prepared_steps(const Interpreter& interp, const EwGridCase& c) {
 
 // Steady-state contract: invoke never touches the heap and never registers
 // tensor/arena allocations once the plan exists.
-void expect_steady_state_clean(Interpreter& interp, const EwGridCase& c) {
-  interp.invoke();  // warmup may grow the scratch arena
+void expect_steady_state_clean(Session& session, const EwGridCase& c) {
+  session.invoke();  // warmup may grow the scratch arena
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
-      interp.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 3; ++i) interp.invoke();
+      session.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 3; ++i) session.invoke();
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << c << ": steady-state invoke registered allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << c << ": steady-state invoke touched the heap";
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
       << c << ": steady-state invoke grew the scratch arena";
 }
 
@@ -327,8 +327,10 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&qm, &ref);
-  Interpreter oi(&qm, &opt, /*num_threads=*/2);
+  Model ref_model(&qm, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&qm, &opt, /*num_threads=*/2);
+  Session oi(&opt_model);
   expect_prepared_steps(oi, c);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -401,8 +403,10 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
     }
     RefOpResolver ref;
     BuiltinOpResolver opt;
-    Interpreter ri(&qm, &ref);
-    Interpreter oi(&qm, &opt);
+    Model ref_model(&qm, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&qm, &opt);
+    Session oi(&opt_model);
     Pcg32 drng(23);
     Tensor input = random_input(in_shape, drng, -3.0f, 1.0f);
     Tensor gate = random_input(in_shape, drng, -1.0f, 3.0f);

@@ -1,8 +1,8 @@
 // Concurrent serving: the Model/Session split and the Engine session pool.
 //
 // Locks in the prepare-once/serve-many contracts the serving API claims:
-//  - sessions over one shared Model are bit-exact with a standalone
-//    Interpreter, in f32 and int8;
+//  - sessions over one shared Model are bit-exact with a session over a
+//    separately prepared Model, in f32 and int8;
 //  - prepared storage is built once per Model: prepared_bytes() does not
 //    grow with session count, and every session reports the same shared
 //    prepared_bytes;
@@ -30,7 +30,6 @@
 #include "src/core/monitor.h"
 #include "src/graph/builder.h"
 #include "src/interpreter/engine.h"
-#include "src/interpreter/interpreter.h"
 #include "src/interpreter/invoke_observer.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
@@ -117,8 +116,9 @@ TEST(ModelSessionSplit, TwoSessionsShareOnePreparedModel) {
   Graph graph = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
 
-  // Standalone interpreter: the pre-split execution path.
-  Interpreter interp(&graph, &opt);
+  // A separately prepared Model + Session: the one-caller execution path.
+  Model standalone_model(&graph, &opt);
+  Session standalone(&standalone_model);
 
   Model model(&graph, &opt);
   const std::size_t prepared = model.prepared_bytes();
@@ -141,27 +141,28 @@ TEST(ModelSessionSplit, TwoSessionsShareOnePreparedModel) {
 
   // Interleave invokes across the two sessions with different inputs: each
   // session's activations are private, so results must match a standalone
-  // interpreter bit-for-bit.
+  // session bit-for-bit.
   a.set_input(0, x0);
   b.set_input(0, x1);
   a.invoke();
   b.invoke();
-  interp.set_input(0, x0);
-  interp.invoke();
-  expect_bit_identical(a.output(0), interp.output(0));
-  interp.set_input(0, x1);
-  interp.invoke();
-  expect_bit_identical(b.output(0), interp.output(0));
+  standalone.set_input(0, x0);
+  standalone.invoke();
+  expect_bit_identical(a.output(0), standalone.output(0));
+  standalone.set_input(0, x1);
+  standalone.invoke();
+  expect_bit_identical(b.output(0), standalone.output(0));
 
   EXPECT_EQ(model.prepared_bytes(), prepared)
       << "invoking sessions grew the prepared storage";
 }
 
-TEST(ModelSessionSplit, QuantizedSessionsMatchInterpreterBitExact) {
+TEST(ModelSessionSplit, QuantizedSessionsMatchStandaloneBitExact) {
   Pcg32 rng(81);
   Graph qgraph = quantized_conv_stack_graph(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&qgraph, &opt);
+  Model standalone_model(&qgraph, &opt);
+  Session standalone(&standalone_model);
   Model model(&qgraph, &opt);
   Session s(&model);
   EXPECT_GT(model.prepared_bytes(), 0u);
@@ -171,9 +172,9 @@ TEST(ModelSessionSplit, QuantizedSessionsMatchInterpreterBitExact) {
     Tensor x = random_input(Shape{1, 16, 16, 8}, drng);
     s.set_input(0, x);
     s.invoke();
-    interp.set_input(0, x);
-    interp.invoke();
-    expect_bit_identical(s.output(0), interp.output(0));
+    standalone.set_input(0, x);
+    standalone.invoke();
+    expect_bit_identical(s.output(0), standalone.output(0));
   }
 }
 
@@ -186,14 +187,15 @@ TEST(ModelSessionSplit, ModelCanOwnItsGraph) {
   Graph graph = conv_stack_graph(&rng);
   Tensor want;
   {
-    Interpreter interp(&graph, &opt);
-    interp.set_input(0, x);
-    interp.invoke();
-    want = interp.output(0);  // deep copy: `graph` is about to be moved out
+    Model borrowed(&graph, &opt);
+    Session session(&borrowed);
+    session.set_input(0, x);
+    session.invoke();
+    want = session.output(0);  // deep copy: `graph` is about to be moved out
   }
 
   // Owning Model: the graph is moved in; the hollowed-out original must not
-  // be referenced again (the non-owning Interpreter above is gone).
+  // be referenced again (the non-owning Model above is gone).
   Model model(std::move(graph), &opt);
   Session s(&model);
   s.set_input(0, x);
@@ -825,11 +827,13 @@ TEST(EngineThreading, OversubscribedMultiThreadedSessionsStayBitExact) {
   Tensor x = random_input(Shape{1, 16, 16, 8}, drng);
   Tensor want_f32, want_i8;
   {
-    Interpreter ref_f32(&f32_graph, &opt, /*num_threads=*/1);
+    Model ref_f32_model(&f32_graph, &opt, /*num_threads=*/1);
+    Session ref_f32(&ref_f32_model);
     ref_f32.set_input(0, x);
     ref_f32.invoke();
     want_f32 = ref_f32.output(0);
-    Interpreter ref_i8(&i8_graph, &opt, /*num_threads=*/1);
+    Model ref_i8_model(&i8_graph, &opt, /*num_threads=*/1);
+    Session ref_i8(&ref_i8_model);
     ref_i8.set_input(0, x);
     ref_i8.invoke();
     want_i8 = ref_i8.output(0);

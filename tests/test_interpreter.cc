@@ -4,14 +4,14 @@
 
 #include "src/graph/builder.h"
 #include "src/interpreter/device_profile.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/models/zoo.h"
 #include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
 namespace {
 
-TEST(Interpreter, InvokeProducesFiniteOutputs) {
+TEST(Session, InvokeProducesFiniteOutputs) {
   Pcg32 rng(1);
   GraphBuilder b("m", &rng);
   int x = b.input(Shape{1, 8, 8, 3});
@@ -21,12 +21,13 @@ TEST(Interpreter, InvokeProducesFiniteOutputs) {
   int prob = b.softmax(logits, "prob");
   Graph m = b.finish({prob});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
+  Model model(&m, &ref);
+  Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 8, 8, 3});
   input.fill(0.5f);
-  interp.set_input(0, input);
-  interp.invoke();
-  const float* p = interp.output(0).data<float>();
+  session.set_input(0, input);
+  session.invoke();
+  const float* p = session.output(0).data<float>();
   float sum = 0;
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(std::isfinite(p[i]));
@@ -35,82 +36,86 @@ TEST(Interpreter, InvokeProducesFiniteOutputs) {
   EXPECT_NEAR(sum, 1.0f, 1e-5);
 }
 
-TEST(Interpreter, ShapeMismatchThrows) {
+TEST(Session, ShapeMismatchThrows) {
   Pcg32 rng(2);
   GraphBuilder b("m", &rng);
   int x = b.input(Shape{1, 4, 4, 1});
   Graph m = b.finish({x});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  EXPECT_THROW(interp.set_input(0, Tensor::f32(Shape{1, 5, 5, 1})), MlxError);
+  Model model(&m, &ref);
+  Session session(&model);
+  EXPECT_THROW(session.set_input(0, Tensor::f32(Shape{1, 5, 5, 1})), MlxError);
 }
 
-TEST(Interpreter, PerNodeLatenciesRecorded) {
+TEST(Session, PerNodeLatenciesRecorded) {
   Pcg32 rng(3);
   GraphBuilder b("m", &rng);
   int x = b.input(Shape{1, 16, 16, 8});
   int c = b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kNone, "c1");
   Graph m = b.finish({c});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
+  Model model(&m, &ref);
+  Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 16, 16, 8});
-  interp.set_input(0, input);
-  interp.invoke();
-  const InvokeStats& stats = interp.last_stats();
+  session.set_input(0, input);
+  session.invoke();
+  const SessionStats& stats = session.last_stats();
   EXPECT_GT(stats.total_ms, 0.0);
   EXPECT_GT(stats.per_node_ms[1], 0.0);
   EXPECT_EQ(stats.per_node_ms[0], 0.0);  // input node costs nothing
 }
 
-TEST(Interpreter, PrepareAndInvokeStatsSeparated) {
+TEST(Session, PrepareAndInvokeStatsSeparated) {
   Pcg32 rng(21);
   GraphBuilder b("m", &rng);
   int x = b.input(Shape{1, 16, 16, 8});
   int c = b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kRelu, "c1");
   Graph m = b.finish({c});
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   // Prepare happened at construction, before any invoke.
-  EXPECT_GT(interp.last_stats().prepare_ms, 0.0);
-  EXPECT_EQ(interp.last_stats().invoke_count, 0);
-  EXPECT_EQ(interp.plan().steps().size(), 1u);
+  EXPECT_GT(session.last_stats().prepare_ms, 0.0);
+  EXPECT_EQ(session.last_stats().invoke_count, 0);
+  EXPECT_EQ(session.plan().steps().size(), 1u);
 
   Tensor input = Tensor::f32(Shape{1, 16, 16, 8});
   input.fill(0.25f);
-  interp.set_input(0, input);
-  interp.invoke();
-  interp.invoke();
-  const InterpreterStats& stats = interp.last_stats();
+  session.set_input(0, input);
+  session.invoke();
+  session.invoke();
+  const SessionStats& stats = session.last_stats();
   EXPECT_EQ(stats.invoke_count, 2);
   // per_node_ms holds the last invoke only; totals accumulate across both.
   EXPECT_GT(stats.per_node_total_ms[1], stats.per_node_ms[1]);
   EXPECT_GE(stats.cumulative_ms, stats.total_ms);
   // prepare_ms is a one-time cost: invoking again must not change it.
   const double prepare_before = stats.prepare_ms;
-  interp.invoke();
-  EXPECT_EQ(interp.last_stats().prepare_ms, prepare_before);
+  session.invoke();
+  EXPECT_EQ(session.last_stats().prepare_ms, prepare_before);
 }
 
-TEST(Interpreter, PerNodeStatsResetEachInvoke) {
+TEST(Session, PerNodeStatsResetEachInvoke) {
   Pcg32 rng(22);
   GraphBuilder b("m", &rng);
   int x = b.input(Shape{1, 8, 8, 4});
   int r = b.relu(x, "r");
   Graph m = b.finish({r});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
+  Model model(&m, &ref);
+  Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 8, 8, 4});
-  interp.set_input(0, input);
-  interp.invoke();
-  double first = interp.last_stats().per_node_ms[1];
-  interp.invoke();
+  session.set_input(0, input);
+  session.invoke();
+  double first = session.last_stats().per_node_ms[1];
+  session.invoke();
   // per_node_ms is a fresh per-invoke reading; if invoke accumulated into it
   // the identity total == first + last would not hold.
-  EXPECT_DOUBLE_EQ(interp.last_stats().per_node_total_ms[1],
-                   first + interp.last_stats().per_node_ms[1]);
+  EXPECT_DOUBLE_EQ(session.last_stats().per_node_total_ms[1],
+                   first + session.last_stats().per_node_ms[1]);
 }
 
-TEST(Interpreter, UnsupportedOpFailsAtPrepareTime) {
+TEST(Session, UnsupportedOpFailsAtPrepareTime) {
   Pcg32 rng(23);
   GraphBuilder b("emb", &rng);
   int ids = b.input(Shape{1, 4}, DType::kI32, "tokens");
@@ -120,10 +125,10 @@ TEST(Interpreter, UnsupportedOpFailsAtPrepareTime) {
   RefOpResolver ref;
   // The plan resolves kernels at construction: failure surfaces in Prepare,
   // not on the first invoke.
-  EXPECT_THROW(Interpreter(&m, &ref), MlxError);
+  EXPECT_THROW(Model(&m, &ref), MlxError);
 }
 
-TEST(Interpreter, NodeOutputsRetained) {
+TEST(Session, NodeOutputsRetained) {
   Pcg32 rng(4);
   GraphBuilder b("m", &rng);
   int x = b.input(Shape{1, 4, 4, 2});
@@ -131,22 +136,25 @@ TEST(Interpreter, NodeOutputsRetained) {
   int s = b.softmax(r, "s");
   Graph m = b.finish({s});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
+  Model model(&m, &ref);
+  Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 4, 4, 2});
   input.fill(-1.0f);
-  interp.set_input(0, input);
-  interp.invoke();
+  session.set_input(0, input);
+  session.invoke();
   // relu output of -1 inputs is all zeros; retained per-layer.
-  TensorSummary sum = summarize(interp.node_output(r));
+  TensorSummary sum = summarize(session.node_output(r));
   EXPECT_EQ(sum.max, 0.0f);
 }
 
-TEST(Interpreter, RefAndOptimizedAgreeOnZooModel) {
+TEST(Session, RefAndOptimizedAgreeOnZooModel) {
   ZooModel zm = build_mobilenet_v2_mini(5);
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&zm.model, &ref);
-  Interpreter oi(&zm.model, &opt, 2);
+  Model ref_model(&zm.model, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&zm.model, &opt, 2);
+  Session oi(&opt_model);
   Pcg32 rng(6);
   Tensor input = Tensor::f32(Shape{1, 32, 32, 3});
   float* p = input.data<float>();

@@ -28,7 +28,7 @@
 
 #include "src/convert/converter.h"
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/activation.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/gemm.h"
@@ -614,32 +614,33 @@ TEST(SteadyStateAlloc, InvokeIsHeapFreeAfterWarmup) {
   Pcg32 rng(31);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt, /*num_threads=*/2);
+  Model model(&m, &opt, /*num_threads=*/2);
+  Session session(&model);
   // Prepare packed the conv/fc weights into plan-owned storage.
-  EXPECT_GT(interp.plan().prepared_bytes(), 0u);
-  EXPECT_EQ(interp.last_stats().prepared_bytes,
-            interp.plan().prepared_bytes());
+  EXPECT_GT(session.plan().prepared_bytes(), 0u);
+  EXPECT_EQ(session.last_stats().prepared_bytes,
+            session.plan().prepared_bytes());
   Pcg32 drng(32);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  interp.set_input(0, input);
+  session.set_input(0, input);
   // First invoke may grow the scratch arena.
-  interp.invoke();
-  EXPECT_GT(interp.scratch_arena().capacity_bytes(), 0u);
+  session.invoke();
+  EXPECT_GT(session.scratch_arena().capacity_bytes(), 0u);
 
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::size_t bytes_before = AllocStats::instance().current_bytes();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
-      interp.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 5; ++i) interp.invoke();
+      session.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 5; ++i) session.invoke();
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << "steady-state invoke() registered new tensor/arena allocations";
   EXPECT_EQ(AllocStats::instance().current_bytes(), bytes_before);
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "steady-state invoke() touched the heap (operator new)";
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
       << "steady-state invoke() grew the scratch high-water mark";
-  EXPECT_EQ(interp.last_stats().arena_high_water_bytes, high_water_before);
+  EXPECT_EQ(session.last_stats().arena_high_water_bytes, high_water_before);
 }
 
 TEST(SteadyStateAlloc, QuantizedInvokeIsHeapFreeAfterWarmup) {
@@ -652,22 +653,23 @@ TEST(SteadyStateAlloc, QuantizedInvokeIsHeapFreeAfterWarmup) {
   }
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
-  Interpreter interp(&qm, &opt, /*num_threads=*/2);
+  Model model(&qm, &opt, /*num_threads=*/2);
+  Session session(&model);
   // int8 prepare packs weight panels + column sums + requant tables.
-  EXPECT_GT(interp.last_stats().prepared_bytes, 0u);
+  EXPECT_GT(session.last_stats().prepared_bytes, 0u);
   Pcg32 drng(43);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  interp.set_input(0, input);
-  interp.invoke();
+  session.set_input(0, input);
+  session.invoke();
 
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
-      interp.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 5; ++i) interp.invoke();
+      session.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 5; ++i) session.invoke();
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before);
   EXPECT_EQ(g_heap_allocs.load(), heap_before);
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before);
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before);
 }
 
 // --- batched inference -------------------------------------------------------
@@ -689,8 +691,10 @@ TEST(BatchedInference, OptMatchesRefAtBatch4) {
     Graph m = b.finish({y});
     RefOpResolver ref;
     BuiltinOpResolver opt;
-    Interpreter ri(&m, &ref);
-    Interpreter oi(&m, &opt, /*num_threads=*/2);
+    Model ref_model(&m, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&m, &opt, /*num_threads=*/2);
+    Session oi(&opt_model);
     Pcg32 drng(62);
     Tensor input = random_input(Shape{4, 9, 9, 6}, drng);
     ri.set_input(0, input);
@@ -710,8 +714,10 @@ TEST(BatchedInference, BatchMatchesSingleItemInvokes) {
   Graph m4 = conv_stack_model(&rng4, /*batch=*/4);
   Graph m1 = conv_stack_model(&rng1, /*batch=*/1);
   BuiltinOpResolver opt;
-  Interpreter batched(&m4, &opt, /*num_threads=*/2);
-  Interpreter single(&m1, &opt, /*num_threads=*/2);
+  Model batched_model(&m4, &opt, /*num_threads=*/2);
+  Session batched(&batched_model);
+  Model single_model(&m1, &opt, /*num_threads=*/2);
+  Session single(&single_model);
   Pcg32 drng(82);
   Tensor input = random_input(Shape{4, 16, 16, 8}, drng);
   batched.set_input(0, input);
@@ -746,8 +752,10 @@ TEST(BatchedInference, QuantizedOptMatchesRefAtBatch4) {
   Graph qm = quantize_model(m, calib);
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&qm, &ref);
-  Interpreter oi(&qm, &opt, /*num_threads=*/2);
+  Model ref_model(&qm, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&qm, &opt, /*num_threads=*/2);
+  Session oi(&opt_model);
   Pcg32 drng(73);
   Tensor input = random_input(Shape{4, 16, 16, 8}, drng);
   ri.set_input(0, input);
@@ -778,16 +786,17 @@ TEST(SteadyStateAlloc, ArenaIsReusedNotRegrown) {
   Pcg32 rng(51);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   Pcg32 drng(52);
-  interp.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
-  interp.invoke();
-  const std::size_t capacity = interp.scratch_arena().capacity_bytes();
-  const std::size_t high_water = interp.scratch_arena().high_water_bytes();
+  session.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
+  session.invoke();
+  const std::size_t capacity = session.scratch_arena().capacity_bytes();
+  const std::size_t high_water = session.scratch_arena().high_water_bytes();
   EXPECT_GT(high_water, 0u);
-  for (int i = 0; i < 3; ++i) interp.invoke();
-  EXPECT_EQ(interp.scratch_arena().capacity_bytes(), capacity);
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water);
+  for (int i = 0; i < 3; ++i) session.invoke();
+  EXPECT_EQ(session.scratch_arena().capacity_bytes(), capacity);
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water);
 }
 
 // The implicit-GEMM conv keeps only MR patch rows per worker in the arena,

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/fixed_point.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
@@ -73,8 +73,10 @@ TEST_P(ConvParity, RefMatchesOptimized) {
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt, /*num_threads=*/2);
+  Model ref_model(&m, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&m, &opt, /*num_threads=*/2);
+  Session oi(&opt_model);
   Tensor input = random_input(Shape{1, c.in_size, c.in_size, c.in_ch}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -110,8 +112,10 @@ TEST_P(DwConvParity, RefMatchesOptimized) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt, 2);
+  Model ref_model(&m, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&m, &opt, 2);
+  Session oi(&opt_model);
   Tensor input = random_input(Shape{1, c.in_size, c.in_size, c.ch}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -136,8 +140,10 @@ TEST(KernelParity, PadRefMatchesOptimized) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt);
+  Model ref_model(&m, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&m, &opt);
+  Session oi(&opt_model);
   Tensor input = random_input(Shape{1, 5, 6, 3}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -154,8 +160,10 @@ TEST(KernelParity, FullyConnectedRefMatchesOptimized) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt, 2);
+  Model ref_model(&m, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&m, &opt, 2);
+  Session oi(&opt_model);
   Tensor input = random_input(Shape{1, 4, 4, 3}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -173,10 +181,11 @@ TEST(Kernels, SoftmaxRowsSumToOne) {
   b.softmax(x, "sm");
   Graph m = b.finish({1});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 6}, {1, 2, 3, -1, 0, 5}));
-  interp.invoke();
-  const float* p = interp.output(0).data<float>();
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 6}, {1, 2, 3, -1, 0, 5}));
+  session.invoke();
+  const float* p = session.output(0).data<float>();
   float sum = 0;
   for (int i = 0; i < 6; ++i) sum += p[i];
   EXPECT_NEAR(sum, 1.0f, 1e-5);
@@ -190,10 +199,11 @@ TEST(Kernels, MeanComputesSpatialAverage) {
   b.mean(x, "m");
   Graph m = b.finish({1});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 2, 2, 1}, {1, 2, 3, 6}));
-  interp.invoke();
-  EXPECT_FLOAT_EQ(interp.output(0).data<float>()[0], 3.0f);
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 2, 2, 1}, {1, 2, 3, 6}));
+  session.invoke();
+  EXPECT_FLOAT_EQ(session.output(0).data<float>()[0], 3.0f);
 }
 
 TEST(Kernels, MulBroadcastsSqueezeExciteGate) {
@@ -204,12 +214,13 @@ TEST(Kernels, MulBroadcastsSqueezeExciteGate) {
   b.mul(x, g, "scaled");
   Graph m = b.finish({2});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 2, 2, 2},
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 2, 2, 2},
                                   {1, 2, 1, 2, 1, 2, 1, 2}));
-  interp.invoke();
+  session.invoke();
   // gate = (1,2); out = x * gate per channel.
-  const float* p = interp.output(0).data<float>();
+  const float* p = session.output(0).data<float>();
   EXPECT_FLOAT_EQ(p[0], 1.0f);
   EXPECT_FLOAT_EQ(p[1], 4.0f);
 }
@@ -221,10 +232,11 @@ TEST(Kernels, HardSwishMatchesFormula) {
   b.hardswish(x, "h");
   Graph m = b.finish({1});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 5}, {-4, -1, 0, 1, 4}));
-  interp.invoke();
-  const float* p = interp.output(0).data<float>();
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 5}, {-4, -1, 0, 1, 4}));
+  session.invoke();
+  const float* p = session.output(0).data<float>();
   EXPECT_FLOAT_EQ(p[0], 0.0f);
   EXPECT_FLOAT_EQ(p[1], -1.0f * 2.0f / 6.0f);
   EXPECT_FLOAT_EQ(p[2], 0.0f);
@@ -244,11 +256,12 @@ TEST(Kernels, BatchNormInferenceUsesMovingStats) {
   node.weights[2].data<float>()[0] = 3.0f;
   node.weights[3].data<float>()[0] = 4.0f;
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 1, 1, 2}, {5.0f, 0.0f}));
-  interp.invoke();
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 1, 1, 2}, {5.0f, 0.0f}));
+  session.invoke();
   float expected = 2.0f * (5.0f - 3.0f) / std::sqrt(4.0f + 1e-5f) + 1.0f;
-  EXPECT_NEAR(interp.output(0).data<float>()[0], expected, 1e-4);
+  EXPECT_NEAR(session.output(0).data<float>()[0], expected, 1e-4);
 }
 
 // --- quantized kernels ---
@@ -270,10 +283,13 @@ TEST(QuantKernels, QuantizedConvTracksFloat) {
   Graph qm = quantize_model(m, calib);
 
   RefOpResolver ref;
-  Interpreter fi(&m, &ref);
-  Interpreter qi_ref(&qm, &ref);
+  Model f32_model(&m, &ref);
+  Session fi(&f32_model);
+  Model int8_ref_model(&qm, &ref);
+  Session qi_ref(&int8_ref_model);
   BuiltinOpResolver opt;
-  Interpreter qi_opt(&qm, &opt);
+  Model int8_opt_model(&qm, &opt);
+  Session qi_opt(&int8_opt_model);
 
   Pcg32 erng(23);
   Tensor input = random_input(Shape{1, 8, 8, 3}, erng);
@@ -311,8 +327,10 @@ TEST(QuantKernels, DwConvBugEmulationWrecksOutput) {
 
   BuiltinOpResolver good(KernelBugConfig::none());
   BuiltinOpResolver bad(KernelBugConfig::as_shipped());
-  Interpreter gi(&qm, &good);
-  Interpreter bi(&qm, &bad);
+  Model good_model(&qm, &good);
+  Session gi(&good_model);
+  Model bad_model(&qm, &bad);
+  Session bi(&bad_model);
   Tensor input = Tensor::f32(Shape{1, 8, 8, 8});
   Pcg32 erng(33);
   float* p = input.data<float>();
@@ -341,8 +359,10 @@ TEST(QuantKernels, AvgPoolBugEmulationCollapsesOutput) {
 
   RefOpResolver good(KernelBugConfig::none());
   RefOpResolver bad(KernelBugConfig::as_shipped());
-  Interpreter gi(&qm, &good);
-  Interpreter bi(&qm, &bad);
+  Model good_model(&qm, &good);
+  Session gi(&good_model);
+  Model bad_model(&qm, &bad);
+  Session bi(&bad_model);
   Pcg32 erng(43);
   Tensor input = random_input(Shape{1, 8, 8, 4}, erng);
   gi.set_input(0, input);
@@ -372,11 +392,12 @@ TEST(QuantKernels, QuantizeDequantizeRoundTrip) {
   calib.observe({input});
   Graph qm = quantize_model(m, calib);
   RefOpResolver ref;
-  Interpreter interp(&qm, &ref);
-  interp.set_input(0, input);
-  interp.invoke();
+  Model model(&qm, &ref);
+  Session session(&model);
+  session.set_input(0, input);
+  session.invoke();
   // round-trip error bounded by one quantization step (range 4 / 255).
-  EXPECT_LT(linf_error(interp.output(0), input), 4.2 / 255.0);
+  EXPECT_LT(linf_error(session.output(0), input), 4.2 / 255.0);
 }
 
 // --- vectorized Quantize/Dequantize vs scalar reference ---------------------

@@ -34,8 +34,10 @@ TEST_P(ZooStructure, BuildConvertQuantizeRun) {
 
   // Checkpoint and converted model agree in float.
   RefOpResolver ref;
-  Interpreter ci(&zm.model, &ref);
-  Interpreter mi(&mobile, &ref);
+  Model ckpt_model(&zm.model, &ref);
+  Session ci(&ckpt_model);
+  Model mobile_model(&mobile, &ref);
+  Session mi(&mobile_model);
   Pcg32 rng(4);
   Tensor input = Tensor::f32(Shape{1, 32, 32, 3});
   float* p = input.data<float>();
@@ -50,7 +52,8 @@ TEST_P(ZooStructure, BuildConvertQuantizeRun) {
   Calibrator calib(&mobile);
   calib.observe({input});
   Graph quant = quantize_model(mobile, calib);
-  Interpreter qi(&quant, &ref);
+  Model int8_model(&quant, &ref);
+  Session qi(&int8_model);
   qi.set_input(0, input);
   qi.invoke();
   Tensor out = qi.output(0).to_f32();
@@ -113,10 +116,11 @@ TEST(Zoo, TextModelsRunForward) {
   Tensor tokens = Tensor::i32(Shape{1, 24});
   for (int i = 0; i < 24; ++i) tokens.data<std::int32_t>()[i] = i % 60;
   for (ZooModel* zm : {&nnlm, &bert}) {
-    Interpreter interp(&zm->model, &ref);
-    interp.set_input(0, tokens);
-    interp.invoke();
-    const float* p = interp.output(0).data<float>();
+    Model model(&zm->model, &ref);
+    Session session(&model);
+    session.set_input(0, tokens);
+    session.invoke();
+    const float* p = session.output(0).data<float>();
     EXPECT_NEAR(p[0] + p[1], 1.0f, 1e-4);
   }
 }
@@ -149,9 +153,10 @@ TEST(Ssd, BothBackbonesBuildAndPredict) {
   for (const char* backbone : {"mobilenet", "resnet"}) {
     SsdModel ssd = build_ssd_mini(backbone, 5);
     RefOpResolver ref;
-    Interpreter interp(&ssd.model, &ref);
+    Model model(&ssd.model, &ref);
+    Session session(&model);
     Tensor input = Tensor::f32(Shape{1, 32, 32, 3});
-    auto preds = ssd_predict(ssd, interp, input);
+    auto preds = ssd_predict(ssd, session, input);
     // Untrained model may or may not predict; the call must be well-formed.
     for (const DetPrediction& p : preds) {
       EXPECT_GE(p.cls, 0);
@@ -167,9 +172,10 @@ TEST(Ssd, UnknownBackboneThrows) {
 TEST(Deeplab, ProducesDenseMask) {
   ZooModel zm = build_deeplab_mini(5);
   RefOpResolver ref;
-  Interpreter interp(&zm.model, &ref);
+  Model model(&zm.model, &ref);
+  Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 32, 32, 3});
-  Tensor mask = predict_mask(interp, input);
+  Tensor mask = predict_mask(session, input);
   EXPECT_EQ(mask.shape(), (Shape{32, 32}));
 }
 

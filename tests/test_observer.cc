@@ -1,7 +1,7 @@
 // Push-based observability: the InvokeObserver -> TraceBuffer pipeline.
 //
 // Locks in the contracts the plan-integrated instrumentation claims:
-//  - observer capture is bit-exact with the interpreter's retained node
+//  - observer capture is bit-exact with the session's retained node
 //    outputs, in the raw dtype (int8 activations stay int8 in the trace);
 //  - a steady-state instrumented invoke performs zero heap allocations,
 //    enforced with the same operator-new counter + AllocStats events
@@ -10,8 +10,11 @@
 //    >= 3 frames without new allocations;
 //  - spooled .mlxtrace files round-trip through load_trace identically to
 //    retained traces;
-//  - legacy pull-style call sites (on_inf_stop without observe()) capture
-//    through the same storage.
+//  - capture is push-only: on_inf_stop on a session the monitor did not
+//    capture throws, naming observe(), and leaves the observed session
+//    attached;
+//  - a frame without on_inf_start logs the captured invoke time as its
+//    inference latency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <new>
+#include <string>
 
 #include "src/core/monitor.h"
 #include "src/graph/builder.h"
@@ -95,12 +99,12 @@ Graph quantized_conv_stack(Pcg32* rng, std::uint64_t calib_seed) {
 }
 
 // A monitored frame: the paper's instrumentation bracket.
-void run_frame(EdgeMLMonitor& monitor, Interpreter& interp,
+void run_frame(EdgeMLMonitor& monitor, Session& session,
                const Tensor& input) {
-  interp.set_input(0, input);
+  session.set_input(0, input);
   monitor.on_inf_start();
-  interp.invoke();
-  monitor.on_inf_stop(interp);
+  session.invoke();
+  monitor.on_inf_stop(session);
   monitor.next_frame();
 }
 
@@ -108,24 +112,25 @@ TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
   Pcg32 rng(11);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt, /*num_threads=*/2);
+  Model model(&m, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(12);
-  run_frame(monitor, interp, random_input(Shape{1, 16, 16, 8}, drng));
+  run_frame(monitor, session, random_input(Shape{1, 16, 16, 8}, drng));
 
   const Trace& trace = monitor.trace();
   ASSERT_EQ(trace.frames.size(), 1u);
   const FrameTrace& f = trace.frames[0];
-  ASSERT_EQ(f.layer_names.size(), interp.plan().step_count());
+  ASSERT_EQ(f.layer_names.size(), session.plan().step_count());
   ASSERT_EQ(f.layer_outputs.size(), f.layer_names.size());
   ASSERT_EQ(f.layer_latency_ms.size(), f.layer_names.size());
   std::size_t i = 0;
-  for (const PlanStep& step : interp.plan().steps()) {
+  for (const PlanStep& step : session.plan().steps()) {
     EXPECT_EQ(f.layer_names[i], step.node->name);
-    const Tensor& retained = interp.node_output(step.node->id);
+    const Tensor& retained = session.node_output(step.node->id);
     const Tensor& captured = f.layer_outputs[i];
     EXPECT_EQ(captured.dtype(), retained.dtype());
     ASSERT_EQ(captured.byte_size(), retained.byte_size());
@@ -137,26 +142,27 @@ TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
     ++i;
   }
   EXPECT_GT(f.scalar(trace_keys::kInferenceLatencyMs), 0.0);
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 TEST(ObserverCapture, QuantizedLayersStayInt8InTrace) {
   Pcg32 rng(21);
   Graph qm = quantized_conv_stack(&rng, 22);
   BuiltinOpResolver opt;
-  Interpreter interp(&qm, &opt, /*num_threads=*/2);
+  Model model(&qm, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(23);
-  run_frame(monitor, interp, random_input(Shape{1, 16, 16, 8}, drng));
+  run_frame(monitor, session, random_input(Shape{1, 16, 16, 8}, drng));
 
   const FrameTrace& f = monitor.trace().frames.at(0);
   int int8_layers = 0;
   std::size_t i = 0;
-  for (const PlanStep& step : interp.plan().steps()) {
-    const Tensor& retained = interp.node_output(step.node->id);
+  for (const PlanStep& step : session.plan().steps()) {
+    const Tensor& retained = session.node_output(step.node->id);
     const Tensor& captured = f.layer_outputs.at(i);
     // Raw-dtype capture: quantized activations are logged as int8 with
     // their quant params, not eagerly dequantized.
@@ -175,7 +181,7 @@ TEST(ObserverCapture, QuantizedLayersStayInt8InTrace) {
     ++i;
   }
   EXPECT_GT(int8_layers, 0) << "quantized model produced no int8 layers";
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 // The acceptance gate: steady-state instrumented invoke (per-layer-latency
@@ -186,25 +192,26 @@ TEST(ObserverSteadyState, InstrumentedFrameLoopIsHeapFree) {
   Pcg32 rng(31);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt, /*num_threads=*/2);
+  Model model(&m, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;  // per_layer_latency on, outputs off
   opts.retain_frames = false;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(32);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
   // Warm-up: arena growth + both capture buffers (frames 1 and 2).
-  for (int i = 0; i < 3; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 3; ++i) run_frame(monitor, session, input);
 
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
-  for (int i = 0; i < 5; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 5; ++i) run_frame(monitor, session, input);
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << "instrumented frame loop registered tensor/arena allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "instrumented frame loop touched the heap (operator new)";
   EXPECT_EQ(monitor.buffer().frames_captured(), 8);
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 // Full per-layer output capture is also heap-free: raw-byte memcpy into
@@ -213,21 +220,22 @@ TEST(ObserverSteadyState, PerLayerOutputCaptureIsHeapFree) {
   Pcg32 rng(41);
   Graph qm = quantized_conv_stack(&rng, 42);
   BuiltinOpResolver opt;
-  Interpreter interp(&qm, &opt, /*num_threads=*/2);
+  Model model(&qm, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   opts.retain_frames = false;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(43);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  for (int i = 0; i < 3; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 3; ++i) run_frame(monitor, session, input);
 
   const std::uint64_t heap_before = g_heap_allocs.load();
-  for (int i = 0; i < 5; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 5; ++i) run_frame(monitor, session, input);
   EXPECT_EQ(g_heap_allocs.load(), heap_before);
   EXPECT_GT(monitor.buffer().frame_capture_bytes(), 0u);
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 // Digest mode (the fleet-monitoring capture): per-layer sketches are
@@ -238,19 +246,20 @@ TEST(ObserverSteadyState, DigestCaptureIsHeapFree) {
   Pcg32 rng(45);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt, /*num_threads=*/2);
+  Model model(&m, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   opts.retain_frames = false;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(46);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  for (int i = 0; i < 3; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 3; ++i) run_frame(monitor, session, input);
 
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
-  for (int i = 0; i < 5; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 5; ++i) run_frame(monitor, session, input);
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << "digest frame loop registered tensor/arena allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
@@ -258,7 +267,7 @@ TEST(ObserverSteadyState, DigestCaptureIsHeapFree) {
   EXPECT_EQ(monitor.buffer().frames_captured(), 8);
   // Digest frames still account their (fixed) capture cost.
   EXPECT_GT(monitor.buffer().frame_capture_bytes(), 0u);
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 // The int8 histogram path is heap-free too (quantized fleet deployments).
@@ -266,21 +275,22 @@ TEST(ObserverSteadyState, QuantizedDigestCaptureIsHeapFree) {
   Pcg32 rng(47);
   Graph qm = quantized_conv_stack(&rng, 48);
   BuiltinOpResolver opt;
-  Interpreter interp(&qm, &opt, /*num_threads=*/2);
+  Model model(&qm, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   opts.retain_frames = false;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(49);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  for (int i = 0; i < 3; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 3; ++i) run_frame(monitor, session, input);
 
   const std::uint64_t heap_before = g_heap_allocs.load();
-  for (int i = 0; i < 5; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 5; ++i) run_frame(monitor, session, input);
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "quantized digest capture touched the heap";
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 // In retain mode the frame conversion allocates (it builds FrameTrace maps),
@@ -289,38 +299,40 @@ TEST(ObserverSteadyState, RetainModeInvokeWindowIsHeapFree) {
   Pcg32 rng(51);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt, /*num_threads=*/2);
+  Model model(&m, &opt, /*num_threads=*/2);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(52);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  for (int i = 0; i < 3; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 3; ++i) run_frame(monitor, session, input);
 
   for (int i = 0; i < 3; ++i) {
-    interp.set_input(0, input);
+    session.set_input(0, input);
     const std::uint64_t heap_before = g_heap_allocs.load();
     monitor.on_inf_start();
-    interp.invoke();  // push capture happens in here
+    session.invoke();  // push capture happens in here
     EXPECT_EQ(g_heap_allocs.load(), heap_before)
         << "instrumented invoke allocated on frame " << i;
-    monitor.on_inf_stop(interp);
+    monitor.on_inf_stop(session);
     monitor.next_frame();
   }
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 TEST(ObserverDoubleBuffer, BuffersAlternateAndAreReused) {
   Pcg32 rng(61);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   opts.retain_frames = false;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(62);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
 
@@ -328,20 +340,20 @@ TEST(ObserverDoubleBuffer, BuffersAlternateAndAreReused) {
   // Frames 1-2 warm both buffers; frames 3+ must reuse them allocation-free
   // while still alternating.
   for (int frame = 0; frame < 2; ++frame) {
-    run_frame(monitor, interp, input);
+    run_frame(monitor, session, input);
     EXPECT_NE(monitor.buffer().active_buffer(), last);
     last = monitor.buffer().active_buffer();
   }
   const std::uint64_t heap_before = g_heap_allocs.load();
   for (int frame = 0; frame < 4; ++frame) {
-    run_frame(monitor, interp, input);
+    run_frame(monitor, session, input);
     EXPECT_NE(monitor.buffer().active_buffer(), last)
         << "double buffer did not flip on frame " << frame;
     last = monitor.buffer().active_buffer();
   }
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "buffer reuse across >= 3 frames allocated";
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 TEST(ObserverSpool, SpooledTraceMatchesRetainedTrace) {
@@ -361,25 +373,27 @@ TEST(ObserverSpool, SpooledTraceMatchesRetainedTrace) {
 
   // Spooled run.
   {
-    Interpreter interp(&ma, &opt);
+    Model model(&ma, &opt);
+    Session session(&model);
     EdgeMLMonitor monitor(opts);
     monitor.set_pipeline_name("spooled");
     monitor.spool_to(path);
-    monitor.observe(interp);
-    for (const Tensor& in : inputs) run_frame(monitor, interp, in);
+    monitor.observe(session);
+    for (const Tensor& in : inputs) run_frame(monitor, session, in);
     EXPECT_EQ(monitor.finish_spool(), 3u);
     // Spool mode retains nothing in memory.
     EXPECT_TRUE(monitor.trace().frames.empty());
-    monitor.unobserve(interp);
+    monitor.unobserve(session);
   }
   // Retained run over the same model/inputs.
-  Interpreter interp(&mb, &opt);
+  Model model(&mb, &opt);
+  Session session(&model);
   EdgeMLMonitor monitor(opts);
   monitor.set_pipeline_name("retained");
-  monitor.observe(interp);
-  for (const Tensor& in : inputs) run_frame(monitor, interp, in);
+  monitor.observe(session);
+  for (const Tensor& in : inputs) run_frame(monitor, session, in);
   Trace retained = monitor.take_trace();
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 
   Trace spooled = load_trace(path);
   std::filesystem::remove(path);
@@ -407,96 +421,105 @@ TEST(ObserverSpool, SpooledTraceMatchesRetainedTrace) {
   }
 }
 
-// on_inf_stop without observe(): the legacy pull path replays the retained
-// node outputs through the same capture storage.
-TEST(ObserverCompat, PullFallbackMatchesPushCapture) {
-  Pcg32 rng_a(81), rng_b(81);
-  Graph ma = conv_stack_model(&rng_a);
-  Graph mb = conv_stack_model(&rng_b);
-  BuiltinOpResolver opt;
-  MonitorOptions opts;
-  opts.per_layer_outputs = true;
-  Pcg32 drng(82);
-  Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-
-  Interpreter push_interp(&ma, &opt);
-  EdgeMLMonitor push_monitor(opts);
-  push_monitor.observe(push_interp);
-  run_frame(push_monitor, push_interp, input);
-  push_monitor.unobserve(push_interp);
-
-  Interpreter pull_interp(&mb, &opt);
-  EdgeMLMonitor pull_monitor(opts);  // never observed: pull fallback
-  run_frame(pull_monitor, pull_interp, input);
-
-  const FrameTrace& push_f = push_monitor.trace().frames.at(0);
-  const FrameTrace& pull_f = pull_monitor.trace().frames.at(0);
-  ASSERT_EQ(push_f.layer_names, pull_f.layer_names);
-  for (std::size_t i = 0; i < push_f.layer_outputs.size(); ++i) {
-    EXPECT_EQ(std::memcmp(push_f.layer_outputs[i].raw_data(),
-                          pull_f.layer_outputs[i].raw_data(),
-                          push_f.layer_outputs[i].byte_size()),
-              0);
-  }
-}
-
 TEST(ObserverLifetime, MonitorDetachesOnDestruction) {
   Pcg32 rng(91);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   {
     EdgeMLMonitor monitor;
-    monitor.observe(interp);
-    EXPECT_NE(interp.observer(), nullptr);
+    monitor.observe(session);
+    EXPECT_NE(session.observer(), nullptr);
   }
-  EXPECT_EQ(interp.observer(), nullptr);
+  EXPECT_EQ(session.observer(), nullptr);
   Pcg32 drng(92);
-  interp.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
-  EXPECT_NO_THROW(interp.invoke());
+  session.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
+  EXPECT_NO_THROW(session.invoke());
 }
 
 TEST(ObserverLifetime, DyingMonitorDoesNotDetachItsSuccessor) {
   Pcg32 rng(95);
   Graph m = conv_stack_model(&rng);
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   EdgeMLMonitor second;
   {
     EdgeMLMonitor first;
-    first.observe(interp);
-    second.observe(interp);  // takes over the observer slot
+    first.observe(session);
+    second.observe(session);  // takes over the observer slot
     // first's destructor must leave second's buffer attached.
   }
-  EXPECT_EQ(interp.observer(), &second.buffer());
-  second.unobserve(interp);
+  EXPECT_EQ(session.observer(), &second.buffer());
+  second.unobserve(session);
 }
 
-TEST(ObserverCompat, PullOnAnotherInterpreterDetachesBeforeRebinding) {
+// Capture is push-only: on_inf_stop with a session the monitor did not
+// capture fails loudly instead of re-reading that session's activations, and
+// the observed session keeps its observer and binding.
+TEST(ObserverContract, StopOnUncapturedSessionThrows) {
   Pcg32 rng_a(96), rng_b(97);
-  Graph ma = conv_stack_model(&rng_a);
+  Graph ga = conv_stack_model(&rng_a);
   GraphBuilder b("other", &rng_b);
   int x = b.input(Shape{1, 8, 8, 4});
   int fc = b.fully_connected(x, 6, Activation::kNone, "fc");
-  Graph mb = b.finish({fc});  // different step count than ma
+  Graph gb = b.finish({fc});  // different step count than ga
   BuiltinOpResolver opt;
-  Interpreter interp_a(&ma, &opt);
-  Interpreter interp_b(&mb, &opt);
-  EdgeMLMonitor monitor;
-  monitor.observe(interp_a);
+  Model model_a(&ga, &opt);
+  Model model_b(&gb, &opt);
+  Session session_a(&model_a);
+  Session session_b(&model_b);
+  MonitorOptions opts;
+  opts.per_layer_outputs = true;
+  EdgeMLMonitor monitor(opts);
+  monitor.observe(session_a);
   Pcg32 drng(98);
-  // Pull-capture a frame from a *different* interpreter: the buffer must
-  // detach from interp_a before rebinding its layout, or interp_a's next
-  // invoke trips the layout checks mid-flight.
-  interp_b.set_input(0, random_input(Shape{1, 8, 8, 4}, drng));
-  interp_b.invoke();
-  monitor.on_inf_stop(interp_b);
-  monitor.next_frame();
-  EXPECT_EQ(interp_a.observer(), nullptr);
-  interp_a.set_input(0, random_input(Shape{1, 16, 16, 8}, drng));
-  EXPECT_NO_THROW(interp_a.invoke());
+  session_b.set_input(0, random_input(Shape{1, 8, 8, 4}, drng));
+  session_b.invoke();
+  try {
+    monitor.on_inf_stop(session_b);
+    ADD_FAILURE() << "on_inf_stop accepted a session it did not capture";
+  } catch (const MlxError& e) {
+    EXPECT_NE(std::string(e.what()).find("observe()"), std::string::npos)
+        << e.what();
+  }
+  EdgeMLMonitor never_observed;
+  EXPECT_THROW(never_observed.on_inf_stop(session_b), MlxError);
+
+  EXPECT_EQ(session_a.observer(), &monitor.buffer());
+  EXPECT_TRUE(monitor.buffer().bound_to(session_a));
+  run_frame(monitor, session_a, random_input(Shape{1, 16, 16, 8}, drng));
+  ASSERT_EQ(monitor.trace().frames.size(), 1u);
+  const FrameTrace& f = monitor.trace().frames[0];
+  EXPECT_EQ(f.layer_names.size(), session_a.plan().step_count());
+  EXPECT_EQ(f.layer_outputs.size(), session_a.plan().step_count());
+  monitor.unobserve(session_a);
 }
 
+// A frame without on_inf_start keeps the captured invoke time as its
+// inference latency instead of timing from an earlier frame's start.
+TEST(ObserverLatency, UnbracketedFrameLogsInvokeTime) {
+  Pcg32 rng(99);
+  Graph g = conv_stack_model(&rng);
+  BuiltinOpResolver opt;
+  Model model(&g, &opt);
+  Session session(&model);
+  EdgeMLMonitor monitor;
+  monitor.observe(session);
+  Pcg32 drng(100);
+  Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
+  run_frame(monitor, session, input);  // bracketed by on_inf_start
+  session.set_input(0, input);
+  session.invoke();
+  monitor.on_inf_stop(session);
+  monitor.next_frame();
+  ASSERT_EQ(monitor.trace().frames.size(), 2u);
+  EXPECT_DOUBLE_EQ(
+      monitor.trace().frames[1].scalar(trace_keys::kInferenceLatencyMs),
+      session.last_stats().total_ms);
+  monitor.unobserve(session);
+}
 
 TEST(ObserverMultiOutput, ModelIoCapturesEveryOutputHead) {
   // A two-headed graph (the SSD box + class head shape of the problem):
@@ -509,11 +532,12 @@ TEST(ObserverMultiOutput, ModelIoCapturesEveryOutputHead) {
   int head_b = b.fully_connected(c, 4, Activation::kNone, "head_b");
   Graph m = b.finish({head_a, head_b});
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   EdgeMLMonitor monitor;
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(202);
-  run_frame(monitor, interp, random_input(Shape{1, 8, 8, 4}, drng));
+  run_frame(monitor, session, random_input(Shape{1, 8, 8, 4}, drng));
 
   const Trace& trace = monitor.trace();
   ASSERT_EQ(trace.frames.size(), 1u);
@@ -524,14 +548,14 @@ TEST(ObserverMultiOutput, ModelIoCapturesEveryOutputHead) {
   EXPECT_FALSE(f.has_tensor(trace_keys::model_output_key(2)));
   for (int i = 0; i < 2; ++i) {
     const Tensor& captured = f.tensor(trace_keys::model_output_key(i));
-    const Tensor& retained = interp.output(i);
+    const Tensor& retained = session.output(i);
     ASSERT_EQ(captured.byte_size(), retained.byte_size());
     EXPECT_EQ(std::memcmp(captured.raw_data(), retained.raw_data(),
                           retained.byte_size()),
               0)
         << "output " << i;
   }
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 TEST(ObserverMultiOutput, MultiOutputCaptureIsHeapFreeInSteadyState) {
@@ -543,20 +567,21 @@ TEST(ObserverMultiOutput, MultiOutputCaptureIsHeapFreeInSteadyState) {
   int head_b = b.fully_connected(c, 4, Activation::kNone, "head_b");
   Graph m = b.finish({head_a, head_b});
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
+  Model model(&m, &opt);
+  Session session(&model);
   MonitorOptions opts;
   opts.retain_frames = false;
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
+  monitor.observe(session);
   Pcg32 drng(212);
   Tensor input = random_input(Shape{1, 8, 8, 4}, drng);
   // Warm both ring buffers.
-  for (int i = 0; i < 3; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 3; ++i) run_frame(monitor, session, input);
   const std::uint64_t heap_before = g_heap_allocs.load();
-  for (int i = 0; i < 4; ++i) run_frame(monitor, interp, input);
+  for (int i = 0; i < 4; ++i) run_frame(monitor, session, input);
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "steady-state multi-output capture allocated";
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 }
 
 TEST(ObserverSpool, BatchedSpoolRoundTripsManyFrames) {
@@ -582,27 +607,29 @@ TEST(ObserverSpool, BatchedSpoolRoundTripsManyFrames) {
 
   std::size_t max_batch = 0;
   {
-    Interpreter interp(&ma, &opt);
+    Model model(&ma, &opt);
+    Session session(&model);
     EdgeMLMonitor monitor(opts);
     monitor.set_pipeline_name("batched");
     monitor.spool_to(path);
     EXPECT_EQ(monitor.buffer().buffer_count(), 4);
-    monitor.observe(interp);
-    for (const Tensor& in : inputs) run_frame(monitor, interp, in);
+    monitor.observe(session);
+    for (const Tensor& in : inputs) run_frame(monitor, session, in);
     EXPECT_EQ(monitor.finish_spool(), static_cast<std::size_t>(kFrames));
     max_batch = monitor.buffer().max_spool_batch();
-    monitor.unobserve(interp);
+    monitor.unobserve(session);
   }
   EXPECT_GE(max_batch, 1u);
   EXPECT_LE(max_batch, 4u) << "batch exceeded the ring size";
 
   // Retained reference run over the same weights/inputs.
-  Interpreter interp(&mb, &opt);
+  Model model(&mb, &opt);
+  Session session(&model);
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
-  for (const Tensor& in : inputs) run_frame(monitor, interp, in);
+  monitor.observe(session);
+  for (const Tensor& in : inputs) run_frame(monitor, session, in);
   Trace retained = monitor.take_trace();
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 
   Trace spooled = load_trace(path);
   std::filesystem::remove(path);
@@ -645,26 +672,28 @@ TEST(ObserverSpool, DigestFramesSpoolDurablyThroughTheBatchPath) {
   }
 
   {
-    Interpreter interp(&ma, &opt);
+    Model model(&ma, &opt);
+    Session session(&model);
     EdgeMLMonitor monitor(opts);
     monitor.set_pipeline_name("digest-spool");
     monitor.spool_to(path);
-    monitor.observe(interp);
+    monitor.observe(session);
     EXPECT_EQ(monitor.buffer().spooled_digest_frames(), 0u);
-    for (const Tensor& in : inputs) run_frame(monitor, interp, in);
+    for (const Tensor& in : inputs) run_frame(monitor, session, in);
     EXPECT_EQ(monitor.finish_spool(), static_cast<std::size_t>(kFrames));
     EXPECT_EQ(monitor.buffer().spooled_digest_frames(),
               static_cast<std::size_t>(kFrames));
-    monitor.unobserve(interp);
+    monitor.unobserve(session);
   }
 
   // Retained reference run over the same weights/inputs.
-  Interpreter interp(&mb, &opt);
+  Model model(&mb, &opt);
+  Session session(&model);
   EdgeMLMonitor monitor(opts);
-  monitor.observe(interp);
-  for (const Tensor& in : inputs) run_frame(monitor, interp, in);
+  monitor.observe(session);
+  for (const Tensor& in : inputs) run_frame(monitor, session, in);
   Trace retained = monitor.take_trace();
-  monitor.unobserve(interp);
+  monitor.unobserve(session);
 
   Trace spooled = load_trace(path);
   std::filesystem::remove(path);

@@ -14,7 +14,7 @@
 #include "src/core/trace.h"
 #include "src/graph/builder.h"
 #include "src/graph/serialization.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/activation.h"
 #include "src/kernels/dwconv.h"
 #include "src/kernels/elementwise.h"
@@ -80,7 +80,7 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
   RefOpResolver ref;
   BuiltinOpResolver opt;
 
-  auto run_all_tiers = [&](Interpreter& oi) {
+  auto run_all_tiers = [&](Session& oi) {
     oi.invoke();
     const float* p = oi.output(0).data<float>();
     std::vector<float> want(p, p + oi.output(0).num_elements());
@@ -98,8 +98,10 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
   };
 
   {  // float: bit-exact against the reference kernel, all tiers.
-    Interpreter ri(&m, &ref);
-    Interpreter oi(&m, &opt, /*num_threads=*/2);
+    Model ref_model(&m, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&m, &opt, /*num_threads=*/2);
+    Session oi(&opt_model);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -122,8 +124,10 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
       const Node& out = qm.node(qm.outputs[0]);
       return qm.node(out.inputs[0]).output_quant.scale();
     }();
-    Interpreter ri(&qm, &ref);
-    Interpreter oi(&qm, &opt, /*num_threads=*/2);
+    Model ref_model(&qm, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&qm, &opt, /*num_threads=*/2);
+    Session oi(&opt_model);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -212,8 +216,10 @@ TEST_P(ElementwiseRandom, AllTiersMatchReference) {
   }();
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&qm, &ref);
-  Interpreter oi(&qm, &opt, /*num_threads=*/2);
+  Model ref_model(&qm, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&qm, &opt, /*num_threads=*/2);
+  Session oi(&opt_model);
   ri.set_input(0, input);
   oi.set_input(0, input);
   if (binary) {
@@ -265,8 +271,10 @@ TEST_P(PoolParity, ResolversAgree) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt);
+  Model ref_model(&m, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&m, &opt);
+  Session oi(&opt_model);
   Tensor input = random_f32(Shape{1, c.size, c.size, c.ch}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -338,8 +346,10 @@ TEST_P(ZooSerialization, OutputsIdenticalAfterRoundTrip) {
   BinaryReader reader(bytes);
   Graph back = deserialize_model(reader);
   RefOpResolver ref;
-  Interpreter a(&zm.model, &ref);
-  Interpreter b(&back, &ref);
+  Model model_a(&zm.model, &ref);
+  Session a(&model_a);
+  Model model_b(&back, &ref);
+  Session b(&model_b);
   Pcg32 rng(6);
   Tensor input = random_f32(Shape{1, 32, 32, 3}, rng);
   a.set_input(0, input);
@@ -371,8 +381,10 @@ TEST_P(ZooConverter, ConvertedMatchesCheckpoint) {
   }
   Graph converted = convert_for_inference(zm.model);
   RefOpResolver ref;
-  Interpreter a(&zm.model, &ref);
-  Interpreter b(&converted, &ref);
+  Model model_a(&zm.model, &ref);
+  Session a(&model_a);
+  Model model_b(&converted, &ref);
+  Session b(&model_b);
   Pcg32 rng(7);
   for (int trial = 0; trial < 2; ++trial) {
     Tensor input = random_f32(Shape{1, 32, 32, 3}, rng);
@@ -401,8 +413,10 @@ TEST_P(ZooQuantization, QuantizedTracksFloatOnCorrectKernels) {
   for (const Tensor& s : samples) calib.observe({s});
   Graph quant = quantize_model(mobile, calib);
   RefOpResolver ref;
-  Interpreter fi(&mobile, &ref);
-  Interpreter qi(&quant, &ref);
+  Model f32_model(&mobile, &ref);
+  Session fi(&f32_model);
+  Model int8_model(&quant, &ref);
+  Session qi(&int8_model);
   for (const Tensor& s : samples) {
     fi.set_input(0, s);
     qi.set_input(0, s);
