@@ -144,9 +144,10 @@ struct GemmProblem {
     c_i8.resize(c_f32.size());
     for (auto& v : a_i8) v = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255)) - 127);
     for (auto& v : b_i8) v = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255)) - 127);
-    bias_i32.resize(static_cast<std::size_t>(n));
-    multipliers.resize(static_cast<std::size_t>(n));
-    shifts.resize(static_cast<std::size_t>(n));
+    // Per-column epilogue arrays: gemm_i8_padded_cols(n), zero past n.
+    bias_i32.resize(static_cast<std::size_t>(gemm_i8_padded_cols(n)));
+    multipliers.resize(bias_i32.size());
+    shifts.resize(bias_i32.size());
     for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
       bias_i32[j] = static_cast<std::int32_t>(rng.next_below(512)) - 256;
       quantize_multiplier(0.0037, &multipliers[j], &shifts[j]);
@@ -176,7 +177,7 @@ void BM_GemmI8_PackedVec(benchmark::State& state) {
   GemmProblem p(state.range(0), state.range(1), state.range(2));
   std::vector<std::int8_t> panels(
       static_cast<std::size_t>(packed_b_i8_bytes(p.n, p.k)));
-  std::vector<std::int32_t> col_sums(static_cast<std::size_t>(p.n));
+  std::vector<std::int32_t> col_sums(p.bias_i32.size());
   pack_b_i8(p.n, p.k, p.b_i8.data(), p.k, panels.data(), col_sums.data());
   PackedBI8 packed{panels.data(), col_sums.data()};
   for (auto _ : state) {
@@ -328,6 +329,33 @@ BENCHMARK(BM_ElemwiseAddI8_TierScalar)->Args({16, 64});
 BENCHMARK(BM_ElemwiseMulGateI8_TierAuto)->Args({16, 64});
 BENCHMARK(BM_ElemwiseMulGateI8_TierGeneric)->Args({16, 64});
 BENCHMARK(BM_ElemwiseMulGateI8_TierScalar)->Args({16, 64});
+
+// --- f32 residual Add ---------------------------------------------------------
+// The optimized resolver's 8-lane Add/Sub against the reference loop, at
+// resnet50v2_mini's stage-0 residual geometry (32x32x24, no activation).
+void run_ew_f32_add(benchmark::State& state, bool reference) {
+  const int size = static_cast<int>(state.range(0));
+  const int ch = static_cast<int>(state.range(1));
+  Graph m = ew_model(size, ch, EwBenchOp::kAdd);
+  RefOpResolver ref;
+  BuiltinOpResolver opt;
+  const OpResolver& resolver = reference ? static_cast<const OpResolver&>(ref)
+                                         : static_cast<const OpResolver&>(opt);
+  Model model(&m, &resolver);
+  Session session(&model);
+  session.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
+  session.set_input(1, random_shaped(Shape{1, size, size, ch}, 3));
+  for (auto _ : state) {
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
+  }
+}
+
+void BM_ElemwiseAddF32_Optimized(benchmark::State& s) { run_ew_f32_add(s, false); }
+void BM_ElemwiseAddF32_Reference(benchmark::State& s) { run_ew_f32_add(s, true); }
+
+BENCHMARK(BM_ElemwiseAddF32_Optimized)->Args({32, 24});
+BENCHMARK(BM_ElemwiseAddF32_Reference)->Args({32, 24});
 
 }  // namespace
 }  // namespace mlexray

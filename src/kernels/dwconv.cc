@@ -93,7 +93,7 @@ inline std::int32_t chan_acc_i8(const PackedDwI8& p, std::int64_t taps,
   return acc;
 }
 
-// Scalar tier / depth-multiplier path / vector tails.
+// Scalar tier / depth-multiplier path / the last ch % 8 channels.
 inline void pixel_i8_scalar(const DwConvShape& s, const PackedDwI8& p,
                             const std::int8_t* const* tap, std::int8_t* yp) {
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
@@ -111,9 +111,11 @@ inline void pixel_i8_scalar(const DwConvShape& s, const PackedDwI8& p,
 // accumulators. Integer math is exact, so this is bit-identical to the
 // scalar tier in any accumulation order.
 using v16s8_u = std::int8_t __attribute__((vector_size(16), aligned(1)));
+using v8s8_u = std::int8_t __attribute__((vector_size(8), aligned(1)));
 using v16s16 = std::int16_t __attribute__((vector_size(32)));
 using v16s16_u = std::int16_t __attribute__((vector_size(32), aligned(2)));
 using v8s16 = std::int16_t __attribute__((vector_size(16)));
+using v8s16_u = std::int16_t __attribute__((vector_size(16), aligned(2)));
 using v8s32 = std::int32_t __attribute__((vector_size(32)));
 
 inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
@@ -122,20 +124,47 @@ inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
   return __builtin_convertvector(v, v16s16);
 }
 
-// Vectorized requant for 8 consecutive channels, bit-identical to
+// Vectorized requant for the 8 channels at c, bit-identical to
 // requant_store_i8 per lane (the conformance grid compares the vector tiers
-// against the fully scalar tier byte for byte). Shared by the generic and
-// AVX2 int8 pixels, whose epilogue otherwise rivals the stencil loop in
-// cost for small windows.
+// against the fully scalar tier byte for byte). The one int8 epilogue of
+// both vector tiers, whose cost otherwise rivals the stencil loop for small
+// windows.
 inline void requant_store_i8_v8(const PackedDwI8& p, std::int64_t c,
-                                const std::int32_t* lanes, std::int8_t* yp) {
-  v8s32_fx acc, init, mu, sh;
-  __builtin_memcpy(&acc, lanes, sizeof(acc));
+                                v8s32_fx acc, std::int8_t* yp) {
+  v8s32_fx init, mu, sh;
   __builtin_memcpy(&init, p.acc_init + c, sizeof(init));
   __builtin_memcpy(&mu, p.multipliers + c, sizeof(mu));
   __builtin_memcpy(&sh, p.shifts + c, sizeof(sh));
   requant_clamp_store_i8_v8(acc + init, mu, -sh, p.out_zp, p.act_min,
                             p.act_max, yp + c);
+}
+
+// The channels both vector tiers leave after their 16-lane blocks: one
+// 8-lane block when at least 8 remain (same widening products as the
+// 16-lane loop, half as wide), then the last ch % 8 channels scalar.
+inline void pixel_i8_tail(const PackedDwI8& p, std::int64_t taps,
+                          std::int64_t ch, const std::int8_t* const* tap,
+                          std::int64_t c, std::int8_t* yp) {
+  if (c + 8 <= ch) {
+    const v8s16 zp_v = (v8s16){} + static_cast<std::int16_t>(p.in_zp);
+    v8s32 acc{};
+    for (std::int64_t t = 0; t < taps; ++t) {
+      v8s16 xv = zp_v;
+      if (tap[t] != nullptr) {
+        v8s8_u x8;
+        __builtin_memcpy(&x8, tap[t] + c, sizeof(x8));
+        xv = __builtin_convertvector(x8, v8s16);
+      }
+      v8s16_u wv;
+      __builtin_memcpy(&wv, p.weights + t * ch + c, sizeof(wv));
+      acc += __builtin_convertvector(xv * wv, v8s32);  // exact in int16
+    }
+    requant_store_i8_v8(p, c, acc, yp);
+    c += 8;
+  }
+  for (; c < ch; ++c) {
+    requant_store_i8(p, c, chan_acc_i8(p, taps, ch, tap, c, c), yp);
+  }
 }
 
 inline void pixel_i8_generic(const DwConvShape& s, const PackedDwI8& p,
@@ -160,15 +189,10 @@ inline void pixel_i8_generic(const DwConvShape& s, const PackedDwI8& p,
       acc_lo += __builtin_convertvector(lo, v8s32);
       acc_hi += __builtin_convertvector(hi, v8s32);
     }
-    std::int32_t lanes[kDwLanesI8];
-    __builtin_memcpy(lanes, &acc_lo, sizeof(acc_lo));
-    __builtin_memcpy(lanes + 8, &acc_hi, sizeof(acc_hi));
-    requant_store_i8_v8(p, c, lanes, yp);
-    requant_store_i8_v8(p, c + 8, lanes + 8, yp);
+    requant_store_i8_v8(p, c, acc_lo, yp);
+    requant_store_i8_v8(p, c + 8, acc_hi, yp);
   }
-  for (; c < ch; ++c) {
-    requant_store_i8(p, c, chan_acc_i8(p, taps, ch, tap, c, c), yp);
-  }
+  pixel_i8_tail(p, taps, ch, tap, c, yp);
 }
 
 #endif  // __GNUC__ || __clang__
@@ -179,7 +203,7 @@ inline void pixel_i8_generic(const DwConvShape& s, const PackedDwI8& p,
 // splits are spelled with intrinsics (vpmovsxbw + vpmullw + vpmovsxwd) so
 // the block never leaves the ymm registers regardless of the vectorizer's
 // mood. The channel order stays linear (no in-lane unpack scramble), so the
-// scalar requant epilogue indexes channels directly.
+// shared requant epilogue indexes channels directly.
 inline void pixel_i8_avx2(const DwConvShape& s, const PackedDwI8& p,
                           const std::int8_t* const* tap, std::int8_t* yp) {
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
@@ -203,15 +227,10 @@ inline void pixel_i8_avx2(const DwConvShape& s, const PackedDwI8& p,
       acc_hi = _mm256_add_epi32(
           acc_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
     }
-    alignas(32) std::int32_t lanes[kDwLanesI8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc_lo);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8), acc_hi);
-    requant_store_i8_v8(p, c, lanes, yp);
-    requant_store_i8_v8(p, c + 8, lanes + 8, yp);
+    requant_store_i8_v8(p, c, reinterpret_cast<v8s32_fx>(acc_lo), yp);
+    requant_store_i8_v8(p, c + 8, reinterpret_cast<v8s32_fx>(acc_hi), yp);
   }
-  for (; c < ch; ++c) {
-    requant_store_i8(p, c, chan_acc_i8(p, taps, ch, tap, c, c), yp);
-  }
+  pixel_i8_tail(p, taps, ch, tap, c, yp);
 }
 
 #endif  // __AVX2__
@@ -244,7 +263,10 @@ inline void pixel_i8_huge(const DwConvShape& s, const PackedDwI8& p,
 // Accumulation per channel is bias-first, taps in (fy, fx) order with
 // out-of-bounds taps skipped — exactly the reference kernel's order, scalar
 // and vector lanes alike, so all tiers produce bit-identical floats (only
-// the lane width differs, never the per-channel operation sequence).
+// the lane width differs, never the per-channel operation sequence). Vector
+// blocks apply the fused activation with activate_v8, which selects per lane
+// with apply_activation_f32's comparisons instead of branching on each
+// channel's sign.
 
 inline void pixel_f32_scalar(const DwConvShape& s, const PackedDwF32& p,
                              Activation act, const float* const* tap,
@@ -280,11 +302,8 @@ inline void pixel_f32_vector(const DwConvShape& s, const PackedDwF32& p,
       __builtin_memcpy(&wv, p.weights + t * ch + c, sizeof(wv));
       acc += xv * wv;
     }
-    float lanes[kDwLanesF32];
-    __builtin_memcpy(lanes, &acc, sizeof(acc));
-    for (std::int64_t j = 0; j < kDwLanesF32; ++j) {
-      yp[c + j] = apply_activation_f32(lanes[j], act);
-    }
+    const v8f out = activate_v8(acc, act);
+    __builtin_memcpy(yp + c, &out, sizeof(out));
   }
   for (; c < ch; ++c) {
     float acc = p.bias[c];

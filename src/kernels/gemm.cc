@@ -41,39 +41,13 @@ constexpr std::int64_t kMinFlopsForPool = 64 * 1024;
 // variables, not arrays: GCC reliably keeps them in ymm registers, where an
 // indexed array spills to the stack and throughput drops ~6x. The last
 // tile of a problem computes all lanes over zero-padded B and bias, and
-// stores only its nr real columns.
+// stores only its nr real columns. The fused activation runs on the
+// accumulators through activate_v8 (activation.h).
 #if defined(__GNUC__) || defined(__clang__)
-using v8f = float __attribute__((vector_size(32)));
 // Unaligned-load flavour for B panels and bias columns.
 using v8f_u = float __attribute__((vector_size(32), aligned(4)));
 
 inline v8f load_v8(const float* p) { return *reinterpret_cast<const v8f_u*>(p); }
-
-// The fused activation on a vector of accumulators: per lane the same
-// comparisons and arithmetic as apply_activation_f32, so the result is
-// bit-identical to the scalar epilogue (relu6 is std::clamp's
-// `x < lo ? lo : hi < x ? hi : x`).
-inline v8f activate_v8(v8f x, Activation act) {
-  const v8f zero = {};
-  const v8f six = zero + 6.0f;
-  switch (act) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return x > zero ? x : zero;
-    case Activation::kRelu6: {
-      const v8f lo = x < zero ? zero : x;
-      return six < lo ? six : lo;
-    }
-    case Activation::kHardSwish: {
-      v8f inner = x + 3.0f;
-      inner = inner < zero ? zero : inner;
-      inner = six < inner ? six : inner;
-      return x * inner / 6.0f;
-    }
-  }
-  return x;
-}
 
 // Activates and stores one panel row: a single vector store when the
 // panel is full, the nr < kNrF real columns lane by lane otherwise.
@@ -529,17 +503,18 @@ inline void matvec_i8_kmajor(std::int64_t nc, std::int64_t k,
 
 // Requantizes the raw accumulators of columns [j0, j0 + nr) into dst:
 // zero-point correction through the packed column sums, bias, per-channel
-// Q31 multiplier, output zero point, activation clamp. The 8-lane form
-// (requant_clamp_store_i8_v8, fixed_point.h) is bit-identical to the scalar
-// tail; on small-k GEMMs the epilogue costs as much as the dot products, so
-// the vector form matters.
+// Q31 multiplier, output zero point, activation clamp. On small-k GEMMs the
+// epilogue costs as much as the dot products, so every column takes the
+// 8-lane form (requant_clamp_store_i8_v8, fixed_point.h): the per-column
+// arrays are zero-padded to gemm_i8_padded_cols(n) and acc holds a lane for
+// each padded column, so the last nr % 8 columns run one more 8-lane
+// requant and only their real bytes are stored.
 inline void requant_store_i8(const std::int32_t* acc, std::int64_t j0,
                              std::int64_t nr, const GemmQuant& q,
                              const std::int32_t* col_sums, std::int8_t* dst) {
-  std::int64_t j = 0;
 #if defined(__GNUC__) || defined(__clang__)
   const v8s32_fx zp_a = (v8s32_fx){} + q.a_zero_point;
-  for (; j + 8 <= nr; j += 8) {
+  for (std::int64_t j = 0; j < nr; j += kGemmRequantLanes) {
     const std::size_t col = static_cast<std::size_t>(j0 + j);
     v8s32_fx accv, cs, bs, mu, sh;
     __builtin_memcpy(&accv, acc + j, sizeof(accv));
@@ -547,11 +522,19 @@ inline void requant_store_i8(const std::int32_t* acc, std::int64_t j0,
     __builtin_memcpy(&bs, q.bias + col, sizeof(bs));
     __builtin_memcpy(&mu, q.multipliers + col, sizeof(mu));
     __builtin_memcpy(&sh, q.shifts + col, sizeof(sh));
-    requant_clamp_store_i8_v8(accv - zp_a * cs + bs, mu, -sh,
-                              q.out_zero_point, q.act_min, q.act_max, dst + j);
+    const v8s32_fx sum = accv - zp_a * cs + bs;
+    if (j + kGemmRequantLanes <= nr) {
+      requant_clamp_store_i8_v8(sum, mu, -sh, q.out_zero_point, q.act_min,
+                                q.act_max, dst + j);
+    } else {
+      std::int8_t tail[kGemmRequantLanes];
+      requant_clamp_store_i8_v8(sum, mu, -sh, q.out_zero_point, q.act_min,
+                                q.act_max, tail);
+      std::memcpy(dst + j, tail, static_cast<std::size_t>(nr - j));
+    }
   }
-#endif
-  for (; j < nr; ++j) {
+#else
+  for (std::int64_t j = 0; j < nr; ++j) {
     const std::size_t col = static_cast<std::size_t>(j0 + j);
     const std::int32_t sum = acc[j] - q.a_zero_point * col_sums[col];
     const std::int32_t scaled = multiply_by_quantized_multiplier(
@@ -559,6 +542,7 @@ inline void requant_store_i8(const std::int32_t* acc, std::int64_t j0,
     dst[j] = static_cast<std::int8_t>(
         std::clamp(scaled + q.out_zero_point, q.act_min, q.act_max));
   }
+#endif
 }
 
 // One A row against all n raw k-major B rows, in column chunks.
@@ -566,10 +550,13 @@ void matvec_i8(std::int64_t n, std::int64_t k, const std::int8_t* a,
                const std::int8_t* b, std::int64_t ldb, const GemmQuant& q,
                const std::int32_t* col_sums, std::int8_t* c) {
   constexpr std::int64_t kMvCols = 64;
+  static_assert(kMvCols % kGemmRequantLanes == 0);
   std::int32_t acc[kMvCols];
   for (std::int64_t j0 = 0; j0 < n; j0 += kMvCols) {
     const std::int64_t nc = std::min(kMvCols, n - j0);
     matvec_i8_kmajor(nc, k, a, b + j0 * ldb, ldb, acc);
+    // The 8-lane requant reads the padded columns' lanes too.
+    std::fill(acc + nc, acc + gemm_i8_padded_cols(nc), 0);
     requant_store_i8(acc, j0, nc, q, col_sums, c + j0);
   }
 }
@@ -831,6 +818,7 @@ void pack_b_i8(std::int64_t n, std::int64_t k, const std::int8_t* b,
     for (std::int64_t kk = 0; kk < k; ++kk) sum += row[kk];
     col_sums[j] = sum;
   }
+  std::fill(col_sums + n, col_sums + gemm_i8_padded_cols(n), 0);
 }
 
 void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,

@@ -71,9 +71,20 @@ struct PackedBF32 {
 // sum_k (a - zp) * b == sum_k a * b - zp * col_sum — so the inner loop is a
 // raw dot product with no per-element correction and, crucially, no
 // horizontal reduction: each output column owns one int32 accumulator lane.
+//
+// The int8 epilogue requantizes kGemmRequantLanes columns at a time, the
+// last n % 8 included, so every per-column array it reads — col_sums here
+// and GemmQuant's bias, multipliers and shifts — holds
+// gemm_i8_padded_cols(n) entries, zero past n. Only the n real columns of C
+// are stored.
+inline constexpr std::int64_t kGemmRequantLanes = 8;
+inline constexpr std::int64_t gemm_i8_padded_cols(std::int64_t n) {
+  return (n + kGemmRequantLanes - 1) / kGemmRequantLanes * kGemmRequantLanes;
+}
+
 struct PackedBI8 {
   const std::int8_t* panels = nullptr;     // int16 data; 64-byte aligned
-  const std::int32_t* col_sums = nullptr;  // [n]
+  const std::int32_t* col_sums = nullptr;  // [gemm_i8_padded_cols(n)]
 };
 
 // Sizing for the pack destinations: f32 element count, int8 byte count
@@ -82,8 +93,8 @@ struct PackedBI8 {
 std::int64_t packed_b_f32_floats(std::int64_t n, std::int64_t k);
 std::int64_t packed_b_i8_bytes(std::int64_t n, std::int64_t k);
 
-// Pack B[n x k] (row stride ldb) into the layouts above. col_sums gets all n
-// column sums.
+// Pack B[n x k] (row stride ldb) into the layouts above. col_sums gets the
+// n column sums followed by zeros up to gemm_i8_padded_cols(n) entries.
 void pack_b_f32(std::int64_t n, std::int64_t k, const float* b,
                 std::int64_t ldb, float* panels);
 void pack_b_i8(std::int64_t n, std::int64_t k, const std::int8_t* b,
@@ -101,12 +112,13 @@ void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                  const PackedBF32& packed);
 
 // Fused requantization parameters for the int8 path (per-output-channel
-// multiplier/shift tables, gemmlowp-style).
+// multiplier/shift tables, gemmlowp-style). Each array holds
+// gemm_i8_padded_cols(n) entries, zero past n (see PackedBI8).
 struct GemmQuant {
   std::int32_t a_zero_point = 0;
-  const std::int32_t* bias = nullptr;         // [n]
-  const std::int32_t* multipliers = nullptr;  // [n]
-  const int* shifts = nullptr;                // [n]
+  const std::int32_t* bias = nullptr;         // [gemm_i8_padded_cols(n)]
+  const std::int32_t* multipliers = nullptr;  // [gemm_i8_padded_cols(n)]
+  const int* shifts = nullptr;                // [gemm_i8_padded_cols(n)]
   std::int32_t out_zero_point = 0;
   std::int32_t act_min = -128;
   std::int32_t act_max = 127;

@@ -24,7 +24,7 @@ const KernelEntry& OpResolver::find(const Node& node) const {
 BuiltinOpResolver::BuiltinOpResolver(KernelBugConfig bugs) {
   register_shared_kernels(map_);
   // Reference implementations first: ops without an optimized variant
-  // (pools f32, mean, add, mul) fall back to these.
+  // (f32 pools, Mean and Mul; int8 MaxPool2D) fall back to these.
   register_ref_float_kernels(map_);
   register_ref_quant_kernels(map_, /*emulate_avgpool_bug=*/false);
   // Optimized overrides.

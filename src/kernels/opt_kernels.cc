@@ -74,7 +74,19 @@ struct PreparedRequant {
 struct PreparedGemmI8 {
   PackedBI8 packed;
   PreparedRequant rq;
+  const std::int32_t* bias = nullptr;  // the node's bias, padded
 };
+
+// Zero-filled plan-owned array with one entry per column the int8 GEMM
+// epilogue reads: gemm_i8_padded_cols(n), so the last n % 8 columns take
+// the same 8-lane requant as the others.
+template <typename T>
+T* padded_cols(PreparedStorage& storage, std::int64_t n) {
+  const auto cols = static_cast<std::size_t>(gemm_i8_padded_cols(n));
+  T* p = storage.allocate_array<T>(cols);
+  std::fill_n(p, cols, T{});
+  return p;
+}
 
 // Packs a weight matrix [n x k] (k-contiguous rows, the layout both conv
 // OHWI filters and FC [out, in] weights already have) into f32 panels.
@@ -93,44 +105,42 @@ PackedBI8 pack_weights_i8(PreparedStorage& storage, std::int64_t n,
   // gets packed panels (no edge path).
   std::int8_t* panels = storage.allocate_array<std::int8_t>(
       static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
-  auto* col_sums =
-      storage.allocate_array<std::int32_t>(static_cast<std::size_t>(n));
+  auto* col_sums = padded_cols<std::int32_t>(storage, n);
   pack_b_i8(n, k, w, k, panels, col_sums);
   packed.panels = panels;
   packed.col_sums = col_sums;
   return packed;
 }
 
-// Per-output-channel Q31 multiplier/shift tables plus the fused activation
-// clamp range — everything the int8 GEMM epilogue needs, fixed at Prepare.
+// Per-output-channel Q31 multiplier/shift tables (zero-padded like every
+// int8 GEMM column array) plus the fused activation clamp range, fixed at
+// Prepare.
 PreparedRequant prepare_requant_tables(PreparedStorage& storage,
                                        const Node& node,
                                        const QuantParams& in_q,
                                        const QuantParams& w_q,
                                        const QuantParams& out_q,
                                        std::int64_t out_channels) {
-  auto* multipliers = storage.allocate_array<std::int32_t>(
-      static_cast<std::size_t>(out_channels));
-  auto* shifts =
-      storage.allocate_array<int>(static_cast<std::size_t>(out_channels));
+  auto* multipliers = padded_cols<std::int32_t>(storage, out_channels);
+  auto* shifts = padded_cols<int>(storage, out_channels);
   fill_requant_tables(in_q, w_q, out_q, out_channels, multipliers, shifts);
   QuantActivationRange range = quant_activation_range(
       node.attrs.activation, out_q.scale(), out_q.zero_point());
   return {multipliers, shifts, range.min, range.max};
 }
 
-// The int8 GEMM epilogue parameters: zero points and bias from the tensors,
-// Q31 tables and clamp range from the plan.
-GemmQuant gemm_quant(const Tensor& in, const Tensor& bias, const Tensor& out,
-                     const PreparedRequant& rq) {
+// The int8 GEMM epilogue parameters: zero points from the tensors, padded
+// bias, Q31 tables and clamp range from the plan.
+GemmQuant gemm_quant(const Tensor& in, const Tensor& out,
+                     const PreparedGemmI8& prep) {
   GemmQuant q;
   q.a_zero_point = in.quant().zero_point();
-  q.bias = bias.data<std::int32_t>();
-  q.multipliers = rq.multipliers;
-  q.shifts = rq.shifts;
+  q.bias = prep.bias;
+  q.multipliers = prep.rq.multipliers;
+  q.shifts = prep.rq.shifts;
   q.out_zero_point = out.quant().zero_point();
-  q.act_min = rq.act_min;
-  q.act_max = rq.act_max;
+  q.act_min = prep.rq.act_min;
+  q.act_max = prep.rq.act_max;
   return q;
 }
 
@@ -153,33 +163,31 @@ void fc_f32_prepare(const KernelContext& ctx) {
   ctx.prepared->set_root(root);
 }
 
-void conv2d_i8_prepare(const KernelContext& ctx) {
+// The int8 GEMM's B is the node's [n x k] weight (OHWI conv filter or
+// [out, in] FC weight); bias, Q31 tables and column sums are padded copies.
+void gemm_i8_prepare(const KernelContext& ctx, std::int64_t n,
+                     std::int64_t k) {
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
-  const Shape& fs = filter.shape();
-  const std::int64_t out_ch = fs.dim(0);
-  const std::int64_t patch = fs.dim(1) * fs.dim(2) * fs.dim(3);
-  auto* root = ctx.prepared->allocate_array<PreparedGemmI8>(1);
-  root->packed = pack_weights_i8(*ctx.prepared, out_ch, patch,
-                                 filter.data<std::int8_t>());
-  root->rq = prepare_requant_tables(*ctx.prepared, node,
-                                    ctx.input(0).quant(), filter.quant(),
-                                    ctx.output->quant(), out_ch);
-  ctx.prepared->set_root(root);
+  const Tensor& weight = node.weights[0];
+  PreparedStorage& storage = *ctx.prepared;
+  auto* root = storage.allocate_array<PreparedGemmI8>(1);
+  root->packed = pack_weights_i8(storage, n, k, weight.data<std::int8_t>());
+  root->rq = prepare_requant_tables(storage, node, ctx.input(0).quant(),
+                                    weight.quant(), ctx.output->quant(), n);
+  auto* bias = padded_cols<std::int32_t>(storage, n);
+  std::copy_n(node.weights[1].data<std::int32_t>(), n, bias);
+  root->bias = bias;
+  storage.set_root(root);
+}
+
+void conv2d_i8_prepare(const KernelContext& ctx) {
+  const Shape& fs = ctx.node->weights[0].shape();
+  gemm_i8_prepare(ctx, fs.dim(0), fs.dim(1) * fs.dim(2) * fs.dim(3));
 }
 
 void fc_i8_prepare(const KernelContext& ctx) {
-  const Node& node = *ctx.node;
-  const Tensor& weight = node.weights[0];
-  const std::int64_t out_dim = weight.shape().dim(0);
-  auto* root = ctx.prepared->allocate_array<PreparedGemmI8>(1);
-  root->packed = pack_weights_i8(*ctx.prepared, out_dim,
-                                 weight.shape().dim(1),
-                                 weight.data<std::int8_t>());
-  root->rq = prepare_requant_tables(*ctx.prepared, node,
-                                    ctx.input(0).quant(), weight.quant(),
-                                    ctx.output->quant(), out_dim);
-  ctx.prepared->set_root(root);
+  const Shape& ws = ctx.node->weights[0].shape();
+  gemm_i8_prepare(ctx, ws.dim(0), ws.dim(1));
 }
 
 // Requant-tables-only prepare for the bug-emulation depthwise kernel below
@@ -340,6 +348,53 @@ void pad_fast(const KernelContext& ctx) {
   }
 }
 
+// Add/Sub over one span: len contiguous elements of a and y against a
+// contiguous b, eight lanes at a time. Each lane does the reference loop's
+// one add (or subtract) and activate_v8's copy of its comparisons, so the
+// output is bit-identical to the reference kernel.
+template <bool kIsSub>
+void addsub_span_f32(const float* a, const float* b, float* y,
+                     std::int64_t len, Activation act) {
+  std::int64_t i = 0;
+#if defined(__GNUC__) || defined(__clang__)
+  for (; i + 8 <= len; i += 8) {
+    v8f av, bv;
+    __builtin_memcpy(&av, a + i, sizeof(av));
+    __builtin_memcpy(&bv, b + i, sizeof(bv));
+    const v8f v = activate_v8(kIsSub ? av - bv : av + bv, act);
+    __builtin_memcpy(y + i, &v, sizeof(v));
+  }
+#endif
+  for (; i < len; ++i) {
+    y[i] = apply_activation_f32(kIsSub ? a[i] - b[i] : a[i] + b[i], act);
+  }
+}
+
+// Same-shape operands run one whole-tensor span; b = [N,1,1,C] runs one
+// span per pixel against its image's row.
+template <bool kIsSub>
+void addsub_f32_opt(const KernelContext& ctx) {
+  const Tensor& a = ctx.input(0);
+  const Tensor& b = ctx.input(1);
+  const Shape& as = a.shape();
+  const float* pa = a.data<float>();
+  const float* pb = b.data<float>();
+  float* y = ctx.output->data<float>();
+  const Activation act = ctx.node->attrs.activation;
+  if (as == b.shape()) {
+    addsub_span_f32<kIsSub>(pa, pb, y, a.num_elements(), act);
+    return;
+  }
+  const std::int64_t hw = as.dim(1) * as.dim(2);
+  const std::int64_t ch = as.dim(3);
+  for (std::int64_t n = 0; n < as.dim(0); ++n) {
+    for (std::int64_t px = 0; px < hw; ++px) {
+      const std::int64_t off = (n * hw + px) * ch;
+      addsub_span_f32<kIsSub>(pa + off, pb + n * ch, y + off, ch, act);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Quantized optimized kernels: integer-only fixed-point requantization.
 // ---------------------------------------------------------------------------
@@ -353,7 +408,7 @@ void conv2d_i8_opt(const KernelContext& ctx) {
       conv_geometry(node, in.shape(), filter.shape(), out.shape());
   const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
   conv_gemm_i8(g, in.data<std::int8_t>(), filter.data<std::int8_t>(),
-               gemm_quant(in, node.weights[1], out, prep.rq),
+               gemm_quant(in, out, prep),
                out.data<std::int8_t>(), ctx.pool, prep.packed,
                conv_gather_scratch(ctx, g, sizeof(std::int8_t)));
 }
@@ -467,16 +522,14 @@ void fc_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
   const Tensor& weight = node.weights[0];
-  const Tensor& bias = node.weights[1];
   Tensor& out = *ctx.output;
   const std::int64_t batch = in.shape().dim(0);
   const std::int64_t in_dim = weight.shape().dim(1);
   const std::int64_t out_dim = weight.shape().dim(0);
   const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
   gemm_i8_nt(batch, out_dim, in_dim, in.data<std::int8_t>(), in_dim,
-             weight.data<std::int8_t>(), in_dim,
-             gemm_quant(in, bias, out, prep.rq), out.data<std::int8_t>(),
-             out_dim, ctx.pool, prep.packed);
+             weight.data<std::int8_t>(), in_dim, gemm_quant(in, out, prep),
+             out.data<std::int8_t>(), out_dim, ctx.pool, prep.packed);
 }
 
 // Integer-only average pool (sum + rounded integer division); assumes the
@@ -632,6 +685,8 @@ void register_opt_float_kernels(KernelMap& map) {
   map[{OpType::kDepthwiseConv2D, false}] = dwconv2d_f32_opt;
   map[{OpType::kFullyConnected, false}] = {fc_f32_opt, fc_f32_prepare};
   map[{OpType::kPad, false}] = pad_fast<float>;
+  map[{OpType::kAdd, false}] = addsub_f32_opt<false>;
+  map[{OpType::kSub, false}] = addsub_f32_opt<true>;
 }
 
 void register_opt_quant_kernels(KernelMap& map, bool emulate_dwconv_bug) {

@@ -18,11 +18,15 @@ namespace {
 // split a dot product's multiply from its add (no FMA contraction) while
 // the scalar/contracted forms fuse them, making ref-vs-opt parity depend on
 // the vectorizer's mood. Pin the conv and FC dot products to plain scalar
-// code with the same contraction setting as the command line.
+// code with the same contraction setting as the command line. Their entry
+// is pinned to a 64-byte boundary too: calibration runs these loops, and
+// their speed moved with where unrelated edits happened to place them in
+// the binary.
 #if defined(__GNUC__) && !defined(__clang__)
-#define MLX_REF_SCALAR_DOT \
-  __attribute__((          \
-      optimize("no-tree-vectorize,no-tree-slp-vectorize,fp-contract=fast")))
+#define MLX_REF_SCALAR_DOT                                                   \
+  __attribute__((                                                            \
+      optimize("no-tree-vectorize,no-tree-slp-vectorize,fp-contract=fast"), \
+      aligned(64)))
 #else
 #define MLX_REF_SCALAR_DOT
 #endif

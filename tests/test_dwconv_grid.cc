@@ -6,9 +6,10 @@
 // so future tiers cannot silently diverge:
 //
 //  - geometry: stride {1, 2} x padding {Same, Valid} x depth_multiplier
-//    {1, 2} x channels {1..4, 7, 8, 15, 16, 17, 64} (covering sub-vector,
-//    exact-vector, and vector-tail channel counts for both the 16-lane int8
-//    and 8-lane f32 blocks) x batch {1, 4}, in f32 and int8 with
+//    {1, 2} x channels {1..4, 7, 8, 15, 16, 17, 24, 40, 64} (covering
+//    sub-vector, exact-vector, and vector-tail channel counts for both the
+//    16-lane int8 and 8-lane f32 blocks, and the int8 8-lane block that
+//    follows a full 16-lane block) x batch {1, 4}, in f32 and int8 with
 //    per-channel weight scales and asymmetric activation zero points;
 //  - f32 cells assert *bit-exact* opt-vs-ref output (the vector tiers keep
 //    the reference kernel's per-channel accumulation order);
@@ -127,9 +128,10 @@ struct DwGridCase {
 
 std::vector<DwGridCase> make_grid() {
   // Channel counts straddle the vector widths: below, at, and one past both
-  // the 8-lane f32 block and the 16-lane int8 block, plus a multi-block
-  // count (64) exercising the steady vector loop.
-  const std::int64_t channels[] = {1, 2, 3, 4, 7, 8, 15, 16, 17, 64};
+  // the 8-lane f32 block and the 16-lane int8 block; 24 and 40 put the int8
+  // 8-lane block after one and two full 16-lane blocks; 64 exercises the
+  // steady vector loop.
+  const std::int64_t channels[] = {1, 2, 3, 4, 7, 8, 15, 16, 17, 24, 40, 64};
   const Activation acts[] = {Activation::kNone, Activation::kRelu,
                              Activation::kRelu6};
   std::vector<DwGridCase> grid;
@@ -141,7 +143,7 @@ std::vector<DwGridCase> make_grid() {
           for (std::int64_t batch : {1, 4}) {
             for (bool quantized : {false, true}) {
               // Cycle the fused activation so clamp ranges are covered
-              // without tripling an already 320-cell grid.
+              // without tripling an already 384-cell grid.
               grid.push_back({stride, padding, dm, ch, batch, quantized,
                               acts[i++ % 3]});
             }

@@ -1,8 +1,9 @@
-// Forced-tier conformance grid for the int8 elementwise/reduction family.
+// Conformance grids for the optimized elementwise kernels: the forced-tier
+// int8 elementwise/reduction family, and the f32 Add/Sub.
 //
-// The vectorized elementwise family (src/kernels/elementwise.h) ships three
+// The vectorized int8 family (src/kernels/elementwise.h) ships three
 // compute tiers (AVX2 / generic GNU-vector / scalar) selected at invoke time,
-// plus plan-time Q31 requant prep and LUT builds. This grid pins the family
+// plus plan-time Q31 requant prep and LUT builds. Its grid pins the family
 // down the same way tests/test_dwconv_grid.cc pins dwconv:
 //
 //  - ops: Add / Sub (same-shape and [N,1,1,C]-broadcast, with fused
@@ -20,6 +21,14 @@
 //  - every cell asserts that each plan step whose kernel has a prepare hook
 //    got prepared storage, and that steady-state invoke performs zero heap
 //    allocations (global operator-new counter + AllocStats events).
+//
+// The f32 grid covers the optimized resolver's Add/Sub (8-lane spans
+// finished by activate_v8): same-shape and [N,1,1,C]-broadcast, channels
+// {1, 5, 8, 9, 24} around the 8-lane block, activation none/relu/relu6 on
+// inputs in [-8, 8] so relu6 clamps at both ends. Each cell asserts output
+// bit-identical (memcmp) to a RefOpResolver session, that the optimized
+// plan's step does not run the reference kernel, and the zero-allocation
+// steady state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -358,6 +367,78 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
 
 INSTANTIATE_TEST_SUITE_P(OpChannelsBatchActRanges, ElementwiseGrid,
                          ::testing::ValuesIn(make_grid()));
+
+// --- f32 Add / Sub ------------------------------------------------------------
+
+std::vector<EwGridCase> make_f32_grid() {
+  // Below, at, one past, and a multiple of the 8-lane block; batch 2 so
+  // the broadcast variants read a second image's [1,1,C] row.
+  const std::int64_t channels[] = {1, 5, 8, 9, 24};
+  std::vector<EwGridCase> grid;
+  std::uint32_t i = 0;
+  for (EwOp op : {EwOp::kAdd, EwOp::kAddBcast, EwOp::kSub, EwOp::kSubBcast}) {
+    for (std::int64_t ch : channels) {
+      for (Activation act :
+           {Activation::kNone, Activation::kRelu, Activation::kRelu6}) {
+        grid.push_back({op, ch, 2, act, 3000 + i++});
+      }
+    }
+  }
+  return grid;
+}
+
+// The invoke target of the plan step that runs the op under test (the
+// builder names it "op"); null when the kernel is not a plain function.
+using KernelFnPtr = void (*)(const KernelContext&);
+KernelFnPtr op_kernel(const Session& session) {
+  for (const PlanStep& step : session.plan().steps()) {
+    if (step.node->name != "op") continue;
+    const KernelFnPtr* fn = step.kernel->invoke.target<KernelFnPtr>();
+    return fn != nullptr ? *fn : nullptr;
+  }
+  ADD_FAILURE() << "no plan step named 'op'";
+  return nullptr;
+}
+
+class ElementwiseF32Grid : public ::testing::TestWithParam<EwGridCase> {};
+
+TEST_P(ElementwiseF32Grid, OptMatchesRefBitExact) {
+  const EwGridCase& c = GetParam();
+  const Shape in_shape{c.batch, 5, 7, c.channels};
+  const Shape b_shape = is_broadcast(c.op)
+                            ? Shape{c.batch, 1, 1, c.channels}
+                            : in_shape;
+  Graph m = build_case_model(c, in_shape, b_shape);
+  Pcg32 drng(c.seed);
+  Tensor input = random_input(in_shape, drng, -8.0f, 8.0f);
+  Tensor gate = random_input(b_shape, drng, -8.0f, 8.0f);
+
+  RefOpResolver ref;
+  BuiltinOpResolver opt;
+  Model ref_model(&m, &ref);
+  Session ri(&ref_model);
+  Model opt_model(&m, &opt, /*num_threads=*/2);
+  Session oi(&opt_model);
+  // The optimized resolver has its own Add/Sub kernel, with no prepare hook.
+  const KernelFnPtr ref_fn = op_kernel(ri);
+  const KernelFnPtr opt_fn = op_kernel(oi);
+  ASSERT_NE(ref_fn, nullptr) << c;
+  ASSERT_NE(opt_fn, nullptr) << c;
+  EXPECT_NE(opt_fn, ref_fn) << c << ": the optimized plan runs the reference";
+  EXPECT_EQ(oi.plan().prepared_bytes(), 0u) << c;
+  for (Session* s : {&ri, &oi}) {
+    s->set_input(0, input);
+    s->set_input(1, gate);
+    s->invoke();
+  }
+  // One add (or subtract) and the same activation comparisons per element
+  // on both paths: the outputs must match to the bit.
+  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
+  expect_steady_state_clean(oi, c);
+}
+
+INSTANTIATE_TEST_SUITE_P(OpChannelsAct, ElementwiseF32Grid,
+                         ::testing::ValuesIn(make_f32_grid()));
 
 // --- adversarial requant scales ---------------------------------------------
 

@@ -409,9 +409,11 @@ struct GemmData {
     for (auto& v : b8) {
       v = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255)) - 127);
     }
-    bias32.resize(static_cast<std::size_t>(n));
-    multipliers.resize(static_cast<std::size_t>(n));
-    shifts.resize(static_cast<std::size_t>(n));
+    // The int8 epilogue's per-column arrays hold gemm_i8_padded_cols(n)
+    // entries, zero past n (gemm.h).
+    bias32.resize(static_cast<std::size_t>(gemm_i8_padded_cols(n)));
+    multipliers.resize(bias32.size());
+    shifts.resize(bias32.size());
     for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
       bias32[j] = static_cast<std::int32_t>(rng.next_below(200)) - 100;
       quantize_multiplier(0.004 + 0.0001 * static_cast<double>(j),
@@ -456,7 +458,7 @@ struct GemmData {
     std::vector<std::int8_t> c(static_cast<std::size_t>(m * n));
     std::vector<std::int8_t> panels(
         static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
-    std::vector<std::int32_t> col_sums(static_cast<std::size_t>(n));
+    std::vector<std::int32_t> col_sums(bias32.size());
     pack_b_i8(n, k, b8.data(), k, panels.data(), col_sums.data());
     gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
                nullptr, PackedBI8{panels.data(), col_sums.data()});
