@@ -11,10 +11,9 @@
 
 #include "src/graph/builder.h"
 #include "src/interpreter/session.h"
-#include "src/kernels/dwconv.h"
-#include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/gemm.h"
+#include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 
 namespace mlexray {
@@ -194,32 +193,30 @@ BENCHMARK(BM_GemmF32_Prepacked)->Args({256, 32, 288})->Args({1024, 16, 144})->Ar
 // m==1 dispatch (raw B rows, one widened A chunk reused across columns).
 BENCHMARK(BM_GemmI8_PackedVec)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096})->Args({256, 32, 32})->Args({1, 1001, 1024});
 
-// --- dwconv compute tiers at a Table-4 shape -------------------------------
-// Same int8 dwconv graph under each forced tier (src/kernels/dwconv.h):
-// quantifies the channel-vectorization win in isolation, and keeps a
-// regression guard on the tier dispatch itself.
+// --- dwconv vector vs scalar path at a Table-4 shape ------------------------
+// Same int8 dwconv graph on the vector path and under
+// force_scalar_kernels_for_testing (src/kernels/kernel.h): quantifies the
+// channel-vectorization win in isolation.
 
-void run_dwconv_tier(benchmark::State& state, DwConvTier tier) {
-  set_dwconv_tier_for_testing(tier);
+void run_dwconv_path(benchmark::State& state, bool scalar) {
+  force_scalar_kernels_for_testing = scalar;
   run_variant(state, OpType::kDepthwiseConv2D, /*reference=*/false,
               /*quantized=*/true);
-  set_dwconv_tier_for_testing(DwConvTier::kAuto);
+  force_scalar_kernels_for_testing = false;
 }
 
-void BM_DwConvI8_TierAuto(benchmark::State& s) { run_dwconv_tier(s, DwConvTier::kAuto); }
-void BM_DwConvI8_TierGeneric(benchmark::State& s) { run_dwconv_tier(s, DwConvTier::kGenericVector); }
-void BM_DwConvI8_TierScalar(benchmark::State& s) { run_dwconv_tier(s, DwConvTier::kScalar); }
+void BM_DwConvI8_Vector(benchmark::State& s) { run_dwconv_path(s, false); }
+void BM_DwConvI8_Scalar(benchmark::State& s) { run_dwconv_path(s, true); }
 
-BENCHMARK(BM_DwConvI8_TierAuto)->Args({16, 64});
-BENCHMARK(BM_DwConvI8_TierGeneric)->Args({16, 64});
-BENCHMARK(BM_DwConvI8_TierScalar)->Args({16, 64});
+BENCHMARK(BM_DwConvI8_Vector)->Args({16, 64});
+BENCHMARK(BM_DwConvI8_Scalar)->Args({16, 64});
 
 // --- int8 elementwise family at MobileNetV3-mini SE shapes -----------------
 // The squeeze-excite ops the elementwise family (src/kernels/elementwise.h)
 // moved off the double-math reference path: residual Add, the [N,1,1,C]
 // broadcast Mul gate, global Mean, and the standalone Logistic / HardSwish
 // LUT activations. Optimized-vs-reference pairs quantify the per-op win the
-// Table-4 split aggregates; forced-tier variants isolate the 8-lane
+// Table-4 split aggregates; vector-vs-scalar variants isolate the 8-lane
 // vectorization from the plan-time Q31/LUT prep.
 
 enum class EwBenchOp { kAdd, kMulGate, kMean, kLogistic, kHardSwish };
@@ -308,27 +305,23 @@ BENCHMARK(BM_ElemwiseLogisticI8_Reference)->Args({16, 64})->Args({1, 96});
 BENCHMARK(BM_ElemwiseHardSwishI8_Optimized)->Args({16, 24});
 BENCHMARK(BM_ElemwiseHardSwishI8_Reference)->Args({16, 24});
 
-// Forced compute tiers on the widest SE pattern (broadcast Mul + Add):
-// regression guard on the tier dispatch and the vector-vs-scalar gap.
-void run_ew_tier(benchmark::State& state, EwBenchOp op, ElementwiseTier tier) {
-  set_elementwise_tier_for_testing(tier);
+// The vector and forced-scalar paths on the widest SE pattern (broadcast
+// Mul + Add): the vector-vs-scalar gap.
+void run_ew_path(benchmark::State& state, EwBenchOp op, bool scalar) {
+  force_scalar_kernels_for_testing = scalar;
   run_ew_variant(state, op, /*reference=*/false);
-  set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+  force_scalar_kernels_for_testing = false;
 }
 
-void BM_ElemwiseAddI8_TierAuto(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, ElementwiseTier::kAuto); }
-void BM_ElemwiseAddI8_TierGeneric(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, ElementwiseTier::kGenericVector); }
-void BM_ElemwiseAddI8_TierScalar(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, ElementwiseTier::kScalar); }
-void BM_ElemwiseMulGateI8_TierAuto(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, ElementwiseTier::kAuto); }
-void BM_ElemwiseMulGateI8_TierGeneric(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, ElementwiseTier::kGenericVector); }
-void BM_ElemwiseMulGateI8_TierScalar(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, ElementwiseTier::kScalar); }
+void BM_ElemwiseAddI8_Vector(benchmark::State& s) { run_ew_path(s, EwBenchOp::kAdd, false); }
+void BM_ElemwiseAddI8_Scalar(benchmark::State& s) { run_ew_path(s, EwBenchOp::kAdd, true); }
+void BM_ElemwiseMulGateI8_Vector(benchmark::State& s) { run_ew_path(s, EwBenchOp::kMulGate, false); }
+void BM_ElemwiseMulGateI8_Scalar(benchmark::State& s) { run_ew_path(s, EwBenchOp::kMulGate, true); }
 
-BENCHMARK(BM_ElemwiseAddI8_TierAuto)->Args({16, 64});
-BENCHMARK(BM_ElemwiseAddI8_TierGeneric)->Args({16, 64});
-BENCHMARK(BM_ElemwiseAddI8_TierScalar)->Args({16, 64});
-BENCHMARK(BM_ElemwiseMulGateI8_TierAuto)->Args({16, 64});
-BENCHMARK(BM_ElemwiseMulGateI8_TierGeneric)->Args({16, 64});
-BENCHMARK(BM_ElemwiseMulGateI8_TierScalar)->Args({16, 64});
+BENCHMARK(BM_ElemwiseAddI8_Vector)->Args({16, 64});
+BENCHMARK(BM_ElemwiseAddI8_Scalar)->Args({16, 64});
+BENCHMARK(BM_ElemwiseMulGateI8_Vector)->Args({16, 64});
+BENCHMARK(BM_ElemwiseMulGateI8_Scalar)->Args({16, 64});
 
 // --- f32 residual Add ---------------------------------------------------------
 // The optimized resolver's 8-lane Add/Sub against the reference loop, at

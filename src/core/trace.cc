@@ -34,10 +34,6 @@ namespace {
 constexpr std::uint32_t kTraceMagicV1 = 0x4d4c5854;  // "TXLM"
 constexpr std::uint32_t kTraceMagicV2 = 0x4d4c5855;
 
-std::uint32_t magic_for_version(int version) {
-  return version >= kTraceVersion2 ? kTraceMagicV2 : kTraceMagicV1;
-}
-
 int version_for_magic(std::uint32_t magic) {
   if (magic == kTraceMagicV1) return kTraceVersion1;
   if (magic == kTraceMagicV2) return kTraceVersion2;
@@ -46,7 +42,7 @@ int version_for_magic(std::uint32_t magic) {
 }
 }  // namespace
 
-void serialize_frame(BinaryWriter& w, const FrameTrace& f, int version) {
+void serialize_frame(BinaryWriter& w, const FrameTrace& f) {
   w.write_i32(f.frame_id);
   w.write_u32(static_cast<std::uint32_t>(f.tensors.size()));
   for (const auto& [key, tensor] : f.tensors) {
@@ -64,13 +60,8 @@ void serialize_frame(BinaryWriter& w, const FrameTrace& f, int version) {
   for (const Tensor& t : f.layer_outputs) serialize_tensor(w, t);
   w.write_u32(static_cast<std::uint32_t>(f.layer_latency_ms.size()));
   for (double v : f.layer_latency_ms) w.write_f64(v);
-  if (version >= kTraceVersion2) {
-    w.write_u32(static_cast<std::uint32_t>(f.layer_digests.size()));
-    for (const LayerDigest& d : f.layer_digests) serialize_digest(w, d);
-  } else {
-    MLX_CHECK(f.layer_digests.empty())
-        << "trace format v1 cannot carry layer digests";
-  }
+  w.write_u32(static_cast<std::uint32_t>(f.layer_digests.size()));
+  for (const LayerDigest& d : f.layer_digests) serialize_digest(w, d);
 }
 
 FrameTrace deserialize_frame(BinaryReader& r, int version) {
@@ -116,12 +107,10 @@ std::size_t trace_frame_count_offset(const std::string& pipeline_name) {
 
 std::vector<std::uint8_t> serialize_trace(const Trace& trace) {
   BinaryWriter w;
-  w.write_u32(magic_for_version(kTraceVersionCurrent));
+  w.write_u32(kTraceMagicV2);
   w.write_string(trace.pipeline_name);
   w.write_u32(static_cast<std::uint32_t>(trace.frames.size()));
-  for (const FrameTrace& f : trace.frames) {
-    serialize_frame(w, f, kTraceVersionCurrent);
-  }
+  for (const FrameTrace& f : trace.frames) serialize_frame(w, f);
   return w.bytes();
 }
 

@@ -81,8 +81,8 @@ Trace load_trace_tolerant(const std::filesystem::path& path,
 
 // Wire-format versions. v1 is the original layout; v2 appends a per-frame
 // digest section after the layer latencies (and announces itself with a
-// distinct magic). Writers always emit the current version; readers accept
-// both, so v1 device logs stay loadable.
+// distinct magic). Writers emit only v2; readers accept both, so v1 device
+// logs stay loadable.
 inline constexpr int kTraceVersion1 = 1;
 inline constexpr int kTraceVersion2 = 2;
 inline constexpr int kTraceVersionCurrent = kTraceVersion2;
@@ -90,12 +90,11 @@ inline constexpr int kTraceVersionCurrent = kTraceVersion2;
 // Frame-level framing, shared by the whole-trace (de)serializers above and
 // the TraceBuffer spooler, which streams frames into a .mlxtrace file as
 // they are captured (same on-disk format, frame count patched at close).
-// The version parameter selects the frame layout; pass kTraceVersion1 only
-// to read (or test-write) legacy traces.
+// serialize_frame writes the current layout; deserialize_frame's version
+// selects the layout to read, kTraceVersion1 for legacy traces.
 class BinaryWriter;
 class BinaryReader;
-void serialize_frame(BinaryWriter& w, const FrameTrace& frame,
-                     int version = kTraceVersionCurrent);
+void serialize_frame(BinaryWriter& w, const FrameTrace& frame);
 FrameTrace deserialize_frame(BinaryReader& r,
                              int version = kTraceVersionCurrent);
 

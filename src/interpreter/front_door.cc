@@ -13,6 +13,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// EWMA smoothing for the per-batch service-time estimate admission uses.
+constexpr double kServiceEwmaAlpha = 0.2;
+// Backoff range of the one retry for a transient contained fault.
+constexpr double kRetryBackoffMinMs = 0.2;
+constexpr double kRetryBackoffMaxMs = 2.0;
+// Seed of the retry-backoff jitter stream.
+constexpr std::uint64_t kJitterSeed = 0x51ed5eedULL;
+
 Clock::duration ms_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
@@ -185,7 +193,7 @@ void Ticket::release() {
 // ---------------------------------------------------------------------------
 
 FrontDoor::FrontDoor(Engine* engine, FrontDoorOptions options)
-    : engine_(engine), options_(options), jitter_state_(options.jitter_seed) {
+    : engine_(engine), options_(options), jitter_state_(kJitterSeed) {
   MLX_CHECK(engine_ != nullptr);
   if (options_.workers < 1) options_.workers = 1;
   workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -692,8 +700,8 @@ void FrontDoor::execute_batch(ModelEntry& m,
     }
     m.est_us = m.est_us <= 0.0
                    ? service_us
-                   : m.opts.ewma_alpha * service_us +
-                         (1.0 - m.opts.ewma_alpha) * m.est_us;
+                   : kServiceEwmaAlpha * service_us +
+                         (1.0 - kServiceEwmaAlpha) * m.est_us;
     for (FrontDoorSlot* slot : batch) {
       complete_locked(m, slot, RequestCode::kOk, now, callback_batch);
     }
@@ -726,9 +734,8 @@ void FrontDoor::execute_batch(ModelEntry& m,
         const double u =
             static_cast<double>(next_jitter(jitter_state_) >> 11) *
             (1.0 / 9007199254740992.0);  // uniform [0, 1)
-        backoff_ms = m.opts.retry_backoff_min_ms +
-                     u * (m.opts.retry_backoff_max_ms -
-                          m.opts.retry_backoff_min_ms);
+        backoff_ms = kRetryBackoffMinMs +
+                     u * (kRetryBackoffMaxMs - kRetryBackoffMinMs);
         if (slot->has_deadline &&
             us_between(now, slot->deadline) <
                 backoff_ms * 1000.0 + m.est_us) {

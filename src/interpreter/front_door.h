@@ -152,12 +152,9 @@ struct FrontDoorModelOptions {
   // long it fails fast before half-open-probing.
   int breaker_failure_threshold = 3;
   double breaker_open_ms = 50.0;
-  // One bounded retry for transient contained faults, with jittered backoff.
+  // One bounded retry for transient contained faults, after a jittered
+  // 0.2-2 ms backoff.
   bool retry_transient_faults = true;
-  double retry_backoff_min_ms = 0.2;
-  double retry_backoff_max_ms = 2.0;
-  // EWMA smoothing for the per-batch service-time estimate admission uses.
-  double ewma_alpha = 0.2;
   // Batch flavors, ascending batch. Empty = {{1, <registered name>}}.
   std::vector<FrontDoorBatchVariant> variants;
 };
@@ -238,8 +235,7 @@ class FrontDoorObserver {
 using FrontDoorCallback = void (*)(void* ctx, const RequestResult& result);
 
 struct FrontDoorOptions {
-  int workers = 1;              // scheduler/dispatch threads
-  std::uint64_t jitter_seed = 0x51ed5eedULL;  // retry-backoff jitter stream
+  int workers = 1;  // scheduler/dispatch threads
 };
 
 // Handle to one submitted (or synchronously rejected) request. Move-only.

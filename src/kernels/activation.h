@@ -25,7 +25,6 @@ inline float apply_activation_f32(float x, Activation activation) {
   return x;
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 // Eight float lanes (GNU vector extension: one ymm register on AVX, two
 // xmm halves elsewhere).
 using v8f = float __attribute__((vector_size(32)));
@@ -57,7 +56,6 @@ inline v8f activate_v8(v8f x, Activation act) {
   }
   return x;
 }
-#endif  // __GNUC__ || __clang__
 
 inline float hardswish_f32(float x) {
   return apply_activation_f32(x, Activation::kHardSwish);

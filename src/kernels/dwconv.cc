@@ -4,48 +4,16 @@
 #include <atomic>
 #include <cstring>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "src/kernels/activation.h"
 #include "src/kernels/fixed_point.h"
+#include "src/kernels/kernel.h"
 
 namespace mlexray {
 namespace {
 
-std::atomic<int> g_tier_override{0};  // DwConvTier
-
 // Stencil windows this large get the inline-bounds fallback instead of the
 // per-pixel tap-pointer table (nothing in the model zoo comes close).
 constexpr std::int64_t kMaxTaps = 64;
-
-enum class Tier { kAvx2, kGeneric, kScalar };
-
-Tier best_tier() {
-#if defined(__AVX2__)
-  return Tier::kAvx2;
-#elif defined(__GNUC__) || defined(__clang__)
-  return Tier::kGeneric;
-#else
-  return Tier::kScalar;
-#endif
-}
-
-Tier resolve_tier() {
-  switch (g_tier_override.load(std::memory_order_relaxed)) {
-    case static_cast<int>(DwConvTier::kScalar):
-      return Tier::kScalar;
-    case static_cast<int>(DwConvTier::kGenericVector):
-#if defined(__GNUC__) || defined(__clang__)
-      return Tier::kGeneric;
-#else
-      return Tier::kScalar;
-#endif
-    default:
-      return best_tier();
-  }
-}
 
 // Per-pixel table of tap source pointers (channel 0 of the input pixel each
 // filter tap reads); nullptr marks an out-of-bounds tap.
@@ -93,7 +61,8 @@ inline std::int32_t chan_acc_i8(const PackedDwI8& p, std::int64_t taps,
   return acc;
 }
 
-// Scalar tier / depth-multiplier path / the last ch % 8 channels.
+// Scalar path: depth multipliers > 1 and the forced-scalar test switch.
+// chan_acc_i8 also finishes the last ch % 8 channels of the vector path.
 inline void pixel_i8_scalar(const DwConvShape& s, const PackedDwI8& p,
                             const std::int8_t* const* tap, std::int8_t* yp) {
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
@@ -103,13 +72,11 @@ inline void pixel_i8_scalar(const DwConvShape& s, const PackedDwI8& p,
   }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-
-// Generic SIMD via GCC vector extensions: 16 channels per block, int8
+// Vector path (GNU vector extensions): 16 channels per block, int8
 // activations widened to int16, pre-widened int16 weights, exact int16
-// products (|int8 * int8| <= 2^14) widened into two 8-lane int32
+// products (|int8 * int8| <= 2^14) summed into two 8-lane int32
 // accumulators. Integer math is exact, so this is bit-identical to the
-// scalar tier in any accumulation order.
+// scalar path in any accumulation order.
 using v16s8_u = std::int8_t __attribute__((vector_size(16), aligned(1)));
 using v8s8_u = std::int8_t __attribute__((vector_size(8), aligned(1)));
 using v16s16 = std::int16_t __attribute__((vector_size(32)));
@@ -117,6 +84,7 @@ using v16s16_u = std::int16_t __attribute__((vector_size(32), aligned(2)));
 using v8s16 = std::int16_t __attribute__((vector_size(16)));
 using v8s16_u = std::int16_t __attribute__((vector_size(16), aligned(2)));
 using v8s32 = std::int32_t __attribute__((vector_size(32)));
+constexpr bool kLittleEndian = __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
 
 inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
   v16s8_u v;
@@ -125,10 +93,9 @@ inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
 }
 
 // Vectorized requant for the 8 channels at c, bit-identical to
-// requant_store_i8 per lane (the conformance grid compares the vector tiers
-// against the fully scalar tier byte for byte). The one int8 epilogue of
-// both vector tiers, whose cost otherwise rivals the stencil loop for small
-// windows.
+// requant_store_i8 per lane (the conformance grid compares the vector path
+// against the forced-scalar path byte for byte). Its cost otherwise rivals
+// the stencil loop for small windows.
 inline void requant_store_i8_v8(const PackedDwI8& p, std::int64_t c,
                                 v8s32_fx acc, std::int8_t* yp) {
   v8s32_fx init, mu, sh;
@@ -139,9 +106,9 @@ inline void requant_store_i8_v8(const PackedDwI8& p, std::int64_t c,
                             p.act_max, yp + c);
 }
 
-// The channels both vector tiers leave after their 16-lane blocks: one
-// 8-lane block when at least 8 remain (same widening products as the
-// 16-lane loop, half as wide), then the last ch % 8 channels scalar.
+// The channels the vector path leaves after its 16-lane blocks: one 8-lane
+// block when at least 8 remain (same widening products as the 16-lane
+// loop, half as wide), then the last ch % 8 channels scalar.
 inline void pixel_i8_tail(const PackedDwI8& p, std::int64_t taps,
                           std::int64_t ch, const std::int8_t* const* tap,
                           std::int64_t c, std::int8_t* yp) {
@@ -167,73 +134,40 @@ inline void pixel_i8_tail(const PackedDwI8& p, std::int64_t taps,
   }
 }
 
-inline void pixel_i8_generic(const DwConvShape& s, const PackedDwI8& p,
-                             const std::int8_t* const* tap, std::int8_t* yp) {
+inline void pixel_i8_vector(const DwConvShape& s, const PackedDwI8& p,
+                            const std::int8_t* const* tap, std::int8_t* yp) {
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
   const std::int64_t ch = s.out_ch;
   const v16s16 zp_v = (v16s16){} + static_cast<std::int16_t>(p.in_zp);
   std::int64_t c = 0;
   for (; c + kDwLanesI8 <= ch; c += kDwLanesI8) {
-    v8s32 acc_lo{};
-    v8s32 acc_hi{};
+    // Each int32 lane of a product holds two adjacent channels as int16
+    // halves. Two shifts sign-extend the halves in place, into one
+    // accumulator per half, and one interleave per block restores channel
+    // order: three instructions per tap where GCC 12 splits a widening
+    // convert into eight.
+    v8s32 acc_low{};
+    v8s32 acc_high{};
     for (std::int64_t t = 0; t < taps; ++t) {
       const v16s16 xv =
           tap[t] != nullptr ? dw_widen_i8x16(tap[t] + c) : zp_v;
       v16s16_u wv;
       __builtin_memcpy(&wv, p.weights + t * ch + c, sizeof(wv));
-      const v16s16 prod = xv * wv;  // exact in int16
-      const v8s16 lo =
-          __builtin_shufflevector(prod, prod, 0, 1, 2, 3, 4, 5, 6, 7);
-      const v8s16 hi =
-          __builtin_shufflevector(prod, prod, 8, 9, 10, 11, 12, 13, 14, 15);
-      acc_lo += __builtin_convertvector(lo, v8s32);
-      acc_hi += __builtin_convertvector(hi, v8s32);
+      const v8s32 prod = (v8s32)(xv * wv);  // exact in int16
+      acc_low += (prod << 16) >> 16;
+      acc_high += prod >> 16;
     }
-    requant_store_i8_v8(p, c, acc_lo, yp);
-    requant_store_i8_v8(p, c + 8, acc_hi, yp);
+    const v8s32 even = kLittleEndian ? acc_low : acc_high;
+    const v8s32 odd = kLittleEndian ? acc_high : acc_low;
+    requant_store_i8_v8(
+        p, c, __builtin_shufflevector(even, odd, 0, 8, 1, 9, 2, 10, 3, 11),
+        yp);
+    requant_store_i8_v8(
+        p, c + 8,
+        __builtin_shufflevector(even, odd, 4, 12, 5, 13, 6, 14, 7, 15), yp);
   }
   pixel_i8_tail(p, taps, ch, tap, c, yp);
 }
-
-#endif  // __GNUC__ || __clang__
-
-#if defined(__AVX2__)
-
-// AVX2 tier: same shape as the generic tier, but the widening loads/product
-// splits are spelled with intrinsics (vpmovsxbw + vpmullw + vpmovsxwd) so
-// the block never leaves the ymm registers regardless of the vectorizer's
-// mood. The channel order stays linear (no in-lane unpack scramble), so the
-// shared requant epilogue indexes channels directly.
-inline void pixel_i8_avx2(const DwConvShape& s, const PackedDwI8& p,
-                          const std::int8_t* const* tap, std::int8_t* yp) {
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  const std::int64_t ch = s.out_ch;
-  const __m256i zp_v = _mm256_set1_epi16(static_cast<short>(p.in_zp));
-  std::int64_t c = 0;
-  for (; c + kDwLanesI8 <= ch; c += kDwLanesI8) {
-    __m256i acc_lo = _mm256_setzero_si256();
-    __m256i acc_hi = _mm256_setzero_si256();
-    for (std::int64_t t = 0; t < taps; ++t) {
-      const __m256i xv =
-          tap[t] != nullptr
-              ? _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(tap[t] + c)))
-              : zp_v;
-      const __m256i wv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(p.weights + t * ch + c));
-      const __m256i prod = _mm256_mullo_epi16(xv, wv);  // exact in int16
-      acc_lo = _mm256_add_epi32(
-          acc_lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
-      acc_hi = _mm256_add_epi32(
-          acc_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
-    }
-    requant_store_i8_v8(p, c, reinterpret_cast<v8s32_fx>(acc_lo), yp);
-    requant_store_i8_v8(p, c + 8, reinterpret_cast<v8s32_fx>(acc_hi), yp);
-  }
-  pixel_i8_tail(p, taps, ch, tap, c, yp);
-}
-
-#endif  // __AVX2__
 
 // Inline-bounds fallback for windows too large for the tap table.
 inline void pixel_i8_huge(const DwConvShape& s, const PackedDwI8& p,
@@ -262,27 +196,31 @@ inline void pixel_i8_huge(const DwConvShape& s, const PackedDwI8& p,
 //
 // Accumulation per channel is bias-first, taps in (fy, fx) order with
 // out-of-bounds taps skipped — exactly the reference kernel's order, scalar
-// and vector lanes alike, so all tiers produce bit-identical floats (only
+// and vector lanes alike, so both paths produce bit-identical floats (only
 // the lane width differs, never the per-channel operation sequence). Vector
 // blocks apply the fused activation with activate_v8, which selects per lane
 // with apply_activation_f32's comparisons instead of branching on each
 // channel's sign.
+
+inline float chan_f32(const PackedDwF32& p, std::int64_t taps,
+                      std::int64_t out_ch, Activation act,
+                      const float* const* tap, std::int64_t ic,
+                      std::int64_t oc) {
+  float acc = p.bias[oc];
+  for (std::int64_t t = 0; t < taps; ++t) {
+    if (tap[t] != nullptr) acc += tap[t][ic] * p.weights[t * out_ch + oc];
+  }
+  return apply_activation_f32(acc, act);
+}
 
 inline void pixel_f32_scalar(const DwConvShape& s, const PackedDwF32& p,
                              Activation act, const float* const* tap,
                              float* yp) {
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
   for (std::int64_t oc = 0; oc < s.out_ch; ++oc) {
-    const std::int64_t ic = oc / s.depth_mult;
-    float acc = p.bias[oc];
-    for (std::int64_t t = 0; t < taps; ++t) {
-      if (tap[t] != nullptr) acc += tap[t][ic] * p.weights[t * s.out_ch + oc];
-    }
-    yp[oc] = apply_activation_f32(acc, act);
+    yp[oc] = chan_f32(p, taps, s.out_ch, act, tap, oc / s.depth_mult, oc);
   }
 }
-
-#if defined(__GNUC__) || defined(__clang__)
 
 using v8f_u = float __attribute__((vector_size(32), aligned(4)));
 
@@ -305,16 +243,8 @@ inline void pixel_f32_vector(const DwConvShape& s, const PackedDwF32& p,
     const v8f out = activate_v8(acc, act);
     __builtin_memcpy(yp + c, &out, sizeof(out));
   }
-  for (; c < ch; ++c) {
-    float acc = p.bias[c];
-    for (std::int64_t t = 0; t < taps; ++t) {
-      if (tap[t] != nullptr) acc += tap[t][c] * p.weights[t * ch + c];
-    }
-    yp[c] = apply_activation_f32(acc, act);
-  }
+  for (; c < ch; ++c) yp[c] = chan_f32(p, taps, ch, act, tap, c, c);
 }
-
-#endif  // __GNUC__ || __clang__
 
 inline void pixel_f32_huge(const DwConvShape& s, const PackedDwF32& p,
                            Activation act, const float* x, std::int64_t n,
@@ -338,6 +268,14 @@ inline void pixel_f32_huge(const DwConvShape& s, const PackedDwF32& p,
   }
 }
 
+// The vector blocks hold consecutive output channels of consecutive input
+// channels, so a depth multiplier > 1 (output channel oc reads input
+// channel oc / depth_mult) takes the scalar path, as does the test switch.
+bool use_scalar_path(const DwConvShape& s) {
+  return s.depth_mult != 1 ||
+         force_scalar_kernels_for_testing.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
@@ -353,22 +291,9 @@ void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
   }
 }
 
-void set_dwconv_tier_for_testing(DwConvTier tier) {
-  g_tier_override.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-const char* dwconv_best_tier_name() {
-  switch (best_tier()) {
-    case Tier::kAvx2: return "avx2";
-    case Tier::kGeneric: return "generic-vector";
-    case Tier::kScalar: return "scalar";
-  }
-  return "scalar";
-}
-
 void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
                  const PackedDwI8& p, std::int8_t* y, PoolRef pool) {
-  const Tier tier = resolve_tier();
+  const bool scalar = use_scalar_path(s);
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
   const std::int64_t rows = s.batch * s.out_h;
   auto body = [&](std::size_t lo, std::size_t hi) {
@@ -384,21 +309,11 @@ void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
           continue;
         }
         build_tap_src(s, x, n, oy, ox, tap_src);
-        if (s.depth_mult != 1 || tier == Tier::kScalar) {
+        if (scalar) {
           pixel_i8_scalar(s, p, tap_src, yp);
-          continue;
-        }
-#if defined(__AVX2__)
-        if (tier == Tier::kAvx2) {
-          pixel_i8_avx2(s, p, tap_src, yp);
         } else {
-          pixel_i8_generic(s, p, tap_src, yp);
+          pixel_i8_vector(s, p, tap_src, yp);
         }
-#elif defined(__GNUC__) || defined(__clang__)
-        pixel_i8_generic(s, p, tap_src, yp);
-#else
-        pixel_i8_scalar(s, p, tap_src, yp);
-#endif
       }
     }
   };
@@ -412,7 +327,7 @@ void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
 
 void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
                   Activation act, float* y, PoolRef pool) {
-  const Tier tier = resolve_tier();
+  const bool scalar = use_scalar_path(s);
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
   const std::int64_t rows = s.batch * s.out_h;
   auto body = [&](std::size_t lo, std::size_t hi) {
@@ -427,15 +342,11 @@ void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
           continue;
         }
         build_tap_src(s, x, n, oy, ox, tap_src);
-        if (s.depth_mult != 1 || tier == Tier::kScalar) {
+        if (scalar) {
           pixel_f32_scalar(s, p, act, tap_src, yp);
-          continue;
+        } else {
+          pixel_f32_vector(s, p, act, tap_src, yp);
         }
-#if defined(__GNUC__) || defined(__clang__)
-        pixel_f32_vector(s, p, act, tap_src, yp);
-#else
-        pixel_f32_scalar(s, p, act, tap_src, yp);
-#endif
       }
     }
   };

@@ -24,12 +24,16 @@
 //    accumulation exactly), plus the per-channel Q31 requant tables and the
 //    fused activation clamp range.
 //
-// Integer accumulation is exact and order-free, so every tier (AVX2,
-// generic GNU-vector, scalar) produces bit-identical int8 output; the f32
-// tiers keep the reference kernels' per-channel accumulation order
-// (bias-first, taps in (fy, fx) order) so float output is bit-identical
-// too. `set_dwconv_tier_for_testing()` forces a lower tier so the
-// conformance grid can assert that equivalence instead of assuming it.
+// The kernels have two paths. The vector path spells its blocks with GNU
+// vector extensions, one source for every target. The scalar path covers
+// depth multipliers > 1, and windows of more than 64 taps take an
+// inline-bounds scalar fallback. Integer accumulation is exact and
+// order-free, so both paths produce bit-identical int8 output; the f32
+// paths keep the reference kernels' per-channel accumulation order
+// (bias-first, taps in (fy, fx) order), so float output is bit-identical
+// too. force_scalar_kernels_for_testing (kernel.h) runs the scalar path
+// everywhere, so the conformance grid can assert that equivalence instead
+// of assuming it.
 #pragma once
 
 #include <cstdint>
@@ -81,16 +85,6 @@ void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
                         const std::int8_t* w, std::int16_t* out,
                         std::int32_t* w_sums);
 
-// Test hook: force the compute tier for subsequent invocations so the
-// conformance grid can assert cross-tier bit-exactness. kAuto restores the
-// best compiled-in tier. Tiers below the best available degrade gracefully
-// (kAvx2 without AVX2 runs the generic tier, etc.).
-enum class DwConvTier { kAuto = 0, kGenericVector = 1, kScalar = 2 };
-void set_dwconv_tier_for_testing(DwConvTier tier);
-// Name of the tier that kAuto resolves to on this build ("avx2",
-// "generic-vector", or "scalar"); surfaced by benches.
-const char* dwconv_best_tier_name();
-
 // y[n, oy, ox, c] = act(bias[c] + sum_taps x[tap, c / dm] * w[tap, c]),
 // accumulation per channel in reference order. Rows are partitioned across
 // the pool when it pays.
@@ -99,7 +93,7 @@ void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
 
 // Integer path: raw widening dot product over all taps (out-of-bounds taps
 // read x = in_zp), then requant(acc + acc_init[c]) per channel. Bit-exact
-// across tiers.
+// across the vector and scalar paths.
 void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
                  const PackedDwI8& p, std::int8_t* y, PoolRef pool);
 

@@ -1,15 +1,11 @@
 // Int8 elementwise/reduction kernel family — see elementwise.h for the
-// design contract, and tests/test_elementwise_grid.cc for the forced-tier
-// conformance grid that locks it in.
+// design contract, and tests/test_elementwise_grid.cc for the vector-vs-
+// scalar conformance grid that locks it in.
 #include "src/kernels/elementwise.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 #include "src/kernels/activation.h"
 #include "src/kernels/fixed_point.h"
@@ -17,35 +13,6 @@
 
 namespace mlexray {
 namespace {
-
-std::atomic<int> g_tier_override{0};  // ElementwiseTier
-
-enum class Tier { kAvx2, kGeneric, kScalar };
-
-Tier best_tier() {
-#if defined(__AVX2__)
-  return Tier::kAvx2;
-#elif defined(__GNUC__) || defined(__clang__)
-  return Tier::kGeneric;
-#else
-  return Tier::kScalar;
-#endif
-}
-
-Tier resolve_tier() {
-  switch (g_tier_override.load(std::memory_order_relaxed)) {
-    case static_cast<int>(ElementwiseTier::kScalar):
-      return Tier::kScalar;
-    case static_cast<int>(ElementwiseTier::kGenericVector):
-#if defined(__GNUC__) || defined(__clang__)
-      return Tier::kGeneric;
-#else
-      return Tier::kScalar;
-#endif
-    default:
-      return best_tier();
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Packed Q31 parameter blocks (PODs living in PreparedStorage — never
@@ -162,33 +129,13 @@ void ew_prepare(const KernelContext& ctx) {
   ctx.prepared->set_root(root);
 }
 
-// ---------------------------------------------------------------------------
-// Tier-specific int8 -> int32 widening loads. The arithmetic after the load
-// is shared (GNU vectors), so tiers can only differ in how lanes get into
-// registers — which is exactly what keeps them trivially bit-identical.
-// ---------------------------------------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-
-using v8s8_ew = std::int8_t __attribute__((vector_size(8), aligned(1)));
-
-inline v8s32_fx load_widen_generic(const std::int8_t* p) {
-  v8s8_ew b;
-  __builtin_memcpy(&b, p, sizeof(b));
-  return __builtin_convertvector(b, v8s32_fx);
+// The vector spans requantize with the 8-lane epilogue, which has no
+// positive-shift form (an output multiplier >= 1), so such blocks take the
+// scalar spans, as does every block under the test switch.
+bool use_scalar_path(std::int32_t out_shift) {
+  return out_shift > 0 ||
+         force_scalar_kernels_for_testing.load(std::memory_order_relaxed);
 }
-
-#if defined(__AVX2__)
-inline v8s32_fx load_widen_avx2(const std::int8_t* p) {
-  const __m256i w = _mm256_cvtepi8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-  v8s32_fx out;
-  __builtin_memcpy(&out, &w, sizeof(out));
-  return out;
-}
-#endif  // __AVX2__
-
-#endif  // __GNUC__ || __clang__
 
 // ---------------------------------------------------------------------------
 // Add / Sub.
@@ -222,10 +169,7 @@ void add_span_scalar(const PackedEwAddI8& p, const std::int8_t* a,
   for (std::int64_t i = 0; i < len; ++i) y[i] = add_emit_scalar(p, a[i], b[i]);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-// Requires p.out_shift <= 0 (the select below routes positive shifts to the
-// scalar span on every tier).
-template <v8s32_fx (*kLoad)(const std::int8_t*)>
+// Requires p.out_shift <= 0 (see use_scalar_path).
 void add_span_vec(const PackedEwAddI8& p, const std::int8_t* a,
                   const std::int8_t* b, std::int8_t* y, std::int64_t len) {
   const v8s32_fx za_v = (v8s32_fx){} + p.za;
@@ -238,8 +182,8 @@ void add_span_vec(const PackedEwAddI8& p, const std::int8_t* a,
   const v8s32_fx oe_v = (v8s32_fx){} + (-p.out_shift);
   std::int64_t i = 0;
   for (; i + 8 <= len; i += 8) {
-    const v8s32_fx av = (kLoad(a + i) - za_v) << kAddLeftShift;
-    const v8s32_fx bv = (kLoad(b + i) - zb_v) << kAddLeftShift;
+    const v8s32_fx av = (load_widen_i8_v8(a + i) - za_v) << kAddLeftShift;
+    const v8s32_fx bv = (load_widen_i8_v8(b + i) - zb_v) << kAddLeftShift;
     const v8s32_fx as = multiply_by_quantized_multiplier_v8(av, am_v, ae_v);
     const v8s32_fx bs = multiply_by_quantized_multiplier_v8(bv, bm_v, be_v);
     const v8s32_fx acc = p.is_sub != 0 ? as - bs : as + bs;
@@ -247,22 +191,6 @@ void add_span_vec(const PackedEwAddI8& p, const std::int8_t* a,
                               y + i);
   }
   for (; i < len; ++i) y[i] = add_emit_scalar(p, a[i], b[i]);
-}
-#endif
-
-AddSpanFn select_add_span(Tier tier) {
-  switch (tier) {
-#if defined(__AVX2__)
-    case Tier::kAvx2:
-      return add_span_vec<load_widen_avx2>;
-#endif
-#if defined(__GNUC__) || defined(__clang__)
-    case Tier::kGeneric:
-      return add_span_vec<load_widen_generic>;
-#endif
-    default:
-      return add_span_scalar;
-  }
 }
 
 void addsub_i8_opt(const KernelContext& ctx) {
@@ -273,7 +201,7 @@ void addsub_i8_opt(const KernelContext& ctx) {
   const std::int8_t* pb = b.data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
   const AddSpanFn span =
-      select_add_span(p.out_shift > 0 ? Tier::kScalar : resolve_tier());
+      use_scalar_path(p.out_shift) ? add_span_scalar : add_span_vec;
   if (p.broadcast_b == 0) {
     span(p, pa, pb, y, ctx.output->num_elements());
     return;
@@ -312,9 +240,7 @@ void mul_span_scalar(const PackedEwMulI8& p, const std::int8_t* a,
   for (std::int64_t i = 0; i < len; ++i) y[i] = mul_emit_scalar(p, a[i], b[i]);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 // Requires p.shift <= 0.
-template <v8s32_fx (*kLoad)(const std::int8_t*)>
 void mul_span_vec(const PackedEwMulI8& p, const std::int8_t* a,
                   const std::int8_t* b, std::int8_t* y, std::int64_t len) {
   const v8s32_fx za_v = (v8s32_fx){} + p.za;
@@ -323,26 +249,11 @@ void mul_span_vec(const PackedEwMulI8& p, const std::int8_t* a,
   const v8s32_fx e_v = (v8s32_fx){} + (-p.shift);
   std::int64_t i = 0;
   for (; i + 8 <= len; i += 8) {
-    const v8s32_fx acc = (kLoad(a + i) - za_v) * (kLoad(b + i) - zb_v);
+    const v8s32_fx acc =
+        (load_widen_i8_v8(a + i) - za_v) * (load_widen_i8_v8(b + i) - zb_v);
     requant_clamp_store_i8_v8(acc, m_v, e_v, p.zo, -128, 127, y + i);
   }
   for (; i < len; ++i) y[i] = mul_emit_scalar(p, a[i], b[i]);
-}
-#endif
-
-MulSpanFn select_mul_span(Tier tier) {
-  switch (tier) {
-#if defined(__AVX2__)
-    case Tier::kAvx2:
-      return mul_span_vec<load_widen_avx2>;
-#endif
-#if defined(__GNUC__) || defined(__clang__)
-    case Tier::kGeneric:
-      return mul_span_vec<load_widen_generic>;
-#endif
-    default:
-      return mul_span_scalar;
-  }
 }
 
 void mul_i8_opt(const KernelContext& ctx) {
@@ -353,7 +264,7 @@ void mul_i8_opt(const KernelContext& ctx) {
   const std::int8_t* pb = b.data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
   const MulSpanFn span =
-      select_mul_span(p.shift > 0 ? Tier::kScalar : resolve_tier());
+      use_scalar_path(p.shift) ? mul_span_scalar : mul_span_vec;
   if (p.broadcast_b == 0) {
     span(p, pa, pb, y, ctx.output->num_elements());
     return;
@@ -380,24 +291,26 @@ void mul_i8_opt(const KernelContext& ctx) {
 using MeanFn = void (*)(const PackedEwMeanI8&, const std::int8_t*,
                         std::int64_t, std::int64_t, std::int8_t*);
 
-void mean_scalar(const PackedEwMeanI8& p, const std::int8_t* x,
-                 std::int64_t hw, std::int64_t ch, std::int8_t* y) {
-  for (std::int64_t c = 0; c < ch; ++c) {
-    std::int32_t acc = 0;
-    for (std::int64_t px = 0; px < hw; ++px) {
-      acc += static_cast<std::int32_t>(x[px * ch + c]);
-    }
-    acc -= static_cast<std::int32_t>(hw) * p.in_zp;
-    const std::int32_t q =
-        multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) + p.out_zp;
-    y[c] = clamp_to_i8(q);
+// Channel c of an [hw, ch] image, in exact integer arithmetic.
+inline std::int8_t mean_channel(const PackedEwMeanI8& p, const std::int8_t* x,
+                                std::int64_t hw, std::int64_t ch,
+                                std::int64_t c) {
+  std::int32_t acc = 0;
+  for (std::int64_t px = 0; px < hw; ++px) {
+    acc += static_cast<std::int32_t>(x[px * ch + c]);
   }
+  acc -= static_cast<std::int32_t>(hw) * p.in_zp;
+  return clamp_to_i8(
+      multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) + p.out_zp);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
+void mean_scalar(const PackedEwMeanI8& p, const std::int8_t* x,
+                 std::int64_t hw, std::int64_t ch, std::int8_t* y) {
+  for (std::int64_t c = 0; c < ch; ++c) y[c] = mean_channel(p, x, hw, ch, c);
+}
+
 // Requires p.shift <= 0 (always true when the output inherits the input
 // quantization, since the multiplier then is exactly 1/hw).
-template <v8s32_fx (*kLoad)(const std::int8_t*)>
 void mean_vec(const PackedEwMeanI8& p, const std::int8_t* x, std::int64_t hw,
               std::int64_t ch, std::int8_t* y) {
   const v8s32_fx m_v = (v8s32_fx){} + p.mult;
@@ -408,40 +321,11 @@ void mean_vec(const PackedEwMeanI8& p, const std::int8_t* x, std::int64_t hw,
   for (; c + 8 <= ch; c += 8) {
     v8s32_fx acc = init_v;
     for (std::int64_t px = 0; px < hw; ++px) {
-      acc += kLoad(x + px * ch + c);
+      acc += load_widen_i8_v8(x + px * ch + c);
     }
     requant_clamp_store_i8_v8(acc, m_v, e_v, p.out_zp, -128, 127, y + c);
   }
-  if (c < ch) {
-    // Channel tail: scalar, same integer math (exact, order-free).
-    for (; c < ch; ++c) {
-      std::int32_t acc = 0;
-      for (std::int64_t px = 0; px < hw; ++px) {
-        acc += static_cast<std::int32_t>(x[px * ch + c]);
-      }
-      acc -= static_cast<std::int32_t>(hw) * p.in_zp;
-      const std::int32_t q =
-          multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) +
-          p.out_zp;
-      y[c] = clamp_to_i8(q);
-    }
-  }
-}
-#endif
-
-MeanFn select_mean(Tier tier) {
-  switch (tier) {
-#if defined(__AVX2__)
-    case Tier::kAvx2:
-      return mean_vec<load_widen_avx2>;
-#endif
-#if defined(__GNUC__) || defined(__clang__)
-    case Tier::kGeneric:
-      return mean_vec<load_widen_generic>;
-#endif
-    default:
-      return mean_scalar;
-  }
+  for (; c < ch; ++c) y[c] = mean_channel(p, x, hw, ch, c);
 }
 
 void mean_i8_opt(const KernelContext& ctx) {
@@ -452,7 +336,7 @@ void mean_i8_opt(const KernelContext& ctx) {
   const std::int64_t ch = is.dim(3);
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
-  const MeanFn mean = select_mean(p.shift > 0 ? Tier::kScalar : resolve_tier());
+  const MeanFn mean = use_scalar_path(p.shift) ? mean_scalar : mean_vec;
   for (std::int64_t n = 0; n < is.dim(0); ++n) {
     mean(p, x + n * hw * ch, hw, ch, y + n * ch);
   }
@@ -463,8 +347,7 @@ void mean_i8_opt(const KernelContext& ctx) {
 // same build_i8_lut the reference kernels use — so the optimized path is
 // bit-exact with reference (0 quanta) — but at plan time, into
 // PreparedStorage, instead of 256 expf/lround calls per invoke. The lookup
-// loop is byte arithmetic with no tier-divergent math, so it is identical on
-// every tier by construction.
+// loop is byte arithmetic with a single path.
 // ---------------------------------------------------------------------------
 
 template <float (*Fn)(float)>
@@ -490,19 +373,6 @@ void ew_lut_i8_opt(const KernelContext& ctx) {
 }
 
 }  // namespace
-
-void set_elementwise_tier_for_testing(ElementwiseTier tier) {
-  g_tier_override.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-const char* elementwise_best_tier_name() {
-  switch (best_tier()) {
-    case Tier::kAvx2: return "avx2";
-    case Tier::kGeneric: return "generic-vector";
-    case Tier::kScalar: return "scalar";
-  }
-  return "scalar";
-}
 
 void register_elementwise_i8_kernels(KernelMap& map) {
   map[{OpType::kAdd, true}] = {

@@ -57,13 +57,11 @@ inline std::int8_t clamp_to_i8(std::int32_t v) {
   return static_cast<std::int8_t>(v);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-
 // Eight-lane vector form of multiply_by_quantized_multiplier, bit-identical
 // per lane to the scalar function (the kernel parity tests compare the
-// vector and scalar requant paths byte for byte). GNU vector extensions so
-// every ISA tier shares one definition; on AVX2+ the whole thing stays in
-// ymm registers, elsewhere the compiler scalarizes it correctly.
+// vector and scalar requant paths byte for byte). GNU vector extensions, so
+// one definition serves every target: on AVX2+ the whole thing stays in ymm
+// registers, elsewhere the compiler splits or scalarizes it correctly.
 //
 // `shift_exp` lanes hold the *negated* shift (>= 0), i.e. the
 // rounding_divide_by_pot exponent.
@@ -130,6 +128,23 @@ inline void requant_clamp_store_i8_v8(v8s32_fx acc, v8s32_fx multiplier,
   __builtin_memcpy(dst, &out8, sizeof(out8));
 }
 
-#endif  // __GNUC__ || __clang__
+// The int8 kernels' widening load: 8 consecutive int8 values as int32
+// lanes. The bytes enter as the low half of a 16-byte vector and widen
+// int8 -> int16 -> int32, which compiles to five instructions on AVX2
+// (vpmovsxbw, two vpmovsxwd, a shift and an insert). GCC 12 scalarizes the
+// direct 8 x int8 -> 8 x int32 convert into ~31.
+inline v8s32_fx load_widen_i8_v8(const std::int8_t* src) {
+  using v2s64 = std::int64_t __attribute__((vector_size(16)));
+  using v16s8 = std::int8_t __attribute__((vector_size(16)));
+  using v16s16 = std::int16_t __attribute__((vector_size(32)));
+  using v8s16 = std::int16_t __attribute__((vector_size(16)));
+  std::int64_t bits;
+  __builtin_memcpy(&bits, src, sizeof(bits));
+  const v16s16 w16 =
+      __builtin_convertvector((v16s8)(v2s64){bits, 0}, v16s16);
+  const v8s16 w8 =
+      __builtin_shufflevector(w16, w16, 0, 1, 2, 3, 4, 5, 6, 7);
+  return __builtin_convertvector(w8, v8s32_fx);
+}
 
 }  // namespace mlexray

@@ -43,7 +43,7 @@ constexpr std::int64_t kMinFlopsForPool = 64 * 1024;
 // tile of a problem computes all lanes over zero-padded B and bias, and
 // stores only its nr real columns. The fused activation runs on the
 // accumulators through activate_v8 (activation.h).
-#if defined(__GNUC__) || defined(__clang__)
+
 // Unaligned-load flavour for B panels and bias columns.
 using v8f_u = float __attribute__((vector_size(32), aligned(4)));
 
@@ -96,31 +96,6 @@ inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
   if constexpr (MR > 2) store_row(c + 2 * ldc, acc20, acc21);
   if constexpr (MR > 3) store_row(c + 3 * ldc, acc30, acc31);
 }
-#else
-template <int MR, int NP>
-inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
-                            const float* bp, const float* bias, Activation act,
-                            float* c, std::int64_t ldc, std::int64_t nr) {
-  constexpr std::int64_t kCols = NP * kNrF;
-  float acc[MR][kCols];
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < kCols; ++j) acc[i][j] = bias[j];
-  }
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    for (int i = 0; i < MR; ++i) {
-      const float av = a[i * lda + kk];
-      for (std::int64_t j = 0; j < kCols; ++j) {
-        acc[i][j] += av * bp[(j / kNrF) * k * kNrF + kk * kNrF + j % kNrF];
-      }
-    }
-  }
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < std::min(nr, kCols); ++j) {
-      c[i * ldc + j] = apply_activation_f32(acc[i][j], act);
-    }
-  }
-}
-#endif
 
 template <int NP>
 inline void tile_f32_rows(std::int64_t mr, std::int64_t k, const float* a,
@@ -148,11 +123,12 @@ inline void tile_f32_rows(std::int64_t mr, std::int64_t k, const float* a,
 // with an explicit zero on the A side (never reading a[k]).
 //
 // Tiered by ISA: AVX-512BW (one 64-byte madd per k pair), AVX2 (two
-// 32-byte madds), generic GNU vectors (exact int16 products widened and
-// summed per pair), plain scalar. Integer accumulation is exact and
-// order-free, so all tiers are bit-identical. Overflow: an int8*int8
-// product is at most 2^14 and a pair at most 2^15, so int32 lanes are safe
-// until k > 2^16 — far beyond any shape this runtime sees.
+// 32-byte madds), and GNU vectors elsewhere (exact int16 products widened
+// and summed per pair: vector extensions cannot spell vpmaddwd). Integer
+// accumulation is exact and order-free, so all tiers are bit-identical.
+// Overflow: an int8*int8 product is at most 2^14 and a pair at most 2^15,
+// so int32 lanes are safe until k > 2^16 — far beyond any shape this
+// runtime sees.
 
 // The broadcast A operand: two consecutive activations as packed int16s.
 // `full == false` zeroes the high half for the odd-k tail.
@@ -225,9 +201,9 @@ inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
   }
 }
 
-#elif defined(__GNUC__) || defined(__clang__)
+#else
 
-// Generic SIMD via GCC vector extensions (NEON etc.): exact int16 products
+// Generic SIMD via GNU vector extensions (NEON etc.): exact int16 products
 // per pair (|int8 * int8| <= 2^14), widened per column and summed into the
 // 8-lane int32 accumulator each 16-int16 block owns.
 using v16s16_p = std::int16_t __attribute__((vector_size(32), aligned(2)));
@@ -269,35 +245,6 @@ inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
   for (int i = 0; i < MR; ++i) {
     __builtin_memcpy(acc_out[i], &acc[i][0], sizeof(acc[i][0]));
     __builtin_memcpy(acc_out[i] + 8, &acc[i][1], sizeof(acc[i][1]));
-  }
-}
-
-#else
-
-template <int MR>
-inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
-                          std::int64_t lda, const std::int16_t* bp,
-                          std::int32_t acc_out[][kNrIP]) {
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t j = 0; j < kNrIP; ++j) acc_out[i][j] = 0;
-  }
-  const std::int64_t k2 = k / 2;
-  for (int i = 0; i < MR; ++i) {
-    for (std::int64_t p = 0; p < k2; ++p) {
-      const std::int32_t a0 = a[i * lda + 2 * p];
-      const std::int32_t a1 = a[i * lda + 2 * p + 1];
-      const std::int16_t* bq = bp + p * 2 * kNrIP;
-      for (std::int64_t j = 0; j < kNrIP; ++j) {
-        acc_out[i][j] += a0 * bq[2 * j] + a1 * bq[2 * j + 1];
-      }
-    }
-    if (k & 1) {
-      const std::int32_t a0 = a[i * lda + k - 1];
-      const std::int16_t* bq = bp + k2 * 2 * kNrIP;
-      for (std::int64_t j = 0; j < kNrIP; ++j) {
-        acc_out[i][j] += a0 * bq[2 * j];
-      }
-    }
   }
 }
 
@@ -512,7 +459,6 @@ inline void matvec_i8_kmajor(std::int64_t nc, std::int64_t k,
 inline void requant_store_i8(const std::int32_t* acc, std::int64_t j0,
                              std::int64_t nr, const GemmQuant& q,
                              const std::int32_t* col_sums, std::int8_t* dst) {
-#if defined(__GNUC__) || defined(__clang__)
   const v8s32_fx zp_a = (v8s32_fx){} + q.a_zero_point;
   for (std::int64_t j = 0; j < nr; j += kGemmRequantLanes) {
     const std::size_t col = static_cast<std::size_t>(j0 + j);
@@ -533,16 +479,6 @@ inline void requant_store_i8(const std::int32_t* acc, std::int64_t j0,
       std::memcpy(dst + j, tail, static_cast<std::size_t>(nr - j));
     }
   }
-#else
-  for (std::int64_t j = 0; j < nr; ++j) {
-    const std::size_t col = static_cast<std::size_t>(j0 + j);
-    const std::int32_t sum = acc[j] - q.a_zero_point * col_sums[col];
-    const std::int32_t scaled = multiply_by_quantized_multiplier(
-        sum + q.bias[col], q.multipliers[col], q.shifts[col]);
-    dst[j] = static_cast<std::int8_t>(
-        std::clamp(scaled + q.out_zero_point, q.act_min, q.act_max));
-  }
-#endif
 }
 
 // One A row against all n raw k-major B rows, in column chunks.

@@ -26,6 +26,12 @@
 // Integer accumulation is exact and order-free. Rows of C are partitioned
 // across the ThreadPool in tile-sized chunks with no per-call heap
 // allocation.
+//
+// The f32 tile and the int8 requant epilogue are GNU vector extensions, one
+// source for every target. The int8 dot products are the one place with
+// ISA tiers: AVX-512BW and AVX2 intrinsics for the widening multiply-add
+// (vpmaddwd, which vector extensions cannot spell), and GNU vectors
+// elsewhere. All tiers produce bit-identical output.
 #pragma once
 
 #include <cstddef>

@@ -13,6 +13,7 @@
 // storage a kernel's optional prepare hook fills at plan construction.
 #pragma once
 
+#include <atomic>
 #include <functional>
 
 #include "src/common/thread_pool.h"
@@ -65,6 +66,12 @@ struct KernelContext {
 };
 
 using KernelFn = std::function<void(const KernelContext&)>;
+
+// Test switch: while true, the depthwise and int8 elementwise kernels run
+// their scalar loops instead of their vector blocks, so the conformance
+// grids can assert the two paths byte for byte. Kernels read it once per
+// invoke; flip it only between invokes.
+inline std::atomic<bool> force_scalar_kernels_for_testing{false};
 
 // A registered kernel: the per-invoke entry point plus an optional prepare
 // hook the ExecutionPlan runs exactly once at construction. Prepare hooks

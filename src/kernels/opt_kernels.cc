@@ -9,6 +9,7 @@
 #include "src/kernels/conv_utils.h"
 #include "src/kernels/dwconv.h"
 #include "src/kernels/elementwise.h"
+#include "src/kernels/fixed_point.h"
 #include "src/kernels/gemm.h"
 
 namespace mlexray {
@@ -356,7 +357,6 @@ template <bool kIsSub>
 void addsub_span_f32(const float* a, const float* b, float* y,
                      std::int64_t len, Activation act) {
   std::int64_t i = 0;
-#if defined(__GNUC__) || defined(__clang__)
   for (; i + 8 <= len; i += 8) {
     v8f av, bv;
     __builtin_memcpy(&av, a + i, sizeof(av));
@@ -364,7 +364,6 @@ void addsub_span_f32(const float* a, const float* b, float* y,
     const v8f v = activate_v8(kIsSub ? av - bv : av + bv, act);
     __builtin_memcpy(y + i, &v, sizeof(v));
   }
-#endif
   for (; i < len; ++i) {
     y[i] = apply_activation_f32(kIsSub ? a[i] - b[i] : a[i] + b[i], act);
   }
@@ -414,8 +413,8 @@ void conv2d_i8_opt(const KernelContext& ctx) {
 }
 
 // Correct int8 path: raw widening dot product over the plan-packed int16
-// panels, per-channel Q31 requant — bit-identical across the AVX2 /
-// generic-vector / scalar tiers (integer math is exact and order-free).
+// panels, per-channel Q31 requant — bit-identical across the vector and
+// scalar paths (integer math is exact and order-free).
 void dwconv2d_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
@@ -609,7 +608,6 @@ void quantize_i8_opt(const KernelContext& ctx) {
   std::int8_t* dst = out.data<std::int8_t>();
   const std::int64_t n = in.num_elements();
   std::int64_t i = 0;
-#if defined(__GNUC__) || defined(__clang__)
   using v8f = float __attribute__((vector_size(32), aligned(4)));
   using v8i = std::int32_t __attribute__((vector_size(32), aligned(4)));
   using v8b = std::int8_t __attribute__((vector_size(8), aligned(1)));
@@ -640,7 +638,6 @@ void quantize_i8_opt(const KernelContext& ctx) {
     const v8b packed = __builtin_convertvector(q, v8b);
     __builtin_memcpy(dst + i, &packed, sizeof(packed));
   }
-#endif
   for (; i < n; ++i) {
     float y = src[i] / scale;
     y = std::clamp(y, -512.0f, 512.0f);
@@ -657,22 +654,16 @@ void dequantize_i8_opt(const KernelContext& ctx) {
   float* dst = ctx.output->data<float>();
   const std::int64_t n = in.num_elements();
   std::int64_t i = 0;
-#if defined(__GNUC__) || defined(__clang__)
   using v8f = float __attribute__((vector_size(32), aligned(4)));
-  using v8i = std::int32_t __attribute__((vector_size(32), aligned(4)));
-  using v8b = std::int8_t __attribute__((vector_size(8), aligned(1)));
-  const v8i vzp = (v8i){} + zp;
+  const v8s32_fx vzp = (v8s32_fx){} + zp;
   const v8f vscale = (v8f){} + scale;
   for (; i + 8 <= n; i += 8) {
-    v8b b;
-    __builtin_memcpy(&b, src + i, sizeof(b));
-    const v8i q = __builtin_convertvector(b, v8i) - vzp;
+    const v8s32_fx q = load_widen_i8_v8(src + i) - vzp;
     // Same per-element arithmetic as the reference (int subtract, convert,
     // one multiply) — bit-exact.
     const v8f f = __builtin_convertvector(q, v8f) * vscale;
     __builtin_memcpy(dst + i, &f, sizeof(f));
   }
-#endif
   for (; i < n; ++i) {
     dst[i] = scale * static_cast<float>(src[i] - zp);
   }
@@ -704,7 +695,7 @@ void register_opt_quant_kernels(KernelMap& map, bool emulate_dwconv_bug) {
   map[{OpType::kQuantize, true}] = quantize_i8_opt;
   map[{OpType::kDequantize, true}] = dequantize_i8_opt;
   // Int8 elementwise/reduction family (Add/Sub/Mul/Mean + LUT activations):
-  // plan-time Q31 prep, tiered vector epilogue (src/kernels/elementwise.h).
+  // plan-time Q31 prep, 8-lane vector epilogue (src/kernels/elementwise.h).
   register_elementwise_i8_kernels(map);
 }
 

@@ -6,6 +6,10 @@
 #include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
+namespace {
+// Weight of the running extremes in kMovingAverage's per-sample update.
+constexpr float kEmaMomentum = 0.9f;
+}  // namespace
 
 Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
     : options_(options), model_(model, &resolver_), session_(&model_) {
@@ -38,7 +42,7 @@ void Calibrator::observe(const std::vector<Tensor>& inputs) {
       ema_min_[id] = s.min;
       ema_max_[id] = s.max;
     } else {
-      const auto m = static_cast<float>(options_.ema_momentum);
+      const float m = kEmaMomentum;
       ema_min_[id] = m * ema_min_[id] + (1.0f - m) * s.min;
       ema_max_[id] = m * ema_max_[id] + (1.0f - m) * s.max;
     }

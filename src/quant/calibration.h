@@ -16,8 +16,7 @@ namespace mlexray {
 struct CalibrationOptions {
   enum class Method { kMinMax, kMovingAverage, kPercentile };
   Method method = Method::kMinMax;
-  double percentile = 99.5;      // for kPercentile (per-sample extremes)
-  double ema_momentum = 0.9;     // for kMovingAverage
+  double percentile = 99.5;  // for kPercentile (per-sample extremes)
 };
 
 class Calibrator {

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <vector>
 
 #include "src/common/file_io.h"
@@ -330,36 +331,53 @@ TEST(DigestWire, RoundTripsFloatAndIntDigests) {
 }
 
 TEST(TraceFormat, V1FilesWithoutDigestSectionStillLoad) {
-  // A hand-written v1 stream: v1 magic, no digest section after latencies —
-  // exactly what every pre-digest .mlxtrace on disk looks like.
-  FrameTrace f;
-  f.frame_id = 0;
-  f.layer_names = {"a", "b"};
+  // A v1 stream as the retired v1 writer emitted it: v1 magic ("TXLM"),
+  // pipeline "legacy", one frame with scalar latency.inference_ms = 1.0,
+  // layers "a" and "b" with f32 outputs of 4 and 6 values, latencies
+  // {0.25, 0.5}, and no digest section after the latencies — exactly what
+  // every pre-digest .mlxtrace on disk looks like.
+  static const std::uint8_t kV1Trace[] = {
+      0x54, 0x58, 0x4c, 0x4d, 0x06, 0x00, 0x00, 0x00, 0x6c, 0x65, 0x67, 0x61,
+      0x63, 0x79, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x6c, 0x61,
+      0x74, 0x65, 0x6e, 0x63, 0x79, 0x2e, 0x69, 0x6e, 0x66, 0x65, 0x72, 0x65,
+      0x6e, 0x63, 0x65, 0x5f, 0x6d, 0x73, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xf0, 0x3f, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x61, 0x01,
+      0x00, 0x00, 0x00, 0x62, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x8c, 0xc7,
+      0x99, 0xbe, 0xe0, 0xc5, 0x30, 0xbd, 0x52, 0x7f, 0xa6, 0xbf, 0x5a, 0xd6,
+      0x83, 0xbf, 0x00, 0x01, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x60, 0x19, 0x5b, 0x3e, 0xf8, 0x3c, 0xd1, 0x3e,
+      0xa0, 0x85, 0x4c, 0x3e, 0x02, 0xc4, 0x2a, 0xbf, 0x00, 0x08, 0x04, 0xbb,
+      0x18, 0x89, 0xad, 0x3f, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f};
+  // The layer outputs the fixture holds.
   Pcg32 rng(341);
-  f.layer_outputs.push_back(random_input(Shape{4}, rng));
-  f.layer_outputs.push_back(random_input(Shape{6}, rng));
-  f.layer_latency_ms = {0.25, 0.5};
-  f.scalars["latency.inference_ms"] = 1.0;
-
-  BinaryWriter w;
-  w.write_u32(0x4d4c5854u);  // "TXLM": trace format v1
-  w.write_string("legacy");
-  w.write_u32(1);
-  serialize_frame(w, f, kTraceVersion1);
+  const Tensor out_a = random_input(Shape{4}, rng);
+  const Tensor out_b = random_input(Shape{6}, rng);
   const auto path =
       std::filesystem::temp_directory_path() / "mlx_drift_v1.mlxtrace";
-  write_file(path, w.bytes());
+  write_file(path, std::vector<std::uint8_t>(std::begin(kV1Trace),
+                                             std::end(kV1Trace)));
 
   Trace back = load_trace(path);
   std::filesystem::remove(path);
   EXPECT_EQ(back.pipeline_name, "legacy");
   ASSERT_EQ(back.frames.size(), 1u);
   const FrameTrace& g = back.frames[0];
-  EXPECT_EQ(g.layer_names, f.layer_names);
+  EXPECT_EQ(g.layer_names, (std::vector<std::string>{"a", "b"}));
   ASSERT_EQ(g.layer_outputs.size(), 2u);
-  EXPECT_EQ(0, std::memcmp(g.layer_outputs[0].raw_data(),
-                           f.layer_outputs[0].raw_data(),
-                           f.layer_outputs[0].byte_size()));
+  ASSERT_EQ(g.layer_outputs[0].byte_size(), out_a.byte_size());
+  EXPECT_EQ(0, std::memcmp(g.layer_outputs[0].raw_data(), out_a.raw_data(),
+                           out_a.byte_size()));
+  ASSERT_EQ(g.layer_outputs[1].byte_size(), out_b.byte_size());
+  EXPECT_EQ(0, std::memcmp(g.layer_outputs[1].raw_data(), out_b.raw_data(),
+                           out_b.byte_size()));
+  EXPECT_EQ(g.layer_latency_ms, (std::vector<double>{0.25, 0.5}));
   EXPECT_DOUBLE_EQ(g.scalar("latency.inference_ms"), 1.0);
   EXPECT_TRUE(g.layer_digests.empty());
 }
@@ -389,11 +407,6 @@ TEST(TraceFormat, V2RoundTripsDigestsAndV1RefusesThem) {
   EXPECT_EQ(bd.count, d.count);
   EXPECT_DOUBLE_EQ(bd.mean(), d.mean());
   EXPECT_EQ(digest_drift(bd, d), 0.0);
-
-  // The v1 writer must refuse frames that carry digests rather than drop
-  // them silently.
-  BinaryWriter w;
-  EXPECT_THROW(serialize_frame(w, f, kTraceVersion1), MlxError);
 }
 
 TEST(DigestCapture, ObserverDigestsMatchDirectAccumulate) {

@@ -1,9 +1,9 @@
 // Exhaustive DepthwiseConv2D kernel-conformance grid.
 //
-// The vectorized dwconv family (src/kernels/dwconv.h) ships with three
-// compute tiers (AVX2 / generic GNU-vector / scalar) selected at invoke
-// time, plus plan-time weight packing. This grid pins the whole family down
-// so future tiers cannot silently diverge:
+// The vectorized dwconv family (src/kernels/dwconv.h) has a vector path
+// (GNU vector extensions) and a scalar path, plus plan-time weight packing.
+// This grid pins the whole family down so the two paths cannot silently
+// diverge:
 //
 //  - geometry: stride {1, 2} x padding {Same, Valid} x depth_multiplier
 //    {1, 2} x channels {1..4, 7, 8, 15, 16, 17, 24, 40, 64} (covering
@@ -11,15 +11,15 @@
 //    16-lane int8 and 8-lane f32 blocks, and the int8 8-lane block that
 //    follows a full 16-lane block) x batch {1, 4}, in f32 and int8 with
 //    per-channel weight scales and asymmetric activation zero points;
-//  - f32 cells assert *bit-exact* opt-vs-ref output (the vector tiers keep
+//  - f32 cells assert *bit-exact* opt-vs-ref output (the vector path keeps
 //    the reference kernel's per-channel accumulation order);
 //  - int8 cells assert opt-vs-ref within one output quantum — the reference
 //    path requantizes through a double multiply while the optimized path
 //    uses Q31 fixed point, the same intentional one-step discrepancy the
 //    main kernel grid documents (paper §4.4) — and *bit-exact* agreement
-//    between every compiled-in tier (integer accumulation is exact, so the
-//    AVX2, generic-vector, and scalar tiers must agree to the bit; the
-//    scalar tier plays the role of the conformance reference);
+//    between the vector path and the forced-scalar path (integer
+//    accumulation is exact, so they must agree to the bit; the scalar path
+//    plays the role of the conformance reference);
 //  - every cell asserts that each plan step whose kernel has a prepare hook
 //    got prepared storage, and that steady-state invoke performs zero heap
 //    allocations (global operator-new counter + AllocStats events).
@@ -33,7 +33,7 @@
 
 #include "src/graph/builder.h"
 #include "src/interpreter/session.h"
-#include "src/kernels/dwconv.h"
+#include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
@@ -157,28 +157,22 @@ std::vector<DwGridCase> make_grid() {
 
 class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {
  protected:
-  void TearDown() override {
-    set_dwconv_tier_for_testing(DwConvTier::kAuto);
-  }
+  void TearDown() override { force_scalar_kernels_for_testing = false; }
 };
 
-// Invokes `session` under every forced tier and asserts each result is
-// byte-identical to `want` (the kAuto result).
-void expect_all_tiers_bit_equal(Session& session,
-                                const std::vector<float>& want,
-                                const DwGridCase& c) {
-  for (DwConvTier tier :
-       {DwConvTier::kGenericVector, DwConvTier::kScalar}) {
-    set_dwconv_tier_for_testing(tier);
-    session.invoke();
-    const Tensor& out = session.output(0);
-    ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
-    EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
-                          want.size() * sizeof(float)),
-              0)
-        << c << " diverges under tier " << static_cast<int>(tier);
-  }
-  set_dwconv_tier_for_testing(DwConvTier::kAuto);
+// Invokes `session` on the forced-scalar path and asserts the result is
+// byte-identical to `want` (the vector path's result).
+void expect_scalar_bit_equal(Session& session, const std::vector<float>& want,
+                             const DwGridCase& c) {
+  force_scalar_kernels_for_testing = true;
+  session.invoke();
+  force_scalar_kernels_for_testing = false;
+  const Tensor& out = session.output(0);
+  ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
+  EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
+                        want.size() * sizeof(float)),
+            0)
+      << c << " diverges on the scalar path";
 }
 
 // Plan structure: exactly one step has a prepare hook — the op under test;
@@ -241,7 +235,7 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     // float output must match to the bit — any geometry, ordering, or
     // contraction divergence fails loudly.
     EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
-    expect_all_tiers_bit_equal(oi, snapshot(oi.output(0)), c);
+    expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
     expect_steady_state_clean(oi, c);
   } else {
     Calibrator calib(&m);
@@ -266,9 +260,9 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     EXPECT_LE(linf_error(ri.output(0), oi.output(0)),
               1.001f * output_quantum(qm))
         << c;
-    // The conformance core: every compiled-in tier, including the scalar
-    // reference tier, produces bit-identical integer output.
-    expect_all_tiers_bit_equal(oi, snapshot(oi.output(0)), c);
+    // The conformance core: the vector path and the scalar reference path
+    // produce bit-identical integer output.
+    expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
     expect_steady_state_clean(oi, c);
   }
 }

@@ -1,10 +1,11 @@
-// Conformance grids for the optimized elementwise kernels: the forced-tier
-// int8 elementwise/reduction family, and the f32 Add/Sub.
+// Conformance grids for the optimized elementwise kernels: the int8
+// elementwise/reduction family on its vector and forced-scalar paths, and
+// the f32 Add/Sub.
 //
-// The vectorized int8 family (src/kernels/elementwise.h) ships three
-// compute tiers (AVX2 / generic GNU-vector / scalar) selected at invoke time,
-// plus plan-time Q31 requant prep and LUT builds. Its grid pins the family
-// down the same way tests/test_dwconv_grid.cc pins dwconv:
+// The vectorized int8 family (src/kernels/elementwise.h) has a vector path
+// (GNU vector extensions) and a scalar path, plus plan-time Q31 requant prep
+// and LUT builds. Its grid pins the family down the same way
+// tests/test_dwconv_grid.cc pins dwconv:
 //
 //  - ops: Add / Sub (same-shape and [N,1,1,C]-broadcast, with fused
 //    activation cycling), Mul (same-shape and broadcast, the squeeze-excite
@@ -16,8 +17,9 @@
 //    zero points differ across operands and cells;
 //  - int8 cells assert opt-vs-ref within one output quantum (double rescale
 //    vs Q31 fixed point, the documented one-step discrepancy) — and
-//    *bit-exact* agreement between every compiled-in tier, LUT activations
-//    additionally bit-exact vs the reference (same table builder);
+//    *bit-exact* agreement between the vector and scalar paths, LUT
+//    activations additionally bit-exact vs the reference (same table
+//    builder);
 //  - every cell asserts that each plan step whose kernel has a prepare hook
 //    got prepared storage, and that steady-state invoke performs zero heap
 //    allocations (global operator-new counter + AllocStats events).
@@ -39,7 +41,7 @@
 
 #include "src/graph/builder.h"
 #include "src/interpreter/session.h"
-#include "src/kernels/elementwise.h"
+#include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
@@ -184,7 +186,7 @@ struct EwGridCase {
 std::vector<EwGridCase> make_grid() {
   // Channel counts straddle the 8-lane int32 vector block: below, at, one
   // past, and multi-block, so both the steady vector loop and the scalar
-  // tail are exercised on every tier.
+  // tail are exercised on both paths.
   const std::int64_t channels[] = {1, 3, 5, 8, 9, 16, 24, 64};
   const EwOp ops[] = {EwOp::kAdd,      EwOp::kAddBcast, EwOp::kSub,
                       EwOp::kSubBcast, EwOp::kMul,      EwOp::kMulBcast,
@@ -212,28 +214,22 @@ std::vector<EwGridCase> make_grid() {
 
 class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {
  protected:
-  void TearDown() override {
-    set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
-  }
+  void TearDown() override { force_scalar_kernels_for_testing = false; }
 };
 
-// Invokes `session` under every forced tier and asserts each result is
-// byte-identical to `want` (the kAuto result).
-void expect_all_tiers_bit_equal(Session& session,
-                                const std::vector<float>& want,
-                                const EwGridCase& c) {
-  for (ElementwiseTier tier :
-       {ElementwiseTier::kGenericVector, ElementwiseTier::kScalar}) {
-    set_elementwise_tier_for_testing(tier);
-    session.invoke();
-    const Tensor& out = session.output(0);
-    ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
-    EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
-                          want.size() * sizeof(float)),
-              0)
-        << c << " diverges under tier " << static_cast<int>(tier);
-  }
-  set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+// Invokes `session` on the forced-scalar path and asserts the result is
+// byte-identical to `want` (the vector path's result).
+void expect_scalar_bit_equal(Session& session, const std::vector<float>& want,
+                             const EwGridCase& c) {
+  force_scalar_kernels_for_testing = true;
+  session.invoke();
+  force_scalar_kernels_for_testing = false;
+  const Tensor& out = session.output(0);
+  ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
+  EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
+                        want.size() * sizeof(float)),
+            0)
+      << c << " diverges on the scalar path";
 }
 
 // Plan structure: exactly one step has a prepare hook — the op under test;
@@ -359,9 +355,9 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
               1.001f * output_quantum(qm))
         << c;
   }
-  // The conformance core: every compiled-in tier, including the scalar
-  // reference tier, produces bit-identical integer output.
-  expect_all_tiers_bit_equal(oi, snapshot(oi.output(0)), c);
+  // The conformance core: the vector path and the scalar reference path
+  // produce bit-identical integer output.
+  expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
   expect_steady_state_clean(oi, c);
 }
 
@@ -445,13 +441,12 @@ INSTANTIATE_TEST_SUITE_P(OpChannelsAct, ElementwiseF32Grid,
 // A real output multiplier >= 1 (possible when the consumer's scale is much
 // finer than the product of the producer scales) forces the positive-shift
 // path, which the vector epilogue cannot express; the family routes such
-// spans to the scalar tier on *every* tier. Hand-shrink the output scale
-// after quantization and assert the cross-tier and vs-ref contracts hold.
+// spans to the scalar path even when the vector path is allowed.
+// Hand-shrink the output scale after quantization and assert the
+// vector-vs-scalar and vs-ref contracts hold.
 class ElementwiseAdversarial : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
-  }
+  void TearDown() override { force_scalar_kernels_for_testing = false; }
 };
 
 TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
@@ -500,7 +495,7 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
     EXPECT_LE(linf_error(ri.output(0), oi.output(0)),
               1.001f * output_quantum(qm))
         << op_type_name(type);
-    expect_all_tiers_bit_equal(
+    expect_scalar_bit_equal(
         oi, snapshot(oi.output(0)),
         EwGridCase{type == OpType::kMul ? EwOp::kMul : EwOp::kAdd, 12, 1,
                    Activation::kNone, 0});

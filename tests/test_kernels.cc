@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/graph/builder.h"
 #include "src/interpreter/session.h"
 #include "src/kernels/fixed_point.h"
+#include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
 
@@ -130,7 +133,58 @@ INSTANTIATE_TEST_SUITE_P(
                       DwCase{8, 4, 3, 2, Padding::kSame},
                       DwCase{9, 5, 3, 2, Padding::kSame},
                       DwCase{6, 2, 5, 1, Padding::kSame},
-                      DwCase{8, 3, 3, 1, Padding::kValid}));
+                      DwCase{8, 3, 3, 1, Padding::kValid},
+                      // 81 taps: past the per-pixel tap table, so these
+                      // run the inline-bounds fallback.
+                      DwCase{12, 5, 9, 1, Padding::kSame},
+                      DwCase{13, 9, 9, 2, Padding::kValid},
+                      DwCase{11, 17, 9, 2, Padding::kSame}));
+
+// The int8 form of the 9x9 fallback: within one output quantum of the
+// reference kernel, and the same bytes with the family forced scalar.
+TEST(QuantKernels, DwConvHugeWindowTracksReference) {
+  for (int dm : {1, 2}) {
+    Pcg32 rng(static_cast<std::uint64_t>(40 + dm));
+    GraphBuilder b("qdw9", &rng);
+    const Shape in_shape{2, 13, 13, 17};
+    int x = b.input(in_shape);
+    b.depthwise_conv2d(x, 9, 9, 2, Padding::kSame, Activation::kRelu6, "dw",
+                       dm);
+    Graph m = b.finish({1});
+    Calibrator calib(&m);
+    Pcg32 drng(static_cast<std::uint64_t>(50 + dm));
+    for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, drng)});
+    Graph qm = quantize_model(m, calib);
+    const float quantum = [&] {
+      const Node& out = qm.node(qm.outputs[0]);
+      return qm.node(out.inputs[0]).output_quant.scale();
+    }();
+
+    RefOpResolver ref;
+    BuiltinOpResolver opt;
+    Model ref_model(&qm, &ref);
+    Session ri(&ref_model);
+    Model opt_model(&qm, &opt, /*num_threads=*/2);
+    Session oi(&opt_model);
+    const Tensor input = random_input(in_shape, drng);
+    ri.set_input(0, input);
+    oi.set_input(0, input);
+    ri.invoke();
+    oi.invoke();
+    EXPECT_LE(linf_error(ri.output(0), oi.output(0)), 1.001 * quantum)
+        << "dm " << dm;
+
+    const float* p = oi.output(0).data<float>();
+    const std::vector<float> vector_out(p, p + oi.output(0).num_elements());
+    force_scalar_kernels_for_testing = true;
+    oi.invoke();
+    force_scalar_kernels_for_testing = false;
+    EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), vector_out.data(),
+                          vector_out.size() * sizeof(float)),
+              0)
+        << "dm " << dm;
+  }
+}
 
 TEST(KernelParity, PadRefMatchesOptimized) {
   Pcg32 rng(5);

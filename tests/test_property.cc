@@ -1,5 +1,6 @@
 // Property-style parameterized sweeps across the stack:
-//  - randomized DepthwiseConv2D shape/scale/zero-point parity (all tiers)
+//  - randomized DepthwiseConv2D shape/scale/zero-point parity (vector and
+//    forced-scalar paths)
 //  - pool/activation parity between resolvers over geometry grids
 //  - quantize->dequantize error bounds over random ranges
 //  - fixed-point requantization vs double arithmetic over multiplier grids
@@ -16,9 +17,8 @@
 #include "src/graph/serialization.h"
 #include "src/interpreter/session.h"
 #include "src/kernels/activation.h"
-#include "src/kernels/dwconv.h"
-#include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
+#include "src/kernels/kernel.h"
 #include "src/models/zoo.h"
 #include "src/preprocess/image.h"
 #include "src/quant/quantizer.h"
@@ -40,14 +40,12 @@ Tensor random_f32(Shape shape, Pcg32& rng, float lo = -1, float hi = 1) {
 // channel counts; this sweep draws the rest of the axes from a seeded RNG —
 // kernel size, stride, padding, depth multiplier, image size, batch, fused
 // activation, and (via the input value range) quantization scales and
-// asymmetric zero points — so the dwconv tier selection (AVX2 vs generic
-// vector vs scalar) cannot drift apart on geometries nobody hand-picked.
+// asymmetric zero points — so the dwconv vector and scalar paths cannot
+// drift apart on geometries nobody hand-picked.
 
 class DwConvRandom : public ::testing::TestWithParam<int> {
  protected:
-  void TearDown() override {
-    set_dwconv_tier_for_testing(DwConvTier::kAuto);
-  }
+  void TearDown() override { force_scalar_kernels_for_testing = false; }
 };
 
 TEST_P(DwConvRandom, AllTiersMatchReference) {
@@ -80,24 +78,20 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
   RefOpResolver ref;
   BuiltinOpResolver opt;
 
-  auto run_all_tiers = [&](Session& oi) {
+  auto run_both_paths = [&](Session& oi) {
     oi.invoke();
     const float* p = oi.output(0).data<float>();
     std::vector<float> want(p, p + oi.output(0).num_elements());
-    for (DwConvTier tier :
-         {DwConvTier::kGenericVector, DwConvTier::kScalar}) {
-      set_dwconv_tier_for_testing(tier);
-      oi.invoke();
-      EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
-                            want.size() * sizeof(float)),
-                0)
-          << "tier " << static_cast<int>(tier) << " diverged (seed "
-          << GetParam() << ")";
-    }
-    set_dwconv_tier_for_testing(DwConvTier::kAuto);
+    force_scalar_kernels_for_testing = true;
+    oi.invoke();
+    force_scalar_kernels_for_testing = false;
+    EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "scalar path diverged (seed " << GetParam() << ")";
   };
 
-  {  // float: bit-exact against the reference kernel, all tiers.
+  {  // float: bit-exact against the reference kernel, both paths.
     Model ref_model(&m, &ref);
     Session ri(&ref_model);
     Model opt_model(&m, &opt, /*num_threads=*/2);
@@ -105,7 +99,7 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
-    run_all_tiers(oi);
+    run_both_paths(oi);
     EXPECT_EQ(std::memcmp(ri.output(0).raw_data(), oi.output(0).raw_data(),
                           static_cast<std::size_t>(
                               ri.output(0).num_elements()) *
@@ -113,7 +107,7 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
               0)
         << "f32 opt != ref (seed " << GetParam() << ")";
   }
-  {  // int8: one quantum vs the double-requant reference, all tiers equal.
+  {  // int8: one quantum vs the double-requant reference, both paths equal.
     Calibrator calib(&m);
     for (int i = 0; i < 4; ++i) {
       calib.observe({random_f32(in_shape, rng, lo, hi)});
@@ -131,7 +125,7 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
-    run_all_tiers(oi);
+    run_both_paths(oi);
     EXPECT_LE(linf_error(ri.output(0), oi.output(0)), 1.001f * quantum)
         << "int8 opt drifted past one quantum (seed " << GetParam() << ")";
   }
@@ -145,15 +139,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DwConvRandom, ::testing::Range(1, 17));
 // conformance grid (test_elementwise_grid.cc) enumerates the interesting
 // channel counts; this sweep draws op, geometry, broadcast pattern, fused
 // activation, and (via per-operand value ranges) quantization scales and
-// asymmetric zero points from a seeded RNG, then asserts every compute tier
-// agrees bit-for-bit and the Q31 path stays within one quantum of the
-// double-math reference.
+// asymmetric zero points from a seeded RNG, then asserts the vector and
+// scalar paths agree bit-for-bit and the Q31 path stays within one quantum
+// of the double-math reference.
 
 class ElementwiseRandom : public ::testing::TestWithParam<int> {
  protected:
-  void TearDown() override {
-    set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
-  }
+  void TearDown() override { force_scalar_kernels_for_testing = false; }
 };
 
 TEST_P(ElementwiseRandom, AllTiersMatchReference) {
@@ -230,17 +222,13 @@ TEST_P(ElementwiseRandom, AllTiersMatchReference) {
   oi.invoke();
   const float* p = oi.output(0).data<float>();
   std::vector<float> want(p, p + oi.output(0).num_elements());
-  for (ElementwiseTier tier :
-       {ElementwiseTier::kGenericVector, ElementwiseTier::kScalar}) {
-    set_elementwise_tier_for_testing(tier);
-    oi.invoke();
-    EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
-                          want.size() * sizeof(float)),
-              0)
-        << "tier " << static_cast<int>(tier) << " diverged (seed "
-        << GetParam() << ", op " << op << ")";
-  }
-  set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+  force_scalar_kernels_for_testing = true;
+  oi.invoke();
+  force_scalar_kernels_for_testing = false;
+  EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
+                        want.size() * sizeof(float)),
+            0)
+      << "scalar path diverged (seed " << GetParam() << ", op " << op << ")";
   EXPECT_LE(linf_error(ri.output(0), oi.output(0)), 1.001f * quantum)
       << "int8 opt drifted past one quantum (seed " << GetParam() << ", op "
       << op << ")";
