@@ -78,7 +78,7 @@ void run_e2e(benchmark::State& state, const E2ECase& c) {
   state.SetItemsProcessed(state.iterations() * c.batch);
   state.counters["prepare_ms"] = stats.prepare_ms;
   state.counters["prepared_kb"] =
-      static_cast<double>(stats.prepared_bytes) / 1024.0;
+      static_cast<double>(model.prepared_bytes()) / 1024.0;
   state.counters["arena_hw_kb"] =
       static_cast<double>(stats.arena_high_water_bytes) / 1024.0;
   state.counters["activation_kb"] =

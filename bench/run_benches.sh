@@ -51,8 +51,7 @@ if [[ "${build_type}" != "Release" ]]; then
   exit 1
 fi
 
-for bin in bench_kernels_micro bench_models_e2e bench_monitor_overhead \
-           bench_serving bench_drift; do
+for bin in bench_kernels_micro bench_models_e2e bench_serving bench_drift; do
   if [[ ! -x "${build_dir}/${bin}" ]]; then
     echo "${bin} not found in ${build_dir}; build first:" >&2
     echo "  cmake -B build -S . && cmake --build build -j" >&2
@@ -163,49 +162,6 @@ digest_models "${e2e_fresh}" "${e2e_json}"
 mv "${e2e_fresh}" "${e2e_json}"
 echo "wrote ${e2e_json}"
 digest "${e2e_json}"
-
-# Pairs each instrumented mode with its bare baseline per model/dtype and
-# stamps the overhead ratios into the JSON context (the paper's Table-2
-# claim, tracked: per-layer latency capture should cost low single-digit
-# percent over bare invoke).
-digest_overhead() {
-  python3 - "$1" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    data = json.load(f)
-times = {}
-for b in data.get("benchmarks", []):
-    _, model, dtype, mode = b["name"].split("/")
-    times[(model, dtype, mode)] = b["real_time"]
-overhead = {}
-print(f"{'model/dtype':32s} {'bare us':>10s} {'io':>8s} {'latency':>8s} {'outputs':>8s}")
-for (model, dtype, mode), t in sorted(times.items()):
-    if mode != "bare":
-        continue
-    row = {}
-    for m in ("io", "latency", "outputs"):
-        if (model, dtype, m) in times:
-            row[m] = times[(model, dtype, m)] / t - 1.0
-    overhead[f"{model}/{dtype}"] = row
-    cells = " ".join(f"{row.get(m, float('nan')) * 100:+7.1f}%" for m in ("io", "latency", "outputs"))
-    print(f"{model + '/' + dtype:32s} {t:10.0f} {cells}")
-data.setdefault("context", {})["mlexray_overhead_vs_bare"] = overhead
-with open(path, "w") as f:
-    json.dump(data, f, indent=1)
-    f.write("\n")
-EOF
-}
-
-echo
-echo "== monitor overhead (bare vs io vs per-layer latency vs outputs) =="
-"${build_dir}/bench_monitor_overhead" \
-  --benchmark_format=json \
-  --benchmark_min_time=0.1 \
-  > "${out_dir}/BENCH_monitor_overhead.json"
-echo "wrote ${out_dir}/BENCH_monitor_overhead.json"
-digest "${out_dir}/BENCH_monitor_overhead.json"
-digest_overhead "${out_dir}/BENCH_monitor_overhead.json"
 
 # Summarizes invoke-throughput scaling per scenario/model/dtype relative to
 # its one-thread row and stamps the ratios into the JSON context: serving/*

@@ -4,24 +4,11 @@
 
 namespace mlexray {
 
-namespace {
-// Pipelines execute a caller-shared prepared Model when one is given;
-// otherwise they prepare their own from the graph + resolver.
-std::unique_ptr<Model> maybe_build_model(const Graph* graph,
-                                         const OpResolver* resolver,
-                                         const Model* shared,
-                                         int num_threads) {
-  if (shared != nullptr) return nullptr;
-  return std::make_unique<Model>(graph, resolver, num_threads);
-}
-}  // namespace
-
 ClassificationPipeline::ClassificationPipeline(
     ClassificationPipelineOptions options)
     : options_(options),
-      owned_model_(maybe_build_model(options.graph, options.resolver,
-                                     options.model, options.num_threads)),
-      session_(options.model != nullptr ? options.model : owned_model_.get()) {
+      model_(options.graph, options.resolver, options.num_threads),
+      session_(&model_) {
   // Push-based capture: per-layer telemetry is recorded during invoke by
   // the monitor's TraceBuffer instead of a post-hoc model walk.
   if (options_.monitor != nullptr) options_.monitor->observe(session_);
@@ -61,9 +48,8 @@ int ClassificationPipeline::process_frame(const Tensor& sensor_u8) {
 
 SpeechPipeline::SpeechPipeline(SpeechPipelineOptions options)
     : options_(options),
-      owned_model_(maybe_build_model(options.graph, options.resolver,
-                                     options.model, options.num_threads)),
-      session_(options.model != nullptr ? options.model : owned_model_.get()) {
+      model_(options.graph, options.resolver),
+      session_(&model_) {
   if (options_.monitor != nullptr) options_.monitor->observe(session_);
 }
 

@@ -8,8 +8,8 @@
 // the EXray trace for offline validation.
 //
 // Pipelines are built on the Model/Session serving API: each pipeline
-// prepares a private Model (or executes a caller-shared one) and runs a
-// Session over it, with the monitor's TraceBuffer attached per-session.
+// prepares its own Model and runs a Session over it, with the monitor's
+// TraceBuffer attached per-session.
 #pragma once
 
 #include "src/core/monitor.h"
@@ -21,11 +21,9 @@
 namespace mlexray {
 
 struct ClassificationPipelineOptions {
-  // Either `graph`+`resolver` (the pipeline prepares its own Model) or
-  // `model` (a caller-shared prepared Model; resolver/num_threads unused).
+  // Both must outlive the pipeline.
   const Graph* graph = nullptr;
   const OpResolver* resolver = nullptr;
-  const Model* model = nullptr;
   ImagePipelineConfig preprocess;
   int num_threads = 1;
   EdgeMLMonitor* monitor = nullptr;  // optional
@@ -45,16 +43,14 @@ class ClassificationPipeline {
 
  private:
   ClassificationPipelineOptions options_;
-  std::unique_ptr<Model> owned_model_;  // null when options.model was given
+  Model model_;
   Session session_;
 };
 
 struct SpeechPipelineOptions {
   const Graph* graph = nullptr;
   const OpResolver* resolver = nullptr;
-  const Model* model = nullptr;  // caller-shared alternative to graph
   AudioPipelineConfig preprocess;
-  int num_threads = 1;
   EdgeMLMonitor* monitor = nullptr;
 };
 
@@ -67,7 +63,7 @@ class SpeechPipeline {
 
  private:
   SpeechPipelineOptions options_;
-  std::unique_ptr<Model> owned_model_;
+  Model model_;
   Session session_;
 };
 

@@ -234,7 +234,6 @@ FrameTrace TraceBuffer::to_frame_trace(const CaptureFrame& frame) const {
 
 void TraceBuffer::next_frame() {
   CaptureFrame& finished = frames_[active_];
-  ++frames_captured_;
   if (spooling()) {
     ++spool_enqueued_;
     spool_enqueue(&finished);

@@ -145,7 +145,7 @@ class TraceBuffer : public InvokeObserver {
   Trace take_trace();
   void set_pipeline_name(std::string name);
 
-  int frames_captured() const { return frames_captured_; }
+  int frames_captured() const { return next_frame_id_; }
   // Index of the buffer currently capturing — cycles through the ring on
   // next_frame(); tests assert the buffer rotation through it.
   int active_buffer() const { return active_; }
@@ -213,8 +213,7 @@ class TraceBuffer : public InvokeObserver {
   std::vector<CaptureFrame> frames_;  // capture ring; size 2 unless spooling
   int active_ = 0;
   std::size_t step_cursor_ = 0;
-  int next_frame_id_ = 0;
-  int frames_captured_ = 0;
+  int next_frame_id_ = 0;  // also the count of frames captured so far
 
   Trace trace_;
 

@@ -84,29 +84,11 @@ PerLayerReport DeploymentValidator::per_layer_digest_drift(
 
   // Merge each side's per-layer digests across frames (digest frames as-is,
   // raw per-layer frames digested on the fly), keyed by layer name.
-  const auto merge_trace = [](const Trace& trace,
-                              std::vector<std::string>* order) {
-    std::map<std::string, LayerDigest> merged;
-    for (const FrameTrace& frame : trace.frames) {
-      const std::vector<LayerDigest> digests = frame_layer_digests(frame);
-      if (order->empty() && !digests.empty()) *order = frame.layer_names;
-      for (std::size_t i = 0; i < digests.size(); ++i) {
-        auto [it, inserted] = merged.try_emplace(frame.layer_names[i]);
-        if (inserted) {
-          it->second = digests[i];
-        } else {
-          it->second.merge(digests[i]);
-        }
-      }
-    }
-    return merged;
-  };
   std::vector<std::string> edge_order;
-  std::vector<std::string> ref_order;
-  const std::map<std::string, LayerDigest> edge_merged =
-      merge_trace(edge, &edge_order);
-  const std::map<std::string, LayerDigest> ref_merged =
-      merge_trace(reference, &ref_order);
+  std::map<std::string, LayerDigest> edge_merged;
+  std::map<std::string, LayerDigest> ref_merged;
+  merge_trace_digests(edge, edge_merged, &edge_order);
+  merge_trace_digests(reference, ref_merged);
 
   for (const std::string& name : edge_order) {
     const auto eit = edge_merged.find(name);

@@ -17,19 +17,6 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-void merge_frame_into(std::map<std::string, LayerDigest>& layers,
-                      const FrameTrace& frame) {
-  const std::vector<LayerDigest> digests = frame_layer_digests(frame);
-  for (std::size_t i = 0; i < digests.size(); ++i) {
-    auto [it, inserted] = layers.try_emplace(frame.layer_names[i]);
-    if (inserted) {
-      it->second = digests[i];
-    } else {
-      it->second.merge(digests[i]);
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<LayerDigest> frame_layer_digests(const FrameTrace& frame) {
@@ -53,15 +40,29 @@ std::vector<LayerDigest> frame_layer_digests(const FrameTrace& frame) {
   return digests;
 }
 
+void merge_trace_digests(const Trace& trace,
+                         std::map<std::string, LayerDigest>& layers,
+                         std::vector<std::string>* order) {
+  for (const FrameTrace& frame : trace.frames) {
+    const std::vector<LayerDigest> digests = frame_layer_digests(frame);
+    if (order != nullptr && order->empty() && !digests.empty()) {
+      *order = frame.layer_names;
+    }
+    for (std::size_t i = 0; i < digests.size(); ++i) {
+      auto [it, inserted] = layers.try_emplace(frame.layer_names[i]);
+      if (inserted) {
+        it->second = digests[i];
+      } else {
+        it->second.merge(digests[i]);
+      }
+    }
+  }
+}
+
 void DriftAggregator::set_reference(const Trace& reference) {
   reference_order_.clear();
   reference_.clear();
-  for (const FrameTrace& frame : reference.frames) {
-    if (reference_order_.empty() && !frame.layer_names.empty()) {
-      reference_order_ = frame.layer_names;
-    }
-    merge_frame_into(reference_, frame);
-  }
+  merge_trace_digests(reference, reference_, &reference_order_);
   MLX_CHECK(!reference_.empty())
       << "reference trace carries no per-layer digests or outputs";
 }
@@ -69,9 +70,7 @@ void DriftAggregator::set_reference(const Trace& reference) {
 void DriftAggregator::add_trace(const std::string& device_id,
                                 const Trace& trace) {
   DeviceState& device = devices_[device_id];
-  for (const FrameTrace& frame : trace.frames) {
-    merge_frame_into(device.layers, frame);
-  }
+  merge_trace_digests(trace, device.layers);
   device.frames += trace.frames.size();
   frames_ += trace.frames.size();
 }

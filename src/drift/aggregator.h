@@ -36,6 +36,14 @@ namespace mlexray {
 // to compare sketch-merged fleet stats against exact offline stats.
 std::vector<LayerDigest> frame_layer_digests(const FrameTrace& frame);
 
+// Merges every frame's frame_layer_digests into `layers`, keyed by layer
+// name. When `order` is non-null and still empty, it takes the layer names
+// of the first frame that has digests. The one digest merge behind
+// DriftAggregator and DeploymentValidator::per_layer_digest_drift.
+void merge_trace_digests(const Trace& trace,
+                         std::map<std::string, LayerDigest>& layers,
+                         std::vector<std::string>* order = nullptr);
+
 struct FleetLayerDrift {
   std::string layer;
   std::size_t devices = 0;  // devices whose traces cover this layer
@@ -74,7 +82,7 @@ class DriftAggregator {
 
   // The trusted baseline every device is scored against. Its frames' digests
   // merge into one reference digest per layer; layer order is taken from the
-  // reference's first per-layer frame. Must be called before report().
+  // reference's first frame with digests. Must be called before report().
   void set_reference(const Trace& reference);
 
   // Folds one device's trace in: all frames' digests merge into the device's

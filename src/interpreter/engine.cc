@@ -20,8 +20,9 @@ struct Engine::CanaryState {
   std::unique_ptr<Model> model;      // reference
   std::unique_ptr<Session> session;  // rebuilt if a reference invoke poisons it
 
-  // Counters are atomics so pool_stats/canary_report read them without
-  // contending on the shadow lock.
+  // Counters are atomics because release_counter and skipped_busy are
+  // bumped without the shadow lock. canary_report() is the only reader of
+  // the four report counters.
   std::atomic<std::uint64_t> release_counter{0};
   std::atomic<std::uint64_t> shadowed{0};
   std::atomic<std::uint64_t> skipped_busy{0};
@@ -291,7 +292,7 @@ const Model* Engine::find(const std::string& name) const {
 
 SessionLease Engine::lease_locked(Version* version) {
   Entry& entry = *version->entry;
-  ++entry.leases_issued;
+  ++entry.stats.leases_issued;
   ++version->leases_outstanding;
   if (!version->free_list.empty()) {
     Session* session = version->free_list.back();
@@ -303,7 +304,7 @@ SessionLease Engine::lease_locked(Version* version) {
   // bookkeeping is simple; misses only happen while the pool warms up.
   version->sessions.push_back(
       std::make_unique<Session>(version->model.get()));
-  ++entry.sessions_created;
+  ++entry.stats.sessions_created;
   // Reserve free-list capacity for every session ever created, so release()
   // can push_back without allocating — part of the zero-alloc steady-state
   // acquire/invoke/release contract.
@@ -331,8 +332,8 @@ void Engine::retire_version_locked(Version* version) {
   // destroying them and the Model frees the version's activation tensors
   // and prepared storage — the memory reclamation the drain protocol
   // promises.
-  entry.sessions_destroyed += version->sessions.size();
-  ++entry.versions_retired;
+  entry.stats.sessions_destroyed += version->sessions.size();
+  ++entry.stats.versions_retired;
   for (auto it = entry.versions.begin(); it != entry.versions.end(); ++it) {
     if (it->get() == version) {
       entry.versions.erase(it);
@@ -370,7 +371,7 @@ void Engine::release(Version* version, Session* session) {
     // contained kernel failure) is never re-leased; a draining version
     // gives sessions back to the allocator, not the free list.
     if (poisoned) {
-      entry.invoke_errors += session->last_stats().invoke_errors;
+      entry.stats.invoke_errors += session->last_stats().invoke_errors;
     }
     for (auto it = version->sessions.begin(); it != version->sessions.end();
          ++it) {
@@ -379,7 +380,7 @@ void Engine::release(Version* version, Session* session) {
         break;
       }
     }
-    ++entry.sessions_destroyed;
+    ++entry.stats.sessions_destroyed;
   } else {
     version->free_list.push_back(session);
   }
@@ -389,47 +390,21 @@ void Engine::release(Version* version, Session* session) {
 }
 
 EnginePoolStats Engine::pool_stats(const std::string& name) const {
-  EnginePoolStats stats;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t i = find_entry_locked(name);
-    MLX_CHECK(i != kNpos) << "model '" << name << "' not loaded";
-    const Entry& entry = *entries_[i];
-    stats.sessions_created = entry.sessions_created;
-    stats.leases_issued = entry.leases_issued;
-    stats.versions_retired = entry.versions_retired;
-    stats.invoke_errors = entry.invoke_errors;
-    stats.sessions_destroyed = entry.sessions_destroyed;
-    stats.live_versions = entry.versions.size();
-    for (const auto& v : entry.versions) {
-      stats.leases_outstanding += v->leases_outstanding;
-      stats.prepared_bytes_total += v->model->prepared_bytes();
-      if (v->draining) ++stats.draining_versions;
-    }
-    const Version& serving = *entry.versions.back();
-    stats.sessions_free = serving.free_list.size();
-    stats.prepared_bytes = serving.model->prepared_bytes();
-    stats.serving_version = serving.version_id;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t i = find_entry_locked(name);
+  MLX_CHECK(i != kNpos) << "model '" << name << "' not loaded";
+  const Entry& entry = *entries_[i];
+  EnginePoolStats stats = entry.stats;
+  stats.live_versions = entry.versions.size();
+  for (const auto& v : entry.versions) {
+    stats.leases_outstanding += v->leases_outstanding;
+    stats.prepared_bytes_total += v->model->prepared_bytes();
+    if (v->draining) ++stats.draining_versions;
   }
-  // Canary counters are folded in after mu_ is dropped (the suspect count
-  // takes the canary's own shadow lock; the two locks never nest).
-  if (std::shared_ptr<CanaryState> canary = canary_for(name)) {
-    stats.canary_enabled = true;
-    stats.canary_shadowed = canary->shadowed.load(std::memory_order_relaxed);
-    stats.canary_skipped =
-        canary->skipped_busy.load(std::memory_order_relaxed) +
-        canary->skipped_layout.load(std::memory_order_relaxed);
-    stats.canary_reference_errors =
-        canary->reference_errors.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> shadow_lock(canary->shadow_mu);
-    for (std::size_t s = 0; s < canary->err_count.size(); ++s) {
-      if (canary->err_count[s] > 0 &&
-          canary->err_sum[s] / static_cast<double>(canary->err_count[s]) >
-              canary->options.drift_threshold) {
-        ++stats.canary_suspect_layers;
-      }
-    }
-  }
+  const Version& serving = *entry.versions.back();
+  stats.sessions_free = serving.free_list.size();
+  stats.prepared_bytes = serving.model->prepared_bytes();
+  stats.serving_version = serving.version_id;
   return stats;
 }
 

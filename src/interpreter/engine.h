@@ -62,7 +62,9 @@ class SessionLease;
 // Pool + lifecycle visibility for one model name (tests and the serving
 // benchmark assert prepare-once/serve-many, drain, and containment through
 // these). Unless noted, counters are name-wide and survive version
-// retirement.
+// retirement: each name's counters live in one of these structs, and
+// pool_stats() returns a copy with the per-version fields filled in. Canary
+// facts are read from canary_report().
 struct EnginePoolStats {
   std::size_t sessions_created = 0;   // ever built, across versions
   std::size_t sessions_free = 0;      // serving version's free list
@@ -76,12 +78,6 @@ struct EnginePoolStats {
   std::uint64_t invoke_errors = 0;       // contained kernel failures
   std::size_t sessions_destroyed = 0;    // poisoned + drained sessions
   std::size_t prepared_bytes_total = 0;  // across live versions
-  // Canary mode (src/drift/canary.h); all zero when no canary is enabled.
-  bool canary_enabled = false;
-  std::uint64_t canary_shadowed = 0;
-  std::uint64_t canary_skipped = 0;  // busy + layout skips
-  std::uint64_t canary_reference_errors = 0;
-  std::size_t canary_suspect_layers = 0;
 };
 
 class Engine {
@@ -193,11 +189,8 @@ class Engine {
     bool unloaded = false;  // hidden from find/acquire; dies with last version
     std::vector<std::unique_ptr<Version>> versions;
     std::uint64_t next_version_id = 1;
-    std::uint64_t leases_issued = 0;
-    std::size_t sessions_created = 0;
-    std::uint64_t versions_retired = 0;
-    std::uint64_t invoke_errors = 0;
-    std::size_t sessions_destroyed = 0;
+    // Name-wide counters only; pool_stats() fills the per-version fields.
+    EnginePoolStats stats;
   };
 
   // Per-name canary state; defined in engine.cc (holds the reference Model +

@@ -96,6 +96,15 @@ struct FrontDoorSlot {
   bool done = false;
   FrontDoorCallback callback = nullptr;
   void* callback_ctx = nullptr;
+
+  // The request can no longer make its own deadline: it has passed, or the
+  // time left is below the service estimate, so even an immediate dispatch
+  // would finish late.
+  bool deadline_unmeetable(Clock::time_point now, double est_us) const {
+    return has_deadline &&
+           (now >= deadline ||
+            (est_us > 0.0 && us_between(now, deadline) < est_us));
+  }
 };
 
 // Per-registered-model state: options, the bounded queue, the slot pool,
@@ -111,23 +120,8 @@ struct FrontDoorModelEntry {
   std::vector<FrontDoorSlot*> free_slots;
   std::vector<FrontDoorSlot*> pending;
 
-  // Counters (mirrored into FrontDoorStats).
-  std::uint64_t s_submitted = 0;
-  std::uint64_t s_admitted = 0;
-  std::uint64_t s_ok = 0;
-  std::uint64_t s_failed = 0;
-  std::uint64_t s_deadline = 0;
-  std::uint64_t s_shed = 0;
-  std::uint64_t s_unknown = 0;
-  std::uint64_t s_flushed = 0;
-  std::uint64_t s_rej_full = 0;
-  std::uint64_t s_rej_infeasible = 0;
-  std::uint64_t s_rej_breaker = 0;
-  std::uint64_t s_retries = 0;
-  std::uint64_t s_deadline_requeues = 0;
-  std::uint64_t s_batches = 0;
-  std::vector<std::uint64_t> batch_hist;
-  std::size_t max_queue_depth = 0;
+  // The counters; stats() fills the snapshot fields from the state below.
+  FrontDoorStats stats;
   std::size_t inflight = 0;  // requests inside a dispatched batch
   std::size_t inflight_batches = 0;
 
@@ -137,7 +131,6 @@ struct FrontDoorModelEntry {
   int consecutive_failures = 0;
   std::chrono::steady_clock::time_point breaker_opened_at{};
   std::uint64_t breaker_version = 0;  // engine version the breaker is keyed to
-  std::uint64_t breaker_trips = 0;
   bool probe_inflight = false;  // half-open: one probe batch at a time
 };
 
@@ -306,7 +299,8 @@ void FrontDoor::register_model(const std::string& name,
     entry->max_batch = largest;
   }
   entry->opts.max_batch = entry->max_batch;
-  entry->batch_hist.assign(static_cast<std::size_t>(entry->max_batch) + 1, 0);
+  entry->stats.batch_size_hist.assign(
+      static_cast<std::size_t>(entry->max_batch) + 1, 0);
 
   // Slot pool: the bounded queue plus every worker's largest possible
   // in-flight batch. Done-but-unreleased Tickets borrow from the same pool,
@@ -392,19 +386,13 @@ RequestCode FrontDoor::admit_locked(ModelEntry& m, const Tensor& input,
                                     FrontDoorCallback done, void* done_ctx,
                                     Clock::time_point now,
                                     FrontDoorSlot** out_slot) {
-  ++m.s_submitted;
+  ++m.stats.submitted;
   if (!breaker_admits_locked(m, now)) {
-    ++m.s_rej_breaker;
-    if (observer_ != nullptr) {
-      observer_->on_rejected(m.name, RequestCode::kBreakerOpen);
-    }
+    ++m.stats.rejected_breaker_open;
     return RequestCode::kBreakerOpen;
   }
   if (m.pending.size() >= m.opts.queue_capacity || m.free_slots.empty()) {
-    ++m.s_rej_full;
-    if (observer_ != nullptr) {
-      observer_->on_rejected(m.name, RequestCode::kQueueFull);
-    }
+    ++m.stats.rejected_queue_full;
     return RequestCode::kQueueFull;
   }
   double dl_ms = deadline_ms > 0.0 ? deadline_ms : m.opts.default_deadline_ms;
@@ -417,10 +405,7 @@ RequestCode FrontDoor::admit_locked(ModelEntry& m, const Tensor& input,
         std::floor(static_cast<double>(m.pending.size()) /
                    static_cast<double>(m.max_batch));
     if (batches_ahead * m.est_us > dl_ms * 1000.0) {
-      ++m.s_rej_infeasible;
-      if (observer_ != nullptr) {
-        observer_->on_rejected(m.name, RequestCode::kDeadlineInfeasible);
-      }
+      ++m.stats.rejected_infeasible;
       return RequestCode::kDeadlineInfeasible;
     }
   }
@@ -450,8 +435,8 @@ RequestCode FrontDoor::admit_locked(ModelEntry& m, const Tensor& input,
   slot->result.outputs = slot->outputs.data();
   slot->result.output_count = static_cast<int>(slot->outputs.size());
   m.pending.push_back(slot);
-  ++m.s_admitted;
-  m.max_queue_depth = std::max(m.max_queue_depth, m.pending.size());
+  ++m.stats.admitted;
+  m.stats.max_queue_depth = std::max(m.stats.max_queue_depth, m.pending.size());
   *out_slot = slot;
   work_cv_.notify_one();
   return RequestCode::kOk;
@@ -483,7 +468,7 @@ void FrontDoor::breaker_transition_locked(ModelEntry& m, BreakerState to,
   const BreakerState from = m.breaker;
   m.breaker = to;
   if (to == BreakerState::kOpen) {
-    ++m.breaker_trips;
+    ++m.stats.breaker_trips;
     m.breaker_opened_at = now;
     m.probe_inflight = false;
   } else if (to == BreakerState::kClosed) {
@@ -503,28 +488,25 @@ void FrontDoor::complete_locked(ModelEntry& m, FrontDoorSlot* slot,
   slot->result.retried = slot->retried;
   switch (code) {
     case RequestCode::kOk:
-      ++m.s_ok;
+      ++m.stats.completed_ok;
       break;
     case RequestCode::kError:
-      ++m.s_failed;
+      ++m.stats.failed;
       break;
     case RequestCode::kDeadlineExceeded:
-      ++m.s_deadline;
+      ++m.stats.deadline_exceeded;
       break;
     case RequestCode::kUnknownModel:
-      ++m.s_unknown;
+      ++m.stats.unknown_model;
       break;
     case RequestCode::kShed:
-      ++m.s_shed;
+      ++m.stats.shed;
       break;
     case RequestCode::kBreakerOpen:
-      ++m.s_flushed;
+      ++m.stats.flushed_breaker_open;
       break;
     default:
       break;
-  }
-  if (observer_ != nullptr) {
-    observer_->on_complete(m.name, code, slot->result.latency_us);
   }
   if (slot->callback != nullptr) {
     callback_batch.push_back(slot);
@@ -541,23 +523,8 @@ void FrontDoor::shed_unservable_locked(
   std::size_t w = 0;
   for (std::size_t r = 0; r < m.pending.size(); ++r) {
     FrontDoorSlot* slot = m.pending[r];
-    bool drop = false;
-    double overdue_ms = 0.0;
-    if (slot->has_deadline) {
-      if (now >= slot->deadline) {
-        drop = true;
-        overdue_ms = us_between(slot->deadline, now) / 1000.0;
-      } else if (m.est_us > 0.0 &&
-                 us_between(now, slot->deadline) < m.est_us) {
-        // Even an immediate dispatch would finish late: shed now instead of
-        // burning a batch slot on a guaranteed deadline miss.
-        drop = true;
-      }
-    }
-    if (drop) {
-      if (observer_ != nullptr) {
-        observer_->on_shed(m.name, slot->priority, overdue_ms);
-      }
+    if (slot->deadline_unmeetable(now, m.est_us)) {
+      // Shed now instead of burning a batch slot on a guaranteed miss.
       complete_locked(m, slot, RequestCode::kShed, now, callback_batch);
     } else {
       m.pending[w++] = slot;
@@ -597,8 +564,8 @@ void FrontDoor::form_batch_locked(ModelEntry& m, Clock::time_point now,
   }
   m.inflight += n;
   ++m.inflight_batches;
-  ++m.s_batches;
-  if (n < m.batch_hist.size()) ++m.batch_hist[n];
+  ++m.stats.batches;
+  if (n < m.stats.batch_size_hist.size()) ++m.stats.batch_size_hist[n];
   if (m.breaker == BreakerState::kHalfOpen) m.probe_inflight = true;
 }
 
@@ -746,7 +713,7 @@ void FrontDoor::execute_batch(ModelEntry& m,
         slot->retried = true;
         slot->not_before = now + ms_duration(backoff_ms);
         m.pending.push_back(slot);
-        ++m.s_retries;
+        ++m.stats.retries;
       } else {
         complete_locked(m, slot, RequestCode::kError, now, callback_batch);
       }
@@ -758,16 +725,12 @@ void FrontDoor::execute_batch(ModelEntry& m,
     // collateral of the coalescing choice — requeue each of them once
     // instead of failing a request that still has budget.
     for (FrontDoorSlot* slot : batch) {
-      const bool own_deadline_blown =
-          slot->has_deadline &&
-          (now >= slot->deadline ||
-           (m.est_us > 0.0 && us_between(now, slot->deadline) < m.est_us));
-      if (!own_deadline_blown && !slot->deadline_requeued &&
-          m.breaker != BreakerState::kOpen &&
+      if (!slot->deadline_unmeetable(now, m.est_us) &&
+          !slot->deadline_requeued && m.breaker != BreakerState::kOpen &&
           m.pending.size() < m.opts.queue_capacity) {
         slot->deadline_requeued = true;
         m.pending.push_back(slot);
-        ++m.s_deadline_requeues;
+        ++m.stats.deadline_requeues;
       } else {
         complete_locked(m, slot, RequestCode::kDeadlineExceeded, now,
                         callback_batch);
@@ -900,27 +863,10 @@ FrontDoorStats FrontDoor::stats(const std::string& model) const {
   const ModelEntry* m = find_model_locked(model);
   MLX_CHECK(m != nullptr) << "front-door model '" << model
                           << "' is not registered";
-  FrontDoorStats s;
-  s.submitted = m->s_submitted;
-  s.admitted = m->s_admitted;
-  s.completed_ok = m->s_ok;
-  s.failed = m->s_failed;
-  s.deadline_exceeded = m->s_deadline;
-  s.shed = m->s_shed;
-  s.unknown_model = m->s_unknown;
-  s.flushed_breaker_open = m->s_flushed;
-  s.rejected_queue_full = m->s_rej_full;
-  s.rejected_infeasible = m->s_rej_infeasible;
-  s.rejected_breaker_open = m->s_rej_breaker;
-  s.retries = m->s_retries;
-  s.deadline_requeues = m->s_deadline_requeues;
-  s.batches = m->s_batches;
-  s.batch_size_hist = m->batch_hist;
+  FrontDoorStats s = m->stats;
   s.queue_depth = m->pending.size();
-  s.max_queue_depth = m->max_queue_depth;
   s.inflight = m->inflight;
   s.breaker_state = m->breaker;
-  s.breaker_trips = m->breaker_trips;
   s.breaker_version = m->breaker_version;
   s.service_estimate_us = m->est_us;
   return s;

@@ -162,7 +162,10 @@ struct FrontDoorModelOptions {
 // Counters for one front-door model (monotonic unless noted). submitted ==
 // admitted + rejected_*; admitted == completed_ok + failed +
 // deadline_exceeded + shed + flushed_breaker_open + unknown_model + (still
-// queued/in flight).
+// queued/in flight). Each model's counters live in one of these structs;
+// stats() returns a copy with the snapshot fields (queue_depth, inflight,
+// breaker_state, breaker_version, service_estimate_us) read from the
+// scheduler's live state.
 struct FrontDoorStats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -191,33 +194,20 @@ struct FrontDoorStats {
   double service_estimate_us = 0.0;   // EWMA per-batch service time
 };
 
-// Push-based visibility into *why* requests are dropped — the serving-side
-// counterpart of InvokeObserver. Hooks fire under the front-door mutex: keep
-// them cheap and never call back into the FrontDoor. Attach before traffic.
+// Push-based visibility into the two things no counter records: which batch
+// variant served each dispatch, and the order of breaker transitions — the
+// serving-side counterpart of InvokeObserver. Rejections, sheds and
+// completions are counted in FrontDoorStats. Hooks fire under the
+// front-door mutex: keep them cheap and never call back into the FrontDoor.
+// Attach before traffic.
 class FrontDoorObserver {
  public:
   virtual ~FrontDoorObserver() = default;
-  virtual void on_rejected(const std::string& model, RequestCode code) {
-    (void)model;
-    (void)code;
-  }
-  virtual void on_shed(const std::string& model, int priority,
-                       double overdue_ms) {
-    (void)model;
-    (void)priority;
-    (void)overdue_ms;
-  }
   virtual void on_dispatch(const std::string& model, int coalesced,
                            int variant_batch) {
     (void)model;
     (void)coalesced;
     (void)variant_batch;
-  }
-  virtual void on_complete(const std::string& model, RequestCode code,
-                           double latency_us) {
-    (void)model;
-    (void)code;
-    (void)latency_us;
   }
   virtual void on_breaker(const std::string& model, std::uint64_t version,
                           BreakerState from, BreakerState to) {

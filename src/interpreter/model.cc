@@ -24,12 +24,6 @@ Model::Model(Graph graph, const OpResolver* resolver, ThreadPool* shared_pool,
   build(shared_pool, num_threads);
 }
 
-Model::Model(const Graph* graph, const OpResolver* resolver,
-             ThreadPool* shared_pool, int num_threads)
-    : graph_(graph), resolver_(resolver) {
-  build(shared_pool, num_threads);
-}
-
 void Model::build(ThreadPool* shared_pool, int num_threads) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();

@@ -44,15 +44,13 @@ class Model {
   // Graph alive themselves, e.g. to run it under several resolvers).
   Model(const Graph* graph, const OpResolver* resolver, int num_threads = 1);
 
-  // Shared-pool variants (the Engine's load path): the model fans work onto
+  // Shared-pool variant (the Engine's load path): the model fans work onto
   // the caller-owned `shared_pool` — which may serve many models at once;
   // the pool runs concurrent jobs side by side — but never with more than
   // num_threads participants per job. shared_pool must outlive the Model;
   // nullptr or num_threads <= 1 runs kernels single-threaded.
   Model(Graph graph, const OpResolver* resolver, ThreadPool* shared_pool,
         int num_threads);
-  Model(const Graph* graph, const OpResolver* resolver,
-        ThreadPool* shared_pool, int num_threads);
 
   Model(const Model&) = delete;
   Model& operator=(const Model&) = delete;

@@ -79,7 +79,6 @@ Session::Session(const Model* model) : model_(model) {
 
   stats_.per_node_ms.assign(graph.nodes.size(), 0.0);
   stats_.per_node_total_ms.assign(graph.nodes.size(), 0.0);
-  stats_.prepared_bytes = model_->prepared_bytes();
   stats_.prepare_ms = model_->prepare_ms() + ms_since(start);
 }
 

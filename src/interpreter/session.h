@@ -76,12 +76,11 @@ struct SessionStats {
   // deadline expiries (recoverable; the session keeps serving).
   std::uint64_t invoke_errors = 0;
   std::uint64_t deadline_exceeded = 0;
-  // Memory visibility: plan-owned prepared storage (packed weight panels,
-  // requantization tables; fixed at Model build, *shared* across sessions)
-  // and this session's scratch-arena high-water mark (refreshed after every
-  // invoke). Latency wins from plan-time packing must not hide their memory
-  // cost.
-  std::size_t prepared_bytes = 0;
+  // Memory visibility: this session's scratch-arena high-water mark
+  // (refreshed after every invoke). The plan-owned prepared storage it
+  // shares with every session of the Model (packed weight panels,
+  // requantization tables) is Model::prepared_bytes(). Latency wins from
+  // plan-time packing must not hide their memory cost.
   std::size_t arena_high_water_bytes = 0;
 };
 

@@ -133,7 +133,7 @@ SsdTargets encode_ssd_targets(const SsdModel& ssd,
 }
 
 void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
-               int epochs, std::uint64_t seed, bool verbose) {
+               int epochs, std::uint64_t seed) {
   TrainConfig tc;
   tc.learning_rate = 2e-3f;
   tc.num_threads = 2;
@@ -151,7 +151,6 @@ void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
   std::iota(order.begin(), order.end(), 0);
   for (int epoch = 0; epoch < epochs; ++epoch) {
     rng.shuffle(order);
-    double epoch_loss = 0.0;
     const std::size_t batches = (order.size() + batch - 1) / batch;
     for (std::size_t bi = 0; bi < batches; ++bi) {
       // Pack the batch input and per-anchor targets (batch-major rows).
@@ -183,7 +182,6 @@ void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
       trainer.zero_grad();
       trainer.forward({packed});
       std::vector<std::pair<int, Tensor>> seeds;
-      double loss = 0.0;
       int offset = 0;
       for (int scale = 0; scale < 2; ++scale) {
         const int cells = scale == 0 ? cells8 : cells4;
@@ -206,24 +204,15 @@ void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
                       static_cast<std::size_t>(cells) * 4 * sizeof(float));
         }
         LossGrad cls_lg = softmax_cross_entropy_rows(cls_out, labels);
-        loss += cls_lg.loss;
         seeds.emplace_back(outs[static_cast<std::size_t>(scale * 2)],
                            std::move(cls_lg.grad));
         LossGrad box_lg = smooth_l1_rows(box_out, box_target, pos, 1.0);
-        loss += box_lg.loss;
         seeds.emplace_back(outs[static_cast<std::size_t>(scale * 2 + 1)],
                            std::move(box_lg.grad));
         offset += cells;
       }
       trainer.backward(seeds);
       trainer.step();
-      epoch_loss += loss;
-    }
-    if (verbose) {
-      std::printf("  [ssd] %s epoch %d/%d loss %.4f\n",
-                  ssd->model.name.c_str(), epoch + 1, epochs,
-                  epoch_loss / static_cast<double>(batches));
-      std::fflush(stdout);
     }
   }
 }

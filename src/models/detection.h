@@ -44,7 +44,7 @@ SsdTargets encode_ssd_targets(const SsdModel& ssd,
 
 // Trains in place on sensor examples via the given (correct) pipeline.
 void train_ssd(SsdModel* ssd, const std::vector<DetExample>& train_set,
-               int epochs, std::uint64_t seed, bool verbose = false);
+               int epochs, std::uint64_t seed);
 
 // Runs a deployed variant of the model (same node names / output order) on
 // one preprocessed input and decodes + NMS-filters predictions.

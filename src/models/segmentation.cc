@@ -44,7 +44,7 @@ ZooModel build_deeplab_mini(std::uint64_t seed, int batch) {
 }
 
 void train_deeplab(ZooModel* zm, const std::vector<SegExample>& train_set,
-                   int epochs, std::uint64_t seed, bool verbose) {
+                   int epochs, std::uint64_t seed) {
   TrainConfig tc;
   tc.learning_rate = 2e-3f;
   tc.num_threads = 2;
@@ -57,7 +57,6 @@ void train_deeplab(ZooModel* zm, const std::vector<SegExample>& train_set,
   std::iota(order.begin(), order.end(), 0);
   for (int epoch = 0; epoch < epochs; ++epoch) {
     rng.shuffle(order);
-    double epoch_loss = 0.0;
     const std::size_t batches = (order.size() + batch - 1) / batch;
     for (std::size_t bi = 0; bi < batches; ++bi) {
       Tensor packed(DType::kF32, zm->model.node(0).output_shape);
@@ -77,16 +76,10 @@ void train_deeplab(ZooModel* zm, const std::vector<SegExample>& train_set,
       trainer.forward({packed});
       LossGrad lg =
           softmax_cross_entropy_rows(trainer.activation(zm->logits_id), labels);
-      epoch_loss += lg.loss;
       std::vector<std::pair<int, Tensor>> seeds;
       seeds.emplace_back(zm->logits_id, std::move(lg.grad));
       trainer.backward(seeds);
       trainer.step();
-    }
-    if (verbose) {
-      std::printf("  [deeplab] epoch %d/%d loss %.4f\n", epoch + 1, epochs,
-                  epoch_loss / static_cast<double>(batches));
-      std::fflush(stdout);
     }
   }
 }

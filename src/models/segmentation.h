@@ -15,7 +15,7 @@ ZooModel build_deeplab_mini(std::uint64_t seed, int batch = 1);
 
 // Trains in place on SynthSeg examples.
 void train_deeplab(ZooModel* zm, const std::vector<SegExample>& train_set,
-                   int epochs, std::uint64_t seed, bool verbose = false);
+                   int epochs, std::uint64_t seed);
 
 // Predicted label map [H, W] i32 for one preprocessed input.
 Tensor predict_mask(Session& session, const Tensor& input);

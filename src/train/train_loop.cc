@@ -1,6 +1,5 @@
 #include "src/train/train_loop.h"
 
-#include <cstdio>
 #include <numeric>
 
 #include "src/common/rng.h"
@@ -9,6 +8,8 @@
 namespace mlexray {
 
 namespace {
+
+constexpr std::uint64_t kShuffleSeed = 42;
 
 // Stacks single-sample tensors ([1, ...]) into one [batch, ...] tensor.
 Tensor stack_batch(const std::vector<const Tensor*>& samples) {
@@ -36,7 +37,7 @@ double fit_classifier(Graph* model, int logits_node,
   const std::int64_t model_batch =
       model->node(model->input_ids()[0]).output_shape.dim(0);
   Trainer trainer(model, config.train);
-  Pcg32 rng(config.shuffle_seed);
+  Pcg32 rng(kShuffleSeed);
   std::vector<std::size_t> order(train_set.size());
   std::iota(order.begin(), order.end(), 0);
   double epoch_loss = 0.0;
@@ -82,11 +83,6 @@ double fit_classifier(Graph* model, int logits_node,
       }
       if (in_batch > 0) trainer.step();
       epoch_loss /= static_cast<double>(train_set.size());
-    }
-    if (config.verbose) {
-      std::printf("  [train] %s epoch %d/%d loss %.4f\n", model->name.c_str(),
-                  epoch + 1, config.epochs, epoch_loss);
-      std::fflush(stdout);
     }
   }
   return epoch_loss;

@@ -16,8 +16,6 @@ struct FitConfig {
   int epochs = 5;
   int batch_size = 16;  // gradient-accumulation granularity
   TrainConfig train;
-  std::uint64_t shuffle_seed = 42;
-  bool verbose = false;
 };
 
 // Trains `model` in place with softmax-xent on `logits_node`.

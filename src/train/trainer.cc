@@ -7,6 +7,15 @@
 
 namespace mlexray {
 
+namespace {
+// Adam hyperparameters.
+constexpr float kAdamBeta1 = 0.9f;
+constexpr float kAdamBeta2 = 0.999f;
+constexpr float kAdamEps = 1e-8f;
+// Moving-average retention for BatchNorm statistics.
+constexpr float kBnMomentum = 0.9f;
+}  // namespace
+
 Trainer::Trainer(Graph* model, TrainConfig config)
     : model_(model), cfg_(config) {
   MLX_CHECK(model != nullptr);
@@ -92,10 +101,10 @@ void Trainer::forward_batch_norm(const Node& node) {
       y[r * ch + c] = static_cast<float>(
           gamma[c] * (x[r * ch + c] - mean) * inv_std + beta[c]);
     }
-    moving_mean[c] = cfg_.bn_momentum * moving_mean[c] +
-                     (1.0f - cfg_.bn_momentum) * static_cast<float>(mean);
-    moving_var[c] = cfg_.bn_momentum * moving_var[c] +
-                    (1.0f - cfg_.bn_momentum) * static_cast<float>(var);
+    moving_mean[c] = kBnMomentum * moving_mean[c] +
+                     (1.0f - kBnMomentum) * static_cast<float>(mean);
+    moving_var[c] = kBnMomentum * moving_var[c] +
+                    (1.0f - kBnMomentum) * static_cast<float>(var);
   }
 }
 
@@ -662,8 +671,8 @@ double Trainer::train_sample(const std::vector<Tensor>& inputs,
 void Trainer::step() {
   MLX_CHECK_GT(accum_count_, 0) << "step() without accumulated gradients";
   ++step_count_;
-  const double bias1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(step_count_));
+  const double bias1 = 1.0 - std::pow(kAdamBeta1, static_cast<double>(step_count_));
+  const double bias2 = 1.0 - std::pow(kAdamBeta2, static_cast<double>(step_count_));
   const float scale = 1.0f / static_cast<float>(accum_count_);
   for (Node& n : model_->nodes) {
     const auto id = static_cast<std::size_t>(n.id);
@@ -677,13 +686,13 @@ void Trainer::step() {
       float* pm = adam_m_[id][wi].data<float>();
       float* pv = adam_v_[id][wi].data<float>();
       for (std::int64_t i = 0; i < w.num_elements(); ++i) {
-        float g = pg[i] * scale + cfg_.weight_decay * pw[i];
-        pm[i] = cfg_.beta1 * pm[i] + (1.0f - cfg_.beta1) * g;
-        pv[i] = cfg_.beta2 * pv[i] + (1.0f - cfg_.beta2) * g * g;
+        float g = pg[i] * scale;
+        pm[i] = kAdamBeta1 * pm[i] + (1.0f - kAdamBeta1) * g;
+        pv[i] = kAdamBeta2 * pv[i] + (1.0f - kAdamBeta2) * g * g;
         double mhat = pm[i] / bias1;
         double vhat = pv[i] / bias2;
         pw[i] -= static_cast<float>(cfg_.learning_rate * mhat /
-                                    (std::sqrt(vhat) + cfg_.adam_eps));
+                                    (std::sqrt(vhat) + kAdamEps));
       }
     }
   }

@@ -22,11 +22,6 @@ namespace mlexray {
 
 struct TrainConfig {
   float learning_rate = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float adam_eps = 1e-8f;
-  float weight_decay = 0.0f;
-  float bn_momentum = 0.9f;  // moving-average retention for BN stats
   int num_threads = 1;
 };
 

@@ -638,7 +638,7 @@ TEST(Canary, FirstSuspectMatchesOfflinePerLayerDrift) {
   }
 }
 
-TEST(Canary, SamplesConfiguredFractionAndSurfacesPoolStats) {
+TEST(Canary, SamplesConfiguredFractionIntoItsReport) {
   BuiltinOpResolver opt;
   Pcg32 rng_a(411), rng_b(411);
   Engine engine(&opt);
@@ -656,24 +656,21 @@ TEST(Canary, SamplesConfiguredFractionAndSurfacesPoolStats) {
     lease->invoke();
   }
 
-  const EnginePoolStats stats = engine.pool_stats("m");
-  EXPECT_TRUE(stats.canary_enabled);
-  EXPECT_EQ(stats.canary_shadowed, static_cast<std::uint64_t>(kInvokes) / 4);
-  EXPECT_EQ(stats.canary_skipped, 0u);
-  EXPECT_EQ(stats.canary_reference_errors, 0u);
-  // Identical weights: nothing drifts, no suspects.
-  EXPECT_EQ(stats.canary_suspect_layers, 0u);
   const CanaryReport report = engine.canary_report("m");
+  EXPECT_TRUE(report.enabled);
   EXPECT_EQ(report.shadowed, static_cast<std::uint64_t>(kInvokes) / 4);
+  EXPECT_EQ(report.skipped_busy + report.skipped_layout, 0u);
+  EXPECT_EQ(report.reference_errors, 0u);
+  // Identical weights: nothing drifts, no suspects.
   EXPECT_FALSE(report.first_suspect.has_value());
   for (const CanaryLayerDrift& layer : report.layers) {
+    EXPECT_FALSE(layer.suspect) << layer.layer;
     EXPECT_LT(layer.mean_error, 1e-9) << layer.layer;
   }
 
   EXPECT_TRUE(engine.disable_canary("m"));
   EXPECT_FALSE(engine.disable_canary("m"));
   EXPECT_FALSE(engine.canary_report("m").enabled);
-  EXPECT_FALSE(engine.pool_stats("m").canary_enabled);
 }
 
 TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {

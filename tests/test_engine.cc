@@ -4,8 +4,7 @@
 //  - sessions over one shared Model are bit-exact with a session over a
 //    separately prepared Model, in f32 and int8;
 //  - prepared storage is built once per Model: prepared_bytes() does not
-//    grow with session count, and every session reports the same shared
-//    prepared_bytes;
+//    grow with session count;
 //  - T threads invoking one Model through pooled Engine sessions produce
 //    bit-identical outputs to a single session run sequentially;
 //  - steady-state acquire/invoke/release performs zero heap allocations,
@@ -130,10 +129,6 @@ TEST(ModelSessionSplit, TwoSessionsShareOnePreparedModel) {
   Session b(&model);
   EXPECT_EQ(model.prepared_bytes(), prepared)
       << "session construction grew the prepared storage";
-
-  // Both sessions report the same shared prepared storage.
-  EXPECT_EQ(a.last_stats().prepared_bytes, model.prepared_bytes());
-  EXPECT_EQ(b.last_stats().prepared_bytes, model.prepared_bytes());
 
   Pcg32 drng(72);
   Tensor x0 = random_input(Shape{1, 16, 16, 8}, drng);

@@ -716,6 +716,29 @@ TEST_F(FrontDoorTest, HotSwapHealsAnOpenBreakerImmediately) {
   EXPECT_EQ(door.stats("stack").breaker_state, BreakerState::kClosed);
 }
 
+TEST_F(FrontDoorTest, StatsReadTheLiveServiceEstimateAndBreakerVersion) {
+  BuiltinOpResolver opt;
+  Engine engine(&opt);
+  engine.load("stack", conv_stack_graph(95));
+  FrontDoor door(&engine);
+  door.register_model("stack");
+
+  // The estimate admission and shedding use, before any batch re-measures it.
+  door.set_service_estimate_for_testing("stack", 1234.5);
+  EXPECT_DOUBLE_EQ(door.stats("stack").service_estimate_us, 1234.5);
+  EXPECT_EQ(door.stats("stack").breaker_version, 0u);
+
+  // The breaker keys itself to the engine version that served the last
+  // batch, so a hot swap shows up after the next served request.
+  Pcg32 drng(96);
+  Tensor x = random_input(Shape{1, 16, 16, 8}, drng);
+  EXPECT_EQ(door.submit("stack", x).wait().code, RequestCode::kOk);
+  EXPECT_EQ(door.stats("stack").breaker_version, 1u);
+  engine.load("stack", conv_stack_graph(97));
+  EXPECT_EQ(door.submit("stack", x).wait().code, RequestCode::kOk);
+  EXPECT_EQ(door.stats("stack").breaker_version, 2u);
+}
+
 // --- bounded retry -----------------------------------------------------------
 
 TEST_F(FrontDoorTest, TransientFaultIsRetriedOnceWithBackoff) {
