@@ -179,9 +179,11 @@ void BM_GemmI8_PackedVec(benchmark::State& state) {
   std::vector<std::int32_t> col_sums(p.bias_i32.size());
   pack_b_i8(p.n, p.k, p.b_i8.data(), p.k, panels.data(), col_sums.data());
   PackedBI8 packed{panels.data(), col_sums.data()};
+  std::vector<std::int16_t> a_tiles(gemm_i8_tile_bytes(p.k, 1) /
+                                    sizeof(std::int16_t));
   for (auto _ : state) {
     gemm_i8_nt(p.m, p.n, p.k, p.a_i8.data(), p.k, p.b_i8.data(), p.k, p.quant,
-               p.c_i8.data(), p.n, nullptr, packed);
+               p.c_i8.data(), p.n, nullptr, packed, a_tiles.data());
     benchmark::DoNotOptimize(p.c_i8.data());
   }
 }

@@ -84,7 +84,6 @@ using v16s16_u = std::int16_t __attribute__((vector_size(32), aligned(2)));
 using v8s16 = std::int16_t __attribute__((vector_size(16)));
 using v8s16_u = std::int16_t __attribute__((vector_size(16), aligned(2)));
 using v8s32 = std::int32_t __attribute__((vector_size(32)));
-constexpr bool kLittleEndian = __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
 
 inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
   v16s8_u v;

@@ -54,7 +54,9 @@ std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a,
 std::int32_t rounding_divide_by_pot(std::int32_t x, int exponent) {
   MLX_CHECK(exponent >= 0 && exponent <= 31);
   if (exponent == 0) return x;
-  const std::int32_t mask = (1 << exponent) - 1;
+  // Built unsigned, so exponent 31 cannot overflow.
+  const auto mask =
+      static_cast<std::int32_t>((std::uint32_t{1} << exponent) - 1);
   const std::int32_t remainder = x & mask;
   std::int32_t result = x >> exponent;
   std::int32_t threshold = (mask >> 1) + ((x < 0) ? 1 : 0);

@@ -6,6 +6,11 @@
 // rounding-doubling high multiply. This matches how production edge
 // runtimes requantize and is the source of the small optimized-vs-reference
 // discrepancies the paper's per-layer validation is designed to surface.
+//
+// The scalar functions are the spec. Every optimized int8 epilogue runs the
+// 8-lane form instead (requant_clamp_store_i8_v8), which reaches the same
+// bits by a cheaper route: a round-half-up high multiply, exact for every
+// multiplier quantize_multiplier{,_any} produce, then a byte-gather narrow.
 #pragma once
 
 #include <cstdint>
@@ -58,47 +63,52 @@ inline std::int8_t clamp_to_i8(std::int32_t v) {
 }
 
 // Eight-lane vector form of multiply_by_quantized_multiplier, bit-identical
-// per lane to the scalar function (the kernel parity tests compare the
-// vector and scalar requant paths byte for byte). GNU vector extensions, so
-// one definition serves every target: on AVX2+ the whole thing stays in ymm
-// registers, elsewhere the compiler splits or scalarizes it correctly.
+// per lane to the scalar function (FixedPoint.VectorRequantMatchesScalar
+// compares them lane by lane). GNU vector extensions, so one definition
+// serves every target.
+//
+// The high multiply rounds half up, (x * m + 2^30) >> 31, where the scalar
+// spec nudges toward zero and truncates. The two agree for every x: for
+// x * m >= 0 both add 2^30 and floor; for x * m < 0,
+// trunc((x * m + 1 - 2^30) / 2^31) = floor((x * m + 2^30) / 2^31), since
+// ceil(t / d) = floor((t + d - 1) / d). The scalar form's INT_MIN * INT_MIN
+// saturation cannot trigger: quantize_multiplier{,_any} produce multipliers
+// in [2^30, 2^31), always positive. The 64-bit products run in place on the
+// even and the odd 32-bit lanes, each sign-extended with shifts, so no half
+// is split off, converted or truncation-corrected.
 //
 // `shift_exp` lanes hold the *negated* shift (>= 0), i.e. the
 // rounding_divide_by_pot exponent.
 using v8s32_fx = std::int32_t __attribute__((vector_size(32), aligned(4)));
+inline constexpr bool kLittleEndian =
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
 
 inline v8s32_fx multiply_by_quantized_multiplier_v8(v8s32_fx x,
                                                     v8s32_fx multiplier,
                                                     v8s32_fx shift_exp) {
-  using v4s32 = std::int32_t __attribute__((vector_size(16)));
   using v4s64 = std::int64_t __attribute__((vector_size(32)));
-  // Saturating rounding doubling high multiply. The scalar form's INT_MIN *
-  // INT_MIN saturation cannot trigger here: quantize_multiplier produces
-  // multipliers in [2^30, 2^31), always positive.
-  auto srdhm_half = [](v4s32 a, v4s32 b) -> v4s32 {
-    const v4s64 ab = __builtin_convertvector(a, v4s64) *
-                     __builtin_convertvector(b, v4s64);
-    const v4s64 nudge =
-        ab >= 0 ? (v4s64){} + (1LL << 30) : (v4s64){} + (1 - (1LL << 30));
-    v4s64 t = ab + nudge;
-    // Truncating (toward zero) division by 2^31, as the scalar `/` does:
-    // bias negative values up by 2^31 - 1 before the arithmetic shift.
-    t += (t < 0) & ((v4s64){} + ((1LL << 31) - 1));
-    return __builtin_convertvector(t >> 31, v4s32);
-  };
-  const v4s32 xlo = __builtin_shufflevector(x, x, 0, 1, 2, 3);
-  const v4s32 xhi = __builtin_shufflevector(x, x, 4, 5, 6, 7);
-  const v4s32 mlo =
-      __builtin_shufflevector(multiplier, multiplier, 0, 1, 2, 3);
-  const v4s32 mhi =
-      __builtin_shufflevector(multiplier, multiplier, 4, 5, 6, 7);
-  const v4s32 hlo = srdhm_half(xlo, mlo);
-  const v4s32 hhi = srdhm_half(xhi, mhi);
-  const v8s32_fx high = __builtin_shufflevector(hlo, hhi, 0, 1, 2, 3, 4, 5,
-                                                6, 7);
+  const v4s64 half = (v4s64){} + (std::int64_t{1} << 30);
+  const v4s64 x64 = (v4s64)x;
+  const v4s64 m64 = (v4s64)multiplier;
+  // Rounded products of the low and the high 32-bit half of each 64-bit
+  // lane, each half sign-extended in place (the low halves are lanes 0, 2,
+  // 4, 6 on a little-endian target).
+  const v4s64 lo_prod = ((x64 << 32) >> 32) * ((m64 << 32) >> 32) + half;
+  const v4s64 hi_prod = (x64 >> 32) * (m64 >> 32) + half;
+  // Each result is bits 31..62 of its rounded product: shift the low
+  // halves' results down into place and the high halves' up, then blend.
+  const v8s32_fx lo = (v8s32_fx)(lo_prod >> 31);
+  const v8s32_fx hi = (v8s32_fx)(hi_prod << 1);
+  const v8s32_fx high =
+      kLittleEndian
+          ? __builtin_shufflevector(lo, hi, 0, 9, 2, 11, 4, 13, 6, 15)
+          : __builtin_shufflevector(lo, hi, 8, 1, 10, 3, 12, 5, 14, 7);
   // rounding_divide_by_pot with a per-lane exponent (exponent 0 lanes fall
   // through all three terms as identities, matching the scalar early out).
-  const v8s32_fx mask = (((v8s32_fx){} + 1) << shift_exp) - 1;
+  // The mask 2^e - 1 is built unsigned, so exponent 31 cannot overflow.
+  using v8u32 = std::uint32_t __attribute__((vector_size(32)));
+  const v8s32_fx mask =
+      (v8s32_fx)((((v8u32){} + 1) << (v8u32)shift_exp) - 1);
   const v8s32_fx remainder = high & mask;
   v8s32_fx result = high >> shift_exp;
   const v8s32_fx threshold = (mask >> 1) + ((high < 0) & 1);
@@ -108,15 +118,20 @@ inline v8s32_fx multiply_by_quantized_multiplier_v8(v8s32_fx x,
 
 // The shared int8 kernel epilogue for 8 consecutive output channels:
 // requantize, add the output zero point, clamp to the fused activation
-// range, narrow to int8, store. Both the packed GEMM and the dwconv
-// epilogues call this, so the bit-exactness contract their conformance
-// grids assert lives in exactly one place.
+// range, narrow to int8, store. Every int8 GEMM, depthwise and elementwise
+// epilogue calls this, so the bit-exactness contract their conformance
+// grids assert lives in exactly one place. The clamped lanes already fit
+// in int8, so the narrowing just gathers each lane's low byte: one
+// 16-byte-result shuffle (one vpermb with AVX-512VBMI, two vpshufb, a
+// permute and an or on AVX2). GCC 12 scalarizes the equivalent
+// __builtin_convertvector to int8 into ~32 instructions at x86-64-v3.
 inline void requant_clamp_store_i8_v8(v8s32_fx acc, v8s32_fx multiplier,
                                       v8s32_fx shift_exp, std::int32_t out_zp,
                                       std::int32_t act_min,
                                       std::int32_t act_max,
                                       std::int8_t* dst) {
-  using v8s8_fx = std::int8_t __attribute__((vector_size(8), aligned(1)));
+  using v32s8 = std::int8_t __attribute__((vector_size(32)));
+  using v16s8 = std::int8_t __attribute__((vector_size(16)));
   v8s32_fx v = multiply_by_quantized_multiplier_v8(acc, multiplier,
                                                    shift_exp) +
                ((v8s32_fx){} + out_zp);
@@ -124,8 +139,12 @@ inline void requant_clamp_store_i8_v8(v8s32_fx acc, v8s32_fx multiplier,
   const v8s32_fx vmin = (v8s32_fx){} + act_min;
   v = v > vmax ? vmax : v;
   v = v < vmin ? vmin : v;
-  const v8s8_fx out8 = __builtin_convertvector(v, v8s8_fx);
-  __builtin_memcpy(dst, &out8, sizeof(out8));
+  constexpr int b = kLittleEndian ? 0 : 3;  // the low byte of a lane
+  const v32s8 bytes = (v32s8)v;
+  const v16s8 out = __builtin_shufflevector(
+      bytes, bytes, b, 4 + b, 8 + b, 12 + b, 16 + b, 20 + b, 24 + b, 28 + b,
+      b, 4 + b, 8 + b, 12 + b, 16 + b, 20 + b, 24 + b, 28 + b);
+  __builtin_memcpy(dst, &out, 8);
 }
 
 // The int8 kernels' widening load: 8 consecutive int8 values as int32

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -118,9 +119,10 @@ inline void tile_f32_rows(std::int64_t mr, std::int64_t k, const float* a,
 // instruction retires 32 multiply-accumulates with *one int32 accumulator
 // lane per output column*: no horizontal reduction anywhere, which is what
 // makes small-k GEMMs (MobileNet's 1x1 pointwise convs, k = channels) fast
-// rather than reduce-bound. Column padding is zero-filled at pack time, so
-// the last panel needs no scalar edge and an odd k pairs the final element
-// with an explicit zero on the A side (never reading a[k]).
+// rather than reduce-bound. A arrives as a pre-widened int16 tile whose
+// rows are padded to an even length with a zero (see the A sources below),
+// so each pair is one 32-bit load; B's column padding and odd-k tail are
+// zero-filled at pack time, so no tier needs an edge path.
 //
 // Tiered by ISA: AVX-512BW (one 64-byte madd per k pair), AVX2 (two
 // 32-byte madds), and GNU vectors elsewhere (exact int16 products widened
@@ -130,37 +132,25 @@ inline void tile_f32_rows(std::int64_t mr, std::int64_t k, const float* a,
 // so int32 lanes are safe until k > 2^16 — far beyond any shape this
 // runtime sees.
 
-// The broadcast A operand: two consecutive activations as packed int16s.
-// `full == false` zeroes the high half for the odd-k tail.
-inline std::int32_t a_pair_i8(const std::int8_t* a, std::int64_t kk,
-                              bool full) {
-  const auto lo = static_cast<std::int32_t>(a[kk]);
-  const std::int32_t hi = full ? static_cast<std::int32_t>(a[kk + 1]) : 0;
-  return (lo & 0xFFFF) | (hi << 16);
+// The broadcast A operand for k pair p: two consecutive int16 activations.
+inline std::int32_t a_pair(const std::int16_t* a, std::int64_t p) {
+  std::int32_t pair;
+  __builtin_memcpy(&pair, a + 2 * p, sizeof(pair));
+  return pair;
 }
 
 #if defined(__AVX512BW__) && defined(__AVX512F__)
 
 template <int MR>
-inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
+inline void tile_i8_pairs(std::int64_t k2, const std::int16_t* a,
                           std::int64_t lda, const std::int16_t* bp,
                           std::int32_t acc_out[][kNrIP]) {
   __m512i acc[MR];
   for (int i = 0; i < MR; ++i) acc[i] = _mm512_setzero_si512();
-  const std::int64_t k2 = k / 2;
   for (std::int64_t p = 0; p < k2; ++p) {
     const __m512i bv = _mm512_loadu_si512(bp + p * 2 * kNrIP);
     for (int i = 0; i < MR; ++i) {
-      const __m512i av =
-          _mm512_set1_epi32(a_pair_i8(a + i * lda, 2 * p, true));
-      acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(av, bv));
-    }
-  }
-  if (k & 1) {
-    const __m512i bv = _mm512_loadu_si512(bp + k2 * 2 * kNrIP);
-    for (int i = 0; i < MR; ++i) {
-      const __m512i av =
-          _mm512_set1_epi32(a_pair_i8(a + i * lda, k - 1, false));
+      const __m512i av = _mm512_set1_epi32(a_pair(a + i * lda, p));
       acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(av, bv));
     }
   }
@@ -172,7 +162,7 @@ inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
 #elif defined(__AVX2__)
 
 template <int MR>
-inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
+inline void tile_i8_pairs(std::int64_t k2, const std::int16_t* a,
                           std::int64_t lda, const std::int16_t* bp,
                           std::int32_t acc_out[][kNrIP]) {
   __m256i acc[MR][2];
@@ -180,20 +170,17 @@ inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
     acc[i][0] = _mm256_setzero_si256();
     acc[i][1] = _mm256_setzero_si256();
   }
-  const std::int64_t k2 = k / 2;
-  auto step = [&](std::int64_t p, bool full, std::int64_t kk) {
+  for (std::int64_t p = 0; p < k2; ++p) {
     const __m256i bv0 = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(bp + p * 2 * kNrIP));
     const __m256i bv1 = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(bp + p * 2 * kNrIP + kNrIP));
     for (int i = 0; i < MR; ++i) {
-      const __m256i av = _mm256_set1_epi32(a_pair_i8(a + i * lda, kk, full));
+      const __m256i av = _mm256_set1_epi32(a_pair(a + i * lda, p));
       acc[i][0] = _mm256_add_epi32(acc[i][0], _mm256_madd_epi16(av, bv0));
       acc[i][1] = _mm256_add_epi32(acc[i][1], _mm256_madd_epi16(av, bv1));
     }
-  };
-  for (std::int64_t p = 0; p < k2; ++p) step(p, true, 2 * p);
-  if (k & 1) step(k2, false, k - 1);
+  }
   for (int i = 0; i < MR; ++i) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc_out[i]), acc[i][0]);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc_out[i] + 8),
@@ -211,24 +198,18 @@ using v8s16_p = std::int16_t __attribute__((vector_size(16)));
 using v8s32_p = std::int32_t __attribute__((vector_size(32)));
 
 template <int MR>
-inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
+inline void tile_i8_pairs(std::int64_t k2, const std::int16_t* a,
                           std::int64_t lda, const std::int16_t* bp,
                           std::int32_t acc_out[][kNrIP]) {
   v8s32_p acc[MR][2] = {};
-  const std::int64_t k2 = k / 2;
-  auto step = [&](std::int64_t p, bool full, std::int64_t kk) {
+  for (std::int64_t p = 0; p < k2; ++p) {
     v16s16_p bv[2];
     __builtin_memcpy(&bv[0], bp + p * 2 * kNrIP, sizeof(bv[0]));
     __builtin_memcpy(&bv[1], bp + p * 2 * kNrIP + kNrIP, sizeof(bv[1]));
     for (int i = 0; i < MR; ++i) {
-      const auto lo = static_cast<std::int16_t>(a[i * lda + kk]);
-      const std::int16_t hi =
-          full ? static_cast<std::int16_t>(a[i * lda + kk + 1])
-               : std::int16_t{0};
-      const v16s16_p vlo = (v16s16_p){} + lo;
-      const v16s16_p vhi = (v16s16_p){} + hi;
-      const v16s16_p av = __builtin_shufflevector(
-          vlo, vhi, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+      // The pair broadcast to every int32 lane is (a[2p], a[2p+1]) repeated
+      // across the 16 int16 lanes.
+      const v16s16_p av = (v16s16_p)((v8s32_p){} + a_pair(a + i * lda, p));
       for (int h = 0; h < 2; ++h) {
         const v16s16_p prod = av * bv[h];  // exact in int16
         const v8s16_p even = __builtin_shufflevector(prod, prod, 0, 2, 4, 6,
@@ -239,9 +220,7 @@ inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
                      __builtin_convertvector(odd, v8s32_p);
       }
     }
-  };
-  for (std::int64_t p = 0; p < k2; ++p) step(p, true, 2 * p);
-  if (k & 1) step(k2, false, k - 1);
+  }
   for (int i = 0; i < MR; ++i) {
     __builtin_memcpy(acc_out[i], &acc[i][0], sizeof(acc[i][0]));
     __builtin_memcpy(acc_out[i] + 8, &acc[i][1], sizeof(acc[i][1]));
@@ -250,15 +229,15 @@ inline void tile_i8_pairs(std::int64_t k, const std::int8_t* a,
 
 #endif
 
-inline void panel_i8_pairs(std::int64_t mr, std::int64_t k,
-                           const std::int8_t* a, std::int64_t lda,
+inline void panel_i8_pairs(std::int64_t mr, std::int64_t k2,
+                           const std::int16_t* a, std::int64_t lda,
                            const std::int16_t* bp,
                            std::int32_t acc[kMr][kNrIP]) {
   switch (mr) {
-    case 4: tile_i8_pairs<4>(k, a, lda, bp, acc); break;
-    case 3: tile_i8_pairs<3>(k, a, lda, bp, acc); break;
-    case 2: tile_i8_pairs<2>(k, a, lda, bp, acc); break;
-    default: tile_i8_pairs<1>(k, a, lda, bp, acc); break;
+    case 4: tile_i8_pairs<4>(k2, a, lda, bp, acc); break;
+    case 3: tile_i8_pairs<3>(k2, a, lda, bp, acc); break;
+    case 2: tile_i8_pairs<2>(k2, a, lda, bp, acc); break;
+    default: tile_i8_pairs<1>(k2, a, lda, bp, acc); break;
   }
 }
 
@@ -500,27 +479,91 @@ void matvec_i8(std::int64_t n, std::int64_t k, const std::int8_t* a,
 // ---------------------------------------------------------------------------
 // Where a row tile's A comes from. The row-block drivers below call
 // rows.tile(i0, mr, worker) once per MR-row tile and read the returned rows
-// at stride rows.lda for every N panel.
+// at stride rows.lda for every N panel. f32 tiles hold f32. int8 tiles
+// hold the activations widened to int16, each row padded to an even length
+// with a zero, so the microkernel's every k pair is one 32-bit load.
 // ---------------------------------------------------------------------------
 
-// A plain row-major matrix: the tile's rows in place.
-template <typename T>
+// Tile row stride: k for f32, k rounded up to even for int16.
+template <typename D>
+std::int64_t tile_lda(std::int64_t k) {
+  return std::is_same_v<D, float> ? k : (k + 1) / 2 * 2;
+}
+
+// One worker's MR-row tile buffer, padded to 64 bytes.
+template <typename D>
+std::int64_t tile_slice_bytes(std::int64_t k) {
+  const auto bytes =
+      kMr * tile_lda<D>(k) * static_cast<std::int64_t>(sizeof(D));
+  return (bytes + 63) / 64 * 64;
+}
+
+// Per-worker tile buffers carved from the caller's scratch.
+template <typename D>
+struct TileSlices {
+  std::uint8_t* base;
+  std::int64_t slice_bytes;
+  D* operator()(std::size_t worker) const {
+    return reinterpret_cast<D*>(
+        base + static_cast<std::int64_t>(worker) * slice_bytes);
+  }
+};
+
+template <typename D>
+TileSlices<D> tile_slices(std::int64_t k, void* scratch) {
+  MLX_CHECK(scratch != nullptr) << "GEMM A-tile scratch missing";
+  return {static_cast<std::uint8_t*>(scratch), tile_slice_bytes<D>(k)};
+}
+
+// n values from src to dst, widened when the tile type is wider.
+template <typename T, typename D>
+inline void copy_run(D* dst, const T* src, std::int64_t n) {
+  if constexpr (std::is_same_v<T, D>) {
+    std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(T));
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
+  }
+}
+
+// A plain row-major f32 matrix (FC, pointwise conv): the tile's rows in
+// place.
 struct MatrixRows {
-  const T* a;
+  const float* a;
   std::int64_t lda;
-  const T* tile(std::int64_t i0, std::int64_t /*mr*/,
-                std::size_t /*worker*/) const {
+  const float* tile(std::int64_t i0, std::int64_t /*mr*/,
+                    std::size_t /*worker*/) const {
     return a + i0 * lda;
   }
 };
 
+// A plain row-major int8 matrix (batched FC, pointwise conv): the tile's
+// rows widened into the worker's slice.
+struct WidenedRows {
+  const std::int8_t* a;
+  std::int64_t a_ld;
+  std::int64_t k;
+  TileSlices<std::int16_t> slices;
+  std::int64_t lda;  // tile_lda<std::int16_t>(k)
+  const std::int16_t* tile(std::int64_t i0, std::int64_t mr,
+                           std::size_t worker) const {
+    std::int16_t* dst = slices(worker);
+    for (std::int64_t r = 0; r < mr; ++r) {
+      std::int16_t* row = dst + r * lda;
+      copy_run(row, a + (i0 + r) * a_ld, k);
+      std::fill(row + k, row + lda, std::int16_t{0});
+    }
+    return dst;
+  }
+};
+
 // Gathers the receptive fields of conv output pixels [i0, i0 + mr) into dst
-// (row stride g.patch()), in OHWI (fy, fx, ic) order; taps outside the
-// input hold `pad`. A filter row whose kw taps are all in bounds is one
-// contiguous kw * in_ch run of the NHWC input and is copied whole.
-template <typename T>
-void gather_patches(const ConvGeometry& g, const T* x, T pad, std::int64_t i0,
-                    std::int64_t mr, T* dst) {
+// (row stride ldd >= g.patch(), the tail zero-filled), in OHWI (fy, fx, ic)
+// order; taps outside the input hold `pad`. A filter row whose kw taps are
+// all in bounds is one contiguous kw * in_ch run of the NHWC input and is
+// copied whole.
+template <typename T, typename D>
+void gather_patches(const ConvGeometry& g, const T* x, D pad, std::int64_t i0,
+                    std::int64_t mr, D* dst, std::int64_t ldd) {
   const std::int64_t run = g.kw * g.in_ch;
   std::int64_t ox = i0 % g.out_w;
   std::int64_t oy = (i0 / g.out_w) % g.out_h;
@@ -529,8 +572,9 @@ void gather_patches(const ConvGeometry& g, const T* x, T pad, std::int64_t i0,
     const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
     const std::int64_t ix0 = ox * g.stride_w - g.pad_w;
     const bool row_inside = ix0 >= 0 && ix0 + g.kw <= g.in_w;
+    D* row = dst + r * ldd;
     for (int fy = 0; fy < g.kh; ++fy) {
-      T* d = dst + (r * g.kh + fy) * run;
+      D* d = row + fy * run;
       const std::int64_t iy = iy0 + fy;
       if (iy < 0 || iy >= g.in_h) {
         std::fill_n(d, run, pad);
@@ -538,21 +582,20 @@ void gather_patches(const ConvGeometry& g, const T* x, T pad, std::int64_t i0,
       }
       const T* src = x + (n * g.in_h + iy) * g.in_w * g.in_ch;
       if (row_inside) {
-        std::memcpy(d, src + ix0 * g.in_ch,
-                    static_cast<std::size_t>(run) * sizeof(T));
+        copy_run(d, src + ix0 * g.in_ch, run);
         continue;
       }
       for (int fx = 0; fx < g.kw; ++fx) {
         const std::int64_t ix = ix0 + fx;
-        T* dt = d + fx * g.in_ch;
+        D* dt = d + fx * g.in_ch;
         if (ix < 0 || ix >= g.in_w) {
           std::fill_n(dt, g.in_ch, pad);
         } else {
-          std::memcpy(dt, src + ix * g.in_ch,
-                      static_cast<std::size_t>(g.in_ch) * sizeof(T));
+          copy_run(dt, src + ix * g.in_ch, g.in_ch);
         }
       }
     }
+    std::fill(row + g.patch(), row + ldd, D{0});
     if (++ox == g.out_w) {
       ox = 0;
       if (++oy == g.out_h) {
@@ -563,37 +606,20 @@ void gather_patches(const ConvGeometry& g, const T* x, T pad, std::int64_t i0,
   }
 }
 
-std::int64_t gather_slice_bytes(const ConvGeometry& g,
-                                std::size_t elem_bytes) {
-  const auto bytes = kMr * g.patch() * static_cast<std::int64_t>(elem_bytes);
-  return (bytes + 63) / 64 * 64;
-}
-
-// Conv receptive fields, gathered per tile into the worker's slice of the
-// caller's gather scratch.
-template <typename T>
+// Conv receptive fields, gathered per tile into the worker's slice.
+template <typename T, typename D = T>
 struct PatchRows {
   const ConvGeometry& g;
   const T* x;
-  T pad;
-  std::uint8_t* gather;
-  std::int64_t slice_bytes;
-  std::int64_t lda;  // g.patch()
-  const T* tile(std::int64_t i0, std::int64_t mr, std::size_t worker) const {
-    T* dst = reinterpret_cast<T*>(
-        gather + static_cast<std::int64_t>(worker) * slice_bytes);
-    gather_patches(g, x, pad, i0, mr, dst);
+  D pad;
+  TileSlices<D> slices;
+  std::int64_t lda;  // tile_lda<D>(g.patch())
+  const D* tile(std::int64_t i0, std::int64_t mr, std::size_t worker) const {
+    D* dst = slices(worker);
+    gather_patches(g, x, pad, i0, mr, dst, lda);
     return dst;
   }
 };
-
-template <typename T>
-PatchRows<T> patch_rows(const ConvGeometry& g, const T* x, T pad,
-                        void* gather) {
-  MLX_CHECK(gather != nullptr) << "conv gather scratch missing";
-  return {g, x, pad, static_cast<std::uint8_t*>(gather),
-          gather_slice_bytes(g, sizeof(T)), g.patch()};
-}
 
 // The row-block driver both GEMMs share: runs body(i0, mr, a_tile) for each
 // MR-row tile of C, where a_tile holds the tile's A rows (stride rows.lda)
@@ -654,22 +680,13 @@ void gemm_f32_rows(std::int64_t m, std::int64_t n, std::int64_t k,
   });
 }
 
+// The int8 GEMM over a source of int16 A tiles (m > 1; gemm_i8_nt and
+// conv_gemm_i8 send m == 1 to matvec_i8 on the raw int8 row).
 template <typename Rows>
 void gemm_i8_rows(std::int64_t m, std::int64_t n, std::int64_t k,
-                  const Rows& rows, const std::int8_t* b, std::int64_t ldb,
-                  const GemmQuant& q, std::int8_t* c, std::int64_t ldc,
-                  PoolRef pool, const PackedBI8& packed) {
+                  const Rows& rows, const GemmQuant& q, std::int8_t* c,
+                  std::int64_t ldc, PoolRef pool, const PackedBI8& packed) {
   if (m <= 0 || n <= 0) return;
-  // Shape dispatch: m == 1 (batch-1 FC / 1x1-output convs) walks raw
-  // k-major B rows instead of the pair-interleaved panels — with a single A
-  // row the panel walk has no load reuse and regressed matvec latency ~2.7x
-  // (see ROADMAP note). Same raw accumulators + identical col_sums
-  // epilogue, so the result is bit-exact vs the panel path (the naive-loop
-  // parity tests pin both).
-  if (m == 1) {
-    matvec_i8(n, k, rows.tile(0, 1, 0), b, ldb, q, packed.col_sums, c);
-    return;
-  }
   const std::int64_t k2 = (k + 1) / 2;
   const auto* p16 = reinterpret_cast<const std::int16_t*>(packed.panels);
   // Pair-broadcast microkernel over the pair-interleaved panels.
@@ -678,12 +695,12 @@ void gemm_i8_rows(std::int64_t m, std::int64_t n, std::int64_t k,
   // so the result equals sum_k (a - zp) * b to the bit.
   for_each_row_tile(rows, m, m * n * k, pool,
                     [&](std::int64_t i0, std::int64_t mr,
-                        const std::int8_t* at) {
+                        const std::int16_t* at) {
     std::int8_t* ct = c + i0 * ldc;
     for (std::int64_t j0 = 0; j0 < n; j0 += kNrIP) {
       std::int32_t acc[kMr][kNrIP];
-      panel_i8_pairs(mr, k, at, rows.lda, p16 + (j0 / kNrIP) * k2 * 2 * kNrIP,
-                     acc);
+      panel_i8_pairs(mr, k2, at, rows.lda,
+                     p16 + (j0 / kNrIP) * k2 * 2 * kNrIP, acc);
       for (std::int64_t i = 0; i < mr; ++i) {
         requant_store_i8(acc[i], j0, std::min(kNrIP, n - j0), q,
                          packed.col_sums, ct + i * ldc + j0);
@@ -761,22 +778,43 @@ void gemm_f32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* bias,
                  Activation act, float* c, std::int64_t ldc, PoolRef pool,
                  const PackedBF32& packed) {
-  gemm_f32_rows(m, n, k, MatrixRows<float>{a, lda}, bias, act, c, ldc, pool,
-                packed);
+  gemm_f32_rows(m, n, k, MatrixRows{a, lda}, bias, act, c, ldc, pool, packed);
+}
+
+std::size_t gemm_i8_tile_bytes(std::int64_t k, std::size_t workers) {
+  return static_cast<std::size_t>(tile_slice_bytes<std::int16_t>(k)) *
+         workers;
 }
 
 void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, const GemmQuant& q, std::int8_t* c,
-                std::int64_t ldc, PoolRef pool, const PackedBI8& packed) {
-  gemm_i8_rows(m, n, k, MatrixRows<std::int8_t>{a, lda}, b, ldb, q, c, ldc,
-               pool, packed);
+                std::int64_t ldc, PoolRef pool, const PackedBI8& packed,
+                void* a_tiles) {
+  if (m <= 0 || n <= 0) return;
+  // Shape dispatch: m == 1 (batch-1 FC / 1x1-output convs) walks raw
+  // k-major B rows instead of the pair-interleaved panels — with a single A
+  // row the panel walk has no load reuse and regressed matvec latency ~2.7x
+  // (see ROADMAP note). Same raw accumulators + identical col_sums
+  // epilogue, so the result is bit-exact vs the panel path (the naive-loop
+  // parity tests pin both).
+  if (m == 1) {
+    matvec_i8(n, k, a, b, ldb, q, packed.col_sums, c);
+    return;
+  }
+  gemm_i8_rows(m, n, k,
+               WidenedRows{a, lda, k, tile_slices<std::int16_t>(k, a_tiles),
+                           tile_lda<std::int16_t>(k)},
+               q, c, ldc, pool, packed);
 }
 
 std::size_t conv_gather_bytes(const ConvGeometry& g, std::size_t elem_bytes,
                               std::size_t workers) {
+  if (elem_bytes == sizeof(std::int8_t)) {
+    return gemm_i8_tile_bytes(g.patch(), workers);
+  }
   if (g.pointwise()) return 0;
-  return static_cast<std::size_t>(gather_slice_bytes(g, elem_bytes)) *
+  return static_cast<std::size_t>(tile_slice_bytes<float>(g.patch())) *
          workers;
 }
 
@@ -788,9 +826,10 @@ void conv_gemm_f32(const ConvGeometry& g, const float* x, const float* bias,
                 g.out_ch, pool, packed);
     return;
   }
-  gemm_f32_rows(g.rows(), g.out_ch, g.patch(),
-                patch_rows(g, x, 0.0f, gather), bias, act, y, g.out_ch, pool,
-                packed);
+  const std::int64_t k = g.patch();
+  gemm_f32_rows(g.rows(), g.out_ch, k,
+                PatchRows<float>{g, x, 0.0f, tile_slices<float>(k, gather), k},
+                bias, act, y, g.out_ch, pool, packed);
 }
 
 void conv_gemm_i8(const ConvGeometry& g, const std::int8_t* x,
@@ -799,15 +838,26 @@ void conv_gemm_i8(const ConvGeometry& g, const std::int8_t* x,
   const std::int64_t k = g.patch();
   if (g.pointwise()) {
     gemm_i8_nt(g.rows(), g.out_ch, k, x, k, w, k, q, y, g.out_ch, pool,
-               packed);
+               packed, gather);
     return;
   }
   // Padded taps hold the input zero point, so (tap - zp) * w contributes 0 —
   // identical to the reference kernel's skipped out-of-bounds taps.
+  const auto pad = static_cast<std::int8_t>(q.a_zero_point);
+  if (g.rows() == 1) {
+    // One output pixel: the matvec reads its receptive field as raw int8,
+    // gathered into the scratch (k bytes fit in one worker's int16 tile).
+    MLX_CHECK(gather != nullptr) << "GEMM A-tile scratch missing";
+    auto* row = static_cast<std::int8_t*>(gather);
+    gather_patches(g, x, pad, 0, 1, row, k);
+    matvec_i8(g.out_ch, k, row, w, k, q, packed.col_sums, y);
+    return;
+  }
   gemm_i8_rows(g.rows(), g.out_ch, k,
-               patch_rows(g, x, static_cast<std::int8_t>(q.a_zero_point),
-                          gather),
-               w, k, q, y, g.out_ch, pool, packed);
+               PatchRows<std::int8_t, std::int16_t>{
+                   g, x, pad, tile_slices<std::int16_t>(k, gather),
+                   tile_lda<std::int16_t>(k)},
+               q, y, g.out_ch, pool, packed);
 }
 
 }  // namespace mlexray

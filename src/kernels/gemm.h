@@ -7,10 +7,13 @@
 // C[i, j] = act(dot(A_i, B_j) + bias[j]).
 //
 // One row-block driver walks C in MR-row tiles; only where a tile's A rows
-// come from differs. A plain matrix (FC, 1x1 stride-1 conv) hands out rows
-// in place. A conv gathers the tile's MR receptive fields straight from the
-// NHWC input into a small per-worker buffer and reuses it across every N
-// panel, so no im2col matrix is ever materialized.
+// come from differs. A plain f32 matrix (FC, 1x1 stride-1 conv) hands out
+// rows in place. A conv gathers the tile's MR receptive fields straight
+// from the NHWC input into a small per-worker buffer and reuses it across
+// every N panel, so no im2col matrix is ever materialized. int8 tiles are
+// pre-widened to int16 (a matrix's rows once per tile, a conv's patches as
+// they are gathered), so the int8 inner loop loads each k pair of A as one
+// 32-bit word.
 //
 // The inner loops compute an MR x NR register tile: each loaded A/B value
 // feeds NR/MR multiply-accumulates, cutting memory traffic by the tile
@@ -27,11 +30,11 @@
 // across the ThreadPool in tile-sized chunks with no per-call heap
 // allocation.
 //
-// The f32 tile and the int8 requant epilogue are GNU vector extensions, one
-// source for every target. The int8 dot products are the one place with
-// ISA tiers: AVX-512BW and AVX2 intrinsics for the widening multiply-add
-// (vpmaddwd, which vector extensions cannot spell), and GNU vectors
-// elsewhere. All tiers produce bit-identical output.
+// The f32 tile and the int8 requant epilogue (fixed_point.h) are GNU
+// vector extensions, one source for every target. The int8 dot products
+// are the one place with ISA tiers: AVX-512BW and AVX2 intrinsics for the
+// widening multiply-add (vpmaddwd, which vector extensions cannot spell),
+// and GNU vectors elsewhere. All tiers produce bit-identical output.
 #pragma once
 
 #include <cstddef>
@@ -135,13 +138,21 @@ struct GemmQuant {
 // The inner loop is the pair-broadcast vpmaddwd microkernel over the
 // pair-interleaved `packed` panels above — SIMD across the 16 output
 // columns, one accumulator lane per column, no horizontal reduction
-// (zero-point correction folded into the epilogue via col_sums). m == 1
-// instead walks raw k-major B rows (b, ldb) with the same col_sums epilogue.
-// Integer accumulation is exact, so both produce bit-identical output.
+// (zero-point correction folded into the epilogue via col_sums). Each
+// 4-row tile of A is widened to int16 once, into the worker's slice of
+// `a_tiles`, and reused across every panel; each k pair of a row is then
+// one 32-bit broadcast. m == 1 instead walks raw k-major B rows (b, ldb)
+// against the raw int8 row, with the same col_sums epilogue. Integer
+// accumulation is exact, so both produce bit-identical output.
+//
+// `a_tiles` holds gemm_i8_tile_bytes(k, pool.parallelism()) bytes (may be
+// null when m == 1), indexed by the parallel_for_workers worker id.
+std::size_t gemm_i8_tile_bytes(std::int64_t k, std::size_t workers);
 void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, const GemmQuant& q, std::int8_t* c,
-                std::int64_t ldc, PoolRef pool, const PackedBI8& packed);
+                std::int64_t ldc, PoolRef pool, const PackedBI8& packed,
+                void* a_tiles);
 
 // ---------------------------------------------------------------------------
 // Conv2D as an implicit GEMM.
@@ -149,11 +160,12 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
 // Output pixel i of [batch, out_h, out_w] is A row i: its receptive field in
 // the (fy, fx, ic) order of an OHWI filter row, so k = kh * kw * in_ch and
 // C is the NHWC output itself (ldc = out_ch). Each MR-row tile gathers its
-// rows from the NHWC input into a per-worker buffer; taps outside the input
-// read as 0.0f (f32) or the input zero point (int8) — the values that make
-// them contribute exactly nothing, as the reference kernels' skipped taps
-// do. A 1x1 stride-1 conv needs no gather: the input itself is A
-// (lda = in_ch).
+// rows from the NHWC input into a per-worker buffer (int8 straight into
+// int16); taps outside the input read as 0.0f (f32) or the input zero
+// point (int8) — the values that make them contribute exactly nothing, as
+// the reference kernels' skipped taps do. A 1x1 stride-1 conv needs no
+// gather: the input itself is A (lda = in_ch), which the int8 GEMM widens
+// per tile like any matrix.
 // ---------------------------------------------------------------------------
 
 struct ConvGeometry {
@@ -173,7 +185,9 @@ struct ConvGeometry {
 
 // Bytes of gather scratch a conv_gemm call with `workers` participants
 // needs: one 64-byte-padded MR x patch() tile buffer per worker, indexed by
-// the parallel_for_workers worker id. 0 for a pointwise conv. Size it from
+// the parallel_for_workers worker id. elem_bytes is the input's: an f32
+// conv needs none when pointwise; an int8 conv always needs
+// gemm_i8_tile_bytes(patch(), workers) for its int16 tiles. Size it from
 // the executing context's worker count (KernelContext::worker_count()).
 std::size_t conv_gather_bytes(const ConvGeometry& g, std::size_t elem_bytes,
                               std::size_t workers);

@@ -39,15 +39,19 @@ ConvGeometry conv_geometry(const Node& node, const Shape& is, const Shape& fs,
   return g;
 }
 
-// The implicit-GEMM conv's per-worker patch buffers, sized from the
-// executing context's worker count (none for a pointwise conv).
-void* conv_gather_scratch(const KernelContext& ctx, const ConvGeometry& g,
-                          std::size_t elem_bytes) {
-  const std::size_t bytes =
-      conv_gather_bytes(g, elem_bytes, ctx.worker_count());
+// `bytes` of arena scratch, or null for none.
+void* scratch_or_null(const KernelContext& ctx, std::size_t bytes) {
   return bytes > 0 ? ctx.scratch<std::uint8_t>(
                          static_cast<std::int64_t>(bytes))
                    : nullptr;
+}
+
+// The implicit-GEMM conv's per-worker tile buffers, sized from the
+// executing context's worker count (none for a pointwise f32 conv).
+void* conv_gather_scratch(const KernelContext& ctx, const ConvGeometry& g,
+                          std::size_t elem_bytes) {
+  return scratch_or_null(ctx,
+                         conv_gather_bytes(g, elem_bytes, ctx.worker_count()));
 }
 
 // ---------------------------------------------------------------------------
@@ -526,13 +530,20 @@ void fc_i8_opt(const KernelContext& ctx) {
   const std::int64_t in_dim = weight.shape().dim(1);
   const std::int64_t out_dim = weight.shape().dim(0);
   const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
+  // Batch 1 runs the matvec on the raw row; larger batches widen A tiles.
+  void* a_tiles = scratch_or_null(
+      ctx, batch > 1 ? gemm_i8_tile_bytes(in_dim, ctx.worker_count()) : 0);
   gemm_i8_nt(batch, out_dim, in_dim, in.data<std::int8_t>(), in_dim,
              weight.data<std::int8_t>(), in_dim, gemm_quant(in, out, prep),
-             out.data<std::int8_t>(), out_dim, ctx.pool, prep.packed);
+             out.data<std::int8_t>(), out_dim, ctx.pool, prep.packed,
+             a_tiles);
 }
 
 // Integer-only average pool (sum + rounded integer division); assumes the
 // quantizer keeps input and output scales identical for pools, which it does.
+// Channels are walked contiguously: each in-window pixel's ch bytes are
+// added into one int32 row, then every channel gets the same rounded
+// division by the window's in-bounds tap count.
 void avgpool_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
@@ -541,37 +552,49 @@ void avgpool_i8_opt(const KernelContext& ctx) {
   const Shape& os = out.shape();
   const int fh = node.attrs.filter_h;
   const int fw = node.attrs.filter_w;
+  const int sh = node.attrs.stride_h;
+  const int sw = node.attrs.stride_w;
+  const std::int64_t ih = is.dim(1);
+  const std::int64_t iw = is.dim(2);
   const std::int64_t ch = is.dim(3);
   const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
+                                 ? same_pad_before(ih, fh, sh, os.dim(1))
                                  : 0;
   const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
+                                 ? same_pad_before(iw, fw, sw, os.dim(2))
                                  : 0;
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = out.data<std::int8_t>();
+  std::int32_t* sum = ctx.scratch<std::int32_t>(ch);
   for (std::int64_t n = 0; n < os.dim(0); ++n) {
     for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
+      // The window's in-bounds rows [y0, y1) and columns [x0, x1).
+      const std::int64_t iy0 = oy * sh - pad_h;
+      const std::int64_t y0 = std::max<std::int64_t>(iy0, 0);
+      const std::int64_t y1 = std::min<std::int64_t>(iy0 + fh, ih);
       for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
-        for (std::int64_t c = 0; c < ch; ++c) {
-          std::int32_t sum = 0;
-          int count = 0;
-          for (int fy = 0; fy < fh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < fw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
-              ++count;
-            }
+        const std::int64_t ix0 = ox * sw - pad_w;
+        const std::int64_t x0 = std::max<std::int64_t>(ix0, 0);
+        const std::int64_t x1 = std::min<std::int64_t>(ix0 + fw, iw);
+        std::fill_n(sum, ch, 0);
+        for (std::int64_t iy = y0; iy < y1; ++iy) {
+          for (std::int64_t ix = x0; ix < x1; ++ix) {
+            const std::int8_t* px = x + ((n * ih + iy) * iw + ix) * ch;
+            for (std::int64_t c = 0; c < ch; ++c) sum[c] += px[c];
           }
+        }
+        const auto count =
+            static_cast<std::int32_t>(std::max<std::int64_t>(y1 - y0, 0) *
+                                      std::max<std::int64_t>(x1 - x0, 0));
+        std::int8_t* yp = y + ((n * os.dim(1) + oy) * os.dim(2) + ox) * ch;
+        for (std::int64_t c = 0; c < ch; ++c) {
           // Rounded division toward nearest.
-          std::int32_t q = count > 0
-                               ? (sum >= 0 ? (sum + count / 2) / count
-                                           : (sum - count / 2) / count)
-                               : 0;
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] = clamp_to_i8(q);
+          const std::int32_t s = sum[c];
+          const std::int32_t q = count > 0
+                                     ? (s >= 0 ? (s + count / 2) / count
+                                               : (s - count / 2) / count)
+                                     : 0;
+          yp[c] = clamp_to_i8(q);
         }
       }
     }

@@ -261,15 +261,22 @@ TEST(ImplicitGemmConv, Int8MatchesIm2colNaiveLoopExactly) {
     int kernel, out_ch, stride;
     Padding padding;
     Activation act;
+    Shape in_shape{3, 9, 9, kInCh};
   };
+  // The last two have one output pixel, so they take the matvec on a raw
+  // int8 row: gathered (3x3) or in place (1x1).
   for (const ConvCase& cc :
        {ConvCase{3, 12, 1, Padding::kSame, Activation::kRelu},
         ConvCase{3, 20, 2, Padding::kSame, Activation::kNone},
         ConvCase{5, 8, 1, Padding::kValid, Activation::kRelu6},
         ConvCase{5, 12, 2, Padding::kSame, Activation::kNone},
         ConvCase{1, 20, 2, Padding::kValid, Activation::kRelu},
-        ConvCase{1, 12, 1, Padding::kSame, Activation::kNone}}) {
-    const Shape in_shape{3, 9, 9, kInCh};
+        ConvCase{1, 12, 1, Padding::kSame, Activation::kNone},
+        ConvCase{3, 20, 1, Padding::kValid, Activation::kNone,
+                 Shape{1, 3, 3, kInCh}},
+        ConvCase{1, 12, 1, Padding::kValid, Activation::kRelu,
+                 Shape{1, 1, 1, kInCh}}}) {
+    const Shape& in_shape = cc.in_shape;
     Pcg32 rng(500 + cc.kernel * 10 + cc.out_ch);
     GraphBuilder b("exact", &rng);
     int x = b.input(in_shape);
@@ -460,8 +467,11 @@ struct GemmData {
         static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
     std::vector<std::int32_t> col_sums(bias32.size());
     pack_b_i8(n, k, b8.data(), k, panels.data(), col_sums.data());
+    std::vector<std::int16_t> a_tiles(gemm_i8_tile_bytes(k, 1) /
+                                      sizeof(std::int16_t));
     gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
-               nullptr, PackedBI8{panels.data(), col_sums.data()});
+               nullptr, PackedBI8{panels.data(), col_sums.data()},
+               a_tiles.data());
     return c;
   }
 

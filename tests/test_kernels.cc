@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/graph/builder.h"
@@ -47,6 +49,76 @@ TEST(FixedPoint, ClampToI8) {
   EXPECT_EQ(clamp_to_i8(300), 127);
   EXPECT_EQ(clamp_to_i8(-300), -128);
   EXPECT_EQ(clamp_to_i8(5), 5);
+}
+
+// The 8-lane requant (the epilogue of every optimized int8 kernel) against
+// the scalar spec, lane by lane. x covers the int32 rails and the values
+// around +-2^30 plus seeded random ones; multipliers cover the ends of
+// quantize_multiplier's range [2^30, 2^31) plus random ones; exponents run
+// 0..31. Lane l of each call takes multiplier ms[(j + l) % |ms|] and
+// exponent (e + l) % 32, so every x meets every multiplier and exponent,
+// and lanes in one vector never share them.
+TEST(FixedPoint, VectorRequantMatchesScalar) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t k30 = 1 << 30;
+  std::vector<std::int32_t> xs = {kMin,    kMin + 1, k30 - 1,  k30,
+                                  k30 + 1, -k30 - 1, -k30,     -k30 + 1,
+                                  -1,      0,        1,        kMax};
+  std::vector<std::int32_t> ms = {k30, k30 + 1, kMax};
+  Pcg32 rng(20);
+  while (xs.size() < 512) {
+    xs.push_back(static_cast<std::int32_t>(rng.next_u32()));
+  }
+  for (int i = 0; i < 13; ++i) {
+    ms.push_back(k30 + static_cast<std::int32_t>(rng.next_below(1u << 30)));
+  }
+  const std::int32_t out_zp = -3;
+  const std::int32_t act_min = -100;
+  const std::int32_t act_max = 90;
+  std::int64_t mismatches = 0;
+  for (int e = 0; e < 32; ++e) {
+    for (std::size_t j = 0; j < ms.size(); ++j) {
+      for (std::size_t i = 0; i < xs.size(); i += 8) {
+        v8s32_fx xv = {}, mv = {}, ev = {};
+        for (int l = 0; l < 8; ++l) {
+          xv[l] = xs[i + static_cast<std::size_t>(l)];
+          mv[l] = ms[(j + static_cast<std::size_t>(l)) % ms.size()];
+          ev[l] = (e + l) % 32;
+        }
+        const v8s32_fx got = multiply_by_quantized_multiplier_v8(xv, mv, ev);
+        std::int32_t want[8];
+        // The epilogue's contract: requantized value + zero point fits in
+        // int32 (every kernel's accumulators sit far inside it). Only the
+        // rails at small exponents leave it; their stores are not checked.
+        bool in_contract = true;
+        for (int l = 0; l < 8; ++l) {
+          want[l] = multiply_by_quantized_multiplier(xv[l], mv[l], -ev[l]);
+          const std::int64_t shifted = std::int64_t{want[l]} + out_zp;
+          in_contract = in_contract && shifted >= kMin && shifted <= kMax;
+        }
+        std::int8_t stored[8] = {};
+        if (in_contract) {
+          requant_clamp_store_i8_v8(xv, mv, ev, out_zp, act_min, act_max,
+                                    stored);
+        }
+        for (int l = 0; l < 8; ++l) {
+          const bool store_ok =
+              !in_contract ||
+              stored[l] == std::clamp(want[l] + out_zp, act_min, act_max);
+          if (got[l] != want[l] || !store_ok) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << "x=" << xv[l] << " m=" << mv[l]
+                            << " exp=" << ev[l] << ": vector " << got[l]
+                            << " / stored " << int{stored[l]} << ", scalar "
+                            << want[l];
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // --- float reference vs optimized parity, parameterized over geometry ---
@@ -423,11 +495,117 @@ TEST(QuantKernels, AvgPoolBugEmulationCollapsesOutput) {
   bi.set_input(0, input);
   gi.invoke();
   bi.invoke();
+  RefOpResolver float_ref;
+  Model float_model(&m, &float_ref);
+  Session fi(&float_model);
+  fi.set_input(0, input);
+  fi.invoke();
   // The buggy pool (wrong shift, no zero point) produces invalid output:
   // far outside one quantum of the correct mean.
   EXPECT_GT(normalized_rmse(bi.output(0), gi.output(0)), 0.5);
   // The correct kernels agree with the float mean within quantization noise.
-  EXPECT_LT(normalized_rmse(gi.output(0), gi.output(0)), 1e-9);
+  EXPECT_LT(normalized_rmse(gi.output(0), fi.output(0)), 0.05);
+}
+
+// The optimized int8 AvgPool walks channels contiguously; this is the
+// per-channel loop it replaced, which it must match byte for byte: the
+// in-bounds taps of each channel summed, then divided by their count,
+// rounding half away from zero.
+std::vector<std::int8_t> avgpool_i8_channel_loop(const Tensor& in,
+                                                 const Shape& os, int f,
+                                                 int stride, Padding padding) {
+  const Shape& is = in.shape();
+  const std::int64_t ch = is.dim(3);
+  const auto pad_before = [&](std::int64_t in, std::int64_t out) {
+    return padding == Padding::kSame
+               ? std::max<std::int64_t>((out - 1) * stride + f - in, 0) / 2
+               : 0;
+  };
+  const std::int64_t pad_h = pad_before(is.dim(1), os.dim(1));
+  const std::int64_t pad_w = pad_before(is.dim(2), os.dim(2));
+  const std::int8_t* x = in.data<std::int8_t>();
+  std::vector<std::int8_t> y(static_cast<std::size_t>(os.num_elements()));
+  for (std::int64_t n = 0; n < os.dim(0); ++n) {
+    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
+      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+        for (std::int64_t c = 0; c < ch; ++c) {
+          std::int32_t sum = 0;
+          int count = 0;
+          for (int fy = 0; fy < f; ++fy) {
+            const std::int64_t iy = oy * stride - pad_h + fy;
+            if (iy < 0 || iy >= is.dim(1)) continue;
+            for (int fx = 0; fx < f; ++fx) {
+              const std::int64_t ix = ox * stride - pad_w + fx;
+              if (ix < 0 || ix >= is.dim(2)) continue;
+              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
+              ++count;
+            }
+          }
+          const std::int32_t q = count > 0
+                                     ? (sum >= 0 ? (sum + count / 2) / count
+                                                 : (sum - count / 2) / count)
+                                     : 0;
+          y[static_cast<std::size_t>(
+              ((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c)] =
+              clamp_to_i8(q);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+TEST(QuantKernels, AvgPoolOptMatchesChannelLoopExactly) {
+  struct PoolCase {
+    Shape in, out;
+    int f, stride;
+    Padding padding;
+  };
+  const PoolCase cases[] = {
+      // The squeeze-excite global pools of mobilenet_v3_mini.
+      {Shape{1, 16, 16, 32}, Shape{1, 1, 1, 32}, 16, 1, Padding::kValid},
+      {Shape{1, 8, 8, 72}, Shape{1, 1, 1, 72}, 8, 1, Padding::kValid},
+      // 3x3 SAME stride 2: clipped windows on every edge, odd channels,
+      // batch 2.
+      {Shape{2, 9, 9, 5}, Shape{2, 5, 5, 5}, 3, 2, Padding::kSame},
+      {Shape{2, 10, 7, 13}, Shape{2, 5, 4, 13}, 3, 2, Padding::kSame},
+  };
+  BuiltinOpResolver opt;
+  Pcg32 rng(61);
+  for (const PoolCase& pc : cases) {
+    Node node;
+    node.type = OpType::kAvgPool2D;
+    node.name = "pool";
+    node.attrs.filter_h = node.attrs.filter_w = pc.f;
+    node.attrs.stride_h = node.attrs.stride_w = pc.stride;
+    node.attrs.padding = pc.padding;
+    node.output_shape = pc.out;
+    node.output_dtype = DType::kI8;
+    const QuantParams q = QuantParams::per_tensor(0.05f, 9);
+    node.output_quant = q;
+    Tensor in = Tensor::i8(pc.in);
+    in.quant() = q;
+    std::int8_t* px = in.data<std::int8_t>();
+    for (std::int64_t i = 0; i < in.num_elements(); ++i) {
+      px[i] = static_cast<std::int8_t>(
+          static_cast<int>(rng.next_below(256)) - 128);
+    }
+    Tensor out = Tensor::i8(pc.out);
+    out.quant() = q;
+    ScratchArena arena;
+    KernelContext ctx;
+    ctx.node = &node;
+    ctx.inputs = {&in};
+    ctx.output = &out;
+    ctx.arena = &arena;
+    opt.find(node).invoke(ctx);
+    const std::vector<std::int8_t> want =
+        avgpool_i8_channel_loop(in, pc.out, pc.f, pc.stride, pc.padding);
+    EXPECT_EQ(std::memcmp(out.data<std::int8_t>(), want.data(), want.size()),
+              0)
+        << pc.in.dim(1) << "x" << pc.in.dim(2) << "x" << pc.in.dim(3)
+        << " window " << pc.f << " stride " << pc.stride;
+  }
 }
 
 TEST(QuantKernels, QuantizeDequantizeRoundTrip) {
