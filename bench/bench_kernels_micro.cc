@@ -73,7 +73,7 @@ void run_variant(benchmark::State& state, OpType type, bool reference,
   Model model(&bench_model, &resolver, reference ? 1 : 2);
   Session session(&model);
   session.set_input(0, random_input(size, ch, 2));
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     session.invoke();
     benchmark::DoNotOptimize(session.output(0).raw_data());
   }
@@ -165,7 +165,7 @@ void BM_GemmF32_Prepacked(benchmark::State& state) {
       static_cast<std::size_t>(packed_b_f32_floats(p.n, p.k)));
   pack_b_f32(p.n, p.k, p.b_f32.data(), p.k, panels.data());
   PackedBF32 packed{panels.data(), (p.n + kGemmNrF32 - 1) / kGemmNrF32};
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     gemm_f32_nt(p.m, p.n, p.k, p.a_f32.data(), p.k, p.bias_f32.data(),
                 Activation::kNone, p.c_f32.data(), p.n, nullptr, packed);
     benchmark::DoNotOptimize(p.c_f32.data());
@@ -181,7 +181,7 @@ void BM_GemmI8_PackedVec(benchmark::State& state) {
   PackedBI8 packed{panels.data(), col_sums.data()};
   std::vector<std::int16_t> a_tiles(gemm_i8_tile_bytes(p.k, 1) /
                                     sizeof(std::int16_t));
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     gemm_i8_nt(p.m, p.n, p.k, p.a_i8.data(), p.k, p.b_i8.data(), p.k, p.quant,
                p.c_i8.data(), p.n, nullptr, packed, a_tiles.data());
     benchmark::DoNotOptimize(p.c_i8.data());
@@ -276,7 +276,7 @@ void run_ew_variant(benchmark::State& state, EwBenchOp op, bool reference) {
   Session session(&model);
   session.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
   if (binary) session.set_input(1, random_shaped(gate_shape, 3));
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     session.invoke();
     benchmark::DoNotOptimize(session.output(0).raw_data());
   }
@@ -340,7 +340,7 @@ void run_ew_f32_add(benchmark::State& state, bool reference) {
   Session session(&model);
   session.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
   session.set_input(1, random_shaped(Shape{1, size, size, ch}, 3));
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     session.invoke();
     benchmark::DoNotOptimize(session.output(0).raw_data());
   }

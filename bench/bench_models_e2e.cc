@@ -70,7 +70,7 @@ void run_e2e(benchmark::State& state, const E2ECase& c) {
   Session session(&model);
   session.set_input(0, random_model_input(bench_model, kSeed + 7));
   session.invoke();  // warmup: grows the scratch arena to its high-water mark
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     session.invoke();
     benchmark::DoNotOptimize(session.output(0).raw_data());
   }

@@ -37,6 +37,7 @@
 #include "src/interpreter/engine.h"
 #include "src/interpreter/front_door.h"
 #include "src/models/trained_models.h"
+#include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
 namespace {
@@ -127,25 +128,11 @@ int cmd_inspect(const std::string& path) {
   return 0;
 }
 
-struct TensorDigest {
-  double mean = 0.0;
-  double absmax = 0.0;
-};
-
-// Offline dequantization: raw-dtype captures go through to_f32 here, never
-// on the device.
-TensorDigest digest_tensor(const Tensor& raw) {
-  Tensor f32 = raw.to_f32();
-  const float* p = f32.data<float>();
-  TensorDigest d;
-  double sum = 0.0;
-  for (std::int64_t k = 0; k < f32.num_elements(); ++k) {
-    sum += p[k];
-    d.absmax = std::max(d.absmax, std::abs(static_cast<double>(p[k])));
-  }
-  d.mean = sum / static_cast<double>(std::max<std::int64_t>(
-                     f32.num_elements(), 1));
-  return d;
+// Largest |value| of a summarized tensor. summarize() dequantizes raw-dtype
+// captures through to_f32: offline, never on the device.
+double abs_max(const TensorSummary& s) {
+  return std::max(std::abs(static_cast<double>(s.min)),
+                  std::abs(static_cast<double>(s.max)));
 }
 
 // Workstation-side trace digest: frame count, keys, per-model-output and
@@ -206,10 +193,10 @@ int cmd_trace_info(const std::string& path, bool digest_only = false) {
       auto it = f0.tensors.find(key);
       if (it == f0.tensors.end()) break;
       const Tensor& raw = it->second;
-      TensorDigest d = digest_tensor(raw);
+      const TensorSummary d = summarize(raw);
       std::printf("  %-20s %-6s %-14s mean %10.4f  |max| %10.4f\n",
                   key.c_str(), dtype_name(raw.dtype()).c_str(),
-                  raw.shape().to_string().c_str(), d.mean, d.absmax);
+                  raw.shape().to_string().c_str(), d.mean, abs_max(d));
     }
   }
 
@@ -218,22 +205,13 @@ int cmd_trace_info(const std::string& path, bool digest_only = false) {
   // DriftAggregator would see from this device.
   if (!f0.layer_digests.empty()) {
     std::map<std::string, LayerDigest> merged;
-    std::vector<std::string> order = f0.layer_names;
-    std::size_t digest_frames = 0;
-    for (const FrameTrace& f : trace.frames) {
-      if (f.layer_digests.empty()) continue;
-      ++digest_frames;
-      for (std::size_t i = 0;
-           i < f.layer_digests.size() && i < f.layer_names.size(); ++i) {
-        auto [it, inserted] = merged.try_emplace(f.layer_names[i]);
-        if (inserted) {
-          it->second = f.layer_digests[i];
-        } else {
-          it->second.merge(f.layer_digests[i]);
-        }
-      }
-    }
-    std::printf("\nper-layer digests (%zu layers, merged over %zu frames):\n",
+    std::vector<std::string> order;
+    merge_trace_digests(trace, merged, &order);
+    const auto digest_frames = std::count_if(
+        trace.frames.begin(), trace.frames.end(), [](const FrameTrace& f) {
+          return !f.layer_digests.empty() || !f.layer_outputs.empty();
+        });
+    std::printf("\nper-layer digests (%zu layers, merged over %td frames):\n",
                 order.size(), digest_frames);
     std::printf("  %-24s %-6s %10s %10s %10s %10s %10s %10s\n", "layer",
                 "dtype", "count", "mean", "stddev", "min", "p50", "max");
@@ -262,11 +240,11 @@ int cmd_trace_info(const std::string& path, bool digest_only = false) {
         const Tensor& raw = f0.layer_outputs[i];
         dtype = dtype_name(raw.dtype());
         shape = raw.shape().to_string();
-        TensorDigest d = digest_tensor(raw);
+        const TensorSummary d = summarize(raw);
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.4f", d.mean);
         mean = buf;
-        std::snprintf(buf, sizeof(buf), "%.4f", d.absmax);
+        std::snprintf(buf, sizeof(buf), "%.4f", abs_max(d));
         absmax = buf;
       }
       std::string lat = "-";

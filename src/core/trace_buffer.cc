@@ -175,7 +175,7 @@ void TraceBuffer::on_invoke_end(const SessionStats& stats) {
   CaptureFrame& f = frames_[active_];
   f.has_invoke = true;
   set_scalar(key_latency_, stats.total_ms);
-  if (options_.log_model_io && bound_ != nullptr) {
+  if (bound_ != nullptr) {
     // Every model output, not just output(0): multi-head models (SSD box +
     // class heads) log one tensor per head.
     for (std::size_t i = 0; i < key_model_outputs_.size(); ++i) {

@@ -60,7 +60,6 @@ struct MonitorOptions {
   // enabled in serving (bench_drift gates the overhead vs bare invoke).
   bool per_layer_digests = false;
   bool per_layer_latency = true;
-  bool log_model_io = true;
   // When false, next_frame() discards frames after counting them (they still
   // reach the spool file when spooling is active). Overhead benchmarks and
   // fire-and-forget deployments use this to keep memory flat.

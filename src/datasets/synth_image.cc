@@ -98,25 +98,6 @@ void draw_checker(Tensor& img, Pcg32& rng, int cell) {
   }
 }
 
-void draw_ring(Tensor& img, Pcg32& rng, bool filled) {
-  const int cy = 36 + static_cast<int>(rng.next_below(24));
-  const int cx = 36 + static_cast<int>(rng.next_below(24));
-  const int radius = 21 + static_cast<int>(rng.next_below(9));
-  for (int y = cy - radius; y <= cy + radius; ++y) {
-    for (int x = cx - radius; x <= cx + radius; ++x) {
-      int dy = y - cy, dx = x - cx;
-      int d2 = dy * dy + dx * dx;
-      bool inside = filled ? d2 <= radius * radius
-                           : (d2 <= radius * radius &&
-                              d2 >= (radius - 4) * (radius - 4));
-      if (inside) {
-        int v = 210 + static_cast<int>(rng.next_below(30)) - 15;
-        put(img, y, x, {v, v, v});
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const char* SynthImageNet::class_name(int label) {

@@ -1,8 +1,15 @@
 #include "src/interpreter/execution_plan.h"
 
 #include "src/common/fault_injection.h"
+#include "src/interpreter/device_profile.h"
 
 namespace mlexray {
+
+namespace {
+// Below this many multiply-accumulates a step runs on the calling thread:
+// the pool rendezvous would cost more than the arithmetic.
+constexpr double kMinMacsForPool = 64 * 1024;
+}  // namespace
 
 ExecutionPlan::ExecutionPlan(const Graph& graph, const OpResolver& resolver,
                              PoolRef pool) {
@@ -20,6 +27,9 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const OpResolver& resolver,
     PlanStep step;
     step.node = &n;
     step.kernel = &resolver.find(n);  // throws MlxError if unsupported
+    if (estimate_node_cost(graph, n).flops / 2 >= kMinMacsForPool) {
+      step.pool = pool;
+    }
     steps_.push_back(step);
   }
 
@@ -48,7 +58,7 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const OpResolver& resolver,
     KernelContext ctx;
     ctx.node = &n;
     ctx.output = &output;
-    ctx.pool = pool;
+    ctx.pool = step.pool;
     ctx.prepared = step.prepared;
     ctx.inputs.reserve(inputs.size());
     for (const Tensor& t : inputs) ctx.inputs.push_back(&t);

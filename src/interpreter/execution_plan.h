@@ -4,7 +4,8 @@
 // Mirrors the plan-then-invoke structure of production edge runtimes (TFLite
 // on the paper's Pixel 4 setup): everything that can be resolved once per
 // *model* — kernel lookups, one-time prepare hooks, packed weight panels,
-// requantization tables — is done at plan construction. The plan holds no
+// requantization tables, and whether each step fans out onto the thread
+// pool — is done at plan construction. The plan holds no
 // per-caller state: activation tensors and the scratch arena belong to a
 // Session (src/interpreter/session.h), which wires its own kernel contexts
 // against these steps. That split is what lets N concurrent sessions share
@@ -20,24 +21,30 @@
 
 namespace mlexray {
 
-// One prepared node execution: the resolved kernel plus the plan-owned
-// storage its prepare hook filled (null for kernels with no one-time work).
-// Per-session tensor wiring lives in the Session's contexts, not here.
+// One prepared node execution: the resolved kernel, the plan-owned storage
+// its prepare hook filled (null for kernels with no one-time work), and the
+// pool its kernel runs on. Per-session tensor wiring lives in the Session's
+// contexts, not here.
 struct PlanStep {
   const Node* node = nullptr;
   const KernelEntry* kernel = nullptr;  // owned by the resolver's kernel map
   PreparedStorage* prepared = nullptr;  // plan-owned; read-only after build
+  // The plan's pool when the step's plan-time multiply-accumulates
+  // (estimate_node_cost(...).flops / 2) pay for a pool rendezvous, a null
+  // ref (inline) otherwise. Kernels fan out on whatever they are handed;
+  // this is the model's one fan-out decision.
+  PoolRef pool;
 };
 
 class ExecutionPlan {
  public:
-  // Resolves every non-input node of `graph` against `resolver` and runs each
+  // Resolves every non-input node of `graph` against `resolver`, decides
+  // each step's pool (`pool` or none; see PlanStep::pool), and runs each
   // kernel's prepare hook exactly once. Prepare hooks see a context wired to
   // transient metadata tensors (shapes, dtypes, quant params are final;
-  // activation *data* must not be read — the same contract as before).
-  // `pool` is only used to parallelize prepare work itself. Prepared results
-  // live in plan-owned PreparedStorage for the plan's lifetime. graph and
-  // resolver must outlive the plan.
+  // activation *data* must not be read — the same contract as before) and
+  // to the step's pool. Prepared results live in plan-owned PreparedStorage
+  // for the plan's lifetime. graph and resolver must outlive the plan.
   ExecutionPlan(const Graph& graph, const OpResolver& resolver, PoolRef pool);
 
   const std::vector<PlanStep>& steps() const { return steps_; }
@@ -47,8 +54,8 @@ class ExecutionPlan {
   std::size_t step_count() const { return steps_.size(); }
 
   // Bytes held across all steps' prepared storage (packed weights etc.) —
-  // the memory cost of plan-time packing, surfaced in SessionStats. Shared
-  // across every session executing this plan.
+  // the memory cost of plan-time packing, read as Model::prepared_bytes().
+  // Shared across every session executing this plan.
   std::size_t prepared_bytes() const;
 
  private:

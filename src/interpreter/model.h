@@ -58,8 +58,8 @@ class Model {
   const Graph& graph() const { return *graph_; }
   const OpResolver& resolver() const { return *resolver_; }
   const ExecutionPlan& plan() const { return *plan_; }
-  // The capped pool view sessions wire into every kernel context; null when
-  // the model runs single-threaded.
+  // The capped pool view the plan hands to the steps that fan out
+  // (PlanStep::pool); null when the model runs single-threaded.
   PoolRef pool() const { return pool_ref_; }
   // The num_threads this model honors (>= 1): the max participants of any
   // parallel_for a session of this model submits.

@@ -67,7 +67,7 @@ Session::Session(const Model* model) : model_(model) {
     const Node& n = *step.node;
     ctx.node = &n;
     ctx.output = &activations_[static_cast<std::size_t>(n.id)];
-    ctx.pool = model_->pool();
+    ctx.pool = step.pool;
     ctx.arena = &arena_;
     ctx.prepared = step.prepared;
     ctx.inputs.reserve(n.inputs.size());
@@ -78,7 +78,6 @@ Session::Session(const Model* model) : model_(model) {
   }
 
   stats_.per_node_ms.assign(graph.nodes.size(), 0.0);
-  stats_.per_node_total_ms.assign(graph.nodes.size(), 0.0);
   stats_.prepare_ms = model_->prepare_ms() + ms_since(start);
 }
 
@@ -130,7 +129,7 @@ InvokeStatus Session::guarded_invoke(bool has_deadline,
   }
   const auto start_total = Clock::now();
   last_invoke_ok_ = false;  // until every step completes below
-  // Reset the per-invoke view; totals keep accumulating.
+  // Reset the per-invoke view.
   std::fill(stats_.per_node_ms.begin(), stats_.per_node_ms.end(), 0.0);
   const auto& steps = model_->plan().steps();
   if (observer_ != nullptr) observer_->on_invoke_begin(steps.size());
@@ -172,15 +171,12 @@ InvokeStatus Session::guarded_invoke(bool has_deadline,
       poke_nan(activations_[id]);
     }
     stats_.per_node_ms[id] = node_ms;
-    stats_.per_node_total_ms[id] += node_ms;
     if (observer_ != nullptr) {
       observer_->on_step(*step.node, activations_[id], node_ms);
     }
   }
   stats_.total_ms = ms_since(start_total);
-  stats_.cumulative_ms += stats_.total_ms;
   stats_.arena_high_water_bytes = arena_.high_water_bytes();
-  ++stats_.invoke_count;
   last_invoke_ok_ = true;
   if (observer_ != nullptr) observer_->on_invoke_end(stats_);
   return status;

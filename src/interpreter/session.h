@@ -63,14 +63,9 @@ struct SessionStats {
   double prepare_ms = 0.0;
   // Wall clock of the most recent invoke.
   double total_ms = 0.0;
-  // Sum of total_ms across all invokes, and how many there were.
-  double cumulative_ms = 0.0;
-  std::int64_t invoke_count = 0;
-  // Per-node wall clock, indexed by node id; reset at the start of every
-  // invoke (kInput nodes stay 0).
+  // Per-node wall clock of the most recent invoke, indexed by node id; reset
+  // at the start of every invoke (kInput nodes stay 0).
   std::vector<double> per_node_ms;
-  // Per-node wall clock accumulated across all invokes.
-  std::vector<double> per_node_total_ms;
   // Guarded-invoke outcomes: kernel errors contained by try_invoke (each one
   // poisons the session, so this is 0 or 1 in practice) and cooperative
   // deadline expiries (recoverable; the session keeps serving).

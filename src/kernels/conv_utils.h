@@ -1,13 +1,42 @@
-// Shared convolution/pooling geometry and quantized-multiplier preparation.
+// Window geometry of the conv-family kernels, and the per-channel
+// requantization scales of the quantized conv / depthwise / FC nodes.
+//
+// ConvGeometry is the one description of a window over NHWC tensors: the
+// optimized conv (implicit GEMM, gemm.h), the depthwise family (dwconv.h),
+// the int8 AvgPool, the reference window kernels and the trainer's backward
+// passes all take it from conv_geometry(), the one place SAME padding is
+// computed.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "src/graph/node.h"
 #include "src/kernels/fixed_point.h"
 #include "src/tensor/tensor.h"
 
 namespace mlexray {
+
+struct ConvGeometry {
+  std::int64_t batch = 0;
+  std::int64_t in_h = 0, in_w = 0, in_ch = 0;
+  std::int64_t out_h = 0, out_w = 0, out_ch = 0;
+  int kh = 1, kw = 1;
+  int stride_h = 1, stride_w = 1;
+  std::int64_t pad_h = 0, pad_w = 0;  // top / left padding
+  // Depthwise only: out_ch == in_ch * depth_mult, and output channel oc
+  // convolves input channel oc / depth_mult with filter column oc (TFLite
+  // depth-multiplier semantics). 1 for every other op.
+  std::int64_t depth_mult = 1;
+
+  // Implicit-GEMM view of a Conv2D: one A row per output pixel, each a
+  // receptive field of patch() values in OHWI (fy, fx, ic) order.
+  std::int64_t rows() const { return batch * out_h * out_w; }
+  std::int64_t patch() const { return kh * kw * in_ch; }
+  bool pointwise() const {
+    return kh == 1 && kw == 1 && stride_h == 1 && stride_w == 1;
+  }
+};
 
 // TF-style SAME padding: total padding that centers the receptive field.
 inline std::int64_t same_pad_before(std::int64_t in, int filter, int stride,
@@ -17,43 +46,63 @@ inline std::int64_t same_pad_before(std::int64_t in, int filter, int stride,
   return needed / 2;
 }
 
-// Per-output-channel requantization factors for a quantized conv/fc node:
-// effective_scale[c] = in_scale * w_scale[c] / out_scale.
-struct RequantScales {
-  std::vector<double> real;                 // reference kernels use doubles
-  std::vector<std::int32_t> multipliers;    // optimized kernels use Q31 ints
-  std::vector<int> shifts;
-};
-
-inline RequantScales prepare_requant(const QuantParams& in_q,
-                                     const QuantParams& w_q,
-                                     const QuantParams& out_q,
-                                     std::int64_t out_channels) {
-  RequantScales r;
-  r.real.resize(static_cast<std::size_t>(out_channels));
-  r.multipliers.resize(static_cast<std::size_t>(out_channels));
-  r.shifts.resize(static_cast<std::size_t>(out_channels));
-  for (std::int64_t c = 0; c < out_channels; ++c) {
-    auto ch = static_cast<std::size_t>(c);
-    double scale = static_cast<double>(in_q.scale()) *
-                   w_q.scale(w_q.per_channel() ? ch : 0) / out_q.scale();
-    r.real[ch] = scale;
-    quantize_multiplier(scale, &r.multipliers[ch], &r.shifts[ch]);
+// The kh x kw window `node` slides from its NHWC input (shape `in`) to its
+// NHWC output (shape `out`): strides and padding from the node's attrs.
+// Convs pass their filter's spatial dims, pools their attrs.filter_h/w.
+inline ConvGeometry conv_geometry(const Node& node, const Shape& in,
+                                  const Shape& out, int kh, int kw) {
+  ConvGeometry g;
+  g.batch = out.dim(0);
+  g.in_h = in.dim(1);
+  g.in_w = in.dim(2);
+  g.in_ch = in.dim(3);
+  g.out_h = out.dim(1);
+  g.out_w = out.dim(2);
+  g.out_ch = out.dim(3);
+  g.kh = kh;
+  g.kw = kw;
+  g.stride_h = node.attrs.stride_h;
+  g.stride_w = node.attrs.stride_w;
+  if (node.attrs.padding == Padding::kSame) {
+    g.pad_h = same_pad_before(g.in_h, kh, g.stride_h, g.out_h);
+    g.pad_w = same_pad_before(g.in_w, kw, g.stride_w, g.out_w);
   }
-  return r;
+  if (node.type == OpType::kDepthwiseConv2D) {
+    g.depth_mult = g.out_ch / g.in_ch;
+  }
+  return g;
 }
 
-// Writes the Q31 tables into caller-provided arrays (plan-owned prepared
-// storage).
+// effective_scale[ch] = in_scale * w_scale[ch] / out_scale: output channel
+// ch's requantization factor in a quantized conv / depthwise / FC node.
+inline double requant_scale(const QuantParams& in_q, const QuantParams& w_q,
+                            const QuantParams& out_q, std::size_t ch) {
+  return static_cast<double>(in_q.scale()) *
+         w_q.scale(w_q.per_channel() ? ch : 0) / out_q.scale();
+}
+
+// The reference kernels requantize through the real-valued scales.
+inline std::vector<double> requant_scales(const QuantParams& in_q,
+                                          const QuantParams& w_q,
+                                          const QuantParams& out_q,
+                                          std::int64_t out_channels) {
+  std::vector<double> real(static_cast<std::size_t>(out_channels));
+  for (std::size_t ch = 0; ch < real.size(); ++ch) {
+    real[ch] = requant_scale(in_q, w_q, out_q, ch);
+  }
+  return real;
+}
+
+// The optimized kernels requantize through Q31 tables, written into
+// caller-provided arrays (plan-owned prepared storage).
 inline void fill_requant_tables(const QuantParams& in_q, const QuantParams& w_q,
                                 const QuantParams& out_q,
                                 std::int64_t out_channels,
                                 std::int32_t* multipliers, int* shifts) {
   for (std::int64_t c = 0; c < out_channels; ++c) {
     auto ch = static_cast<std::size_t>(c);
-    double scale = static_cast<double>(in_q.scale()) *
-                   w_q.scale(w_q.per_channel() ? ch : 0) / out_q.scale();
-    quantize_multiplier(scale, &multipliers[ch], &shifts[ch]);
+    quantize_multiplier(requant_scale(in_q, w_q, out_q, ch), &multipliers[ch],
+                        &shifts[ch]);
   }
 }
 

@@ -11,26 +11,53 @@
 namespace mlexray {
 namespace {
 
-// Stencil windows this large get the inline-bounds fallback instead of the
-// per-pixel tap-pointer table (nothing in the model zoo comes close).
-constexpr std::int64_t kMaxTaps = 64;
-
 // Per-pixel table of tap source pointers (channel 0 of the input pixel each
 // filter tap reads); nullptr marks an out-of-bounds tap.
 template <typename T>
-inline void build_tap_src(const DwConvShape& s, const T* x, std::int64_t n,
+inline void build_tap_src(const ConvGeometry& g, const T* x, std::int64_t n,
                           std::int64_t oy, std::int64_t ox, const T** src) {
   std::int64_t t = 0;
-  for (int fy = 0; fy < s.kh; ++fy) {
-    const std::int64_t iy = oy * s.stride_h - s.pad_h + fy;
-    const bool row_ok = iy >= 0 && iy < s.in_h;
-    const T* row = row_ok ? x + (n * s.in_h + iy) * s.in_w * s.in_ch : nullptr;
-    for (int fx = 0; fx < s.kw; ++fx) {
-      const std::int64_t ix = ox * s.stride_w - s.pad_w + fx;
-      src[t++] = (row_ok && ix >= 0 && ix < s.in_w) ? row + ix * s.in_ch
+  for (int fy = 0; fy < g.kh; ++fy) {
+    const std::int64_t iy = oy * g.stride_h - g.pad_h + fy;
+    const bool row_ok = iy >= 0 && iy < g.in_h;
+    const T* row = row_ok ? x + (n * g.in_h + iy) * g.in_w * g.in_ch : nullptr;
+    for (int fx = 0; fx < g.kw; ++fx) {
+      const std::int64_t ix = ox * g.stride_w - g.pad_w + fx;
+      src[t++] = (row_ok && ix >= 0 && ix < g.in_w) ? row + ix * g.in_ch
                                                     : nullptr;
     }
   }
+}
+
+// Pointers per worker's tap table: whole 64-byte lines, so no two workers
+// write the same line.
+std::int64_t tap_table_stride(const ConvGeometry& g) {
+  constexpr std::int64_t kPerLine = 64 / sizeof(void*);
+  return (static_cast<std::int64_t>(g.kh) * g.kw + kPerLine - 1) / kPerLine *
+         kPerLine;
+}
+
+// Runs pixel(tap, yp) for every output pixel, output rows spread over
+// `pool`: each worker rebuilds the pixel's tap table in its own slice of
+// `taps` (dwconv_tap_slots) before handing it over.
+template <typename T, typename Pixel>
+void for_each_pixel(const ConvGeometry& g, const T* x, T* y, PoolRef pool,
+                    const T** taps, const Pixel& pixel) {
+  const std::int64_t stride = tap_table_stride(g);
+  pool.parallel_for_workers(
+      0, static_cast<std::size_t>(g.batch * g.out_h),
+      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
+        const T** tap = taps + static_cast<std::int64_t>(worker) * stride;
+        for (std::size_t row = lo; row < hi; ++row) {
+          const std::int64_t n = static_cast<std::int64_t>(row) / g.out_h;
+          const std::int64_t oy = static_cast<std::int64_t>(row) % g.out_h;
+          for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+            build_tap_src(g, x, n, oy, ox, tap);
+            pixel(tap, y + ((n * g.out_h + oy) * g.out_w + ox) * g.out_ch);
+          }
+        }
+      },
+      /*min_chunk=*/2);
 }
 
 // --- int8 epilogue ----------------------------------------------------------
@@ -63,12 +90,12 @@ inline std::int32_t chan_acc_i8(const PackedDwI8& p, std::int64_t taps,
 
 // Scalar path: depth multipliers > 1 and the forced-scalar test switch.
 // chan_acc_i8 also finishes the last ch % 8 channels of the vector path.
-inline void pixel_i8_scalar(const DwConvShape& s, const PackedDwI8& p,
+inline void pixel_i8_scalar(const ConvGeometry& g, const PackedDwI8& p,
                             const std::int8_t* const* tap, std::int8_t* yp) {
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  for (std::int64_t oc = 0; oc < s.out_ch; ++oc) {
+  const std::int64_t taps = static_cast<std::int64_t>(g.kh) * g.kw;
+  for (std::int64_t oc = 0; oc < g.out_ch; ++oc) {
     requant_store_i8(
-        p, oc, chan_acc_i8(p, taps, s.out_ch, tap, oc / s.depth_mult, oc), yp);
+        p, oc, chan_acc_i8(p, taps, g.out_ch, tap, oc / g.depth_mult, oc), yp);
   }
 }
 
@@ -133,10 +160,10 @@ inline void pixel_i8_tail(const PackedDwI8& p, std::int64_t taps,
   }
 }
 
-inline void pixel_i8_vector(const DwConvShape& s, const PackedDwI8& p,
+inline void pixel_i8_vector(const ConvGeometry& g, const PackedDwI8& p,
                             const std::int8_t* const* tap, std::int8_t* yp) {
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  const std::int64_t ch = s.out_ch;
+  const std::int64_t taps = static_cast<std::int64_t>(g.kh) * g.kw;
+  const std::int64_t ch = g.out_ch;
   const v16s16 zp_v = (v16s16){} + static_cast<std::int16_t>(p.in_zp);
   std::int64_t c = 0;
   for (; c + kDwLanesI8 <= ch; c += kDwLanesI8) {
@@ -168,29 +195,6 @@ inline void pixel_i8_vector(const DwConvShape& s, const PackedDwI8& p,
   pixel_i8_tail(p, taps, ch, tap, c, yp);
 }
 
-// Inline-bounds fallback for windows too large for the tap table.
-inline void pixel_i8_huge(const DwConvShape& s, const PackedDwI8& p,
-                          const std::int8_t* x, std::int64_t n,
-                          std::int64_t oy, std::int64_t ox, std::int8_t* yp) {
-  for (std::int64_t oc = 0; oc < s.out_ch; ++oc) {
-    const std::int64_t ic = oc / s.depth_mult;
-    std::int32_t acc = 0;
-    for (int fy = 0; fy < s.kh; ++fy) {
-      const std::int64_t iy = oy * s.stride_h - s.pad_h + fy;
-      for (int fx = 0; fx < s.kw; ++fx) {
-        const std::int64_t ix = ox * s.stride_w - s.pad_w + fx;
-        const bool ok = iy >= 0 && iy < s.in_h && ix >= 0 && ix < s.in_w;
-        const std::int32_t xq =
-            ok ? x[((n * s.in_h + iy) * s.in_w + ix) * s.in_ch + ic] : p.in_zp;
-        acc += xq * p.weights[(static_cast<std::int64_t>(fy) * s.kw + fx) *
-                                  s.out_ch +
-                              oc];
-      }
-    }
-    requant_store_i8(p, oc, acc, yp);
-  }
-}
-
 // --- f32 pixels -------------------------------------------------------------
 //
 // Accumulation per channel is bias-first, taps in (fy, fx) order with
@@ -212,22 +216,22 @@ inline float chan_f32(const PackedDwF32& p, std::int64_t taps,
   return apply_activation_f32(acc, act);
 }
 
-inline void pixel_f32_scalar(const DwConvShape& s, const PackedDwF32& p,
+inline void pixel_f32_scalar(const ConvGeometry& g, const PackedDwF32& p,
                              Activation act, const float* const* tap,
                              float* yp) {
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  for (std::int64_t oc = 0; oc < s.out_ch; ++oc) {
-    yp[oc] = chan_f32(p, taps, s.out_ch, act, tap, oc / s.depth_mult, oc);
+  const std::int64_t taps = static_cast<std::int64_t>(g.kh) * g.kw;
+  for (std::int64_t oc = 0; oc < g.out_ch; ++oc) {
+    yp[oc] = chan_f32(p, taps, g.out_ch, act, tap, oc / g.depth_mult, oc);
   }
 }
 
 using v8f_u = float __attribute__((vector_size(32), aligned(4)));
 
-inline void pixel_f32_vector(const DwConvShape& s, const PackedDwF32& p,
+inline void pixel_f32_vector(const ConvGeometry& g, const PackedDwF32& p,
                              Activation act, const float* const* tap,
                              float* yp) {
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  const std::int64_t ch = s.out_ch;
+  const std::int64_t taps = static_cast<std::int64_t>(g.kh) * g.kw;
+  const std::int64_t ch = g.out_ch;
   std::int64_t c = 0;
   for (; c + kDwLanesF32 <= ch; c += kDwLanesF32) {
     v8f_u acc;
@@ -245,33 +249,11 @@ inline void pixel_f32_vector(const DwConvShape& s, const PackedDwF32& p,
   for (; c < ch; ++c) yp[c] = chan_f32(p, taps, ch, act, tap, c, c);
 }
 
-inline void pixel_f32_huge(const DwConvShape& s, const PackedDwF32& p,
-                           Activation act, const float* x, std::int64_t n,
-                           std::int64_t oy, std::int64_t ox, float* yp) {
-  for (std::int64_t oc = 0; oc < s.out_ch; ++oc) {
-    const std::int64_t ic = oc / s.depth_mult;
-    float acc = p.bias[oc];
-    for (int fy = 0; fy < s.kh; ++fy) {
-      const std::int64_t iy = oy * s.stride_h - s.pad_h + fy;
-      if (iy < 0 || iy >= s.in_h) continue;
-      for (int fx = 0; fx < s.kw; ++fx) {
-        const std::int64_t ix = ox * s.stride_w - s.pad_w + fx;
-        if (ix < 0 || ix >= s.in_w) continue;
-        acc += x[((n * s.in_h + iy) * s.in_w + ix) * s.in_ch + ic] *
-               p.weights[(static_cast<std::int64_t>(fy) * s.kw + fx) *
-                             s.out_ch +
-                         oc];
-      }
-    }
-    yp[oc] = apply_activation_f32(acc, act);
-  }
-}
-
 // The vector blocks hold consecutive output channels of consecutive input
 // channels, so a depth multiplier > 1 (output channel oc reads input
 // channel oc / depth_mult) takes the scalar path, as does the test switch.
-bool use_scalar_path(const DwConvShape& s) {
-  return s.depth_mult != 1 ||
+bool use_scalar_path(const ConvGeometry& g) {
+  return g.depth_mult != 1 ||
          force_scalar_kernels_for_testing.load(std::memory_order_relaxed);
 }
 
@@ -290,71 +272,35 @@ void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
   }
 }
 
-void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
-                 const PackedDwI8& p, std::int8_t* y, PoolRef pool) {
-  const bool scalar = use_scalar_path(s);
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  const std::int64_t rows = s.batch * s.out_h;
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    const std::int8_t* tap_src[kMaxTaps];
-    for (std::size_t row = lo; row < hi; ++row) {
-      const std::int64_t n = static_cast<std::int64_t>(row) / s.out_h;
-      const std::int64_t oy = static_cast<std::int64_t>(row) % s.out_h;
-      for (std::int64_t ox = 0; ox < s.out_w; ++ox) {
-        std::int8_t* yp =
-            y + ((n * s.out_h + oy) * s.out_w + ox) * s.out_ch;
-        if (taps > kMaxTaps) {
-          pixel_i8_huge(s, p, x, n, oy, ox, yp);
-          continue;
-        }
-        build_tap_src(s, x, n, oy, ox, tap_src);
-        if (scalar) {
-          pixel_i8_scalar(s, p, tap_src, yp);
-        } else {
-          pixel_i8_vector(s, p, tap_src, yp);
-        }
-      }
-    }
-  };
-  if (pool && rows >= 8) {
-    pool.parallel_for(0, static_cast<std::size_t>(rows), body,
-                       /*min_chunk=*/2);
-  } else {
-    body(0, static_cast<std::size_t>(rows));
-  }
+std::int64_t dwconv_tap_slots(const ConvGeometry& g, std::size_t workers) {
+  return tap_table_stride(g) * static_cast<std::int64_t>(workers);
 }
 
-void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
-                  Activation act, float* y, PoolRef pool) {
-  const bool scalar = use_scalar_path(s);
-  const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
-  const std::int64_t rows = s.batch * s.out_h;
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    const float* tap_src[kMaxTaps];
-    for (std::size_t row = lo; row < hi; ++row) {
-      const std::int64_t n = static_cast<std::int64_t>(row) / s.out_h;
-      const std::int64_t oy = static_cast<std::int64_t>(row) % s.out_h;
-      for (std::int64_t ox = 0; ox < s.out_w; ++ox) {
-        float* yp = y + ((n * s.out_h + oy) * s.out_w + ox) * s.out_ch;
-        if (taps > kMaxTaps) {
-          pixel_f32_huge(s, p, act, x, n, oy, ox, yp);
-          continue;
-        }
-        build_tap_src(s, x, n, oy, ox, tap_src);
-        if (scalar) {
-          pixel_f32_scalar(s, p, act, tap_src, yp);
-        } else {
-          pixel_f32_vector(s, p, act, tap_src, yp);
-        }
-      }
-    }
-  };
-  if (pool && rows >= 8) {
-    pool.parallel_for(0, static_cast<std::size_t>(rows), body,
-                       /*min_chunk=*/2);
-  } else {
-    body(0, static_cast<std::size_t>(rows));
-  }
+void dwconv2d_i8(const ConvGeometry& g, const std::int8_t* x,
+                 const PackedDwI8& p, std::int8_t* y, PoolRef pool,
+                 const std::int8_t** taps) {
+  const bool scalar = use_scalar_path(g);
+  for_each_pixel(g, x, y, pool, taps,
+                 [&](const std::int8_t* const* tap, std::int8_t* yp) {
+                   if (scalar) {
+                     pixel_i8_scalar(g, p, tap, yp);
+                   } else {
+                     pixel_i8_vector(g, p, tap, yp);
+                   }
+                 });
+}
+
+void dwconv2d_f32(const ConvGeometry& g, const float* x, const PackedDwF32& p,
+                  Activation act, float* y, PoolRef pool, const float** taps) {
+  const bool scalar = use_scalar_path(g);
+  for_each_pixel(g, x, y, pool, taps,
+                 [&](const float* const* tap, float* yp) {
+                   if (scalar) {
+                     pixel_f32_scalar(g, p, act, tap, yp);
+                   } else {
+                     pixel_f32_vector(g, p, act, tap, yp);
+                   }
+                 });
 }
 
 }  // namespace mlexray

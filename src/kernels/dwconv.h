@@ -25,21 +25,26 @@
 //    fused activation clamp range.
 //
 // The kernels have two paths. The vector path spells its blocks with GNU
-// vector extensions, one source for every target. The scalar path covers
-// depth multipliers > 1, and windows of more than 64 taps take an
-// inline-bounds scalar fallback. Integer accumulation is exact and
-// order-free, so both paths produce bit-identical int8 output; the f32
+// vector extensions, one source for every target; the scalar path covers
+// depth multipliers > 1. Both read a pixel's taps through a kh x kw table
+// of source pointers that each worker builds in its own slice of arena
+// scratch, so every window size runs them. Integer accumulation is exact
+// and order-free, so both paths produce bit-identical int8 output; the f32
 // paths keep the reference kernels' per-channel accumulation order
 // (bias-first, taps in (fy, fx) order), so float output is bit-identical
 // too. force_scalar_kernels_for_testing (kernel.h) runs the scalar path
 // everywhere, so the conformance grid can assert that equivalence instead
 // of assuming it.
+//
+// Output rows are spread over the pool the caller passes; the kernels never
+// decide whether to fan out (the ExecutionPlan does, per step).
 #pragma once
 
 #include <cstdint>
 
 #include "src/common/thread_pool.h"
 #include "src/graph/op_types.h"
+#include "src/kernels/conv_utils.h"
 
 namespace mlexray {
 
@@ -47,19 +52,6 @@ namespace mlexray {
 // prepare hooks can size panels and the tests can target the vector tails.
 inline constexpr std::int64_t kDwLanesI8 = 16;
 inline constexpr std::int64_t kDwLanesF32 = 8;
-
-// Geometry of one depthwise invocation. out_ch == in_ch * depth_mult;
-// output channel oc convolves input channel oc / depth_mult with filter
-// column oc (TFLite depth-multiplier semantics).
-struct DwConvShape {
-  std::int64_t batch = 0;
-  std::int64_t in_h = 0, in_w = 0, in_ch = 0;
-  std::int64_t out_h = 0, out_w = 0, out_ch = 0;
-  int kh = 0, kw = 0;
-  int stride_h = 1, stride_w = 1;
-  std::int64_t pad_h = 0, pad_w = 0;  // top / left padding
-  std::int64_t depth_mult = 1;
-};
 
 // Packed views (plain pointers into PreparedStorage or — for f32, whose
 // source layout is already panel-shaped — the node's own weights).
@@ -85,16 +77,23 @@ void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
                         const std::int8_t* w, std::int16_t* out,
                         std::int32_t* w_sums);
 
+// Tap-table scratch a dwconv2d_* call with `workers` participants needs, in
+// pointers: one kh * kw table per worker, padded to a 64-byte line and
+// indexed by the parallel_for_workers worker id. Size it from the executing
+// context's worker count (KernelContext::worker_count()).
+std::int64_t dwconv_tap_slots(const ConvGeometry& g, std::size_t workers);
+
 // y[n, oy, ox, c] = act(bias[c] + sum_taps x[tap, c / dm] * w[tap, c]),
-// accumulation per channel in reference order. Rows are partitioned across
-// the pool when it pays.
-void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
-                  Activation act, float* y, PoolRef pool);
+// accumulation per channel in reference order. `taps` holds
+// dwconv_tap_slots(g, pool.parallelism()) pointers.
+void dwconv2d_f32(const ConvGeometry& g, const float* x, const PackedDwF32& p,
+                  Activation act, float* y, PoolRef pool, const float** taps);
 
 // Integer path: raw widening dot product over all taps (out-of-bounds taps
 // read x = in_zp), then requant(acc + acc_init[c]) per channel. Bit-exact
 // across the vector and scalar paths.
-void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
-                 const PackedDwI8& p, std::int8_t* y, PoolRef pool);
+void dwconv2d_i8(const ConvGeometry& g, const std::int8_t* x,
+                 const PackedDwI8& p, std::int8_t* y, PoolRef pool,
+                 const std::int8_t** taps);
 
 }  // namespace mlexray

@@ -28,10 +28,6 @@ constexpr std::int64_t kMr = 4;
 constexpr std::int64_t kNrF = kGemmNrF32;
 constexpr std::int64_t kNrIP = kGemmNrI8;
 
-// Below this many multiply-accumulates the parallel_for rendezvous costs more
-// than the arithmetic; run on the calling thread.
-constexpr std::int64_t kMinFlopsForPool = 64 * 1024;
-
 // MR x (NP * kNrF) tile over NP adjacent packed B panels: each panel holds
 // k groups of kNrF column values, contiguous per k step. SIMD runs across
 // the output columns, so each output's per-element accumulation order (bias
@@ -623,12 +619,12 @@ struct PatchRows {
 
 // The row-block driver both GEMMs share: runs body(i0, mr, a_tile) for each
 // MR-row tile of C, where a_tile holds the tile's A rows (stride rows.lda)
-// and is fetched once for every N panel. Tiles are spread over the pool
-// when the problem pays for the rendezvous; the worker id selects the
-// worker's own gather buffer.
+// and is fetched once for every N panel. Tiles are spread over `pool` (a
+// null ref runs them inline); the worker id selects the worker's own
+// gather buffer.
 template <typename Rows, typename Body>
-void for_each_row_tile(const Rows& rows, std::int64_t m, std::int64_t macs,
-                       PoolRef pool, const Body& body) {
+void for_each_row_tile(const Rows& rows, std::int64_t m, PoolRef pool,
+                       const Body& body) {
   auto run = [&](std::size_t tile_lo, std::size_t tile_hi,
                  std::size_t worker) {
     for (std::size_t t = tile_lo; t < tile_hi; ++t) {
@@ -637,12 +633,8 @@ void for_each_row_tile(const Rows& rows, std::int64_t m, std::int64_t macs,
       body(i0, mr, rows.tile(i0, mr, worker));
     }
   };
-  const auto m_tiles = static_cast<std::size_t>((m + kMr - 1) / kMr);
-  if (pool && m_tiles > 1 && macs >= kMinFlopsForPool) {
-    pool.parallel_for_workers(0, m_tiles, run);
-  } else {
-    run(0, m_tiles, 0);
-  }
+  pool.parallel_for_workers(0, static_cast<std::size_t>((m + kMr - 1) / kMr),
+                            run);
 }
 
 template <typename Rows>
@@ -664,7 +656,7 @@ void gemm_f32_rows(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t j_tail = n > kNrF ? (n - 1) / kTileCols * kTileCols : 0;
   float bias_tail[kTileCols] = {};
   std::copy(bias + j_tail, bias + n, bias_tail);
-  for_each_row_tile(rows, m, m * n * k, pool,
+  for_each_row_tile(rows, m, pool,
                     [&](std::int64_t i0, std::int64_t mr, const float* at) {
     float* ct = c + i0 * ldc;
     for (std::int64_t j0 = 0; j0 < n; j0 += kTileCols) {
@@ -693,7 +685,7 @@ void gemm_i8_rows(std::int64_t m, std::int64_t n, std::int64_t k,
   // Accumulation is *raw* (no per-element zero-point subtraction); the
   // epilogue corrects with the prepacked column sums. Integer math is exact,
   // so the result equals sum_k (a - zp) * b to the bit.
-  for_each_row_tile(rows, m, m * n * k, pool,
+  for_each_row_tile(rows, m, pool,
                     [&](std::int64_t i0, std::int64_t mr,
                         const std::int16_t* at) {
     std::int8_t* ct = c + i0 * ldc;

@@ -27,8 +27,10 @@
 // within FMA-contraction rounding (0-1 ULP; identical ordering, only the
 // compiler's mul+add fusion choices differ), which the parity tests assert.
 // Integer accumulation is exact and order-free. Rows of C are partitioned
-// across the ThreadPool in tile-sized chunks with no per-call heap
-// allocation.
+// in tile-sized chunks across the pool the caller passes, with no per-call
+// heap allocation. The GEMM never decides whether to fan out: the
+// ExecutionPlan hands a step the pool only when its MACs pay for the
+// rendezvous, and a null PoolRef runs every tile inline.
 //
 // The f32 tile and the int8 requant epilogue (fixed_point.h) are GNU
 // vector extensions, one source for every target. The int8 dot products
@@ -42,6 +44,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/graph/op_types.h"
+#include "src/kernels/conv_utils.h"
 
 namespace mlexray {
 
@@ -157,31 +160,16 @@ void gemm_i8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
 // ---------------------------------------------------------------------------
 // Conv2D as an implicit GEMM.
 //
-// Output pixel i of [batch, out_h, out_w] is A row i: its receptive field in
-// the (fy, fx, ic) order of an OHWI filter row, so k = kh * kw * in_ch and
-// C is the NHWC output itself (ldc = out_ch). Each MR-row tile gathers its
-// rows from the NHWC input into a per-worker buffer (int8 straight into
-// int16); taps outside the input read as 0.0f (f32) or the input zero
-// point (int8) — the values that make them contribute exactly nothing, as
-// the reference kernels' skipped taps do. A 1x1 stride-1 conv needs no
-// gather: the input itself is A (lda = in_ch), which the int8 GEMM widens
-// per tile like any matrix.
+// Output pixel i of [batch, out_h, out_w] is A row i (ConvGeometry::rows(),
+// conv_utils.h): its receptive field in the (fy, fx, ic) order of an OHWI
+// filter row, so k = patch() = kh * kw * in_ch and C is the NHWC output
+// itself (ldc = out_ch). Each MR-row tile gathers its rows from the NHWC
+// input into a per-worker buffer (int8 straight into int16); taps outside
+// the input read as 0.0f (f32) or the input zero point (int8) — the values
+// that make them contribute exactly nothing, as the reference kernels'
+// skipped taps do. A 1x1 stride-1 conv needs no gather: the input itself
+// is A (lda = in_ch), which the int8 GEMM widens per tile like any matrix.
 // ---------------------------------------------------------------------------
-
-struct ConvGeometry {
-  std::int64_t batch = 0;
-  std::int64_t in_h = 0, in_w = 0, in_ch = 0;
-  std::int64_t out_h = 0, out_w = 0, out_ch = 0;
-  int kh = 1, kw = 1;
-  int stride_h = 1, stride_w = 1;
-  std::int64_t pad_h = 0, pad_w = 0;  // top / left padding
-
-  std::int64_t rows() const { return batch * out_h * out_w; }
-  std::int64_t patch() const { return kh * kw * in_ch; }
-  bool pointwise() const {
-    return kh == 1 && kw == 1 && stride_h == 1 && stride_w == 1;
-  }
-};
 
 // Bytes of gather scratch a conv_gemm call with `workers` participants
 // needs: one 64-byte-padded MR x patch() tile buffer per worker, indexed by

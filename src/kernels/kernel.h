@@ -5,12 +5,18 @@
 // (inputs carry theirs, the session pre-sets the output tensor's params
 // from node.output_quant before dispatch).
 //
-// Contexts are prepared once per node by the ExecutionPlan (inputs/output
-// pre-wired, arena attached) and reused verbatim on every invoke. Kernel
-// temporaries come from ctx.scratch<T>(): arena-backed, valid until the node
-// finishes, heap-free in steady state. One-time results (packed weight
-// panels, requantization tables) go into ctx.prepared, the plan-owned
-// storage a kernel's optional prepare hook fills at plan construction.
+// Contexts are wired once per plan step by the Session (inputs/output
+// pre-wired, arena and the step's pool attached) and reused verbatim on
+// every invoke. Kernel temporaries come from ctx.scratch<T>(): arena-backed,
+// valid until the node finishes, heap-free in steady state. One-time results
+// (packed weight panels, requantization tables) go into ctx.prepared, the
+// plan-owned storage a kernel's optional prepare hook fills at plan
+// construction.
+//
+// Kernels only compute. A kernel that can split its work hands it to
+// ctx.pool unconditionally; the ExecutionPlan already decided whether the
+// step pays for a fan-out (PlanStep::pool), and a null or one-chunk pool
+// runs the range inline.
 #pragma once
 
 #include <atomic>
@@ -27,7 +33,7 @@ struct KernelContext {
   const Node* node = nullptr;
   std::vector<const Tensor*> inputs;  // activation inputs, in op order
   Tensor* output = nullptr;           // allocated by the session
-  PoolRef pool;                       // null => single-threaded execution
+  PoolRef pool;                       // the step's pool; null => inline
   ScratchArena* arena = nullptr;      // per-session scratch storage
   // Plan-owned storage filled once by the kernel's prepare hook. A kernel
   // with a prepare hook runs only through an ExecutionPlan (the trainer

@@ -15,28 +15,13 @@
 namespace mlexray {
 namespace {
 
-// Shared geometry for the conv-family kernels.
-ConvGeometry conv_geometry(const Node& node, const Shape& is, const Shape& fs,
-                           const Shape& os) {
-  ConvGeometry g;
-  g.batch = os.dim(0);
-  g.in_h = is.dim(1);
-  g.in_w = is.dim(2);
-  g.in_ch = is.dim(3);
-  g.out_h = os.dim(1);
-  g.out_w = os.dim(2);
-  g.out_ch = os.dim(3);
-  g.kh = static_cast<int>(fs.dim(1));
-  g.kw = static_cast<int>(fs.dim(2));
-  g.stride_h = node.attrs.stride_h;
-  g.stride_w = node.attrs.stride_w;
-  g.pad_h = node.attrs.padding == Padding::kSame
-                ? same_pad_before(g.in_h, g.kh, g.stride_h, g.out_h)
-                : 0;
-  g.pad_w = node.attrs.padding == Padding::kSame
-                ? same_pad_before(g.in_w, g.kw, g.stride_w, g.out_w)
-                : 0;
-  return g;
+// The window of a Conv2D or DepthwiseConv2D node: its filter's dims 1 and 2
+// (OHWI or [1, kh, kw, ch]).
+ConvGeometry filter_geometry(const KernelContext& ctx) {
+  const Shape& fs = ctx.node->weights[0].shape();
+  return conv_geometry(*ctx.node, ctx.input(0).shape(), ctx.output->shape(),
+                       static_cast<int>(fs.dim(1)),
+                       static_cast<int>(fs.dim(2)));
 }
 
 // `bytes` of arena scratch, or null for none.
@@ -215,30 +200,6 @@ struct PreparedDwI8 {
   PackedDwI8 packed;
 };
 
-DwConvShape dw_shape(const Node& node, const Shape& is, const Shape& fs,
-                     const Shape& os) {
-  DwConvShape s;
-  s.batch = os.dim(0);
-  s.in_h = is.dim(1);
-  s.in_w = is.dim(2);
-  s.in_ch = is.dim(3);
-  s.out_h = os.dim(1);
-  s.out_w = os.dim(2);
-  s.out_ch = os.dim(3);
-  s.kh = static_cast<int>(fs.dim(1));
-  s.kw = static_cast<int>(fs.dim(2));
-  s.stride_h = node.attrs.stride_h;
-  s.stride_w = node.attrs.stride_w;
-  s.pad_h = node.attrs.padding == Padding::kSame
-                ? same_pad_before(is.dim(1), s.kh, s.stride_h, os.dim(1))
-                : 0;
-  s.pad_w = node.attrs.padding == Padding::kSame
-                ? same_pad_before(is.dim(2), s.kw, s.stride_w, os.dim(2))
-                : 0;
-  s.depth_mult = s.out_ch / s.in_ch;
-  return s;
-}
-
 // Builds everything the int8 inner loop consumes: pre-widened int16 weight
 // panels, the fused per-channel accumulator bias (bias - in_zp * w_sum), the
 // Q31 requant tables, and the activation clamp range.
@@ -285,9 +246,7 @@ void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
 void conv2d_f32_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const ConvGeometry g = conv_geometry(node, in.shape(),
-                                       node.weights[0].shape(),
-                                       ctx.output->shape());
+  const ConvGeometry g = filter_geometry(ctx);
   conv_gemm_f32(g, in.data<float>(), node.weights[1].data<float>(),
                 node.attrs.activation, ctx.output->data<float>(), ctx.pool,
                 ctx.prepared_root<PreparedGemmF32>().packed,
@@ -301,15 +260,14 @@ void conv2d_f32_opt(const KernelContext& ctx) {
 // (fy, fx) order, skipped when out of bounds), so float results match the
 // reference kernel bitwise.
 void dwconv2d_f32_opt(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
-  const DwConvShape s =
-      dw_shape(node, in.shape(), filter.shape(), ctx.output->shape());
-  const PackedDwF32 packed{filter.data<float>(),
+  const ConvGeometry g = filter_geometry(ctx);
+  const PackedDwF32 packed{node.weights[0].data<float>(),
                            node.weights[1].data<float>()};
-  dwconv2d_f32(s, in.data<float>(), packed, node.attrs.activation,
-               ctx.output->data<float>(), ctx.pool);
+  dwconv2d_f32(g, ctx.input(0).data<float>(), packed, node.attrs.activation,
+               ctx.output->data<float>(), ctx.pool,
+               ctx.scratch<const float*>(
+                   dwconv_tap_slots(g, ctx.worker_count())));
 }
 
 void fc_f32_opt(const KernelContext& ctx) {
@@ -404,11 +362,9 @@ void addsub_f32_opt(const KernelContext& ctx) {
 
 void conv2d_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
-  const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
+  const Tensor& filter = ctx.node->weights[0];
   Tensor& out = *ctx.output;
-  const ConvGeometry g =
-      conv_geometry(node, in.shape(), filter.shape(), out.shape());
+  const ConvGeometry g = filter_geometry(ctx);
   const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
   conv_gemm_i8(g, in.data<std::int8_t>(), filter.data<std::int8_t>(),
                gemm_quant(in, out, prep),
@@ -420,14 +376,12 @@ void conv2d_i8_opt(const KernelContext& ctx) {
 // panels, per-channel Q31 requant — bit-identical across the vector and
 // scalar paths (integer math is exact and order-free).
 void dwconv2d_i8_opt(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
-  const Node& node = *ctx.node;
-  Tensor& out = *ctx.output;
-  const DwConvShape s =
-      dw_shape(node, in.shape(), node.weights[0].shape(), out.shape());
-  dwconv2d_i8(s, in.data<std::int8_t>(),
+  const ConvGeometry g = filter_geometry(ctx);
+  dwconv2d_i8(g, ctx.input(0).data<std::int8_t>(),
               ctx.prepared_root<PreparedDwI8>().packed,
-              out.data<std::int8_t>(), ctx.pool);
+              ctx.output->data<std::int8_t>(), ctx.pool,
+              ctx.scratch<const std::int8_t*>(
+                  dwconv_tap_slots(g, ctx.worker_count())));
 }
 
 // Re-creates the production defect the paper's Fig 6 localises, in the
@@ -446,9 +400,9 @@ void dwconv2d_i8_buggy(const KernelContext& ctx) {
   Tensor& out = *ctx.output;
   const Shape& is = in.shape();
   const Shape& os = out.shape();
-  const ConvGeometry s = conv_geometry(node, is, filter.shape(), os);
+  const ConvGeometry s = filter_geometry(ctx);
   const std::int64_t ch = s.out_ch;
-  const std::int64_t dm = s.out_ch / s.in_ch;
+  const std::int64_t dm = s.depth_mult;
   const std::int32_t in_zp = in.quant().zero_point();
   const std::int32_t out_zp = out.quant().zero_point();
   const PreparedRequant& rq = ctx.prepared_root<PreparedRequant>();
@@ -513,12 +467,8 @@ void dwconv2d_i8_buggy(const KernelContext& ctx) {
       }
     }
   };
-  if (ctx.pool && rows >= 8) {
-    ctx.pool.parallel_for(0, static_cast<std::size_t>(rows), body,
-                           /*min_chunk=*/2);
-  } else {
-    body(0, static_cast<std::size_t>(rows));
-  }
+  ctx.pool.parallel_for(0, static_cast<std::size_t>(rows), body,
+                        /*min_chunk=*/2);
 }
 
 void fc_i8_opt(const KernelContext& ctx) {
@@ -545,48 +495,35 @@ void fc_i8_opt(const KernelContext& ctx) {
 // added into one int32 row, then every channel gets the same rounded
 // division by the window's in-bounds tap count.
 void avgpool_i8_opt(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  Tensor& out = *ctx.output;
-  const Shape& is = in.shape();
-  const Shape& os = out.shape();
-  const int fh = node.attrs.filter_h;
-  const int fw = node.attrs.filter_w;
-  const int sh = node.attrs.stride_h;
-  const int sw = node.attrs.stride_w;
-  const std::int64_t ih = is.dim(1);
-  const std::int64_t iw = is.dim(2);
-  const std::int64_t ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(ih, fh, sh, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(iw, fw, sw, os.dim(2))
-                                 : 0;
-  const std::int8_t* x = in.data<std::int8_t>();
-  std::int8_t* y = out.data<std::int8_t>();
+  const ConvGeometry g =
+      conv_geometry(node, ctx.input(0).shape(), ctx.output->shape(),
+                    node.attrs.filter_h, node.attrs.filter_w);
+  const std::int64_t ch = g.in_ch;
+  const std::int8_t* x = ctx.input(0).data<std::int8_t>();
+  std::int8_t* y = ctx.output->data<std::int8_t>();
   std::int32_t* sum = ctx.scratch<std::int32_t>(ch);
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
       // The window's in-bounds rows [y0, y1) and columns [x0, x1).
-      const std::int64_t iy0 = oy * sh - pad_h;
+      const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
       const std::int64_t y0 = std::max<std::int64_t>(iy0, 0);
-      const std::int64_t y1 = std::min<std::int64_t>(iy0 + fh, ih);
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
-        const std::int64_t ix0 = ox * sw - pad_w;
+      const std::int64_t y1 = std::min<std::int64_t>(iy0 + g.kh, g.in_h);
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const std::int64_t ix0 = ox * g.stride_w - g.pad_w;
         const std::int64_t x0 = std::max<std::int64_t>(ix0, 0);
-        const std::int64_t x1 = std::min<std::int64_t>(ix0 + fw, iw);
+        const std::int64_t x1 = std::min<std::int64_t>(ix0 + g.kw, g.in_w);
         std::fill_n(sum, ch, 0);
         for (std::int64_t iy = y0; iy < y1; ++iy) {
           for (std::int64_t ix = x0; ix < x1; ++ix) {
-            const std::int8_t* px = x + ((n * ih + iy) * iw + ix) * ch;
+            const std::int8_t* px = x + ((n * g.in_h + iy) * g.in_w + ix) * ch;
             for (std::int64_t c = 0; c < ch; ++c) sum[c] += px[c];
           }
         }
         const auto count =
             static_cast<std::int32_t>(std::max<std::int64_t>(y1 - y0, 0) *
                                       std::max<std::int64_t>(x1 - x0, 0));
-        std::int8_t* yp = y + ((n * os.dim(1) + oy) * os.dim(2) + ox) * ch;
+        std::int8_t* yp = y + ((n * g.out_h + oy) * g.out_w + ox) * ch;
         for (std::int64_t c = 0; c < ch; ++c) {
           // Rounded division toward nearest.
           const std::int32_t s = sum[c];

@@ -43,12 +43,9 @@ void conv2d_f32(const KernelContext& ctx) {
   const int kh = static_cast<int>(fs.dim(1));
   const int kw = static_cast<int>(fs.dim(2));
   const std::int64_t in_ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), kh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), kw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const float* x = in.data<float>();
   const float* w = filter.data<float>();
   float* y = ctx.output->data<float>();
@@ -100,12 +97,9 @@ void dwconv2d_f32(const KernelContext& ctx) {
   const std::int64_t in_ch = is.dim(3);
   const std::int64_t ch = fs.dim(3);         // output channels
   const std::int64_t dm = ch / in_ch;        // depth multiplier
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), kh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), kw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const float* x = in.data<float>();
   const float* w = filter.data<float>();
   float* y = ctx.output->data<float>();
@@ -165,12 +159,9 @@ void pool_f32(const KernelContext& ctx) {
   const int fh = node.attrs.filter_h;
   const int fw = node.attrs.filter_w;
   const std::int64_t ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const float* x = in.data<float>();
   float* y = ctx.output->data<float>();
   for (std::int64_t n = 0; n < os.dim(0); ++n) {
@@ -320,16 +311,13 @@ void conv2d_i8_ref(const KernelContext& ctx) {
   const int kh = static_cast<int>(fs.dim(1));
   const int kw = static_cast<int>(fs.dim(2));
   const std::int64_t in_ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), kh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), kw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const std::int32_t in_zp = in.quant().zero_point();
   const std::int32_t out_zp = out.quant().zero_point();
-  RequantScales rq =
-      prepare_requant(in.quant(), filter.quant(), out.quant(), os.dim(3));
+  const std::vector<double> rq =
+      requant_scales(in.quant(), filter.quant(), out.quant(), os.dim(3));
   QuantActivationRange range = quant_activation_range(
       node.attrs.activation, out.quant().scale(), out_zp);
   const std::int8_t* x = in.data<std::int8_t>();
@@ -357,7 +345,7 @@ void conv2d_i8_ref(const KernelContext& ctx) {
             }
           }
           auto scaled = static_cast<std::int32_t>(std::lround(
-              static_cast<double>(acc) * rq.real[static_cast<std::size_t>(oc)]));
+              static_cast<double>(acc) * rq[static_cast<std::size_t>(oc)]));
           std::int32_t q = scaled + out_zp;
           q = std::clamp(q, range.min, range.max);
           y[((n * os.dim(1) + oy) * os.dim(2) + ox) * os.dim(3) + oc] =
@@ -382,15 +370,13 @@ void dwconv2d_i8_ref(const KernelContext& ctx) {
   const std::int64_t in_ch = is.dim(3);
   const std::int64_t ch = fs.dim(3);   // output channels
   const std::int64_t dm = ch / in_ch;  // depth multiplier
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), kh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), kw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const std::int32_t in_zp = in.quant().zero_point();
   const std::int32_t out_zp = out.quant().zero_point();
-  RequantScales rq = prepare_requant(in.quant(), filter.quant(), out.quant(), ch);
+  const std::vector<double> rq =
+      requant_scales(in.quant(), filter.quant(), out.quant(), ch);
   QuantActivationRange range = quant_activation_range(
       node.attrs.activation, out.quant().scale(), out_zp);
   const std::int8_t* x = in.data<std::int8_t>();
@@ -416,7 +402,7 @@ void dwconv2d_i8_ref(const KernelContext& ctx) {
             }
           }
           auto scaled = static_cast<std::int32_t>(std::lround(
-              static_cast<double>(acc) * rq.real[static_cast<std::size_t>(c)]));
+              static_cast<double>(acc) * rq[static_cast<std::size_t>(c)]));
           std::int32_t q = std::clamp(scaled + out_zp, range.min, range.max);
           y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
               static_cast<std::int8_t>(q);
@@ -437,8 +423,8 @@ void fc_i8_ref(const KernelContext& ctx) {
   const std::int64_t out_dim = weight.shape().dim(0);
   const std::int32_t in_zp = in.quant().zero_point();
   const std::int32_t out_zp = out.quant().zero_point();
-  RequantScales rq =
-      prepare_requant(in.quant(), weight.quant(), out.quant(), out_dim);
+  const std::vector<double> rq =
+      requant_scales(in.quant(), weight.quant(), out.quant(), out_dim);
   QuantActivationRange range = quant_activation_range(
       node.attrs.activation, out.quant().scale(), out_zp);
   const std::int8_t* x = in.data<std::int8_t>();
@@ -453,7 +439,7 @@ void fc_i8_ref(const KernelContext& ctx) {
                static_cast<std::int32_t>(w[o * in_dim + i]);
       }
       auto scaled = static_cast<std::int32_t>(std::lround(
-          static_cast<double>(acc) * rq.real[static_cast<std::size_t>(o)]));
+          static_cast<double>(acc) * rq[static_cast<std::size_t>(o)]));
       std::int32_t q = std::clamp(scaled + out_zp, range.min, range.max);
       y[n * out_dim + o] = static_cast<std::int8_t>(q);
     }
@@ -471,12 +457,9 @@ void avgpool_i8_correct(const KernelContext& ctx) {
   const int fh = node.attrs.filter_h;
   const int fw = node.attrs.filter_w;
   const std::int64_t ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const float in_scale = in.quant().scale();
   const std::int32_t in_zp = in.quant().zero_point();
   const float out_scale = out.quant().scale();
@@ -562,12 +545,9 @@ void maxpool_i8(const KernelContext& ctx) {
   const int fh = node.attrs.filter_h;
   const int fw = node.attrs.filter_w;
   const std::int64_t ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
+  const std::int64_t pad_h = g.pad_h;
+  const std::int64_t pad_w = g.pad_w;
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = out.data<std::int8_t>();
   for (std::int64_t n = 0; n < os.dim(0); ++n) {

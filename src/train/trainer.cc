@@ -130,7 +130,7 @@ void Trainer::forward(const std::vector<Tensor>& inputs) {
     KernelContext ctx;
     ctx.node = &n;
     ctx.output = &acts_[static_cast<std::size_t>(n.id)];
-    ctx.pool = pool_;
+    ctx.pool = step.pool;
     arena_.reset();
     ctx.arena = &arena_;
     ctx.prepared = step.prepared;
@@ -138,29 +138,6 @@ void Trainer::forward(const std::vector<Tensor>& inputs) {
     step.kernel->invoke(ctx);
   }
 }
-
-namespace {
-
-struct ConvGeom {
-  int kh, kw;
-  std::int64_t pad_h, pad_w;
-};
-
-ConvGeom conv_geom(const Node& node, const Shape& is, const Shape& os,
-                   const Shape& fs) {
-  ConvGeom g;
-  g.kh = static_cast<int>(fs.dim(1));
-  g.kw = static_cast<int>(fs.dim(2));
-  g.pad_h = node.attrs.padding == Padding::kSame
-                ? same_pad_before(is.dim(1), g.kh, node.attrs.stride_h, os.dim(1))
-                : 0;
-  g.pad_w = node.attrs.padding == Padding::kSame
-                ? same_pad_before(is.dim(2), g.kw, node.attrs.stride_w, os.dim(2))
-                : 0;
-  return g;
-}
-
-}  // namespace
 
 void Trainer::backward_node(const Node& node) {
   const auto id = static_cast<std::size_t>(node.id);
@@ -178,7 +155,9 @@ void Trainer::backward_node(const Node& node) {
       const Shape& is = x.shape();
       const Shape& os = node.output_shape;
       const Shape& fs = w.shape();
-      ConvGeom g = conv_geom(node, is, os, fs);
+      const ConvGeometry g =
+          conv_geometry(node, is, os, static_cast<int>(fs.dim(1)),
+                        static_cast<int>(fs.dim(2)));
       const std::int64_t in_ch = is.dim(3);
       const float* px = x.data<float>();
       const float* pw = w.data<float>();
@@ -223,7 +202,9 @@ void Trainer::backward_node(const Node& node) {
       const Shape& is = x.shape();
       const Shape& os = node.output_shape;
       const Shape& fs = w.shape();
-      ConvGeom g = conv_geom(node, is, os, fs);
+      const ConvGeometry g =
+          conv_geometry(node, is, os, static_cast<int>(fs.dim(1)),
+                        static_cast<int>(fs.dim(2)));
       const std::int64_t ch = is.dim(3);
       MLX_CHECK_EQ(fs.dim(3), ch)
           << "trainer DepthwiseConv2D supports depth_multiplier == 1 only ('"
@@ -297,12 +278,7 @@ void Trainer::backward_node(const Node& node) {
       const int fh = node.attrs.filter_h;
       const int fw = node.attrs.filter_w;
       const std::int64_t ch = is.dim(3);
-      const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                     ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
-                                     : 0;
-      const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                     ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
-                                     : 0;
+      const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
       const float* pgy = gy.data<float>();
       float* pgx = gx.data<float>();
       for (std::int64_t n = 0; n < os.dim(0); ++n) {
@@ -311,10 +287,10 @@ void Trainer::backward_node(const Node& node) {
             for (std::int64_t c = 0; c < ch; ++c) {
               int count = 0;
               for (int fy = 0; fy < fh; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
+                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
                 if (iy < 0 || iy >= is.dim(1)) continue;
                 for (int fx = 0; fx < fw; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
+                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
                   if (ix < 0 || ix >= is.dim(2)) continue;
                   ++count;
                 }
@@ -324,10 +300,10 @@ void Trainer::backward_node(const Node& node) {
                   pgy[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] /
                   static_cast<float>(count);
               for (int fy = 0; fy < fh; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
+                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
                 if (iy < 0 || iy >= is.dim(1)) continue;
                 for (int fx = 0; fx < fw; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
+                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
                   if (ix < 0 || ix >= is.dim(2)) continue;
                   pgx[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c] += grad;
                 }
@@ -348,12 +324,7 @@ void Trainer::backward_node(const Node& node) {
       const int fh = node.attrs.filter_h;
       const int fw = node.attrs.filter_w;
       const std::int64_t ch = is.dim(3);
-      const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                     ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
-                                     : 0;
-      const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                     ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
-                                     : 0;
+      const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
       const float* px = x.data<float>();
       const float* py = y.data<float>();
       const float* pgy = gy.data<float>();
@@ -367,10 +338,10 @@ void Trainer::backward_node(const Node& node) {
               float max_v = py[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c];
               bool routed = false;
               for (int fy = 0; fy < fh && !routed; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
+                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
                 if (iy < 0 || iy >= is.dim(1)) continue;
                 for (int fx = 0; fx < fw && !routed; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
+                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
                   if (ix < 0 || ix >= is.dim(2)) continue;
                   const std::int64_t off = ((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c;
                   if (px[off] == max_v) {

@@ -65,7 +65,8 @@ class Trainer {
   TrainConfig cfg_;
   BuiltinOpResolver resolver_;
   // Trainer-owned worker set honoring cfg_.num_threads as a hard cap (null
-  // view when num_threads <= 1); independent of any serving pool.
+  // view when num_threads <= 1); independent of any serving pool. Each
+  // forward's plan hands it to the steps whose MACs pay for a fan-out.
   std::unique_ptr<ThreadPool> owned_pool_;
   PoolRef pool_;
   ScratchArena arena_;  // scratch for the optimized forward kernels

@@ -116,7 +116,9 @@ TEST(ThreadPool, MinChunkRespectsGranularity) {
   for (auto [lo, hi] : chunks) {
     covered += hi - lo;
     // Every chunk except possibly the final remainder honours min_chunk.
-    if (hi != 100) EXPECT_GE(hi - lo, 16u);
+    if (hi != 100) {
+      EXPECT_GE(hi - lo, 16u);
+    }
   }
   EXPECT_EQ(covered, 100u);
 }

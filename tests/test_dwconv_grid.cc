@@ -22,13 +22,13 @@
 //    plays the role of the conformance reference);
 //  - every cell asserts that each plan step whose kernel has a prepare hook
 //    got prepared storage, and that steady-state invoke performs zero heap
-//    allocations (global operator-new counter + AllocStats events).
+//    allocations (global operator-new counter + AllocStats events);
+//  - the largest stride-1 cells assert that the plan put their depthwise
+//    step on the model's pool, so the grid keeps exercising the row
+//    partitioning and the per-worker tap tables.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "src/graph/builder.h"
@@ -37,42 +37,7 @@
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
-
-// --- global operator new/delete instrumentation -----------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "tests/heap_counter.h"
 
 namespace mlexray {
 namespace {
@@ -205,6 +170,18 @@ void expect_steady_state_clean(Session& session, const DwGridCase& c) {
       << c << ": steady-state invoke grew the scratch arena";
 }
 
+// The largest stride-1 cells clear the plan's fan-out threshold, so their
+// depthwise step runs on the model's pool and the grid (TSan included)
+// races the row partitioning and the per-worker tap tables.
+void expect_large_cells_fan_out(const Session& session, const DwGridCase& c) {
+  if (c.channels != 64 || c.batch != 4 || c.stride != 1) return;
+  for (const PlanStep& step : session.plan().steps()) {
+    if (step.node->type != OpType::kDepthwiseConv2D) continue;
+    EXPECT_TRUE(step.pool) << c << ": depthwise step runs inline";
+    EXPECT_EQ(step.pool.get(), session.model().pool().get()) << c;
+  }
+}
+
 TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
   const DwGridCase& c = GetParam();
   Pcg32 rng(4242);
@@ -227,6 +204,7 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     Session oi(&opt_model);
     // f32 filters are panel-shaped as stored: no prepare hook, no storage.
     EXPECT_EQ(oi.plan().prepared_bytes(), 0u) << c;
+    expect_large_cells_fan_out(oi, c);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -252,6 +230,7 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     Model opt_model(&qm, &opt, /*num_threads=*/2);
     Session oi(&opt_model);
     expect_prepared_steps(oi, c);
+    expect_large_cells_fan_out(oi, c);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();

@@ -4,6 +4,7 @@
 
 #include "src/graph/builder.h"
 #include "src/interpreter/device_profile.h"
+#include "src/interpreter/invoke_observer.h"
 #include "src/interpreter/session.h"
 #include "src/models/zoo.h"
 #include "src/tensor/tensor_stats.h"
@@ -76,24 +77,31 @@ TEST(Session, PrepareAndInvokeStatsSeparated) {
   Session session(&model);
   // Prepare happened at construction, before any invoke.
   EXPECT_GT(session.last_stats().prepare_ms, 0.0);
-  EXPECT_EQ(session.last_stats().invoke_count, 0);
+  EXPECT_EQ(session.last_stats().total_ms, 0.0);
   EXPECT_EQ(session.plan().steps().size(), 1u);
 
   Tensor input = Tensor::f32(Shape{1, 16, 16, 8});
   input.fill(0.25f);
   session.set_input(0, input);
   session.invoke();
-  session.invoke();
-  const SessionStats& stats = session.last_stats();
-  EXPECT_EQ(stats.invoke_count, 2);
-  // per_node_ms holds the last invoke only; totals accumulate across both.
-  EXPECT_GT(stats.per_node_total_ms[1], stats.per_node_ms[1]);
-  EXPECT_GE(stats.cumulative_ms, stats.total_ms);
+  EXPECT_GT(session.last_stats().total_ms, 0.0);
   // prepare_ms is a one-time cost: invoking again must not change it.
-  const double prepare_before = stats.prepare_ms;
+  const double prepare_before = session.last_stats().prepare_ms;
   session.invoke();
   EXPECT_EQ(session.last_stats().prepare_ms, prepare_before);
 }
+
+// Keeps every step latency the session reports to its observer.
+struct StepLatencies : InvokeObserver {
+  std::vector<std::vector<double>> per_invoke;  // [invoke][node id]
+  std::size_t nodes = 0;
+  void on_invoke_begin(std::size_t) override {
+    per_invoke.emplace_back(nodes, 0.0);
+  }
+  void on_step(const Node& node, const Tensor&, double latency_ms) override {
+    per_invoke.back()[static_cast<std::size_t>(node.id)] = latency_ms;
+  }
+};
 
 TEST(Session, PerNodeStatsResetEachInvoke) {
   Pcg32 rng(22);
@@ -106,13 +114,47 @@ TEST(Session, PerNodeStatsResetEachInvoke) {
   Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 8, 8, 4});
   session.set_input(0, input);
+  StepLatencies seen;
+  seen.nodes = m.nodes.size();
+  session.set_observer(&seen);
   session.invoke();
-  double first = session.last_stats().per_node_ms[1];
   session.invoke();
-  // per_node_ms is a fresh per-invoke reading; if invoke accumulated into it
-  // the identity total == first + last would not hold.
-  EXPECT_DOUBLE_EQ(session.last_stats().per_node_total_ms[1],
-                   first + session.last_stats().per_node_ms[1]);
+  session.set_observer(nullptr);
+  ASSERT_EQ(seen.per_invoke.size(), 2u);
+  // per_node_ms is a fresh per-invoke reading: exactly the latency the
+  // observer saw in the last invoke. Had invoke accumulated into it, it
+  // would read first + last, and the first reading is not zero.
+  EXPECT_GT(seen.per_invoke[0][1], 0.0);
+  EXPECT_EQ(session.last_stats().per_node_ms, seen.per_invoke[1]);
+}
+
+// The plan makes the one fan-out decision per step: the model's pool for a
+// step whose plan-time MACs pay for the rendezvous, no pool otherwise.
+TEST(ExecutionPlan, FanOutDecidedPerStep) {
+  Pcg32 rng(24);
+  GraphBuilder b("m", &rng);
+  int x = b.input(Shape{1, 16, 16, 8});
+  // 16 * 16 * 16 outputs x 72 taps: 294,912 MACs.
+  int c = b.conv2d(x, 16, 3, 3, 1, Padding::kSame, Activation::kNone, "big");
+  // 4,096 additions.
+  int a = b.add(c, c, Activation::kNone, "small");
+  Graph m = b.finish({a});
+  BuiltinOpResolver opt;
+
+  Model single(&m, &opt);
+  for (const PlanStep& step : single.plan().steps()) {
+    EXPECT_FALSE(step.pool) << step.node->name;
+  }
+
+  Model threaded(&m, &opt, /*num_threads=*/2);
+  ASSERT_TRUE(threaded.pool());
+  const auto& steps = threaded.plan().steps();
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].node->id, c);
+  EXPECT_EQ(steps[0].pool.get(), threaded.pool().get());
+  EXPECT_EQ(steps[0].pool.cap(), threaded.pool().cap());
+  EXPECT_EQ(steps[1].node->id, a);
+  EXPECT_FALSE(steps[1].pool);
 }
 
 TEST(Session, UnsupportedOpFailsAtPrepareTime) {

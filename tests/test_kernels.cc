@@ -206,14 +206,15 @@ INSTANTIATE_TEST_SUITE_P(
                       DwCase{9, 5, 3, 2, Padding::kSame},
                       DwCase{6, 2, 5, 1, Padding::kSame},
                       DwCase{8, 3, 3, 1, Padding::kValid},
-                      // 81 taps: past the per-pixel tap table, so these
-                      // run the inline-bounds fallback.
+                      // 81 taps: every window size runs the tap-table
+                      // pixels, these on the vector path.
                       DwCase{12, 5, 9, 1, Padding::kSame},
                       DwCase{13, 9, 9, 2, Padding::kValid},
                       DwCase{11, 17, 9, 2, Padding::kSame}));
 
-// The int8 form of the 9x9 fallback: within one output quantum of the
-// reference kernel, and the same bytes with the family forced scalar.
+// The int8 9x9 window, large enough to fan out over per-worker tap tables:
+// within one output quantum of the reference kernel, and the same bytes
+// with the family forced scalar.
 TEST(QuantKernels, DwConvHugeWindowTracksReference) {
   for (int dm : {1, 2}) {
     Pcg32 rng(static_cast<std::uint64_t>(40 + dm));

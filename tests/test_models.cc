@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/convert/converter.h"
 #include "src/models/detection.h"
 #include "src/models/segmentation.h"
@@ -67,6 +69,92 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
                       "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
                       "densenet121_mini"));
+
+// Thread caps change where a kernel runs, never what it computes: each zoo
+// model x {f32, int8} x {b1, b8}, built over one shared ThreadPool(3) at
+// num_threads 2 and 4, reproduces every retained node output of the
+// num_threads = 1 build byte for byte.
+class ThreadCaps : public ::testing::TestWithParam<std::string> {};
+
+Tensor random_image(int batch, Pcg32& rng) {
+  Tensor t = Tensor::f32(Shape{batch, 32, 32, 3});
+  float* p = t.data<float>();
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) p[i] = rng.uniform(-1, 1);
+  return t;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.dtype() == b.dtype() && a.byte_size() == b.byte_size() &&
+         std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()) == 0;
+}
+
+TEST_P(ThreadCaps, OutputsMatchOneThreadByteForByte) {
+  const ZooEntry* entry = nullptr;
+  for (const ZooEntry& e : image_zoo()) {
+    if (e.name == GetParam()) entry = &e;
+  }
+  ASSERT_NE(entry, nullptr);
+  ThreadPool pool(3);
+  BuiltinOpResolver opt;
+  Pcg32 rng(11);
+  // Calibrate on the batch-1 twin: node ids do not depend on the batch.
+  const Graph calib_graph = convert_for_inference(entry->build(3, 1).model);
+  Calibrator calib(&calib_graph);
+  for (int i = 0; i < 2; ++i) calib.observe({random_image(1, rng)});
+  for (int batch : {1, 8}) {
+    const Graph f32 = convert_for_inference(entry->build(3, batch).model);
+    const Graph int8 = quantize_model(f32, calib);
+    const Tensor input = random_image(batch, rng);
+    for (const Graph* g : {&f32, &int8}) {
+      const std::string cell = GetParam() + (g == &f32 ? "/f32" : "/int8") +
+                               "/b" + std::to_string(batch);
+      Model base_model(Graph(*g), &opt, &pool, 1);
+      Session base(&base_model);
+      base.set_input(0, input);
+      base.invoke();
+      for (int threads : {2, 4}) {
+        Model model(Graph(*g), &opt, &pool, threads);
+        // Without a step on the pool this would compare one thread to one.
+        int pooled = 0;
+        for (const PlanStep& step : model.plan().steps()) {
+          pooled += step.pool ? 1 : 0;
+        }
+        EXPECT_GT(pooled, 0) << cell << "/t" << threads;
+        Session session(&model);
+        session.set_input(0, input);
+        session.invoke();
+        for (const Node& n : g->nodes) {
+          EXPECT_TRUE(same_bytes(session.node_output(n.id),
+                                 base.node_output(n.id)))
+              << cell << "/t" << threads << ": " << n.name;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllImageModels, ThreadCaps,
+    ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
+                      "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
+                      "densenet121_mini"));
+
+// The trainer's forward takes the same per-step pools: at 2 threads every
+// activation matches the 1-thread forward byte for byte.
+TEST(TrainerThreads, ForwardMatchesOneThread) {
+  ZooModel one = build_mobilenet_v2_mini(5, 4);
+  ZooModel two = build_mobilenet_v2_mini(5, 4);
+  Trainer t1(&one.model, TrainConfig{1e-3f, 1});
+  Trainer t2(&two.model, TrainConfig{1e-3f, 2});
+  Pcg32 rng(12);
+  const Tensor input = random_image(4, rng);
+  t1.forward({input});
+  t2.forward({input});
+  for (const Node& n : one.model.nodes) {
+    EXPECT_TRUE(same_bytes(t1.activation(n.id), t2.activation(n.id)))
+        << n.name;
+  }
+}
 
 TEST(Zoo, LayerCountsIncreaseAcrossTableOrder) {
   // Tables 3/5 list models by increasing layer count; our minis keep that
