@@ -29,32 +29,38 @@ inline float apply_activation_f32(float x, Activation activation) {
 // xmm halves elsewhere).
 using v8f = float __attribute__((vector_size(32)));
 
-// The fused activation on eight lanes: per lane the same comparisons and
-// arithmetic as apply_activation_f32, so the result is bit-identical to the
-// scalar form (relu6 is std::clamp's `x < lo ? lo : hi < x ? hi : x`). The
-// lanes select rather than branch, so the cost does not depend on the
-// data's signs. Every optimized f32 epilogue (GEMM tile, depthwise pixel,
-// Add/Sub) finishes with this.
-inline v8f activate_v8(v8f x, Activation act) {
+// The fused activation on eight lanes, in place: per lane the same
+// comparisons and arithmetic as apply_activation_f32, so the result is
+// bit-identical to the scalar form (relu6 is std::clamp's
+// `x < lo ? lo : hi < x ? hi : x`). The lanes select rather than branch, so
+// the cost does not depend on the data's signs. Every optimized f32
+// epilogue (GEMM tile, depthwise pixel, Add/Sub) finishes with this.
+//
+// 32-byte vectors cross function boundaries by reference, here and in every
+// kernel helper: by value, their ABI depends on whether AVX is enabled, and
+// GCC warns (-Wpsabi) in every build without it.
+inline void activate_v8(v8f& x, Activation act) {
   const v8f zero = {};
   const v8f six = zero + 6.0f;
   switch (act) {
     case Activation::kNone:
-      return x;
+      return;
     case Activation::kRelu:
-      return x > zero ? x : zero;
+      x = x > zero ? x : zero;
+      return;
     case Activation::kRelu6: {
       const v8f lo = x < zero ? zero : x;
-      return six < lo ? six : lo;
+      x = six < lo ? six : lo;
+      return;
     }
     case Activation::kHardSwish: {
       v8f inner = x + 3.0f;
       inner = inner < zero ? zero : inner;
       inner = six < inner ? six : inner;
-      return x * inner / 6.0f;
+      x = x * inner / 6.0f;
+      return;
     }
   }
-  return x;
 }
 
 inline float hardswish_f32(float x) {

@@ -112,10 +112,10 @@ using v8s16 = std::int16_t __attribute__((vector_size(16)));
 using v8s16_u = std::int16_t __attribute__((vector_size(16), aligned(2)));
 using v8s32 = std::int32_t __attribute__((vector_size(32)));
 
-inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
+inline void dw_widen_i8x16(const std::int8_t* p, v16s16& out) {
   v16s8_u v;
   __builtin_memcpy(&v, p, sizeof(v));
-  return __builtin_convertvector(v, v16s16);
+  out = __builtin_convertvector(v, v16s16);
 }
 
 // Vectorized requant for the 8 channels at c, bit-identical to
@@ -123,7 +123,7 @@ inline v16s16 dw_widen_i8x16(const std::int8_t* p) {
 // against the forced-scalar path byte for byte). Its cost otherwise rivals
 // the stencil loop for small windows.
 inline void requant_store_i8_v8(const PackedDwI8& p, std::int64_t c,
-                                v8s32_fx acc, std::int8_t* yp) {
+                                const v8s32_fx& acc, std::int8_t* yp) {
   v8s32_fx init, mu, sh;
   __builtin_memcpy(&init, p.acc_init + c, sizeof(init));
   __builtin_memcpy(&mu, p.multipliers + c, sizeof(mu));
@@ -175,8 +175,8 @@ inline void pixel_i8_vector(const ConvGeometry& g, const PackedDwI8& p,
     v8s32 acc_low{};
     v8s32 acc_high{};
     for (std::int64_t t = 0; t < taps; ++t) {
-      const v16s16 xv =
-          tap[t] != nullptr ? dw_widen_i8x16(tap[t] + c) : zp_v;
+      v16s16 xv = zp_v;
+      if (tap[t] != nullptr) dw_widen_i8x16(tap[t] + c, xv);
       v16s16_u wv;
       __builtin_memcpy(&wv, p.weights + t * ch + c, sizeof(wv));
       const v8s32 prod = (v8s32)(xv * wv);  // exact in int16
@@ -243,7 +243,8 @@ inline void pixel_f32_vector(const ConvGeometry& g, const PackedDwF32& p,
       __builtin_memcpy(&wv, p.weights + t * ch + c, sizeof(wv));
       acc += xv * wv;
     }
-    const v8f out = activate_v8(acc, act);
+    v8f out = acc;
+    activate_v8(out, act);
     __builtin_memcpy(yp + c, &out, sizeof(out));
   }
   for (; c < ch; ++c) yp[c] = chan_f32(p, taps, ch, act, tap, c, c);

@@ -182,10 +182,13 @@ void add_span_vec(const PackedEwAddI8& p, const std::int8_t* a,
   const v8s32_fx oe_v = (v8s32_fx){} + (-p.out_shift);
   std::int64_t i = 0;
   for (; i + 8 <= len; i += 8) {
-    const v8s32_fx av = (load_widen_i8_v8(a + i) - za_v) << kAddLeftShift;
-    const v8s32_fx bv = (load_widen_i8_v8(b + i) - zb_v) << kAddLeftShift;
-    const v8s32_fx as = multiply_by_quantized_multiplier_v8(av, am_v, ae_v);
-    const v8s32_fx bs = multiply_by_quantized_multiplier_v8(bv, bm_v, be_v);
+    v8s32_fx as, bs;
+    load_widen_i8_v8(a + i, as);
+    as = (as - za_v) << kAddLeftShift;
+    load_widen_i8_v8(b + i, bs);
+    bs = (bs - zb_v) << kAddLeftShift;
+    multiply_by_quantized_multiplier_v8(as, am_v, ae_v);
+    multiply_by_quantized_multiplier_v8(bs, bm_v, be_v);
     const v8s32_fx acc = p.is_sub != 0 ? as - bs : as + bs;
     requant_clamp_store_i8_v8(acc, om_v, oe_v, p.zo, p.act_min, p.act_max,
                               y + i);
@@ -249,9 +252,12 @@ void mul_span_vec(const PackedEwMulI8& p, const std::int8_t* a,
   const v8s32_fx e_v = (v8s32_fx){} + (-p.shift);
   std::int64_t i = 0;
   for (; i + 8 <= len; i += 8) {
-    const v8s32_fx acc =
-        (load_widen_i8_v8(a + i) - za_v) * (load_widen_i8_v8(b + i) - zb_v);
-    requant_clamp_store_i8_v8(acc, m_v, e_v, p.zo, -128, 127, y + i);
+    v8s32_fx av, bv;
+    load_widen_i8_v8(a + i, av);
+    av -= za_v;
+    load_widen_i8_v8(b + i, bv);
+    requant_clamp_store_i8_v8(av * (bv - zb_v), m_v, e_v, p.zo, -128, 127,
+                              y + i);
   }
   for (; i < len; ++i) y[i] = mul_emit_scalar(p, a[i], b[i]);
 }
@@ -321,7 +327,9 @@ void mean_vec(const PackedEwMeanI8& p, const std::int8_t* x, std::int64_t hw,
   for (; c + 8 <= ch; c += 8) {
     v8s32_fx acc = init_v;
     for (std::int64_t px = 0; px < hw; ++px) {
-      acc += load_widen_i8_v8(x + px * ch + c);
+      v8s32_fx xv;
+      load_widen_i8_v8(x + px * ch + c, xv);
+      acc += xv;
     }
     requant_clamp_store_i8_v8(acc, m_v, e_v, p.out_zp, -128, 127, y + c);
   }

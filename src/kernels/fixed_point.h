@@ -62,10 +62,10 @@ inline std::int8_t clamp_to_i8(std::int32_t v) {
   return static_cast<std::int8_t>(v);
 }
 
-// Eight-lane vector form of multiply_by_quantized_multiplier, bit-identical
-// per lane to the scalar function (FixedPoint.VectorRequantMatchesScalar
-// compares them lane by lane). GNU vector extensions, so one definition
-// serves every target.
+// Eight-lane vector form of multiply_by_quantized_multiplier, in place on
+// `x` and bit-identical per lane to the scalar function
+// (FixedPoint.VectorRequantMatchesScalar compares them lane by lane). GNU
+// vector extensions, so one definition serves every target.
 //
 // The high multiply rounds half up, (x * m + 2^30) >> 31, where the scalar
 // spec nudges toward zero and truncates. The two agree for every x: for
@@ -83,9 +83,9 @@ using v8s32_fx = std::int32_t __attribute__((vector_size(32), aligned(4)));
 inline constexpr bool kLittleEndian =
     __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
 
-inline v8s32_fx multiply_by_quantized_multiplier_v8(v8s32_fx x,
-                                                    v8s32_fx multiplier,
-                                                    v8s32_fx shift_exp) {
+inline void multiply_by_quantized_multiplier_v8(v8s32_fx& x,
+                                                const v8s32_fx& multiplier,
+                                                const v8s32_fx& shift_exp) {
   using v4s64 = std::int64_t __attribute__((vector_size(32)));
   const v4s64 half = (v4s64){} + (std::int64_t{1} << 30);
   const v4s64 x64 = (v4s64)x;
@@ -113,7 +113,7 @@ inline v8s32_fx multiply_by_quantized_multiplier_v8(v8s32_fx x,
   v8s32_fx result = high >> shift_exp;
   const v8s32_fx threshold = (mask >> 1) + ((high < 0) & 1);
   result += (remainder > threshold) & 1;
-  return result;
+  x = result;
 }
 
 // The shared int8 kernel epilogue for 8 consecutive output channels:
@@ -125,16 +125,18 @@ inline v8s32_fx multiply_by_quantized_multiplier_v8(v8s32_fx x,
 // 16-byte-result shuffle (one vpermb with AVX-512VBMI, two vpshufb, a
 // permute and an or on AVX2). GCC 12 scalarizes the equivalent
 // __builtin_convertvector to int8 into ~32 instructions at x86-64-v3.
-inline void requant_clamp_store_i8_v8(v8s32_fx acc, v8s32_fx multiplier,
-                                      v8s32_fx shift_exp, std::int32_t out_zp,
+inline void requant_clamp_store_i8_v8(const v8s32_fx& acc,
+                                      const v8s32_fx& multiplier,
+                                      const v8s32_fx& shift_exp,
+                                      std::int32_t out_zp,
                                       std::int32_t act_min,
                                       std::int32_t act_max,
                                       std::int8_t* dst) {
   using v32s8 = std::int8_t __attribute__((vector_size(32)));
   using v16s8 = std::int8_t __attribute__((vector_size(16)));
-  v8s32_fx v = multiply_by_quantized_multiplier_v8(acc, multiplier,
-                                                   shift_exp) +
-               ((v8s32_fx){} + out_zp);
+  v8s32_fx v = acc;
+  multiply_by_quantized_multiplier_v8(v, multiplier, shift_exp);
+  v += (v8s32_fx){} + out_zp;
   const v8s32_fx vmax = (v8s32_fx){} + act_max;
   const v8s32_fx vmin = (v8s32_fx){} + act_min;
   v = v > vmax ? vmax : v;
@@ -152,7 +154,7 @@ inline void requant_clamp_store_i8_v8(v8s32_fx acc, v8s32_fx multiplier,
 // int8 -> int16 -> int32, which compiles to five instructions on AVX2
 // (vpmovsxbw, two vpmovsxwd, a shift and an insert). GCC 12 scalarizes the
 // direct 8 x int8 -> 8 x int32 convert into ~31.
-inline v8s32_fx load_widen_i8_v8(const std::int8_t* src) {
+inline void load_widen_i8_v8(const std::int8_t* src, v8s32_fx& out) {
   using v2s64 = std::int64_t __attribute__((vector_size(16)));
   using v16s8 = std::int8_t __attribute__((vector_size(16)));
   using v16s16 = std::int16_t __attribute__((vector_size(32)));
@@ -163,7 +165,7 @@ inline v8s32_fx load_widen_i8_v8(const std::int8_t* src) {
       __builtin_convertvector((v16s8)(v2s64){bits, 0}, v16s16);
   const v8s16 w8 =
       __builtin_shufflevector(w16, w16, 0, 1, 2, 3, 4, 5, 6, 7);
-  return __builtin_convertvector(w8, v8s32_fx);
+  out = __builtin_convertvector(w8, v8s32_fx);
 }
 
 }  // namespace mlexray

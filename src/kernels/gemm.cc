@@ -44,12 +44,12 @@ constexpr std::int64_t kNrIP = kGemmNrI8;
 // Unaligned-load flavour for B panels and bias columns.
 using v8f_u = float __attribute__((vector_size(32), aligned(4)));
 
-inline v8f load_v8(const float* p) { return *reinterpret_cast<const v8f_u*>(p); }
-
 // Activates and stores one panel row: a single vector store when the
 // panel is full, the nr < kNrF real columns lane by lane otherwise.
-inline void store_v8(float* dst, v8f v, Activation act, std::int64_t nr) {
-  v = activate_v8(v, act);
+inline void store_v8(float* dst, const v8f& acc, Activation act,
+                     std::int64_t nr) {
+  v8f v = acc;
+  activate_v8(v, act);
   if (nr >= kNrF) {
     __builtin_memcpy(dst, &v, sizeof(v));
   } else {
@@ -62,8 +62,9 @@ inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
                             const float* bp, const float* bias, Activation act,
                             float* c, std::int64_t ldc, std::int64_t nr) {
   const float* bq = bp + (NP > 1 ? k * kNrF : 0);  // the second panel
-  const v8f bias0 = load_v8(bias);
-  const v8f bias1 = NP > 1 ? load_v8(bias + kNrF) : v8f{};
+  const v8f bias0 = *reinterpret_cast<const v8f_u*>(bias);
+  const v8f bias1 =
+      NP > 1 ? *reinterpret_cast<const v8f_u*>(bias + kNrF) : v8f{};
   v8f acc00 = bias0, acc10 = bias0, acc20 = bias0, acc30 = bias0;
   v8f acc01 = bias1, acc11 = bias1, acc21 = bias1, acc31 = bias1;
   const float* a0 = a;
@@ -71,27 +72,37 @@ inline void tile_f32_packed(std::int64_t k, const float* a, std::int64_t lda,
   const float* a2 = a + (MR > 2 ? 2 * lda : 0);
   const float* a3 = a + (MR > 3 ? 3 * lda : 0);
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const v8f b0 = load_v8(bp + kk * kNrF);
+    const v8f b0 = *reinterpret_cast<const v8f_u*>(bp + kk * kNrF);
     acc00 += a0[kk] * b0;
     if constexpr (MR > 1) acc10 += a1[kk] * b0;
     if constexpr (MR > 2) acc20 += a2[kk] * b0;
     if constexpr (MR > 3) acc30 += a3[kk] * b0;
     if constexpr (NP > 1) {
-      const v8f b1 = load_v8(bq + kk * kNrF);
+      const v8f b1 = *reinterpret_cast<const v8f_u*>(bq + kk * kNrF);
       acc01 += a0[kk] * b1;
       if constexpr (MR > 1) acc11 += a1[kk] * b1;
       if constexpr (MR > 2) acc21 += a2[kk] * b1;
       if constexpr (MR > 3) acc31 += a3[kk] * b1;
     }
   }
-  auto store_row = [&](float* cr, v8f lo, v8f hi) {
-    store_v8(cr, lo, act, nr);
-    if constexpr (NP > 1) store_v8(cr + kNrF, hi, act, nr - kNrF);
-  };
-  store_row(c, acc00, acc01);
-  if constexpr (MR > 1) store_row(c + ldc, acc10, acc11);
-  if constexpr (MR > 2) store_row(c + 2 * ldc, acc20, acc21);
-  if constexpr (MR > 3) store_row(c + 3 * ldc, acc30, acc31);
+  // Direct calls rather than a per-row lambda: a lambda taking the
+  // accumulators by reference keeps them addressable until it is inlined,
+  // and GCC then sizes the 4x2 tile's frame too large to inline it into
+  // tile_f32_rows.
+  store_v8(c, acc00, act, nr);
+  if constexpr (NP > 1) store_v8(c + kNrF, acc01, act, nr - kNrF);
+  if constexpr (MR > 1) {
+    store_v8(c + ldc, acc10, act, nr);
+    if constexpr (NP > 1) store_v8(c + ldc + kNrF, acc11, act, nr - kNrF);
+  }
+  if constexpr (MR > 2) {
+    store_v8(c + 2 * ldc, acc20, act, nr);
+    if constexpr (NP > 1) store_v8(c + 2 * ldc + kNrF, acc21, act, nr - kNrF);
+  }
+  if constexpr (MR > 3) {
+    store_v8(c + 3 * ldc, acc30, act, nr);
+    if constexpr (NP > 1) store_v8(c + 3 * ldc + kNrF, acc31, act, nr - kNrF);
+  }
 }
 
 template <int NP>
@@ -315,7 +326,7 @@ inline void matvec_i8_kmajor(std::int64_t nc, std::int64_t k,
 
 #elif defined(__AVX2__)
 
-inline std::int32_t hsum_epi32(__m256i v) {
+inline std::int32_t hsum_epi32(const __m256i& v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
   __m128i s = _mm_add_epi32(lo, hi);

@@ -323,7 +323,8 @@ void addsub_span_f32(const float* a, const float* b, float* y,
     v8f av, bv;
     __builtin_memcpy(&av, a + i, sizeof(av));
     __builtin_memcpy(&bv, b + i, sizeof(bv));
-    const v8f v = activate_v8(kIsSub ? av - bv : av + bv, act);
+    v8f v = kIsSub ? av - bv : av + bv;
+    activate_v8(v, act);
     __builtin_memcpy(y + i, &v, sizeof(v));
   }
   for (; i < len; ++i) {
@@ -618,10 +619,11 @@ void dequantize_i8_opt(const KernelContext& ctx) {
   const v8s32_fx vzp = (v8s32_fx){} + zp;
   const v8f vscale = (v8f){} + scale;
   for (; i + 8 <= n; i += 8) {
-    const v8s32_fx q = load_widen_i8_v8(src + i) - vzp;
+    v8s32_fx q;
+    load_widen_i8_v8(src + i, q);
     // Same per-element arithmetic as the reference (int subtract, convert,
     // one multiply) — bit-exact.
-    const v8f f = __builtin_convertvector(q, v8f) * vscale;
+    const v8f f = __builtin_convertvector(q - vzp, v8f) * vscale;
     __builtin_memcpy(dst + i, &f, sizeof(f));
   }
   for (; i < n; ++i) {

@@ -286,29 +286,54 @@ TEST(Assertions, ChannelAssertionSilentWhenCorrect) {
 
 class PreprocBugAssertions : public ::testing::TestWithParam<PreprocBug> {};
 
+// One row of the bug matrix: the playback injects GetParam(), and each of
+// the four recompute-and-match assertions must trigger exactly when it
+// names that bug. The kNone row is a clean playback that trips none.
 TEST_P(PreprocBugAssertions, RecomputeAndMatchIdentifiesInjectedBug) {
-  PreprocBug bug = GetParam();
+  PreprocBug injected = GetParam();
   ZooModel zm = tiny_image_model();
   RefOpResolver ref;
   auto data = sensors(1);
   MonitorOptions opts;
   Trace edge = run_classification_playback(
-      zm.model, ref, data, {zm.model.input_spec, bug}, opts, "edge");
+      zm.model, ref, data, {zm.model.input_spec, injected}, opts, "edge");
   Trace reference = run_reference_classification(zm.model, data, opts);
-  // The matching assertion triggers...
-  AssertionFn matching = make_preproc_bug_assertion(zm.model.input_spec, bug);
-  EXPECT_TRUE(matching(edge, reference).triggered);
-  // ...and the assertion for a DIFFERENT bug stays silent.
-  PreprocBug other = bug == PreprocBug::kRotated90 ? PreprocBug::kWrongResize
-                                                   : PreprocBug::kRotated90;
-  AssertionFn mismatched = make_preproc_bug_assertion(zm.model.input_spec, other);
-  EXPECT_FALSE(mismatched(edge, reference).triggered);
+  for (PreprocBug asserted :
+       {PreprocBug::kWrongResize, PreprocBug::kWrongChannelOrder,
+        PreprocBug::kWrongNormalization, PreprocBug::kRotated90}) {
+    AssertionFn assertion =
+        make_preproc_bug_assertion(zm.model.input_spec, asserted);
+    const AssertionResult r = assertion(edge, reference);
+    EXPECT_EQ(r.triggered, asserted == injected)
+        << "injected " << preproc_bug_name(injected) << ", asserted "
+        << preproc_bug_name(asserted) << ": " << r.message;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBugs, PreprocBugAssertions,
     ::testing::Values(PreprocBug::kWrongResize, PreprocBug::kWrongChannelOrder,
-                      PreprocBug::kWrongNormalization, PreprocBug::kRotated90));
+                      PreprocBug::kWrongNormalization, PreprocBug::kRotated90,
+                      PreprocBug::kNone));
+
+// Device-supplied traces are hostile: deserialize_tensor accepts a
+// [0,96,3] u8 sensor.raw with no payload. The resize_function assertion
+// recomputes the pipeline from it and must fail with MlxError before
+// reading a byte.
+TEST(Assertions, EmptySensorInCraftedTraceThrows) {
+  Trace crafted;
+  FrameTrace f;
+  f.tensors[trace_keys::kSensorRaw] = Tensor::u8(Shape{0, 96, 3});
+  f.tensors[trace_keys::kPreprocessOut] = Tensor::f32(Shape{1, 32, 32, 3});
+  crafted.frames.push_back(std::move(f));
+  const Trace edge = deserialize_trace(serialize_trace(crafted));
+  ASSERT_EQ(edge.frames.size(), 1u);
+  ASSERT_EQ(edge.frames[0].tensor(trace_keys::kSensorRaw).shape(),
+            (Shape{0, 96, 3}));
+  AssertionFn resize_function = make_preproc_bug_assertion(
+      tiny_image_model().model.input_spec, PreprocBug::kWrongResize);
+  EXPECT_THROW(resize_function(edge, Trace{}), MlxError);
+}
 
 TEST(Assertions, NormalizationRangeDetected) {
   ZooModel zm = tiny_image_model();

@@ -86,7 +86,8 @@ TEST(FixedPoint, VectorRequantMatchesScalar) {
           mv[l] = ms[(j + static_cast<std::size_t>(l)) % ms.size()];
           ev[l] = (e + l) % 32;
         }
-        const v8s32_fx got = multiply_by_quantized_multiplier_v8(xv, mv, ev);
+        v8s32_fx got = xv;
+        multiply_by_quantized_multiplier_v8(got, mv, ev);
         std::int32_t want[8];
         // The epilogue's contract: requantized value + zero point fits in
         // int32 (every kernel's accumulators sit far inside it). Only the

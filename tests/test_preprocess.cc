@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/common/rng.h"
 #include "src/preprocess/audio.h"
 #include "src/preprocess/image.h"
 #include "src/preprocess/text.h"
+#include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
@@ -170,6 +172,174 @@ TEST(ImagePipeline, ChannelBugIsExactlyASwap) {
     std::swap(q[i * 3], q[i * 3 + 2]);
   }
   EXPECT_TRUE(all_close(buggy, correct, 1e-5));
+}
+
+// The staged composition run_image_pipeline replaced: one tensor per stage,
+// each from its reference function. The one pass must match it byte for
+// byte.
+Tensor staged_image_pipeline(const Tensor& sensor_u8_hwc,
+                             const ImagePipelineConfig& config) {
+  const InputSpec& spec = config.spec;
+  Tensor img = image_u8_to_f32(sensor_u8_hwc);
+
+  if (config.bug == PreprocBug::kRotated90) {
+    img = rotate90_clockwise(img);
+  }
+
+  ResizeMethod method = spec.resize;
+  if (config.bug == PreprocBug::kWrongResize) {
+    method = method == ResizeMethod::kAreaAverage ? ResizeMethod::kBilinear
+                                                  : ResizeMethod::kAreaAverage;
+  }
+  img = method == ResizeMethod::kAreaAverage
+            ? resize_area_average(img, spec.height, spec.width)
+            : resize_bilinear(img, spec.height, spec.width);
+
+  bool want_bgr = spec.channel_order == ChannelOrder::kBGR;
+  if (config.bug == PreprocBug::kWrongChannelOrder) want_bgr = !want_bgr;
+  if (want_bgr) img = swap_red_blue(img);
+
+  float lo = spec.range_lo;
+  float hi = spec.range_hi;
+  if (config.bug == PreprocBug::kWrongNormalization) {
+    if (lo < 0.0f) {
+      lo = 0.0f;
+    } else {
+      lo = -1.0f;
+      hi = 1.0f;
+    }
+  }
+  img = normalize_image(img, lo, hi);
+  return add_batch_dim(img);
+}
+
+Tensor random_sensor(int h, int w, int c, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  Tensor img = Tensor::u8(Shape{h, w, c});
+  auto* p = img.data<std::uint8_t>();
+  for (std::int64_t i = 0; i < img.num_elements(); ++i) {
+    p[i] = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  return img;
+}
+
+constexpr PreprocBug kAllBugs[] = {
+    PreprocBug::kNone, PreprocBug::kWrongResize, PreprocBug::kWrongChannelOrder,
+    PreprocBug::kWrongNormalization, PreprocBug::kRotated90};
+
+TEST(ImagePipeline, OnePassMatchesStagedReference) {
+  // 96x96x3 is every zoo model's sensor; the rest cover non-integer and
+  // upsampling ratios, non-square and rotated geometry, and the one- and
+  // four-channel paths.
+  const int sensors[][3] = {{96, 96, 3}, {100, 75, 3}, {20, 20, 3},
+                            {33, 64, 3}, {97, 31, 3},  {96, 96, 1},
+                            {16, 16, 4}};
+  const int outputs[][2] = {{32, 32}, {24, 32}};
+  int compared = 0, rejected = 0;
+  for (const auto& sd : sensors) {
+    const Tensor sensor = random_sensor(sd[0], sd[1], sd[2], 31 + sd[0] + sd[2]);
+    for (const auto& od : outputs) {
+      for (ResizeMethod resize :
+           {ResizeMethod::kAreaAverage, ResizeMethod::kBilinear}) {
+        for (ChannelOrder order : {ChannelOrder::kRGB, ChannelOrder::kBGR}) {
+          for (float range_lo : {-1.0f, 0.0f}) {
+            for (PreprocBug bug : kAllBugs) {
+              InputSpec spec;
+              spec.height = od[0];
+              spec.width = od[1];
+              spec.channels = sd[2];
+              spec.resize = resize;
+              spec.channel_order = order;
+              spec.range_lo = range_lo;
+              spec.range_hi = 1.0f;
+              const ImagePipelineConfig config{spec, bug};
+              SCOPED_TRACE(sensor.shape().to_string() + " -> " +
+                           std::to_string(od[0]) + "x" +
+                           std::to_string(od[1]) + " " +
+                           resize_method_name(resize) + " " +
+                           channel_order_name(order) + " lo=" +
+                           std::to_string(range_lo) + " bug=" +
+                           preproc_bug_name(bug));
+              Tensor want;
+              try {
+                want = staged_image_pipeline(sensor, config);
+              } catch (const MlxError&) {
+                // BGR from a one-channel sensor: swap_red_blue refuses it.
+                EXPECT_THROW(run_image_pipeline(sensor, config), MlxError);
+                ++rejected;
+                continue;
+              }
+              const Tensor got = run_image_pipeline(sensor, config);
+              ASSERT_EQ(got.shape(), want.shape());
+              EXPECT_EQ(std::memcmp(got.raw_data(), want.raw_data(),
+                                    want.byte_size()),
+                        0);
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Per (output, resize, range) on the one-channel sensor, 5 of the 10
+  // (order, bug) pairs ask for BGR: RGB with the channel bug, and BGR with
+  // any other.
+  EXPECT_EQ(rejected, 2 * 2 * 2 * 5);
+  EXPECT_EQ(compared + rejected, 7 * 2 * 2 * 2 * 2 * 5);
+}
+
+TEST(ImagePipeline, OneTrackedAllocationPerCall) {
+  InputSpec spec;
+  spec.height = 32;
+  spec.width = 32;
+  spec.channels = 3;
+  const Tensor sensor = random_sensor(96, 96, 3, 12);
+  for (PreprocBug bug : kAllBugs) {
+    const std::uint64_t before = AllocStats::instance().alloc_events();
+    const Tensor out = run_image_pipeline(sensor, {spec, bug});
+    EXPECT_EQ(AllocStats::instance().alloc_events() - before, 1u)
+        << preproc_bug_name(bug);
+  }
+}
+
+TEST(ImagePipeline, RejectsWhatNoResizeCanRead) {
+  InputSpec spec;
+  spec.height = 8;
+  spec.width = 8;
+  spec.channels = 3;
+  for (PreprocBug bug : kAllBugs) {
+    // Empty sensors, as a crafted trace can deliver them.
+    for (const Shape& s : {Shape{0, 96, 3}, Shape{96, 0, 3}, Shape{4, 4, 0}}) {
+      EXPECT_THROW(run_image_pipeline(Tensor::u8(s), {spec, bug}), MlxError)
+          << s.to_string();
+    }
+    EXPECT_THROW(run_image_pipeline(Tensor::u8(Shape{16, 48}), {spec, bug}),
+                 MlxError);
+    EXPECT_THROW(run_image_pipeline(Tensor::f32(Shape{8, 8, 3}), {spec, bug}),
+                 MlxError);
+    Tensor quantized = random_sensor(8, 8, 3, 1);
+    quantized.quant() = QuantParams::per_tensor(0.5f, 3);
+    EXPECT_THROW(run_image_pipeline(quantized, {spec, bug}), MlxError);
+    // Output sizes below 1x1, as a crafted graph's InputSpec can carry them.
+    for (int bad : {0, -3}) {
+      InputSpec tiny = spec;
+      tiny.height = bad;
+      EXPECT_THROW(run_image_pipeline(random_sensor(8, 8, 3, 2), {tiny, bug}),
+                   MlxError);
+      tiny = spec;
+      tiny.width = bad;
+      EXPECT_THROW(run_image_pipeline(random_sensor(8, 8, 3, 2), {tiny, bug}),
+                   MlxError);
+    }
+  }
+  const Tensor empty = Tensor::f32(Shape{0, 96, 3});
+  EXPECT_THROW(resize_bilinear(empty, 8, 8), MlxError);
+  EXPECT_THROW(resize_area_average(empty, 8, 8), MlxError);
+  const Tensor img = image_u8_to_f32(random_sensor(8, 8, 3, 3));
+  for (auto [oh, ow] : {std::pair{0, 8}, std::pair{8, 0}, std::pair{-1, 8}}) {
+    EXPECT_THROW(resize_bilinear(img, oh, ow), MlxError);
+    EXPECT_THROW(resize_area_average(img, oh, ow), MlxError);
+  }
 }
 
 // --- audio ---
