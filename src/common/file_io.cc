@@ -135,12 +135,6 @@ std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
   return bytes;
 }
 
-void write_text_file(const std::filesystem::path& path,
-                     const std::string& text) {
-  std::vector<std::uint8_t> bytes(text.begin(), text.end());
-  write_file(path, bytes);
-}
-
 std::string read_text_file(const std::filesystem::path& path) {
   auto bytes = read_file(path);
   return std::string(bytes.begin(), bytes.end());

@@ -68,8 +68,6 @@ class BinaryReader {
 void write_file(const std::filesystem::path& path,
                 const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path);
-void write_text_file(const std::filesystem::path& path,
-                     const std::string& text);
 std::string read_text_file(const std::filesystem::path& path);
 
 // Root directory for cached artifacts (trained checkpoints, traces). Honors

@@ -13,6 +13,11 @@ namespace {
 // Reserved capacity for scalar entries per frame; grows (once, with
 // persistent capacity) only if a pipeline logs more custom scalars.
 constexpr std::size_t kScalarReserve = 16;
+// Capture-frame ring size while spooling. A ring deeper than two lets the
+// spool worker batch several completed frames into one write per wakeup,
+// cutting syscall count for high-FPS pipelines; the hot thread only blocks
+// when all spare frames are queued behind the writer.
+constexpr std::size_t kSpoolRingFrames = 4;
 }  // namespace
 
 TraceBuffer::TraceBuffer(MonitorOptions options) : options_(options) {
@@ -297,9 +302,7 @@ void TraceBuffer::open_spool(const std::filesystem::path& path) {
   // Widen the capture ring so several completed frames can queue behind the
   // writer (the batching that amortizes one write over many frames). Done
   // before any frame is enqueued, so growing the vector is safe.
-  const auto ring = static_cast<std::size_t>(
-      options_.spool_queue_frames < 2 ? 2 : options_.spool_queue_frames);
-  while (frames_.size() < ring) {
+  while (frames_.size() < kSpoolRingFrames) {
     frames_.emplace_back();
     size_frame(frames_.back());
   }

@@ -64,11 +64,6 @@ struct MonitorOptions {
   // reach the spool file when spooling is active). Overhead benchmarks and
   // fire-and-forget deployments use this to keep memory flat.
   bool retain_frames = true;
-  // Capture-frame ring size while spooling (clamped to >= 2). A deeper ring
-  // lets the spool worker batch several completed frames into one write per
-  // wakeup, cutting syscall count for high-FPS pipelines; the hot thread
-  // only blocks when all spare frames are queued behind the writer.
-  int spool_queue_frames = 4;
 };
 
 class TraceBuffer : public InvokeObserver {
@@ -148,7 +143,7 @@ class TraceBuffer : public InvokeObserver {
   // Index of the buffer currently capturing — cycles through the ring on
   // next_frame(); tests assert the buffer rotation through it.
   int active_buffer() const { return active_; }
-  // Number of capture buffers in the ring (2 unless spooling widened it).
+  // Number of capture buffers in the ring (2, or 4 while spooling).
   int buffer_count() const { return static_cast<int>(frames_.size()); }
   // Bytes a fully captured frame holds (layer bytes + model outputs), i.e.
   // the per-frame capture cost of the current mode.

@@ -6,7 +6,6 @@
 
 #include "src/common/string_util.h"
 #include "src/core/pipelines.h"
-#include "src/drift/aggregator.h"
 #include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
@@ -21,6 +20,30 @@ AccuracyReport DeploymentValidator::validate_accuracy(
   r.degraded = r.drop > tolerance;
   return r;
 }
+
+namespace {
+
+// Every frame of `trace` must carry frame 0's layer layout: the same layer
+// names, and one entry per layer in the per-layer vector `entries` names. A
+// crafted or mixed trace fails here, naming the frame, instead of indexing
+// past the end of a shorter frame.
+template <typename T>
+void check_layer_layout(const Trace& trace,
+                        const std::vector<T> FrameTrace::*entries,
+                        const char* what) {
+  const std::vector<std::string>& names = trace.frames[0].layer_names;
+  for (std::size_t f = 0; f < trace.frames.size(); ++f) {
+    const FrameTrace& frame = trace.frames[f];
+    MLX_CHECK(frame.layer_names == names &&
+              (frame.*entries).size() == names.size())
+        << "trace '" << trace.pipeline_name << "' frame " << f << " (id "
+        << frame.frame_id << ") carries " << frame.layer_names.size()
+        << " layer name(s) and " << (frame.*entries).size() << " " << what
+        << ", unlike frame 0's " << names.size() << " layer(s)";
+  }
+}
+
+}  // namespace
 
 PerLayerReport DeploymentValidator::per_layer_drift(const Trace& edge,
                                                     const Trace& reference,
@@ -37,6 +60,8 @@ PerLayerReport DeploymentValidator::per_layer_drift(const Trace& edge,
       reference.frames[0].layer_outputs.empty()) {
     return report;
   }
+  check_layer_layout(edge, &FrameTrace::layer_outputs, "layer output(s)");
+  check_layer_layout(reference, &FrameTrace::layer_outputs, "layer output(s)");
 
   // Reference layer lookup by name (same for all frames).
   std::map<std::string, std::size_t> ref_index;
@@ -55,53 +80,13 @@ PerLayerReport DeploymentValidator::per_layer_drift(const Trace& edge,
       // Traces capture layer outputs in their raw dtype (quantized layers
       // stay int8 on the device); every error metric dequantizes via
       // Tensor::to_f32 internally — this is the offline read path.
-      const Tensor& e = edge.frames[f].layer_outputs.at(li);
-      const Tensor& r = reference.frames[f].layer_outputs.at(it->second);
-      double err = 0.0;
-      switch (metric) {
-        case ErrorMetric::kNormalizedRmse: err = normalized_rmse(e, r); break;
-        case ErrorMetric::kLinf: err = linf_error(e, r); break;
-        case ErrorMetric::kCosine: err = cosine_distance(e, r); break;
-      }
-      sum += err;
+      const Tensor& e = edge.frames[f].layer_outputs[li];
+      const Tensor& r = reference.frames[f].layer_outputs[it->second];
+      sum += metric == ErrorMetric::kLinf ? linf_error(e, r)
+                                          : normalized_rmse(e, r);
     }
-    LayerDrift drift;
-    drift.layer = name;
-    drift.error = sum / static_cast<double>(edge.frames.size());
-    drift.suspect = drift.error > threshold;
-    if (drift.suspect && !report.first_suspect.has_value()) {
-      report.first_suspect = name;
-    }
-    report.drifts.push_back(std::move(drift));
-  }
-  return report;
-}
-
-PerLayerReport DeploymentValidator::per_layer_digest_drift(
-    const Trace& edge, const Trace& reference, double threshold) const {
-  PerLayerReport report;
-  report.threshold = threshold;
-
-  // Merge each side's per-layer digests across frames (digest frames as-is,
-  // raw per-layer frames digested on the fly), keyed by layer name.
-  std::vector<std::string> edge_order;
-  std::map<std::string, LayerDigest> edge_merged;
-  std::map<std::string, LayerDigest> ref_merged;
-  merge_trace_digests(edge, edge_merged, &edge_order);
-  merge_trace_digests(reference, ref_merged);
-
-  for (const std::string& name : edge_order) {
-    const auto eit = edge_merged.find(name);
-    const auto rit = ref_merged.find(name);
-    if (eit == edge_merged.end() || rit == ref_merged.end()) continue;
-    LayerDrift drift;
-    drift.layer = name;
-    drift.error = digest_drift(eit->second, rit->second);
-    drift.suspect = drift.error > threshold;
-    if (drift.suspect && !report.first_suspect.has_value()) {
-      report.first_suspect = name;
-    }
-    report.drifts.push_back(std::move(drift));
+    const std::size_t frames = edge.frames.size();
+    report.add(name, sum / static_cast<double>(frames), frames);
   }
   return report;
 }
@@ -111,12 +96,16 @@ LatencyReport DeploymentValidator::per_layer_latency(
   LatencyReport report;
   if (trace.frames.empty()) return report;
   const FrameTrace& f0 = trace.frames[0];
-  MLX_CHECK_EQ(f0.layer_names.size(), f0.layer_latency_ms.size())
-      << "trace lacks per-layer latency";
+  MLX_CHECK(!f0.layer_latency_ms.empty())
+      << "trace '" << trace.pipeline_name << "' frame 0 (id " << f0.frame_id
+      << ") carries no per-layer latency (recorded with per_layer_latency "
+         "off, or without an invoke)";
+  check_layer_layout(trace, &FrameTrace::layer_latency_ms,
+                     "layer latency value(s)");
   std::vector<double> means(f0.layer_names.size(), 0.0);
   for (const FrameTrace& f : trace.frames) {
     for (std::size_t i = 0; i < means.size(); ++i) {
-      means[i] += f.layer_latency_ms.at(i);
+      means[i] += f.layer_latency_ms[i];
     }
   }
   std::vector<double> sorted;

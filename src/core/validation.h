@@ -4,32 +4,21 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "src/core/trace.h"
+#include "src/drift/per_layer_report.h"
 
 namespace mlexray {
 
-// Pluggable layer-drift metric. kNormalizedRmse is the paper's rMSE-hat.
-enum class ErrorMetric { kNormalizedRmse, kLinf, kCosine };
+// Layer-drift metric: kNormalizedRmse is the paper's rMSE-hat; kLinf is the
+// largest element difference, for exact (threshold 0) localization.
+enum class ErrorMetric { kNormalizedRmse, kLinf };
 
 struct AccuracyReport {
   double edge_accuracy = 0.0;
   double reference_accuracy = 0.0;
   double drop = 0.0;           // reference - edge
   bool degraded = false;       // drop > tolerance
-};
-
-struct LayerDrift {
-  std::string layer;
-  double error = 0.0;     // averaged over frames
-  bool suspect = false;   // above threshold
-};
-
-struct PerLayerReport {
-  std::vector<LayerDrift> drifts;          // in execution order
-  std::optional<std::string> first_suspect;
-  double threshold = 0.0;
 };
 
 struct LayerLatency {
@@ -64,22 +53,17 @@ class DeploymentValidator {
 
   // Step 2: per-layer output drift, aligned by layer name (layers present in
   // both traces; extra Quantize/Dequantize layers are skipped naturally).
+  // Each layer's error is the metric averaged over every frame. Every frame
+  // must carry its trace's frame-0 layer layout; a ragged trace throws
+  // MlxError naming the frame. The digest-only counterpart is a one-device
+  // DriftAggregator report (src/drift/aggregator.h).
   PerLayerReport per_layer_drift(const Trace& edge, const Trace& reference,
                                  ErrorMetric metric = ErrorMetric::kNormalizedRmse,
                                  double threshold = 0.1) const;
 
-  // Step 2 over streaming digests: the same report shape, but the error is
-  // digest_drift (normalized quantile-curve distance, src/drift/digest.h)
-  // between each layer's digests merged across frames. Works when either
-  // trace was recorded digest-only (no raw tensors to diff pairwise) — the
-  // fleet-monitoring capture mode; raw per-layer traces are digested on the
-  // fly. Distribution-blind bugs (e.g. channel order) need the raw-tensor
-  // path above or the Engine canary.
-  PerLayerReport per_layer_digest_drift(const Trace& edge,
-                                        const Trace& reference,
-                                        double threshold = 0.1) const;
-
-  // Latency analysis on one trace: per-layer means + straggler flags.
+  // Latency analysis on one trace: per-layer means + straggler flags. The
+  // trace must carry per-layer latency in every frame, in frame 0's layer
+  // layout; otherwise it throws MlxError naming the frame.
   LatencyReport per_layer_latency(const Trace& trace,
                                   double straggler_factor = 8.0) const;
 

@@ -83,12 +83,13 @@ FleetReport DriftAggregator::report() const {
   report.threshold = threshold_;
 
   // Per-device pass: drift of every covered layer, worst layer, and the
-  // first suspect in reference execution order.
+  // device's verdict in reference execution order.
   std::map<std::string, std::vector<double>> drift_by_layer;
   for (const auto& [device_id, device] : devices_) {
     FleetDeviceDrift row;
     row.device_id = device_id;
     row.frames = device.frames;
+    row.drift.threshold = threshold_;
     for (const std::string& layer : reference_order_) {
       const auto ref_it = reference_.find(layer);
       const auto dev_it = device.layers.find(layer);
@@ -101,9 +102,7 @@ FleetReport DriftAggregator::report() const {
         row.max_drift = drift;
         row.worst_layer = layer;
       }
-      if (!row.first_suspect.has_value() && drift > threshold_) {
-        row.first_suspect = layer;
-      }
+      row.drift.add(layer, drift, device.frames);
     }
     report.outliers.push_back(std::move(row));
   }
@@ -134,7 +133,9 @@ FleetReport DriftAggregator::report() const {
   // earliest divergent layer).
   std::map<std::string, std::size_t> votes;
   for (const FleetDeviceDrift& device : report.outliers) {
-    if (device.first_suspect.has_value()) ++votes[*device.first_suspect];
+    if (device.drift.first_suspect.has_value()) {
+      ++votes[*device.drift.first_suspect];
+    }
   }
   std::size_t best = 0;
   for (const std::string& layer : reference_order_) {
@@ -174,8 +175,8 @@ std::string render_fleet_report(const FleetReport& report,
     }
     out << "  " << device.device_id << "  max drift " << device.max_drift
         << " at " << device.worst_layer;
-    if (device.first_suspect.has_value()) {
-      out << ", first suspect " << *device.first_suspect;
+    if (device.drift.first_suspect.has_value()) {
+      out << ", first suspect " << *device.drift.first_suspect;
     }
     out << " (" << device.frames << " frame(s))\n";
   }

@@ -12,7 +12,9 @@
 //  - per-layer drift distribution across devices (min / p50 / p90 / max);
 //  - outlier-device ranking by worst-layer drift;
 //  - per-device and modal fleet-wide first-suspect localization (Fig-6
-//    style, but over distributions instead of paired tensors).
+//    style, but over distributions instead of paired tensors). Each
+//    device's verdict is a PerLayerReport, so a one-device aggregator is
+//    the digest-only counterpart of DeploymentValidator::per_layer_drift.
 //
 // The reference may be a digest trace or a raw per-layer-output trace (the
 // aggregator digests raw tensors on the fly), so a workstation-recorded
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "src/core/trace.h"
+#include "src/drift/per_layer_report.h"
 
 namespace mlexray {
 
@@ -39,7 +42,7 @@ std::vector<LayerDigest> frame_layer_digests(const FrameTrace& frame);
 // Merges every frame's frame_layer_digests into `layers`, keyed by layer
 // name. When `order` is non-null and still empty, it takes the layer names
 // of the first frame that has digests. The one digest merge behind
-// DriftAggregator and DeploymentValidator::per_layer_digest_drift.
+// DriftAggregator and `mlexray_cli trace-info`.
 void merge_trace_digests(const Trace& trace,
                          std::map<std::string, LayerDigest>& layers,
                          std::vector<std::string>* order = nullptr);
@@ -60,7 +63,9 @@ struct FleetDeviceDrift {
   std::size_t frames = 0;
   double max_drift = 0.0;   // worst layer's drift
   std::string worst_layer;
-  std::optional<std::string> first_suspect;  // per-device localization
+  // The device's per-layer verdict in reference execution order: digest
+  // drift per covered layer, samples = the device's frames.
+  PerLayerReport drift;
 };
 
 struct FleetReport {
@@ -69,7 +74,7 @@ struct FleetReport {
   double threshold = 0.0;
   std::vector<FleetLayerDrift> layers;     // reference execution order
   std::vector<FleetDeviceDrift> outliers;  // ranked worst-first
-  // Most common per-device first suspect — the fleet's Fig-6 verdict.
+  // Most common per-device drift.first_suspect — the fleet's Fig-6 verdict.
   std::optional<std::string> first_suspect;
 };
 

@@ -6,10 +6,10 @@
 // a Session built from a *reference* graph + resolver (e.g. the float model,
 // or the production graph under the reference kernel set), replays the
 // production inputs, and accumulates per-layer normalized RMSE between the
-// production activations and the reference's. The running report localizes
-// the first divergent layer in execution order — the same verdict
-// DeploymentValidator::per_layer_drift reaches offline, but without raw
-// tensor capture and while the model keeps serving.
+// production activations and the reference's. The running report is the
+// PerLayerReport DeploymentValidator::per_layer_drift returns offline, built
+// by the same suspect rule, but without raw tensor capture and while the
+// model keeps serving. The canary's code lives in src/interpreter/engine.cc.
 //
 // Sampling contract: shadowing happens on the releasing thread when a lease
 // comes home, 1 out of every CanaryOptions::shadow_every releases whose
@@ -24,9 +24,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string>
-#include <vector>
+
+#include "src/drift/per_layer_report.h"
 
 namespace mlexray {
 
@@ -39,25 +38,17 @@ struct CanaryOptions {
   double drift_threshold = 0.1;
 };
 
-// One layer's running drift, in reference execution order.
-struct CanaryLayerDrift {
-  std::string layer;
-  double mean_error = 0.0;     // running mean normalized RMSE vs reference
-  std::uint64_t samples = 0;   // shadowed frames that compared this layer
-  bool suspect = false;        // mean_error > threshold
-};
-
 struct CanaryReport {
   bool enabled = false;
   std::uint64_t shadowed = 0;          // frames diffed against the reference
   std::uint64_t skipped_busy = 0;      // reference session held by another shadow
   std::uint64_t skipped_layout = 0;    // input layout mismatch after a hot-swap
   std::uint64_t reference_errors = 0;  // reference invoke failures
-  double threshold = 0.0;
-  std::vector<CanaryLayerDrift> layers;
-  // First layer in execution order whose running mean exceeds the threshold
-  // — the online counterpart of PerLayerReport::first_suspect.
-  std::optional<std::string> first_suspect;
+  // One row per reference plan step, in reference execution order: the
+  // running mean normalized RMSE, and as samples the shadowed frames that
+  // mapped the layer (a layer never mapped reports error 0, no suspect).
+  // drift.first_suspect is the online counterpart of per_layer_drift's.
+  PerLayerReport drift;
 };
 
 // Fired on the releasing thread after each shadowed frame (sampled slow
@@ -65,11 +56,9 @@ struct CanaryReport {
 // Engine's lease API for the same model).
 struct CanaryShadowEvent {
   std::uint64_t shadow_index = 0;  // 1-based count of shadowed frames
-  double max_layer_error = 0.0;    // worst single-layer error this frame
-  // First layer whose error exceeded the threshold in *this* frame; empty
-  // when the frame tracked the reference everywhere.
-  std::string first_divergent_layer;
-  int first_divergent_step = -1;
+  // This frame's verdict: one row per mapped layer, samples 1. Built only
+  // while an observer is attached.
+  PerLayerReport frame;
 };
 
 using CanaryObserver = std::function<void(const CanaryShadowEvent&)>;

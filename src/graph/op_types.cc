@@ -32,16 +32,6 @@ std::string op_type_name(OpType type) {
   MLX_FAIL() << "unknown op type";
 }
 
-std::string activation_name(Activation activation) {
-  switch (activation) {
-    case Activation::kNone: return "none";
-    case Activation::kRelu: return "relu";
-    case Activation::kRelu6: return "relu6";
-    case Activation::kHardSwish: return "hardswish";
-  }
-  MLX_FAIL() << "unknown activation";
-}
-
 std::string op_latency_group(OpType type) {
   switch (type) {
     case OpType::kDepthwiseConv2D: return "D-Conv";

@@ -54,7 +54,6 @@ enum class Activation : std::uint8_t {
 enum class Padding : std::uint8_t { kSame = 0, kValid = 1 };
 
 std::string op_type_name(OpType type);
-std::string activation_name(Activation activation);
 
 // Layer-type grouping used by the Table-4 bench ("D-Conv", "Conv", "FC", ...).
 std::string op_latency_group(OpType type);

@@ -99,6 +99,9 @@ struct Engine::CanaryState {
     }
     CanaryShadowEvent event;
     event.shadow_index = shadowed.fetch_add(1, std::memory_order_relaxed) + 1;
+    // The per-frame report allocates, so it is built only for an observer.
+    const bool observed = static_cast<bool>(observer);
+    event.frame.threshold = options.drift_threshold;
     const auto& steps = model->plan().steps();
     for (std::size_t s = 0; s < steps.size(); ++s) {
       const int prod_id = prod_node_for_step[s];
@@ -110,13 +113,9 @@ struct Engine::CanaryState {
           prod.node_output(prod_id), session->node_output(steps[s].node->id));
       err_sum[s] += err;
       ++err_count[s];
-      if (err > event.max_layer_error) event.max_layer_error = err;
-      if (event.first_divergent_step < 0 && err > options.drift_threshold) {
-        event.first_divergent_step = static_cast<int>(s);
-        event.first_divergent_layer = steps[s].node->name;
-      }
+      if (observed) event.frame.add(steps[s].node->name, err, 1);
     }
-    if (observer) observer(event);
+    if (observed) observer(event);
   }
 
   // Requires shadow_mu held.
@@ -127,22 +126,13 @@ struct Engine::CanaryState {
     report.skipped_busy = skipped_busy.load(std::memory_order_relaxed);
     report.skipped_layout = skipped_layout.load(std::memory_order_relaxed);
     report.reference_errors = reference_errors.load(std::memory_order_relaxed);
-    report.threshold = options.drift_threshold;
+    report.drift.threshold = options.drift_threshold;
     const auto& steps = model->plan().steps();
-    report.layers.reserve(steps.size());
+    report.drift.drifts.reserve(steps.size());
     for (std::size_t s = 0; s < steps.size(); ++s) {
-      CanaryLayerDrift layer;
-      layer.layer = steps[s].node->name;
-      layer.samples = err_count[s];
-      layer.mean_error =
-          err_count[s] > 0 ? err_sum[s] / static_cast<double>(err_count[s])
-                           : 0.0;
-      layer.suspect =
-          err_count[s] > 0 && layer.mean_error > options.drift_threshold;
-      if (layer.suspect && !report.first_suspect.has_value()) {
-        report.first_suspect = layer.layer;
-      }
-      report.layers.push_back(std::move(layer));
+      const std::uint64_t n = err_count[s];
+      report.drift.add(steps[s].node->name,
+                       n > 0 ? err_sum[s] / static_cast<double>(n) : 0.0, n);
     }
     return report;
   }

@@ -28,20 +28,6 @@ void poke_nan(Tensor& t) {
 }
 }  // namespace
 
-const char* invoke_code_name(InvokeCode code) {
-  switch (code) {
-    case InvokeCode::kOk:
-      return "ok";
-    case InvokeCode::kError:
-      return "error";
-    case InvokeCode::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case InvokeCode::kPoisoned:
-      return "poisoned";
-  }
-  return "unknown";
-}
-
 Session::Session(const Model* model) : model_(model) {
   const auto start = Clock::now();
   MLX_CHECK(model != nullptr);

@@ -42,8 +42,6 @@ enum class InvokeCode {
   kPoisoned,
 };
 
-const char* invoke_code_name(InvokeCode code);
-
 struct InvokeStatus {
   InvokeCode code = InvokeCode::kOk;
   // Plan-step index / node id where the failure or deadline hit (-1 when ok

@@ -36,8 +36,6 @@ class Calibrator {
   // Finalized range for a node under the configured method.
   Range range(int node_id) const;
 
-  int samples_seen() const { return samples_; }
-
  private:
   CalibrationOptions options_;
   RefOpResolver resolver_;  // calibration uses reference float kernels

@@ -69,12 +69,6 @@ Tensor Tensor::f32(Shape shape, std::vector<float> values) {
   return t;
 }
 
-Tensor Tensor::scalar_f32(float value) {
-  Tensor t(DType::kF32, Shape{1});
-  t.data<float>()[0] = value;
-  return t;
-}
-
 namespace {
 
 // Channel index of a flat element under per-channel quantization.
@@ -118,12 +112,6 @@ Tensor Tensor::to_f32() const {
     dst[i] = quant_.scale(ch) * static_cast<float>(q - quant_.zero_point(ch));
   }
   return out;
-}
-
-std::vector<float> Tensor::as_f32_vector() const {
-  MLX_CHECK(dtype_ == DType::kF32) << "as_f32_vector requires f32";
-  const float* p = data<float>();
-  return std::vector<float>(p, p + num_elements());
 }
 
 }  // namespace mlexray

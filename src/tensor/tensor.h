@@ -31,7 +31,6 @@ class Tensor {
   static Tensor i8(Shape shape) { return Tensor(DType::kI8, shape); }
   static Tensor u8(Shape shape) { return Tensor(DType::kU8, shape); }
   static Tensor i32(Shape shape) { return Tensor(DType::kI32, shape); }
-  static Tensor scalar_f32(float value);
 
   DType dtype() const { return dtype_; }
   const Shape& shape() const { return shape_; }
@@ -84,9 +83,6 @@ class Tensor {
   // Element-wise conversion to a float tensor; quantized tensors are
   // dequantized with their QuantParams.
   Tensor to_f32() const;
-
-  // Copies float values into a vector (requires kF32).
-  std::vector<float> as_f32_vector() const;
 
  private:
   void allocate();

@@ -76,24 +76,6 @@ double linf_error(const Tensor& a, const Tensor& b) {
   return worst;
 }
 
-double cosine_distance(const Tensor& a, const Tensor& b) {
-  check_comparable(a, b);
-  Tensor fa = a.to_f32();
-  Tensor fb = b.to_f32();
-  const float* pa = fa.data<float>();
-  const float* pb = fb.data<float>();
-  double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
-  for (std::int64_t i = 0; i < fa.num_elements(); ++i) {
-    dot += static_cast<double>(pa[i]) * pb[i];
-    na += static_cast<double>(pa[i]) * pa[i];
-    nb += static_cast<double>(pb[i]) * pb[i];
-  }
-  if (na == 0.0 || nb == 0.0) return (na == nb) ? 0.0 : 1.0;
-  return 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
 bool all_close(const Tensor& a, const Tensor& b, double tolerance) {
   if (a.num_elements() != b.num_elements()) return false;
   return linf_error(a, b) <= tolerance;

@@ -3,8 +3,8 @@
 // normalized_rmse() implements the paper's §3.4 drift metric:
 //   rMSE-hat = rMSE / (max_i(e_i) - min_i(e_i))
 // where e is the reference layer output. The validator uses it to localise
-// error-prone layers; alternative metrics (L-inf, cosine distance) are
-// provided for the ablation study.
+// error-prone layers; linf_error is the exact alternative, for localization
+// at threshold 0.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,6 @@ double normalized_rmse(const Tensor& test, const Tensor& reference);
 
 // Max absolute element difference.
 double linf_error(const Tensor& a, const Tensor& b);
-
-// 1 - cosine similarity of the flattened tensors (0 for identical direction).
-double cosine_distance(const Tensor& a, const Tensor& b);
 
 // True when all elements differ by at most tolerance (after dequantization).
 bool all_close(const Tensor& a, const Tensor& b, double tolerance);

@@ -55,7 +55,6 @@ class Trainer {
   const Tensor& weight_grad(int node_id, std::size_t weight_index) const;
 
   Graph& model() { return *model_; }
-  long steps_taken() const { return step_count_; }
 
  private:
   void forward_batch_norm(const Node& node);

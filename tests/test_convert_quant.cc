@@ -7,16 +7,10 @@
 #include "src/interpreter/session.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng, float lo = -1, float hi = 1) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) p[i] = rng.uniform(lo, hi);
-  return t;
-}
 
 // Post-activation net: conv -> bn -> relu -> dwconv -> bn -> relu6 -> fc.
 Graph post_act_model(std::uint64_t seed) {
@@ -88,7 +82,7 @@ TEST(Converter, FoldedModelMatchesCheckpoint) {
   Session vi(&converted_model);
   Pcg32 rng(2);
   for (int i = 0; i < 3; ++i) {
-    Tensor input = random_input(Shape{1, 8, 8, 3}, rng);
+    Tensor input = random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f);
     ci.set_input(0, input);
     vi.set_input(0, input);
     ci.invoke();
@@ -112,7 +106,7 @@ TEST(Converter, PreActBatchNormBecomesDepthwise) {
   Model converted_model(&converted, &ref);
   Session vi(&converted_model);
   Pcg32 rng(4);
-  Tensor input = random_input(Shape{1, 8, 8, 4}, rng);
+  Tensor input = random_input(Shape{1, 8, 8, 4}, rng, -1.0f, 1.0f);
   ci.set_input(0, input);
   vi.set_input(0, input);
   ci.invoke();
@@ -153,7 +147,7 @@ TEST(Converter, SharedProducerNotFused) {
   Session ci(&ckpt_model);
   Model converted_model(&converted, &ref);
   Session vi(&converted_model);
-  Tensor input = random_input(Shape{1, 4, 4, 2}, rng);
+  Tensor input = random_input(Shape{1, 4, 4, 2}, rng, -1.0f, 1.0f);
   ci.set_input(0, input);
   vi.set_input(0, input);
   ci.invoke();
@@ -180,7 +174,7 @@ TEST(QuantizeWeights, PerChannelReconstruction) {
 
 TEST(QuantizeWeights, PerTensorUsesSingleScale) {
   Pcg32 rng(8);
-  Tensor w = random_input(Shape{4, 2}, rng);
+  Tensor w = random_input(Shape{4, 2}, rng, -1.0f, 1.0f);
   Tensor q = quantize_weights(w, 0, /*per_channel=*/false);
   EXPECT_FALSE(q.quant().per_channel());
   EXPECT_EQ(q.quant().zero_point(), 0);  // symmetric
@@ -246,7 +240,7 @@ TEST(QuantizeModel, StructureHasQuantizeAndDequantize) {
   Calibrator calib(&converted);
   Pcg32 rng(12);
   for (int i = 0; i < 4; ++i) {
-    calib.observe({random_input(Shape{1, 8, 8, 3}, rng)});
+    calib.observe({random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f)});
   }
   Graph qm = quantize_model(converted, calib);
   EXPECT_EQ(qm.node(1).type, OpType::kQuantize);
@@ -268,7 +262,7 @@ TEST(QuantizeModel, RequiresConvertedModel) {
   Graph ckpt = post_act_model(13);
   Calibrator calib(&ckpt);
   Pcg32 rng(14);
-  calib.observe({random_input(Shape{1, 8, 8, 3}, rng)});
+  calib.observe({random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f)});
   EXPECT_THROW(quantize_model(ckpt, calib), MlxError);
 }
 
@@ -278,7 +272,7 @@ TEST(QuantizeModel, EndToEndAccuracyClose) {
   Calibrator calib(&converted);
   Pcg32 rng(16);
   for (int i = 0; i < 16; ++i) {
-    calib.observe({random_input(Shape{1, 8, 8, 3}, rng)});
+    calib.observe({random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f)});
   }
   Graph qm = quantize_model(converted, calib);
   RefOpResolver ref;
@@ -288,7 +282,7 @@ TEST(QuantizeModel, EndToEndAccuracyClose) {
   Session qi(&int8_model);
   double worst = 0.0;
   for (int i = 0; i < 8; ++i) {
-    Tensor input = random_input(Shape{1, 8, 8, 3}, rng);
+    Tensor input = random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f);
     fi.set_input(0, input);
     qi.set_input(0, input);
     fi.invoke();
@@ -304,7 +298,7 @@ TEST(QuantizeModel, PerTensorWeightsOptionRespected) {
   Calibrator calib(&converted);
   Pcg32 rng(18);
   for (int i = 0; i < 4; ++i) {
-    calib.observe({random_input(Shape{1, 8, 8, 3}, rng)});
+    calib.observe({random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f)});
   }
   QuantizeOptions opts;
   opts.per_channel_weights = false;

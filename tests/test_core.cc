@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "src/common/file_io.h"
 #include "src/convert/converter.h"
@@ -115,6 +116,26 @@ TEST(HostileInput, CraftedBytesThrowInsteadOfCrashing) {
   EXPECT_TRUE(load_trace_tolerant(path, &truncated).frames.empty());
   EXPECT_EQ(truncated, 0xFFFFFFFFu);
   std::filesystem::remove(path);
+
+  // A well-formed trace whose second frame has one layer fewer than its
+  // first: both per-layer reports refuse it with MlxError instead of
+  // indexing past the shorter frame.
+  Trace ragged;
+  ragged.pipeline_name = "ragged";
+  for (int layers : {2, 1}) {
+    FrameTrace f;
+    for (int i = 0; i < layers; ++i) {
+      f.layer_names.push_back("layer" + std::to_string(i));
+      f.layer_outputs.push_back(Tensor::f32(Shape{2}, {1.0f, 2.0f}));
+      f.layer_latency_ms.push_back(0.1);
+    }
+    ragged.frames.push_back(std::move(f));
+  }
+  const Trace back = deserialize_trace(serialize_trace(ragged));
+  ASSERT_EQ(back.frames.size(), 2u);
+  DeploymentValidator validator;
+  EXPECT_THROW(validator.per_layer_drift(back, back), MlxError);
+  EXPECT_THROW(validator.per_layer_latency(back), MlxError);
 }
 
 TEST(Trace, MissingKeyThrows) {
@@ -258,6 +279,18 @@ TEST(Validator, LatencyReportFindsStragglers) {
   EXPECT_NEAR(report.total_ms, 5.3, 1e-9);
   EXPECT_TRUE(report.layers[3].straggler);
   EXPECT_FALSE(report.layers[0].straggler);
+
+  // A trace recorded without per-layer latency has nothing to rank: an
+  // error, not a read of an empty median.
+  ZooModel zm = tiny_image_model();
+  RefOpResolver ref;
+  MonitorOptions opts;
+  opts.per_layer_latency = false;
+  Trace untimed = run_classification_playback(
+      zm.model, ref, sensors(1), {zm.model.input_spec, PreprocBug::kNone},
+      opts, "untimed");
+  ASSERT_FALSE(untimed.frames.empty());
+  EXPECT_THROW(validator.per_layer_latency(untimed), MlxError);
 }
 
 TEST(Assertions, ChannelSwapDetected) {

@@ -11,11 +11,12 @@
 //    section) still load;
 //  - TraceBuffer digest capture equals digesting the raw captured tensors;
 //  - Engine canary mode reproduces the offline Fig-6 verdict online: with a
-//    bug-emulation variant as the canary reference, the streaming
-//    first-suspect layer matches DeploymentValidator::per_layer_drift on
-//    full traces of the same runs;
+//    bug-emulation variant as the canary reference, the canary's
+//    PerLayerReport matches DeploymentValidator::per_layer_drift's row by
+//    row on full traces of the same runs;
 //  - the DriftAggregator ranks the outlier device and localizes the fleet
-//    first suspect from digest-only traces.
+//    first suspect from digest-only traces, and a one-device aggregator
+//    gives the digest-only verdict on one trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,29 +34,10 @@
 #include "src/interpreter/engine.h"
 #include "src/interpreter/session.h"
 #include "src/quant/quantizer.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
-    p[i] = rng.uniform(-2.0f, 2.0f);
-  }
-  return t;
-}
-
-Graph conv_stack_model(Pcg32* rng) {
-  GraphBuilder b("stack", rng);
-  int x = b.input(Shape{1, 16, 16, 8});
-  int c1 = b.conv2d(x, 16, 3, 3, 1, Padding::kSame, Activation::kRelu, "c1");
-  int d = b.depthwise_conv2d(c1, 3, 3, 2, Padding::kSame, Activation::kRelu6,
-                             "dw");
-  int c2 = b.conv2d(d, 16, 1, 1, 1, Padding::kSame, Activation::kNone, "c2");
-  int fc = b.fully_connected(c2, 10, Activation::kNone, "fc");
-  return b.finish({fc});
-}
 
 // Bug-emulation variant: same architecture and node names, but one layer's
 // filter is scaled — the "wrong weights shipped" class of deployment bug.
@@ -64,7 +46,7 @@ Graph conv_stack_model(Pcg32* rng) {
 Graph perturbed_conv_stack(std::uint64_t seed, const std::string& layer,
                            float factor) {
   Pcg32 rng(seed);
-  Graph g = conv_stack_model(&rng);
+  Graph g = conv_stack_graph(&rng);
   bool found = false;
   for (Node& node : g.nodes) {
     if (node.name != layer) continue;
@@ -411,8 +393,8 @@ TEST(TraceFormat, V2RoundTripsDigestsAndV1RefusesThem) {
 
 TEST(DigestCapture, ObserverDigestsMatchDirectAccumulate) {
   Pcg32 rng_a(361), rng_b(361);  // identical weights
-  Graph ga = conv_stack_model(&rng_a);
-  Graph gb = conv_stack_model(&rng_b);
+  Graph ga = conv_stack_graph(&rng_a);
+  Graph gb = conv_stack_graph(&rng_b);
   BuiltinOpResolver opt;
   Pcg32 drng(362);
   std::vector<Tensor> inputs;
@@ -482,7 +464,7 @@ TEST(DigestCapture, ObserverDigestsMatchDirectAccumulate) {
 
 TEST(DigestCapture, QuantizedLayersTakeTheExactHistogramPath) {
   Pcg32 rng(371);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   Calibrator calib(&m);
   Pcg32 crng(372);
   for (int i = 0; i < 4; ++i) {
@@ -536,7 +518,7 @@ TEST(Canary, FirstSuspectMatchesOfflinePerLayerDrift) {
   const std::string bug_layer = "c2";
   BuiltinOpResolver opt;
   Pcg32 rng_prod(kSeed);
-  Graph prod = conv_stack_model(&rng_prod);
+  Graph prod = conv_stack_graph(&rng_prod);
   Graph reference = perturbed_conv_stack(kSeed, bug_layer, 1.75f);
 
   Pcg32 drng(402);
@@ -569,7 +551,7 @@ TEST(Canary, FirstSuspectMatchesOfflinePerLayerDrift) {
   Trace edge_trace, ref_trace;
   {
     Pcg32 rng_again(kSeed);
-    Graph prod_again = conv_stack_model(&rng_again);
+    Graph prod_again = conv_stack_graph(&rng_again);
     Model model(&prod_again, &opt);
     Session session(&model);
     EdgeMLMonitor monitor(mopts);
@@ -611,30 +593,37 @@ TEST(Canary, FirstSuspectMatchesOfflinePerLayerDrift) {
   EXPECT_EQ(online.skipped_busy, 0u);
   EXPECT_EQ(online.skipped_layout, 0u);
   EXPECT_EQ(online.reference_errors, 0u);
-  ASSERT_TRUE(online.first_suspect.has_value());
-  EXPECT_EQ(*online.first_suspect, *offline.first_suspect)
+  EXPECT_EQ(online.drift.threshold, offline.threshold);
+  ASSERT_TRUE(online.drift.first_suspect.has_value());
+  EXPECT_EQ(*online.drift.first_suspect, *offline.first_suspect)
       << "streaming canary and offline per_layer_drift disagree";
 
-  // Layer-by-layer: the canary's running means match the offline averages
-  // (same metric, same frames), and layers before the bug are clean.
-  ASSERT_EQ(online.layers.size(), offline.drifts.size());
-  for (std::size_t i = 0; i < online.layers.size(); ++i) {
-    EXPECT_EQ(online.layers[i].layer, offline.drifts[i].layer);
-    EXPECT_NEAR(online.layers[i].mean_error, offline.drifts[i].error, 1e-9);
-    EXPECT_EQ(online.layers[i].suspect, offline.drifts[i].suspect);
-    EXPECT_EQ(online.layers[i].samples, inputs.size());
-    if (online.layers[i].layer == bug_layer) break;
-    EXPECT_LT(online.layers[i].mean_error, 1e-9)
-        << "layer before the bug drifted: " << online.layers[i].layer;
+  // Row by row, the two reports agree: the canary's running means match the
+  // offline averages (same metric, same frames), every row compared every
+  // frame, and layers before the bug are clean.
+  ASSERT_EQ(online.drift.drifts.size(), offline.drifts.size());
+  bool before_bug = true;
+  for (std::size_t i = 0; i < offline.drifts.size(); ++i) {
+    const LayerDrift& on = online.drift.drifts[i];
+    const LayerDrift& off = offline.drifts[i];
+    EXPECT_EQ(on.layer, off.layer);
+    EXPECT_NEAR(on.error, off.error, 1e-9) << off.layer;
+    EXPECT_EQ(on.suspect, off.suspect) << off.layer;
+    EXPECT_EQ(on.samples, inputs.size()) << off.layer;
+    EXPECT_EQ(off.samples, inputs.size()) << off.layer;
+    if (off.layer == bug_layer) before_bug = false;
+    if (before_bug) {
+      EXPECT_LT(on.error, 1e-9) << "layer before the bug drifted: " << on.layer;
+    }
   }
 
-  // The shadow-event stream localized the divergence per frame too.
+  // Every shadowed frame's own report names the bug layer too.
   ASSERT_EQ(events.size(), inputs.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].shadow_index, i + 1);
-    EXPECT_EQ(events[i].first_divergent_layer, bug_layer);
-    EXPECT_GE(events[i].first_divergent_step, 0);
-    EXPECT_GT(events[i].max_layer_error, kThreshold);
+    EXPECT_EQ(events[i].frame.drifts.size(), offline.drifts.size());
+    ASSERT_TRUE(events[i].frame.first_suspect.has_value());
+    EXPECT_EQ(*events[i].frame.first_suspect, bug_layer);
   }
 }
 
@@ -642,10 +631,10 @@ TEST(Canary, SamplesConfiguredFractionIntoItsReport) {
   BuiltinOpResolver opt;
   Pcg32 rng_a(411), rng_b(411);
   Engine engine(&opt);
-  engine.load("m", conv_stack_model(&rng_a));
+  engine.load("m", conv_stack_graph(&rng_a));
   CanaryOptions copts;
   copts.shadow_every = 4;
-  engine.enable_canary("m", conv_stack_model(&rng_b), nullptr, copts);
+  engine.enable_canary("m", conv_stack_graph(&rng_b), nullptr, copts);
 
   Pcg32 drng(412);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
@@ -662,10 +651,10 @@ TEST(Canary, SamplesConfiguredFractionIntoItsReport) {
   EXPECT_EQ(report.skipped_busy + report.skipped_layout, 0u);
   EXPECT_EQ(report.reference_errors, 0u);
   // Identical weights: nothing drifts, no suspects.
-  EXPECT_FALSE(report.first_suspect.has_value());
-  for (const CanaryLayerDrift& layer : report.layers) {
+  EXPECT_FALSE(report.drift.first_suspect.has_value());
+  for (const LayerDrift& layer : report.drift.drifts) {
     EXPECT_FALSE(layer.suspect) << layer.layer;
-    EXPECT_LT(layer.mean_error, 1e-9) << layer.layer;
+    EXPECT_LT(layer.error, 1e-9) << layer.layer;
   }
 
   EXPECT_TRUE(engine.disable_canary("m"));
@@ -677,10 +666,10 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
   BuiltinOpResolver opt;
   Pcg32 rng_a(421), rng_ref(421);
   Engine engine(&opt);
-  engine.load("m", conv_stack_model(&rng_a));
+  engine.load("m", conv_stack_graph(&rng_a));
   CanaryOptions copts;
   copts.shadow_every = 1;
-  engine.enable_canary("m", conv_stack_model(&rng_ref), nullptr, copts);
+  engine.enable_canary("m", conv_stack_graph(&rng_ref), nullptr, copts);
 
   Pcg32 drng(422);
   Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
@@ -695,7 +684,7 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
   // Hot-swap to different weights (same names/layout): the canary remaps by
   // node name and keeps accumulating — now against a model that drifts.
   Pcg32 rng_b(423);
-  engine.load("m", conv_stack_model(&rng_b));
+  engine.load("m", conv_stack_graph(&rng_b));
   serve_once();
   serve_once();
   const CanaryReport report = engine.canary_report("m");
@@ -703,8 +692,8 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
   EXPECT_EQ(report.skipped_layout, 0u);
   // v2 has different weights than the reference, so drift is now nonzero.
   double worst = 0.0;
-  for (const CanaryLayerDrift& layer : report.layers) {
-    worst = std::max(worst, layer.mean_error);
+  for (const LayerDrift& layer : report.drift.drifts) {
+    worst = std::max(worst, layer.error);
   }
   EXPECT_GT(worst, 0.0);
 
@@ -765,7 +754,7 @@ TEST(FleetAggregator, RanksOutlierDeviceAndLocalizesSuspectLayer) {
   Trace ref_trace;
   {
     Pcg32 rng(kSeed);
-    Graph g = conv_stack_model(&rng);
+    Graph g = conv_stack_graph(&rng);
     Model model(&g, &opt);
     Session session(&model);
     MonitorOptions opts;
@@ -787,8 +776,8 @@ TEST(FleetAggregator, RanksOutlierDeviceAndLocalizesSuspectLayer) {
   // Two healthy devices (same model, device-local inputs) and one device
   // running the bug-emulation variant.
   Pcg32 rng_g1(kSeed), rng_g2(kSeed);
-  Graph good1 = conv_stack_model(&rng_g1);
-  Graph good2 = conv_stack_model(&rng_g2);
+  Graph good1 = conv_stack_graph(&rng_g1);
+  Graph good2 = conv_stack_graph(&rng_g2);
   Graph bad = perturbed_conv_stack(kSeed, bug_layer, 1.75f);
   Trace t_good1 = record_digest_trace(good1, opt, 4321, 16);
   Trace t_good2 = record_digest_trace(good2, opt, 4322, 16);
@@ -808,11 +797,11 @@ TEST(FleetAggregator, RanksOutlierDeviceAndLocalizesSuspectLayer) {
   EXPECT_EQ(report.outliers[0].device_id, "device-bad")
       << "outlier ranking did not surface the bug-emulation device first";
   EXPECT_GT(report.outliers[0].max_drift, kThreshold);
-  ASSERT_TRUE(report.outliers[0].first_suspect.has_value());
-  EXPECT_EQ(*report.outliers[0].first_suspect, bug_layer);
+  ASSERT_TRUE(report.outliers[0].drift.first_suspect.has_value());
+  EXPECT_EQ(*report.outliers[0].drift.first_suspect, bug_layer);
   // Healthy devices stay under threshold at every layer.
   for (std::size_t i = 1; i < report.outliers.size(); ++i) {
-    EXPECT_FALSE(report.outliers[i].first_suspect.has_value())
+    EXPECT_FALSE(report.outliers[i].drift.first_suspect.has_value())
         << report.outliers[i].device_id;
     EXPECT_LT(report.outliers[i].max_drift, kThreshold);
   }
@@ -834,16 +823,18 @@ TEST(FleetAggregator, RanksOutlierDeviceAndLocalizesSuspectLayer) {
   EXPECT_NE(rendered.find("fleet first suspect: " + bug_layer),
             std::string::npos);
 
-  // The offline digest validator reaches the same per-device verdict from
-  // the digest-only trace (no raw tensors to diff pairwise).
-  DeploymentValidator validator;
-  const PerLayerReport bad_report =
-      validator.per_layer_digest_drift(t_bad, ref_trace, kThreshold);
+  // A digest-only verdict on one trace (no raw tensors to diff pairwise)
+  // is a one-device aggregator report.
+  auto one_device = [&](const Trace& trace) {
+    DriftAggregator single(kThreshold);
+    single.set_reference(ref_trace);
+    single.add_trace("device", trace);
+    return single.report();
+  };
+  const FleetReport bad_report = one_device(t_bad);
   ASSERT_TRUE(bad_report.first_suspect.has_value());
   EXPECT_EQ(*bad_report.first_suspect, bug_layer);
-  const PerLayerReport good_report =
-      validator.per_layer_digest_drift(t_good1, ref_trace, kThreshold);
-  EXPECT_FALSE(good_report.first_suspect.has_value());
+  EXPECT_FALSE(one_device(t_good1).first_suspect.has_value());
 }
 
 }  // namespace

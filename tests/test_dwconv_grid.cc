@@ -38,40 +38,10 @@
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
 #include "tests/heap_counter.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng, float lo = -2.0f,
-                    float hi = 2.0f) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
-    p[i] = rng.uniform(lo, hi);
-  }
-  return t;
-}
-
-// One quantization step of a quantized model's (dequantized f32) output.
-float output_quantum(const Graph& qm) {
-  const Node& out = qm.node(qm.outputs[0]);
-  if (out.type == OpType::kDequantize) {
-    return qm.node(out.inputs[0]).output_quant.scale();
-  }
-  return out.output_quant.scale();
-}
-
-bool outputs_bit_equal(const Tensor& a, const Tensor& b) {
-  if (a.num_elements() != b.num_elements()) return false;
-  return std::memcmp(a.raw_data(), b.raw_data(),
-                     static_cast<std::size_t>(a.num_elements()) *
-                         sizeof(float)) == 0;
-}
-
-std::vector<float> snapshot(const Tensor& t) {
-  const float* p = t.data<float>();
-  return std::vector<float>(p, p + t.num_elements());
-}
 
 struct DwGridCase {
   int stride;

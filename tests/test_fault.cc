@@ -32,36 +32,10 @@
 #include "src/graph/builder.h"
 #include "src/interpreter/engine.h"
 #include "src/tensor/alloc_stats.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
-    p[i] = rng.uniform(-2.0f, 2.0f);
-  }
-  return t;
-}
-
-Graph conv_stack_graph(std::uint64_t seed) {
-  Pcg32 rng(seed);
-  GraphBuilder b("stack", &rng);
-  int x = b.input(Shape{1, 16, 16, 8});
-  int c1 = b.conv2d(x, 16, 3, 3, 1, Padding::kSame, Activation::kRelu, "c1");
-  int d = b.depthwise_conv2d(c1, 3, 3, 2, Padding::kSame, Activation::kRelu6,
-                             "dw");
-  int c2 = b.conv2d(d, 16, 1, 1, 1, Padding::kSame, Activation::kNone, "c2");
-  int fc = b.fully_connected(c2, 10, Activation::kNone, "fc");
-  return b.finish({fc});
-}
-
-void expect_bit_identical(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.dtype(), b.dtype());
-  ASSERT_EQ(a.byte_size(), b.byte_size());
-  EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()), 0);
-}
 
 // Every test leaves the global fault registry clean, pass or fail.
 class FaultTest : public ::testing::Test {

@@ -38,38 +38,10 @@
 #include "src/interpreter/session.h"
 #include "src/tensor/alloc_stats.h"
 #include "tests/heap_counter.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
-    p[i] = rng.uniform(-2.0f, 2.0f);
-  }
-  return t;
-}
-
-// Same network at any batch: the same seed draws the same weights, so the
-// batch-N graph's rows are the batch-1 graph applied per row.
-Graph conv_stack_graph(std::uint64_t seed, int batch = 1) {
-  Pcg32 rng(seed);
-  GraphBuilder b("stack", &rng);
-  int x = b.input(Shape{batch, 16, 16, 8});
-  int c1 = b.conv2d(x, 16, 3, 3, 1, Padding::kSame, Activation::kRelu, "c1");
-  int d = b.depthwise_conv2d(c1, 3, 3, 2, Padding::kSame, Activation::kRelu6,
-                             "dw");
-  int c2 = b.conv2d(d, 16, 1, 1, 1, Padding::kSame, Activation::kNone, "c2");
-  int fc = b.fully_connected(c2, 10, Activation::kNone, "fc");
-  return b.finish({fc});
-}
-
-void expect_bit_identical(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.dtype(), b.dtype());
-  ASSERT_EQ(a.byte_size(), b.byte_size());
-  EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()), 0);
-}
 
 // Spin until the front door reports `inflight` >= 1 for `model`: the single
 // worker has formed a batch and is inside the (fault-stalled) invoke.

@@ -35,17 +35,10 @@
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
 #include "tests/heap_counter.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng, float lo = -2.0f,
-                    float hi = 2.0f) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) p[i] = rng.uniform(lo, hi);
-  return t;
-}
 
 // Lexicographically ordered bit pattern of a float: adjacent representable
 // floats differ by 1, so |a - b| counts ULPs across the value range.
@@ -68,16 +61,6 @@ std::int64_t max_ulp_diff(const Tensor& a, const Tensor& b) {
                      std::abs(float_lex_bits(pa[i]) - float_lex_bits(pb[i])));
   }
   return worst;
-}
-
-// One quantization step of a quantized model's (dequantized f32) output: the
-// scale of the tensor feeding the trailing Dequantize node.
-float output_quantum(const Graph& qm) {
-  const Node& out = qm.node(qm.outputs[0]);
-  if (out.type == OpType::kDequantize) {
-    return qm.node(out.inputs[0]).output_quant.scale();
-  }
-  return out.output_quant.scale();
 }
 
 // One opt-vs-ref case. Conv2D sweeps the implicit-GEMM geometry: 1x1, 3x3

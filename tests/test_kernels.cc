@@ -12,6 +12,7 @@
 #include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
@@ -130,13 +131,6 @@ struct ConvCase {
 };
 
 class ConvParity : public ::testing::TestWithParam<ConvCase> {};
-
-Tensor random_input(Shape shape, Pcg32& rng) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) p[i] = rng.uniform(-2, 2);
-  return t;
-}
 
 TEST_P(ConvParity, RefMatchesOptimized) {
   const ConvCase& c = GetParam();

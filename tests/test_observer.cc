@@ -26,32 +26,13 @@
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "tests/heap_counter.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
 
-Tensor random_input(Shape shape, Pcg32& rng) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
-    p[i] = rng.uniform(-2.0f, 2.0f);
-  }
-  return t;
-}
-
-Graph conv_stack_model(Pcg32* rng) {
-  GraphBuilder b("stack", rng);
-  int x = b.input(Shape{1, 16, 16, 8});
-  int c1 = b.conv2d(x, 16, 3, 3, 1, Padding::kSame, Activation::kRelu, "c1");
-  int d = b.depthwise_conv2d(c1, 3, 3, 2, Padding::kSame, Activation::kRelu6,
-                             "dw");
-  int c2 = b.conv2d(d, 16, 1, 1, 1, Padding::kSame, Activation::kNone, "c2");
-  int fc = b.fully_connected(c2, 10, Activation::kNone, "fc");
-  return b.finish({fc});
-}
-
 Graph quantized_conv_stack(Pcg32* rng, std::uint64_t calib_seed) {
-  Graph m = conv_stack_model(rng);
+  Graph m = conv_stack_graph(rng);
   Calibrator calib(&m);
   Pcg32 crng(calib_seed);
   for (int i = 0; i < 4; ++i) {
@@ -72,7 +53,7 @@ void run_frame(EdgeMLMonitor& monitor, Session& session,
 
 TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
   Pcg32 rng(11);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt, /*num_threads=*/2);
   Session session(&model);
@@ -152,7 +133,7 @@ TEST(ObserverCapture, QuantizedLayersStayInt8InTrace) {
 // too, so the whole monitored frame loop is heap-free.
 TEST(ObserverSteadyState, InstrumentedFrameLoopIsHeapFree) {
   Pcg32 rng(31);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt, /*num_threads=*/2);
   Session session(&model);
@@ -206,7 +187,7 @@ TEST(ObserverSteadyState, PerLayerOutputCaptureIsHeapFree) {
 // cheap enough to leave enabled in serving.
 TEST(ObserverSteadyState, DigestCaptureIsHeapFree) {
   Pcg32 rng(45);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt, /*num_threads=*/2);
   Session session(&model);
@@ -259,7 +240,7 @@ TEST(ObserverSteadyState, QuantizedDigestCaptureIsHeapFree) {
 // but the invoke window itself must stay heap-free.
 TEST(ObserverSteadyState, RetainModeInvokeWindowIsHeapFree) {
   Pcg32 rng(51);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt, /*num_threads=*/2);
   Session session(&model);
@@ -286,7 +267,7 @@ TEST(ObserverSteadyState, RetainModeInvokeWindowIsHeapFree) {
 
 TEST(ObserverDoubleBuffer, BuffersAlternateAndAreReused) {
   Pcg32 rng(61);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt);
   Session session(&model);
@@ -322,8 +303,8 @@ TEST(ObserverSpool, SpooledTraceMatchesRetainedTrace) {
   const auto path =
       std::filesystem::temp_directory_path() / "mlx_observer_spool.mlxtrace";
   Pcg32 rng_a(71), rng_b(71);  // identical weights
-  Graph ma = conv_stack_model(&rng_a);
-  Graph mb = conv_stack_model(&rng_b);
+  Graph ma = conv_stack_graph(&rng_a);
+  Graph mb = conv_stack_graph(&rng_b);
   BuiltinOpResolver opt;
   MonitorOptions opts;
   opts.per_layer_outputs = true;
@@ -385,7 +366,7 @@ TEST(ObserverSpool, SpooledTraceMatchesRetainedTrace) {
 
 TEST(ObserverLifetime, MonitorDetachesOnDestruction) {
   Pcg32 rng(91);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt);
   Session session(&model);
@@ -402,7 +383,7 @@ TEST(ObserverLifetime, MonitorDetachesOnDestruction) {
 
 TEST(ObserverLifetime, DyingMonitorDoesNotDetachItsSuccessor) {
   Pcg32 rng(95);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt);
   Session session(&model);
@@ -422,7 +403,7 @@ TEST(ObserverLifetime, DyingMonitorDoesNotDetachItsSuccessor) {
 // the observed session keeps its observer and binding.
 TEST(ObserverContract, StopOnUncapturedSessionThrows) {
   Pcg32 rng_a(96), rng_b(97);
-  Graph ga = conv_stack_model(&rng_a);
+  Graph ga = conv_stack_graph(&rng_a);
   GraphBuilder b("other", &rng_b);
   int x = b.input(Shape{1, 8, 8, 4});
   int fc = b.fully_connected(x, 6, Activation::kNone, "fc");
@@ -463,7 +444,7 @@ TEST(ObserverContract, StopOnUncapturedSessionThrows) {
 // inference latency instead of timing from an earlier frame's start.
 TEST(ObserverLatency, UnbracketedFrameLogsInvokeTime) {
   Pcg32 rng(99);
-  Graph g = conv_stack_model(&rng);
+  Graph g = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&g, &opt);
   Session session(&model);
@@ -555,12 +536,11 @@ TEST(ObserverSpool, BatchedSpoolRoundTripsManyFrames) {
                     "mlx_observer_spool_batched.mlxtrace";
   constexpr int kFrames = 12;
   Pcg32 rng_a(221), rng_b(221);  // identical weights
-  Graph ma = conv_stack_model(&rng_a);
-  Graph mb = conv_stack_model(&rng_b);
+  Graph ma = conv_stack_graph(&rng_a);
+  Graph mb = conv_stack_graph(&rng_b);
   BuiltinOpResolver opt;
   MonitorOptions opts;
   opts.per_layer_outputs = true;
-  opts.spool_queue_frames = 4;
   Pcg32 drng(222);
   std::vector<Tensor> inputs;
   for (int i = 0; i < kFrames; ++i) {
@@ -622,8 +602,8 @@ TEST(ObserverSpool, DigestFramesSpoolDurablyThroughTheBatchPath) {
                     "mlx_observer_spool_digest.mlxtrace";
   constexpr int kFrames = 10;
   Pcg32 rng_a(241), rng_b(241);  // identical weights
-  Graph ma = conv_stack_model(&rng_a);
-  Graph mb = conv_stack_model(&rng_b);
+  Graph ma = conv_stack_graph(&rng_a);
+  Graph mb = conv_stack_graph(&rng_b);
   BuiltinOpResolver opt;
   MonitorOptions opts;
   opts.per_layer_digests = true;
@@ -681,7 +661,7 @@ TEST(ObserverSessions, TwoSessionsOneModelIndependentObservers) {
   // Observers are per-session state: two sessions over one shared Model
   // capture independently.
   Pcg32 rng(231);
-  Graph graph = conv_stack_model(&rng);
+  Graph graph = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&graph, &opt);
   Session sa(&model);

@@ -99,13 +99,6 @@ TEST(TensorStats, NormalizedRmseDegenerateRange) {
   EXPECT_TRUE(std::isinf(normalized_rmse(diff, ref)));
 }
 
-TEST(TensorStats, CosineDistance) {
-  Tensor a = Tensor::f32(Shape{2}, {1.0f, 0.0f});
-  Tensor b = Tensor::f32(Shape{2}, {0.0f, 1.0f});
-  EXPECT_NEAR(cosine_distance(a, b), 1.0, 1e-6);
-  EXPECT_NEAR(cosine_distance(a, a), 0.0, 1e-6);
-}
-
 TEST(TensorStats, AllClose) {
   Tensor a = Tensor::f32(Shape{2}, {1.0f, 2.0f});
   Tensor b = Tensor::f32(Shape{2}, {1.0f, 2.0005f});

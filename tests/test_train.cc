@@ -5,16 +5,10 @@
 #include "src/graph/builder.h"
 #include "src/train/train_loop.h"
 #include "src/train/trainer.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
-
-Tensor random_input(Shape shape, Pcg32& rng, float lo = -1, float hi = 1) {
-  Tensor t = Tensor::f32(shape);
-  float* p = t.data<float>();
-  for (std::int64_t i = 0; i < t.num_elements(); ++i) p[i] = rng.uniform(lo, hi);
-  return t;
-}
 
 double loss_at(Trainer& trainer, const std::vector<Tensor>& inputs,
                int logits, int label) {
@@ -126,7 +120,7 @@ TEST(TrainerGrad, DescentOnConvBnReluSeNetwork) {
   Graph m = b.finish({logits});
 
   Pcg32 drng(3);
-  Tensor input = random_input(Shape{1, 6, 6, 3}, drng);
+  Tensor input = random_input(Shape{1, 6, 6, 3}, drng, -1.0f, 1.0f);
   grad_check(&m, logits, {input}, 1);
 }
 
@@ -145,7 +139,7 @@ TEST(TrainerGrad, DescentOnConcatPoolUpsampleNetwork) {
   int logits = b.fully_connected(g, 2, Activation::kNone, "logits");
   Graph m = b.finish({logits});
   Pcg32 drng(5);
-  Tensor input = random_input(Shape{1, 4, 4, 2}, drng);
+  Tensor input = random_input(Shape{1, 4, 4, 2}, drng, -1.0f, 1.0f);
   grad_check(&m, logits, {input}, 0);
 }
 

@@ -1,0 +1,81 @@
+// Helpers the test suites share: seeded random inputs, the small
+// conv -> depthwise -> conv -> FC graph the runtime suites serve, and exact
+// output comparisons. Header-only; each suite is one translation unit.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/graph/builder.h"
+#include "src/tensor/tensor.h"
+
+namespace mlexray {
+
+// An f32 tensor of `shape` filled with rng.uniform(lo, hi) draws in element
+// order.
+inline Tensor random_input(Shape shape, Pcg32& rng, float lo = -2.0f,
+                           float hi = 2.0f) {
+  Tensor t = Tensor::f32(shape);
+  float* p = t.data<float>();
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+    p[i] = rng.uniform(lo, hi);
+  }
+  return t;
+}
+
+// c1 (3x3 conv, relu) -> dw (3x3 depthwise, stride 2, relu6) -> c2 (1x1
+// conv) -> fc (10) over a [batch, 16, 16, 8] input. The same rng state draws
+// the same weights at any batch, so a batch-N graph's rows are the batch-1
+// graph applied per row.
+inline Graph conv_stack_graph(Pcg32* rng, int batch = 1) {
+  GraphBuilder b("stack", rng);
+  int x = b.input(Shape{batch, 16, 16, 8});
+  int c1 = b.conv2d(x, 16, 3, 3, 1, Padding::kSame, Activation::kRelu, "c1");
+  int d = b.depthwise_conv2d(c1, 3, 3, 2, Padding::kSame, Activation::kRelu6,
+                             "dw");
+  int c2 = b.conv2d(d, 16, 1, 1, 1, Padding::kSame, Activation::kNone, "c2");
+  int fc = b.fully_connected(c2, 10, Activation::kNone, "fc");
+  return b.finish({fc});
+}
+
+// The same graph with weights drawn from a fresh Pcg32(seed).
+inline Graph conv_stack_graph(std::uint64_t seed, int batch = 1) {
+  Pcg32 rng(seed);
+  return conv_stack_graph(&rng, batch);
+}
+
+inline void expect_bit_identical(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.dtype(), b.dtype());
+  ASSERT_EQ(a.byte_size(), b.byte_size());
+  EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()), 0);
+}
+
+// Same element count and the same f32 bytes.
+inline bool outputs_bit_equal(const Tensor& a, const Tensor& b) {
+  if (a.num_elements() != b.num_elements()) return false;
+  return std::memcmp(a.raw_data(), b.raw_data(),
+                     static_cast<std::size_t>(a.num_elements()) *
+                         sizeof(float)) == 0;
+}
+
+// A copy of an f32 tensor's values.
+inline std::vector<float> snapshot(const Tensor& t) {
+  const float* p = t.data<float>();
+  return std::vector<float>(p, p + t.num_elements());
+}
+
+// One quantization step of a quantized model's (dequantized f32) output: the
+// scale of the tensor feeding the trailing Dequantize node.
+inline float output_quantum(const Graph& qm) {
+  const Node& out = qm.node(qm.outputs[0]);
+  if (out.type == OpType::kDequantize) {
+    return qm.node(out.inputs[0]).output_quant.scale();
+  }
+  return out.output_quant.scale();
+}
+
+}  // namespace mlexray
