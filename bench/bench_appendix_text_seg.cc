@@ -28,7 +28,7 @@ int run() {
 
   RefOpResolver ref;
   Model model(&nnlm, &ref);
-  Session session(&model);
+  Session session(&model, Retention::kPreserveAll);
   int emb_node = node_id_by_name(nnlm, "embedding");
   double emb_drift = 0.0;
   int folded_correct = 0;

@@ -1,6 +1,8 @@
 // LoC study — debugging target: quantization (WITHOUT ML-EXray).
 // Hand-rolled per-layer dumping, reloading, and comparison — the weeks-long
-// workflow the paper describes in §1.
+// workflow the paper describes in §1. Both sessions passed in are
+// Retention::kPreserveAll: the dump reads every layer after invoke, which a
+// lean session (the default) refuses.
 #include <cmath>
 #include <cstdio>
 #include <fstream>

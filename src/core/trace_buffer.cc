@@ -72,15 +72,17 @@ void TraceBuffer::bind(const Session& session) {
   layers_.clear();
   const auto& steps = session.plan().steps();
   layers_.reserve(steps.size());
+  // The layout comes from the graph, not the session's tensors: a lean
+  // session cannot hand out its intermediate layers outside on_step.
   for (const PlanStep& step : steps) {
+    const Node& n = *step.node;
     LayerInfo info;
-    info.node_id = step.node->id;
-    info.name = step.node->name;
-    const Tensor& out = session.node_output(step.node->id);
-    info.dtype = out.dtype();
-    info.shape = out.shape();
-    info.quant = out.quant();
-    info.byte_size = out.byte_size();
+    info.node_id = n.id;
+    info.name = n.name;
+    info.dtype = n.output_dtype;
+    info.shape = n.output_shape;
+    info.quant = n.output_quant;
+    info.byte_size = tensor_bytes(n.output_dtype, n.output_shape);
     layers_.push_back(std::move(info));
   }
   // Model-io mode captures every model output; intern the extra keys here so

@@ -5,7 +5,9 @@
 // latencies and raw-dtype layer outputs as each prepared step finishes, plus
 // every model output and user scalars/tensors, into pre-sized reusable frame
 // storage. Capture is push-only: an invoke the buffer did not observe is not
-// captured, and nothing re-reads the session's activations afterwards.
+// captured, and nothing re-reads the session's activations afterwards. So
+// capture needs no Retention::kPreserveAll session: each layer is copied or
+// digested inside on_step, while its bytes hold the step's output.
 // Storage:
 //
 //  - trace keys are interned once into small integer ids — no std::string
@@ -76,10 +78,10 @@ class TraceBuffer : public InvokeObserver {
 
   // --- binding --------------------------------------------------------------
   // One-time prepare for a session: records the per-layer layout (names,
-  // dtypes, shapes, quant params — shared across frames, not stored per
-  // frame), interns a key per model output, and pre-sizes every capture
-  // frame to the model's byte sizes. Rebinding to a different session
-  // rebuilds the layout.
+  // dtypes, shapes, quant params, taken from the graph nodes — shared
+  // across frames, not stored per frame), interns a key per model output,
+  // and pre-sizes every capture frame to the model's byte sizes. Rebinding
+  // to a different session rebuilds the layout.
   void bind(const Session& session);
   bool bound_to(const Session& session) const { return bound_ == &session; }
 

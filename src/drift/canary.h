@@ -20,6 +20,13 @@
 // — layers are re-mapped to the new serving version by node name, and layers
 // the reference cannot map are skipped (skipped_layout counts whole frames
 // whose input layout no longer matches).
+//
+// The canary reads a production session's layers after invoke, so while it
+// is enabled the Engine builds that name's pooled sessions (and the
+// reference session) with Retention::kPreserveAll. A lean session leased
+// before enable_canary reused its layers' bytes: its sampled frame is not
+// diffed but counted in skipped_layout, and release() rebuilds the session
+// instead of re-pooling it.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +49,9 @@ struct CanaryReport {
   bool enabled = false;
   std::uint64_t shadowed = 0;          // frames diffed against the reference
   std::uint64_t skipped_busy = 0;      // reference session held by another shadow
-  std::uint64_t skipped_layout = 0;    // input layout mismatch after a hot-swap
+  // Sampled frames not diffed: an input layout mismatch after a hot-swap,
+  // or a lean session leased before the canary was enabled.
+  std::uint64_t skipped_layout = 0;
   std::uint64_t reference_errors = 0;  // reference invoke failures
   // One row per reference plan step, in reference execution order: the
   // running mean normalized RMSE, and as samples the shadowed frames that

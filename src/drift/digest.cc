@@ -1,6 +1,7 @@
 #include "src/drift/digest.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -21,6 +22,13 @@ void QuantileSketch::reset() {
 }
 
 namespace {
+
+// The largest top shift for which the top level's weight,
+// kLevelCap << (kLevels - 1 + shift), fits in uint64_t.
+constexpr int kMaxTopShift =
+    63 - (std::bit_width(unsigned{QuantileSketch::kLevelCap}) - 1) -
+    (QuantileSketch::kLevels - 1);
+static_assert(kMaxTopShift == 43);
 
 // Merges two sorted runs into `dst` (which may alias `b`). Stack temp only —
 // the hot path stays allocation-free.
@@ -160,7 +168,12 @@ void QuantileSketch::deserialize(BinaryReader& r) {
       << "quantile sketch level mismatch";
   MLX_CHECK_EQ(r.read_u32(), static_cast<std::uint32_t>(kLevelCap))
       << "quantile sketch capacity mismatch";
-  top_shift_ = static_cast<std::uint16_t>(r.read_u32());
+  // weight() and quantile() shift the top level's weight by top_shift_;
+  // no honest writer reaches a shift that overflows it.
+  const std::uint32_t top_shift = r.read_u32();
+  MLX_CHECK_LE(top_shift, static_cast<std::uint32_t>(kMaxTopShift))
+      << "quantile sketch top shift out of range";
+  top_shift_ = static_cast<std::uint16_t>(top_shift);
   for (int l = 0; l < kLevels; ++l) {
     const std::uint32_t n = r.read_u32();
     MLX_CHECK_LE(n, static_cast<std::uint32_t>(kLevelCap))
@@ -501,7 +514,10 @@ void serialize_digest(BinaryWriter& w, const LayerDigest& d) {
 LayerDigest deserialize_digest(BinaryReader& r) {
   LayerDigest d;
   d.reset();
-  d.dtype = static_cast<DType>(r.read_u8());
+  const std::uint8_t raw_dtype = r.read_u8();
+  MLX_CHECK_LE(raw_dtype, static_cast<std::uint8_t>(DType::kI32))
+      << "bad digest dtype";
+  d.dtype = static_cast<DType>(raw_dtype);
   d.count = r.read_u64();
   if (d.integer_path()) {
     d.scale = r.read_f32();

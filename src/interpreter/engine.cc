@@ -93,7 +93,8 @@ struct Engine::CanaryState {
     if (!status.ok()) {
       reference_errors.fetch_add(1, std::memory_order_relaxed);
       if (session->poisoned()) {
-        session = std::make_unique<Session>(model.get());
+        session =
+            std::make_unique<Session>(model.get(), Retention::kPreserveAll);
       }
       return;
     }
@@ -292,8 +293,8 @@ SessionLease Engine::lease_locked(Version* version) {
   // Pool miss: build a new session. Session construction only reads the
   // immutable Model, but stays under the lock so the sessions/free_list
   // bookkeeping is simple; misses only happen while the pool warms up.
-  version->sessions.push_back(
-      std::make_unique<Session>(version->model.get()));
+  version->sessions.push_back(std::make_unique<Session>(
+      version->model.get(), pooled_retention(canary_for_pool(entry.name))));
   ++entry.stats.sessions_created;
   // Reserve free-list capacity for every session ever created, so release()
   // can push_back without allocating — part of the zero-alloc steady-state
@@ -348,18 +349,22 @@ void Engine::release(Version* version, Session* session) {
   // still owns the session (its activations are the production frame being
   // diffed) and the lease still pins version + entry. The sampled slow path
   // pays a reference invoke; the common path pays one relaxed load.
-  if (canary_active_.load(std::memory_order_acquire)) {
-    maybe_shadow(version, session);
-  }
+  const std::shared_ptr<CanaryState> canary =
+      canary_for_pool(version->entry->name);
+  if (canary != nullptr) maybe_shadow(*canary, version, session);
   const bool poisoned = session->poisoned();
+  const bool stale_retention =
+      session->retention() != pooled_retention(canary);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = *version->entry;
   MLX_CHECK_GT(version->leases_outstanding, 0u);
   --version->leases_outstanding;
-  if (poisoned || version->draining) {
+  if (poisoned || version->draining || stale_retention) {
     // Pool-integrity rule: a poisoned session (partial activations from a
     // contained kernel failure) is never re-leased; a draining version
-    // gives sessions back to the allocator, not the free list.
+    // gives sessions back to the allocator, not the free list; and a
+    // session built before the name's canary was enabled or disabled is
+    // rebuilt with the retention the canary now needs.
     if (poisoned) {
       entry.stats.invoke_errors += session->last_stats().invoke_errors;
     }
@@ -439,6 +444,17 @@ std::shared_ptr<Engine::CanaryState> Engine::canary_for(
   return nullptr;
 }
 
+std::shared_ptr<Engine::CanaryState> Engine::canary_for_pool(
+    const std::string& name) const {
+  // Serving without canaries pays one load here and takes no lock.
+  if (!canary_active_.load(std::memory_order_acquire)) return nullptr;
+  return canary_for(name);
+}
+
+Retention Engine::pooled_retention(const std::shared_ptr<CanaryState>& canary) {
+  return canary != nullptr ? Retention::kPreserveAll : Retention::kLean;
+}
+
 void Engine::enable_canary(const std::string& name, Graph reference,
                            const OpResolver* resolver, CanaryOptions options) {
   MLX_CHECK_GT(options.shadow_every, 0u) << "shadow_every must be >= 1";
@@ -449,7 +465,8 @@ void Engine::enable_canary(const std::string& name, Graph reference,
   state->model = std::make_unique<Model>(
       std::move(reference), resolver != nullptr ? resolver : resolver_,
       pool_.get(), num_threads_);
-  state->session = std::make_unique<Session>(state->model.get());
+  state->session =
+      std::make_unique<Session>(state->model.get(), Retention::kPreserveAll);
   const std::size_t steps = state->model->plan().steps().size();
   state->err_sum.assign(steps, 0.0);
   state->err_count.assign(steps, 0);
@@ -496,24 +513,28 @@ void Engine::set_canary_observer(const std::string& name,
   canary->observer = std::move(observer);
 }
 
-void Engine::maybe_shadow(Version* version, Session* session) {
+void Engine::maybe_shadow(CanaryState& canary, Version* version,
+                          Session* session) {
   // Only coherent frames are diffed: a poisoned session or a
   // deadline-expired invoke left partial activations.
   if (session->poisoned() || !session->last_invoke_ok()) return;
-  std::shared_ptr<CanaryState> canary = canary_for(version->entry->name);
-  if (canary == nullptr) return;
   const std::uint64_t n =
-      canary->release_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % canary->options.shadow_every != 0) return;
-  std::unique_lock<std::mutex> lock(canary->shadow_mu, std::try_to_lock);
+      canary.release_counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (n % canary.options.shadow_every != 0) return;
+  if (session->retention() != Retention::kPreserveAll) {
+    // Leased lean before the canary was enabled: its layers' bytes were
+    // reused, so there is no frame to diff (release() rebuilds it).
+    canary.skipped_layout.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  std::unique_lock<std::mutex> lock(canary.shadow_mu, std::try_to_lock);
   if (!lock.owns_lock()) {
     // Another release is mid-shadow; drop the sample rather than stall the
     // pool behind a reference invoke.
-    canary->skipped_busy.fetch_add(1, std::memory_order_relaxed);
+    canary.skipped_busy.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  canary->shadow_locked(version->version_id, version->model->graph(),
-                        *session);
+  canary.shadow_locked(version->version_id, version->model->graph(), *session);
 }
 
 }  // namespace mlexray

@@ -43,6 +43,14 @@
 // returns the session. The engine clears the session's observer on release
 // so a stale TraceBuffer attachment never fires for the next leaseholder.
 // The Engine must outlive every lease it issued.
+//
+// Retention. Pooled sessions are lean (src/interpreter/session.h), except
+// for a name with an enabled canary: the canary diffs that name's frames
+// layer by layer after invoke, so a pool miss builds a kPreserveAll
+// session, and release() destroys a session whose retention no longer
+// matches the name's canary state instead of re-pooling it. The pool
+// converges after enable_canary and goes back to lean after
+// disable_canary.
 #pragma once
 
 #include <atomic>
@@ -76,7 +84,8 @@ struct EnginePoolStats {
   std::size_t leases_outstanding = 0;    // across live versions
   std::uint64_t versions_retired = 0;    // fully drained and freed
   std::uint64_t invoke_errors = 0;       // contained kernel failures
-  std::size_t sessions_destroyed = 0;    // poisoned + drained sessions
+  // Poisoned, drained, and rebuilt for a canary's retention.
+  std::size_t sessions_destroyed = 0;
   std::size_t prepared_bytes_total = 0;  // across live versions
 };
 
@@ -207,8 +216,14 @@ class Engine {
   void release(Version* version, Session* session);
   // Canary shadow attempt for a returning session; runs on the releasing
   // thread BEFORE mu_ is taken (the lease still pins version/entry).
-  void maybe_shadow(Version* version, Session* session);
+  void maybe_shadow(CanaryState& canary, Version* version, Session* session);
   std::shared_ptr<CanaryState> canary_for(const std::string& name) const;
+  // canary_for behind the canary_active_ gate: the lease and release paths'
+  // lookup, lock-free while no canary is enabled.
+  std::shared_ptr<CanaryState> canary_for_pool(const std::string& name) const;
+  // The retention a name's pooled sessions are built with: kPreserveAll
+  // while a canary diffs its layers after invoke, kLean otherwise.
+  static Retention pooled_retention(const std::shared_ptr<CanaryState>& canary);
 
   const OpResolver* resolver_;
   int num_threads_;
@@ -234,8 +249,9 @@ class Engine {
 
 // RAII handle to a pooled Session. Move-only; the destructor returns the
 // session to the engine, which re-pools it (healthy), destroys it
-// (poisoned or version draining), and retires the pinned version when its
-// last lease comes home.
+// (poisoned, version draining, or a retention the name's canary state no
+// longer wants), and retires the pinned version when its last lease comes
+// home.
 class SessionLease {
  public:
   SessionLease() = default;

@@ -17,6 +17,10 @@
 // A single caller uses the same pair, declaring the Model first so it
 // outlives its Session. The Engine (src/interpreter/engine.h) adds a named
 // registry and a session pool on top.
+//
+// Building a Model also plans where a lean Session keeps its activations
+// (ActivationLayout below): one block per session, sized by liveness over
+// plan order rather than by the sum of every node's output.
 #pragma once
 
 #include <memory>
@@ -27,6 +31,19 @@
 #include "src/interpreter/execution_plan.h"
 
 namespace mlexray {
+
+// Where each node's output lives in a lean Session's one activation block.
+// A node's output is live from its own plan step to its last consumer's
+// step; graph inputs and outputs are pinned, live for the whole invoke (so
+// set_input before invoke and output() after it always see them). Offsets
+// come from greedy-by-size placement, TFLite's arena-planner strategy:
+// largest tensor first, at the lowest 64-byte-aligned offset that overlaps
+// no already-placed tensor whose live range intersects its own.
+struct ActivationLayout {
+  std::vector<std::size_t> offsets;  // per node id, from the block start
+  std::vector<bool> pinned;          // per node id: a graph input or output
+  std::size_t block_bytes = 0;
+};
 
 class Model {
  public:
@@ -74,7 +91,10 @@ class Model {
   // session.
   std::size_t prepared_bytes() const { return plan_->prepared_bytes(); }
 
-  // One-time Prepare wall clock (plan construction, weight packing).
+  // The lean sessions' activation layout, computed once at build.
+  const ActivationLayout& activation_layout() const { return layout_; }
+
+  // One-time Prepare wall clock (plan construction, weight packing, layout).
   double prepare_ms() const { return prepare_ms_; }
 
  private:
@@ -88,6 +108,7 @@ class Model {
   int thread_cap_ = 1;
   std::unique_ptr<ExecutionPlan> plan_;
   std::vector<int> input_ids_;
+  ActivationLayout layout_;
   double prepare_ms_ = 0.0;
 };
 

@@ -2,16 +2,24 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
 #include "src/common/fault_injection.h"
 #include "src/interpreter/invoke_observer.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace mlexray {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+// The lean block's base address alignment, matching the layout's offsets.
+constexpr std::size_t kBlockAlign = 64;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -19,8 +27,8 @@ double ms_since(Clock::time_point start) {
 }
 
 // Fault-injection payload corruption (fault_sites::kInvokeOutput): the NaN
-// lands in the retained activation, so observers and validation see exactly
-// what a numerically-broken kernel would have produced.
+// lands in the step's output, so observers and validation see exactly what a
+// numerically-broken kernel would have produced.
 void poke_nan(Tensor& t) {
   if (t.dtype() == DType::kF32 && t.num_elements() > 0) {
     t.data<float>()[0] = std::numeric_limits<float>::quiet_NaN();
@@ -28,19 +36,47 @@ void poke_nan(Tensor& t) {
 }
 }  // namespace
 
-Session::Session(const Model* model) : model_(model) {
+Session::Session(const Model* model, Retention retention)
+    : model_(model), retention_(retention) {
   const auto start = Clock::now();
   MLX_CHECK(model != nullptr);
   const Graph& graph = model_->graph();
 
-  // Allocate one activation tensor per node (retained for per-layer logs).
-  // The vector is sized once and never grows: the contexts wire raw pointers
-  // into it.
+  // One activation tensor per node id. The vector is sized once and never
+  // grows: the contexts wire raw pointers into it.
   activations_.reserve(graph.nodes.size());
-  for (const Node& n : graph.nodes) {
-    Tensor t(n.output_dtype, n.output_shape);
-    t.quant() = n.output_quant;
-    activations_.push_back(std::move(t));
+  if (retention_ == Retention::kLean) {
+    // One zeroed block, counted as one allocation; each node's output is a
+    // view at its planned offset.
+    const ActivationLayout& layout = model_->activation_layout();
+    block_ = Tensor::u8(Shape{
+        static_cast<std::int64_t>(layout.block_bytes + kBlockAlign - 1)});
+    std::uint8_t* base = block_.data<std::uint8_t>();
+    const std::uintptr_t misalign =
+        reinterpret_cast<std::uintptr_t>(base) % kBlockAlign;
+    if (misalign != 0) base += kBlockAlign - misalign;
+    for (const Node& n : graph.nodes) {
+      activations_.push_back(
+          Tensor(n.output_dtype, n.output_shape, n.output_quant,
+                 base + layout.offsets[static_cast<std::size_t>(n.id)]));
+    }
+#if defined(__SANITIZE_ADDRESS__)
+    // Only the pinned inputs and outputs stay addressable between steps;
+    // the alignment slack around the layout never is.
+    ASAN_POISON_MEMORY_REGION(block_.raw_data(), block_.byte_size());
+    for (const Node& n : graph.nodes) {
+      if (layout.pinned[static_cast<std::size_t>(n.id)]) {
+        const Tensor& t = activations_[static_cast<std::size_t>(n.id)];
+        ASAN_UNPOISON_MEMORY_REGION(t.raw_data(), t.byte_size());
+      }
+    }
+#endif
+  } else {
+    for (const Node& n : graph.nodes) {
+      Tensor t(n.output_dtype, n.output_shape);
+      t.quant() = n.output_quant;
+      activations_.push_back(std::move(t));
+    }
   }
 
   // Wire one context per shared plan step against this session's activations
@@ -132,6 +168,7 @@ InvokeStatus Session::guarded_invoke(bool has_deadline,
       return status;
     }
     arena_.reset();
+    asan_step(i, /*expose=*/true);
     const auto start = Clock::now();
     try {
       if (fault::enabled()) fault::check(fault_sites::kInvokeStep);
@@ -160,6 +197,7 @@ InvokeStatus Session::guarded_invoke(bool has_deadline,
     if (observer_ != nullptr) {
       observer_->on_step(*step.node, activations_[id], node_ms);
     }
+    asan_step(i, /*expose=*/false);
   }
   stats_.total_ms = ms_since(start_total);
   stats_.arena_high_water_bytes = arena_.high_water_bytes();
@@ -177,13 +215,46 @@ const Tensor& Session::output(int output_index) const {
 
 const Tensor& Session::node_output(int node_id) const {
   MLX_CHECK(node_id >= 0 && node_id < static_cast<int>(activations_.size()));
-  return activations_[static_cast<std::size_t>(node_id)];
+  const auto id = static_cast<std::size_t>(node_id);
+  MLX_CHECK(retention_ == Retention::kPreserveAll ||
+            model_->activation_layout().pinned[id])
+      << "node '" << graph().nodes[id].name
+      << "' is an intermediate layer of a lean session, whose bytes are "
+         "reused once its last consumer has run; build the Session with "
+         "Retention::kPreserveAll to read it after invoke";
+  return activations_[id];
 }
 
 std::size_t Session::activation_bytes() const {
+  if (retention_ == Retention::kLean) {
+    return model_->activation_layout().block_bytes;
+  }
   std::size_t total = 0;
   for (const Tensor& t : activations_) total += t.byte_size();
   return total;
+}
+
+void Session::asan_step(std::size_t i, bool expose) {
+#if defined(__SANITIZE_ADDRESS__)
+  if (retention_ != Retention::kLean) return;
+  const std::vector<bool>& pinned = model_->activation_layout().pinned;
+  const Node& node = *contexts_[i].node;
+  const auto mark = [&](int node_id) {
+    const auto id = static_cast<std::size_t>(node_id);
+    if (pinned[id]) return;
+    const Tensor& t = activations_[id];
+    if (expose) {
+      ASAN_UNPOISON_MEMORY_REGION(t.raw_data(), t.byte_size());
+    } else {
+      ASAN_POISON_MEMORY_REGION(t.raw_data(), t.byte_size());
+    }
+  };
+  for (int in : node.inputs) mark(in);
+  mark(node.id);
+#else
+  (void)i;
+  (void)expose;
+#endif
 }
 
 }  // namespace mlexray

@@ -1,14 +1,24 @@
 // Session: the lightweight per-caller half of the serving API.
 //
 // A Session executes a shared, immutable Model. Everything mutable per
-// caller lives here: the activation tensors (retained for per-layer logs),
-// the scratch arena for kernel temporaries, the invoke statistics, and the
-// optional InvokeObserver (TraceBuffer) — so observers attach per-session
-// while weights and prepared packing stay shared. Construction is cheap
-// relative to Model building (no kernel resolution, no weight packing);
-// steady-state invoke() performs zero heap allocations, which the
-// alloc_stats-based regression tests enforce per session even when many
-// sessions run the same Model concurrently.
+// caller lives here: the activations, the scratch arena for kernel
+// temporaries, the invoke statistics, and the optional InvokeObserver
+// (TraceBuffer) — so observers attach per-session while weights and
+// prepared packing stay shared. Construction is cheap relative to Model
+// building (no kernel resolution, no weight packing); steady-state invoke()
+// performs zero heap allocations, which the alloc_stats-based regression
+// tests enforce per session even when many sessions run the same Model
+// concurrently.
+//
+// Retention decides what the activations are. A lean session (the default)
+// allocates one block laid out by the Model's ActivationLayout and wires a
+// view per node into it, so a layer's bytes are reused once its last
+// consumer has run; after invoke only the graph inputs and outputs can be
+// read. Per-layer capture needs no more: an InvokeObserver sees each step's
+// output while the step runs. A kPreserveAll session keeps one tensor per
+// node for its whole life, TFLite's experimental_preserve_all_tensors, for
+// the callers that read intermediate layers after invoke: the Calibrator
+// and the Engine canary's sessions.
 //
 // Thread safety: a Session is single-threaded (one invoke at a time), but
 // different Sessions over the same Model may invoke concurrently from
@@ -26,6 +36,12 @@
 namespace mlexray {
 
 class InvokeObserver;
+
+// What a Session keeps of an invoke (see the file comment).
+enum class Retention {
+  kLean,         // one planned block; inputs and outputs readable after invoke
+  kPreserveAll,  // one tensor per node; every layer readable after invoke
+};
 
 // Outcome of a guarded invoke (Session::try_invoke).
 enum class InvokeCode {
@@ -57,7 +73,8 @@ struct InvokeStatus {
 
 struct SessionStats {
   // One-time Prepare cost: the shared Model build (plan construction,
-  // weight packing) plus this session's activation allocation and wiring.
+  // weight packing, activation layout) plus this session's activation
+  // allocation and wiring.
   double prepare_ms = 0.0;
   // Wall clock of the most recent invoke.
   double total_ms = 0.0;
@@ -80,7 +97,7 @@ struct SessionStats {
 class Session {
  public:
   // model must outlive the session.
-  explicit Session(const Model* model);
+  explicit Session(const Model* model, Retention retention = Retention::kLean);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -91,7 +108,9 @@ class Session {
   // Direct mutable access to the i-th model input slot, for callers that
   // assemble the input in place (e.g. the FrontDoor batcher memcpys one
   // request row at a time instead of staging a full batch tensor). The
-  // caller owns shape discipline: the tensor's shape/dtype must not change.
+  // caller owns shape discipline: the tensor's shape/dtype must not change
+  // (on a lean session the slot is a view, and assigning a tensor of
+  // another shape or dtype onto it throws).
   Tensor& mutable_input(int input_index);
 
   // Runs all nodes in topological order over the shared prepared plan.
@@ -126,9 +145,9 @@ class Session {
   bool poisoned() const { return poisoned_; }
 
   // True when the most recent invoke ran every step to completion, i.e. the
-  // retained activations form one coherent frame. False before any invoke
-  // and after a contained error or deadline expiry (partial activations).
-  // The Engine's canary mode consults this so it never diffs a half-written
+  // activations form one coherent frame. False before any invoke and after
+  // a contained error or deadline expiry (partial activations). The
+  // Engine's canary mode consults this so it never diffs a half-written
   // frame against the reference.
   bool last_invoke_ok() const { return last_invoke_ok_; }
 
@@ -142,8 +161,13 @@ class Session {
   // The i-th model output of the last invoke.
   const Tensor& output(int output_index = 0) const;
 
-  // Any node's retained output (per-layer inspection).
+  // A node's output after invoke (per-layer inspection). Every node on a
+  // kPreserveAll session; on a lean session only graph inputs and outputs,
+  // and any other node throws MlxError: its bytes may already hold a later
+  // layer's output.
   const Tensor& node_output(int node_id) const;
+
+  Retention retention() const { return retention_; }
 
   const Model& model() const { return *model_; }
   const Graph& graph() const { return model_->graph(); }
@@ -151,16 +175,27 @@ class Session {
   const SessionStats& last_stats() const { return stats_; }
   const ScratchArena& scratch_arena() const { return arena_; }
 
-  // Bytes held by this session's activation tensors.
+  // Bytes held by this session's activations: the planned block of a lean
+  // session, every node's tensor on a kPreserveAll one.
   std::size_t activation_bytes() const;
 
  private:
   InvokeStatus guarded_invoke(bool has_deadline,
                               std::chrono::steady_clock::time_point deadline);
+  // ASan builds only: makes step i's unpinned inputs and output addressable
+  // (expose) or poisoned again, so a kernel that writes past its output
+  // inside the lean block trips ASan unless the bytes it hits belong to a
+  // tensor of the same step. A no-op in other builds.
+  void asan_step(std::size_t i, bool expose);
 
   const Model* model_;
+  Retention retention_;
   ScratchArena arena_;
-  std::vector<Tensor> activations_;  // one per node id
+  // Lean: the activation block (with alignment slack, so the layout's
+  // 64-byte offsets are 64-byte addresses); empty when preserving all.
+  Tensor block_;
+  // One per node id: views into block_ (lean) or owning tensors.
+  std::vector<Tensor> activations_;
   // One wired context per plan step (inputs/output point into activations_,
   // arena/pool/prepared attached); built once, reused verbatim every invoke.
   std::vector<KernelContext> contexts_;

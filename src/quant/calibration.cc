@@ -12,7 +12,9 @@ constexpr float kEmaMomentum = 0.9f;
 }  // namespace
 
 Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
-    : options_(options), model_(model, &resolver_), session_(&model_) {
+    : options_(options),
+      model_(model, &resolver_),
+      session_(&model_, Retention::kPreserveAll) {
   const std::size_t n = model->nodes.size();
   sample_mins_.resize(n);
   sample_maxs_.resize(n);

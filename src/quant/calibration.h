@@ -25,7 +25,8 @@ class Calibrator {
   Calibrator(const Graph* model, CalibrationOptions options = {});
 
   // Runs one representative sample through the float model and records
-  // every node's output extremes.
+  // every node's output extremes, read after invoke from a
+  // Retention::kPreserveAll session.
   void observe(const std::vector<Tensor>& inputs);
 
   struct Range {

@@ -8,51 +8,83 @@ Tensor::Tensor(DType dtype, Shape shape) : dtype_(dtype), shape_(shape) {
   allocate();
 }
 
+Tensor::Tensor(DType dtype, Shape shape, QuantParams quant, std::uint8_t* data)
+    : dtype_(dtype),
+      shape_(shape),
+      data_(data),
+      bytes_(tensor_bytes(dtype, shape)),
+      view_(true),
+      quant_(std::move(quant)) {}
+
 Tensor::Tensor(const Tensor& other)
     : dtype_(other.dtype_),
       shape_(other.shape_),
-      buffer_(other.buffer_),
+      buffer_(other.data_, other.data_ + other.bytes_),
+      data_(buffer_.data()),
+      bytes_(buffer_.size()),
       quant_(other.quant_) {
-  AllocStats::instance().add(buffer_.size());
+  AllocStats::instance().add(bytes_);
 }
 
 Tensor::Tensor(Tensor&& other) noexcept
     : dtype_(other.dtype_),
       shape_(other.shape_),
       buffer_(std::move(other.buffer_)),
+      data_(other.data_),
+      bytes_(other.bytes_),
+      view_(other.view_),
       quant_(std::move(other.quant_)) {
   other.shape_ = Shape();
+  other.data_ = nullptr;
+  other.bytes_ = 0;
+  other.view_ = false;
 }
 
 Tensor& Tensor::operator=(const Tensor& other) {
   if (this == &other) return *this;
+  if (view_) {
+    write_through(other);
+    return *this;
+  }
   release();
   dtype_ = other.dtype_;
   shape_ = other.shape_;
-  buffer_ = other.buffer_;
+  buffer_.assign(other.data_, other.data_ + other.bytes_);
+  data_ = buffer_.data();
+  bytes_ = buffer_.size();
   quant_ = other.quant_;
-  AllocStats::instance().add(buffer_.size());
+  AllocStats::instance().add(bytes_);
   return *this;
 }
 
-Tensor& Tensor::operator=(Tensor&& other) noexcept {
+Tensor& Tensor::operator=(Tensor&& other) {
   if (this == &other) return *this;
+  if (view_) {
+    write_through(other);
+    return *this;
+  }
   release();
   dtype_ = other.dtype_;
   shape_ = other.shape_;
   buffer_ = std::move(other.buffer_);
+  data_ = other.data_;
+  bytes_ = other.bytes_;
+  view_ = other.view_;
   quant_ = std::move(other.quant_);
   other.shape_ = Shape();
+  other.data_ = nullptr;
+  other.bytes_ = 0;
+  other.view_ = false;
   return *this;
 }
 
 Tensor::~Tensor() { release(); }
 
 void Tensor::allocate() {
-  std::size_t bytes =
-      static_cast<std::size_t>(shape_.num_elements()) * dtype_size(dtype_);
-  buffer_.assign(bytes, 0);
-  AllocStats::instance().add(bytes);
+  bytes_ = tensor_bytes(dtype_, shape_);
+  buffer_.assign(bytes_, 0);
+  data_ = buffer_.data();
+  AllocStats::instance().add(bytes_);
 }
 
 void Tensor::release() {
@@ -60,6 +92,16 @@ void Tensor::release() {
     AllocStats::instance().remove(buffer_.size());
     buffer_.clear();
   }
+  data_ = nullptr;
+  bytes_ = 0;
+}
+
+void Tensor::write_through(const Tensor& other) {
+  MLX_CHECK(other.dtype_ == dtype_ && other.shape_ == shape_)
+      << "cannot assign a " << dtype_name(other.dtype_)
+      << other.shape_.to_string() << " tensor onto a "
+      << dtype_name(dtype_) << shape_.to_string() << " session view";
+  std::memcpy(data_, other.data_, bytes_);
 }
 
 Tensor Tensor::f32(Shape shape, std::vector<float> values) {

@@ -8,6 +8,7 @@
 #include "src/core/assertions.h"
 #include "src/core/pipelines.h"
 #include "src/core/validation.h"
+#include "src/drift/digest.h"
 #include "src/graph/serialization.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
@@ -101,6 +102,30 @@ TEST(HostileInput, CraftedBytesThrowInsteadOfCrashing) {
     w.write_u64(std::uint64_t{1} << 61);
     BinaryReader r(w.bytes());
     EXPECT_THROW(deserialize_tensor(r), MlxError);
+  }
+  {
+    // Digests as serialize_digest writes them, each with one byte patched:
+    // an unknown dtype, and a quantile-sketch top shift of 200 (beyond 43
+    // the sketch's weights shift past 64 bits).
+    LayerDigest d;
+    d.reset();
+    d.accumulate(Tensor::f32(Shape{4}, {1.0f, 2.0f, 3.0f, 4.0f}));
+    BinaryWriter w;
+    serialize_digest(w, d);
+    std::vector<std::uint8_t> bad_dtype = w.bytes();
+    bad_dtype[0] = 0xEE;
+    BinaryReader dtype_reader(bad_dtype);
+    EXPECT_THROW(deserialize_digest(dtype_reader), MlxError);
+    // dtype u8, count u64, sum f64, sum_sq f64, min f32, max f32, then the
+    // sketch's level count and capacity (u32 each) before its top shift.
+    const std::size_t top_shift_at = 1 + 8 + 8 + 8 + 4 + 4 + 4 + 4;
+    std::vector<std::uint8_t> bad_shift = w.bytes();
+    ASSERT_EQ(bad_shift[top_shift_at], 0);
+    bad_shift[top_shift_at] = 200;
+    BinaryReader shift_reader(bad_shift);
+    EXPECT_THROW(deserialize_digest(shift_reader), MlxError);
+    BinaryReader good_reader(w.bytes());
+    EXPECT_EQ(deserialize_digest(good_reader).count, 4u);
   }
   // A trace promising 0xFFFFFFFF frames and carrying none.
   Trace t;

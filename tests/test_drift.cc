@@ -473,7 +473,7 @@ TEST(DigestCapture, QuantizedLayersTakeTheExactHistogramPath) {
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
   Model model(&qm, &opt);
-  Session session(&model);
+  Session session(&model, Retention::kPreserveAll);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   EdgeMLMonitor monitor(opts);
@@ -713,6 +713,64 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
   const CanaryReport after = engine.canary_report("m");
   EXPECT_EQ(after.shadowed, 3u) << "mismatched layout must not be shadowed";
   EXPECT_EQ(after.skipped_layout, 1u);
+}
+
+// A name's pooled sessions follow its canary: lean while none is enabled,
+// kPreserveAll while one diffs their layers after invoke. The sessions of a
+// warm lean pool cannot be diffed, so each counts one skipped_layout frame
+// and is destroyed on release; the sessions built after that are shadowed;
+// after disable_canary the pool converges back to lean.
+TEST(Canary, WarmLeanPoolConvergesToPreserveAllAndBack) {
+  BuiltinOpResolver opt;
+  Pcg32 rng_a(431), rng_ref(431);
+  Engine engine(&opt);
+  engine.load("m", conv_stack_graph(&rng_a));
+  Pcg32 drng(432);
+  const Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
+  constexpr std::size_t kPool = 3;
+  // kPool leases held at once, each checked for the retention it was
+  // built with, released together at the end.
+  const auto serve_pool = [&](Retention expected) {
+    std::vector<SessionLease> leases;
+    for (std::size_t i = 0; i < kPool; ++i) {
+      leases.push_back(engine.acquire("m"));
+      EXPECT_EQ(leases.back()->retention(), expected) << "lease " << i;
+      leases.back()->set_input(0, input);
+      leases.back()->invoke();
+    }
+  };
+  serve_pool(Retention::kLean);  // warms kPool lean sessions
+
+  CanaryOptions copts;
+  copts.shadow_every = 1;
+  engine.enable_canary("m", conv_stack_graph(&rng_ref), nullptr, copts);
+  serve_pool(Retention::kLean);  // the warm pool: skipped and destroyed
+  CanaryReport report = engine.canary_report("m");
+  EXPECT_EQ(report.skipped_layout, kPool);
+  EXPECT_EQ(report.shadowed, 0u);
+  EnginePoolStats stats = engine.pool_stats("m");
+  EXPECT_EQ(stats.sessions_destroyed, kPool);
+  EXPECT_EQ(stats.sessions_free, 0u);
+
+  serve_pool(Retention::kPreserveAll);  // rebuilt for the canary: shadowed
+  report = engine.canary_report("m");
+  EXPECT_EQ(report.shadowed, kPool);
+  EXPECT_EQ(report.skipped_layout, kPool);
+  EXPECT_EQ(report.reference_errors, 0u);
+  EXPECT_FALSE(report.drift.first_suspect.has_value()) << "same weights";
+  stats = engine.pool_stats("m");
+  EXPECT_EQ(stats.sessions_created, 2 * kPool);
+  EXPECT_EQ(stats.sessions_free, kPool);
+
+  EXPECT_TRUE(engine.disable_canary("m"));
+  serve_pool(Retention::kPreserveAll);  // pooled before disable: destroyed
+  serve_pool(Retention::kLean);         // lean again
+  stats = engine.pool_stats("m");
+  EXPECT_EQ(stats.sessions_created, 3 * kPool);
+  EXPECT_EQ(stats.sessions_destroyed, 2 * kPool);
+  EXPECT_EQ(stats.sessions_free, kPool);
+  EXPECT_EQ(stats.sessions_created - stats.sessions_destroyed,
+            stats.sessions_free + stats.leases_outstanding);
 }
 
 // --- fleet aggregation -------------------------------------------------------

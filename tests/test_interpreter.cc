@@ -7,7 +7,9 @@
 #include "src/interpreter/invoke_observer.h"
 #include "src/interpreter/session.h"
 #include "src/models/zoo.h"
+#include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
+#include "tests/test_util.h"
 
 namespace mlexray {
 namespace {
@@ -179,7 +181,7 @@ TEST(Session, NodeOutputsRetained) {
   Graph m = b.finish({s});
   RefOpResolver ref;
   Model model(&m, &ref);
-  Session session(&model);
+  Session session(&model, Retention::kPreserveAll);
   Tensor input = Tensor::f32(Shape{1, 4, 4, 2});
   input.fill(-1.0f);
   session.set_input(0, input);
@@ -187,6 +189,93 @@ TEST(Session, NodeOutputsRetained) {
   // relu output of -1 inputs is all zeros; retained per-layer.
   TensorSummary sum = summarize(session.node_output(r));
   EXPECT_EQ(sum.max, 0.0f);
+}
+
+// x -> r1 -> r2 -> r3 -> softmax: r1 and r3 are never live together, so a
+// lean session's block holds four tensors where preserve-all holds five.
+Graph relu_chain(Pcg32* rng) {
+  GraphBuilder b("chain", rng);
+  int x = b.input(Shape{1, 4, 4, 2});
+  int r1 = b.relu(x, "r1");
+  int r2 = b.relu(r1, "r2");
+  int r3 = b.relu(r2, "r3");
+  int s = b.softmax(r3, "s");
+  return b.finish({s});
+}
+
+// A lean session reuses its intermediate layers' bytes, so after invoke it
+// serves only graph inputs and outputs; reading any other node throws and
+// names the retention that keeps them.
+TEST(Session, LeanNodeOutputServesOnlyInputsAndOutputs) {
+  Pcg32 rng(31);
+  Graph m = relu_chain(&rng);
+  RefOpResolver ref;
+  Model model(&m, &ref);
+  Session session(&model);
+  EXPECT_EQ(session.retention(), Retention::kLean);
+  Tensor input = Tensor::f32(Shape{1, 4, 4, 2});
+  input.fill(0.25f);
+  session.set_input(0, input);
+  session.invoke();
+  expect_bit_identical(session.node_output(0), input);
+  EXPECT_EQ(&session.node_output(m.outputs[0]), &session.output(0));
+  for (const char* name : {"r1", "r2", "r3"}) {
+    try {
+      session.node_output(node_id_by_name(m, name));
+      ADD_FAILURE() << name << " was served by a lean session";
+    } catch (const MlxError& e) {
+      EXPECT_NE(std::string(e.what()).find("Retention::kPreserveAll"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  Session full(&model, Retention::kPreserveAll);
+  full.set_input(0, input);
+  full.invoke();
+  EXPECT_NO_THROW(full.node_output(node_id_by_name(m, "r2")));
+  expect_bit_identical(session.output(0), full.output(0));
+  EXPECT_EQ(session.activation_bytes(), 4 * input.byte_size());
+  EXPECT_EQ(full.activation_bytes(), 5 * input.byte_size());
+}
+
+// A lean session's block is one zeroed allocation and its activations are
+// views into it: a copy is an owning deep copy, assigning onto a view
+// writes through, and a mismatched assignment throws instead of turning
+// the view into an owner.
+TEST(Session, LeanActivationsAreViewsIntoOneBlock) {
+  Pcg32 rng(32);
+  Graph m = relu_chain(&rng);
+  RefOpResolver ref;
+  Model model(&m, &ref);
+  AllocStats& stats = AllocStats::instance();
+  const std::uint64_t events = stats.alloc_events();
+  const std::size_t bytes = stats.current_bytes();
+  Session session(&model);
+  EXPECT_EQ(stats.alloc_events() - events, 1u);
+  EXPECT_GE(stats.current_bytes() - bytes, session.activation_bytes());
+
+  Tensor& in = session.mutable_input(0);
+  const void* in_bytes = in.raw_data();
+  EXPECT_EQ(in.data<float>()[0], 0.0f) << "the block is zeroed once";
+  Tensor value = Tensor::f32(Shape{1, 4, 4, 2});
+  value.fill(-1.5f);
+  const std::size_t before_assign = stats.current_bytes();
+  in = value;
+  EXPECT_EQ(in.raw_data(), in_bytes) << "assignment rebound the view";
+  EXPECT_EQ(stats.current_bytes(), before_assign);
+  expect_bit_identical(in, value);
+  EXPECT_THROW(in = Tensor::f32(Shape{1, 2, 2, 2}), MlxError);
+  EXPECT_THROW(in = Tensor::i8(Shape{1, 4, 4, 2}), MlxError);
+  EXPECT_EQ(in.raw_data(), in_bytes);
+  EXPECT_EQ(in.shape(), (Shape{1, 4, 4, 2}));
+
+  session.invoke();
+  const Tensor& out = session.output(0);
+  const std::size_t before_copy = stats.current_bytes();
+  Tensor copy = out;
+  EXPECT_NE(copy.raw_data(), out.raw_data());
+  EXPECT_EQ(stats.current_bytes() - before_copy, out.byte_size());
+  expect_bit_identical(copy, out);
 }
 
 TEST(Session, RefAndOptimizedAgreeOnZooModel) {

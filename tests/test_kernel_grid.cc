@@ -235,7 +235,7 @@ TEST(ImplicitGemmConv, Int8MatchesIm2colNaiveLoopExactly) {
     Graph qm = quantize_model(m, calib);
     BuiltinOpResolver opt;
     Model model(&qm, &opt, /*num_threads=*/2);
-    Session session(&model);
+    Session session(&model, Retention::kPreserveAll);
     session.set_input(0, random_input(in_shape, crng));
     session.invoke();
 

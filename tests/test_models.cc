@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/convert/converter.h"
+#include "src/core/monitor.h"
 #include "src/models/detection.h"
 #include "src/models/segmentation.h"
 #include "src/models/zoo.h"
@@ -70,12 +71,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
                       "densenet121_mini"));
 
-// Thread caps change where a kernel runs, never what it computes: each zoo
-// model x {f32, int8} x {b1, b8}, built over one shared ThreadPool(3) at
-// num_threads 2 and 4, reproduces every retained node output of the
-// num_threads = 1 build byte for byte.
-class ThreadCaps : public ::testing::TestWithParam<std::string> {};
-
 Tensor random_image(int batch, Pcg32& rng) {
   Tensor t = Tensor::f32(Shape{batch, 32, 32, 3});
   float* p = t.data<float>();
@@ -88,46 +83,71 @@ bool same_bytes(const Tensor& a, const Tensor& b) {
          std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()) == 0;
 }
 
-TEST_P(ThreadCaps, OutputsMatchOneThreadByteForByte) {
-  const ZooEntry* entry = nullptr;
+const ZooEntry& image_zoo_entry(const std::string& name) {
   for (const ZooEntry& e : image_zoo()) {
-    if (e.name == GetParam()) entry = &e;
+    if (e.name == name) return e;
   }
-  ASSERT_NE(entry, nullptr);
+  throw MlxError("no image-zoo model " + name);
+}
+
+// One deployment graph and the input it serves.
+struct ZooCell {
+  std::string name;
+  Graph graph;
+  Tensor input;
+};
+
+// An image-zoo model x {b1, b8} x {f32, int8}, int8 calibrated on the
+// batch-1 twin (node ids do not depend on the batch). Draws the calibration
+// images, then each batch's input, from rng.
+std::vector<ZooCell> image_zoo_cells(const std::string& model, Pcg32& rng) {
+  const ZooEntry& entry = image_zoo_entry(model);
+  const Graph calib_graph = convert_for_inference(entry.build(3, 1).model);
+  Calibrator calib(&calib_graph);
+  for (int i = 0; i < 2; ++i) calib.observe({random_image(1, rng)});
+  std::vector<ZooCell> cells;
+  for (int batch : {1, 8}) {
+    Graph f32 = convert_for_inference(entry.build(3, batch).model);
+    Graph int8 = quantize_model(f32, calib);
+    const Tensor input = random_image(batch, rng);
+    const std::string b = "/b" + std::to_string(batch);
+    cells.push_back({model + "/f32" + b, std::move(f32), input});
+    cells.push_back({model + "/int8" + b, std::move(int8), input});
+  }
+  return cells;
+}
+
+// Thread caps change where a kernel runs, never what it computes: each zoo
+// model x {f32, int8} x {b1, b8}, built over one shared ThreadPool(3) at
+// num_threads 2 and 4, reproduces every node output of the num_threads = 1
+// build byte for byte.
+class ThreadCaps : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ThreadCaps, OutputsMatchOneThreadByteForByte) {
   ThreadPool pool(3);
   BuiltinOpResolver opt;
   Pcg32 rng(11);
-  // Calibrate on the batch-1 twin: node ids do not depend on the batch.
-  const Graph calib_graph = convert_for_inference(entry->build(3, 1).model);
-  Calibrator calib(&calib_graph);
-  for (int i = 0; i < 2; ++i) calib.observe({random_image(1, rng)});
-  for (int batch : {1, 8}) {
-    const Graph f32 = convert_for_inference(entry->build(3, batch).model);
-    const Graph int8 = quantize_model(f32, calib);
-    const Tensor input = random_image(batch, rng);
-    for (const Graph* g : {&f32, &int8}) {
-      const std::string cell = GetParam() + (g == &f32 ? "/f32" : "/int8") +
-                               "/b" + std::to_string(batch);
-      Model base_model(Graph(*g), &opt, &pool, 1);
-      Session base(&base_model);
-      base.set_input(0, input);
-      base.invoke();
-      for (int threads : {2, 4}) {
-        Model model(Graph(*g), &opt, &pool, threads);
-        // Without a step on the pool this would compare one thread to one.
-        int pooled = 0;
-        for (const PlanStep& step : model.plan().steps()) {
-          pooled += step.pool ? 1 : 0;
-        }
-        EXPECT_GT(pooled, 0) << cell << "/t" << threads;
-        Session session(&model);
-        session.set_input(0, input);
-        session.invoke();
-        for (const Node& n : g->nodes) {
-          EXPECT_TRUE(same_bytes(session.node_output(n.id),
-                                 base.node_output(n.id)))
-              << cell << "/t" << threads << ": " << n.name;
-        }
+  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
+    const Graph& g = cell.graph;
+    Model base_model(Graph(g), &opt, &pool, 1);
+    Session base(&base_model, Retention::kPreserveAll);
+    base.set_input(0, cell.input);
+    base.invoke();
+    for (int threads : {2, 4}) {
+      Model model(Graph(g), &opt, &pool, threads);
+      // Without a step on the pool this would compare one thread to one.
+      int pooled = 0;
+      for (const PlanStep& step : model.plan().steps()) {
+        pooled += step.pool ? 1 : 0;
+      }
+      EXPECT_GT(pooled, 0) << cell.name << "/t" << threads;
+      Session session(&model, Retention::kPreserveAll);
+      session.set_input(0, cell.input);
+      session.invoke();
+      for (const Node& n : g.nodes) {
+        EXPECT_TRUE(same_bytes(session.node_output(n.id),
+                               base.node_output(n.id)))
+            << cell.name << "/t" << threads << ": " << n.name;
       }
     }
   }
@@ -138,6 +158,200 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
                       "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
                       "densenet121_mini"));
+
+// The detection, segmentation, text and audio zoo models at b1 in f32, each
+// with one input of its own kind: images and spectrograms in [-1, 1], token
+// ids below the 64-word vocabulary.
+std::vector<ZooCell> other_zoo_cells(Pcg32& rng) {
+  std::vector<Graph> graphs;
+  graphs.push_back(build_ssd_mini("mobilenet", 5).model);
+  graphs.push_back(build_ssd_mini("resnet", 5).model);
+  graphs.push_back(build_deeplab_mini(5).model);
+  graphs.push_back(build_nnlm_mini(5, 64, 24).model);
+  graphs.push_back(build_mobilebert_mini(5, 64, 24).model);
+  graphs.push_back(build_kws_tiny_conv(5).model);
+  graphs.push_back(build_kws_low_latency_conv(5).model);
+  std::vector<ZooCell> cells;
+  for (const Graph& g : graphs) {
+    Graph deploy = convert_for_inference(g);
+    const Node& in = deploy.node(deploy.input_ids()[0]);
+    Tensor input(in.output_dtype, in.output_shape);
+    for (std::int64_t i = 0; i < input.num_elements(); ++i) {
+      if (in.output_dtype == DType::kI32) {
+        input.data<std::int32_t>()[i] =
+            static_cast<std::int32_t>(rng.next_below(64));
+      } else {
+        input.data<float>()[i] = rng.uniform(-1, 1);
+      }
+    }
+    cells.push_back({g.name + "/f32/b1", std::move(deploy), std::move(input)});
+  }
+  return cells;
+}
+
+// A lean session reuses a layer's bytes once its last consumer has run. It
+// serves a different input first, then the cell's input, and must reproduce
+// a fresh kPreserveAll session byte for byte: every model output, and every
+// step's output as a per_layer_outputs monitor captures it while the step
+// runs. A kernel that reads bytes it did not write this invoke (stale memory
+// of a layer that shared its region) fails here.
+void expect_lean_matches_preserve_all(const ZooCell& cell,
+                                      const Tensor& warm_input,
+                                      ThreadPool* pool, int threads) {
+  const std::string where = cell.name + "/t" + std::to_string(threads);
+  BuiltinOpResolver opt;
+  Model model(Graph(cell.graph), &opt, pool, threads);
+  Session full(&model, Retention::kPreserveAll);
+  full.set_input(0, cell.input);
+  full.invoke();
+
+  Session lean(&model);
+  ASSERT_EQ(lean.retention(), Retention::kLean);
+  MonitorOptions options;
+  options.per_layer_outputs = true;
+  EdgeMLMonitor monitor(options);
+  monitor.observe(lean);
+  for (const Tensor* input : {&warm_input, &cell.input}) {
+    lean.set_input(0, *input);
+    monitor.on_inf_start();
+    lean.invoke();
+    monitor.on_inf_stop(lean);
+    monitor.next_frame();
+  }
+  monitor.unobserve(lean);
+
+  for (std::size_t o = 0; o < cell.graph.outputs.size(); ++o) {
+    EXPECT_TRUE(same_bytes(lean.output(static_cast<int>(o)),
+                           full.output(static_cast<int>(o))))
+        << where << ": output " << o;
+  }
+  const FrameTrace& frame = monitor.trace().frames.at(1);
+  const auto& steps = model.plan().steps();
+  ASSERT_EQ(frame.layer_outputs.size(), steps.size()) << where;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_TRUE(same_bytes(frame.layer_outputs[i],
+                           full.node_output(steps[i].node->id)))
+        << where << ": " << steps[i].node->name;
+  }
+}
+
+// The layout's invariant, checked against live ranges recomputed here: no
+// two nodes whose live ranges intersect share a byte, graph inputs and
+// outputs overlap nothing, and the block lies between the peak-live sum and
+// the sum of every node's bytes.
+void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
+  BuiltinOpResolver opt;
+  const Model model(&cell.graph, &opt);
+  const Graph& g = model.graph();
+  const ActivationLayout& layout = model.activation_layout();
+  const std::size_t n = g.nodes.size();
+  const auto& steps = model.plan().steps();
+  const int walk = static_cast<int>(steps.size());
+  std::vector<int> begin(n, -1), end(n, -1);
+  std::vector<bool> pinned(n, false);
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const Node& node = *steps[s].node;
+    begin[static_cast<std::size_t>(node.id)] = static_cast<int>(s);
+    end[static_cast<std::size_t>(node.id)] = static_cast<int>(s);
+  }
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    for (int in : steps[s].node->inputs) {
+      end[static_cast<std::size_t>(in)] = static_cast<int>(s);
+    }
+  }
+  for (int id : g.input_ids()) pinned[static_cast<std::size_t>(id)] = true;
+  for (int id : g.outputs) pinned[static_cast<std::size_t>(id)] = true;
+  std::vector<std::size_t> bytes(n);
+  std::size_t total = 0;
+  for (std::size_t id = 0; id < n; ++id) {
+    const Node& node = g.nodes[id];
+    bytes[id] = tensor_bytes(node.output_dtype, node.output_shape);
+    total += bytes[id];
+    if (pinned[id]) {
+      begin[id] = -1;
+      end[id] = walk;
+    }
+    EXPECT_EQ(layout.pinned[id], pinned[id]) << cell.name << ": " << id;
+    EXPECT_EQ(layout.offsets[id] % 64, 0u) << cell.name << ": " << id;
+    EXPECT_LE(layout.offsets[id] + bytes[id], layout.block_bytes)
+        << cell.name << ": " << id;
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const bool live_together = begin[a] <= end[b] && begin[b] <= end[a];
+      if (!live_together && !pinned[a] && !pinned[b]) continue;
+      const bool apart =
+          layout.offsets[a] + bytes[a] <= layout.offsets[b] ||
+          layout.offsets[b] + bytes[b] <= layout.offsets[a];
+      EXPECT_TRUE(apart || bytes[a] == 0 || bytes[b] == 0)
+          << cell.name << ": " << g.nodes[a].name << " and "
+          << g.nodes[b].name << " share bytes";
+    }
+  }
+  std::size_t peak_live = 0;
+  for (int s = -1; s <= walk; ++s) {
+    std::size_t live = 0;
+    for (std::size_t id = 0; id < n; ++id) {
+      if (begin[id] <= s && s <= end[id]) live += bytes[id];
+    }
+    peak_live = std::max(peak_live, live);
+  }
+  EXPECT_GE(layout.block_bytes, peak_live) << cell.name;
+  EXPECT_LE(layout.block_bytes, total) << cell.name;
+}
+
+class LeanPlan : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LeanPlan, MatchesPreserveAllByteForByte) {
+  ThreadPool pool(3);
+  Pcg32 rng(11);
+  Pcg32 warm_rng(12);
+  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
+    const Tensor warm = random_image(
+        static_cast<int>(cell.input.shape().batch()), warm_rng);
+    for (int threads : {1, 2}) {
+      expect_lean_matches_preserve_all(cell, warm, &pool, threads);
+    }
+  }
+}
+
+TEST_P(LeanPlan, LayoutKeepsLiveTensorsApart) {
+  Pcg32 rng(11);
+  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
+    expect_layout_keeps_live_tensors_apart(cell);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllImageModels, LeanPlan,
+    ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
+                      "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
+                      "densenet121_mini"));
+
+TEST(LeanPlanOtherZoo, MatchesPreserveAllByteForByte) {
+  ThreadPool pool(3);
+  Pcg32 rng(13);
+  for (const ZooCell& cell : other_zoo_cells(rng)) {
+    Tensor warm = cell.input;
+    for (std::int64_t i = 0; i < warm.num_elements(); ++i) {
+      if (warm.dtype() == DType::kI32) {
+        warm.data<std::int32_t>()[i] = (warm.data<std::int32_t>()[i] + 7) % 64;
+      } else {
+        warm.data<float>()[i] = -warm.data<float>()[i];
+      }
+    }
+    for (int threads : {1, 2}) {
+      expect_lean_matches_preserve_all(cell, warm, &pool, threads);
+    }
+  }
+}
+
+TEST(LeanPlanOtherZoo, LayoutKeepsLiveTensorsApart) {
+  Pcg32 rng(13);
+  for (const ZooCell& cell : other_zoo_cells(rng)) {
+    expect_layout_keeps_live_tensors_apart(cell);
+  }
+}
 
 // The trainer's forward takes the same per-step pools: at 2 threads every
 // activation matches the 1-thread forward byte for byte.

@@ -56,7 +56,7 @@ TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
   Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt, /*num_threads=*/2);
-  Session session(&model);
+  Session session(&model, Retention::kPreserveAll);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
@@ -93,7 +93,7 @@ TEST(ObserverCapture, QuantizedLayersStayInt8InTrace) {
   Graph qm = quantized_conv_stack(&rng, 22);
   BuiltinOpResolver opt;
   Model model(&qm, &opt, /*num_threads=*/2);
-  Session session(&model);
+  Session session(&model, Retention::kPreserveAll);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
