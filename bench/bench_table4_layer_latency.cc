@@ -12,7 +12,7 @@
 // Mean, Logistic, HSwish) that src/kernels/elementwise.h moved onto the
 // integer-only Q31/LUT path, and verifies — from the plan's steps — that
 // every int8 elementwise node in the plan was prepared by that family, i.e.
-// no double-math reference elementwise remains on the int8 path.
+// no reference elementwise loop remains on the int8 path.
 #include "bench/bench_util.h"
 #include "src/convert/converter.h"
 #include "src/interpreter/device_profile.h"
@@ -92,7 +92,7 @@ int run_model(const char* checkpoint, const char* title) {
 
   // Integer-only verification: every int8 elementwise node must be
   // plan-prepared by the Q31/LUT family (the reference kernels have no
-  // prepare hook, so a node falling back to double math would have no
+  // prepare hook, so a node falling back to a reference loop would have no
   // prepared storage in the plan).
   int elementwise_nodes = 0;
   int prepared = 0;
@@ -165,7 +165,7 @@ int run() {
       "Conv/D-Conv/Pad; the x86 emulator is pathological on float convs\n"
       "(paper Table 4; Mobile/Quant columns measured on host). The V3 split\n"
       "shows the SE elementwise groups (Add/Mul/Mean/Logistic/HSwish) served\n"
-      "by the integer-only Q31/LUT family, not reference double math.\n");
+      "by the vectorized Q31/LUT family, not the reference loops.\n");
   return rc;
 }
 

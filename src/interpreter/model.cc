@@ -37,10 +37,13 @@ ActivationLayout plan_activation_layout(const Graph& graph,
   for (int id : graph.outputs) {
     layout.pinned[static_cast<std::size_t>(id)] = true;
   }
+  // What each region takes up in the block: its bytes, plus the poisoned
+  // gap that follows it in ASan builds.
   std::vector<std::size_t> bytes(n);
   for (std::size_t id = 0; id < n; ++id) {
     const Node& node = graph.nodes[id];
-    bytes[id] = tensor_bytes(node.output_dtype, node.output_shape);
+    bytes[id] =
+        tensor_bytes(node.output_dtype, node.output_shape) + kLayoutRedzone;
     if (layout.pinned[id]) {
       first[id] = -1;
       last[id] = after_invoke;

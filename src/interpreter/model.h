@@ -39,11 +39,21 @@ namespace mlexray {
 // come from greedy-by-size placement, TFLite's arena-planner strategy:
 // largest tensor first, at the lowest 64-byte-aligned offset that overlaps
 // no already-placed tensor whose live range intersects its own.
+//
+// ASan builds place each region with kLayoutRedzone more bytes than it
+// holds. The Session keeps that gap poisoned, so a kernel that writes past
+// its output trips ASan even when the next region is live in the same step.
 struct ActivationLayout {
   std::vector<std::size_t> offsets;  // per node id, from the block start
   std::vector<bool> pinned;          // per node id: a graph input or output
   std::size_t block_bytes = 0;
 };
+
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr std::size_t kLayoutRedzone = 64;
+#else
+inline constexpr std::size_t kLayoutRedzone = 0;
+#endif
 
 class Model {
  public:

@@ -91,8 +91,13 @@ inline QuantActivationRange quant_activation_range(Activation activation,
       break;
     case Activation::kRelu6: {
       r.min = std::max<std::int32_t>(r.min, out_zp);
-      auto six = static_cast<std::int32_t>(std::lround(6.0f / out_scale)) + out_zp;
-      r.max = std::min<std::int32_t>(r.max, six);
+      // From 256 quanta up, 6.0 lies past 127 for any zero point and clamps
+      // nothing more; rounding it could overflow int32 at tiny scales.
+      const float six = 6.0f / out_scale;
+      if (six < 256.0f) {
+        r.max = std::min<std::int32_t>(
+            r.max, static_cast<std::int32_t>(std::lround(six)) + out_zp);
+      }
       break;
     }
   }

@@ -1,5 +1,6 @@
-// Window geometry of the conv-family kernels, and the per-channel
-// requantization scales of the quantized conv / depthwise / FC nodes.
+// Window geometry of the conv-family kernels, the per-channel
+// requantization tables of the quantized conv / depthwise / FC nodes, and
+// the int8 AvgPool's rounding rule.
 //
 // ConvGeometry is the one description of a window over NHWC tensors: the
 // optimized conv (implicit GEMM, gemm.h), the depthwise family (dwconv.h),
@@ -9,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/graph/node.h"
 #include "src/kernels/fixed_point.h"
@@ -81,20 +81,10 @@ inline double requant_scale(const QuantParams& in_q, const QuantParams& w_q,
          w_q.scale(w_q.per_channel() ? ch : 0) / out_q.scale();
 }
 
-// The reference kernels requantize through the real-valued scales.
-inline std::vector<double> requant_scales(const QuantParams& in_q,
-                                          const QuantParams& w_q,
-                                          const QuantParams& out_q,
-                                          std::int64_t out_channels) {
-  std::vector<double> real(static_cast<std::size_t>(out_channels));
-  for (std::size_t ch = 0; ch < real.size(); ++ch) {
-    real[ch] = requant_scale(in_q, w_q, out_q, ch);
-  }
-  return real;
-}
-
-// The optimized kernels requantize through Q31 tables, written into
-// caller-provided arrays (plan-owned prepared storage).
+// Q31 multiplier / shift tables for every output channel, written into
+// caller-provided arrays. Both resolvers requantize through them: the
+// optimized kernels' prepare hooks fill plan-owned prepared storage once,
+// the reference kernels fill per-invoke arrays.
 inline void fill_requant_tables(const QuantParams& in_q, const QuantParams& w_q,
                                 const QuantParams& out_q,
                                 std::int64_t out_channels,
@@ -104,6 +94,26 @@ inline void fill_requant_tables(const QuantParams& in_q, const QuantParams& w_q,
     quantize_multiplier(requant_scale(in_q, w_q, out_q, ch), &multipliers[ch],
                         &shifts[ch]);
   }
+}
+
+// The int8 AvgPool's one rule, TFLite's: the raw in-window sum divided by
+// the in-bounds tap count, rounded half away from zero. Averaging quantized
+// values needs equal input and output quantization (check_avgpool_quant).
+inline std::int8_t average_i8(std::int32_t sum, std::int32_t count) {
+  if (count <= 0) return 0;
+  return clamp_to_i8(sum >= 0 ? (sum + count / 2) / count
+                              : (sum - count / 2) / count);
+}
+
+// Throws MlxError naming the node unless an int8 AvgPool's input and output
+// quantization are equal. The quantizer always makes them so (a pool
+// inherits its producer's params).
+inline void check_avgpool_quant(const Node& node, const QuantParams& in_q,
+                                const QuantParams& out_q) {
+  MLX_CHECK(in_q.scale() == out_q.scale() &&
+            in_q.zero_point() == out_q.zero_point())
+      << "int8 AvgPool2D '" << node.name
+      << "' needs equal input and output quantization";
 }
 
 }  // namespace mlexray

@@ -12,49 +12,10 @@
 #include "src/kernels/kernel.h"
 
 namespace mlexray {
-namespace {
 
 // ---------------------------------------------------------------------------
-// Packed Q31 parameter blocks (PODs living in PreparedStorage — never
-// heap-allocated at invoke).
-// ---------------------------------------------------------------------------
-
-// Add/Sub rescale both operands onto a common grid 2^kAddLeftShift finer
-// than the larger input scale (the standard TFLite decomposition): each
-// operand gets its own Q31 multiplier <= 0.5, the signed sum a third
-// multiplier folding the 2^-20 back out. All shifts for the operand
-// multipliers are <= 0 by construction; the output shift can go positive
-// only under degenerate scale choices and then takes the scalar path.
-inline constexpr int kAddLeftShift = 20;
-
-struct PackedEwAddI8 {
-  std::int32_t a_mult = 0, b_mult = 0, out_mult = 0;
-  std::int32_t a_shift = 0, b_shift = 0, out_shift = 0;  // raw, from prep
-  std::int32_t za = 0, zb = 0, zo = 0;
-  std::int32_t act_min = -128, act_max = 127;
-  std::int32_t broadcast_b = 0;  // 1 => b is [N,1,1,C] over a = [N,H,W,C]
-  std::int32_t is_sub = 0;
-};
-
-struct PackedEwMulI8 {
-  std::int32_t mult = 0;
-  std::int32_t shift = 0;  // may be > 0 when sa*sb/so >= 1 (adversarial)
-  std::int32_t za = 0, zb = 0, zo = 0;
-  std::int32_t broadcast_b = 0;
-};
-
-struct PackedEwMeanI8 {
-  std::int32_t mult = 0;
-  std::int32_t shift = 0;  // folds 1/(H*W); < 0 whenever in/out scales match
-  std::int32_t in_zp = 0, out_zp = 0;
-};
-
-struct PackedEwLutI8 {
-  const std::int8_t* table = nullptr;  // 256 entries, int8 -> int8
-};
-
-// ---------------------------------------------------------------------------
-// Plan-time builders, run by the prepare hooks.
+// The shared int8 parameter builders, run by the prepare hooks here and per
+// invoke by the reference kernels.
 // ---------------------------------------------------------------------------
 
 PackedEwAddI8 build_packed_add_i8(const KernelContext& ctx) {
@@ -122,6 +83,12 @@ PackedEwMeanI8 build_packed_mean_i8(const KernelContext& ctx) {
   return p;
 }
 
+namespace {
+
+struct PackedEwLutI8 {
+  const std::int8_t* table = nullptr;  // 256 entries, int8 -> int8
+};
+
 template <typename Packed, Packed (*kBuild)(const KernelContext&)>
 void ew_prepare(const KernelContext& ctx) {
   auto* root = ctx.prepared->allocate_array<Packed>(1);
@@ -140,23 +107,6 @@ bool use_scalar_path(std::int32_t out_shift) {
 // ---------------------------------------------------------------------------
 // Add / Sub.
 // ---------------------------------------------------------------------------
-
-inline std::int8_t add_emit_scalar(const PackedEwAddI8& p, std::int8_t a,
-                                   std::int8_t b) {
-  const std::int32_t av =
-      (static_cast<std::int32_t>(a) - p.za) * (1 << kAddLeftShift);
-  const std::int32_t bv =
-      (static_cast<std::int32_t>(b) - p.zb) * (1 << kAddLeftShift);
-  const std::int32_t as =
-      multiply_by_quantized_multiplier(av, p.a_mult, p.a_shift);
-  const std::int32_t bs =
-      multiply_by_quantized_multiplier(bv, p.b_mult, p.b_shift);
-  const std::int32_t acc = p.is_sub != 0 ? as - bs : as + bs;
-  const std::int32_t q =
-      multiply_by_quantized_multiplier_any(acc, p.out_mult, p.out_shift) +
-      p.zo;
-  return static_cast<std::int8_t>(std::clamp(q, p.act_min, p.act_max));
-}
 
 // A span is `len` contiguous elements of a and y with a (possibly shorter-
 // strided) contiguous b: the same-shape path runs one whole-tensor span, the
@@ -222,18 +172,9 @@ void addsub_i8_opt(const KernelContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Mul (zero-point-free product, single Q31 requant; matches the reference
-// kernel's plain int8 clamp — kMul carries no fused activation).
+// Mul (zero-point-free product, single Q31 requant, plain int8 clamp —
+// kMul carries no fused activation).
 // ---------------------------------------------------------------------------
-
-inline std::int8_t mul_emit_scalar(const PackedEwMulI8& p, std::int8_t a,
-                                   std::int8_t b) {
-  const std::int32_t acc = (static_cast<std::int32_t>(a) - p.za) *
-                           (static_cast<std::int32_t>(b) - p.zb);
-  const std::int32_t q =
-      multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) + p.zo;
-  return clamp_to_i8(q);
-}
 
 using MulSpanFn = void (*)(const PackedEwMulI8&, const std::int8_t*,
                            const std::int8_t*, std::int8_t*, std::int64_t);
@@ -289,26 +230,11 @@ void mul_i8_opt(const KernelContext& ctx) {
 
 // ---------------------------------------------------------------------------
 // Mean: exact integer sum over H*W per (batch, channel), one fixed-point
-// rounding through a multiplier that folds in/(out*hw). The reference kernel
-// instead rounds a double mean and rescales — the single rounding here is
-// what "exact fixed-point averaging" means.
+// rounding through a multiplier that folds in/(out*hw).
 // ---------------------------------------------------------------------------
 
 using MeanFn = void (*)(const PackedEwMeanI8&, const std::int8_t*,
                         std::int64_t, std::int64_t, std::int8_t*);
-
-// Channel c of an [hw, ch] image, in exact integer arithmetic.
-inline std::int8_t mean_channel(const PackedEwMeanI8& p, const std::int8_t* x,
-                                std::int64_t hw, std::int64_t ch,
-                                std::int64_t c) {
-  std::int32_t acc = 0;
-  for (std::int64_t px = 0; px < hw; ++px) {
-    acc += static_cast<std::int32_t>(x[px * ch + c]);
-  }
-  acc -= static_cast<std::int32_t>(hw) * p.in_zp;
-  return clamp_to_i8(
-      multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) + p.out_zp);
-}
 
 void mean_scalar(const PackedEwMeanI8& p, const std::int8_t* x,
                  std::int64_t hw, std::int64_t ch, std::int8_t* y) {

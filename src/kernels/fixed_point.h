@@ -1,11 +1,14 @@
-// Integer-only requantization arithmetic (gemmlowp-style).
+// Integer-only requantization arithmetic (gemmlowp-style): the one int8
+// rounding rule of both resolvers.
 //
-// The optimized quantized kernels avoid floating point entirely: the real
-// rescale factor in_scale*w_scale/out_scale is pre-quantized into a Q31
-// multiplier plus a power-of-two shift, and applied with a
-// rounding-doubling high multiply. This matches how production edge
-// runtimes requantize and is the source of the small optimized-vs-reference
-// discrepancies the paper's per-layer validation is designed to surface.
+// The real rescale factor in_scale*w_scale/out_scale is pre-quantized into
+// a Q31 multiplier plus a power-of-two shift and applied with a
+// rounding-doubling high multiply, as production edge runtimes requantize.
+// The reference kernels call these scalar functions in their plain loops,
+// as TFLite's reference int8 kernels share its optimized kernels'
+// arithmetic, so a per-layer diff of the two resolvers is exact: any
+// difference is a kernel bug. FixedPoint.SpecWithinOneQuantumOfRealArithmetic
+// bounds the spec itself against real arithmetic.
 //
 // The scalar functions are the spec. Every optimized int8 epilogue runs the
 // 8-lane form instead (requant_clamp_store_i8_v8), which reaches the same

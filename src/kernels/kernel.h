@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 
 #include "src/common/thread_pool.h"
 #include "src/graph/node.h"
@@ -71,7 +70,9 @@ struct KernelContext {
   std::size_t worker_count() const { return pool.parallelism(); }
 };
 
-using KernelFn = std::function<void(const KernelContext&)>;
+// Every kernel is a plain function: a plan step calls it through one
+// pointer, with no type-erased thunk in between.
+using KernelFn = void (*)(const KernelContext&);
 
 // Test switch: while true, the depthwise and int8 elementwise kernels run
 // their scalar loops instead of their vector blocks, so the conformance
@@ -83,20 +84,15 @@ inline std::atomic<bool> force_scalar_kernels_for_testing{false};
 // hook the ExecutionPlan runs exactly once at construction. Prepare hooks
 // see the same wired context as invoke (shapes, weights, quant params are
 // final by then; activation *data* is not) and stash their results in
-// ctx.prepared.
+// ctx.prepared. The constructor is implicit, so `map[key] = kernel;` and
+// `map[key] = {kernel, prepare};` both register.
 struct KernelEntry {
   KernelFn invoke;
-  KernelFn prepare;  // empty for kernels with no one-time work
+  KernelFn prepare;  // null for kernels with no one-time work
 
-  KernelEntry() = default;
-  KernelEntry(KernelFn invoke_fn)  // NOLINT: implicit for plain kernels
-      : invoke(std::move(invoke_fn)) {}
-  // Raw-pointer overload so `map[key] = some_kernel;` keeps working (a free
-  // function would otherwise need two user-defined conversions).
-  KernelEntry(void (*invoke_fn)(const KernelContext&))  // NOLINT: implicit
-      : invoke(invoke_fn) {}
-  KernelEntry(KernelFn invoke_fn, KernelFn prepare_fn)
-      : invoke(std::move(invoke_fn)), prepare(std::move(prepare_fn)) {}
+  KernelEntry(KernelFn invoke_fn = nullptr,  // NOLINT: implicit by design
+              KernelFn prepare_fn = nullptr)
+      : invoke(invoke_fn), prepare(prepare_fn) {}
 };
 
 }  // namespace mlexray

@@ -490,13 +490,13 @@ void fc_i8_opt(const KernelContext& ctx) {
              a_tiles);
 }
 
-// Integer-only average pool (sum + rounded integer division); assumes the
-// quantizer keeps input and output scales identical for pools, which it does.
-// Channels are walked contiguously: each in-window pixel's ch bytes are
-// added into one int32 row, then every channel gets the same rounded
-// division by the window's in-bounds tap count.
+// Integer-only average pool by the one rule (average_i8, conv_utils.h),
+// checked to have equal input and output quantization. Channels are walked
+// contiguously: each in-window pixel's ch bytes are added into one int32
+// row, then every channel is divided by the window's in-bounds tap count.
 void avgpool_i8_opt(const KernelContext& ctx) {
   const Node& node = *ctx.node;
+  check_avgpool_quant(node, ctx.input(0).quant(), ctx.output->quant());
   const ConvGeometry g =
       conv_geometry(node, ctx.input(0).shape(), ctx.output->shape(),
                     node.attrs.filter_h, node.attrs.filter_w);
@@ -525,15 +525,7 @@ void avgpool_i8_opt(const KernelContext& ctx) {
             static_cast<std::int32_t>(std::max<std::int64_t>(y1 - y0, 0) *
                                       std::max<std::int64_t>(x1 - x0, 0));
         std::int8_t* yp = y + ((n * g.out_h + oy) * g.out_w + ox) * ch;
-        for (std::int64_t c = 0; c < ch; ++c) {
-          // Rounded division toward nearest.
-          const std::int32_t s = sum[c];
-          const std::int32_t q = count > 0
-                                     ? (s >= 0 ? (s + count / 2) / count
-                                               : (s - count / 2) / count)
-                                     : 0;
-          yp[c] = clamp_to_i8(q);
-        }
+        for (std::int64_t c = 0; c < ch; ++c) yp[c] = average_i8(sum[c], count);
       }
     }
   }

@@ -1,10 +1,12 @@
 #include "src/kernels/ref_kernels.h"
 
-#include <cmath>
-#include <cstring>
+#include <algorithm>
+#include <type_traits>
+#include <vector>
 
 #include "src/kernels/activation.h"
 #include "src/kernels/conv_utils.h"
+#include "src/kernels/elementwise.h"
 
 namespace mlexray {
 namespace {
@@ -296,8 +298,44 @@ void mul_f32(const KernelContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized (int8) reference kernels: double-precision requantization.
+// Quantized (int8) reference kernels: plain loops over the optimized
+// kernels' integer arithmetic. Each accumulates exactly in int32 and
+// requantizes through the one fixed-point spec (fixed_point.h, and the
+// elementwise parameter builders and per-element rules of elementwise.h),
+// so the two resolvers agree byte for byte and a diff between them names a
+// kernel bug, not a rounding rule.
 // ---------------------------------------------------------------------------
+
+// The int8 conv, depthwise and FC epilogue: per-channel Q31 tables built
+// per invoke by the prepare hooks' fill_requant_tables; each exact
+// accumulator is requantized, offset by the output zero point and clamped
+// to the fused activation range.
+struct ChannelRequant {
+  ChannelRequant(const Node& node, const QuantParams& in_q,
+                 const QuantParams& w_q, const QuantParams& out_q,
+                 std::int64_t channels)
+      : multipliers(static_cast<std::size_t>(channels)),
+        shifts(static_cast<std::size_t>(channels)),
+        out_zp(out_q.zero_point()),
+        range(quant_activation_range(node.attrs.activation, out_q.scale(),
+                                     out_zp)) {
+    fill_requant_tables(in_q, w_q, out_q, channels, multipliers.data(),
+                        shifts.data());
+  }
+
+  std::int8_t operator()(std::int32_t acc, std::int64_t c) const {
+    const auto ch = static_cast<std::size_t>(c);
+    const std::int32_t q =
+        multiply_by_quantized_multiplier(acc, multipliers[ch], shifts[ch]) +
+        out_zp;
+    return static_cast<std::int8_t>(std::clamp(q, range.min, range.max));
+  }
+
+  std::vector<std::int32_t> multipliers;
+  std::vector<int> shifts;
+  std::int32_t out_zp;
+  QuantActivationRange range;
+};
 
 void conv2d_i8_ref(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
@@ -315,11 +353,8 @@ void conv2d_i8_ref(const KernelContext& ctx) {
   const std::int64_t pad_h = g.pad_h;
   const std::int64_t pad_w = g.pad_w;
   const std::int32_t in_zp = in.quant().zero_point();
-  const std::int32_t out_zp = out.quant().zero_point();
-  const std::vector<double> rq =
-      requant_scales(in.quant(), filter.quant(), out.quant(), os.dim(3));
-  QuantActivationRange range = quant_activation_range(
-      node.attrs.activation, out.quant().scale(), out_zp);
+  const ChannelRequant requant(node, in.quant(), filter.quant(), out.quant(),
+                               os.dim(3));
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = filter.data<std::int8_t>();
   const std::int32_t* b = bias.data<std::int32_t>();
@@ -344,12 +379,8 @@ void conv2d_i8_ref(const KernelContext& ctx) {
               }
             }
           }
-          auto scaled = static_cast<std::int32_t>(std::lround(
-              static_cast<double>(acc) * rq[static_cast<std::size_t>(oc)]));
-          std::int32_t q = scaled + out_zp;
-          q = std::clamp(q, range.min, range.max);
           y[((n * os.dim(1) + oy) * os.dim(2) + ox) * os.dim(3) + oc] =
-              static_cast<std::int8_t>(q);
+              requant(acc, oc);
         }
       }
     }
@@ -374,11 +405,8 @@ void dwconv2d_i8_ref(const KernelContext& ctx) {
   const std::int64_t pad_h = g.pad_h;
   const std::int64_t pad_w = g.pad_w;
   const std::int32_t in_zp = in.quant().zero_point();
-  const std::int32_t out_zp = out.quant().zero_point();
-  const std::vector<double> rq =
-      requant_scales(in.quant(), filter.quant(), out.quant(), ch);
-  QuantActivationRange range = quant_activation_range(
-      node.attrs.activation, out.quant().scale(), out_zp);
+  const ChannelRequant requant(node, in.quant(), filter.quant(), out.quant(),
+                               ch);
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = filter.data<std::int8_t>();
   const std::int32_t* b = bias.data<std::int32_t>();
@@ -401,11 +429,8 @@ void dwconv2d_i8_ref(const KernelContext& ctx) {
                      static_cast<std::int32_t>(w[(fy * kw + fx) * ch + c]);
             }
           }
-          auto scaled = static_cast<std::int32_t>(std::lround(
-              static_cast<double>(acc) * rq[static_cast<std::size_t>(c)]));
-          std::int32_t q = std::clamp(scaled + out_zp, range.min, range.max);
           y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
-              static_cast<std::int8_t>(q);
+              requant(acc, c);
         }
       }
     }
@@ -422,11 +447,8 @@ void fc_i8_ref(const KernelContext& ctx) {
   const std::int64_t in_dim = weight.shape().dim(1);
   const std::int64_t out_dim = weight.shape().dim(0);
   const std::int32_t in_zp = in.quant().zero_point();
-  const std::int32_t out_zp = out.quant().zero_point();
-  const std::vector<double> rq =
-      requant_scales(in.quant(), weight.quant(), out.quant(), out_dim);
-  QuantActivationRange range = quant_activation_range(
-      node.attrs.activation, out.quant().scale(), out_zp);
+  const ChannelRequant requant(node, in.quant(), weight.quant(), out.quant(),
+                               out_dim);
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = weight.data<std::int8_t>();
   const std::int32_t* b = bias.data<std::int32_t>();
@@ -438,20 +460,18 @@ void fc_i8_ref(const KernelContext& ctx) {
         acc += (static_cast<std::int32_t>(x[n * in_dim + i]) - in_zp) *
                static_cast<std::int32_t>(w[o * in_dim + i]);
       }
-      auto scaled = static_cast<std::int32_t>(std::lround(
-          static_cast<double>(acc) * rq[static_cast<std::size_t>(o)]));
-      std::int32_t q = std::clamp(scaled + out_zp, range.min, range.max);
-      y[n * out_dim + o] = static_cast<std::int8_t>(q);
+      y[n * out_dim + o] = requant(acc, o);
     }
   }
 }
 
-// Correct int8 average pool: accumulate (q - zp_in), average with rounding,
-// rescale to the output quantization.
+// Int8 average pool by the one rule (average_i8): the raw sum of each
+// channel's in-bounds taps divided by their count.
 void avgpool_i8_correct(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
   Tensor& out = *ctx.output;
+  check_avgpool_quant(node, in.quant(), out.quant());
   const Shape& is = in.shape();
   const Shape& os = out.shape();
   const int fh = node.attrs.filter_h;
@@ -460,11 +480,6 @@ void avgpool_i8_correct(const KernelContext& ctx) {
   const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
   const std::int64_t pad_h = g.pad_h;
   const std::int64_t pad_w = g.pad_w;
-  const float in_scale = in.quant().scale();
-  const std::int32_t in_zp = in.quant().zero_point();
-  const float out_scale = out.quant().scale();
-  const std::int32_t out_zp = out.quant().zero_point();
-  const double rescale = static_cast<double>(in_scale) / out_scale;
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = out.data<std::int8_t>();
   for (std::int64_t n = 0; n < os.dim(0); ++n) {
@@ -472,21 +487,19 @@ void avgpool_i8_correct(const KernelContext& ctx) {
       for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
         for (std::int64_t c = 0; c < ch; ++c) {
           std::int32_t sum = 0;
-          int count = 0;
+          std::int32_t count = 0;
           for (int fy = 0; fy < fh; ++fy) {
             const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
             if (iy < 0 || iy >= is.dim(1)) continue;
             for (int fx = 0; fx < fw; ++fx) {
               const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
               if (ix < 0 || ix >= is.dim(2)) continue;
-              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c] - in_zp;
+              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
               ++count;
             }
           }
-          double mean = count > 0 ? static_cast<double>(sum) / count : 0.0;
-          auto q = static_cast<std::int32_t>(std::lround(mean * rescale)) + out_zp;
           y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
-              clamp_to_i8(q);
+              average_i8(sum, count);
         }
       }
     }
@@ -572,106 +585,54 @@ void maxpool_i8(const KernelContext& ctx) {
 }
 
 void mean_i8(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
-  Tensor& out = *ctx.output;
-  const Shape& is = in.shape();
+  const PackedEwMeanI8 p = build_packed_mean_i8(ctx);
+  const Shape& is = ctx.input(0).shape();
   const std::int64_t hw = is.dim(1) * is.dim(2);
   const std::int64_t ch = is.dim(3);
-  const float in_scale = in.quant().scale();
-  const std::int32_t in_zp = in.quant().zero_point();
-  const float out_scale = out.quant().scale();
-  const std::int32_t out_zp = out.quant().zero_point();
-  const double rescale = static_cast<double>(in_scale) / out_scale;
-  const std::int8_t* x = in.data<std::int8_t>();
-  std::int8_t* y = out.data<std::int8_t>();
+  const std::int8_t* x = ctx.input(0).data<std::int8_t>();
+  std::int8_t* y = ctx.output->data<std::int8_t>();
   for (std::int64_t n = 0; n < is.dim(0); ++n) {
     for (std::int64_t c = 0; c < ch; ++c) {
-      std::int64_t sum = 0;
-      for (std::int64_t p = 0; p < hw; ++p) sum += x[(n * hw + p) * ch + c] - in_zp;
-      double mean = static_cast<double>(sum) / static_cast<double>(hw);
-      y[n * ch + c] = clamp_to_i8(
-          static_cast<std::int32_t>(std::lround(mean * rescale)) + out_zp);
+      y[n * ch + c] = mean_channel(p, x + n * hw * ch, hw, ch, c);
     }
   }
 }
 
-template <bool kIsSub>
-void addsub_i8(const KernelContext& ctx) {
+// Add/Sub (the parameters carry which) and Mul: same-shape, or b =
+// [N,1,1,C] broadcasting over a = [N,H,W,C].
+template <typename Packed, Packed (*kBuild)(const KernelContext&),
+          std::int8_t (*kEmit)(const Packed&, std::int8_t, std::int8_t)>
+void binary_i8(const KernelContext& ctx) {
+  const Packed p = kBuild(ctx);
   const Tensor& a = ctx.input(0);
   const Tensor& b = ctx.input(1);
-  Tensor& out = *ctx.output;
   const Shape& as = a.shape();
-  const float sa = a.quant().scale();
-  const float sb = b.quant().scale();
-  const float so = out.quant().scale();
-  const std::int32_t za = a.quant().zero_point();
-  const std::int32_t zb = b.quant().zero_point();
-  const std::int32_t zo = out.quant().zero_point();
-  QuantActivationRange range =
-      quant_activation_range(ctx.node->attrs.activation, so, zo);
   const std::int8_t* pa = a.data<std::int8_t>();
   const std::int8_t* pb = b.data<std::int8_t>();
-  std::int8_t* y = out.data<std::int8_t>();
-  auto emit = [&](std::int64_t out_idx, std::int64_t b_idx) {
-    const double bterm = static_cast<double>(sb) * (pb[b_idx] - zb);
-    const double real =
-        static_cast<double>(sa) * (pa[out_idx] - za) + (kIsSub ? -bterm : bterm);
-    auto q = static_cast<std::int32_t>(std::lround(real / so)) + zo;
-    y[out_idx] = static_cast<std::int8_t>(std::clamp(q, range.min, range.max));
-  };
+  std::int8_t* y = ctx.output->data<std::int8_t>();
   if (as == b.shape()) {
-    for (std::int64_t i = 0; i < out.num_elements(); ++i) emit(i, i);
+    for (std::int64_t i = 0; i < a.num_elements(); ++i) {
+      y[i] = kEmit(p, pa[i], pb[i]);
+    }
     return;
   }
   const std::int64_t hw = as.dim(1) * as.dim(2);
   const std::int64_t ch = as.dim(3);
   for (std::int64_t n = 0; n < as.dim(0); ++n) {
-    for (std::int64_t p = 0; p < hw; ++p) {
+    for (std::int64_t px = 0; px < hw; ++px) {
       for (std::int64_t c = 0; c < ch; ++c) {
-        emit((n * hw + p) * ch + c, n * ch + c);
+        const std::int64_t i = (n * hw + px) * ch + c;
+        y[i] = kEmit(p, pa[i], pb[n * ch + c]);
       }
     }
   }
 }
 
-void add_i8(const KernelContext& ctx) { addsub_i8<false>(ctx); }
-void sub_i8(const KernelContext& ctx) { addsub_i8<true>(ctx); }
-
+void addsub_i8(const KernelContext& ctx) {
+  binary_i8<PackedEwAddI8, build_packed_add_i8, add_emit_scalar>(ctx);
+}
 void mul_i8(const KernelContext& ctx) {
-  const Tensor& a = ctx.input(0);
-  const Tensor& b = ctx.input(1);
-  Tensor& out = *ctx.output;
-  const Shape& as = a.shape();
-  const Shape& bs = b.shape();
-  const float sa = a.quant().scale();
-  const float sb = b.quant().scale();
-  const float so = out.quant().scale();
-  const std::int32_t za = a.quant().zero_point();
-  const std::int32_t zb = b.quant().zero_point();
-  const std::int32_t zo = out.quant().zero_point();
-  const double rescale = static_cast<double>(sa) * sb / so;
-  const std::int8_t* pa = a.data<std::int8_t>();
-  const std::int8_t* pb = b.data<std::int8_t>();
-  std::int8_t* y = out.data<std::int8_t>();
-  auto emit = [&](std::int64_t out_idx, std::int64_t b_idx) {
-    std::int32_t prod = (static_cast<std::int32_t>(pa[out_idx]) - za) *
-                        (static_cast<std::int32_t>(pb[b_idx]) - zb);
-    auto q = static_cast<std::int32_t>(std::lround(prod * rescale)) + zo;
-    y[out_idx] = clamp_to_i8(q);
-  };
-  if (as == bs) {
-    for (std::int64_t i = 0; i < out.num_elements(); ++i) emit(i, i);
-    return;
-  }
-  const std::int64_t hw = as.dim(1) * as.dim(2);
-  const std::int64_t ch = as.dim(3);
-  for (std::int64_t n = 0; n < as.dim(0); ++n) {
-    for (std::int64_t p = 0; p < hw; ++p) {
-      for (std::int64_t c = 0; c < ch; ++c) {
-        emit((n * hw + p) * ch + c, n * ch + c);
-      }
-    }
-  }
+  binary_i8<PackedEwMulI8, build_packed_mul_i8, mul_emit_scalar>(ctx);
 }
 
 void avgpool_f32(const KernelContext& ctx) { pool_f32<false>(ctx); }
@@ -701,8 +662,8 @@ void register_ref_quant_kernels(KernelMap& map, bool emulate_avgpool_bug) {
   map[{OpType::kMaxPool2D, true}] = maxpool_i8;
   map[{OpType::kMean, true}] = mean_i8;
   map[{OpType::kPad, true}] = pad_naive<std::int8_t>;
-  map[{OpType::kAdd, true}] = add_i8;
-  map[{OpType::kSub, true}] = sub_i8;
+  map[{OpType::kAdd, true}] = addsub_i8;
+  map[{OpType::kSub, true}] = addsub_i8;
   map[{OpType::kMul, true}] = mul_i8;
 }
 

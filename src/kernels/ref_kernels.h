@@ -1,6 +1,10 @@
 // Reference kernels: straightforward nested-loop implementations, the
 // "easy-to-understand but inefficient" baseline a debugging resolver invokes
 // (mirrors TFLite's register_ref.h kernels discussed in the paper §4.4).
+// The int8 kernels keep their own loops but requantize through the
+// optimized kernels' fixed-point spec (fixed_point.h, elementwise.h), as
+// TFLite's reference kernels do, so the two resolvers' int8 outputs match
+// byte for byte unless a kernel is wrong.
 //
 // The quantized AveragePool2D kernel optionally emulates the production bug
 // the paper discovered in MobileNetV3's squeeze-excite pools (constant/

@@ -1,5 +1,6 @@
 #include "src/quant/quantizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 

@@ -37,6 +37,29 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+// The nothrow forms (std::get_temporary_buffer, under std::stable_sort and
+// friends, allocates through them) count too, and return null on failure.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) !=
+      0) {
+    return nullptr;
+  }
+  return p;
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
 
 void operator delete(void* p) noexcept { heap_counter_free(p); }
 void operator delete[](void* p) noexcept { heap_counter_free(p); }
@@ -54,5 +77,19 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   heap_counter_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  heap_counter_free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  heap_counter_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  heap_counter_free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  heap_counter_free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   heap_counter_free(p);
 }

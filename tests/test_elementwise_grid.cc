@@ -15,11 +15,10 @@
 //    int32 block (sub-vector, exact, one-past, multi-block) x batch {1, 2},
 //    with per-case randomized asymmetric calibration ranges so scales and
 //    zero points differ across operands and cells;
-//  - int8 cells assert opt-vs-ref within one output quantum (double rescale
-//    vs Q31 fixed point, the documented one-step discrepancy) — and
-//    *bit-exact* agreement between the vector and scalar paths, LUT
-//    activations additionally bit-exact vs the reference (same table
-//    builder);
+//  - int8 cells assert *bit-exact* opt-vs-ref output (both resolvers build
+//    the same parameters and run the same per-element rules; the LUT
+//    activations share one table builder) and *bit-exact* agreement
+//    between the vector and scalar paths;
 //  - every cell asserts that each plan step whose kernel has a prepare hook
 //    got prepared storage, and that steady-state invoke performs zero heap
 //    allocations (global operator-new counter + AllocStats events).
@@ -41,7 +40,6 @@
 #include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
-#include "src/tensor/tensor_stats.h"
 #include "tests/heap_counter.h"
 #include "tests/test_util.h"
 
@@ -94,12 +92,6 @@ bool is_binary(EwOp op) {
 bool is_broadcast(EwOp op) {
   return op == EwOp::kAddBcast || op == EwOp::kSubBcast ||
          op == EwOp::kMulBcast;
-}
-
-// LUT cells must be bit-exact vs the reference: both paths call the
-// identical build_i8_lut on the identical quant params.
-bool is_lut(EwOp op) {
-  return op == EwOp::kLogistic || op == EwOp::kHardSwish || op == EwOp::kTanh;
 }
 
 struct EwGridCase {
@@ -277,16 +269,8 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
   }
   ri.invoke();
   oi.invoke();
-  if (is_lut(c.op)) {
-    // Same build_i8_lut, same quant params: the optimized LUT path must be
-    // bit-stable vs the reference, not merely within a quantum.
-    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
-  } else {
-    // Double-rescale (ref) vs Q31 fixed point (opt): at most one quantum.
-    EXPECT_LE(linf_error(ri.output(0), oi.output(0)),
-              1.001f * output_quantum(qm))
-        << c;
-  }
+  // One integer arithmetic on both resolvers: the same bytes.
+  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
   // The conformance core: the vector path and the scalar reference path
   // produce bit-identical integer output.
   expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
@@ -315,14 +299,11 @@ std::vector<EwGridCase> make_f32_grid() {
   return grid;
 }
 
-// The invoke target of the plan step that runs the op under test (the
-// builder names it "op"); null when the kernel is not a plain function.
-using KernelFnPtr = void (*)(const KernelContext&);
-KernelFnPtr op_kernel(const Session& session) {
+// The invoke function of the plan step that runs the op under test (the
+// builder names it "op").
+KernelFn op_kernel(const Session& session) {
   for (const PlanStep& step : session.plan().steps()) {
-    if (step.node->name != "op") continue;
-    const KernelFnPtr* fn = step.kernel->invoke.target<KernelFnPtr>();
-    return fn != nullptr ? *fn : nullptr;
+    if (step.node->name == "op") return step.kernel->invoke;
   }
   ADD_FAILURE() << "no plan step named 'op'";
   return nullptr;
@@ -348,8 +329,8 @@ TEST_P(ElementwiseF32Grid, OptMatchesRefBitExact) {
   Model opt_model(&m, &opt, /*num_threads=*/2);
   Session oi(&opt_model);
   // The optimized resolver has its own Add/Sub kernel, with no prepare hook.
-  const KernelFnPtr ref_fn = op_kernel(ri);
-  const KernelFnPtr opt_fn = op_kernel(oi);
+  const KernelFn ref_fn = op_kernel(ri);
+  const KernelFn opt_fn = op_kernel(oi);
   ASSERT_NE(ref_fn, nullptr) << c;
   ASSERT_NE(opt_fn, nullptr) << c;
   EXPECT_NE(opt_fn, ref_fn) << c << ": the optimized plan runs the reference";
@@ -424,8 +405,7 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
     oi.set_input(1, gate);
     ri.invoke();
     oi.invoke();
-    EXPECT_LE(linf_error(ri.output(0), oi.output(0)),
-              1.001f * output_quantum(qm))
+    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0)))
         << op_type_name(type);
     expect_scalar_bit_equal(
         oi, snapshot(oi.output(0)),

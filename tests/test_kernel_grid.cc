@@ -7,9 +7,9 @@
 // contraction asymmetry between the two compiled loops (the compiler fuses
 // mul+add in one and not the other; observed distance on GCC12/-march=native
 // is 0-1 ULP). A geometry or ordering bug shows up as thousands of ULPs.
-// Int8 parity is asserted to one quantum: the reference path requantizes
-// through a double multiply while the optimized path uses the Q31
-// fixed-point multiplier, an intentional (paper §4.4) one-step discrepancy.
+// Int8 parity is asserted byte for byte: both resolvers accumulate exactly
+// in int32 and requantize through the one Q31 fixed-point spec
+// (fixed_point.h), so any difference is a kernel bug.
 //
 // The allocation checks pin down the Prepare/Invoke contract from two
 // angles: AllocStats events (tracked Tensor/arena buffers) and a global
@@ -186,10 +186,8 @@ TEST_P(KernelGrid, OptMatchesRef) {
     // differ — at most a few ULPs, where a real geometry bug is thousands.
     EXPECT_LE(max_ulp_diff(rs.output(0), os.output(0)), 4) << c;
   } else {
-    // Double-rescale (ref) vs Q31 fixed point (opt): at most one quantum.
-    EXPECT_LE(linf_error(rs.output(0), os.output(0)),
-              1.001f * output_quantum(qm))
-        << c;
+    // One integer arithmetic on both resolvers: the same bytes.
+    EXPECT_TRUE(outputs_bit_equal(rs.output(0), os.output(0))) << c;
   }
 }
 
@@ -718,8 +716,7 @@ TEST(BatchedInference, QuantizedOptMatchesRefAtBatch4) {
   oi.set_input(0, input);
   ri.invoke();
   oi.invoke();
-  EXPECT_LE(linf_error(ri.output(0), oi.output(0)),
-            1.001f * output_quantum(qm));
+  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0)));
 }
 
 TEST(ScratchArenaTest, AllocationsAreAbsoluteAligned) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/convert/converter.h"
 #include "src/core/monitor.h"
@@ -97,16 +101,18 @@ struct ZooCell {
   Tensor input;
 };
 
-// An image-zoo model x {b1, b8} x {f32, int8}, int8 calibrated on the
-// batch-1 twin (node ids do not depend on the batch). Draws the calibration
-// images, then each batch's input, from rng.
-std::vector<ZooCell> image_zoo_cells(const std::string& model, Pcg32& rng) {
+// An image-zoo model x {b1, b8} (or `batches`) x {f32, int8}, int8
+// calibrated on the batch-1 twin (node ids do not depend on the batch).
+// Draws the calibration images, then each batch's input, from rng.
+std::vector<ZooCell> image_zoo_cells(
+    const std::string& model, Pcg32& rng,
+    std::initializer_list<int> batches = {1, 8}) {
   const ZooEntry& entry = image_zoo_entry(model);
   const Graph calib_graph = convert_for_inference(entry.build(3, 1).model);
   Calibrator calib(&calib_graph);
   for (int i = 0; i < 2; ++i) calib.observe({random_image(1, rng)});
   std::vector<ZooCell> cells;
-  for (int batch : {1, 8}) {
+  for (int batch : batches) {
     Graph f32 = convert_for_inference(entry.build(3, batch).model);
     Graph int8 = quantize_model(f32, calib);
     const Tensor input = random_image(batch, rng);
@@ -158,6 +164,97 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
                       "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
                       "densenet121_mini"));
+
+// The two resolvers run one int8 arithmetic: on every image-zoo model at b1
+// and b8, over four random frames, every int8 node output of the reference
+// session matches the optimized session's byte for byte. A one-quantum
+// kernel bug in either resolver shows here as its layer.
+class ResolverParity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ResolverParity, Int8NodeOutputsMatchByteForByte) {
+  const BuiltinOpResolver opt(KernelBugConfig::none());
+  const RefOpResolver ref(KernelBugConfig::none());
+  Pcg32 rng(17);
+  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
+    if (cell.name.find("/int8/") == std::string::npos) continue;
+    const Model opt_model(&cell.graph, &opt);
+    const Model ref_model(&cell.graph, &ref);
+    Session os(&opt_model, Retention::kPreserveAll);
+    Session rs(&ref_model, Retention::kPreserveAll);
+    const auto batch = static_cast<int>(cell.input.shape().batch());
+    for (int frame = 0; frame < 4; ++frame) {
+      const Tensor input = frame == 0 ? cell.input : random_image(batch, rng);
+      for (Session* s : {&os, &rs}) {
+        s->set_input(0, input);
+        s->invoke();
+      }
+      std::vector<std::string> differ;  // in plan order
+      for (const PlanStep& step : opt_model.plan().steps()) {
+        const Node& n = *step.node;
+        if (n.output_dtype == DType::kI8 &&
+            !same_bytes(os.node_output(n.id), rs.node_output(n.id))) {
+          differ.push_back(n.name);
+        }
+      }
+      EXPECT_TRUE(differ.empty())
+          << cell.name << " frame " << frame << ": " << differ.size()
+          << " int8 layers differ, first "
+          << (differ.empty() ? "" : differ.front());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllImageModels, ResolverParity,
+    ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
+                      "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
+                      "densenet121_mini"));
+
+// The op types whose BuiltinOpResolver step runs the very kernel the
+// RefOpResolver step of the same node runs, over every image-zoo model in
+// f32 and int8 at b1. The set must equal this allow-list, so a reference
+// loop cannot enter the fast path unnoticed; moving an op onto an optimized
+// kernel (ROADMAP item 3) shrinks the list.
+TEST(ResolverCoverage, SharedKernelsMatchAllowList) {
+  const std::set<std::string> allowed = {
+      // Structural: one shared kernel, nothing to optimize at this scale.
+      "Concat/f32",     // row copies
+      "Sigmoid/f32",    // under 5 us per invoke; ROADMAP item 3 leaves it
+      "Softmax/f32",    // the classifier head
+      "Softmax/int8",
+      // ROADMAP item 3: still on the reference loop or the shared kernel.
+      "AvgPool2D/f32",
+      "Concat/int8",    // float rescale per element
+      "HardSwish/f32",
+      "MaxPool2D/f32",
+      "MaxPool2D/int8",
+      "Mean/f32",
+      "Mul/f32",
+  };
+  const BuiltinOpResolver opt;
+  const RefOpResolver ref;
+  std::set<std::string> shared;
+  Pcg32 rng(5);
+  for (const ZooEntry& entry : image_zoo()) {
+    for (const ZooCell& cell : image_zoo_cells(entry.name, rng, {1})) {
+      const Model opt_model(&cell.graph, &opt);
+      const Model ref_model(&cell.graph, &ref);
+      std::vector<KernelFn> ref_invoke(cell.graph.nodes.size(), nullptr);
+      for (const PlanStep& step : ref_model.plan().steps()) {
+        ref_invoke[static_cast<std::size_t>(step.node->id)] =
+            step.kernel->invoke;
+      }
+      for (const PlanStep& step : opt_model.plan().steps()) {
+        const Node& n = *step.node;
+        if (step.kernel->invoke == ref_invoke[static_cast<std::size_t>(n.id)]) {
+          shared.insert(std::string(op_type_name(n.type)) +
+                        (OpResolver::is_quantized_node(n) ? "/int8" : "/f32"));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shared, allowed);
+}
 
 // The detection, segmentation, text and audio zoo models at b1 in f32, each
 // with one input of its own kind: images and spectrograms in [-1, 1], token
@@ -238,7 +335,9 @@ void expect_lean_matches_preserve_all(const ZooCell& cell,
 // The layout's invariant, checked against live ranges recomputed here: no
 // two nodes whose live ranges intersect share a byte, graph inputs and
 // outputs overlap nothing, and the block lies between the peak-live sum and
-// the sum of every node's bytes.
+// the sum of every node's bytes. ASan builds check the stronger form their
+// layout keeps: such regions lie at least kLayoutRedzone bytes apart, and
+// every node adds at most that much to the block.
 void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
   BuiltinOpResolver opt;
   const Model model(&cell.graph, &opt);
@@ -273,7 +372,8 @@ void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
     }
     EXPECT_EQ(layout.pinned[id], pinned[id]) << cell.name << ": " << id;
     EXPECT_EQ(layout.offsets[id] % 64, 0u) << cell.name << ": " << id;
-    EXPECT_LE(layout.offsets[id] + bytes[id], layout.block_bytes)
+    EXPECT_LE(layout.offsets[id] + bytes[id] + kLayoutRedzone,
+              layout.block_bytes)
         << cell.name << ": " << id;
   }
   for (std::size_t a = 0; a < n; ++a) {
@@ -281,8 +381,8 @@ void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
       const bool live_together = begin[a] <= end[b] && begin[b] <= end[a];
       if (!live_together && !pinned[a] && !pinned[b]) continue;
       const bool apart =
-          layout.offsets[a] + bytes[a] <= layout.offsets[b] ||
-          layout.offsets[b] + bytes[b] <= layout.offsets[a];
+          layout.offsets[a] + bytes[a] + kLayoutRedzone <= layout.offsets[b] ||
+          layout.offsets[b] + bytes[b] + kLayoutRedzone <= layout.offsets[a];
       EXPECT_TRUE(apart || bytes[a] == 0 || bytes[b] == 0)
           << cell.name << ": " << g.nodes[a].name << " and "
           << g.nodes[b].name << " share bytes";
@@ -297,7 +397,7 @@ void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
     peak_live = std::max(peak_live, live);
   }
   EXPECT_GE(layout.block_bytes, peak_live) << cell.name;
-  EXPECT_LE(layout.block_bytes, total) << cell.name;
+  EXPECT_LE(layout.block_bytes, total + kLayoutRedzone * n) << cell.name;
 }
 
 class LeanPlan : public ::testing::TestWithParam<std::string> {};

@@ -68,14 +68,4 @@ inline std::vector<float> snapshot(const Tensor& t) {
   return std::vector<float>(p, p + t.num_elements());
 }
 
-// One quantization step of a quantized model's (dequantized f32) output: the
-// scale of the tensor feeding the trailing Dequantize node.
-inline float output_quantum(const Graph& qm) {
-  const Node& out = qm.node(qm.outputs[0]);
-  if (out.type == OpType::kDequantize) {
-    return qm.node(out.inputs[0]).output_quant.scale();
-  }
-  return out.output_quant.scale();
-}
-
 }  // namespace mlexray
