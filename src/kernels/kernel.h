@@ -62,11 +62,10 @@ struct KernelContext {
     return arena->allocate_array<T>(static_cast<std::size_t>(count));
   }
 
-  // Worker slots a parallel_for_workers body may observe (>= 1). Reflects
-  // the *executing* context's pool and participant cap — size per-worker
-  // scratch from this at invoke time, never from a pool seen at prepare
-  // time (the trainer and a serving session can execute the same kernel
-  // with different pools and caps).
+  // Worker slots a parallel_for_workers body may observe (>= 1): the
+  // step's pool and participant cap (PlanStep::pool), which a plan's
+  // prepare hooks and its invokes both see. Size per-worker scratch from
+  // this.
   std::size_t worker_count() const { return pool.parallelism(); }
 };
 

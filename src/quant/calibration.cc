@@ -25,14 +25,16 @@ Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
 }
 
 void Calibrator::observe(const std::vector<Tensor>& inputs) {
+  MLX_CHECK_EQ(inputs.size(), model_.input_ids().size())
+      << "a calibration sample of model '" << model_.name()
+      << "' holds one tensor per graph input";
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     session_.set_input(static_cast<int>(i), inputs[i]);
   }
   session_.invoke();
   for (const Node& n : model_.graph().nodes) {
-    const Tensor& out = n.type == OpType::kInput
-                            ? inputs[0]  // input node holds the raw input
-                            : session_.node_output(n.id);
+    // Every node, each graph input included, reads its own slot.
+    const Tensor& out = session_.node_output(n.id);
     if (out.dtype() != DType::kF32 && n.type != OpType::kInput) continue;
     TensorSummary s = summarize(out);
     const auto id = static_cast<std::size_t>(n.id);

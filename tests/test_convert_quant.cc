@@ -234,6 +234,36 @@ TEST(Calibrator, PercentileClipsOutliers) {
   EXPECT_FLOAT_EQ(calib2.range(0).max, 100.0f);  // min-max inflated
 }
 
+// Each graph input is calibrated from its own tensor of the sample: the
+// gate of a two-input Add spans [-8, 8] while the first input spans
+// [-1, 1], and each input's Quantize node gets its own scale. A sample
+// without one tensor per graph input is refused.
+TEST(Calibrator, EachGraphInputReadsItsOwnTensor) {
+  Pcg32 rng(12);
+  GraphBuilder b("two_inputs", &rng);
+  const Shape shape{1, 4, 4, 8};
+  int x = b.input(shape);
+  int gate = b.input(shape, DType::kF32, "gate");
+  Graph m = b.finish({b.add(x, gate, Activation::kNone, "add")});
+  Calibrator calib(&m);
+  Pcg32 drng(13);
+  for (int i = 0; i < 4; ++i) {
+    calib.observe({random_input(shape, drng, -1.0f, 1.0f),
+                   random_input(shape, drng, -8.0f, 8.0f)});
+  }
+  EXPECT_THROW(calib.observe({random_input(shape, drng)}), MlxError);
+  const Graph qm = quantize_model(m, calib);
+  int quantizes = 0;
+  for (const Node& n : qm.nodes) {
+    if (n.type != OpType::kQuantize) continue;
+    ++quantizes;
+    EXPECT_NEAR(n.output_quant.scale(),
+                n.name == "gate_quantize" ? 16.0f / 255 : 2.0f / 255, 0.002f)
+        << n.name;
+  }
+  EXPECT_EQ(quantizes, 2);
+}
+
 TEST(QuantizeModel, StructureHasQuantizeAndDequantize) {
   Graph ckpt = post_act_model(11);
   Graph converted = convert_for_inference(ckpt);

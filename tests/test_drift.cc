@@ -353,12 +353,8 @@ TEST(TraceFormat, V1FilesWithoutDigestSectionStillLoad) {
   const FrameTrace& g = back.frames[0];
   EXPECT_EQ(g.layer_names, (std::vector<std::string>{"a", "b"}));
   ASSERT_EQ(g.layer_outputs.size(), 2u);
-  ASSERT_EQ(g.layer_outputs[0].byte_size(), out_a.byte_size());
-  EXPECT_EQ(0, std::memcmp(g.layer_outputs[0].raw_data(), out_a.raw_data(),
-                           out_a.byte_size()));
-  ASSERT_EQ(g.layer_outputs[1].byte_size(), out_b.byte_size());
-  EXPECT_EQ(0, std::memcmp(g.layer_outputs[1].raw_data(), out_b.raw_data(),
-                           out_b.byte_size()));
+  EXPECT_TRUE(same_bytes(g.layer_outputs[0], out_a));
+  EXPECT_TRUE(same_bytes(g.layer_outputs[1], out_b));
   EXPECT_EQ(g.layer_latency_ms, (std::vector<double>{0.25, 0.5}));
   EXPECT_DOUBLE_EQ(g.scalar("latency.inference_ms"), 1.0);
   EXPECT_TRUE(g.layer_digests.empty());

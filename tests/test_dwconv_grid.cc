@@ -10,31 +10,26 @@
 //    sub-vector, exact-vector, and vector-tail channel counts for both the
 //    16-lane int8 and 8-lane f32 blocks, and the int8 8-lane block that
 //    follows a full 16-lane block) x batch {1, 4}, in f32 and int8 with
-//    per-channel weight scales and asymmetric activation zero points;
-//  - f32 cells assert *bit-exact* opt-vs-ref output (the vector path keeps
-//    the reference kernel's per-channel accumulation order);
-//  - int8 cells assert *bit-exact* opt-vs-ref output (both resolvers
-//    accumulate exactly in int32 and requantize through the one Q31
-//    fixed-point spec) and *bit-exact* agreement between the vector path
-//    and the forced-scalar path;
+//    per-channel weight scales, asymmetric activation zero points and
+//    seeded nonzero biases;
+//  - on the differential runner (tests/differential.h), every cell holds
+//    byte for byte on the resolver axis (f32: the vector path keeps the
+//    reference kernel's per-channel accumulation order; int8: both
+//    resolvers accumulate exactly in int32 and requantize through the one
+//    Q31 fixed-point spec) and on the scalar-path axis;
 //  - every cell asserts that each plan step whose kernel has a prepare hook
-//    got prepared storage, and that steady-state invoke performs zero heap
-//    allocations (global operator-new counter + AllocStats events);
+//    got prepared storage (int8 only: f32 filters are used as stored), and
+//    that steady-state invoke performs zero heap allocations;
 //  - the largest stride-1 cells assert that the plan put their depthwise
 //    step on the model's pool, so the grid keeps exercising the row
 //    partitioning and the per-worker tap tables.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/session.h"
-#include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
-#include "src/tensor/alloc_stats.h"
-#include "tests/heap_counter.h"
-#include "tests/test_util.h"
+#include "tests/differential.h"
 
 namespace mlexray {
 namespace {
@@ -86,55 +81,7 @@ std::vector<DwGridCase> make_grid() {
   return grid;
 }
 
-class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {
- protected:
-  void TearDown() override { force_scalar_kernels_for_testing = false; }
-};
-
-// Invokes `session` on the forced-scalar path and asserts the result is
-// byte-identical to `want` (the vector path's result).
-void expect_scalar_bit_equal(Session& session, const std::vector<float>& want,
-                             const DwGridCase& c) {
-  force_scalar_kernels_for_testing = true;
-  session.invoke();
-  force_scalar_kernels_for_testing = false;
-  const Tensor& out = session.output(0);
-  ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
-  EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
-                        want.size() * sizeof(float)),
-            0)
-      << c << " diverges on the scalar path";
-}
-
-// Plan structure: exactly one step has a prepare hook — the op under test;
-// Quantize/Dequantize have none — and it holds the storage its hook filled
-// (its invoke has no other path).
-void expect_prepared_steps(const Session& session, const DwGridCase& c) {
-  int hooks = 0;
-  for (const PlanStep& step : session.plan().steps()) {
-    if (!step.kernel->prepare) continue;
-    ++hooks;
-    EXPECT_NE(step.prepared, nullptr) << c << ": " << step.node->name;
-  }
-  EXPECT_EQ(hooks, 1) << c;
-}
-
-// Steady-state contract: invoke never touches the heap and never registers
-// tensor/arena allocations once the plan exists.
-void expect_steady_state_clean(Session& session, const DwGridCase& c) {
-  session.invoke();  // warmup may grow the scratch arena
-  const std::uint64_t events_before = AllocStats::instance().alloc_events();
-  const std::uint64_t heap_before = g_heap_allocs.load();
-  const std::size_t high_water_before =
-      session.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 3; ++i) session.invoke();
-  EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
-      << c << ": steady-state invoke registered allocations";
-  EXPECT_EQ(g_heap_allocs.load(), heap_before)
-      << c << ": steady-state invoke touched the heap";
-  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
-      << c << ": steady-state invoke grew the scratch arena";
-}
+class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {};
 
 // The largest stride-1 cells clear the plan's fan-out threshold, so their
 // depthwise step runs on the model's pool and the grid (TSan included)
@@ -150,6 +97,7 @@ void expect_large_cells_fan_out(const Session& session, const DwGridCase& c) {
 
 TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
   const DwGridCase& c = GetParam();
+  const std::string where = ::testing::PrintToString(c);
   Pcg32 rng(4242);
   GraphBuilder b("dwgrid", &rng);
   const Shape in_shape{c.batch, 9, 9, c.channels};
@@ -157,31 +105,12 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
   b.depthwise_conv2d(x, 3, 3, c.stride, c.padding, c.act, "op",
                      c.depth_mult);
   Graph m = b.finish({1});
+  draw_biases(m, 4243);
 
   Pcg32 drng(99);
   Tensor input = random_input(in_shape, drng);
-
-  RefOpResolver ref;
-  BuiltinOpResolver opt;
-  if (!c.quantized) {
-    Model ref_model(&m, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&m, &opt, /*num_threads=*/2);
-    Session oi(&opt_model);
-    // f32 filters are panel-shaped as stored: no prepare hook, no storage.
-    EXPECT_EQ(oi.plan().prepared_bytes(), 0u) << c;
-    expect_large_cells_fan_out(oi, c);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    oi.invoke();
-    // Vector lanes run the reference accumulation order per channel, so
-    // float output must match to the bit — any geometry, ordering, or
-    // contraction divergence fails loudly.
-    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
-    expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
-    expect_steady_state_clean(oi, c);
-  } else {
+  Cell cell{where, m, {{input}}};
+  if (c.quantized) {
     Calibrator calib(&m);
     Pcg32 crng(7);
     for (int i = 0; i < 5; ++i) {
@@ -190,24 +119,25 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     calib.observe({input});
     // Default quantizer options: per-channel weight scales (axis 3 for
     // depthwise), asymmetric activation zero points.
-    Graph qm = quantize_model(m, calib);
-    Model ref_model(&qm, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&qm, &opt, /*num_threads=*/2);
-    Session oi(&opt_model);
-    expect_prepared_steps(oi, c);
-    expect_large_cells_fan_out(oi, c);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    oi.invoke();
-    // One integer arithmetic on both resolvers: the same bytes.
-    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
-    // The conformance core: the vector path and the scalar reference path
-    // produce bit-identical integer output.
-    expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
-    expect_steady_state_clean(oi, c);
+    cell.graph = quantize_model(m, calib);
   }
+
+  RefOpResolver ref;
+  BuiltinOpResolver opt;
+  const Capture oi = capture(cell, {&opt, 2});
+  // int8: exactly one step has a prepare hook, the op under test
+  // (Quantize/Dequantize have none). f32 filters are panel-shaped as
+  // stored: no hook, no storage.
+  EXPECT_EQ(prepared_steps(oi.model->plan(), where), c.quantized ? 1 : 0)
+      << where;
+  expect_large_cells_fan_out(*oi.session, c);
+  EXPECT_TRUE(
+      layers_agree(capture(cell, reference_side(oi.side, &ref)).trace,
+                   oi.trace))
+      << where << ": resolver";
+  EXPECT_TRUE(layers_agree(oi.trace, capture(cell, scalar_side(oi.side)).trace))
+      << where << ": scalar path";
+  expect_steady_state_clean(*oi.session, where);
 }
 
 INSTANTIATE_TEST_SUITE_P(StridePadDepthChannelsBatchDtype, DwConvGrid,

@@ -15,33 +15,27 @@
 //    int32 block (sub-vector, exact, one-past, multi-block) x batch {1, 2},
 //    with per-case randomized asymmetric calibration ranges so scales and
 //    zero points differ across operands and cells;
-//  - int8 cells assert *bit-exact* opt-vs-ref output (both resolvers build
-//    the same parameters and run the same per-element rules; the LUT
-//    activations share one table builder) and *bit-exact* agreement
-//    between the vector and scalar paths;
+//  - on the differential runner (tests/differential.h), int8 cells hold
+//    byte for byte on the resolver axis (both resolvers build the same
+//    parameters and run the same per-element rules; the LUT activations
+//    share one table builder) and on the scalar-path axis;
 //  - every cell asserts that each plan step whose kernel has a prepare hook
 //    got prepared storage, and that steady-state invoke performs zero heap
-//    allocations (global operator-new counter + AllocStats events).
+//    allocations.
 //
 // The f32 grid covers the optimized resolver's Add/Sub (8-lane spans
 // finished by activate_v8): same-shape and [N,1,1,C]-broadcast, channels
 // {1, 5, 8, 9, 24} around the 8-lane block, activation none/relu/relu6 on
-// inputs in [-8, 8] so relu6 clamps at both ends. Each cell asserts output
-// bit-identical (memcmp) to a RefOpResolver session, that the optimized
-// plan's step does not run the reference kernel, and the zero-allocation
-// steady state.
+// inputs in [-8, 8] so relu6 clamps at both ends. Each cell holds byte for
+// byte on the resolver axis, its optimized plan step does not run the
+// reference kernel, and its steady state allocates nothing.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/session.h"
-#include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
-#include "src/tensor/alloc_stats.h"
-#include "tests/heap_counter.h"
-#include "tests/test_util.h"
+#include "tests/differential.h"
 
 namespace mlexray {
 namespace {
@@ -136,55 +130,7 @@ std::vector<EwGridCase> make_grid() {
   return grid;
 }
 
-class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {
- protected:
-  void TearDown() override { force_scalar_kernels_for_testing = false; }
-};
-
-// Invokes `session` on the forced-scalar path and asserts the result is
-// byte-identical to `want` (the vector path's result).
-void expect_scalar_bit_equal(Session& session, const std::vector<float>& want,
-                             const EwGridCase& c) {
-  force_scalar_kernels_for_testing = true;
-  session.invoke();
-  force_scalar_kernels_for_testing = false;
-  const Tensor& out = session.output(0);
-  ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
-  EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
-                        want.size() * sizeof(float)),
-            0)
-      << c << " diverges on the scalar path";
-}
-
-// Plan structure: exactly one step has a prepare hook — the op under test;
-// Quantize/Dequantize have none — and it holds the storage its hook filled
-// (its invoke has no other path).
-void expect_prepared_steps(const Session& session, const EwGridCase& c) {
-  int hooks = 0;
-  for (const PlanStep& step : session.plan().steps()) {
-    if (!step.kernel->prepare) continue;
-    ++hooks;
-    EXPECT_NE(step.prepared, nullptr) << c << ": " << step.node->name;
-  }
-  EXPECT_EQ(hooks, 1) << c;
-}
-
-// Steady-state contract: invoke never touches the heap and never registers
-// tensor/arena allocations once the plan exists.
-void expect_steady_state_clean(Session& session, const EwGridCase& c) {
-  session.invoke();  // warmup may grow the scratch arena
-  const std::uint64_t events_before = AllocStats::instance().alloc_events();
-  const std::uint64_t heap_before = g_heap_allocs.load();
-  const std::size_t high_water_before =
-      session.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 3; ++i) session.invoke();
-  EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
-      << c << ": steady-state invoke registered allocations";
-  EXPECT_EQ(g_heap_allocs.load(), heap_before)
-      << c << ": steady-state invoke touched the heap";
-  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
-      << c << ": steady-state invoke grew the scratch arena";
-}
+class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {};
 
 // Builds the per-case single-elementwise-op model. Binary ops take a second
 // graph input (broadcast variants shape it [N,1,1,C], the squeeze-excite
@@ -252,29 +198,23 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
   } else {
     calib.observe({input});
   }
-  Graph qm = quantize_model(m, calib);
+  const std::string where = ::testing::PrintToString(c);
+  const Cell cell{where, quantize_model(m, calib),
+                  {is_binary(c.op) ? Frame{input, gate} : Frame{input}}};
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Model ref_model(&qm, &ref);
-  Session ri(&ref_model);
-  Model opt_model(&qm, &opt, /*num_threads=*/2);
-  Session oi(&opt_model);
-  expect_prepared_steps(oi, c);
-  ri.set_input(0, input);
-  oi.set_input(0, input);
-  if (is_binary(c.op)) {
-    ri.set_input(1, gate);
-    oi.set_input(1, gate);
-  }
-  ri.invoke();
-  oi.invoke();
-  // One integer arithmetic on both resolvers: the same bytes.
-  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
-  // The conformance core: the vector path and the scalar reference path
-  // produce bit-identical integer output.
-  expect_scalar_bit_equal(oi, snapshot(oi.output(0)), c);
-  expect_steady_state_clean(oi, c);
+  const Capture oi = capture(cell, {&opt, 2});
+  // Exactly one step has a prepare hook: the op under test
+  // (Quantize/Dequantize have none).
+  EXPECT_EQ(prepared_steps(oi.model->plan(), where), 1) << where;
+  EXPECT_TRUE(
+      layers_agree(capture(cell, reference_side(oi.side, &ref)).trace,
+                   oi.trace))
+      << where << ": resolver";
+  EXPECT_TRUE(layers_agree(oi.trace, capture(cell, scalar_side(oi.side)).trace))
+      << where << ": scalar path";
+  expect_steady_state_clean(*oi.session, where);
 }
 
 INSTANTIATE_TEST_SUITE_P(OpChannelsBatchActRanges, ElementwiseGrid,
@@ -301,8 +241,8 @@ std::vector<EwGridCase> make_f32_grid() {
 
 // The invoke function of the plan step that runs the op under test (the
 // builder names it "op").
-KernelFn op_kernel(const Session& session) {
-  for (const PlanStep& step : session.plan().steps()) {
+KernelFn op_kernel(const Capture& run) {
+  for (const PlanStep& step : run.model->plan().steps()) {
     if (step.node->name == "op") return step.kernel->invoke;
   }
   ADD_FAILURE() << "no plan step named 'op'";
@@ -321,29 +261,25 @@ TEST_P(ElementwiseF32Grid, OptMatchesRefBitExact) {
   Pcg32 drng(c.seed);
   Tensor input = random_input(in_shape, drng, -8.0f, 8.0f);
   Tensor gate = random_input(b_shape, drng, -8.0f, 8.0f);
+  const std::string where = ::testing::PrintToString(c);
+  const Cell cell{where, std::move(m), {{input, gate}}};
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Model ref_model(&m, &ref);
-  Session ri(&ref_model);
-  Model opt_model(&m, &opt, /*num_threads=*/2);
-  Session oi(&opt_model);
+  const Capture ri = capture(cell, {&ref});
+  const Capture oi = capture(cell, {&opt, 2});
   // The optimized resolver has its own Add/Sub kernel, with no prepare hook.
   const KernelFn ref_fn = op_kernel(ri);
   const KernelFn opt_fn = op_kernel(oi);
-  ASSERT_NE(ref_fn, nullptr) << c;
-  ASSERT_NE(opt_fn, nullptr) << c;
-  EXPECT_NE(opt_fn, ref_fn) << c << ": the optimized plan runs the reference";
-  EXPECT_EQ(oi.plan().prepared_bytes(), 0u) << c;
-  for (Session* s : {&ri, &oi}) {
-    s->set_input(0, input);
-    s->set_input(1, gate);
-    s->invoke();
-  }
+  ASSERT_NE(ref_fn, nullptr) << where;
+  ASSERT_NE(opt_fn, nullptr) << where;
+  EXPECT_NE(opt_fn, ref_fn)
+      << where << ": the optimized plan runs the reference";
+  EXPECT_EQ(prepared_steps(oi.model->plan(), where), 0) << where;
   // One add (or subtract) and the same activation comparisons per element
   // on both paths: the outputs must match to the bit.
-  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << c;
-  expect_steady_state_clean(oi, c);
+  EXPECT_TRUE(layers_agree(ri.trace, oi.trace)) << where << ": resolver";
+  expect_steady_state_clean(*oi.session, where);
 }
 
 INSTANTIATE_TEST_SUITE_P(OpChannelsAct, ElementwiseF32Grid,
@@ -356,13 +292,8 @@ INSTANTIATE_TEST_SUITE_P(OpChannelsAct, ElementwiseF32Grid,
 // path, which the vector epilogue cannot express; the family routes such
 // spans to the scalar path even when the vector path is allowed.
 // Hand-shrink the output scale after quantization and assert the
-// vector-vs-scalar and vs-ref contracts hold.
-class ElementwiseAdversarial : public ::testing::Test {
- protected:
-  void TearDown() override { force_scalar_kernels_for_testing = false; }
-};
-
-TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
+// resolver and scalar-path axes hold.
+TEST(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
   for (OpType type : {OpType::kMul, OpType::kAdd}) {
     Pcg32 rng(21);
     GraphBuilder b("ewadv", &rng);
@@ -390,27 +321,20 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
         n.output_quant = QuantParams::per_tensor(adversarial_scale, 3);
       }
     }
-    RefOpResolver ref;
-    BuiltinOpResolver opt;
-    Model ref_model(&qm, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&qm, &opt);
-    Session oi(&opt_model);
     Pcg32 drng(23);
     Tensor input = random_input(in_shape, drng, -3.0f, 1.0f);
     Tensor gate = random_input(in_shape, drng, -1.0f, 3.0f);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.set_input(1, gate);
-    oi.set_input(1, gate);
-    ri.invoke();
-    oi.invoke();
-    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0)))
-        << op_type_name(type);
-    expect_scalar_bit_equal(
-        oi, snapshot(oi.output(0)),
-        EwGridCase{type == OpType::kMul ? EwOp::kMul : EwOp::kAdd, 12, 1,
-                   Activation::kNone, 0});
+    const Cell cell{op_type_name(type), std::move(qm), {{input, gate}}};
+    RefOpResolver ref;
+    BuiltinOpResolver opt;
+    const Capture oi = capture(cell, {&opt});
+    EXPECT_TRUE(
+        layers_agree(capture(cell, reference_side(oi.side, &ref)).trace,
+                     oi.trace))
+        << cell.name << ": resolver";
+    EXPECT_TRUE(
+        layers_agree(oi.trace, capture(cell, scalar_side(oi.side)).trace))
+        << cell.name << ": scalar path";
   }
 }
 

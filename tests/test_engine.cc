@@ -81,10 +81,10 @@ TEST(ModelSessionSplit, TwoSessionsShareOnePreparedModel) {
   b.invoke();
   standalone.set_input(0, x0);
   standalone.invoke();
-  expect_bit_identical(a.output(0), standalone.output(0));
+  EXPECT_TRUE(same_bytes(a.output(0), standalone.output(0)));
   standalone.set_input(0, x1);
   standalone.invoke();
-  expect_bit_identical(b.output(0), standalone.output(0));
+  EXPECT_TRUE(same_bytes(b.output(0), standalone.output(0)));
 
   EXPECT_EQ(model.prepared_bytes(), prepared)
       << "invoking sessions grew the prepared storage";
@@ -107,7 +107,7 @@ TEST(ModelSessionSplit, QuantizedSessionsMatchStandaloneBitExact) {
     s.invoke();
     standalone.set_input(0, x);
     standalone.invoke();
-    expect_bit_identical(s.output(0), standalone.output(0));
+    EXPECT_TRUE(same_bytes(s.output(0), standalone.output(0)));
   }
 }
 
@@ -133,7 +133,7 @@ TEST(ModelSessionSplit, ModelCanOwnItsGraph) {
   Session s(&model);
   s.set_input(0, x);
   s.invoke();
-  expect_bit_identical(s.output(0), want);
+  EXPECT_TRUE(same_bytes(s.output(0), want));
 }
 
 // --- Engine pool -------------------------------------------------------------
@@ -299,7 +299,7 @@ TEST(EngineLifecycle, HotSwapPinsOutstandingLeasesAndDrainsTheOldVersion) {
   SessionLease pinned = engine.acquire(name);
   pinned->set_input(0, x);
   pinned->invoke();
-  expect_bit_identical(pinned->output(0), want_v1);
+  EXPECT_TRUE(same_bytes(pinned->output(0), want_v1));
 
   const std::size_t bytes_before_swap = AllocStats::instance().current_bytes();
   engine.load(name, conv_stack_graph(&rng_b));  // hot-swap to v2
@@ -320,16 +320,14 @@ TEST(EngineLifecycle, HotSwapPinsOutstandingLeasesAndDrainsTheOldVersion) {
     lease->set_input(0, x);
     lease->invoke();
     want_v2 = lease->output(0);
-    EXPECT_NE(
-        std::memcmp(want_v2.raw_data(), want_v1.raw_data(), want_v2.byte_size()),
-        0)
+    EXPECT_FALSE(same_bytes(want_v2, want_v1))
         << "v2 should produce different outputs (different random weights)";
   }
 
   // The pinned lease still runs v1 after the swap.
   pinned->set_input(0, x);
   pinned->invoke();
-  expect_bit_identical(pinned->output(0), want_v1);
+  EXPECT_TRUE(same_bytes(pinned->output(0), want_v1));
 
   // Releasing the last v1 lease retires the version: sessions + prepared
   // storage freed, tracked allocations drop below the pre-release level.
@@ -353,7 +351,7 @@ TEST(EngineLifecycle, HotSwapPinsOutstandingLeasesAndDrainsTheOldVersion) {
   EXPECT_EQ(lease.version(), 2u);
   lease->set_input(0, x);
   lease->invoke();
-  expect_bit_identical(lease->output(0), want_v2);
+  EXPECT_TRUE(same_bytes(lease->output(0), want_v2));
 }
 
 TEST(EngineLifecycle, HotSwapWithNoOutstandingLeasesRetiresImmediately) {
@@ -403,7 +401,7 @@ TEST(EngineLifecycle, UnloadHidesTheNameWhileHeldLeasesKeepWorking) {
   // ...but the held lease still serves its pinned version bit-exactly.
   held->set_input(0, x);
   held->invoke();
-  expect_bit_identical(held->output(0), want);
+  EXPECT_TRUE(same_bytes(held->output(0), want));
 
   // The last release frees everything the load allocated; drop the local
   // reference copy too so the baseline comparison is exact.
@@ -525,9 +523,7 @@ TEST(EngineLifecycle, HotSwapUnderConcurrentLoadServesEveryRequestBitExact) {
         // Every request must be bit-exact with whichever version served it.
         const Tensor& want = version == 1 ? want_v1 : want_v2;
         const Tensor& got = lease->output(0);
-        if (got.byte_size() != want.byte_size() ||
-            std::memcmp(got.raw_data(), want.raw_data(), got.byte_size()) !=
-                0) {
+        if (!same_bytes(got, want)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -593,9 +589,7 @@ TEST(EnginePool, ConcurrentThreadsOneModelBitExact) {
         lease->invoke();
         const Tensor& got = lease->output(0);
         const Tensor& want = expected[static_cast<std::size_t>(t)];
-        if (got.byte_size() != want.byte_size() ||
-            std::memcmp(got.raw_data(), want.raw_data(), got.byte_size()) !=
-                0) {
+        if (!same_bytes(got, want)) {
           mismatches.fetch_add(1);
         }
       }
@@ -638,9 +632,7 @@ TEST(EnginePool, ConcurrentQuantizedThreadsBitExact) {
         lease->set_input(0, x);
         lease->invoke();
         const Tensor& got = lease->output(0);
-        if (got.byte_size() != want.byte_size() ||
-            std::memcmp(got.raw_data(), want.raw_data(), got.byte_size()) !=
-                0) {
+        if (!same_bytes(got, want)) {
           mismatches.fetch_add(1);
         }
       }
@@ -787,9 +779,7 @@ TEST(EngineThreading, OversubscribedMultiThreadedSessionsStayBitExact) {
         lease->set_input(0, x);
         lease->invoke();
         const Tensor& got = lease->output(0);
-        if (got.byte_size() != want.byte_size() ||
-            std::memcmp(got.raw_data(), want.raw_data(), got.byte_size()) !=
-                0) {
+        if (!same_bytes(got, want)) {
           mismatches.fetch_add(1);
         }
       }

@@ -301,7 +301,8 @@ TEST_F(FrontDoorTest, CoalescedBatchMatchesSequentialBitExact) {
       ASSERT_EQ(r.code, RequestCode::kOk);
       EXPECT_EQ(r.batch_size, 4);
       ASSERT_EQ(r.output_count, 1);
-      expect_bit_identical(r.outputs[0], expected[static_cast<std::size_t>(i)]);
+      EXPECT_TRUE(
+          same_bytes(r.outputs[0], expected[static_cast<std::size_t>(i)]));
     }
   }
   {
@@ -329,7 +330,8 @@ TEST_F(FrontDoorTest, CoalescedBatchMatchesSequentialBitExact) {
       const RequestResult& r = tickets[static_cast<std::size_t>(i)].wait();
       ASSERT_EQ(r.code, RequestCode::kOk);
       ASSERT_EQ(r.output_count, 1);
-      expect_bit_identical(r.outputs[0], expected[static_cast<std::size_t>(i)]);
+      EXPECT_TRUE(
+          same_bytes(r.outputs[0], expected[static_cast<std::size_t>(i)]));
     }
     bool saw_padded = false;
     for (const auto& d : recorder.dispatches) {
@@ -414,7 +416,7 @@ TEST_F(FrontDoorTest, CoalescedPeerWithRoomIsRequeuedNotFailedOnBatchExpiry) {
   EXPECT_EQ(rl.code, RequestCode::kOk)
       << "no-deadline request failed for a coalesced peer's deadline";
   ASSERT_EQ(rl.output_count, 1);
-  expect_bit_identical(rl.outputs[0], expected);
+  EXPECT_TRUE(same_bytes(rl.outputs[0], expected));
 
   const FrontDoorStats s = door.stats("stack");
   EXPECT_EQ(s.deadline_exceeded, 1u);
@@ -859,10 +861,7 @@ TEST_F(FrontDoorTest, ChaosSubmitRacesHotSwapFaultBurstsAndUnload) {
             const int g = r.version % 2 == 1 ? 0 : 1;
             const int v = r.batch_size == 1 ? 0 : 1;
             const Tensor& w = want[g][v];
-            if (r.output_count != 1 ||
-                r.outputs[0].byte_size() != w.byte_size() ||
-                std::memcmp(r.outputs[0].raw_data(), w.raw_data(),
-                            w.byte_size()) != 0) {
+            if (r.output_count != 1 || !same_bytes(r.outputs[0], w)) {
               mismatches->fetch_add(1, std::memory_order_relaxed);
             }
             break;

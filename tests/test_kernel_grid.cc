@@ -1,5 +1,6 @@
 // Opt-vs-ref kernel equivalence over a parameterized geometry/activation
-// grid, plus steady-state allocation checks for the Prepare/Invoke split.
+// grid, on the differential runner's resolver axis (tests/differential.h),
+// plus the GEMM cores against naive loops and the scratch arena's reuse.
 //
 // Float parity is asserted to <= 4 ULP per element: the GEMM core
 // accumulates each output bias-first in ascending k order — exactly the
@@ -9,20 +10,14 @@
 // is 0-1 ULP). A geometry or ordering bug shows up as thousands of ULPs.
 // Int8 parity is asserted byte for byte: both resolvers accumulate exactly
 // in int32 and requantize through the one Q31 fixed-point spec
-// (fixed_point.h), so any difference is a kernel bug.
-//
-// The allocation checks pin down the Prepare/Invoke contract from two
-// angles: AllocStats events (tracked Tensor/arena buffers) and a global
-// operator-new counter (any heap traffic at all, including std::function or
-// std::vector churn inside kernels).
+// (fixed_point.h), so any difference is a kernel bug. Every cell carries
+// seeded nonzero biases, so a kernel that drops or reorders its bias fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "src/convert/converter.h"
 #include "src/graph/builder.h"
@@ -32,36 +27,10 @@
 #include "src/kernels/gemm.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
-#include "src/tensor/alloc_stats.h"
-#include "src/tensor/tensor_stats.h"
-#include "tests/heap_counter.h"
-#include "tests/test_util.h"
+#include "tests/differential.h"
 
 namespace mlexray {
 namespace {
-
-// Lexicographically ordered bit pattern of a float: adjacent representable
-// floats differ by 1, so |a - b| counts ULPs across the value range.
-std::int64_t float_lex_bits(float f) {
-  std::int32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  return bits >= 0 ? bits
-                   : static_cast<std::int64_t>(
-                         std::numeric_limits<std::int32_t>::min()) -
-                         bits;
-}
-
-std::int64_t max_ulp_diff(const Tensor& a, const Tensor& b) {
-  EXPECT_EQ(a.num_elements(), b.num_elements());
-  const float* pa = a.data<float>();
-  const float* pb = b.data<float>();
-  std::int64_t worst = 0;
-  for (std::int64_t i = 0; i < a.num_elements(); ++i) {
-    worst = std::max(worst,
-                     std::abs(float_lex_bits(pa[i]) - float_lex_bits(pb[i])));
-  }
-  return worst;
-}
 
 // One opt-vs-ref case. Conv2D sweeps the implicit-GEMM geometry: 1x1, 3x3
 // and 5x5 filters; out_ch 8, 12 and 20 (a full f32 panel, then the n % 8 and
@@ -158,37 +127,28 @@ TEST_P(KernelGrid, OptMatchesRef) {
       MLX_FAIL() << "unexpected grid op";
   }
   Graph m = b.finish({1});
+  draw_biases(m, 1235);
 
   Pcg32 drng(77);
   Tensor input = random_input(in_shape, drng);
-  Graph qm;
+  Cell cell{"grid", m, {{input}}};
   if (c.quantized) {
     Calibrator calib(&m);
     Pcg32 crng(88);
     for (int i = 0; i < 6; ++i) calib.observe({random_input(in_shape, crng)});
     calib.observe({input});
-    qm = quantize_model(m, calib);
+    cell.graph = quantize_model(m, calib);
   }
-  const Graph& g = c.quantized ? qm : m;
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Model ref_model(&g, &ref);
-  Model opt_model(&g, &opt, c.threads);
-  Session rs(&ref_model);
-  Session os(&opt_model);
-  rs.set_input(0, input);
-  os.set_input(0, input);
-  rs.invoke();
-  os.invoke();
-  if (!c.quantized) {
-    // Identical accumulation order: only FMA-contraction rounding may
-    // differ — at most a few ULPs, where a real geometry bug is thousands.
-    EXPECT_LE(max_ulp_diff(rs.output(0), os.output(0)), 4) << c;
-  } else {
-    // One integer arithmetic on both resolvers: the same bytes.
-    EXPECT_TRUE(outputs_bit_equal(rs.output(0), os.output(0))) << c;
-  }
+  const Capture os = capture(cell, {&opt, c.threads});
+  // Identical accumulation order: f32 may differ only by FMA-contraction
+  // rounding, at most a few ULPs where a real geometry bug is thousands.
+  // One integer arithmetic on both resolvers: int8 has the same bytes.
+  EXPECT_TRUE(layers_agree(capture(cell, reference_side(os.side, &ref)).trace,
+                           os.trace, c.quantized ? 0 : 4))
+      << c;
 }
 
 INSTANTIATE_TEST_SUITE_P(GeometryActDtype, KernelGrid,
@@ -227,6 +187,7 @@ TEST(ImplicitGemmConv, Int8MatchesIm2colNaiveLoopExactly) {
     b.conv2d(x, cc.out_ch, cc.kernel, cc.kernel, cc.stride, cc.padding,
              cc.act, "conv");
     Graph m = b.finish({1});
+    draw_biases(m, 502);
     Calibrator calib(&m);
     Pcg32 crng(501);
     for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, crng)});
@@ -443,17 +404,6 @@ struct GemmData {
   }
 };
 
-std::int64_t max_ulp_diff_span(const std::vector<float>& x,
-                               const std::vector<float>& y) {
-  EXPECT_EQ(x.size(), y.size());
-  std::int64_t worst = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    worst = std::max(worst,
-                     std::abs(float_lex_bits(x[i]) - float_lex_bits(y[i])));
-  }
-  return worst;
-}
-
 using GemmShape = std::array<std::int64_t, 3>;  // m, n, k
 
 // f32: B packed into zero-padded 8-column panels. Covers two-panel tiles
@@ -470,7 +420,7 @@ TEST(PrepackedGemm, F32MatchesNaiveLoop) {
         GemmShape{1, 1001, 64}}) {
     GemmData d(s[0], s[1], s[2], 900 + static_cast<std::uint64_t>(s[1]));
     for (Activation act : kActs) {
-      EXPECT_LE(max_ulp_diff_span(d.naive_f32(act), d.run_f32(act)), 4)
+      EXPECT_LE(max_ulp_diff(d.naive_f32(act), d.run_f32(act)), 4)
           << s[0] << "x" << s[1] << "x" << s[2] << " act "
           << static_cast<int>(act);
     }
@@ -552,172 +502,7 @@ TEST(PlanOnlyKernels, BareContextThrowsNamingTheNode) {
   EXPECT_EQ(refused, 5);
 }
 
-// --- steady-state allocation behaviour --------------------------------------
-
-Graph conv_stack_model(Pcg32* rng, int batch = 1) {
-  GraphBuilder b("stack", rng);
-  int x = b.input(Shape{batch, 16, 16, 8});
-  int p = b.pad(x, 1, 1, 1, 1, "pad");
-  int c1 = b.conv2d(p, 16, 3, 3, 1, Padding::kValid, Activation::kRelu, "c1");
-  int d = b.depthwise_conv2d(c1, 3, 3, 2, Padding::kSame, Activation::kRelu6,
-                             "dw");
-  int c2 = b.conv2d(d, 16, 1, 1, 1, Padding::kSame, Activation::kNone, "c2");
-  int fc = b.fully_connected(c2, 10, Activation::kNone, "fc");
-  return b.finish({fc});
-}
-
-TEST(SteadyStateAlloc, InvokeIsHeapFreeAfterWarmup) {
-  Pcg32 rng(31);
-  Graph m = conv_stack_model(&rng);
-  BuiltinOpResolver opt;
-  Model model(&m, &opt, /*num_threads=*/2);
-  Session session(&model);
-  // Prepare packed the conv/fc weights into plan-owned storage.
-  EXPECT_GT(session.plan().prepared_bytes(), 0u);
-  Pcg32 drng(32);
-  Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  session.set_input(0, input);
-  // First invoke may grow the scratch arena.
-  session.invoke();
-  EXPECT_GT(session.scratch_arena().capacity_bytes(), 0u);
-
-  const std::uint64_t events_before = AllocStats::instance().alloc_events();
-  const std::size_t bytes_before = AllocStats::instance().current_bytes();
-  const std::uint64_t heap_before = g_heap_allocs.load();
-  const std::size_t high_water_before =
-      session.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 5; ++i) session.invoke();
-  EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
-      << "steady-state invoke() registered new tensor/arena allocations";
-  EXPECT_EQ(AllocStats::instance().current_bytes(), bytes_before);
-  EXPECT_EQ(g_heap_allocs.load(), heap_before)
-      << "steady-state invoke() touched the heap (operator new)";
-  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
-      << "steady-state invoke() grew the scratch high-water mark";
-  EXPECT_EQ(session.last_stats().arena_high_water_bytes, high_water_before);
-}
-
-TEST(SteadyStateAlloc, QuantizedInvokeIsHeapFreeAfterWarmup) {
-  Pcg32 rng(41);
-  Graph m = conv_stack_model(&rng);
-  Calibrator calib(&m);
-  Pcg32 crng(42);
-  for (int i = 0; i < 4; ++i) {
-    calib.observe({random_input(Shape{1, 16, 16, 8}, crng)});
-  }
-  Graph qm = quantize_model(m, calib);
-  BuiltinOpResolver opt;
-  Model model(&qm, &opt, /*num_threads=*/2);
-  Session session(&model);
-  // int8 prepare packs weight panels + column sums + requant tables.
-  EXPECT_GT(model.prepared_bytes(), 0u);
-  Pcg32 drng(43);
-  Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
-  session.set_input(0, input);
-  session.invoke();
-
-  const std::uint64_t events_before = AllocStats::instance().alloc_events();
-  const std::uint64_t heap_before = g_heap_allocs.load();
-  const std::size_t high_water_before =
-      session.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 5; ++i) session.invoke();
-  EXPECT_EQ(AllocStats::instance().alloc_events(), events_before);
-  EXPECT_EQ(g_heap_allocs.load(), heap_before);
-  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before);
-}
-
-// --- batched inference -------------------------------------------------------
-
-// The batch dimension rides through conv's single-GEMM-over-batch path and
-// the FC row partitioning; single-op parity with the reference kernels must
-// hold at batch > 1 exactly as the grid asserts at batch 1. (Multi-layer
-// stacks compound FMA-contraction rounding and are covered by the
-// batch-vs-single-item test below instead.)
-TEST(BatchedInference, OptMatchesRefAtBatch4) {
-  for (OpType op : {OpType::kConv2D, OpType::kFullyConnected}) {
-    Pcg32 rng(61);
-    GraphBuilder b("batched", &rng);
-    int x = b.input(Shape{4, 9, 9, 6});
-    int y = op == OpType::kConv2D
-                ? b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kRelu,
-                           "op")
-                : b.fully_connected(x, 10, Activation::kNone, "op");
-    Graph m = b.finish({y});
-    RefOpResolver ref;
-    BuiltinOpResolver opt;
-    Model ref_model(&m, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&m, &opt, /*num_threads=*/2);
-    Session oi(&opt_model);
-    Pcg32 drng(62);
-    Tensor input = random_input(Shape{4, 9, 9, 6}, drng);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    oi.invoke();
-    EXPECT_LE(max_ulp_diff(ri.output(0), oi.output(0)), 4)
-        << op_type_name(op);
-  }
-}
-
-// A batch-4 invoke must reproduce four batch-1 invokes of the same weights
-// bit-exactly: per-output accumulation order does not depend on m, only the
-// row partitioning does.
-TEST(BatchedInference, BatchMatchesSingleItemInvokes) {
-  Pcg32 rng4(81), rng1(81);  // same seed -> identical weights
-  Graph m4 = conv_stack_model(&rng4, /*batch=*/4);
-  Graph m1 = conv_stack_model(&rng1, /*batch=*/1);
-  BuiltinOpResolver opt;
-  Model batched_model(&m4, &opt, /*num_threads=*/2);
-  Session batched(&batched_model);
-  Model single_model(&m1, &opt, /*num_threads=*/2);
-  Session single(&single_model);
-  Pcg32 drng(82);
-  Tensor input = random_input(Shape{4, 16, 16, 8}, drng);
-  batched.set_input(0, input);
-  batched.invoke();
-  const Tensor& out4 = batched.output(0);
-  const std::int64_t per_item_in = input.num_elements() / 4;
-  const std::int64_t per_item_out = out4.num_elements() / 4;
-  for (int item = 0; item < 4; ++item) {
-    Tensor one = Tensor::f32(Shape{1, 16, 16, 8});
-    std::memcpy(one.data<float>(),
-                input.data<float>() + item * per_item_in,
-                static_cast<std::size_t>(per_item_in) * sizeof(float));
-    single.set_input(0, one);
-    single.invoke();
-    EXPECT_EQ(std::memcmp(single.output(0).data<float>(),
-                          out4.data<float>() + item * per_item_out,
-                          static_cast<std::size_t>(per_item_out) *
-                              sizeof(float)),
-              0)
-        << "batch item " << item << " differs from its single-item invoke";
-  }
-}
-
-TEST(BatchedInference, QuantizedOptMatchesRefAtBatch4) {
-  Pcg32 rng(71);
-  Graph m = conv_stack_model(&rng, /*batch=*/4);
-  Calibrator calib(&m);
-  Pcg32 crng(72);
-  for (int i = 0; i < 4; ++i) {
-    calib.observe({random_input(Shape{4, 16, 16, 8}, crng)});
-  }
-  Graph qm = quantize_model(m, calib);
-  RefOpResolver ref;
-  BuiltinOpResolver opt;
-  Model ref_model(&qm, &ref);
-  Session ri(&ref_model);
-  Model opt_model(&qm, &opt, /*num_threads=*/2);
-  Session oi(&opt_model);
-  Pcg32 drng(73);
-  Tensor input = random_input(Shape{4, 16, 16, 8}, drng);
-  ri.set_input(0, input);
-  oi.set_input(0, input);
-  ri.invoke();
-  oi.invoke();
-  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0)));
-}
+// --- scratch arena -----------------------------------------------------------
 
 TEST(ScratchArenaTest, AllocationsAreAbsoluteAligned) {
   ScratchArena arena;
@@ -736,8 +521,7 @@ TEST(ScratchArenaTest, AllocationsAreAbsoluteAligned) {
 }
 
 TEST(SteadyStateAlloc, ArenaIsReusedNotRegrown) {
-  Pcg32 rng(51);
-  Graph m = conv_stack_model(&rng);
+  Graph m = conv_stack_graph(51);
   BuiltinOpResolver opt;
   Model model(&m, &opt);
   Session session(&model);

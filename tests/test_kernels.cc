@@ -16,7 +16,7 @@
 #include "src/kernels/kernel.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
-#include "tests/test_util.h"
+#include "tests/differential.h"
 
 namespace mlexray {
 namespace {
@@ -369,9 +369,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DwCase{13, 9, 9, 2, Padding::kValid},
                       DwCase{11, 17, 9, 2, Padding::kSame}));
 
-// The int8 9x9 window, large enough to fan out over per-worker tap tables:
-// the reference kernel's bytes, and the same bytes with the family forced
-// scalar.
+// The int8 9x9 window, large enough to fan out over per-worker tap tables,
+// on the differential runner's resolver and scalar-path axes.
 TEST(QuantKernels, DwConvHugeWindowTracksReference) {
   for (int dm : {1, 2}) {
     Pcg32 rng(static_cast<std::uint64_t>(40 + dm));
@@ -381,33 +380,23 @@ TEST(QuantKernels, DwConvHugeWindowTracksReference) {
     b.depthwise_conv2d(x, 9, 9, 2, Padding::kSame, Activation::kRelu6, "dw",
                        dm);
     Graph m = b.finish({1});
+    draw_biases(m, static_cast<std::uint64_t>(60 + dm));
     Calibrator calib(&m);
     Pcg32 drng(static_cast<std::uint64_t>(50 + dm));
     for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, drng)});
-    Graph qm = quantize_model(m, calib);
+    const Cell cell{"dm " + std::to_string(dm), quantize_model(m, calib),
+                    {{random_input(in_shape, drng)}}};
 
     RefOpResolver ref;
     BuiltinOpResolver opt;
-    Model ref_model(&qm, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&qm, &opt, /*num_threads=*/2);
-    Session oi(&opt_model);
-    const Tensor input = random_input(in_shape, drng);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    oi.invoke();
-    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0))) << "dm " << dm;
-
-    const float* p = oi.output(0).data<float>();
-    const std::vector<float> vector_out(p, p + oi.output(0).num_elements());
-    force_scalar_kernels_for_testing = true;
-    oi.invoke();
-    force_scalar_kernels_for_testing = false;
-    EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), vector_out.data(),
-                          vector_out.size() * sizeof(float)),
-              0)
-        << "dm " << dm;
+    const Capture oi = capture(cell, {&opt, 2});
+    EXPECT_TRUE(
+        layers_agree(capture(cell, reference_side(oi.side, &ref)).trace,
+                     oi.trace))
+        << cell.name << ": resolver";
+    EXPECT_TRUE(
+        layers_agree(oi.trace, capture(cell, scalar_side(oi.side)).trace))
+        << cell.name << ": scalar path";
   }
 }
 
@@ -583,7 +572,7 @@ TEST(QuantKernels, QuantizedConvTracksFloat) {
   EXPECT_LT(normalized_rmse(qi_ref.output(0), fi.output(0)), 0.05);
   EXPECT_LT(normalized_rmse(qi_opt.output(0), fi.output(0)), 0.05);
   // Reference and optimized integer paths run one arithmetic.
-  expect_bit_identical(qi_opt.output(0), qi_ref.output(0));
+  EXPECT_TRUE(same_bytes(qi_opt.output(0), qi_ref.output(0)));
 }
 
 TEST(QuantKernels, DwConvBugEmulationWrecksOutput) {
@@ -883,10 +872,7 @@ TEST(QuantizeKernels, OptQuantizeMatchesRefAtOddLengths) {
     ref.find(node).invoke(ctx);
     ctx.output = &out_opt;
     opt.find(node).invoke(ctx);
-    EXPECT_EQ(std::memcmp(out_ref.raw_data(), out_opt.raw_data(),
-                          static_cast<std::size_t>(n)),
-              0)
-        << "n=" << n;
+    EXPECT_TRUE(same_bytes(out_ref, out_opt)) << "n=" << n;
   }
 }
 
@@ -920,10 +906,7 @@ TEST(QuantizeKernels, OptDequantizeMatchesRefAtOddLengths) {
     ref.find(node).invoke(ctx);
     ctx.output = &out_opt;
     opt.find(node).invoke(ctx);
-    EXPECT_EQ(std::memcmp(out_ref.raw_data(), out_opt.raw_data(),
-                          static_cast<std::size_t>(n) * sizeof(float)),
-              0)
-        << "n=" << n;
+    EXPECT_TRUE(same_bytes(out_ref, out_opt)) << "n=" << n;
   }
 }
 

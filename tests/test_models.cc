@@ -1,19 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/convert/converter.h"
-#include "src/core/monitor.h"
 #include "src/models/detection.h"
 #include "src/models/segmentation.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 #include "src/train/trainer.h"
 #include "src/tensor/tensor_stats.h"
+#include "tests/differential.h"
 
 namespace mlexray {
 namespace {
@@ -82,11 +81,6 @@ Tensor random_image(int batch, Pcg32& rng) {
   return t;
 }
 
-bool same_bytes(const Tensor& a, const Tensor& b) {
-  return a.dtype() == b.dtype() && a.byte_size() == b.byte_size() &&
-         std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()) == 0;
-}
-
 const ZooEntry& image_zoo_entry(const std::string& name) {
   for (const ZooEntry& e : image_zoo()) {
     if (e.name == name) return e;
@@ -94,118 +88,114 @@ const ZooEntry& image_zoo_entry(const std::string& name) {
   throw MlxError("no image-zoo model " + name);
 }
 
-// One deployment graph and the input it serves.
-struct ZooCell {
-  std::string name;
-  Graph graph;
-  Tensor input;
-};
+// The deployed f32 graph of an image-zoo model at `batch`, with seeded
+// biases (the same at every batch).
+Graph deployed_graph(const ZooEntry& entry, int batch) {
+  Graph g = convert_for_inference(entry.build(3, batch).model);
+  draw_biases(g, 23);
+  return g;
+}
 
-// An image-zoo model x {b1, b8} (or `batches`) x {f32, int8}, int8
-// calibrated on the batch-1 twin (node ids do not depend on the batch).
-// Draws the calibration images, then each batch's input, from rng.
-std::vector<ZooCell> image_zoo_cells(
+// An image-zoo model x {b1, b8} (or `batches`) x {f32, int8}, each cell
+// serving `frames` random frames. int8 is calibrated once, on the batch-1
+// twin (node ids and biases do not depend on the batch), so every batch
+// shares one quantization. Draws the calibration images, then each batch's
+// frames, from rng.
+std::vector<Cell> image_zoo_cells(
     const std::string& model, Pcg32& rng,
-    std::initializer_list<int> batches = {1, 8}) {
+    std::initializer_list<int> batches = {1, 8}, int frames = 1) {
   const ZooEntry& entry = image_zoo_entry(model);
-  const Graph calib_graph = convert_for_inference(entry.build(3, 1).model);
+  const Graph calib_graph = deployed_graph(entry, 1);
   Calibrator calib(&calib_graph);
   for (int i = 0; i < 2; ++i) calib.observe({random_image(1, rng)});
-  std::vector<ZooCell> cells;
+  std::vector<Cell> cells;
   for (int batch : batches) {
-    Graph f32 = convert_for_inference(entry.build(3, batch).model);
+    Graph f32 = deployed_graph(entry, batch);
     Graph int8 = quantize_model(f32, calib);
-    const Tensor input = random_image(batch, rng);
+    std::vector<Frame> inputs;
+    for (int f = 0; f < frames; ++f) {
+      inputs.push_back({random_image(batch, rng)});
+    }
     const std::string b = "/b" + std::to_string(batch);
-    cells.push_back({model + "/f32" + b, std::move(f32), input});
-    cells.push_back({model + "/int8" + b, std::move(int8), input});
+    cells.push_back({model + "/f32" + b, std::move(f32), inputs});
+    cells.push_back({model + "/int8" + b, std::move(int8), std::move(inputs)});
   }
   return cells;
 }
 
-// Thread caps change where a kernel runs, never what it computes: each zoo
-// model x {f32, int8} x {b1, b8}, built over one shared ThreadPool(3) at
-// num_threads 2 and 4, reproduces every node output of the num_threads = 1
-// build byte for byte.
-class ThreadCaps : public ::testing::TestWithParam<std::string> {};
+// The thread-cap and retention axes of one cell, against its base run
+// (optimized kernels, t1, kPreserveAll). At each cap on the shared pool the
+// cell matches the base layer by layer, and per_layer_drift names no
+// suspect. A lean session matches the kPreserveAll session of its cap at t1
+// and t2, and the lean t2 session's steady state allocates nothing. Returns
+// the fewest steps any cap put on the pool.
+int expect_caps_and_retention(const Cell& cell, const Capture& base,
+                              ThreadPool* pool,
+                              std::initializer_list<int> caps) {
+  const Capture lean_t1 = capture(cell, lean_side(base.side));
+  EXPECT_TRUE(layers_agree(base.trace, lean_t1.trace))
+      << cell.name << "/t1: retention";
+  int pooled = std::numeric_limits<int>::max();
+  for (int threads : caps) {
+    const std::string where = cell.name + "/t" + std::to_string(threads);
+    const Capture capped = capture(cell, capped_side(base.side, pool, threads));
+    pooled = std::min(pooled, pooled_steps(capped.model->plan()));
+    EXPECT_TRUE(layers_agree(base.trace, capped.trace))
+        << where << ": thread cap";
+    expect_no_suspect(capped.trace, base.trace, where + ": thread cap");
+    if (threads != 2) continue;
+    const Capture lean = capture(cell, lean_side(capped.side));
+    EXPECT_TRUE(layers_agree(capped.trace, lean.trace))
+        << where << ": retention";
+    expect_steady_state_clean(*lean.session, where + "/lean");
+  }
+  return pooled;
+}
 
-TEST_P(ThreadCaps, OutputsMatchOneThreadByteForByte) {
+// The differential runner (tests/differential.h) over the image zoo: every
+// model x {f32, int8} x {b1, b8}, with seeded biases, four frames per cell.
+// Against the base run, every layer of every frame must hold:
+//  - thread cap and retention (expect_caps_and_retention), at t2 and t4;
+//  - scalar path: the kernels forced scalar;
+//  - resolver (int8): the reference kernels, and per_layer_drift at L-inf
+//    threshold 0 names no suspect;
+//  - batch row (b8): each row against the batch-1 twin.
+// A one-quantum kernel bug on any of these paths shows as its layer.
+class ZooDifferential : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ZooDifferential, EveryAxisMatchesLayerByLayer) {
   ThreadPool pool(3);
-  BuiltinOpResolver opt;
-  Pcg32 rng(11);
-  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
-    const Graph& g = cell.graph;
-    Model base_model(Graph(g), &opt, &pool, 1);
-    Session base(&base_model, Retention::kPreserveAll);
-    base.set_input(0, cell.input);
-    base.invoke();
-    for (int threads : {2, 4}) {
-      Model model(Graph(g), &opt, &pool, threads);
-      // Without a step on the pool this would compare one thread to one.
-      int pooled = 0;
-      for (const PlanStep& step : model.plan().steps()) {
-        pooled += step.pool ? 1 : 0;
-      }
-      EXPECT_GT(pooled, 0) << cell.name << "/t" << threads;
-      Session session(&model, Retention::kPreserveAll);
-      session.set_input(0, cell.input);
-      session.invoke();
-      for (const Node& n : g.nodes) {
-        EXPECT_TRUE(same_bytes(session.node_output(n.id),
-                               base.node_output(n.id)))
-            << cell.name << "/t" << threads << ": " << n.name;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllImageModels, ThreadCaps,
-    ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
-                      "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
-                      "densenet121_mini"));
-
-// The two resolvers run one int8 arithmetic: on every image-zoo model at b1
-// and b8, over four random frames, every int8 node output of the reference
-// session matches the optimized session's byte for byte. A one-quantum
-// kernel bug in either resolver shows here as its layer.
-class ResolverParity : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ResolverParity, Int8NodeOutputsMatchByteForByte) {
-  const BuiltinOpResolver opt(KernelBugConfig::none());
-  const RefOpResolver ref(KernelBugConfig::none());
+  const BuiltinOpResolver opt;
+  const RefOpResolver ref;
   Pcg32 rng(17);
-  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
-    if (cell.name.find("/int8/") == std::string::npos) continue;
-    const Model opt_model(&cell.graph, &opt);
-    const Model ref_model(&cell.graph, &ref);
-    Session os(&opt_model, Retention::kPreserveAll);
-    Session rs(&ref_model, Retention::kPreserveAll);
-    const auto batch = static_cast<int>(cell.input.shape().batch());
-    for (int frame = 0; frame < 4; ++frame) {
-      const Tensor input = frame == 0 ? cell.input : random_image(batch, rng);
-      for (Session* s : {&os, &rs}) {
-        s->set_input(0, input);
-        s->invoke();
-      }
-      std::vector<std::string> differ;  // in plan order
-      for (const PlanStep& step : opt_model.plan().steps()) {
-        const Node& n = *step.node;
-        if (n.output_dtype == DType::kI8 &&
-            !same_bytes(os.node_output(n.id), rs.node_output(n.id))) {
-          differ.push_back(n.name);
-        }
-      }
-      EXPECT_TRUE(differ.empty())
-          << cell.name << " frame " << frame << ": " << differ.size()
-          << " int8 layers differ, first "
-          << (differ.empty() ? "" : differ.front());
+  // {f32, int8} at b1, then at b8.
+  const std::vector<Cell> cells = image_zoo_cells(GetParam(), rng, {1, 8}, 4);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& cell = cells[i];
+    const Capture base =
+        capture(cell, {&opt, 1, &pool, Retention::kPreserveAll});
+    EXPECT_GT(prepared_steps(base.model->plan(), cell.name), 0);
+    // Without a step on the pool a cap would compare one thread to one.
+    EXPECT_GT(expect_caps_and_retention(cell, base, &pool, {2, 4}), 0)
+        << cell.name;
+    EXPECT_TRUE(
+        layers_agree(base.trace, capture(cell, scalar_side(base.side)).trace))
+        << cell.name << ": scalar path";
+    if (cell.name.find("/int8/") != std::string::npos) {
+      const Capture reference = capture(cell, reference_side(base.side, &ref));
+      EXPECT_TRUE(layers_agree(reference.trace, base.trace))
+          << cell.name << ": resolver";
+      expect_no_suspect(base.trace, reference.trace, cell.name + ": resolver");
+    }
+    if (i >= 2) {
+      EXPECT_TRUE(batch_rows_agree(base, cell.frames, cells[i - 2].graph))
+          << cell.name << ": batch row";
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllImageModels, ResolverParity,
+    AllImageModels, ZooDifferential,
     ::testing::Values("mobilenet_v1_mini", "mobilenet_v2_mini",
                       "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
                       "densenet121_mini"));
@@ -236,7 +226,7 @@ TEST(ResolverCoverage, SharedKernelsMatchAllowList) {
   std::set<std::string> shared;
   Pcg32 rng(5);
   for (const ZooEntry& entry : image_zoo()) {
-    for (const ZooCell& cell : image_zoo_cells(entry.name, rng, {1})) {
+    for (const Cell& cell : image_zoo_cells(entry.name, rng, {1})) {
       const Model opt_model(&cell.graph, &opt);
       const Model ref_model(&cell.graph, &ref);
       std::vector<KernelFn> ref_invoke(cell.graph.nodes.size(), nullptr);
@@ -257,9 +247,10 @@ TEST(ResolverCoverage, SharedKernelsMatchAllowList) {
 }
 
 // The detection, segmentation, text and audio zoo models at b1 in f32, each
-// with one input of its own kind: images and spectrograms in [-1, 1], token
-// ids below the 64-word vocabulary.
-std::vector<ZooCell> other_zoo_cells(Pcg32& rng) {
+// serving two frames of its own kind: images and spectrograms in [-1, 1]
+// and their negation, token ids below the 64-word vocabulary and the same
+// ids shifted by 7.
+std::vector<Cell> other_zoo_cells(Pcg32& rng) {
   std::vector<Graph> graphs;
   graphs.push_back(build_ssd_mini("mobilenet", 5).model);
   graphs.push_back(build_ssd_mini("resnet", 5).model);
@@ -268,67 +259,37 @@ std::vector<ZooCell> other_zoo_cells(Pcg32& rng) {
   graphs.push_back(build_mobilebert_mini(5, 64, 24).model);
   graphs.push_back(build_kws_tiny_conv(5).model);
   graphs.push_back(build_kws_low_latency_conv(5).model);
-  std::vector<ZooCell> cells;
+  std::vector<Cell> cells;
   for (const Graph& g : graphs) {
     Graph deploy = convert_for_inference(g);
+    draw_biases(deploy, 23);
     const Node& in = deploy.node(deploy.input_ids()[0]);
     Tensor input(in.output_dtype, in.output_shape);
+    Tensor twin(in.output_dtype, in.output_shape);
     for (std::int64_t i = 0; i < input.num_elements(); ++i) {
       if (in.output_dtype == DType::kI32) {
-        input.data<std::int32_t>()[i] =
-            static_cast<std::int32_t>(rng.next_below(64));
+        const auto id = static_cast<std::int32_t>(rng.next_below(64));
+        input.data<std::int32_t>()[i] = id;
+        twin.data<std::int32_t>()[i] = (id + 7) % 64;
       } else {
         input.data<float>()[i] = rng.uniform(-1, 1);
+        twin.data<float>()[i] = -input.data<float>()[i];
       }
     }
-    cells.push_back({g.name + "/f32/b1", std::move(deploy), std::move(input)});
+    cells.push_back({g.name + "/f32/b1", std::move(deploy),
+                     {{std::move(input)}, {std::move(twin)}}});
   }
   return cells;
 }
 
-// A lean session reuses a layer's bytes once its last consumer has run. It
-// serves a different input first, then the cell's input, and must reproduce
-// a fresh kPreserveAll session byte for byte: every model output, and every
-// step's output as a per_layer_outputs monitor captures it while the step
-// runs. A kernel that reads bytes it did not write this invoke (stale memory
-// of a layer that shared its region) fails here.
-void expect_lean_matches_preserve_all(const ZooCell& cell,
-                                      const Tensor& warm_input,
-                                      ThreadPool* pool, int threads) {
-  const std::string where = cell.name + "/t" + std::to_string(threads);
-  BuiltinOpResolver opt;
-  Model model(Graph(cell.graph), &opt, pool, threads);
-  Session full(&model, Retention::kPreserveAll);
-  full.set_input(0, cell.input);
-  full.invoke();
-
-  Session lean(&model);
-  ASSERT_EQ(lean.retention(), Retention::kLean);
-  MonitorOptions options;
-  options.per_layer_outputs = true;
-  EdgeMLMonitor monitor(options);
-  monitor.observe(lean);
-  for (const Tensor* input : {&warm_input, &cell.input}) {
-    lean.set_input(0, *input);
-    monitor.on_inf_start();
-    lean.invoke();
-    monitor.on_inf_stop(lean);
-    monitor.next_frame();
-  }
-  monitor.unobserve(lean);
-
-  for (std::size_t o = 0; o < cell.graph.outputs.size(); ++o) {
-    EXPECT_TRUE(same_bytes(lean.output(static_cast<int>(o)),
-                           full.output(static_cast<int>(o))))
-        << where << ": output " << o;
-  }
-  const FrameTrace& frame = monitor.trace().frames.at(1);
-  const auto& steps = model.plan().steps();
-  ASSERT_EQ(frame.layer_outputs.size(), steps.size()) << where;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    EXPECT_TRUE(same_bytes(frame.layer_outputs[i],
-                           full.node_output(steps[i].node->id)))
-        << where << ": " << steps[i].node->name;
+TEST(OtherZooDifferential, CapsAndRetentionMatchLayerByLayer) {
+  ThreadPool pool(3);
+  const BuiltinOpResolver opt;
+  Pcg32 rng(13);
+  for (const Cell& cell : other_zoo_cells(rng)) {
+    const Capture base =
+        capture(cell, {&opt, 1, &pool, Retention::kPreserveAll});
+    expect_caps_and_retention(cell, base, &pool, {2});
   }
 }
 
@@ -338,7 +299,7 @@ void expect_lean_matches_preserve_all(const ZooCell& cell,
 // the sum of every node's bytes. ASan builds check the stronger form their
 // layout keeps: such regions lie at least kLayoutRedzone bytes apart, and
 // every node adds at most that much to the block.
-void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
+void expect_layout_keeps_live_tensors_apart(const Cell& cell) {
   BuiltinOpResolver opt;
   const Model model(&cell.graph, &opt);
   const Graph& g = model.graph();
@@ -400,24 +361,12 @@ void expect_layout_keeps_live_tensors_apart(const ZooCell& cell) {
   EXPECT_LE(layout.block_bytes, total + kLayoutRedzone * n) << cell.name;
 }
 
-class LeanPlan : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(LeanPlan, MatchesPreserveAllByteForByte) {
-  ThreadPool pool(3);
-  Pcg32 rng(11);
-  Pcg32 warm_rng(12);
-  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
-    const Tensor warm = random_image(
-        static_cast<int>(cell.input.shape().batch()), warm_rng);
-    for (int threads : {1, 2}) {
-      expect_lean_matches_preserve_all(cell, warm, &pool, threads);
-    }
-  }
-}
+class LeanPlan : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LeanPlan, LayoutKeepsLiveTensorsApart) {
   Pcg32 rng(11);
-  for (const ZooCell& cell : image_zoo_cells(GetParam(), rng)) {
+  for (const Cell& cell : image_zoo_cells(GetParam(), rng)) {
     expect_layout_keeps_live_tensors_apart(cell);
   }
 }
@@ -428,27 +377,9 @@ INSTANTIATE_TEST_SUITE_P(
                       "mobilenet_v3_mini", "resnet50v2_mini", "inception_mini",
                       "densenet121_mini"));
 
-TEST(LeanPlanOtherZoo, MatchesPreserveAllByteForByte) {
-  ThreadPool pool(3);
-  Pcg32 rng(13);
-  for (const ZooCell& cell : other_zoo_cells(rng)) {
-    Tensor warm = cell.input;
-    for (std::int64_t i = 0; i < warm.num_elements(); ++i) {
-      if (warm.dtype() == DType::kI32) {
-        warm.data<std::int32_t>()[i] = (warm.data<std::int32_t>()[i] + 7) % 64;
-      } else {
-        warm.data<float>()[i] = -warm.data<float>()[i];
-      }
-    }
-    for (int threads : {1, 2}) {
-      expect_lean_matches_preserve_all(cell, warm, &pool, threads);
-    }
-  }
-}
-
 TEST(LeanPlanOtherZoo, LayoutKeepsLiveTensorsApart) {
   Pcg32 rng(13);
-  for (const ZooCell& cell : other_zoo_cells(rng)) {
+  for (const Cell& cell : other_zoo_cells(rng)) {
     expect_layout_keeps_live_tensors_apart(cell);
   }
 }

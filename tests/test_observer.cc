@@ -17,7 +17,6 @@
 //    inference latency.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -75,12 +74,7 @@ TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
     EXPECT_EQ(f.layer_names[i], step.node->name);
     const Tensor& retained = session.node_output(step.node->id);
     const Tensor& captured = f.layer_outputs[i];
-    EXPECT_EQ(captured.dtype(), retained.dtype());
-    ASSERT_EQ(captured.byte_size(), retained.byte_size());
-    EXPECT_EQ(std::memcmp(captured.raw_data(), retained.raw_data(),
-                          retained.byte_size()),
-              0)
-        << "layer " << step.node->name;
+    EXPECT_TRUE(same_bytes(captured, retained)) << "layer " << step.node->name;
     EXPECT_GE(f.layer_latency_ms[i], 0.0);
     ++i;
   }
@@ -115,11 +109,7 @@ TEST(ObserverCapture, QuantizedLayersStayInt8InTrace) {
       ASSERT_TRUE(captured.quant().quantized());
       EXPECT_EQ(captured.quant().scale(), retained.quant().scale());
       // Offline reading dequantizes losslessly from the raw capture.
-      Tensor offline = captured.to_f32();
-      Tensor direct = retained.to_f32();
-      EXPECT_EQ(std::memcmp(offline.raw_data(), direct.raw_data(),
-                            direct.byte_size()),
-                0);
+      EXPECT_TRUE(same_bytes(captured.to_f32(), retained.to_f32()));
     }
     ++i;
   }
@@ -349,18 +339,12 @@ TEST(ObserverSpool, SpooledTraceMatchesRetainedTrace) {
     EXPECT_EQ(s.layer_names, r.layer_names);
     ASSERT_EQ(s.layer_outputs.size(), r.layer_outputs.size());
     for (std::size_t i = 0; i < s.layer_outputs.size(); ++i) {
-      ASSERT_EQ(s.layer_outputs[i].byte_size(), r.layer_outputs[i].byte_size());
-      EXPECT_EQ(std::memcmp(s.layer_outputs[i].raw_data(),
-                            r.layer_outputs[i].raw_data(),
-                            r.layer_outputs[i].byte_size()),
-                0)
+      EXPECT_TRUE(same_bytes(s.layer_outputs[i], r.layer_outputs[i]))
           << "frame " << f << " layer " << s.layer_names[i];
     }
     ASSERT_TRUE(s.has_tensor(trace_keys::kModelOutput));
-    EXPECT_EQ(std::memcmp(s.tensor(trace_keys::kModelOutput).raw_data(),
-                          r.tensor(trace_keys::kModelOutput).raw_data(),
-                          r.tensor(trace_keys::kModelOutput).byte_size()),
-              0);
+    EXPECT_TRUE(same_bytes(s.tensor(trace_keys::kModelOutput),
+                           r.tensor(trace_keys::kModelOutput)));
   }
 }
 
@@ -492,11 +476,7 @@ TEST(ObserverMultiOutput, ModelIoCapturesEveryOutputHead) {
   for (int i = 0; i < 2; ++i) {
     const Tensor& captured = f.tensor(trace_keys::model_output_key(i));
     const Tensor& retained = session.output(i);
-    ASSERT_EQ(captured.byte_size(), retained.byte_size());
-    EXPECT_EQ(std::memcmp(captured.raw_data(), retained.raw_data(),
-                          retained.byte_size()),
-              0)
-        << "output " << i;
+    EXPECT_TRUE(same_bytes(captured, retained)) << "output " << i;
   }
   monitor.unobserve(session);
 }
@@ -582,11 +562,7 @@ TEST(ObserverSpool, BatchedSpoolRoundTripsManyFrames) {
     EXPECT_EQ(s.frame_id, r.frame_id);
     ASSERT_EQ(s.layer_outputs.size(), r.layer_outputs.size());
     for (std::size_t i = 0; i < s.layer_outputs.size(); ++i) {
-      ASSERT_EQ(s.layer_outputs[i].byte_size(), r.layer_outputs[i].byte_size());
-      EXPECT_EQ(std::memcmp(s.layer_outputs[i].raw_data(),
-                            r.layer_outputs[i].raw_data(),
-                            r.layer_outputs[i].byte_size()),
-                0)
+      EXPECT_TRUE(same_bytes(s.layer_outputs[i], r.layer_outputs[i]))
           << "frame " << f << " layer " << i;
     }
     EXPECT_EQ(s.tensor(trace_keys::kModelOutput).byte_size(),
@@ -692,18 +668,11 @@ TEST(ObserverSessions, TwoSessionsOneModelIndependentObservers) {
   const FrameTrace& fb = mon_b.trace().frames.at(0);
   const Tensor& out_a = fa.tensor(trace_keys::kModelOutput);
   const Tensor& out_b = fb.tensor(trace_keys::kModelOutput);
-  ASSERT_EQ(out_a.byte_size(), sa.output(0).byte_size());
-  EXPECT_EQ(std::memcmp(out_a.raw_data(), sa.output(0).raw_data(),
-                        out_a.byte_size()),
-            0);
-  EXPECT_EQ(std::memcmp(out_b.raw_data(), sb.output(0).raw_data(),
-                        out_b.byte_size()),
-            0);
+  EXPECT_TRUE(same_bytes(out_a, sa.output(0)));
+  EXPECT_TRUE(same_bytes(out_b, sb.output(0)));
   // Different inputs -> the two captures must differ (observers did not
   // cross wires).
-  EXPECT_NE(std::memcmp(out_a.raw_data(), out_b.raw_data(),
-                        out_a.byte_size()),
-            0);
+  EXPECT_FALSE(same_bytes(out_a, out_b));
   mon_a.unobserve(sa);
   mon_b.unobserve(sb);
 }

@@ -1,6 +1,6 @@
 // Property-style parameterized sweeps across the stack:
-//  - randomized DepthwiseConv2D shape/scale/zero-point parity (vector and
-//    forced-scalar paths)
+//  - randomized DepthwiseConv2D and int8 elementwise shape/scale/zero-point
+//    parity (the differential runner's resolver and scalar-path axes)
 //  - pool/activation parity between resolvers over geometry grids
 //  - quantize->dequantize error bounds over random ranges
 //  - fixed-point requantization vs double arithmetic over multiplier grids
@@ -23,7 +23,7 @@
 #include "src/preprocess/image.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
-#include "tests/test_util.h"
+#include "tests/differential.h"
 
 namespace mlexray {
 namespace {
@@ -42,12 +42,11 @@ Tensor random_f32(Shape shape, Pcg32& rng, float lo = -1, float hi = 1) {
 // kernel size, stride, padding, depth multiplier, image size, batch, fused
 // activation, and (via the input value range) quantization scales and
 // asymmetric zero points — so the dwconv vector and scalar paths cannot
-// drift apart on geometries nobody hand-picked.
+// drift apart on geometries nobody hand-picked. Each draw runs the
+// differential runner's resolver and scalar-path axes, in f32 and int8,
+// with seeded nonzero biases.
 
-class DwConvRandom : public ::testing::TestWithParam<int> {
- protected:
-  void TearDown() override { force_scalar_kernels_for_testing = false; }
-};
+class DwConvRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(DwConvRandom, AllTiersMatchReference) {
   Pcg32 rng(static_cast<std::uint64_t>(3000 + GetParam()));
@@ -74,57 +73,28 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
   int x = b.input(in_shape);
   b.depthwise_conv2d(x, kh, kw, stride, padding, act, "op", dm);
   Graph m = b.finish({1});
+  draw_biases(m, 3000 + static_cast<std::uint64_t>(GetParam()));
 
   Tensor input = random_f32(in_shape, rng, lo, hi);
+  Calibrator calib(&m);
+  for (int i = 0; i < 4; ++i) {
+    calib.observe({random_f32(in_shape, rng, lo, hi)});
+  }
+  calib.observe({input});
+  const std::string seed = "seed " + std::to_string(GetParam());
   RefOpResolver ref;
   BuiltinOpResolver opt;
-
-  auto run_both_paths = [&](Session& oi) {
-    oi.invoke();
-    const float* p = oi.output(0).data<float>();
-    std::vector<float> want(p, p + oi.output(0).num_elements());
-    force_scalar_kernels_for_testing = true;
-    oi.invoke();
-    force_scalar_kernels_for_testing = false;
-    EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
-                          want.size() * sizeof(float)),
-              0)
-        << "scalar path diverged (seed " << GetParam() << ")";
-  };
-
-  {  // float: bit-exact against the reference kernel, both paths.
-    Model ref_model(&m, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&m, &opt, /*num_threads=*/2);
-    Session oi(&opt_model);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    run_both_paths(oi);
-    EXPECT_EQ(std::memcmp(ri.output(0).raw_data(), oi.output(0).raw_data(),
-                          static_cast<std::size_t>(
-                              ri.output(0).num_elements()) *
-                              sizeof(float)),
-              0)
-        << "f32 opt != ref (seed " << GetParam() << ")";
-  }
-  {  // int8: the reference kernel's bytes, both paths.
-    Calibrator calib(&m);
-    for (int i = 0; i < 4; ++i) {
-      calib.observe({random_f32(in_shape, rng, lo, hi)});
-    }
-    calib.observe({input});
-    Graph qm = quantize_model(m, calib);
-    Model ref_model(&qm, &ref);
-    Session ri(&ref_model);
-    Model opt_model(&qm, &opt, /*num_threads=*/2);
-    Session oi(&opt_model);
-    ri.set_input(0, input);
-    oi.set_input(0, input);
-    ri.invoke();
-    run_both_paths(oi);
-    EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0)))
-        << "int8 opt != ref (seed " << GetParam() << ")";
+  for (const Cell& cell : {Cell{seed + "/f32", m, {{input}}},
+                           Cell{seed + "/i8", quantize_model(m, calib),
+                                {{input}}}}) {
+    const Capture oi = capture(cell, {&opt, 2});
+    EXPECT_TRUE(
+        layers_agree(capture(cell, reference_side(oi.side, &ref)).trace,
+                     oi.trace))
+        << cell.name << ": resolver";
+    EXPECT_TRUE(
+        layers_agree(oi.trace, capture(cell, scalar_side(oi.side)).trace))
+        << cell.name << ": scalar path";
   }
 }
 
@@ -136,13 +106,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DwConvRandom, ::testing::Range(1, 17));
 // conformance grid (test_elementwise_grid.cc) enumerates the interesting
 // channel counts; this sweep draws op, geometry, broadcast pattern, fused
 // activation, and (via per-operand value ranges) quantization scales and
-// asymmetric zero points from a seeded RNG, then asserts the vector and
-// scalar paths and the reference kernel all produce the same bytes.
+// asymmetric zero points from a seeded RNG, then runs the differential
+// runner's resolver and scalar-path axes.
 
-class ElementwiseRandom : public ::testing::TestWithParam<int> {
- protected:
-  void TearDown() override { force_scalar_kernels_for_testing = false; }
-};
+class ElementwiseRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(ElementwiseRandom, AllTiersMatchReference) {
   Pcg32 rng(static_cast<std::uint64_t>(4000 + GetParam()));
@@ -197,32 +164,18 @@ TEST_P(ElementwiseRandom, AllTiersMatchReference) {
   } else {
     calib.observe({input});
   }
-  Graph qm = quantize_model(m, calib);
+  const Cell cell{
+      "seed " + std::to_string(GetParam()) + ", op " + std::to_string(op),
+      quantize_model(m, calib),
+      {binary ? Frame{input, gate} : Frame{input}}};
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Model ref_model(&qm, &ref);
-  Session ri(&ref_model);
-  Model opt_model(&qm, &opt, /*num_threads=*/2);
-  Session oi(&opt_model);
-  ri.set_input(0, input);
-  oi.set_input(0, input);
-  if (binary) {
-    ri.set_input(1, gate);
-    oi.set_input(1, gate);
-  }
-  ri.invoke();
-  oi.invoke();
-  const float* p = oi.output(0).data<float>();
-  std::vector<float> want(p, p + oi.output(0).num_elements());
-  force_scalar_kernels_for_testing = true;
-  oi.invoke();
-  force_scalar_kernels_for_testing = false;
-  EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
-                        want.size() * sizeof(float)),
-            0)
-      << "scalar path diverged (seed " << GetParam() << ", op " << op << ")";
-  EXPECT_TRUE(outputs_bit_equal(ri.output(0), oi.output(0)))
-      << "int8 opt != ref (seed " << GetParam() << ", op " << op << ")";
+  const Capture oi = capture(cell, {&opt, 2});
+  EXPECT_TRUE(layers_agree(capture(cell, reference_side(oi.side, &ref)).trace,
+                           oi.trace))
+      << cell.name << ": resolver";
+  EXPECT_TRUE(layers_agree(oi.trace, capture(cell, scalar_side(oi.side)).trace))
+      << cell.name << ": scalar path";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ElementwiseRandom, ::testing::Range(1, 17));

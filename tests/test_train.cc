@@ -234,9 +234,7 @@ TEST(Trainer, CopyWeightsTransfersValues) {
   b2.fully_connected(x2, 2, Activation::kNone, "fc");
   Graph c = b2.finish({1});
   copy_weights(a, &c);
-  EXPECT_EQ(0, std::memcmp(a.node(1).weights[0].raw_data(),
-                           c.node(1).weights[0].raw_data(),
-                           a.node(1).weights[0].byte_size()));
+  EXPECT_TRUE(same_bytes(a.node(1).weights[0], c.node(1).weights[0]));
 }
 
 TEST(Losses, SoftmaxXentRowsIgnoresNegativeLabels) {

@@ -1,13 +1,12 @@
 // Helpers the test suites share: seeded random inputs, the small
-// conv -> depthwise -> conv -> FC graph the runtime suites serve, and exact
-// output comparisons. Header-only; each suite is one translation unit.
+// conv -> depthwise -> conv -> FC graph the runtime suites serve, and the
+// exact tensor comparison. Header-only; each suite is one translation unit.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <vector>
 
 #include "src/common/rng.h"
 #include "src/graph/builder.h"
@@ -48,24 +47,26 @@ inline Graph conv_stack_graph(std::uint64_t seed, int batch = 1) {
   return conv_stack_graph(&rng, batch);
 }
 
-inline void expect_bit_identical(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.dtype(), b.dtype());
-  ASSERT_EQ(a.byte_size(), b.byte_size());
-  EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()), 0);
-}
-
-// Same element count and the same f32 bytes.
-inline bool outputs_bit_equal(const Tensor& a, const Tensor& b) {
-  if (a.num_elements() != b.num_elements()) return false;
-  return std::memcmp(a.raw_data(), b.raw_data(),
-                     static_cast<std::size_t>(a.num_elements()) *
-                         sizeof(float)) == 0;
-}
-
-// A copy of an f32 tensor's values.
-inline std::vector<float> snapshot(const Tensor& t) {
-  const float* p = t.data<float>();
-  return std::vector<float>(p, p + t.num_elements());
+// The one exact comparison: the same dtype, the same byte size and the same
+// bytes. The failure names the first difference.
+inline ::testing::AssertionResult same_bytes(const Tensor& a,
+                                             const Tensor& b) {
+  if (a.dtype() != b.dtype()) {
+    return ::testing::AssertionFailure()
+           << "dtype " << dtype_name(a.dtype()) << " vs "
+           << dtype_name(b.dtype());
+  }
+  if (a.byte_size() != b.byte_size()) {
+    return ::testing::AssertionFailure()
+           << a.byte_size() << " bytes vs " << b.byte_size();
+  }
+  const auto* pa = static_cast<const std::uint8_t*>(a.raw_data());
+  const auto* pb = static_cast<const std::uint8_t*>(b.raw_data());
+  const auto diff = std::mismatch(pa, pa + a.byte_size(), pb);
+  if (diff.first == pa + a.byte_size()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "byte " << (diff.first - pa) << " of " << a.byte_size()
+         << " differs";
 }
 
 }  // namespace mlexray
