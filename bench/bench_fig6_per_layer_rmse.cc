@@ -3,7 +3,10 @@
 //
 // Paper shape: with the as-shipped optimized resolver, rMSE jumps at the
 // FIRST DepthwiseConv2D layer (v2: 2nd layer; v3: 13th); with the as-shipped
-// reference resolver, V3 shows peaks at every squeeze-excite AvgPool2D.
+// reference resolver, V3 shows peaks at every squeeze-excite AvgPool2D. The
+// exit code checks it: non-zero unless the OpResolver's first suspect is
+// block0_dwconv on both models and the RefOpResolver's is block0_se_pool on
+// V3.
 #include "bench/bench_util.h"
 #include "src/convert/converter.h"
 #include "src/core/pipelines.h"
@@ -14,7 +17,12 @@
 namespace mlexray {
 namespace {
 
-void run_model(const std::string& name) {
+// Each resolver's first suspect layer ("" for none).
+struct FirstSuspects {
+  std::string opt, ref;
+};
+
+FirstSuspects run_model(const std::string& name) {
   Graph ckpt = trained_image_checkpoint(name);
   Graph mobile = convert_for_inference(ckpt);
   ImagePipelineConfig correct{ckpt.input_spec, PreprocBug::kNone};
@@ -65,17 +73,35 @@ void run_model(const std::string& name) {
     std::printf("RefOpResolver first suspect layer: %s\n",
                 ref_report.first_suspect->c_str());
   }
+  return {opt_report.first_suspect.value_or(""),
+          ref_report.first_suspect.value_or("")};
+}
+
+// Prints an error and returns 1 unless `got` is `want`.
+int expect_suspect(const char* resolver, const char* model,
+                   const std::string& got, const char* want) {
+  if (got == want) return 0;
+  std::printf("ERROR: %s first suspect on %s is '%s', expected '%s'\n",
+              resolver, model, got.c_str(), want);
+  return 1;
 }
 
 int run() {
   bench::print_header("Fig 6 — per-layer normalized rMSE localisation",
                       "ML-EXray Fig. 6 (left: v2, right: v3)");
-  run_model("mobilenet_v2_mini");
-  run_model("mobilenet_v3_mini");
+  const FirstSuspects v2 = run_model("mobilenet_v2_mini");
+  const FirstSuspects v3 = run_model("mobilenet_v3_mini");
   std::printf(
       "\nexpected shape: OpResolver drift starts at the first DepthwiseConv2D;\n"
       "RefOpResolver drift (v3 only) peaks at squeeze-excite AvgPool2D layers.\n");
-  return 0;
+  int failures = 0;
+  failures += expect_suspect("OpResolver", "mobilenet_v2_mini", v2.opt,
+                             "block0_dwconv");
+  failures += expect_suspect("OpResolver", "mobilenet_v3_mini", v3.opt,
+                             "block0_dwconv");
+  failures += expect_suspect("RefOpResolver", "mobilenet_v3_mini", v3.ref,
+                             "block0_se_pool");
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace

@@ -214,11 +214,12 @@ BENCHMARK(BM_DwConvI8_Vector)->Args({16, 64});
 BENCHMARK(BM_DwConvI8_Scalar)->Args({16, 64});
 
 // --- int8 elementwise family at MobileNetV3-mini SE shapes -----------------
-// The squeeze-excite ops the elementwise family (src/kernels/elementwise.h)
-// moved off the double-math reference path: residual Add, the [N,1,1,C]
-// broadcast Mul gate, global Mean, and the standalone Logistic / HardSwish
-// LUT activations. Optimized-vs-reference pairs quantify the per-op win the
-// Table-4 split aggregates; vector-vs-scalar variants isolate the 8-lane
+// The squeeze-excite ops of the int8 elementwise family
+// (src/kernels/elementwise.h): residual Add, the [N,1,1,C] broadcast Mul
+// gate, global Mean, and the standalone Logistic / HardSwish LUT
+// activations. Optimized-vs-reference pairs (the reference kernels run the
+// same fixed-point spec in plain loops) quantify the per-op win the Table-4
+// split aggregates; vector-vs-scalar variants isolate the 8-lane
 // vectorization from the plan-time Q31/LUT prep.
 
 enum class EwBenchOp { kAdd, kMulGate, kMean, kLogistic, kHardSwish };

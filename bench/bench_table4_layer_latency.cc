@@ -146,8 +146,8 @@ int run_model(const char* checkpoint, const char* title) {
       elementwise_nodes, prepared);
   if (prepared != elementwise_nodes) {
     std::printf(
-        "ERROR: %d int8 elementwise node(s) fell back to double-math "
-        "reference kernels on the int8 path\n",
+        "ERROR: %d int8 elementwise node(s) ran without the plan-prepared "
+        "Q31/LUT tables on the int8 path\n",
         elementwise_nodes - prepared);
     return 1;
   }

@@ -61,7 +61,7 @@ Activation activation_of(OpType type) {
 
 }  // namespace
 
-Graph convert_for_inference(const Graph& checkpoint, ConvertOptions options) {
+Graph convert_for_inference(const Graph& checkpoint) {
   Graph work = checkpoint;  // deep copy (tensors copy their buffers)
 
   // Consumer counts (graph outputs count as consumers).
@@ -82,69 +82,64 @@ Graph convert_for_inference(const Graph& checkpoint, ConvertOptions options) {
   };
   std::set<int> removed;
 
-  if (options.fold_batch_norm) {
-    for (Node& n : work.nodes) {
-      if (n.type != OpType::kBatchNorm) continue;
-      int producer_id = resolve(n.inputs[0]);
-      Node& producer = work.node(producer_id);
-      if (!is_conv_like(producer.type)) continue;
-      if (consumers[static_cast<std::size_t>(producer_id)] != 1) continue;
-      fold_bn_into(producer, n);
-      alias[static_cast<std::size_t>(n.id)] = producer_id;
-      // The producer's effective consumers are now the BN's consumers.
-      consumers[static_cast<std::size_t>(producer_id)] =
-          consumers[static_cast<std::size_t>(n.id)];
-      removed.insert(n.id);
-    }
+  // A BatchNorm folds into a conv-like producer that feeds nothing else.
+  for (Node& n : work.nodes) {
+    if (n.type != OpType::kBatchNorm) continue;
+    int producer_id = resolve(n.inputs[0]);
+    Node& producer = work.node(producer_id);
+    if (!is_conv_like(producer.type)) continue;
+    if (consumers[static_cast<std::size_t>(producer_id)] != 1) continue;
+    fold_bn_into(producer, n);
+    alias[static_cast<std::size_t>(n.id)] = producer_id;
+    // The producer's effective consumers are now the BN's consumers.
+    consumers[static_cast<std::size_t>(producer_id)] =
+        consumers[static_cast<std::size_t>(n.id)];
+    removed.insert(n.id);
   }
 
   // Remaining BatchNorms (pre-activation placement, producer not conv-like)
   // become an equivalent per-channel scale/shift: a 1x1 DepthwiseConv2D.
   // This keeps the deployed graph BN-free so full-integer quantization works.
-  if (options.fold_batch_norm) {
-    for (Node& n : work.nodes) {
-      if (n.type != OpType::kBatchNorm || removed.count(n.id) > 0) continue;
-      const float* gamma = n.weights[0].data<float>();
-      const float* beta = n.weights[1].data<float>();
-      const float* mean = n.weights[2].data<float>();
-      const float* var = n.weights[3].data<float>();
-      const float eps = n.attrs.epsilon;
-      const std::int64_t ch = n.weights[0].num_elements();
-      Tensor filter = Tensor::f32(Shape{1, 1, 1, ch});
-      Tensor bias = Tensor::f32(Shape{ch});
-      float* w = filter.data<float>();
-      float* b = bias.data<float>();
-      for (std::int64_t c = 0; c < ch; ++c) {
-        float scale = gamma[c] / std::sqrt(var[c] + eps);
-        w[c] = scale;
-        b[c] = beta[c] - mean[c] * scale;
-      }
-      n.type = OpType::kDepthwiseConv2D;
-      n.weights.clear();
-      n.weights.push_back(std::move(filter));
-      n.weights.push_back(std::move(bias));
-      n.attrs = OpAttrs{};
+  for (Node& n : work.nodes) {
+    if (n.type != OpType::kBatchNorm || removed.count(n.id) > 0) continue;
+    const float* gamma = n.weights[0].data<float>();
+    const float* beta = n.weights[1].data<float>();
+    const float* mean = n.weights[2].data<float>();
+    const float* var = n.weights[3].data<float>();
+    const float eps = n.attrs.epsilon;
+    const std::int64_t ch = n.weights[0].num_elements();
+    Tensor filter = Tensor::f32(Shape{1, 1, 1, ch});
+    Tensor bias = Tensor::f32(Shape{ch});
+    float* w = filter.data<float>();
+    float* b = bias.data<float>();
+    for (std::int64_t c = 0; c < ch; ++c) {
+      float scale = gamma[c] / std::sqrt(var[c] + eps);
+      w[c] = scale;
+      b[c] = beta[c] - mean[c] * scale;
     }
+    n.type = OpType::kDepthwiseConv2D;
+    n.weights.clear();
+    n.weights.push_back(std::move(filter));
+    n.weights.push_back(std::move(bias));
+    n.attrs = OpAttrs{};
   }
 
-
-  if (options.fuse_activations) {
-    for (Node& n : work.nodes) {
-      Activation act = activation_of(n.type);
-      if (act == Activation::kNone) continue;
-      int producer_id = resolve(n.inputs[0]);
-      Node& producer = work.node(producer_id);
-      const bool fusable_producer =
-          is_conv_like(producer.type) || producer.type == OpType::kAdd;
-      if (!fusable_producer) continue;
-      if (producer.attrs.activation != Activation::kNone) continue;
-      if (consumers[static_cast<std::size_t>(producer_id)] != 1) continue;
-      producer.attrs.activation = act;
-      alias[static_cast<std::size_t>(n.id)] = producer_id;
-      consumers[static_cast<std::size_t>(producer_id)] =
-          consumers[static_cast<std::size_t>(n.id)];
-      removed.insert(n.id);
-    }
+  // ReLU/ReLU6 fuse into a conv-like or Add producer that feeds nothing else.
+  for (Node& n : work.nodes) {
+    Activation act = activation_of(n.type);
+    if (act == Activation::kNone) continue;
+    int producer_id = resolve(n.inputs[0]);
+    Node& producer = work.node(producer_id);
+    const bool fusable_producer =
+        is_conv_like(producer.type) || producer.type == OpType::kAdd;
+    if (!fusable_producer) continue;
+    if (producer.attrs.activation != Activation::kNone) continue;
+    if (consumers[static_cast<std::size_t>(producer_id)] != 1) continue;
+    producer.attrs.activation = act;
+    alias[static_cast<std::size_t>(n.id)] = producer_id;
+    consumers[static_cast<std::size_t>(producer_id)] =
+        consumers[static_cast<std::size_t>(n.id)];
+    removed.insert(n.id);
   }
 
   // Rebuild with compacted ids.

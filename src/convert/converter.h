@@ -10,14 +10,9 @@
 
 namespace mlexray {
 
-struct ConvertOptions {
-  bool fold_batch_norm = true;
-  bool fuse_activations = true;
-};
-
 // Returns the converted inference model; the input (training) model is
-// untouched. Weights are deep-copied.
-Graph convert_for_inference(const Graph& checkpoint,
-                            ConvertOptions options = {});
+// untouched. Weights are deep-copied. BatchNorm is always folded and
+// ReLU/ReLU6 always fused where the graph allows.
+Graph convert_for_inference(const Graph& checkpoint);
 
 }  // namespace mlexray

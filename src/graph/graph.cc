@@ -2,17 +2,22 @@
 
 #include <algorithm>
 
+#include "src/kernels/conv_utils.h"
+
 namespace mlexray {
 
 namespace {
 
-std::int64_t conv_out_dim(std::int64_t in, int filter, int stride,
-                          Padding padding) {
-  if (padding == Padding::kSame) {
-    return (in + stride - 1) / stride;
-  }
-  MLX_CHECK_GE(in - filter + 1, 1) << "VALID conv output would be empty";
-  return (in - filter + stride) / stride;
+// The spatial output dims of a windowed node over the NHWC input shape `is`.
+Shape window_output(const Node& node, const Shape& is,
+                    std::int64_t channels) {
+  const WindowDims win = window_dims(node);
+  return Shape{is.dim(0),
+               conv_out_dim(is.dim(1), win.h, node.attrs.stride_h,
+                            node.attrs.padding),
+               conv_out_dim(is.dim(2), win.w, node.attrs.stride_w,
+                            node.attrs.padding),
+               channels};
 }
 
 const Node& input_node(const Graph& model, const Node& node, int i) {
@@ -50,13 +55,7 @@ void infer_node_output(const Graph& model, Node& node) {
       MLX_CHECK_EQ(fs.rank(), 4);
       MLX_CHECK_EQ(fs.dim(3), is.dim(3))
           << "conv '" << node.name << "' filter in-channels";
-      node.output_shape =
-          Shape{is.dim(0),
-                conv_out_dim(is.dim(1), static_cast<int>(fs.dim(1)),
-                             node.attrs.stride_h, node.attrs.padding),
-                conv_out_dim(is.dim(2), static_cast<int>(fs.dim(2)),
-                             node.attrs.stride_w, node.attrs.padding),
-                fs.dim(0)};
+      node.output_shape = window_output(node, is, fs.dim(0));
       node.output_dtype = in.output_dtype;
       break;
     }
@@ -73,13 +72,7 @@ void infer_node_output(const Graph& model, Node& node) {
       MLX_CHECK(fs.dim(3) % is.dim(3) == 0)
           << "depthwise '" << node.name << "' filter channels (" << fs.dim(3)
           << ") must be a multiple of input channels (" << is.dim(3) << ")";
-      node.output_shape =
-          Shape{is.dim(0),
-                conv_out_dim(is.dim(1), static_cast<int>(fs.dim(1)),
-                             node.attrs.stride_h, node.attrs.padding),
-                conv_out_dim(is.dim(2), static_cast<int>(fs.dim(2)),
-                             node.attrs.stride_w, node.attrs.padding),
-                fs.dim(3)};
+      node.output_shape = window_output(node, is, fs.dim(3));
       node.output_dtype = in.output_dtype;
       break;
     }
@@ -104,15 +97,7 @@ void infer_node_output(const Graph& model, Node& node) {
       const Node& in = input_node(model, node, 0);
       const Shape& is = in.output_shape;
       MLX_CHECK_EQ(is.rank(), 4);
-      MLX_CHECK_GT(node.attrs.filter_h, 0);
-      MLX_CHECK_GT(node.attrs.filter_w, 0);
-      node.output_shape =
-          Shape{is.dim(0),
-                conv_out_dim(is.dim(1), node.attrs.filter_h,
-                             node.attrs.stride_h, node.attrs.padding),
-                conv_out_dim(is.dim(2), node.attrs.filter_w,
-                             node.attrs.stride_w, node.attrs.padding),
-                is.dim(3)};
+      node.output_shape = window_output(node, is, is.dim(3));
       node.output_dtype = in.output_dtype;
       break;
     }
@@ -270,6 +255,30 @@ void infer_node_output(const Graph& model, Node& node) {
       break;
     }
   }
+}
+
+WindowDims window_dims(const Node& node) {
+  WindowDims win;
+  switch (node.type) {
+    case OpType::kConv2D:
+    case OpType::kDepthwiseConv2D: {
+      expect_weights(node, 2);
+      const Shape& fs = node.weights[0].shape();
+      win = {static_cast<int>(fs.dim(1)), static_cast<int>(fs.dim(2))};
+      break;
+    }
+    case OpType::kAvgPool2D:
+    case OpType::kMaxPool2D:
+      win = {node.attrs.filter_h, node.attrs.filter_w};
+      break;
+    default:
+      MLX_FAIL() << op_type_name(node.type) << " '" << node.name
+                 << "' has no window";
+  }
+  MLX_CHECK(win.h > 0 && win.w > 0)
+      << op_type_name(node.type) << " '" << node.name << "' window "
+      << win.h << "x" << win.w;
+  return win;
 }
 
 int Graph::add_node(Node node) {

@@ -53,4 +53,14 @@ class Graph {
 // Exposed for the converter and quantizer which rewrite graphs.
 void infer_node_output(const Graph& model, Node& node);
 
+// The h x w window a Conv2D, DepthwiseConv2D, AvgPool2D or MaxPool2D node
+// slides over its NHWC input, decided by the node alone: the filter's dims
+// 1 and 2 for the convs (OHWI or [1, kh, kw, ch]), attrs.filter_h/w for the
+// pools. Shape inference and conv_geometry (src/kernels/conv_utils.h) both
+// read it here. Throws for any other op or an empty window.
+struct WindowDims {
+  int h = 1, w = 1;
+};
+WindowDims window_dims(const Node& node);
+
 }  // namespace mlexray

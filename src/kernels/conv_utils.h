@@ -2,20 +2,40 @@
 // requantization tables of the quantized conv / depthwise / FC nodes, and
 // the int8 AvgPool's rounding rule.
 //
-// ConvGeometry is the one description of a window over NHWC tensors: the
-// optimized conv (implicit GEMM, gemm.h), the depthwise family (dwconv.h),
-// the int8 AvgPool, the reference window kernels and the trainer's backward
-// passes all take it from conv_geometry(), the one place SAME padding is
-// computed.
+// The window rule lives here and in window_dims (src/graph/graph.h) alone:
+// the node decides its window, conv_out_dim gives shape inference the output
+// extent, same_pad_before the padding, and ConvGeometry::window each output
+// pixel's in-bounds box. Every plain window loop walks that box; only the
+// gathers that fill out-of-bounds taps (gather_patches, build_tap_src) and
+// the frozen Fig 5/6 bug emulations place each tap themselves.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
-#include "src/graph/node.h"
+#include "src/graph/graph.h"
 #include "src/kernels/fixed_point.h"
 #include "src/tensor/tensor.h"
 
 namespace mlexray {
+
+// Output pixel (oy, ox)'s window clipped to the input: input rows
+// [y0, y1) and columns [x0, x1), never empty. Input position (iy, ix) meets
+// filter tap (fy(iy), fx(ix)); walking the box row by row visits the
+// in-bounds taps in (fy, fx) order.
+struct WindowBox {
+  std::int64_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
+  std::int64_t top = 0, left = 0;  // the unclipped window's first row, column
+
+  int fy(std::int64_t iy) const { return static_cast<int>(iy - top); }
+  int fx(std::int64_t ix) const { return static_cast<int>(ix - left); }
+  // The in-bounds tap count; 0 only for an output shape that shape
+  // inference did not make (a deserialized graph is not re-inferred).
+  std::int64_t area() const {
+    return std::max<std::int64_t>(y1 - y0, 0) *
+           std::max<std::int64_t>(x1 - x0, 0);
+  }
+};
 
 struct ConvGeometry {
   std::int64_t batch = 0;
@@ -36,7 +56,29 @@ struct ConvGeometry {
   bool pointwise() const {
     return kh == 1 && kw == 1 && stride_h == 1 && stride_w == 1;
   }
+
+  WindowBox window(std::int64_t oy, std::int64_t ox) const {
+    WindowBox b;
+    b.top = oy * stride_h - pad_h;
+    b.left = ox * stride_w - pad_w;
+    b.y0 = std::max<std::int64_t>(b.top, 0);
+    b.y1 = std::min<std::int64_t>(b.top + kh, in_h);
+    b.x0 = std::max<std::int64_t>(b.left, 0);
+    b.x1 = std::min<std::int64_t>(b.left + kw, in_w);
+    return b;
+  }
 };
+
+// TF-style output extent of a window of `filter` taps moved by `stride`:
+// SAME covers every input position, VALID only whole windows.
+inline std::int64_t conv_out_dim(std::int64_t in, int filter, int stride,
+                                 Padding padding) {
+  if (padding == Padding::kSame) {
+    return (in + stride - 1) / stride;
+  }
+  MLX_CHECK_GE(in - filter + 1, 1) << "VALID conv output would be empty";
+  return (in - filter + stride) / stride;
+}
 
 // TF-style SAME padding: total padding that centers the receptive field.
 inline std::int64_t same_pad_before(std::int64_t in, int filter, int stride,
@@ -46,11 +88,12 @@ inline std::int64_t same_pad_before(std::int64_t in, int filter, int stride,
   return needed / 2;
 }
 
-// The kh x kw window `node` slides from its NHWC input (shape `in`) to its
-// NHWC output (shape `out`): strides and padding from the node's attrs.
-// Convs pass their filter's spatial dims, pools their attrs.filter_h/w.
+// The window `node` (window_dims) slides from its NHWC input (shape `in`)
+// to its NHWC output (shape `out`): strides and padding from the node's
+// attrs.
 inline ConvGeometry conv_geometry(const Node& node, const Shape& in,
-                                  const Shape& out, int kh, int kw) {
+                                  const Shape& out) {
+  const WindowDims win = window_dims(node);
   ConvGeometry g;
   g.batch = out.dim(0);
   g.in_h = in.dim(1);
@@ -59,13 +102,13 @@ inline ConvGeometry conv_geometry(const Node& node, const Shape& in,
   g.out_h = out.dim(1);
   g.out_w = out.dim(2);
   g.out_ch = out.dim(3);
-  g.kh = kh;
-  g.kw = kw;
+  g.kh = win.h;
+  g.kw = win.w;
   g.stride_h = node.attrs.stride_h;
   g.stride_w = node.attrs.stride_w;
   if (node.attrs.padding == Padding::kSame) {
-    g.pad_h = same_pad_before(g.in_h, kh, g.stride_h, g.out_h);
-    g.pad_w = same_pad_before(g.in_w, kw, g.stride_w, g.out_w);
+    g.pad_h = same_pad_before(g.in_h, g.kh, g.stride_h, g.out_h);
+    g.pad_w = same_pad_before(g.in_w, g.kw, g.stride_w, g.out_w);
   }
   if (node.type == OpType::kDepthwiseConv2D) {
     g.depth_mult = g.out_ch / g.in_ch;

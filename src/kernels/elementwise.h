@@ -89,8 +89,7 @@ inline std::int8_t add_emit_scalar(const PackedEwAddI8& p, std::int8_t a,
       multiply_by_quantized_multiplier(bv, p.b_mult, p.b_shift);
   const std::int32_t acc = p.is_sub != 0 ? as - bs : as + bs;
   const std::int32_t q =
-      multiply_by_quantized_multiplier_any(acc, p.out_mult, p.out_shift) +
-      p.zo;
+      multiply_by_quantized_multiplier(acc, p.out_mult, p.out_shift) + p.zo;
   return static_cast<std::int8_t>(std::clamp(q, p.act_min, p.act_max));
 }
 
@@ -99,7 +98,7 @@ inline std::int8_t mul_emit_scalar(const PackedEwMulI8& p, std::int8_t a,
   const std::int32_t acc = (static_cast<std::int32_t>(a) - p.za) *
                            (static_cast<std::int32_t>(b) - p.zb);
   const std::int32_t q =
-      multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) + p.zo;
+      multiply_by_quantized_multiplier(acc, p.mult, p.shift) + p.zo;
   return clamp_to_i8(q);
 }
 
@@ -113,7 +112,7 @@ inline std::int8_t mean_channel(const PackedEwMeanI8& p, const std::int8_t* x,
   }
   acc -= static_cast<std::int32_t>(hw) * p.in_zp;
   return clamp_to_i8(
-      multiply_by_quantized_multiplier_any(acc, p.mult, p.shift) + p.out_zp);
+      multiply_by_quantized_multiplier(acc, p.mult, p.shift) + p.out_zp);
 }
 
 // Registers the optimized int8 kernels (Add/Sub/Mul/Mean + the LUT

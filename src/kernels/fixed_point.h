@@ -10,18 +10,26 @@
 // difference is a kernel bug. FixedPoint.SpecWithinOneQuantumOfRealArithmetic
 // bounds the spec itself against real arithmetic.
 //
-// The scalar functions are the spec. Every optimized int8 epilogue runs the
-// 8-lane form instead (requant_clamp_store_i8_v8), which reaches the same
-// bits by a cheaper route: a round-half-up high multiply, exact for every
-// multiplier quantize_multiplier{,_any} produce, then a byte-gather narrow.
+// The scalar functions are the spec, defined inline so the reference
+// kernels' plain loops and the optimized kernels' scalar tails make no call
+// per element. Every optimized int8 epilogue runs the 8-lane form instead
+// (requant_clamp_store_i8_v8), which reaches the same bits by a cheaper
+// route: a round-half-up high multiply, exact for every multiplier
+// quantize_multiplier{,_any} produce, then a byte-gather narrow.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+
+#include "src/common/error.h"
 
 namespace mlexray {
 
 // Decomposes real_multiplier (must be in (0, 1)) into a Q31 fixed-point
-// multiplier and a right shift: real ≈ multiplier * 2^-31 * 2^shift.
+// multiplier and a right shift: real ≈ multiplier * 2^-31 * 2^shift. The
+// conv / depthwise / FC epilogues use it: their 8-lane requant applies only
+// shifts <= 0.
 void quantize_multiplier(double real_multiplier, std::int32_t* multiplier,
                          int* shift);
 
@@ -33,30 +41,55 @@ void quantize_multiplier_any(double real_multiplier, std::int32_t* multiplier,
                              int* shift);
 
 // Saturating rounding doubling high multiply of two Q31 values.
-std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a,
-                                                   std::int32_t b);
+inline std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a,
+                                                          std::int32_t b) {
+  if (a == b && a == std::numeric_limits<std::int32_t>::min()) {
+    return std::numeric_limits<std::int32_t>::max();
+  }
+  const std::int64_t ab = static_cast<std::int64_t>(a) * b;
+  const std::int32_t nudge = ab >= 0 ? (1 << 30) : (1 - (1 << 30));
+  return static_cast<std::int32_t>((ab + nudge) / (1LL << 31));
+}
 
 // Rounding arithmetic right shift (round-to-nearest, ties away from zero
 // matching gemmlowp's RoundingDivideByPOT).
-std::int32_t rounding_divide_by_pot(std::int32_t x, int exponent);
-
-// Applies the quantized multiplier: result ≈ x * multiplier * 2^-31 * 2^shift.
-std::int32_t multiply_by_quantized_multiplier(std::int32_t x,
-                                              std::int32_t multiplier,
-                                              int shift);
+inline std::int32_t rounding_divide_by_pot(std::int32_t x, int exponent) {
+  MLX_CHECK(exponent >= 0 && exponent <= 31);
+  if (exponent == 0) return x;
+  // Built unsigned, so exponent 31 cannot overflow.
+  const auto mask =
+      static_cast<std::int32_t>((std::uint32_t{1} << exponent) - 1);
+  const std::int32_t remainder = x & mask;
+  std::int32_t result = x >> exponent;
+  const std::int32_t threshold = (mask >> 1) + ((x < 0) ? 1 : 0);
+  if (remainder > threshold) ++result;
+  return result;
+}
 
 // Saturating left shift to int32 (identity for left <= 0). The positive-shift
 // requant path pre-shifts its argument with this before the high multiply, so
 // overflowing inputs pin to the int32 rails instead of wrapping (they clamp to
 // the int8 activation range afterwards either way).
-std::int32_t saturating_left_shift(std::int32_t x, int left);
+inline std::int32_t saturating_left_shift(std::int32_t x, int left) {
+  if (left <= 0) return x;
+  MLX_CHECK_LE(left, 31);
+  const std::int64_t wide = static_cast<std::int64_t>(x) << left;
+  return static_cast<std::int32_t>(std::clamp<std::int64_t>(
+      wide, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()));
+}
 
-// multiply_by_quantized_multiplier for decompositions from
-// quantize_multiplier_any: positive shifts pre-scale x (TFLite ordering),
-// non-positive shifts behave exactly like the plain form.
-std::int32_t multiply_by_quantized_multiplier_any(std::int32_t x,
-                                                  std::int32_t multiplier,
-                                                  int shift);
+// Applies a quantize_multiplier{,_any} decomposition:
+// result ≈ x * multiplier * 2^-31 * 2^shift. A positive shift pre-scales x
+// (TFLite ordering); a non-positive one is a rounding right shift after the
+// high multiply.
+inline std::int32_t multiply_by_quantized_multiplier(std::int32_t x,
+                                                     std::int32_t multiplier,
+                                                     int shift) {
+  const std::int32_t high = saturating_rounding_doubling_high_mul(
+      saturating_left_shift(x, shift), multiplier);
+  return rounding_divide_by_pot(high, shift > 0 ? 0 : -shift);
+}
 
 // Clamps an int32 to the int8 representable range.
 inline std::int8_t clamp_to_i8(std::int32_t v) {

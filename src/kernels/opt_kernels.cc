@@ -15,15 +15,6 @@
 namespace mlexray {
 namespace {
 
-// The window of a Conv2D or DepthwiseConv2D node: its filter's dims 1 and 2
-// (OHWI or [1, kh, kw, ch]).
-ConvGeometry filter_geometry(const KernelContext& ctx) {
-  const Shape& fs = ctx.node->weights[0].shape();
-  return conv_geometry(*ctx.node, ctx.input(0).shape(), ctx.output->shape(),
-                       static_cast<int>(fs.dim(1)),
-                       static_cast<int>(fs.dim(2)));
-}
-
 // `bytes` of arena scratch, or null for none.
 void* scratch_or_null(const KernelContext& ctx, std::size_t bytes) {
   return bytes > 0 ? ctx.scratch<std::uint8_t>(
@@ -246,7 +237,7 @@ void dwconv2d_i8_pack_prepare(const KernelContext& ctx) {
 void conv2d_f32_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const ConvGeometry g = filter_geometry(ctx);
+  const ConvGeometry g = conv_geometry(node, in.shape(), ctx.output->shape());
   conv_gemm_f32(g, in.data<float>(), node.weights[1].data<float>(),
                 node.attrs.activation, ctx.output->data<float>(), ctx.pool,
                 ctx.prepared_root<PreparedGemmF32>().packed,
@@ -261,7 +252,8 @@ void conv2d_f32_opt(const KernelContext& ctx) {
 // reference kernel bitwise.
 void dwconv2d_f32_opt(const KernelContext& ctx) {
   const Node& node = *ctx.node;
-  const ConvGeometry g = filter_geometry(ctx);
+  const ConvGeometry g =
+      conv_geometry(node, ctx.input(0).shape(), ctx.output->shape());
   const PackedDwF32 packed{node.weights[0].data<float>(),
                            node.weights[1].data<float>()};
   dwconv2d_f32(g, ctx.input(0).data<float>(), packed, node.attrs.activation,
@@ -365,7 +357,7 @@ void conv2d_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Tensor& filter = ctx.node->weights[0];
   Tensor& out = *ctx.output;
-  const ConvGeometry g = filter_geometry(ctx);
+  const ConvGeometry g = conv_geometry(*ctx.node, in.shape(), out.shape());
   const PreparedGemmI8& prep = ctx.prepared_root<PreparedGemmI8>();
   conv_gemm_i8(g, in.data<std::int8_t>(), filter.data<std::int8_t>(),
                gemm_quant(in, out, prep),
@@ -377,7 +369,8 @@ void conv2d_i8_opt(const KernelContext& ctx) {
 // panels, per-channel Q31 requant — bit-identical across the vector and
 // scalar paths (integer math is exact and order-free).
 void dwconv2d_i8_opt(const KernelContext& ctx) {
-  const ConvGeometry g = filter_geometry(ctx);
+  const ConvGeometry g =
+      conv_geometry(*ctx.node, ctx.input(0).shape(), ctx.output->shape());
   dwconv2d_i8(g, ctx.input(0).data<std::int8_t>(),
               ctx.prepared_root<PreparedDwI8>().packed,
               ctx.output->data<std::int8_t>(), ctx.pool,
@@ -401,7 +394,7 @@ void dwconv2d_i8_buggy(const KernelContext& ctx) {
   Tensor& out = *ctx.output;
   const Shape& is = in.shape();
   const Shape& os = out.shape();
-  const ConvGeometry s = filter_geometry(ctx);
+  const ConvGeometry s = conv_geometry(node, is, os);
   const std::int64_t ch = s.out_ch;
   const std::int64_t dm = s.depth_mult;
   const std::int32_t in_zp = in.quant().zero_point();
@@ -493,37 +486,27 @@ void fc_i8_opt(const KernelContext& ctx) {
 // Integer-only average pool by the one rule (average_i8, conv_utils.h),
 // checked to have equal input and output quantization. Channels are walked
 // contiguously: each in-window pixel's ch bytes are added into one int32
-// row, then every channel is divided by the window's in-bounds tap count.
+// row, then every channel is divided by the window box's area.
 void avgpool_i8_opt(const KernelContext& ctx) {
-  const Node& node = *ctx.node;
-  check_avgpool_quant(node, ctx.input(0).quant(), ctx.output->quant());
+  check_avgpool_quant(*ctx.node, ctx.input(0).quant(), ctx.output->quant());
   const ConvGeometry g =
-      conv_geometry(node, ctx.input(0).shape(), ctx.output->shape(),
-                    node.attrs.filter_h, node.attrs.filter_w);
+      conv_geometry(*ctx.node, ctx.input(0).shape(), ctx.output->shape());
   const std::int64_t ch = g.in_ch;
   const std::int8_t* x = ctx.input(0).data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
   std::int32_t* sum = ctx.scratch<std::int32_t>(ch);
   for (std::int64_t n = 0; n < g.batch; ++n) {
     for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
-      // The window's in-bounds rows [y0, y1) and columns [x0, x1).
-      const std::int64_t iy0 = oy * g.stride_h - g.pad_h;
-      const std::int64_t y0 = std::max<std::int64_t>(iy0, 0);
-      const std::int64_t y1 = std::min<std::int64_t>(iy0 + g.kh, g.in_h);
       for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
-        const std::int64_t ix0 = ox * g.stride_w - g.pad_w;
-        const std::int64_t x0 = std::max<std::int64_t>(ix0, 0);
-        const std::int64_t x1 = std::min<std::int64_t>(ix0 + g.kw, g.in_w);
+        const WindowBox box = g.window(oy, ox);
         std::fill_n(sum, ch, 0);
-        for (std::int64_t iy = y0; iy < y1; ++iy) {
-          for (std::int64_t ix = x0; ix < x1; ++ix) {
+        for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+          for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
             const std::int8_t* px = x + ((n * g.in_h + iy) * g.in_w + ix) * ch;
             for (std::int64_t c = 0; c < ch; ++c) sum[c] += px[c];
           }
         }
-        const auto count =
-            static_cast<std::int32_t>(std::max<std::int64_t>(y1 - y0, 0) *
-                                      std::max<std::int64_t>(x1 - x0, 0));
+        const auto count = static_cast<std::int32_t>(box.area());
         std::int8_t* yp = y + ((n * g.out_h + oy) * g.out_w + ox) * ch;
         for (std::int64_t c = 0; c < ch; ++c) yp[c] = average_i8(sum[c], count);
       }

@@ -35,50 +35,37 @@ namespace {
 
 MLX_REF_SCALAR_DOT
 void conv2d_f32(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];  // OHWI
+  const ConvGeometry g =
+      conv_geometry(node, ctx.input(0).shape(), ctx.output->shape());
+  const float* x = ctx.input(0).data<float>();
+  const float* w = node.weights[0].data<float>();  // OHWI
   const float* bias = node.weights[1].data<float>();
-  const Shape& is = in.shape();
-  const Shape& fs = filter.shape();
-  const Shape& os = ctx.output->shape();
-  const int kh = static_cast<int>(fs.dim(1));
-  const int kw = static_cast<int>(fs.dim(2));
-  const std::int64_t in_ch = is.dim(3);
-  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
-  const float* x = in.data<float>();
-  const float* w = filter.data<float>();
   float* y = ctx.output->data<float>();
-  const std::int64_t out_ch = os.dim(3);
-  const std::int64_t filter_stride = kh * kw * in_ch;  // one output channel
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+  const std::int64_t filter_stride = g.patch();  // one output channel
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
         // Every output channel accumulates its own chain, bias first and then
         // the taps in (fy, fx, ic) order, straight into the output pixel.
         // Walking the channels innermost keeps out_ch independent chains in
         // flight instead of waiting on one chain's latency at a time.
-        float* yp = y + ((n * os.dim(1) + oy) * os.dim(2) + ox) * out_ch;
-        for (std::int64_t oc = 0; oc < out_ch; ++oc) yp[oc] = bias[oc];
-        for (int fy = 0; fy < kh; ++fy) {
-          const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-          if (iy < 0 || iy >= is.dim(1)) continue;
-          for (int fx = 0; fx < kw; ++fx) {
-            const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-            if (ix < 0 || ix >= is.dim(2)) continue;
-            const float* xp = x + ((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch;
-            const float* wp = w + (fy * kw + fx) * in_ch;
-            for (std::int64_t ic = 0; ic < in_ch; ++ic) {
+        float* yp = y + ((n * g.out_h + oy) * g.out_w + ox) * g.out_ch;
+        for (std::int64_t oc = 0; oc < g.out_ch; ++oc) yp[oc] = bias[oc];
+        const WindowBox box = g.window(oy, ox);
+        for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+          for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+            const float* xp = x + ((n * g.in_h + iy) * g.in_w + ix) * g.in_ch;
+            const float* wp = w + (box.fy(iy) * g.kw + box.fx(ix)) * g.in_ch;
+            for (std::int64_t ic = 0; ic < g.in_ch; ++ic) {
               const float xv = xp[ic];
-              for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+              for (std::int64_t oc = 0; oc < g.out_ch; ++oc) {
                 yp[oc] += xv * wp[oc * filter_stride + ic];
               }
             }
           }
         }
-        for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+        for (std::int64_t oc = 0; oc < g.out_ch; ++oc) {
           yp[oc] = apply_activation_f32(yp[oc], node.attrs.activation);
         }
       }
@@ -87,41 +74,28 @@ void conv2d_f32(const KernelContext& ctx) {
 }
 
 void dwconv2d_f32(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];  // [1, kh, kw, ch * depth_mult]
+  const ConvGeometry g =
+      conv_geometry(node, ctx.input(0).shape(), ctx.output->shape());
+  const float* x = ctx.input(0).data<float>();
+  const float* w = node.weights[0].data<float>();  // [1, kh, kw, out_ch]
   const float* bias = node.weights[1].data<float>();
-  const Shape& is = in.shape();
-  const Shape& fs = filter.shape();
-  const Shape& os = ctx.output->shape();
-  const int kh = static_cast<int>(fs.dim(1));
-  const int kw = static_cast<int>(fs.dim(2));
-  const std::int64_t in_ch = is.dim(3);
-  const std::int64_t ch = fs.dim(3);         // output channels
-  const std::int64_t dm = ch / in_ch;        // depth multiplier
-  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
-  const float* x = in.data<float>();
-  const float* w = filter.data<float>();
   float* y = ctx.output->data<float>();
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+  const std::int64_t ch = g.out_ch;
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const WindowBox box = g.window(oy, ox);
         for (std::int64_t c = 0; c < ch; ++c) {
           float acc = bias[c];
-          for (int fy = 0; fy < kh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < kw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              acc += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch +
-                       c / dm] *
-                     w[(fy * kw + fx) * ch + c];
+          for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+            for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+              acc += x[((n * g.in_h + iy) * g.in_w + ix) * g.in_ch +
+                       c / g.depth_mult] *
+                     w[(box.fy(iy) * g.kw + box.fx(ix)) * ch + c];
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
+          y[((n * g.out_h + oy) * g.out_w + ox) * ch + c] =
               apply_activation_f32(acc, node.attrs.activation);
         }
       }
@@ -154,39 +128,29 @@ void fc_f32(const KernelContext& ctx) {
 
 template <bool kIsMax>
 void pool_f32(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
-  const Node& node = *ctx.node;
-  const Shape& is = in.shape();
-  const Shape& os = ctx.output->shape();
-  const int fh = node.attrs.filter_h;
-  const int fw = node.attrs.filter_w;
-  const std::int64_t ch = is.dim(3);
-  const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
-  const float* x = in.data<float>();
+  const ConvGeometry g =
+      conv_geometry(*ctx.node, ctx.input(0).shape(), ctx.output->shape());
+  const std::int64_t ch = g.in_ch;
+  const float* x = ctx.input(0).data<float>();
   float* y = ctx.output->data<float>();
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const WindowBox box = g.window(oy, ox);
+        const std::int64_t count = box.area();
         for (std::int64_t c = 0; c < ch; ++c) {
           float best = -3.4e38f;
           float sum = 0.0f;
-          int count = 0;
-          for (int fy = 0; fy < fh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < fw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              float v = x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
+          for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+            for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+              float v = x[((n * g.in_h + iy) * g.in_w + ix) * ch + c];
               best = std::max(best, v);
               sum += v;
-              ++count;
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
-              kIsMax ? best : (count > 0 ? sum / static_cast<float>(count) : 0.0f);
+          y[((n * g.out_h + oy) * g.out_w + ox) * ch + c] =
+              kIsMax ? best
+                     : (count > 0 ? sum / static_cast<float>(count) : 0.0f);
         }
       }
     }
@@ -340,46 +304,35 @@ struct ChannelRequant {
 void conv2d_i8_ref(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
-  const Tensor& bias = node.weights[1];
+  const Tensor& filter = node.weights[0];  // OHWI
   Tensor& out = *ctx.output;
-  const Shape& is = in.shape();
-  const Shape& fs = filter.shape();
-  const Shape& os = out.shape();
-  const int kh = static_cast<int>(fs.dim(1));
-  const int kw = static_cast<int>(fs.dim(2));
-  const std::int64_t in_ch = is.dim(3);
-  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
+  const ConvGeometry g = conv_geometry(node, in.shape(), out.shape());
   const std::int32_t in_zp = in.quant().zero_point();
   const ChannelRequant requant(node, in.quant(), filter.quant(), out.quant(),
-                               os.dim(3));
+                               g.out_ch);
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = filter.data<std::int8_t>();
-  const std::int32_t* b = bias.data<std::int32_t>();
+  const std::int32_t* b = node.weights[1].data<std::int32_t>();
   std::int8_t* y = out.data<std::int8_t>();
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
-        for (std::int64_t oc = 0; oc < os.dim(3); ++oc) {
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const WindowBox box = g.window(oy, ox);
+        for (std::int64_t oc = 0; oc < g.out_ch; ++oc) {
           std::int32_t acc = b[oc];
-          for (int fy = 0; fy < kh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < kw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
+          for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+            for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
               const std::int8_t* xp =
-                  x + ((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch;
-              const std::int8_t* wp = w + ((oc * kh + fy) * kw + fx) * in_ch;
-              for (std::int64_t ic = 0; ic < in_ch; ++ic) {
+                  x + ((n * g.in_h + iy) * g.in_w + ix) * g.in_ch;
+              const std::int8_t* wp =
+                  w + ((oc * g.kh + box.fy(iy)) * g.kw + box.fx(ix)) * g.in_ch;
+              for (std::int64_t ic = 0; ic < g.in_ch; ++ic) {
                 acc += (static_cast<std::int32_t>(xp[ic]) - in_zp) *
                        static_cast<std::int32_t>(wp[ic]);
               }
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * os.dim(3) + oc] =
+          y[((n * g.out_h + oy) * g.out_w + ox) * g.out_ch + oc] =
               requant(acc, oc);
         }
       }
@@ -390,47 +343,34 @@ void conv2d_i8_ref(const KernelContext& ctx) {
 void dwconv2d_i8_ref(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
-  const Tensor& filter = node.weights[0];
-  const Tensor& bias = node.weights[1];
+  const Tensor& filter = node.weights[0];  // [1, kh, kw, out_ch]
   Tensor& out = *ctx.output;
-  const Shape& is = in.shape();
-  const Shape& fs = filter.shape();
-  const Shape& os = out.shape();
-  const int kh = static_cast<int>(fs.dim(1));
-  const int kw = static_cast<int>(fs.dim(2));
-  const std::int64_t in_ch = is.dim(3);
-  const std::int64_t ch = fs.dim(3);   // output channels
-  const std::int64_t dm = ch / in_ch;  // depth multiplier
-  const ConvGeometry g = conv_geometry(node, is, os, kh, kw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
+  const ConvGeometry g = conv_geometry(node, in.shape(), out.shape());
+  const std::int64_t ch = g.out_ch;
   const std::int32_t in_zp = in.quant().zero_point();
   const ChannelRequant requant(node, in.quant(), filter.quant(), out.quant(),
                                ch);
   const std::int8_t* x = in.data<std::int8_t>();
   const std::int8_t* w = filter.data<std::int8_t>();
-  const std::int32_t* b = bias.data<std::int32_t>();
+  const std::int32_t* b = node.weights[1].data<std::int32_t>();
   std::int8_t* y = out.data<std::int8_t>();
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const WindowBox box = g.window(oy, ox);
         for (std::int64_t c = 0; c < ch; ++c) {
           std::int32_t acc = b[c];
-          for (int fy = 0; fy < kh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < kw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
+          for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+            for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
               acc += (static_cast<std::int32_t>(
-                          x[((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch +
-                            c / dm]) -
+                          x[((n * g.in_h + iy) * g.in_w + ix) * g.in_ch +
+                            c / g.depth_mult]) -
                       in_zp) *
-                     static_cast<std::int32_t>(w[(fy * kw + fx) * ch + c]);
+                     static_cast<std::int32_t>(
+                         w[(box.fy(iy) * g.kw + box.fx(ix)) * ch + c]);
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
-              requant(acc, c);
+          y[((n * g.out_h + oy) * g.out_w + ox) * ch + c] = requant(acc, c);
         }
       }
     }
@@ -466,39 +406,29 @@ void fc_i8_ref(const KernelContext& ctx) {
 }
 
 // Int8 average pool by the one rule (average_i8): the raw sum of each
-// channel's in-bounds taps divided by their count.
+// channel's in-bounds taps divided by their count, the box's area.
 void avgpool_i8_correct(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
   Tensor& out = *ctx.output;
   check_avgpool_quant(node, in.quant(), out.quant());
-  const Shape& is = in.shape();
-  const Shape& os = out.shape();
-  const int fh = node.attrs.filter_h;
-  const int fw = node.attrs.filter_w;
-  const std::int64_t ch = is.dim(3);
-  const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
+  const ConvGeometry g = conv_geometry(node, in.shape(), out.shape());
+  const std::int64_t ch = g.in_ch;
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = out.data<std::int8_t>();
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const WindowBox box = g.window(oy, ox);
+        const auto count = static_cast<std::int32_t>(box.area());
         for (std::int64_t c = 0; c < ch; ++c) {
           std::int32_t sum = 0;
-          std::int32_t count = 0;
-          for (int fy = 0; fy < fh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < fw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
-              ++count;
+          for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+            for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+              sum += x[((n * g.in_h + iy) * g.in_w + ix) * ch + c];
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] =
+          y[((n * g.out_h + oy) * g.out_w + ox) * ch + c] =
               average_i8(sum, count);
         }
       }
@@ -550,34 +480,24 @@ void avgpool_i8_buggy(const KernelContext& ctx) {
 }
 
 void maxpool_i8(const KernelContext& ctx) {
-  const Tensor& in = ctx.input(0);
-  const Node& node = *ctx.node;
-  Tensor& out = *ctx.output;
-  const Shape& is = in.shape();
-  const Shape& os = out.shape();
-  const int fh = node.attrs.filter_h;
-  const int fw = node.attrs.filter_w;
-  const std::int64_t ch = is.dim(3);
-  const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
-  const std::int64_t pad_h = g.pad_h;
-  const std::int64_t pad_w = g.pad_w;
-  const std::int8_t* x = in.data<std::int8_t>();
-  std::int8_t* y = out.data<std::int8_t>();
-  for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+  const ConvGeometry g =
+      conv_geometry(*ctx.node, ctx.input(0).shape(), ctx.output->shape());
+  const std::int64_t ch = g.in_ch;
+  const std::int8_t* x = ctx.input(0).data<std::int8_t>();
+  std::int8_t* y = ctx.output->data<std::int8_t>();
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        const WindowBox box = g.window(oy, ox);
         for (std::int64_t c = 0; c < ch; ++c) {
           std::int8_t best = -128;
-          for (int fy = 0; fy < fh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < fw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              best = std::max(best, x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c]);
+          for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+            for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+              best = std::max(best,
+                              x[((n * g.in_h + iy) * g.in_w + ix) * ch + c]);
             }
           }
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] = best;
+          y[((n * g.out_h + oy) * g.out_w + ox) * ch + c] = best;
         }
       }
     }

@@ -152,34 +152,29 @@ void Trainer::backward_node(const Node& node) {
       const Tensor& w = node.weights[0];
       Tensor& gw = wgrads_[id][0];
       Tensor& gb = wgrads_[id][1];
-      const Shape& is = x.shape();
-      const Shape& os = node.output_shape;
-      const Shape& fs = w.shape();
-      const ConvGeometry g =
-          conv_geometry(node, is, os, static_cast<int>(fs.dim(1)),
-                        static_cast<int>(fs.dim(2)));
-      const std::int64_t in_ch = is.dim(3);
+      const ConvGeometry g = conv_geometry(node, x.shape(), node.output_shape);
+      const std::int64_t in_ch = g.in_ch;
       const float* px = x.data<float>();
       const float* pw = w.data<float>();
       const float* pgy = gy.data<float>();
       float* pgx = gx.data<float>();
       float* pgw = gw.data<float>();
       float* pgb = gb.data<float>();
-      for (std::int64_t n = 0; n < os.dim(0); ++n) {
-        for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-          for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
-            for (std::int64_t oc = 0; oc < os.dim(3); ++oc) {
-              float grad = pgy[((n * os.dim(1) + oy) * os.dim(2) + ox) * os.dim(3) + oc];
+      for (std::int64_t n = 0; n < g.batch; ++n) {
+        for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+          for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+            const WindowBox box = g.window(oy, ox);
+            for (std::int64_t oc = 0; oc < g.out_ch; ++oc) {
+              float grad =
+                  pgy[((n * g.out_h + oy) * g.out_w + ox) * g.out_ch + oc];
               if (grad == 0.0f) continue;
               pgb[oc] += grad;
-              for (int fy = 0; fy < g.kh; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
-                if (iy < 0 || iy >= is.dim(1)) continue;
-                for (int fx = 0; fx < g.kw; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
-                  if (ix < 0 || ix >= is.dim(2)) continue;
-                  const std::int64_t xoff = ((n * is.dim(1) + iy) * is.dim(2) + ix) * in_ch;
-                  const std::int64_t woff = ((oc * g.kh + fy) * g.kw + fx) * in_ch;
+              for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+                for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+                  const std::int64_t xoff =
+                      ((n * g.in_h + iy) * g.in_w + ix) * in_ch;
+                  const std::int64_t woff =
+                      ((oc * g.kh + box.fy(iy)) * g.kw + box.fx(ix)) * in_ch;
                   for (std::int64_t ic = 0; ic < in_ch; ++ic) {
                     pgw[woff + ic] += grad * px[xoff + ic];
                     pgx[xoff + ic] += grad * pw[woff + ic];
@@ -199,14 +194,9 @@ void Trainer::backward_node(const Node& node) {
       const Tensor& w = node.weights[0];
       Tensor& gw = wgrads_[id][0];
       Tensor& gb = wgrads_[id][1];
-      const Shape& is = x.shape();
-      const Shape& os = node.output_shape;
-      const Shape& fs = w.shape();
-      const ConvGeometry g =
-          conv_geometry(node, is, os, static_cast<int>(fs.dim(1)),
-                        static_cast<int>(fs.dim(2)));
-      const std::int64_t ch = is.dim(3);
-      MLX_CHECK_EQ(fs.dim(3), ch)
+      const ConvGeometry g = conv_geometry(node, x.shape(), node.output_shape);
+      const std::int64_t ch = g.in_ch;
+      MLX_CHECK_EQ(g.depth_mult, 1)
           << "trainer DepthwiseConv2D supports depth_multiplier == 1 only ('"
           << node.name << "')";
       const float* px = x.data<float>();
@@ -215,21 +205,20 @@ void Trainer::backward_node(const Node& node) {
       float* pgx = gx.data<float>();
       float* pgw = gw.data<float>();
       float* pgb = gb.data<float>();
-      for (std::int64_t n = 0; n < os.dim(0); ++n) {
-        for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-          for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+      for (std::int64_t n = 0; n < g.batch; ++n) {
+        for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+          for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+            const WindowBox box = g.window(oy, ox);
             for (std::int64_t c = 0; c < ch; ++c) {
-              float grad = pgy[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c];
+              float grad = pgy[((n * g.out_h + oy) * g.out_w + ox) * ch + c];
               if (grad == 0.0f) continue;
               pgb[c] += grad;
-              for (int fy = 0; fy < g.kh; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
-                if (iy < 0 || iy >= is.dim(1)) continue;
-                for (int fx = 0; fx < g.kw; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
-                  if (ix < 0 || ix >= is.dim(2)) continue;
-                  const std::int64_t xoff = ((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c;
-                  const std::int64_t woff = (static_cast<std::int64_t>(fy) * g.kw + fx) * ch + c;
+              for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+                for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+                  const std::int64_t xoff =
+                      ((n * g.in_h + iy) * g.in_w + ix) * ch + c;
+                  const std::int64_t woff =
+                      (std::int64_t{box.fy(iy)} * g.kw + box.fx(ix)) * ch + c;
                   pgw[woff] += grad * px[xoff];
                   pgx[xoff] += grad * pw[woff];
                 }
@@ -271,41 +260,23 @@ void Trainer::backward_node(const Node& node) {
     }
     case OpType::kAvgPool2D: {
       const auto in_id = static_cast<std::size_t>(node.inputs[0]);
-      const Tensor& x = acts_[in_id];
       Tensor& gx = grads_[in_id];
-      const Shape& is = x.shape();
-      const Shape& os = node.output_shape;
-      const int fh = node.attrs.filter_h;
-      const int fw = node.attrs.filter_w;
-      const std::int64_t ch = is.dim(3);
-      const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
+      const ConvGeometry g =
+          conv_geometry(node, acts_[in_id].shape(), node.output_shape);
+      const std::int64_t ch = g.in_ch;
       const float* pgy = gy.data<float>();
       float* pgx = gx.data<float>();
-      for (std::int64_t n = 0; n < os.dim(0); ++n) {
-        for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-          for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+      for (std::int64_t n = 0; n < g.batch; ++n) {
+        for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+          for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+            const WindowBox box = g.window(oy, ox);
             for (std::int64_t c = 0; c < ch; ++c) {
-              int count = 0;
-              for (int fy = 0; fy < fh; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
-                if (iy < 0 || iy >= is.dim(1)) continue;
-                for (int fx = 0; fx < fw; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
-                  if (ix < 0 || ix >= is.dim(2)) continue;
-                  ++count;
-                }
-              }
-              if (count == 0) continue;
               float grad =
-                  pgy[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] /
-                  static_cast<float>(count);
-              for (int fy = 0; fy < fh; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
-                if (iy < 0 || iy >= is.dim(1)) continue;
-                for (int fx = 0; fx < fw; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
-                  if (ix < 0 || ix >= is.dim(2)) continue;
-                  pgx[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c] += grad;
+                  pgy[((n * g.out_h + oy) * g.out_w + ox) * ch + c] /
+                  static_cast<float>(box.area());
+              for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+                for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+                  pgx[((n * g.in_h + iy) * g.in_w + ix) * ch + c] += grad;
                 }
               }
             }
@@ -319,31 +290,27 @@ void Trainer::backward_node(const Node& node) {
       const Tensor& x = acts_[in_id];
       Tensor& gx = grads_[in_id];
       const Tensor& y = acts_[id];
-      const Shape& is = x.shape();
-      const Shape& os = node.output_shape;
-      const int fh = node.attrs.filter_h;
-      const int fw = node.attrs.filter_w;
-      const std::int64_t ch = is.dim(3);
-      const ConvGeometry g = conv_geometry(node, is, os, fh, fw);
+      const ConvGeometry g = conv_geometry(node, x.shape(), node.output_shape);
+      const std::int64_t ch = g.in_ch;
       const float* px = x.data<float>();
       const float* py = y.data<float>();
       const float* pgy = gy.data<float>();
       float* pgx = gx.data<float>();
-      for (std::int64_t n = 0; n < os.dim(0); ++n) {
-        for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-          for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+      for (std::int64_t n = 0; n < g.batch; ++n) {
+        for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+          for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+            const WindowBox box = g.window(oy, ox);
             for (std::int64_t c = 0; c < ch; ++c) {
-              float grad = pgy[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c];
+              float grad = pgy[((n * g.out_h + oy) * g.out_w + ox) * ch + c];
               if (grad == 0.0f) continue;
-              float max_v = py[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c];
+              float max_v = py[((n * g.out_h + oy) * g.out_w + ox) * ch + c];
+              // The gradient goes to the first tap, in (fy, fx) order, that
+              // holds the max.
               bool routed = false;
-              for (int fy = 0; fy < fh && !routed; ++fy) {
-                const std::int64_t iy = oy * node.attrs.stride_h - g.pad_h + fy;
-                if (iy < 0 || iy >= is.dim(1)) continue;
-                for (int fx = 0; fx < fw && !routed; ++fx) {
-                  const std::int64_t ix = ox * node.attrs.stride_w - g.pad_w + fx;
-                  if (ix < 0 || ix >= is.dim(2)) continue;
-                  const std::int64_t off = ((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c;
+              for (std::int64_t iy = box.y0; iy < box.y1 && !routed; ++iy) {
+                for (std::int64_t ix = box.x0; ix < box.x1 && !routed; ++ix) {
+                  const std::int64_t off =
+                      ((n * g.in_h + iy) * g.in_w + ix) * ch + c;
                   if (px[off] == max_v) {
                     pgx[off] += grad;
                     routed = true;

@@ -114,15 +114,6 @@ TEST(Converter, PreActBatchNormBecomesDepthwise) {
   EXPECT_LT(linf_error(ci.output(0), vi.output(0)), 1e-4);
 }
 
-TEST(Converter, OptionsDisableFolding) {
-  Graph ckpt = post_act_model(5);
-  ConvertOptions opts;
-  opts.fold_batch_norm = false;
-  opts.fuse_activations = false;
-  Graph converted = convert_for_inference(ckpt, opts);
-  EXPECT_EQ(converted.nodes.size(), ckpt.nodes.size());
-}
-
 TEST(Converter, SharedProducerNotFused) {
   // conv output feeds both a relu and a residual add: the relu must NOT be
   // fused into the conv (the add needs the pre-activation value).

@@ -11,6 +11,7 @@
 #include "src/graph/builder.h"
 #include "src/interpreter/session.h"
 #include "src/kernels/activation.h"
+#include "src/kernels/conv_utils.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/kernel.h"
@@ -283,6 +284,148 @@ TEST(FixedPoint, SpecWithinOneQuantumOfRealArithmetic) {
   EXPECT_LE(sub_max, 1);
   EXPECT_LE(mul_max, 1);
   EXPECT_LE(mean_max, 1);
+}
+
+// --- the window rule on its own ---
+
+// A graph of one `kind` node sliding a kh x kw window with strides (sh, sw)
+// over a [1, in_h, in_w, 2] input, built through graph shape inference.
+Graph window_graph(OpType kind, int in_h, int in_w, int kh, int kw, int sh,
+                   int sw, Padding padding) {
+  Graph g;
+  Node x;
+  x.type = OpType::kInput;
+  x.name = "x";
+  x.output_shape = Shape{1, in_h, in_w, 2};
+  g.add_node(std::move(x));
+  Node n;
+  n.type = kind;
+  n.name = "window";
+  n.inputs = {0};
+  n.attrs.stride_h = sh;
+  n.attrs.stride_w = sw;
+  n.attrs.padding = padding;
+  if (kind == OpType::kConv2D) {
+    n.weights = {Tensor::f32(Shape{3, kh, kw, 2}), Tensor::f32(Shape{3})};
+  } else if (kind == OpType::kDepthwiseConv2D) {
+    n.weights = {Tensor::f32(Shape{1, kh, kw, 2}), Tensor::f32(Shape{2})};
+  } else {
+    n.attrs.filter_h = kh;
+    n.attrs.filter_w = kw;
+  }
+  g.add_node(std::move(n));
+  return g;
+}
+
+// One axis of TF's window rule, tap by tap: an input extent, window and
+// stride, the output extent, and the input position of each of the window's
+// k taps per output index (-1 where out of bounds).
+struct AxisTaps {
+  int in = 0, k = 0, s = 0;
+  std::int64_t out = 0;
+  std::vector<std::vector<std::int64_t>> pos;  // [output index][tap]
+};
+AxisTaps enumerate_axis(int in, int k, int s, Padding padding) {
+  AxisTaps a;
+  a.in = in;
+  a.k = k;
+  a.s = s;
+  a.out = padding == Padding::kSame ? (in + s - 1) / s : (in - k) / s + 1;
+  const std::int64_t before =
+      padding == Padding::kSame
+          ? std::max<std::int64_t>((a.out - 1) * s + k - in, 0) / 2
+          : 0;
+  for (std::int64_t o = 0; o < a.out; ++o) {
+    std::vector<std::int64_t>& taps = a.pos.emplace_back();
+    for (int f = 0; f < k; ++f) {
+      const std::int64_t i = o * s - before + f;
+      taps.push_back(i >= 0 && i < in ? i : -1);
+    }
+  }
+  return a;
+}
+
+// Every input size 1-9, window 1-5 and stride 1-3 on each axis, both
+// paddings and every windowed op: each output pixel's box
+// (ConvGeometry::window) visits exactly the in-bounds taps of a per-tap
+// enumeration, in (fy, fx) order and each at its filter tap, and is never
+// empty. The columns sweep independently of the rows, so a swapped axis
+// shows. MaxPool2D has no optimized twin, so this is the only independent
+// check of its window.
+TEST(WindowRule, BoxMatchesPerTapEnumeration) {
+  struct Tap {
+    std::int64_t iy, ix;
+    int fy, fx;
+    bool operator==(const Tap&) const = default;
+  };
+  std::vector<Tap> want, got;
+  int cases = 0;
+  for (const Padding padding : {Padding::kSame, Padding::kValid}) {
+    std::vector<AxisTaps> axes;  // every setting shape inference accepts
+    for (int in = 1; in <= 9; ++in) {
+      for (int k = 1; k <= 5; ++k) {
+        for (int s = 1; s <= 3; ++s) {
+          if (padding == Padding::kSame || k <= in) {
+            axes.push_back(enumerate_axis(in, k, s, padding));
+          }
+        }
+      }
+    }
+    for (const OpType kind : {OpType::kConv2D, OpType::kDepthwiseConv2D,
+                              OpType::kAvgPool2D, OpType::kMaxPool2D}) {
+      for (const AxisTaps& rows : axes) {
+        for (const AxisTaps& cols : axes) {
+          const Graph g = window_graph(kind, rows.in, cols.in, rows.k, cols.k,
+                                       rows.s, cols.s, padding);
+          const Node& node = g.node(1);
+          const ConvGeometry geo =
+              conv_geometry(node, g.node(0).output_shape, node.output_shape);
+          const auto where = [&] {
+            return std::string(op_type_name(kind)) +
+                   (padding == Padding::kSame ? " SAME" : " VALID") + " in " +
+                   std::to_string(rows.in) + "x" + std::to_string(cols.in) +
+                   " window " + std::to_string(rows.k) + "x" +
+                   std::to_string(cols.k) + " stride " +
+                   std::to_string(rows.s) + "x" + std::to_string(cols.s);
+          };
+          ASSERT_EQ(geo.out_h, rows.out) << where();
+          ASSERT_EQ(geo.out_w, cols.out) << where();
+          ASSERT_EQ(geo.kh, rows.k) << where();
+          ASSERT_EQ(geo.kw, cols.k) << where();
+          ++cases;
+          for (std::int64_t oy = 0; oy < geo.out_h; ++oy) {
+            for (std::int64_t ox = 0; ox < geo.out_w; ++ox) {
+              want.clear();
+              for (int fy = 0; fy < rows.k; ++fy) {
+                for (int fx = 0; fx < cols.k; ++fx) {
+                  const std::int64_t iy = rows.pos[oy][fy];
+                  const std::int64_t ix = cols.pos[ox][fx];
+                  if (iy >= 0 && ix >= 0) want.push_back({iy, ix, fy, fx});
+                }
+              }
+              const WindowBox box = geo.window(oy, ox);
+              got.clear();
+              for (std::int64_t iy = box.y0; iy < box.y1; ++iy) {
+                for (std::int64_t ix = box.x0; ix < box.x1; ++ix) {
+                  got.push_back({iy, ix, box.fy(iy), box.fx(ix)});
+                }
+              }
+              ASSERT_TRUE(box.y0 < box.y1 && box.x0 < box.x1)
+                  << where() << ": empty box at (" << oy << ", " << ox << ")";
+              ASSERT_EQ(box.area(), static_cast<std::int64_t>(want.size()))
+                  << where() << " at (" << oy << ", " << ox << ")";
+              ASSERT_TRUE(got == want)
+                  << where() << ": box differs at (" << oy << ", " << ox
+                  << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+  // Per op: 135 SAME settings per axis, and the 105 VALID ones whose
+  // window fits the input.
+  EXPECT_EQ(cases, 4 * (135 * 135 + 105 * 105));
 }
 
 // --- float reference vs optimized parity, parameterized over geometry ---

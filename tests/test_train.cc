@@ -17,9 +17,12 @@ double loss_at(Trainer& trainer, const std::vector<Tensor>& inputs,
 }
 
 // Finite-difference gradient check: analytic gradients from one backward
-// pass vs central differences, sampled across every trainable weight tensor.
+// pass vs central differences, at three sampled weights of every trainable
+// tensor, or at every weight when `every_weight` is set.
 void grad_check(Graph* model, int logits, const std::vector<Tensor>& inputs,
-                int label, double rel_tol = 0.08, double abs_tol = 2e-3) {
+                int label, bool every_weight = false) {
+  constexpr double rel_tol = 0.08;
+  constexpr double abs_tol = 2e-3;
   TrainConfig cfg;
   Trainer trainer(model, cfg);
   trainer.zero_grad();
@@ -35,9 +38,12 @@ void grad_check(Graph* model, int logits, const std::vector<Tensor>& inputs,
       if (node.type == OpType::kBatchNorm && wi >= 2) continue;
       Tensor& w = node.weights[wi];
       if (w.dtype() != DType::kF32 || w.num_elements() == 0) continue;
-      for (int s = 0; s < 3; ++s) {
-        std::int64_t idx =
-            pick.next_below(static_cast<std::uint32_t>(w.num_elements()));
+      const std::int64_t checks = every_weight ? w.num_elements() : 3;
+      for (std::int64_t s = 0; s < checks; ++s) {
+        const std::int64_t idx =
+            every_weight ? s
+                         : pick.next_below(
+                               static_cast<std::uint32_t>(w.num_elements()));
         float* pw = w.data<float>();
         const float eps = 5e-3f;
         const float original = pw[idx];
@@ -141,6 +147,30 @@ TEST(TrainerGrad, DescentOnConcatPoolUpsampleNetwork) {
   Pcg32 drng(5);
   Tensor input = random_input(Shape{1, 4, 4, 2}, drng, -1.0f, 1.0f);
   grad_check(&m, logits, {input}, 0);
+}
+
+// Windows clipped on every border, through every rewritten backward pass:
+// on a 9x9 input, the stride-1 SAME conv and each stride-2 SAME window
+// (depthwise 9 -> 5, average pool 5 -> 3, max pool 3 -> 2) pads its first
+// and last output row and column, so their taps and the average pool's
+// in-bounds counts all differ from an unclipped window's. Checked at every
+// weight, not a sample.
+TEST(TrainerGrad, ClippedWindowsAtEveryWeight) {
+  Pcg32 rng(8);
+  GraphBuilder b("gcheck_clip", &rng);
+  int x = b.input(Shape{1, 9, 9, 2});
+  int c = b.conv2d(x, 3, 3, 3, 1, Padding::kSame, Activation::kNone, "conv");
+  c = b.depthwise_conv2d(c, 3, 3, 2, Padding::kSame, Activation::kNone, "dw");
+  c = b.avg_pool(c, 3, 2, Padding::kSame, "avg");
+  c = b.max_pool(c, 3, 2, Padding::kSame, "max");
+  int g = b.mean(c, "gap");
+  int logits = b.fully_connected(g, 3, Activation::kNone, "logits");
+  Graph m = b.finish({logits});
+  ASSERT_EQ(m.node(c).output_shape, (Shape{1, 2, 2, 3}));
+
+  Pcg32 drng(9);
+  Tensor input = random_input(Shape{1, 9, 9, 2}, drng, -1.0f, 1.0f);
+  grad_check(&m, logits, {input}, 2, /*every_weight=*/true);
 }
 
 TEST(TrainerGrad, EmbeddingGradient) {
