@@ -46,69 +46,37 @@ void BinaryWriter::write_i32_array(const std::vector<std::int32_t>& values) {
   write_bytes(values.data(), values.size() * sizeof(std::int32_t));
 }
 
-std::uint8_t BinaryReader::read_u8() {
-  require(1);
-  return bytes_[cursor_++];
-}
-
-std::uint32_t BinaryReader::read_u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[cursor_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t BinaryReader::read_u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[cursor_++]) << (8 * i);
-  return v;
-}
-
-float BinaryReader::read_f32() {
-  std::uint32_t bits = read_u32();
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-double BinaryReader::read_f64() {
-  std::uint64_t bits = read_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+void BinaryReader::fail_out_of_bounds(std::size_t n) const {
+  MLX_FAIL() << "binary read out of bounds (" << n << " bytes, "
+             << remaining() << " left)";
 }
 
 std::string BinaryReader::read_string() {
-  std::uint32_t size = read_u32();
-  require(size);
-  std::string s(reinterpret_cast<const char*>(bytes_.data() + cursor_), size);
-  cursor_ += size;
-  return s;
+  const std::uint32_t size = read_u32();
+  return std::string(reinterpret_cast<const char*>(take(size)), size);
 }
 
-void BinaryReader::read_bytes(void* out, std::size_t size) {
-  require(size);
-  if (size == 0) return;  // an empty destination may be null
-  std::memcpy(out, bytes_.data() + cursor_, size);
-  cursor_ += size;
+namespace {
+
+// A u64 element count, then the elements as write_*_array lays them out.
+template <typename T>
+std::vector<T> read_array(BinaryReader& r) {
+  const std::uint64_t n = r.read_u64();
+  MLX_CHECK_LE(n, r.remaining() / sizeof(T)) << "array past end of input";
+  std::vector<T> values(n);
+  const std::uint8_t* p = r.take(n * sizeof(T));
+  if (n != 0) std::memcpy(values.data(), p, n * sizeof(T));
+  return values;
 }
+
+}  // namespace
 
 std::vector<float> BinaryReader::read_f32_array() {
-  std::uint64_t n = read_u64();
-  MLX_CHECK_LE(n, remaining() / sizeof(float)) << "array past end of input";
-  std::vector<float> values(n);
-  read_bytes(values.data(), n * sizeof(float));
-  return values;
+  return read_array<float>(*this);
 }
 
 std::vector<std::int32_t> BinaryReader::read_i32_array() {
-  std::uint64_t n = read_u64();
-  MLX_CHECK_LE(n, remaining() / sizeof(std::int32_t))
-      << "array past end of input";
-  std::vector<std::int32_t> values(n);
-  read_bytes(values.data(), n * sizeof(std::int32_t));
-  return values;
+  return read_array<std::int32_t>(*this);
 }
 
 void write_file(const std::filesystem::path& path,

@@ -4,6 +4,7 @@
 // (.efb) and the ML-EXray trace log format (.mlxtrace).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -35,32 +36,58 @@ class BinaryWriter {
   std::vector<std::uint8_t> bytes_;
 };
 
-// Cursor-based reader over a byte buffer; bounds-checked.
+// Bounds-checked cursor over bytes it borrows: the reader never copies its
+// input, so the vector must outlive the reader. Binding a temporary would
+// leave the reader dangling, so the rvalue constructor is deleted (every
+// rvalue, const or not, prefers it); keep file bytes in a local
+// (`auto bytes = read_file(path); BinaryReader r(bytes);`).
 class BinaryReader {
  public:
-  explicit BinaryReader(std::vector<std::uint8_t> bytes)
-      : bytes_(std::move(bytes)) {}
+  explicit BinaryReader(const std::vector<std::uint8_t>& bytes)
+      : data_(bytes.data()), size_(bytes.size()) {}
+  BinaryReader(const std::vector<std::uint8_t>&&) = delete;
 
-  std::uint8_t read_u8();
-  std::uint32_t read_u32();
-  std::uint64_t read_u64();
+  // The next n bytes, in place; the cursor moves past them. Throws MlxError
+  // (and moves nothing) when fewer than n remain.
+  const std::uint8_t* take(std::size_t n) {
+    if (n > remaining()) fail_out_of_bounds(n);
+    const std::uint8_t* p = data_ + cursor_;
+    cursor_ += n;
+    return p;
+  }
+
+  std::uint8_t read_u8() { return *take(1); }
+  std::uint32_t read_u32() { return load_u32_le(take(4)); }
+  std::uint64_t read_u64() { return load_u64_le(take(8)); }
   std::int32_t read_i32() { return static_cast<std::int32_t>(read_u32()); }
   std::int64_t read_i64() { return static_cast<std::int64_t>(read_u64()); }
-  float read_f32();
-  double read_f64();
+  float read_f32() { return std::bit_cast<float>(read_u32()); }
+  double read_f64() { return std::bit_cast<double>(read_u64()); }
   std::string read_string();
-  void read_bytes(void* out, std::size_t size);
   std::vector<float> read_f32_array();
   std::vector<std::int32_t> read_i32_array();
 
-  bool at_end() const { return cursor_ == bytes_.size(); }
-  std::size_t remaining() const { return bytes_.size() - cursor_; }
+  bool at_end() const { return cursor_ == size_; }
+  std::size_t remaining() const { return size_ - cursor_; }
+
+  // Little-endian loads from a span take() returned.
+  static std::uint32_t load_u32_le(const std::uint8_t* p) {
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+  }
+  static std::uint64_t load_u64_le(const std::uint8_t* p) {
+    return std::uint64_t{load_u32_le(p)} |
+           std::uint64_t{load_u32_le(p + 4)} << 32;
+  }
+  static float load_f32_le(const std::uint8_t* p) {
+    return std::bit_cast<float>(load_u32_le(p));
+  }
 
  private:
-  void require(std::size_t n) const {
-    MLX_CHECK_LE(n, remaining()) << "binary read out of bounds";
-  }
-  std::vector<std::uint8_t> bytes_;
+  [[noreturn]] void fail_out_of_bounds(std::size_t n) const;
+
+  const std::uint8_t* data_;
+  std::size_t size_;
   std::size_t cursor_ = 0;
 };
 

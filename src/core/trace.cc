@@ -40,6 +40,13 @@ int version_for_magic(std::uint32_t magic) {
   MLX_CHECK(false) << "not an mlxtrace file";
   return 0;
 }
+
+// The smallest frame each version encodes: frame_id and five u32 counts
+// (tensors, scalars, layer names, outputs, latencies), plus the digest count
+// in v2.
+std::size_t min_frame_bytes(int version) {
+  return version >= kTraceVersion2 ? 28 : 24;
+}
 }  // namespace
 
 void serialize_frame(BinaryWriter& w, const FrameTrace& f) {
@@ -90,9 +97,13 @@ FrameTrace deserialize_frame(BinaryReader& r, int version) {
     f.layer_latency_ms.push_back(r.read_f64());
   }
   if (version >= kTraceVersion2) {
-    std::uint32_t digests = r.read_u32();
+    const std::uint32_t digests = r.read_u32();
+    // An honest frame carries one digest per layer name; the untrusted count
+    // reserves no more slots than that. Each slot is filled where it lies.
+    f.layer_digests.reserve(
+        std::min<std::size_t>(digests, f.layer_names.size()));
     for (std::uint32_t k = 0; k < digests; ++k) {
-      f.layer_digests.push_back(deserialize_digest(r));
+      deserialize_digest(r, f.layer_digests.emplace_back());
     }
   }
   return f;
@@ -114,19 +125,43 @@ std::vector<std::uint8_t> serialize_trace(const Trace& trace) {
   return w.bytes();
 }
 
-Trace deserialize_trace(const std::vector<std::uint8_t>& bytes) {
+namespace {
+
+// The one .mlxtrace parser behind both loaders: the header, then frames
+// until the header's count. A frame that fails to parse throws, unless
+// `truncated` is non-null (the tolerant load): then the frames before it
+// are the result, and *truncated counts the promised frames not delivered.
+Trace parse_trace(const std::vector<std::uint8_t>& bytes,
+                  std::size_t* truncated) {
   BinaryReader r(bytes);
   const int version = version_for_magic(r.read_u32());
   Trace trace;
   trace.pipeline_name = r.read_string();
-  std::uint32_t frames = r.read_u32();
-  // The count is untrusted: every frame takes at least one byte, so the
-  // bytes left bound any honest count.
-  trace.frames.reserve(std::min<std::size_t>(frames, r.remaining()));
-  for (std::uint32_t i = 0; i < frames; ++i) {
-    trace.frames.push_back(deserialize_frame(r, version));
+  const std::uint32_t promised = r.read_u32();
+  // The count is untrusted: reserve no more frames than the bytes left
+  // could encode.
+  trace.frames.reserve(std::min<std::size_t>(
+      promised, r.remaining() / min_frame_bytes(version)));
+  for (std::uint32_t i = 0; i < promised; ++i) {
+    // A torn tail frame (killed writer) fails its bounds-checked reads;
+    // everything parsed before it is a valid prefix. Deserialization
+    // happens into a scratch frame so a partial parse never reaches the
+    // returned trace.
+    try {
+      trace.frames.push_back(deserialize_frame(r, version));
+    } catch (const MlxError&) {
+      if (truncated == nullptr) throw;
+      *truncated = promised - i;
+      break;
+    }
   }
   return trace;
+}
+
+}  // namespace
+
+Trace deserialize_trace(const std::vector<std::uint8_t>& bytes) {
+  return parse_trace(bytes, nullptr);
 }
 
 std::size_t Trace::serialized_bytes() const {
@@ -143,25 +178,9 @@ Trace load_trace(const std::filesystem::path& path) {
 
 Trace load_trace_tolerant(const std::filesystem::path& path,
                           std::size_t* truncated_frames) {
-  BinaryReader r(read_file(path));
-  const int version = version_for_magic(r.read_u32());
-  Trace trace;
-  trace.pipeline_name = r.read_string();
-  const std::uint32_t promised = r.read_u32();
-  trace.frames.reserve(std::min<std::size_t>(promised, r.remaining()));
+  const std::vector<std::uint8_t> bytes = read_file(path);
   std::size_t truncated = 0;
-  for (std::uint32_t i = 0; i < promised; ++i) {
-    // A torn tail frame (killed writer) fails its bounds-checked reads;
-    // everything parsed before it is a valid prefix. Deserialization
-    // happens into a scratch frame so a partial parse never reaches the
-    // returned trace.
-    try {
-      trace.frames.push_back(deserialize_frame(r, version));
-    } catch (const MlxError&) {
-      truncated = promised - i;
-      break;
-    }
-  }
+  Trace trace = parse_trace(bytes, &truncated);
   if (truncated_frames != nullptr) *truncated_frames = truncated;
   return trace;
 }

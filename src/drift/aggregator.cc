@@ -19,19 +19,10 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-std::vector<LayerDigest> frame_layer_digests(const FrameTrace& frame) {
-  if (!frame.layer_digests.empty()) {
-    MLX_CHECK_EQ(frame.layer_digests.size(), frame.layer_names.size())
-        << "digest frame out of step with its layer names";
-    return frame.layer_digests;
-  }
-  std::vector<LayerDigest> digests;
-  digests.reserve(frame.layer_outputs.size());
-  for (const Tensor& t : frame.layer_outputs) {
-    LayerDigest d;
-    d.reset();
-    d.accumulate(t);
-    digests.push_back(d);
+std::vector<LayerDigest> digest_layer_outputs(const FrameTrace& frame) {
+  std::vector<LayerDigest> digests(frame.layer_outputs.size());
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    digests[i].accumulate(frame.layer_outputs[i]);
   }
   if (!digests.empty()) {
     MLX_CHECK_EQ(digests.size(), frame.layer_names.size())
@@ -44,17 +35,24 @@ void merge_trace_digests(const Trace& trace,
                          std::map<std::string, LayerDigest>& layers,
                          std::vector<std::string>* order) {
   for (const FrameTrace& frame : trace.frames) {
-    const std::vector<LayerDigest> digests = frame_layer_digests(frame);
+    // Wire digests are read where they lie; only a raw-output frame builds
+    // digests of its own.
+    std::vector<LayerDigest> built;
+    if (frame.layer_digests.empty()) {
+      built = digest_layer_outputs(frame);
+    } else {
+      MLX_CHECK_EQ(frame.layer_digests.size(), frame.layer_names.size())
+          << "digest frame out of step with its layer names";
+    }
+    const std::vector<LayerDigest>& digests =
+        frame.layer_digests.empty() ? built : frame.layer_digests;
     if (order != nullptr && order->empty() && !digests.empty()) {
       *order = frame.layer_names;
     }
     for (std::size_t i = 0; i < digests.size(); ++i) {
-      auto [it, inserted] = layers.try_emplace(frame.layer_names[i]);
-      if (inserted) {
-        it->second = digests[i];
-      } else {
-        it->second.merge(digests[i]);
-      }
+      const auto [it, inserted] =
+          layers.try_emplace(frame.layer_names[i], digests[i]);
+      if (!inserted) it->second.merge(digests[i]);
     }
   }
 }
@@ -82,6 +80,21 @@ FleetReport DriftAggregator::report() const {
   report.frames = frames_;
   report.threshold = threshold_;
 
+  // The reference side of every comparison, once per report: each
+  // reference layer's quantile curve and range, in execution order.
+  struct ReferenceCurve {
+    const std::string& layer;
+    DriftCurve curve;
+  };
+  std::vector<ReferenceCurve> curves;
+  curves.reserve(reference_order_.size());
+  for (const std::string& layer : reference_order_) {
+    const auto ref_it = reference_.find(layer);
+    if (ref_it != reference_.end()) {
+      curves.push_back({layer, drift_curve(ref_it->second)});
+    }
+  }
+
   // Per-device pass: drift of every covered layer, worst layer, and the
   // device's verdict in reference execution order.
   std::map<std::string, std::vector<double>> drift_by_layer;
@@ -90,13 +103,10 @@ FleetReport DriftAggregator::report() const {
     row.device_id = device_id;
     row.frames = device.frames;
     row.drift.threshold = threshold_;
-    for (const std::string& layer : reference_order_) {
-      const auto ref_it = reference_.find(layer);
+    for (const auto& [layer, curve] : curves) {
       const auto dev_it = device.layers.find(layer);
-      if (ref_it == reference_.end() || dev_it == device.layers.end()) {
-        continue;
-      }
-      const double drift = digest_drift(dev_it->second, ref_it->second);
+      if (dev_it == device.layers.end()) continue;
+      const double drift = digest_drift(dev_it->second, curve);
       drift_by_layer[layer].push_back(drift);
       if (row.worst_layer.empty() || drift > row.max_drift) {
         row.max_drift = drift;

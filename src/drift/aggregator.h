@@ -33,16 +33,16 @@
 
 namespace mlexray {
 
-// Per-layer digests for one frame: the wire digests when the frame carries
-// them (aligned with layer_names), else digests computed here from the raw
-// layer outputs. Empty when the frame has neither. Also the bridge tests use
-// to compare sketch-merged fleet stats against exact offline stats.
-std::vector<LayerDigest> frame_layer_digests(const FrameTrace& frame);
+// Digests of one frame's raw layer outputs (aligned with layer_names; empty
+// when the frame captured none). Also the bridge tests use to compare
+// sketch-merged fleet stats against exact offline stats.
+std::vector<LayerDigest> digest_layer_outputs(const FrameTrace& frame);
 
-// Merges every frame's frame_layer_digests into `layers`, keyed by layer
-// name. When `order` is non-null and still empty, it takes the layer names
-// of the first frame that has digests. The one digest merge behind
-// DriftAggregator and `mlexray_cli trace-info`.
+// Merges every frame's per-layer digests into `layers`, keyed by layer name:
+// the wire digests where the frame carries them, read in place, else
+// digest_layer_outputs of its raw outputs. When `order` is non-null and
+// still empty, it takes the layer names of the first frame that has digests.
+// The one digest merge behind DriftAggregator and `mlexray_cli trace-info`.
 void merge_trace_digests(const Trace& trace,
                          std::map<std::string, LayerDigest>& layers,
                          std::vector<std::string>* order = nullptr);

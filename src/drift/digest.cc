@@ -30,6 +30,16 @@ constexpr int kMaxTopShift =
     (QuantileSketch::kLevels - 1);
 static_assert(kMaxTopShift == 43);
 
+// quantiles() answers its points in one ascending walk. NaN compares false,
+// so it is refused beside any other point.
+void check_ascending(std::span<const double> points) {
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    MLX_CHECK(points[i] >= points[i - 1])
+        << "quantile points must ascend: " << points[i - 1] << " then "
+        << points[i];
+  }
+}
+
 // Merges two sorted runs into `dst` (which may alias `b`). Stack temp only —
 // the hot path stays allocation-free.
 int merge_sorted_runs(const float* a, int na, const float* b, int nb,
@@ -124,7 +134,10 @@ std::uint64_t QuantileSketch::weight() const {
   return total;
 }
 
-float QuantileSketch::quantile(double q) const {
+void QuantileSketch::quantiles(
+    std::span<const double> points,
+    FunctionRef<void(std::size_t, float)> emit) const {
+  check_ascending(points);
   struct Entry {
     float value;
     std::uint64_t weight;
@@ -140,16 +153,31 @@ float QuantileSketch::quantile(double q) const {
       total += w;
     }
   }
-  if (n == 0) return 0.0f;
+  if (n == 0) {
+    for (std::size_t p = 0; p < points.size(); ++p) emit(p, 0.0f);
+    return;
+  }
   std::sort(entries, entries + n,
             [](const Entry& a, const Entry& b) { return a.value < b.value; });
-  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (int i = 0; i < n; ++i) {
-    cum += entries[i].weight;
-    if (static_cast<double>(cum) >= target) return entries[i].value;
+  // Each point's answer is the first entry whose cumulative weight reaches
+  // its target. Targets ascend with the points, so one walk serves them all:
+  // entry i and its cumulative weight carry over to the next point.
+  int i = 0;
+  std::uint64_t cum = entries[0].weight;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const double target =
+        std::clamp(points[p], 0.0, 1.0) * static_cast<double>(total);
+    while (i < n && !(static_cast<double>(cum) >= target)) {
+      if (++i < n) cum += entries[i].weight;
+    }
+    emit(p, entries[i < n ? i : n - 1].value);
   }
-  return entries[n - 1].value;
+}
+
+float QuantileSketch::quantile(double q) const {
+  float value = 0.0f;
+  quantiles({&q, 1}, [&](std::size_t, float v) { value = v; });
+  return value;
 }
 
 void QuantileSketch::serialize(BinaryWriter& w) const {
@@ -178,8 +206,12 @@ void QuantileSketch::deserialize(BinaryReader& r) {
     const std::uint32_t n = r.read_u32();
     MLX_CHECK_LE(n, static_cast<std::uint32_t>(kLevelCap))
         << "quantile sketch level overflow";
+    // The level's f32 items, decoded from one span.
+    const std::uint8_t* p = r.take(std::size_t{n} * sizeof(float));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      items_[l][i] = BinaryReader::load_f32_le(p + sizeof(float) * i);
+    }
     size_[l] = static_cast<std::uint16_t>(n);
-    for (std::uint32_t i = 0; i < n; ++i) items_[l][i] = r.read_f32();
     // Re-establish the sorted-level invariant on the cold path rather than
     // trusting the writer (levels >= 1 must stay sorted for merge/compact).
     if (l >= 1) std::sort(items_[l], items_[l] + size_[l]);
@@ -461,22 +493,45 @@ double LayerDigest::real_max() const {
   return max_v;
 }
 
-double LayerDigest::quantile(double q) const {
-  if (count == 0) return 0.0;
-  if (integer_path()) {
-    const double target =
-        std::clamp(q, 0.0, 1.0) * static_cast<double>(count);
-    std::uint64_t cum = 0;
-    for (int b = 0; b < 256; ++b) {
-      cum += hist[b];
-      if (static_cast<double>(cum) >= target && cum > 0) {
-        const int raw = dtype == DType::kI8 ? b - 128 : b;
-        return dequant(raw, scale, zero_point);
-      }
-    }
-    return real_max();
+void LayerDigest::quantiles(
+    std::span<const double> points,
+    FunctionRef<void(std::size_t, double)> emit) const {
+  check_ascending(points);
+  if (count == 0) {
+    for (std::size_t p = 0; p < points.size(); ++p) emit(p, 0.0);
+    return;
   }
-  return static_cast<double>(sketch.quantile(q));
+  if (!integer_path()) {
+    sketch.quantiles(points, [&](std::size_t p, float v) {
+      emit(p, static_cast<double>(v));
+    });
+    return;
+  }
+  // Each point's answer is the first bin whose cumulative count reaches its
+  // target (and is nonzero). Targets ascend with the points, so one pass
+  // over the bins serves them all: bin b and its cumulative count carry
+  // over to the next point.
+  int b = 0;
+  std::uint64_t cum = hist[0];
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const double target =
+        std::clamp(points[p], 0.0, 1.0) * static_cast<double>(count);
+    while (b < 256 && !(static_cast<double>(cum) >= target && cum > 0)) {
+      if (++b < 256) cum += hist[b];
+    }
+    if (b == 256) {
+      emit(p, real_max());
+      continue;
+    }
+    const int raw = dtype == DType::kI8 ? b - 128 : b;
+    emit(p, dequant(raw, scale, zero_point));
+  }
+}
+
+double LayerDigest::quantile(double q) const {
+  double value = 0.0;
+  quantiles({&q, 1}, [&](std::size_t, double v) { value = v; });
+  return value;
 }
 
 void serialize_digest(BinaryWriter& w, const LayerDigest& d) {
@@ -511,9 +566,7 @@ void serialize_digest(BinaryWriter& w, const LayerDigest& d) {
   }
 }
 
-LayerDigest deserialize_digest(BinaryReader& r) {
-  LayerDigest d;
-  d.reset();
+void deserialize_digest(BinaryReader& r, LayerDigest& d) {
   const std::uint8_t raw_dtype = r.read_u8();
   MLX_CHECK_LE(raw_dtype, static_cast<std::uint8_t>(DType::kI32))
       << "bad digest dtype";
@@ -526,9 +579,12 @@ LayerDigest deserialize_digest(BinaryReader& r) {
     d.isum_sq = r.read_u64();
     const std::uint32_t used = r.read_u32();
     MLX_CHECK_LE(used, 256u) << "histogram bin count out of range";
-    for (std::uint32_t i = 0; i < used; ++i) {
-      const std::uint8_t b = r.read_u8();
-      d.hist[b] = r.read_u32();
+    // The sparse bins, (u8 bin, u32 count) each, decoded from one span; a
+    // repeated bin keeps its last count.
+    constexpr std::size_t kBinBytes = 1 + sizeof(std::uint32_t);
+    const std::uint8_t* p = r.take(std::size_t{used} * kBinBytes);
+    for (std::uint32_t i = 0; i < used; ++i, p += kBinBytes) {
+      d.hist[p[0]] = BinaryReader::load_u32_le(p + 1);
     }
   } else {
     d.sum = r.read_f64();
@@ -537,28 +593,38 @@ LayerDigest deserialize_digest(BinaryReader& r) {
     d.max_v = r.read_f32();
     d.sketch.deserialize(r);
   }
-  return d;
+}
+
+DriftCurve drift_curve(const LayerDigest& reference) {
+  DriftCurve curve;
+  if (reference.count == 0) return curve;
+  curve.empty = false;
+  curve.range = reference.real_max() - reference.real_min();
+  reference.quantiles(kDriftGrid,
+                      [&](std::size_t p, double v) { curve.values[p] = v; });
+  return curve;
+}
+
+double digest_drift(const LayerDigest& device, const DriftCurve& reference) {
+  if (device.count == 0 || reference.empty) return 0.0;
+  // One squared difference per grid point, accumulated as the device's walk
+  // reaches it. Summing a gathered curve instead lets GCC vectorize the
+  // squares and drop the FMA contraction of `sq += diff * diff`, which
+  // moves the result by an ULP.
+  double sq = 0.0;
+  device.quantiles(kDriftGrid, [&](std::size_t p, double v) {
+    const double diff = v - reference.values[p];
+    sq += diff * diff;
+  });
+  const double rms = std::sqrt(sq / static_cast<double>(kDriftGridPoints));
+  if (reference.range <= 0.0) {
+    return rms == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+  return rms / reference.range;
 }
 
 double digest_drift(const LayerDigest& device, const LayerDigest& reference) {
-  if (device.count == 0 || reference.count == 0) return 0.0;
-  // Quantile grid: dense enough to see shape changes, sparse enough to stay
-  // cheap at fleet scale.
-  static constexpr double kGrid[] = {0.01, 0.05, 0.10, 0.20, 0.30, 0.40,
-                                     0.50, 0.60, 0.70, 0.80, 0.90, 0.95,
-                                     0.99};
-  constexpr int kPoints = static_cast<int>(sizeof(kGrid) / sizeof(kGrid[0]));
-  const double range = reference.real_max() - reference.real_min();
-  double sq = 0.0;
-  for (double q : kGrid) {
-    const double diff = device.quantile(q) - reference.quantile(q);
-    sq += diff * diff;
-  }
-  const double rms = std::sqrt(sq / kPoints);
-  if (range <= 0.0) {
-    return rms == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  }
-  return rms / range;
+  return digest_drift(device, drift_curve(reference));
 }
 
 double digest_tv_distance(const LayerDigest& a, const LayerDigest& b) {

@@ -38,9 +38,13 @@
 // per_layer_drift and the Engine canary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <span>
 
+#include "src/common/function_ref.h"
 #include "src/tensor/tensor.h"
 
 namespace mlexray {
@@ -52,9 +56,10 @@ class BinaryWriter;
 //
 // Level l holds up to kLevelCap items, each representing 2^l input items.
 // add() appends to level 0; a full level is sorted and every other item
-// (random offset) is promoted to the next level, halving its size. quantile()
-// ranks all retained items by weight. merge() concatenates level-wise and
-// recompacts — the operation that makes fleet aggregation associative.
+// (random offset) is promoted to the next level, halving its size.
+// quantiles() ranks all retained items by weight. merge() concatenates
+// level-wise and recompacts — the operation that makes fleet aggregation
+// associative.
 //
 // Capacity before the top level saturates is kLevelCap * 2^(kLevels-1)
 // (~2.1M items); past that the top level compacts in place and doubles its
@@ -73,8 +78,13 @@ class QuantileSketch {
   void add(float v);
   void merge(const QuantileSketch& other);
 
-  // Value at quantile q in [0, 1] over the sketched stream. Undefined (0)
-  // for an empty sketch.
+  // Values at ascending quantiles over the sketched stream: emit(i, value)
+  // for each points[i] (clamped to [0, 1]), in order. One sort of the
+  // retained items serves every point. 0 for an empty sketch. Throws
+  // MlxError unless the points ascend (NaN only as a lone point).
+  void quantiles(std::span<const double> points,
+                 FunctionRef<void(std::size_t, float)> emit) const;
+  // quantiles() at the one point q.
   float quantile(double q) const;
 
   // Total weighted item count the sketch represents (== items added, exactly,
@@ -155,9 +165,14 @@ struct LayerDigest {
   double real_min() const;
   double real_max() const;
 
-  // Value at quantile q in real space: sketch-backed for floats (approximate
-  // within the KLL rank bound), histogram-backed for integers (exact up to
-  // the 1-bin value granularity).
+  // Values at ascending quantiles in real space, emitted as
+  // QuantileSketch::quantiles emits them: sketch-backed for floats
+  // (approximate within the KLL rank bound, one sort for all points),
+  // histogram-backed for integers (exact up to the 1-bin value granularity,
+  // one pass over the bins for all points). 0 for an empty digest.
+  void quantiles(std::span<const double> points,
+                 FunctionRef<void(std::size_t, double)> emit) const;
+  // quantiles() at the one point q.
   double quantile(double q) const;
 
   bool integer_path() const {
@@ -166,7 +181,27 @@ struct LayerDigest {
 };
 
 void serialize_digest(BinaryWriter& w, const LayerDigest& d);
-LayerDigest deserialize_digest(BinaryReader& r);
+// Reads one serialized digest into `d`, which must be in its reset state (a
+// default-constructed digest is): the wire's fields and bins are written
+// where d lies, and the rest keep their reset values.
+void deserialize_digest(BinaryReader& r, LayerDigest& d);
+
+// The quantile grid digest_drift compares curves on: dense enough to see
+// shape changes, sparse enough to stay cheap at fleet scale.
+inline constexpr double kDriftGrid[] = {0.01, 0.05, 0.10, 0.20, 0.30,
+                                        0.40, 0.50, 0.60, 0.70, 0.80,
+                                        0.90, 0.95, 0.99};
+inline constexpr std::size_t kDriftGridPoints = std::size(kDriftGrid);
+
+// A reference digest's side of digest_drift: its values on kDriftGrid and
+// its real value range. Computed once, it scores any number of device
+// digests without re-reading the reference.
+struct DriftCurve {
+  bool empty = true;  // the reference digested nothing
+  double range = 0.0;
+  double values[kDriftGridPoints] = {};
+};
+DriftCurve drift_curve(const LayerDigest& reference);
 
 // Distributional drift between a device digest and a reference digest over
 // the same layer: RMS distance between their quantile curves, normalized by
@@ -174,7 +209,9 @@ LayerDigest deserialize_digest(BinaryReader& r);
 // so thresholds carry over). 0 for identical distributions; +inf when the
 // reference range is degenerate but the distributions differ. For integer
 // digests the quantile curves are exact, so this is a true (normalized)
-// Wasserstein-style distance on the quantile grid.
+// Wasserstein-style distance on the quantile grid. The digest form is
+// digest_drift(device, drift_curve(reference)).
+double digest_drift(const LayerDigest& device, const DriftCurve& reference);
 double digest_drift(const LayerDigest& device, const LayerDigest& reference);
 
 // Total-variation distance (0..1) between two integer digests' histograms;

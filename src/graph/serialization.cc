@@ -1,5 +1,7 @@
 #include "src/graph/serialization.h"
 
+#include <algorithm>
+
 namespace mlexray {
 
 namespace {
@@ -74,11 +76,54 @@ Tensor deserialize_tensor(BinaryReader& r) {
     expected *= dim;
   }
   MLX_CHECK_EQ(expected, bytes) << "tensor payload size mismatch";
-  Tensor t(dtype, shape);
-  r.read_bytes(t.raw_data(), bytes);
+  Tensor t = Tensor::from_bytes(dtype, shape, r.take(bytes));
   t.quant() = std::move(quant);
   return t;
 }
+
+namespace {
+
+void write_node(BinaryWriter& w, const Node& n) {
+  w.write_u8(static_cast<std::uint8_t>(n.type));
+  w.write_string(n.name);
+  w.write_u32(static_cast<std::uint32_t>(n.inputs.size()));
+  for (int in : n.inputs) w.write_i32(in);
+
+  const OpAttrs& a = n.attrs;
+  w.write_i32(a.stride_h);
+  w.write_i32(a.stride_w);
+  w.write_u8(static_cast<std::uint8_t>(a.padding));
+  w.write_i32(a.filter_h);
+  w.write_i32(a.filter_w);
+  w.write_u8(static_cast<std::uint8_t>(a.activation));
+  w.write_i32(a.pad_top);
+  w.write_i32(a.pad_bottom);
+  w.write_i32(a.pad_left);
+  w.write_i32(a.pad_right);
+  w.write_f32(a.epsilon);
+  write_shape(w, a.reshape_to);
+
+  w.write_u32(static_cast<std::uint32_t>(n.weights.size()));
+  for (const Tensor& t : n.weights) serialize_tensor(w, t);
+
+  write_shape(w, n.output_shape);
+  w.write_u8(static_cast<std::uint8_t>(n.output_dtype));
+  write_quant(w, n.output_quant);
+}
+
+// Bytes of the smallest node the format encodes (no name, inputs, weights
+// or quantization; rank-0 shapes). The bytes left over this bound any honest
+// node count.
+std::size_t min_node_bytes() {
+  static const std::size_t bytes = [] {
+    BinaryWriter w;
+    write_node(w, Node{});
+    return w.size();
+  }();
+  return bytes;
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> serialize_model(const Graph& model) {
   BinaryWriter w;
@@ -97,33 +142,7 @@ std::vector<std::uint8_t> serialize_model(const Graph& model) {
   w.write_u8(spec.spectrogram_log_scale ? 1 : 0);
 
   w.write_u32(static_cast<std::uint32_t>(model.nodes.size()));
-  for (const Node& n : model.nodes) {
-    w.write_u8(static_cast<std::uint8_t>(n.type));
-    w.write_string(n.name);
-    w.write_u32(static_cast<std::uint32_t>(n.inputs.size()));
-    for (int in : n.inputs) w.write_i32(in);
-
-    const OpAttrs& a = n.attrs;
-    w.write_i32(a.stride_h);
-    w.write_i32(a.stride_w);
-    w.write_u8(static_cast<std::uint8_t>(a.padding));
-    w.write_i32(a.filter_h);
-    w.write_i32(a.filter_w);
-    w.write_u8(static_cast<std::uint8_t>(a.activation));
-    w.write_i32(a.pad_top);
-    w.write_i32(a.pad_bottom);
-    w.write_i32(a.pad_left);
-    w.write_i32(a.pad_right);
-    w.write_f32(a.epsilon);
-    write_shape(w, a.reshape_to);
-
-    w.write_u32(static_cast<std::uint32_t>(n.weights.size()));
-    for (const Tensor& t : n.weights) serialize_tensor(w, t);
-
-    write_shape(w, n.output_shape);
-    w.write_u8(static_cast<std::uint8_t>(n.output_dtype));
-    write_quant(w, n.output_quant);
-  }
+  for (const Node& n : model.nodes) write_node(w, n);
   w.write_u32(static_cast<std::uint32_t>(model.outputs.size()));
   for (int out : model.outputs) w.write_i32(out);
   return w.bytes();
@@ -145,8 +164,11 @@ Graph deserialize_model(BinaryReader& r) {
   spec.range_hi = r.read_f32();
   spec.spectrogram_log_scale = r.read_u8() != 0;
 
-  std::uint32_t node_count = r.read_u32();
-  model.nodes.reserve(node_count);
+  const std::uint32_t node_count = r.read_u32();
+  // The count is untrusted: reserve no more nodes than the bytes left could
+  // encode.
+  model.nodes.reserve(
+      std::min<std::size_t>(node_count, r.remaining() / min_node_bytes()));
   for (std::uint32_t i = 0; i < node_count; ++i) {
     Node n;
     n.id = static_cast<int>(i);
@@ -184,6 +206,21 @@ Graph deserialize_model(BinaryReader& r) {
     model.outputs.push_back(r.read_i32());
   }
   model.validate();
+  // The serialized shapes are untrusted too: the kernels size their reads
+  // from a node's output shape, so each must be the one its inputs and
+  // weights imply. Inference runs in node order, over inputs already
+  // checked; the serialized dtype stands.
+  for (Node& n : model.nodes) {
+    const Shape serialized = n.output_shape;
+    const DType dtype = n.output_dtype;
+    infer_node_output(model, n);
+    MLX_CHECK(n.output_shape == serialized)
+        << op_type_name(n.type) << " '" << n.name
+        << "' serialized output shape " << serialized.to_string()
+        << " disagrees with its inputs and weights ("
+        << n.output_shape.to_string() << ")";
+    n.output_dtype = dtype;
+  }
   return model;
 }
 
@@ -192,7 +229,8 @@ void save_model(const Graph& model, const std::filesystem::path& path) {
 }
 
 Graph load_model(const std::filesystem::path& path) {
-  BinaryReader reader(read_file(path));
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  BinaryReader reader(bytes);
   return deserialize_model(reader);
 }
 

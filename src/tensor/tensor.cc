@@ -5,7 +5,15 @@
 namespace mlexray {
 
 Tensor::Tensor(DType dtype, Shape shape) : dtype_(dtype), shape_(shape) {
-  allocate();
+  allocate(nullptr);
+}
+
+Tensor Tensor::from_bytes(DType dtype, Shape shape, const void* bytes) {
+  Tensor t;
+  t.dtype_ = dtype;
+  t.shape_ = shape;
+  t.allocate(static_cast<const std::uint8_t*>(bytes));
+  return t;
 }
 
 Tensor::Tensor(DType dtype, Shape shape, QuantParams quant, std::uint8_t* data)
@@ -80,9 +88,13 @@ Tensor& Tensor::operator=(Tensor&& other) {
 
 Tensor::~Tensor() { release(); }
 
-void Tensor::allocate() {
+void Tensor::allocate(const std::uint8_t* src) {
   bytes_ = tensor_bytes(dtype_, shape_);
-  buffer_.assign(bytes_, 0);
+  if (src == nullptr) {
+    buffer_.assign(bytes_, 0);
+  } else {
+    buffer_.assign(src, src + bytes_);
+  }
   data_ = buffer_.data();
   AllocStats::instance().add(bytes_);
 }
@@ -105,10 +117,8 @@ void Tensor::write_through(const Tensor& other) {
 }
 
 Tensor Tensor::f32(Shape shape, std::vector<float> values) {
-  Tensor t(DType::kF32, shape);
-  MLX_CHECK_EQ(static_cast<std::size_t>(t.num_elements()), values.size());
-  std::memcpy(t.raw_data(), values.data(), values.size() * sizeof(float));
-  return t;
+  MLX_CHECK_EQ(static_cast<std::size_t>(shape.num_elements()), values.size());
+  return from_bytes(DType::kF32, shape, values.data());
 }
 
 namespace {
@@ -120,6 +130,34 @@ std::int64_t channel_of(const Shape& shape, int axis, std::int64_t flat) {
   return (flat / stride) % shape.dim(axis);
 }
 
+// Widens (unquantized) or dequantizes n elements of src into dst. Only
+// per-channel quantization looks its scale and zero point up per element;
+// per-tensor parameters are read once, with the same arithmetic.
+template <typename T>
+void convert_to_f32(const T* src, std::int64_t n, const Shape& shape,
+                    const QuantParams& quant, float* dst) {
+  if (!quant.quantized()) {
+    // Plain integer widening (e.g. raw u8 image bytes).
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
+    return;
+  }
+  if (!quant.per_channel()) {
+    const float scale = quant.scale();
+    const std::int32_t zero_point = quant.zero_point();
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int32_t q = src[i];
+      dst[i] = scale * static_cast<float>(q - zero_point);
+    }
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto ch =
+        static_cast<std::size_t>(channel_of(shape, quant.channel_axis, i));
+    const std::int32_t q = src[i];
+    dst[i] = quant.scale(ch) * static_cast<float>(q - quant.zero_point(ch));
+  }
+}
+
 }  // namespace
 
 Tensor Tensor::to_f32() const {
@@ -127,31 +165,18 @@ Tensor Tensor::to_f32() const {
   Tensor out(DType::kF32, shape_);
   float* dst = out.data<float>();
   const std::int64_t n = num_elements();
-  if (!quant_.quantized()) {
-    // Plain integer widening (e.g. raw u8 image bytes).
-    for (std::int64_t i = 0; i < n; ++i) {
-      switch (dtype_) {
-        case DType::kI8: dst[i] = static_cast<float>(data<std::int8_t>()[i]); break;
-        case DType::kU8: dst[i] = static_cast<float>(data<std::uint8_t>()[i]); break;
-        case DType::kI32: dst[i] = static_cast<float>(data<std::int32_t>()[i]); break;
-        case DType::kF32: break;
-      }
-    }
-    return out;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::size_t ch = 0;
-    if (quant_.per_channel()) {
-      ch = static_cast<std::size_t>(channel_of(shape_, quant_.channel_axis, i));
-    }
-    std::int32_t q = 0;
-    switch (dtype_) {
-      case DType::kI8: q = data<std::int8_t>()[i]; break;
-      case DType::kU8: q = data<std::uint8_t>()[i]; break;
-      case DType::kI32: q = data<std::int32_t>()[i]; break;
-      case DType::kF32: break;
-    }
-    dst[i] = quant_.scale(ch) * static_cast<float>(q - quant_.zero_point(ch));
+  switch (dtype_) {
+    case DType::kI8:
+      convert_to_f32(data<std::int8_t>(), n, shape_, quant_, dst);
+      break;
+    case DType::kU8:
+      convert_to_f32(data<std::uint8_t>(), n, shape_, quant_, dst);
+      break;
+    case DType::kI32:
+      convert_to_f32(data<std::int32_t>(), n, shape_, quant_, dst);
+      break;
+    case DType::kF32:
+      break;
   }
   return out;
 }

@@ -48,6 +48,9 @@ class Tensor {
   static Tensor i8(Shape shape) { return Tensor(DType::kI8, shape); }
   static Tensor u8(Shape shape) { return Tensor(DType::kU8, shape); }
   static Tensor i32(Shape shape) { return Tensor(DType::kI32, shape); }
+  // An owning tensor whose bytes are a copy of the tensor_bytes(dtype,
+  // shape) bytes at `bytes` (one copy, no zero-fill first).
+  static Tensor from_bytes(DType dtype, Shape shape, const void* bytes);
 
   DType dtype() const { return dtype_; }
   const Shape& shape() const { return shape_; }
@@ -106,7 +109,9 @@ class Tensor {
   // A view of dtype x shape bytes at `data`, which the session owns.
   Tensor(DType dtype, Shape shape, QuantParams quant, std::uint8_t* data);
 
-  void allocate();
+  // Owns tensor_bytes(dtype_, shape_) bytes: a copy of `src`, or zeros
+  // when src is null.
+  void allocate(const std::uint8_t* src);
   void release();
   // Assignment onto a view: copies other's bytes in, same dtype and shape.
   void write_through(const Tensor& other);

@@ -5,11 +5,29 @@
 
 namespace mlexray {
 
+namespace {
+
+// The f32 values of `t`: an f32 tensor's own data, read in place; any other
+// dtype's to_f32() conversion, held in `converted`.
+const float* f32_values(const Tensor& t, Tensor& converted) {
+  if (t.dtype() == DType::kF32) return t.data<float>();
+  converted = t.to_f32();
+  return converted.data<float>();
+}
+
+void check_comparable(const Tensor& a, const Tensor& b) {
+  MLX_CHECK_EQ(a.num_elements(), b.num_elements())
+      << "tensor size mismatch " << a.shape().to_string() << " vs "
+      << b.shape().to_string();
+}
+
+}  // namespace
+
 TensorSummary summarize(const Tensor& tensor) {
-  Tensor f = tensor.to_f32();
-  const float* p = f.data<float>();
+  Tensor converted;
+  const float* p = f32_values(tensor, converted);
   TensorSummary s;
-  s.count = f.num_elements();
+  s.count = tensor.num_elements();
   if (s.count == 0) return s;
   s.min = std::numeric_limits<float>::infinity();
   s.max = -std::numeric_limits<float>::infinity();
@@ -27,23 +45,12 @@ TensorSummary summarize(const Tensor& tensor) {
   return s;
 }
 
-namespace {
-
-void check_comparable(const Tensor& a, const Tensor& b) {
-  MLX_CHECK_EQ(a.num_elements(), b.num_elements())
-      << "tensor size mismatch " << a.shape().to_string() << " vs "
-      << b.shape().to_string();
-}
-
-}  // namespace
-
 double rmse(const Tensor& a, const Tensor& b) {
   check_comparable(a, b);
-  Tensor fa = a.to_f32();
-  Tensor fb = b.to_f32();
-  const float* pa = fa.data<float>();
-  const float* pb = fb.data<float>();
-  const std::int64_t n = fa.num_elements();
+  Tensor ca, cb;
+  const float* pa = f32_values(a, ca);
+  const float* pb = f32_values(b, cb);
+  const std::int64_t n = a.num_elements();
   if (n == 0) return 0.0;
   double sum_sq = 0.0;
   for (std::int64_t i = 0; i < n; ++i) {
@@ -54,9 +61,26 @@ double rmse(const Tensor& a, const Tensor& b) {
 }
 
 double normalized_rmse(const Tensor& test, const Tensor& reference) {
-  double err = rmse(test, reference);
-  TensorSummary ref = summarize(reference);
-  double range = static_cast<double>(ref.max) - ref.min;
+  check_comparable(test, reference);
+  Tensor ct, cr;
+  const float* pt = f32_values(test, ct);
+  const float* pr = f32_values(reference, cr);
+  const std::int64_t n = test.num_elements();
+  // An empty pair has zero error over a degenerate range.
+  if (n == 0) return 0.0;
+  // One pass takes rmse()'s squared error and summarize()'s reference
+  // min/max, each in its own arithmetic and order.
+  double sum_sq = 0.0;
+  float ref_min = std::numeric_limits<float>::infinity();
+  float ref_max = -std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < n; ++i) {
+    double d = static_cast<double>(pt[i]) - pr[i];
+    sum_sq += d * d;
+    ref_min = std::min(ref_min, pr[i]);
+    ref_max = std::max(ref_max, pr[i]);
+  }
+  const double err = std::sqrt(sum_sq / static_cast<double>(n));
+  const double range = static_cast<double>(ref_max) - ref_min;
   if (range <= 0.0) {
     return err == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
   }
@@ -65,12 +89,11 @@ double normalized_rmse(const Tensor& test, const Tensor& reference) {
 
 double linf_error(const Tensor& a, const Tensor& b) {
   check_comparable(a, b);
-  Tensor fa = a.to_f32();
-  Tensor fb = b.to_f32();
-  const float* pa = fa.data<float>();
-  const float* pb = fb.data<float>();
+  Tensor ca, cb;
+  const float* pa = f32_values(a, ca);
+  const float* pb = f32_values(b, cb);
   double worst = 0.0;
-  for (std::int64_t i = 0; i < fa.num_elements(); ++i) {
+  for (std::int64_t i = 0; i < a.num_elements(); ++i) {
     worst = std::max(worst, std::abs(static_cast<double>(pa[i]) - pb[i]));
   }
   return worst;

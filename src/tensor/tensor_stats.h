@@ -1,4 +1,6 @@
-// Statistics over tensors and between tensor pairs.
+// Statistics over tensors and between tensor pairs. Each reads an f32
+// tensor's own data in place and dequantizes any other dtype through
+// Tensor::to_f32 first.
 //
 // normalized_rmse() implements the paper's §3.4 drift metric:
 //   rMSE-hat = rMSE / (max_i(e_i) - min_i(e_i))
@@ -26,9 +28,10 @@ TensorSummary summarize(const Tensor& tensor);
 // Root-mean-square error between two same-shaped tensors (dequantized).
 double rmse(const Tensor& a, const Tensor& b);
 
-// rMSE normalized by the reference tensor's value range (paper §3.4).
-// Returns 0 when the reference range is degenerate and the tensors match,
-// +inf when the range is degenerate but the tensors differ.
+// rMSE normalized by the reference tensor's value range (paper §3.4), in
+// one pass that takes the reference min/max beside the error. Returns 0
+// when the reference range is degenerate and the tensors match, +inf when
+// the range is degenerate but the tensors differ.
 double normalized_rmse(const Tensor& test, const Tensor& reference);
 
 // Max absolute element difference.

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/common/file_io.h"
 #include "src/convert/converter.h"
@@ -115,7 +117,8 @@ TEST(HostileInput, CraftedBytesThrowInsteadOfCrashing) {
     std::vector<std::uint8_t> bad_dtype = w.bytes();
     bad_dtype[0] = 0xEE;
     BinaryReader dtype_reader(bad_dtype);
-    EXPECT_THROW(deserialize_digest(dtype_reader), MlxError);
+    LayerDigest back;
+    EXPECT_THROW(deserialize_digest(dtype_reader, back), MlxError);
     // dtype u8, count u64, sum f64, sum_sq f64, min f32, max f32, then the
     // sketch's level count and capacity (u32 each) before its top shift.
     const std::size_t top_shift_at = 1 + 8 + 8 + 8 + 4 + 4 + 4 + 4;
@@ -123,9 +126,12 @@ TEST(HostileInput, CraftedBytesThrowInsteadOfCrashing) {
     ASSERT_EQ(bad_shift[top_shift_at], 0);
     bad_shift[top_shift_at] = 200;
     BinaryReader shift_reader(bad_shift);
-    EXPECT_THROW(deserialize_digest(shift_reader), MlxError);
+    back = LayerDigest{};
+    EXPECT_THROW(deserialize_digest(shift_reader, back), MlxError);
     BinaryReader good_reader(w.bytes());
-    EXPECT_EQ(deserialize_digest(good_reader).count, 4u);
+    back = LayerDigest{};
+    deserialize_digest(good_reader, back);
+    EXPECT_EQ(back.count, 4u);
   }
   // A trace promising 0xFFFFFFFF frames and carrying none.
   Trace t;
@@ -161,6 +167,130 @@ TEST(HostileInput, CraftedBytesThrowInsteadOfCrashing) {
   DeploymentValidator validator;
   EXPECT_THROW(validator.per_layer_drift(back, back), MlxError);
   EXPECT_THROW(validator.per_layer_latency(back), MlxError);
+}
+
+// The reader borrows its bytes, so it cannot be bound to a temporary.
+static_assert(
+    !std::is_constructible_v<BinaryReader, std::vector<std::uint8_t>&&>);
+static_assert(!std::is_constructible_v<BinaryReader,
+                                       const std::vector<std::uint8_t>&&>);
+static_assert(
+    std::is_constructible_v<BinaryReader, const std::vector<std::uint8_t>&>);
+
+// Untrusted counts size no allocation past what the bytes left could encode.
+TEST(HostileInput, CountsReserveNoMoreThanTheBytesLeftEncode) {
+  {
+    // A mobilenet_v1_mini model file whose node count claims 0x7fffffff.
+    const Graph model = tiny_image_model().model;
+    std::vector<std::uint8_t> bytes = serialize_model(model);
+    // Magic, version, the length-prefixed name, then the input spec (three
+    // i32 dims, two u8 enums, two f32 range ends, one u8 flag).
+    const std::size_t count_at =
+        4 + 4 + 4 + model.name.size() + 3 * 4 + 2 + 2 * 4 + 1;
+    ASSERT_GT(bytes.size(), count_at + 4);
+    ASSERT_EQ(BinaryReader::load_u32_le(bytes.data() + count_at),
+              model.nodes.size());
+    bytes[count_at] = bytes[count_at + 1] = bytes[count_at + 2] = 0xFF;
+    bytes[count_at + 3] = 0x7F;
+    BinaryReader r(bytes);
+    EXPECT_THROW(deserialize_model(r), MlxError);
+  }
+  {
+    // A trace whose header claims 0xffffffff frames but holds three empty
+    // ones, each the smallest frame v2 encodes.
+    BinaryWriter empty_frame;
+    serialize_frame(empty_frame, FrameTrace{});
+    ASSERT_EQ(empty_frame.size(), 28u);
+    Trace t;
+    t.pipeline_name = "edge";
+    t.frames.resize(3);
+    std::vector<std::uint8_t> bytes = serialize_trace(t);
+    const std::size_t count_at = trace_frame_count_offset(t.pipeline_name);
+    for (std::size_t i = 0; i < 4; ++i) bytes[count_at + i] = 0xFF;
+    const auto path =
+        std::filesystem::temp_directory_path() / "mlx_hostile_count.mlxtrace";
+    write_file(path, bytes);
+    std::size_t truncated = 0;
+    const Trace back = load_trace_tolerant(path, &truncated);
+    std::filesystem::remove(path);
+    EXPECT_EQ(back.frames.size(), 3u);
+    EXPECT_EQ(truncated, 0xFFFFFFFFu - 3);
+    EXPECT_LE(back.frames.capacity(), bytes.size() / 28);
+  }
+}
+
+// Digest bins and sketch levels decode from one bounds-checked span each:
+// a span past the end, or a count past its bound, throws MlxError.
+TEST(HostileInput, DigestSpansAndCountsThrow) {
+  LayerDigest ints;
+  Tensor q = Tensor::i8(Shape{4});
+  q.quant() = QuantParams::per_tensor(0.5f, 0);
+  for (int i = 0; i < 4; ++i) {
+    q.data<std::int8_t>()[i] = static_cast<std::int8_t>(i);
+  }
+  ints.accumulate(q);
+  BinaryWriter iw;
+  serialize_digest(iw, ints);
+  const std::vector<std::uint8_t>& int_bytes = iw.bytes();
+  // dtype u8, count u64, scale f32, zero point i32, isum i64, isum_sq u64,
+  // then the used-bin count and (u8 bin, u32 count) per used bin.
+  const std::size_t used_at = 1 + 8 + 4 + 4 + 8 + 8;
+  ASSERT_EQ(BinaryReader::load_u32_le(int_bytes.data() + used_at), 4u);
+  ASSERT_EQ(int_bytes.size(), used_at + 4 + 4 * 5);
+  auto read = [](const std::vector<std::uint8_t>& bytes) {
+    BinaryReader r(bytes);
+    LayerDigest d;
+    deserialize_digest(r, d);
+    return d;
+  };
+  EXPECT_EQ(read(int_bytes).hist[128 + 3], 1u);
+  {
+    // Bins that run past the end.
+    std::vector<std::uint8_t> cut(int_bytes.begin(), int_bytes.end() - 1);
+    EXPECT_THROW(read(cut), MlxError);
+  }
+  {
+    // 257 used bins.
+    std::vector<std::uint8_t> bad = int_bytes;
+    bad[used_at] = 0x01;
+    bad[used_at + 1] = 0x01;
+    EXPECT_THROW(read(bad), MlxError);
+  }
+  {
+    // A repeated bin keeps its last count: the second entry rewrites the
+    // first's bin.
+    std::vector<std::uint8_t> repeated = int_bytes;
+    const std::size_t first = used_at + 4;
+    repeated[first + 5] = repeated[first];
+    repeated[first + 5 + 1] = 7;
+    const LayerDigest d = read(repeated);
+    EXPECT_EQ(d.hist[repeated[first]], 7u);
+  }
+
+  LayerDigest floats;
+  floats.accumulate(Tensor::f32(Shape{4}, {1.0f, 2.0f, 3.0f, 4.0f}));
+  BinaryWriter fw;
+  serialize_digest(fw, floats);
+  const std::vector<std::uint8_t>& float_bytes = fw.bytes();
+  // dtype u8, count u64, sum f64, sum_sq f64, min f32, max f32, then the
+  // sketch: level count, capacity and top shift (u32 each), then level 0's
+  // size and items.
+  const std::size_t level0_at = 1 + 8 + 8 + 8 + 4 + 4 + 3 * 4;
+  ASSERT_EQ(BinaryReader::load_u32_le(float_bytes.data() + level0_at), 4u);
+  EXPECT_EQ(read(float_bytes).quantile(1.0), 4.0);
+  {
+    // Level 0 cut short inside its items: the level claims 4 items, and the
+    // bytes end after 3.
+    std::vector<std::uint8_t> cut(float_bytes.begin(),
+                                  float_bytes.begin() + level0_at + 4 + 3 * 4);
+    EXPECT_THROW(read(cut), MlxError);
+  }
+  {
+    // A level of kLevelCap + 1 items.
+    std::vector<std::uint8_t> bad = float_bytes;
+    bad[level0_at] = QuantileSketch::kLevelCap + 1;
+    EXPECT_THROW(read(bad), MlxError);
+  }
 }
 
 TEST(Trace, MissingKeyThrows) {

@@ -20,9 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/file_io.h"
@@ -289,7 +294,8 @@ TEST(DigestWire, RoundTripsFloatAndIntDigests) {
     BinaryWriter w;
     serialize_digest(w, *d);
     BinaryReader r(w.bytes());
-    const LayerDigest back = deserialize_digest(r);
+    LayerDigest back;
+    deserialize_digest(r, back);
     EXPECT_TRUE(r.at_end()) << "digest wire frame has trailing bytes";
     EXPECT_EQ(back.dtype, d->dtype);
     EXPECT_EQ(back.count, d->count);
@@ -306,10 +312,288 @@ TEST(DigestWire, RoundTripsFloatAndIntDigests) {
   BinaryWriter w;
   serialize_digest(w, dq);
   BinaryReader r(w.bytes());
-  const LayerDigest back = deserialize_digest(r);
+  LayerDigest back;
+  deserialize_digest(r, back);
   EXPECT_EQ(0, std::memcmp(back.hist, dq.hist, sizeof(dq.hist)));
   EXPECT_EQ(back.scale, dq.scale);
   EXPECT_EQ(back.zero_point, dq.zero_point);
+}
+
+// --- quantile curves: one sort, one histogram pass ---------------------------
+
+// Equal bit patterns: the new paths claim the old arithmetic exactly.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// A sketch's retained items with their weights, read back from its wire form.
+struct RetainedItems {
+  std::vector<std::pair<float, std::uint64_t>> items;  // value, weight
+  std::uint32_t top_shift = 0;
+};
+RetainedItems retained_items(const QuantileSketch& sketch) {
+  BinaryWriter w;
+  sketch.serialize(w);
+  BinaryReader r(w.bytes());
+  const std::uint32_t levels = r.read_u32();
+  r.read_u32();  // level capacity
+  RetainedItems out;
+  out.top_shift = r.read_u32();
+  for (std::uint32_t l = 0; l < levels; ++l) {
+    std::uint64_t weight = std::uint64_t{1} << l;
+    if (l + 1 == levels) weight <<= out.top_shift;
+    const std::uint32_t n = r.read_u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out.items.emplace_back(r.read_f32(), weight);
+    }
+  }
+  return out;
+}
+
+// The per-point definition of a sketch quantile: rank the retained items by
+// value; the answer is the first whose cumulative weight reaches q of the
+// total (clamped), else the largest.
+float sketch_quantile_by_definition(const QuantileSketch& sketch, double q) {
+  auto items = retained_items(sketch).items;
+  if (items.empty()) return 0.0f;
+  std::stable_sort(
+      items.begin(), items.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::uint64_t total = 0;
+  for (const auto& item : items) total += item.second;
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  std::uint64_t cum = 0;
+  for (const auto& item : items) {
+    cum += item.second;
+    if (static_cast<double>(cum) >= target) return item.first;
+  }
+  return items.back().first;
+}
+
+// The per-point definition of a digest quantile: the sketch's for floats;
+// for integers the first bin whose nonzero cumulative count reaches q of the
+// count, dequantized, else the largest value.
+double digest_quantile_by_definition(const LayerDigest& d, double q) {
+  if (d.count == 0) return 0.0;
+  if (!d.integer_path()) {
+    return static_cast<double>(sketch_quantile_by_definition(d.sketch, q));
+  }
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(d.count);
+  std::uint64_t cum = 0;
+  for (int b = 0; b < 256; ++b) {
+    cum += d.hist[b];
+    if (static_cast<double>(cum) >= target && cum > 0) {
+      const double raw = d.dtype == DType::kI8 ? b - 128 : b;
+      if (d.scale == 0.0f) return raw;
+      return static_cast<double>(d.scale) * (raw - d.zero_point);
+    }
+  }
+  return d.real_max();
+}
+
+// Ascending, with repeats and points clamped at both ends.
+const std::vector<double> kWalkGrid = {-0.25, 0.0,  0.01, 0.05, 0.1,  0.2,
+                                       0.25,  0.3,  0.4,  0.5,  0.5,  0.6,
+                                       0.7,   0.75, 0.8,  0.9,  0.95, 0.99,
+                                       1.0,   1.25};
+
+void expect_sketch_quantiles_exact(const QuantileSketch& sketch,
+                                   const char* what) {
+  std::vector<float> walked(kWalkGrid.size(), -1.0f);
+  sketch.quantiles(kWalkGrid, [&](std::size_t i, float v) { walked[i] = v; });
+  for (std::size_t i = 0; i < kWalkGrid.size(); ++i) {
+    const double q = kWalkGrid[i];
+    EXPECT_TRUE(same_bits(walked[i], sketch.quantile(q)))
+        << what << " q=" << q << ": " << walked[i] << " vs "
+        << sketch.quantile(q);
+    EXPECT_TRUE(same_bits(walked[i], sketch_quantile_by_definition(sketch, q)))
+        << what << " q=" << q;
+  }
+}
+
+void expect_digest_quantiles_exact(const LayerDigest& d, const char* what) {
+  std::vector<double> walked(kWalkGrid.size(), -1.0);
+  d.quantiles(kWalkGrid, [&](std::size_t i, double v) { walked[i] = v; });
+  for (std::size_t i = 0; i < kWalkGrid.size(); ++i) {
+    const double q = kWalkGrid[i];
+    EXPECT_TRUE(same_bits(walked[i], d.quantile(q)))
+        << what << " q=" << q << ": " << walked[i] << " vs " << d.quantile(q);
+    EXPECT_TRUE(same_bits(walked[i], digest_quantile_by_definition(d, q)))
+        << what << " q=" << q;
+  }
+}
+
+TEST(QuantileCurve, SketchWalkMatchesOnePointQuantilesBitForBit) {
+  QuantileSketch empty;
+  expect_sketch_quantiles_exact(empty, "empty");
+
+  QuantileSketch one;
+  one.add(3.5f);
+  expect_sketch_quantiles_exact(one, "one item");
+
+  // Heavy ties: three values repeated across many compactions.
+  QuantileSketch ties;
+  for (int i = 0; i < 5000; ++i) {
+    ties.add(static_cast<float>(i % 7 == 0 ? 2 : i % 3));
+  }
+  expect_sketch_quantiles_exact(ties, "heavy ties");
+
+  // A merged stream past level 0.
+  Pcg32 rng(331);
+  QuantileSketch a, b;
+  for (int i = 0; i < 3000; ++i) a.add(rng.uniform(-1.0f, 1.0f));
+  for (int i = 0; i < 2500; ++i) b.add(rng.uniform(0.5f, 4.0f));
+  a.merge(b);
+  ASSERT_GT(retained_items(a).items.size(),
+            static_cast<std::size_t>(QuantileSketch::kLevelCap));
+  expect_sketch_quantiles_exact(a, "merged");
+
+  // A saturated top level: past kLevelCap * 2^(kLevels - 1) items the top
+  // level compacts in place and its weight doubles per compaction.
+  QuantileSketch saturated;
+  const std::int64_t n =
+      std::int64_t{QuantileSketch::kLevelCap} << (QuantileSketch::kLevels + 1);
+  for (std::int64_t i = 0; i < n; ++i) {
+    saturated.add(static_cast<float>((i * 7919) % 10007));
+  }
+  ASSERT_GT(retained_items(saturated).top_shift, 0u);
+  expect_sketch_quantiles_exact(saturated, "saturated top");
+
+  const std::vector<double> descending = {0.5, 0.4};
+  EXPECT_THROW(a.quantiles(descending, [](std::size_t, float) {}), MlxError);
+}
+
+TEST(QuantileCurve, DigestWalkMatchesOnePointQuantilesBitForBit) {
+  Pcg32 rng(341);
+  // i8 over the middle of the domain: bins empty at both ends.
+  Tensor i8 = Tensor::i8(Shape{200});
+  i8.quant() = QuantParams::per_tensor(0.05f, -3);
+  for (std::int64_t i = 0; i < i8.num_elements(); ++i) {
+    i8.data<std::int8_t>()[i] =
+        static_cast<std::int8_t>(rng.uniform(-40.0f, 40.0f));
+  }
+  LayerDigest di8;
+  di8.accumulate(i8);
+  ASSERT_EQ(di8.hist[0], 0u);
+  ASSERT_EQ(di8.hist[255], 0u);
+  expect_digest_quantiles_exact(di8, "i8");
+
+  // u8 with scale 0: raw sensor bytes, compared unscaled.
+  Tensor u8 = Tensor::u8(Shape{180});
+  for (std::int64_t i = 0; i < u8.num_elements(); ++i) {
+    u8.data<std::uint8_t>()[i] =
+        static_cast<std::uint8_t>(rng.uniform(20.0f, 230.0f));
+  }
+  LayerDigest du8;
+  du8.accumulate(u8);
+  ASSERT_EQ(du8.scale, 0.0f);
+  expect_digest_quantiles_exact(du8, "u8 scale 0");
+
+  // A count the bins do not reach (hostile wire): points past the bins
+  // fall back to the largest value.
+  LayerDigest short_bins;
+  short_bins.dtype = DType::kI8;
+  short_bins.scale = 0.25f;
+  short_bins.count = 40;
+  short_bins.hist[100] = 6;
+  short_bins.hist[140] = 4;
+  expect_digest_quantiles_exact(short_bins, "count past the bins");
+
+  LayerDigest floats;
+  floats.accumulate(random_input(Shape{1, 8, 8, 8}, rng));
+  expect_digest_quantiles_exact(floats, "f32");
+
+  LayerDigest empty;
+  expect_digest_quantiles_exact(empty, "empty");
+
+  const std::vector<double> descending = {0.9, 0.1};
+  for (const LayerDigest* d : {&di8, &floats}) {
+    EXPECT_THROW(d->quantiles(descending, [](std::size_t, double) {}),
+                 MlxError);
+  }
+}
+
+// digest_drift by its per-point definition: each grid point's device and
+// reference quantiles, one squared difference accumulated per point.
+double drift_by_definition(const LayerDigest& device,
+                           const LayerDigest& reference) {
+  if (device.count == 0 || reference.count == 0) return 0.0;
+  const double range = reference.real_max() - reference.real_min();
+  double sq = 0.0;
+  for (double q : kDriftGrid) {
+    const double diff = digest_quantile_by_definition(device, q) -
+                        digest_quantile_by_definition(reference, q);
+    sq += diff * diff;
+  }
+  const double rms = std::sqrt(sq / static_cast<double>(kDriftGridPoints));
+  if (range <= 0.0) {
+    return rms == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+  return rms / range;
+}
+
+TEST(QuantileCurve, DigestDriftMatchesItsPerPointDefinitionBitForBit) {
+  Pcg32 rng(351);
+  auto int8_digest = [&](int n) {
+    Tensor q = Tensor::i8(Shape{n});
+    q.quant() = QuantParams::per_tensor(
+        rng.uniform(0.001f, 0.2f),
+        static_cast<int>(rng.uniform(-20.0f, 20.0f)));
+    const float lo = rng.uniform(-60.0f, 0.0f);
+    const float hi = rng.uniform(0.0f, 60.0f);
+    for (int i = 0; i < n; ++i) {
+      q.data<std::int8_t>()[i] = static_cast<std::int8_t>(rng.uniform(lo, hi));
+    }
+    LayerDigest d;
+    d.accumulate(q);
+    return d;
+  };
+  auto float_digest = [&](int n, int frames) {
+    LayerDigest d;
+    const float center = rng.uniform(-3.0f, 3.0f);
+    const float spread = rng.uniform(0.01f, 4.0f);
+    for (int f = 0; f < frames; ++f) {
+      Tensor t = Tensor::f32(Shape{n});
+      for (int i = 0; i < n; ++i) {
+        t.data<float>()[i] = center + spread * rng.uniform(-1.0f, 1.0f);
+      }
+      d.accumulate(t);
+    }
+    return d;
+  };
+  auto expect_exact = [](const LayerDigest& device,
+                         const LayerDigest& reference,
+                         const std::string& what) {
+    const double want = drift_by_definition(device, reference);
+    EXPECT_TRUE(same_bits(digest_drift(device, reference), want))
+        << what << ": " << digest_drift(device, reference) << " vs " << want;
+    EXPECT_TRUE(same_bits(digest_drift(device, drift_curve(reference)), want))
+        << what;
+  };
+  // Random int8 devices against float references and back, float against
+  // float over merged frames, int8 against int8.
+  for (int k = 0; k < 300; ++k) {
+    const int nq = 1 + static_cast<int>(rng.uniform(0.0f, 600.0f));
+    const int nf = 1 + static_cast<int>(rng.uniform(0.0f, 600.0f));
+    const LayerDigest q = int8_digest(nq);
+    const LayerDigest f = float_digest(nf, 1 + k % 4);
+    const std::string at = " pair " + std::to_string(k);
+    expect_exact(q, f, "int8 vs f32" + at);
+    expect_exact(f, q, "f32 vs int8" + at);
+    expect_exact(f, float_digest(64, 3), "f32 vs f32" + at);
+    expect_exact(q, int8_digest(300), "int8 vs int8" + at);
+  }
+  // Degenerate reference ranges (0, or +inf when the device differs) and
+  // empty sides (0).
+  LayerDigest constant;
+  constant.accumulate(Tensor::f32(Shape{4}, {2.0f, 2.0f, 2.0f, 2.0f}));
+  LayerDigest other;
+  other.accumulate(Tensor::f32(Shape{3}, {1.0f, 2.0f, 3.0f}));
+  expect_exact(constant, constant, "constant vs itself");
+  expect_exact(other, constant, "against a constant");
+  EXPECT_TRUE(std::isinf(digest_drift(other, constant)));
+  expect_exact(LayerDigest{}, other, "empty device");
+  expect_exact(other, LayerDigest{}, "empty reference");
 }
 
 TEST(TraceFormat, V1FilesWithoutDigestSectionStillLoad) {
@@ -439,9 +723,9 @@ TEST(DigestCapture, ObserverDigestsMatchDirectAccumulate) {
     ASSERT_EQ(fd.layer_digests.size(), fd.layer_names.size());
     EXPECT_TRUE(fd.layer_outputs.empty())
         << "digest mode must not capture raw tensors";
-    // frame_layer_digests() digests the raw capture on the fly; the
+    // digest_layer_outputs() digests the raw capture on the fly; the
     // streaming capture must agree exactly (same accumulate order).
-    const std::vector<LayerDigest> want = frame_layer_digests(fr);
+    const std::vector<LayerDigest> want = digest_layer_outputs(fr);
     ASSERT_EQ(want.size(), fd.layer_digests.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       const LayerDigest& got = fd.layer_digests[i];

@@ -124,6 +124,35 @@ TEST(Serialization, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+// A model file is as untrusted as a trace. A Conv2D whose serialized output
+// shape claims 8 channels over a 2-channel filter would send the kernels
+// past its 2-element bias; loading re-infers every shape and refuses it.
+TEST(Serialization, RejectsOutputShapeItsWeightsDoNotImply) {
+  Pcg32 rng(5);
+  GraphBuilder b("crafted", &rng);
+  const int x = b.input(Shape{1, 4, 4, 2});
+  const int c =
+      b.conv2d(x, 2, 3, 3, 1, Padding::kSame, Activation::kNone, "conv");
+  Graph m = b.finish({c});
+  ASSERT_EQ(m.node(c).weights[0].shape(), (Shape{2, 3, 3, 2}));
+  {
+    const auto bytes = serialize_model(m);
+    BinaryReader r(bytes);
+    EXPECT_EQ(deserialize_model(r).node(c).output_shape,
+              (Shape{1, 4, 4, 2}));
+  }
+  m.nodes[static_cast<std::size_t>(c)].output_shape = Shape{1, 4, 4, 8};
+  const auto bytes = serialize_model(m);
+  BinaryReader r(bytes);
+  try {
+    deserialize_model(r);
+    ADD_FAILURE() << "a Conv2D claiming 8 output channels loaded";
+  } catch (const MlxError& e) {
+    EXPECT_NE(std::string(e.what()).find("'conv'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Serialization, RejectsGarbage) {
   BinaryWriter w;
   w.write_u32(0xdeadbeef);

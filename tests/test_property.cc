@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/convert/converter.h"
 #include "src/core/trace.h"
@@ -289,6 +290,44 @@ TEST_P(ZooSerialization, OutputsIdenticalAfterRoundTrip) {
   a.invoke();
   b.invoke();
   EXPECT_EQ(linf_error(a.output(0), b.output(0)), 0.0) << entry.name;
+}
+
+// Loading re-infers every node's shape and refuses a disagreement, so the
+// deployed graphs (BatchNorm folded; f32 and int8) must load with every
+// node's shape and dtype as written, and serve the same bytes.
+TEST_P(ZooSerialization, DeployedGraphsRoundTrip) {
+  const ZooEntry& entry = image_zoo()[static_cast<std::size_t>(GetParam())];
+  const Graph f32 = convert_for_inference(entry.build(5, 1).model);
+  Calibrator calib(&f32);
+  Pcg32 rng(6);
+  const Tensor input = random_f32(Shape{1, 32, 32, 3}, rng);
+  calib.observe({input});
+  const Graph int8 = quantize_model(f32, calib);
+  for (const Graph* g : {&f32, &int8}) {
+    const auto bytes = serialize_model(*g);
+    BinaryReader reader(bytes);
+    const Graph back = deserialize_model(reader);
+    ASSERT_EQ(back.nodes.size(), g->nodes.size()) << entry.name;
+    for (std::size_t i = 0; i < g->nodes.size(); ++i) {
+      EXPECT_EQ(back.nodes[i].output_shape, g->nodes[i].output_shape)
+          << entry.name << " " << g->nodes[i].name;
+      EXPECT_EQ(back.nodes[i].output_dtype, g->nodes[i].output_dtype)
+          << entry.name << " " << g->nodes[i].name;
+    }
+    BuiltinOpResolver opt;
+    Model model_a(g, &opt);
+    Session a(&model_a);
+    Model model_b(&back, &opt);
+    Session b(&model_b);
+    a.set_input(0, input);
+    b.set_input(0, input);
+    a.invoke();
+    b.invoke();
+    ASSERT_EQ(a.output(0).byte_size(), b.output(0).byte_size());
+    EXPECT_EQ(0, std::memcmp(a.output(0).raw_data(), b.output(0).raw_data(),
+                             a.output(0).byte_size()))
+        << entry.name << " " << dtype_name(g->nodes.back().output_dtype);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooSerialization, ::testing::Range(0, 6));
