@@ -1,21 +1,22 @@
 // LoC study — debugging target: quantization (WITHOUT ML-EXray).
 // Hand-rolled per-layer dumping, reloading, and comparison — the weeks-long
-// workflow the paper describes in §1. Both sessions passed in are
-// Retention::kPreserveAll: the dump reads every layer after invoke, which a
-// lean session (the default) refuses.
+// workflow the paper describes in §1. A session reuses a layer's bytes once
+// its consumers have run, so the dump is a hand-written InvokeObserver that
+// writes each layer out while its step runs.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "src/interpreter/invoke_observer.h"
 #include "src/interpreter/session.h"
 
 using namespace mlexray;
 
-void debug_quantization_manually(const Graph& model, const Session& session,
-                                 const Graph& ref_model,
-                                 const Session& ref_session) {
+void debug_quantization_manually(const Graph& model, Session& session,
+                                 Session& ref_session, const Tensor& input) {
   // [mlx-inst-begin]
   std::ofstream meta("layers_meta.txt");
   for (const Node& n : model.nodes) {
@@ -24,22 +25,28 @@ void debug_quantization_manually(const Graph& model, const Session& session,
          << op_type_name(n.type) << " "
          << n.output_shape.to_string() << "\n";
   }
-  for (const Node& n : model.nodes) {
-    if (n.type == OpType::kInput) continue;
-    Tensor out = session.node_output(n.id).to_f32();
-    std::string path = "layer_" + std::to_string(n.id) + ".bin";
-    std::ofstream dump(path, std::ios::binary);
-    dump.write(static_cast<const char*>(out.raw_data()),
-               static_cast<std::streamsize>(out.byte_size()));
-  }
-  for (const Node& n : ref_model.nodes) {
-    if (n.type == OpType::kInput) continue;
-    Tensor out = ref_session.node_output(n.id).to_f32();
-    std::string path = "ref_layer_" + std::to_string(n.id) + ".bin";
-    std::ofstream dump(path, std::ios::binary);
-    dump.write(static_cast<const char*>(out.raw_data()),
-               static_cast<std::streamsize>(out.byte_size()));
-  }
+  struct LayerDump : InvokeObserver {
+    std::string prefix;
+    void on_step(const Node& n, const Tensor& output, double) override {
+      Tensor out = output.to_f32();
+      std::ofstream dump(prefix + std::to_string(n.id) + ".bin",
+                         std::ios::binary);
+      dump.write(static_cast<const char*>(out.raw_data()),
+                 static_cast<std::streamsize>(out.byte_size()));
+    }
+  };
+  LayerDump edge_dump;
+  edge_dump.prefix = "layer_";
+  session.set_observer(&edge_dump);
+  session.set_input(0, input);
+  session.invoke();
+  session.set_observer(nullptr);
+  LayerDump ref_dump;
+  ref_dump.prefix = "ref_layer_";
+  ref_session.set_observer(&ref_dump);
+  ref_session.set_input(0, input);
+  ref_session.invoke();
+  ref_session.set_observer(nullptr);
   std::ifstream meta_in("layers_meta.txt");
   std::map<int, std::string> names;
   std::map<std::string, int> ref_ids;

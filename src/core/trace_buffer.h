@@ -5,9 +5,9 @@
 // latencies and raw-dtype layer outputs as each prepared step finishes, plus
 // every model output and user scalars/tensors, into pre-sized reusable frame
 // storage. Capture is push-only: an invoke the buffer did not observe is not
-// captured, and nothing re-reads the session's activations afterwards. So
-// capture needs no Retention::kPreserveAll session: each layer is copied or
-// digested inside on_step, while its bytes hold the step's output.
+// captured, and nothing re-reads the session's activations afterwards: each
+// layer is copied or digested inside on_step, while the session's activation
+// block still holds the step's output (a later step may reuse those bytes).
 // Storage:
 //
 //  - trace keys are interned once into small integer ids — no std::string

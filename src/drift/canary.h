@@ -21,12 +21,15 @@
 // the reference cannot map are skipped (skipped_layout counts whole frames
 // whose input layout no longer matches).
 //
-// The canary reads a production session's layers after invoke, so while it
-// is enabled the Engine builds that name's pooled sessions (and the
-// reference session) with Retention::kPreserveAll. A lean session leased
-// before enable_canary reused its layers' bytes: its sampled frame is not
-// diffed but counted in skipped_layout, and release() rebuilds the session
-// instead of re-pooling it.
+// A sampled frame is replayed, not read back: the released session's graph
+// inputs (pinned, so readable after invoke) are copied into a fresh session
+// of the lease's Model and into the reference session, and each step's
+// output of both runs is copied as it runs. The plan is deterministic, so
+// the replay's layers are the served ones. Pooled sessions therefore stay
+// one planned block whether or not a canary is enabled, and a session
+// leased before enable_canary is shadowed like any other. The cost falls on
+// the sampled release only: one more production invoke and one session
+// built.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +52,12 @@ struct CanaryReport {
   bool enabled = false;
   std::uint64_t shadowed = 0;          // frames diffed against the reference
   std::uint64_t skipped_busy = 0;      // reference session held by another shadow
-  // Sampled frames not diffed: an input layout mismatch after a hot-swap,
-  // or a lean session leased before the canary was enabled.
+  // Sampled frames not diffed: the production input layout no longer
+  // matches the reference's after a hot-swap.
   std::uint64_t skipped_layout = 0;
-  std::uint64_t reference_errors = 0;  // reference invoke failures
+  // Sampled frames not diffed because a shadow invoke failed: the replay
+  // of the served frame or the reference invoke.
+  std::uint64_t reference_errors = 0;
   // One row per reference plan step, in reference execution order: the
   // running mean normalized RMSE, and as samples the shadowed frames that
   // mapped the layer (a layer never mapped reports error 0, no suspect).

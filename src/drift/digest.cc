@@ -55,10 +55,20 @@ int merge_sorted_runs(const float* a, int na, const float* b, int nb,
 
 }  // namespace
 
+int QuantileSketch::halve(float* run, int n) {
+  rng_ ^= rng_ << 13;
+  rng_ ^= rng_ >> 17;
+  rng_ ^= rng_ << 5;
+  int kept = 0;
+  for (int i = static_cast<int>(rng_ & 1u); i < n; i += 2) run[kept++] = run[i];
+  return kept;
+}
+
 void QuantileSketch::compact(int level) {
+  constexpr int kTop = kLevels - 1;
   // Promoting into a full next level cascades first, so there is always room
   // for the survivors.
-  if (level + 1 < kLevels && size_[level + 1] > kLevelCap - kLevelCap / 2) {
+  if (level < kTop && size_[level + 1] > kLevelCap - kLevelCap / 2) {
     compact(level + 1);
   }
   float* items = items_[level];
@@ -67,26 +77,22 @@ void QuantileSketch::compact(int level) {
   // raw inserts — ever pays a sort. This is the difference between ~25ns and
   // ~10ns per add, and the always-on capture budget is priced on the latter.
   if (level == 0) std::sort(items, items + size_[0]);
-  rng_ ^= rng_ << 13;
-  rng_ ^= rng_ >> 17;
-  rng_ ^= rng_ << 5;
-  const int offset = static_cast<int>(rng_ & 1u);
-  if (level + 1 < kLevels) {
-    float survivors[kLevelCap];
-    int ns = 0;
-    for (int i = offset; i < size_[level]; i += 2) survivors[ns++] = items[i];
-    size_[level + 1] = static_cast<std::uint16_t>(
-        merge_sorted_runs(survivors, ns, items_[level + 1], size_[level + 1],
-                          items_[level + 1]));
-  } else {
+  int kept = halve(items, size_[level]);
+  if (level == kTop) {
     // Top level compacts in place: survivors stay but each now stands for
     // twice the weight (top_shift_).
-    int kept = 0;
-    for (int i = offset; i < size_[level]; i += 2) items[kept++] = items[i];
     size_[level] = static_cast<std::uint16_t>(kept);
     ++top_shift_;
     return;
   }
+  // Survivors stand for 2^(level + 1) inputs each. A shifted top level's
+  // items stand for 2^(kTop + top_shift_), so survivors entering it are
+  // thinned to that weight first, by the same halving rule.
+  if (level + 1 == kTop) {
+    for (int s = 0; s < top_shift_ && kept > 0; ++s) kept = halve(items, kept);
+  }
+  size_[level + 1] = static_cast<std::uint16_t>(merge_sorted_runs(
+      items, kept, items_[level + 1], size_[level + 1], items_[level + 1]));
   size_[level] = 0;
 }
 
@@ -96,18 +102,13 @@ void QuantileSketch::add(float v) {
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
+  constexpr int kTop = kLevels - 1;
   // Items at level l keep their weight (2^l) when inserted at our level l.
-  // Shifted top levels (streams past ~2M items) are first equalized by
-  // coarsening our own top until the shifts line up, so top items from both
-  // sides carry the same weight; sketches that never saturated (every test
-  // and every per-frame capture) always merge with shift 0 on both sides.
-  while (top_shift_ < other.top_shift_) {
-    if (size_[kLevels - 1] > 1) {
-      compact(kLevels - 1);
-    } else {
-      top_shift_ = other.top_shift_;
-    }
-  }
+  // The top levels may carry different shifts (streams past ~2M items):
+  // whichever side's top is coarser sets the weight, and the other side's
+  // top run is halved once per missing shift. Sketches that never saturated
+  // (every per-frame capture) merge with shift 0 on both sides.
+  while (top_shift_ < other.top_shift_) compact(kTop);
   // Level 0 is unsorted on both sides: plain append. Levels >= 1 hold sorted
   // runs on both sides: compact ours if the combined run would overflow,
   // then a single sorted merge keeps the invariant.
@@ -115,12 +116,29 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     if (size_[0] == kLevelCap) compact(0);
     items_[0][size_[0]++] = other.items_[0][i];
   }
-  for (int l = 1; l < kLevels; ++l) {
+  for (int l = 1; l < kTop; ++l) {
     if (other.size_[l] == 0) continue;
     while (size_[l] + other.size_[l] > kLevelCap) compact(l);
     size_[l] = static_cast<std::uint16_t>(
         merge_sorted_runs(other.items_[l], other.size_[l], items_[l],
                           size_[l], items_[l]));
+  }
+  // The other side's top run, thinned to our top's weight; each in-place
+  // compaction that makes room for it coarsens our top once more.
+  float run[kLevelCap];
+  int n = other.size_[kTop];
+  std::memcpy(run, other.items_[kTop],
+              static_cast<std::size_t>(n) * sizeof(float));
+  for (int s = other.top_shift_; s < top_shift_ && n > 0; ++s) {
+    n = halve(run, n);
+  }
+  while (size_[kTop] + n > kLevelCap) {
+    compact(kTop);
+    n = halve(run, n);
+  }
+  if (n > 0) {
+    size_[kTop] = static_cast<std::uint16_t>(
+        merge_sorted_runs(run, n, items_[kTop], size_[kTop], items_[kTop]));
   }
 }
 

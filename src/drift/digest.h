@@ -63,10 +63,14 @@ class BinaryWriter;
 //
 // Capacity before the top level saturates is kLevelCap * 2^(kLevels-1)
 // (~2.1M items); past that the top level compacts in place and doubles its
-// weight via top_shift_, trading a little extra rank error for unbounded
-// streams. The expected rank error of a KLL compactor at this geometry is a
-// small constant (~1.5/kLevelCap per level pair); tests assert a
-// conservative end-to-end bound instead of the tight one.
+// weight via top_shift_, trading rank error for unbounded streams: each
+// in-place compaction may move a rank by one top item's weight, so the
+// error grows with the shift. A run entering a shifted top level (promoted,
+// or merged from a sketch with a smaller shift) is halved once per missing
+// shift, so every top item stands for the same weight. Below saturation the
+// expected rank error of a KLL compactor at this geometry is a small
+// constant (~1.5/kLevelCap per level pair); tests assert a conservative
+// end-to-end bound instead of the tight one.
 class QuantileSketch {
  public:
   static constexpr int kLevels = 16;
@@ -87,8 +91,10 @@ class QuantileSketch {
   // quantiles() at the one point q.
   float quantile(double q) const;
 
-  // Total weighted item count the sketch represents (== items added, exactly,
-  // since compaction preserves weight).
+  // Total weighted item count the sketch represents: the items added, as
+  // long as every compaction halves an even-length run (always so for add()
+  // below ~2.1M items); a halved odd-length run keeps its weight in
+  // expectation.
   std::uint64_t weight() const;
 
   bool empty() const { return weight() == 0; }
@@ -100,6 +106,10 @@ class QuantileSketch {
   // Compacts `level` into `level + 1` (or in place at the top), assuming
   // every level above has room or is recursively compacted first.
   void compact(int level);
+  // Keeps every other item of a sorted run in place, starting at the odd or
+  // even item as the xorshift bit says; returns the count kept. Each
+  // survivor then stands for twice its weight.
+  int halve(float* run, int n);
 
   float items_[kLevels][kLevelCap];
   std::uint16_t size_[kLevels];

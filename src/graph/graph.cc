@@ -36,6 +36,26 @@ void expect_weights(const Node& node, std::size_t n) {
       << op_type_name(node.type) << " '" << node.name << "'";
 }
 
+// The kernels index a Conv2D's, DepthwiseConv2D's or FullyConnected's bias,
+// and a per-channel weight's scales and zero points, by output channel, so
+// each holds exactly `channels` (a per-tensor weight one scale and one zero
+// point).
+void expect_channel_weights(const Node& node, std::int64_t channels) {
+  MLX_CHECK_EQ(node.weights[1].num_elements(), channels)
+      << op_type_name(node.type) << " '" << node.name
+      << "' bias length against its output channels";
+  for (const Tensor& w : node.weights) {
+    const QuantParams& q = w.quant();
+    if (!q.quantized()) continue;
+    const std::size_t want =
+        q.per_channel() ? static_cast<std::size_t>(channels) : 1;
+    MLX_CHECK(q.scales.size() == want && q.zero_points.size() == want)
+        << op_type_name(node.type) << " '" << node.name << "' weight holds "
+        << q.scales.size() << " scales and " << q.zero_points.size()
+        << " zero points for " << channels << " output channels";
+  }
+}
+
 }  // namespace
 
 void infer_node_output(const Graph& model, Node& node) {
@@ -55,6 +75,7 @@ void infer_node_output(const Graph& model, Node& node) {
       MLX_CHECK_EQ(fs.rank(), 4);
       MLX_CHECK_EQ(fs.dim(3), is.dim(3))
           << "conv '" << node.name << "' filter in-channels";
+      expect_channel_weights(node, fs.dim(0));
       node.output_shape = window_output(node, is, fs.dim(0));
       node.output_dtype = in.output_dtype;
       break;
@@ -69,9 +90,13 @@ void infer_node_output(const Graph& model, Node& node) {
       // depth_multiplier consecutive outputs (TFLite semantics).
       const Shape& fs = node.weights[0].shape();
       MLX_CHECK_EQ(is.rank(), 4);
+      MLX_CHECK(fs.rank() == 4 && fs.dim(0) == 1)
+          << "depthwise '" << node.name << "' filter " << fs.to_string()
+          << " is not [1, kh, kw, channels]";
       MLX_CHECK(fs.dim(3) % is.dim(3) == 0)
           << "depthwise '" << node.name << "' filter channels (" << fs.dim(3)
           << ") must be a multiple of input channels (" << is.dim(3) << ")";
+      expect_channel_weights(node, fs.dim(3));
       node.output_shape = window_output(node, is, fs.dim(3));
       node.output_dtype = in.output_dtype;
       break;
@@ -81,12 +106,14 @@ void infer_node_output(const Graph& model, Node& node) {
       expect_weights(node, 2);
       const Node& in = input_node(model, node, 0);
       const Shape& ws = node.weights[0].shape();  // [out, in]
+      MLX_CHECK_EQ(ws.rank(), 2) << "fc '" << node.name << "' weight rank";
       std::int64_t flat = 1;
       for (int d = 1; d < in.output_shape.rank(); ++d) {
         flat *= in.output_shape.dim(d);
       }
       MLX_CHECK_EQ(ws.dim(1), flat)
           << "fc '" << node.name << "' input size mismatch";
+      expect_channel_weights(node, ws.dim(0));
       node.output_shape = Shape{in.output_shape.dim(0), ws.dim(0)};
       node.output_dtype = in.output_dtype;
       break;
@@ -216,6 +243,14 @@ void infer_node_output(const Graph& model, Node& node) {
       expect_inputs(node, 1);
       expect_weights(node, 4);
       const Node& in = input_node(model, node, 0);
+      const Shape& is = in.output_shape;
+      MLX_CHECK_GT(is.rank(), 0) << "batch_norm '" << node.name << "'";
+      // gamma, beta, moving mean and moving variance: one per channel.
+      for (const Tensor& w : node.weights) {
+        MLX_CHECK_EQ(w.num_elements(), is.dim(is.rank() - 1))
+            << "batch_norm '" << node.name
+            << "' weight length against its input channels";
+      }
       node.output_shape = in.output_shape;
       node.output_dtype = in.output_dtype;
       break;

@@ -1,14 +1,35 @@
 #include "src/interpreter/engine.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "src/interpreter/invoke_observer.h"
 #include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
 
 namespace {
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+// Keeps a copy of each step's output, by node id: how the canary reads a
+// session's layers after invoke. The copies keep their storage across
+// invokes of the same graph.
+class StepCopies final : public InvokeObserver {
+ public:
+  explicit StepCopies(std::size_t nodes) : outputs_(nodes) {}
+
+  void on_step(const Node& node, const Tensor& output,
+               double latency_ms) override {
+    (void)latency_ms;
+    outputs_[static_cast<std::size_t>(node.id)] = output;
+  }
+
+  const Tensor& output(int node_id) const {
+    return outputs_[static_cast<std::size_t>(node_id)];
+  }
+
+ private:
+  std::vector<Tensor> outputs_;
+};
 }  // namespace
 
 // One model name's canary: the reference Model + its single shadow Session,
@@ -19,6 +40,8 @@ struct Engine::CanaryState {
   CanaryOptions options;
   std::unique_ptr<Model> model;      // reference
   std::unique_ptr<Session> session;  // rebuilt if a reference invoke poisons it
+  // The reference session's layers of the last shadow, copied as it ran.
+  std::unique_ptr<StepCopies> reference_steps;
 
   // Counters are atomics because release_counter and skipped_busy are
   // bumped without the shadow lock. canary_report() is the only reader of
@@ -74,27 +97,35 @@ struct Engine::CanaryState {
     mapping_ok = true;
   }
 
-  // Requires shadow_mu held; prod's activations are owned by the releasing
-  // thread until release() takes the pool lock.
-  void shadow_locked(std::uint64_t version_id, const Graph& prod_graph,
-                     const Session& prod) {
-    if (mapped_version != version_id) build_mapping(version_id, prod_graph);
+  // Requires shadow_mu held, and a lease on `version` (it pins the Model
+  // the replay runs on). prod is owned by the releasing thread until
+  // release() takes the pool lock.
+  void shadow_locked(const Version& version, const Session& prod) {
+    const Graph& prod_graph = version.model->graph();
+    if (mapped_version != version.version_id) {
+      build_mapping(version.version_id, prod_graph);
+    }
     if (!mapping_ok) {
       skipped_layout.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    // The served frame is replayed through a fresh session of the same
+    // Model, and through the reference, each step's output copied as it
+    // runs. The plan is deterministic, so the replay's layers are the
+    // served ones. Graph inputs are pinned: readable after invoke.
+    StepCopies served(prod_graph.nodes.size());
+    Session replay(version.model.get());
+    replay.set_observer(&served);
+    session->set_observer(reference_steps.get());
     for (std::size_t i = 0; i < prod_input_ids.size(); ++i) {
-      const Tensor& src = prod.node_output(prod_input_ids[i]);
-      Tensor& dst = session->mutable_input(static_cast<int>(i));
-      MLX_CHECK_EQ(dst.byte_size(), src.byte_size());
-      std::memcpy(dst.raw_data(), src.raw_data(), src.byte_size());
+      const Tensor& input = prod.node_output(prod_input_ids[i]);
+      replay.set_input(static_cast<int>(i), input);
+      session->set_input(static_cast<int>(i), input);
     }
-    const InvokeStatus status = session->try_invoke();
-    if (!status.ok()) {
+    if (!replay.try_invoke().ok() || !session->try_invoke().ok()) {
       reference_errors.fetch_add(1, std::memory_order_relaxed);
       if (session->poisoned()) {
-        session =
-            std::make_unique<Session>(model.get(), Retention::kPreserveAll);
+        session = std::make_unique<Session>(model.get());
       }
       return;
     }
@@ -110,8 +141,9 @@ struct Engine::CanaryState {
       // Paper metric, same direction as per_layer_drift: the edge
       // (production) activations against the reference's, normalized by the
       // reference value range.
-      const double err = normalized_rmse(
-          prod.node_output(prod_id), session->node_output(steps[s].node->id));
+      const double err =
+          normalized_rmse(served.output(prod_id),
+                          reference_steps->output(steps[s].node->id));
       err_sum[s] += err;
       ++err_count[s];
       if (observed) event.frame.add(steps[s].node->name, err, 1);
@@ -293,8 +325,8 @@ SessionLease Engine::lease_locked(Version* version) {
   // Pool miss: build a new session. Session construction only reads the
   // immutable Model, but stays under the lock so the sessions/free_list
   // bookkeeping is simple; misses only happen while the pool warms up.
-  version->sessions.push_back(std::make_unique<Session>(
-      version->model.get(), pooled_retention(canary_for_pool(entry.name))));
+  version->sessions.push_back(
+      std::make_unique<Session>(version->model.get()));
   ++entry.stats.sessions_created;
   // Reserve free-list capacity for every session ever created, so release()
   // can push_back without allocating — part of the zero-alloc steady-state
@@ -346,25 +378,22 @@ void Engine::release(Version* version, Session* session) {
   // leaseholder may have destroyed.
   session->set_observer(nullptr);
   // Canary shadowing runs here, before the pool lock: the releasing thread
-  // still owns the session (its activations are the production frame being
-  // diffed) and the lease still pins version + entry. The sampled slow path
-  // pays a reference invoke; the common path pays one relaxed load.
+  // still owns the session (its inputs are the production frame being
+  // replayed) and the lease still pins version + entry. The sampled slow
+  // path pays a replay and a reference invoke; the common path pays one
+  // relaxed load.
   const std::shared_ptr<CanaryState> canary =
       canary_for_pool(version->entry->name);
   if (canary != nullptr) maybe_shadow(*canary, version, session);
   const bool poisoned = session->poisoned();
-  const bool stale_retention =
-      session->retention() != pooled_retention(canary);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = *version->entry;
   MLX_CHECK_GT(version->leases_outstanding, 0u);
   --version->leases_outstanding;
-  if (poisoned || version->draining || stale_retention) {
+  if (poisoned || version->draining) {
     // Pool-integrity rule: a poisoned session (partial activations from a
-    // contained kernel failure) is never re-leased; a draining version
-    // gives sessions back to the allocator, not the free list; and a
-    // session built before the name's canary was enabled or disabled is
-    // rebuilt with the retention the canary now needs.
+    // contained kernel failure) is never re-leased, and a draining version
+    // gives sessions back to the allocator, not the free list.
     if (poisoned) {
       entry.stats.invoke_errors += session->last_stats().invoke_errors;
     }
@@ -451,10 +480,6 @@ std::shared_ptr<Engine::CanaryState> Engine::canary_for_pool(
   return canary_for(name);
 }
 
-Retention Engine::pooled_retention(const std::shared_ptr<CanaryState>& canary) {
-  return canary != nullptr ? Retention::kPreserveAll : Retention::kLean;
-}
-
 void Engine::enable_canary(const std::string& name, Graph reference,
                            const OpResolver* resolver, CanaryOptions options) {
   MLX_CHECK_GT(options.shadow_every, 0u) << "shadow_every must be >= 1";
@@ -465,8 +490,9 @@ void Engine::enable_canary(const std::string& name, Graph reference,
   state->model = std::make_unique<Model>(
       std::move(reference), resolver != nullptr ? resolver : resolver_,
       pool_.get(), num_threads_);
-  state->session =
-      std::make_unique<Session>(state->model.get(), Retention::kPreserveAll);
+  state->session = std::make_unique<Session>(state->model.get());
+  state->reference_steps =
+      std::make_unique<StepCopies>(state->model->graph().nodes.size());
   const std::size_t steps = state->model->plan().steps().size();
   state->err_sum.assign(steps, 0.0);
   state->err_count.assign(steps, 0);
@@ -515,18 +541,12 @@ void Engine::set_canary_observer(const std::string& name,
 
 void Engine::maybe_shadow(CanaryState& canary, Version* version,
                           Session* session) {
-  // Only coherent frames are diffed: a poisoned session or a
-  // deadline-expired invoke left partial activations.
+  // Only coherent frames are replayed: a poisoned session or a
+  // deadline-expired invoke did not serve one.
   if (session->poisoned() || !session->last_invoke_ok()) return;
   const std::uint64_t n =
       canary.release_counter.fetch_add(1, std::memory_order_relaxed) + 1;
   if (n % canary.options.shadow_every != 0) return;
-  if (session->retention() != Retention::kPreserveAll) {
-    // Leased lean before the canary was enabled: its layers' bytes were
-    // reused, so there is no frame to diff (release() rebuilds it).
-    canary.skipped_layout.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   std::unique_lock<std::mutex> lock(canary.shadow_mu, std::try_to_lock);
   if (!lock.owns_lock()) {
     // Another release is mid-shadow; drop the sample rather than stall the
@@ -534,7 +554,7 @@ void Engine::maybe_shadow(CanaryState& canary, Version* version,
     canary.skipped_busy.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  canary.shadow_locked(version->version_id, version->model->graph(), *session);
+  canary.shadow_locked(*version, *session);
 }
 
 }  // namespace mlexray

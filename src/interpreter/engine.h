@@ -44,13 +44,11 @@
 // so a stale TraceBuffer attachment never fires for the next leaseholder.
 // The Engine must outlive every lease it issued.
 //
-// Retention. Pooled sessions are lean (src/interpreter/session.h), except
-// for a name with an enabled canary: the canary diffs that name's frames
-// layer by layer after invoke, so a pool miss builds a kPreserveAll
-// session, and release() destroys a session whose retention no longer
-// matches the name's canary state instead of re-pooling it. The pool
-// converges after enable_canary and goes back to lean after
-// disable_canary.
+// One kind of session. Every pooled session is one planned activation
+// block (src/interpreter/session.h), canary or not: a canary replays a
+// sampled frame from the released session's inputs instead of reading its
+// layers after invoke (src/drift/canary.h), so enabling or disabling one
+// never changes what the pool holds.
 #pragma once
 
 #include <atomic>
@@ -84,8 +82,7 @@ struct EnginePoolStats {
   std::size_t leases_outstanding = 0;    // across live versions
   std::uint64_t versions_retired = 0;    // fully drained and freed
   std::uint64_t invoke_errors = 0;       // contained kernel failures
-  // Poisoned, drained, and rebuilt for a canary's retention.
-  std::size_t sessions_destroyed = 0;
+  std::size_t sessions_destroyed = 0;    // poisoned or drained
   std::size_t prepared_bytes_total = 0;  // across live versions
 };
 
@@ -218,12 +215,9 @@ class Engine {
   // thread BEFORE mu_ is taken (the lease still pins version/entry).
   void maybe_shadow(CanaryState& canary, Version* version, Session* session);
   std::shared_ptr<CanaryState> canary_for(const std::string& name) const;
-  // canary_for behind the canary_active_ gate: the lease and release paths'
-  // lookup, lock-free while no canary is enabled.
+  // canary_for behind the canary_active_ gate: the release path's lookup,
+  // lock-free while no canary is enabled.
   std::shared_ptr<CanaryState> canary_for_pool(const std::string& name) const;
-  // The retention a name's pooled sessions are built with: kPreserveAll
-  // while a canary diffs its layers after invoke, kLean otherwise.
-  static Retention pooled_retention(const std::shared_ptr<CanaryState>& canary);
 
   const OpResolver* resolver_;
   int num_threads_;
@@ -248,10 +242,9 @@ class Engine {
 };
 
 // RAII handle to a pooled Session. Move-only; the destructor returns the
-// session to the engine, which re-pools it (healthy), destroys it
-// (poisoned, version draining, or a retention the name's canary state no
-// longer wants), and retires the pinned version when its last lease comes
-// home.
+// session to the engine, which re-pools it (healthy) or destroys it
+// (poisoned, or its version draining), and retires the pinned version when
+// its last lease comes home.
 class SessionLease {
  public:
   SessionLease() = default;

@@ -9,11 +9,17 @@
 // captures into pre-sized storage so a steady-state instrumented invoke stays
 // heap-free, preserving the paper's <0.4% overhead budget (Table 2).
 //
+// This is the one way to read an intermediate layer: a Session keeps its
+// activations in one planned block, and after invoke serves only the graph
+// inputs and outputs. EdgeMLMonitor (per-layer capture), the Calibrator
+// (activation ranges) and the Engine canary (per-layer drift) all read
+// layers here.
+//
 // Contract: hooks run on the invoke thread, between kernel executions. They
 // must not call back into the session's mutating API, must not retain the
-// tensor reference past the callback (on a lean session it is a view into
-// the session's activation block, whose bytes a later step of the same
-// invoke may reuse), and should not allocate in steady state — that
+// tensor reference past the callback (it is a view into the session's
+// activation block, whose bytes a later step of the same invoke may reuse),
+// and should not allocate in steady state — that
 // includes digest capture (src/drift/digest.h): per-layer sketches
 // accumulated in on_step are fixed-size inline storage, reset and refilled
 // in place per frame. The observer must stay alive while attached; detach

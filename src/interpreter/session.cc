@@ -18,7 +18,7 @@ namespace mlexray {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-// The lean block's base address alignment, matching the layout's offsets.
+// The block's base address alignment, matching the layout's offsets.
 constexpr std::size_t kBlockAlign = 64;
 
 double ms_since(Clock::time_point start) {
@@ -36,48 +36,38 @@ void poke_nan(Tensor& t) {
 }
 }  // namespace
 
-Session::Session(const Model* model, Retention retention)
-    : model_(model), retention_(retention) {
+Session::Session(const Model* model) : model_(model) {
   const auto start = Clock::now();
   MLX_CHECK(model != nullptr);
   const Graph& graph = model_->graph();
 
-  // One activation tensor per node id. The vector is sized once and never
-  // grows: the contexts wire raw pointers into it.
+  // One zeroed block, counted as one allocation; each node's output is a
+  // view at its planned offset. The vector is sized once and never grows:
+  // the contexts wire raw pointers into it.
+  const ActivationLayout& layout = model_->activation_layout();
+  block_ = Tensor::u8(
+      Shape{static_cast<std::int64_t>(layout.block_bytes + kBlockAlign - 1)});
+  std::uint8_t* base = block_.data<std::uint8_t>();
+  const std::uintptr_t misalign =
+      reinterpret_cast<std::uintptr_t>(base) % kBlockAlign;
+  if (misalign != 0) base += kBlockAlign - misalign;
   activations_.reserve(graph.nodes.size());
-  if (retention_ == Retention::kLean) {
-    // One zeroed block, counted as one allocation; each node's output is a
-    // view at its planned offset.
-    const ActivationLayout& layout = model_->activation_layout();
-    block_ = Tensor::u8(Shape{
-        static_cast<std::int64_t>(layout.block_bytes + kBlockAlign - 1)});
-    std::uint8_t* base = block_.data<std::uint8_t>();
-    const std::uintptr_t misalign =
-        reinterpret_cast<std::uintptr_t>(base) % kBlockAlign;
-    if (misalign != 0) base += kBlockAlign - misalign;
-    for (const Node& n : graph.nodes) {
-      activations_.push_back(
-          Tensor(n.output_dtype, n.output_shape, n.output_quant,
-                 base + layout.offsets[static_cast<std::size_t>(n.id)]));
-    }
+  for (const Node& n : graph.nodes) {
+    activations_.push_back(
+        Tensor(n.output_dtype, n.output_shape, n.output_quant,
+               base + layout.offsets[static_cast<std::size_t>(n.id)]));
+  }
 #if defined(__SANITIZE_ADDRESS__)
-    // Only the pinned inputs and outputs stay addressable between steps;
-    // the alignment slack around the layout never is.
-    ASAN_POISON_MEMORY_REGION(block_.raw_data(), block_.byte_size());
-    for (const Node& n : graph.nodes) {
-      if (layout.pinned[static_cast<std::size_t>(n.id)]) {
-        const Tensor& t = activations_[static_cast<std::size_t>(n.id)];
-        ASAN_UNPOISON_MEMORY_REGION(t.raw_data(), t.byte_size());
-      }
-    }
-#endif
-  } else {
-    for (const Node& n : graph.nodes) {
-      Tensor t(n.output_dtype, n.output_shape);
-      t.quant() = n.output_quant;
-      activations_.push_back(std::move(t));
+  // Only the pinned inputs and outputs stay addressable between steps; the
+  // alignment slack around the layout never is.
+  ASAN_POISON_MEMORY_REGION(block_.raw_data(), block_.byte_size());
+  for (const Node& n : graph.nodes) {
+    if (layout.pinned[static_cast<std::size_t>(n.id)]) {
+      const Tensor& t = activations_[static_cast<std::size_t>(n.id)];
+      ASAN_UNPOISON_MEMORY_REGION(t.raw_data(), t.byte_size());
     }
   }
+#endif
 
   // Wire one context per shared plan step against this session's activations
   // and arena. The plan itself stays untouched — this is the only per-session
@@ -216,27 +206,20 @@ const Tensor& Session::output(int output_index) const {
 const Tensor& Session::node_output(int node_id) const {
   MLX_CHECK(node_id >= 0 && node_id < static_cast<int>(activations_.size()));
   const auto id = static_cast<std::size_t>(node_id);
-  MLX_CHECK(retention_ == Retention::kPreserveAll ||
-            model_->activation_layout().pinned[id])
+  MLX_CHECK(model_->activation_layout().pinned[id])
       << "node '" << graph().nodes[id].name
-      << "' is an intermediate layer of a lean session, whose bytes are "
-         "reused once its last consumer has run; build the Session with "
-         "Retention::kPreserveAll to read it after invoke";
+      << "' is an intermediate layer, whose bytes are reused once its last "
+         "consumer has run; read it while its step runs, through an "
+         "InvokeObserver or an EdgeMLMonitor with per_layer_outputs";
   return activations_[id];
 }
 
 std::size_t Session::activation_bytes() const {
-  if (retention_ == Retention::kLean) {
-    return model_->activation_layout().block_bytes;
-  }
-  std::size_t total = 0;
-  for (const Tensor& t : activations_) total += t.byte_size();
-  return total;
+  return model_->activation_layout().block_bytes;
 }
 
 void Session::asan_step(std::size_t i, bool expose) {
 #if defined(__SANITIZE_ADDRESS__)
-  if (retention_ != Retention::kLean) return;
   const std::vector<bool>& pinned = model_->activation_layout().pinned;
   const Node& node = *contexts_[i].node;
   const auto mark = [&](int node_id) {

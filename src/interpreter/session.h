@@ -10,15 +10,15 @@
 // tests enforce per session even when many sessions run the same Model
 // concurrently.
 //
-// Retention decides what the activations are. A lean session (the default)
-// allocates one block laid out by the Model's ActivationLayout and wires a
-// view per node into it, so a layer's bytes are reused once its last
-// consumer has run; after invoke only the graph inputs and outputs can be
-// read. Per-layer capture needs no more: an InvokeObserver sees each step's
-// output while the step runs. A kPreserveAll session keeps one tensor per
-// node for its whole life, TFLite's experimental_preserve_all_tensors, for
-// the callers that read intermediate layers after invoke: the Calibrator
-// and the Engine canary's sessions.
+// A session's activations are one block laid out by the Model's
+// ActivationLayout, with a view per node into it, so a layer's bytes are
+// reused once its last consumer has run; after invoke only the graph inputs
+// and outputs can be read. Every layer is read while its step runs: an
+// InvokeObserver sees each step's output before a later step may reuse its
+// bytes (EdgeMLMonitor, the Calibrator and the Engine canary all read
+// layers this way). Code that wants a layer after invoke copies it there,
+// or builds its Model from a graph whose outputs list that layer (outputs
+// are pinned).
 //
 // Thread safety: a Session is single-threaded (one invoke at a time), but
 // different Sessions over the same Model may invoke concurrently from
@@ -36,12 +36,6 @@
 namespace mlexray {
 
 class InvokeObserver;
-
-// What a Session keeps of an invoke (see the file comment).
-enum class Retention {
-  kLean,         // one planned block; inputs and outputs readable after invoke
-  kPreserveAll,  // one tensor per node; every layer readable after invoke
-};
 
 // Outcome of a guarded invoke (Session::try_invoke).
 enum class InvokeCode {
@@ -97,7 +91,7 @@ struct SessionStats {
 class Session {
  public:
   // model must outlive the session.
-  explicit Session(const Model* model, Retention retention = Retention::kLean);
+  explicit Session(const Model* model);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -109,8 +103,8 @@ class Session {
   // assemble the input in place (e.g. the FrontDoor batcher memcpys one
   // request row at a time instead of staging a full batch tensor). The
   // caller owns shape discipline: the tensor's shape/dtype must not change
-  // (on a lean session the slot is a view, and assigning a tensor of
-  // another shape or dtype onto it throws).
+  // (the slot is a view into the activation block, and assigning a tensor
+  // of another shape or dtype onto it throws).
   Tensor& mutable_input(int input_index);
 
   // Runs all nodes in topological order over the shared prepared plan.
@@ -161,13 +155,10 @@ class Session {
   // The i-th model output of the last invoke.
   const Tensor& output(int output_index = 0) const;
 
-  // A node's output after invoke (per-layer inspection). Every node on a
-  // kPreserveAll session; on a lean session only graph inputs and outputs,
-  // and any other node throws MlxError: its bytes may already hold a later
-  // layer's output.
+  // A graph input's or output's tensor after invoke. Any other node throws
+  // MlxError: its bytes may already hold a later layer's output, so it is
+  // read while its step runs (see the file comment).
   const Tensor& node_output(int node_id) const;
-
-  Retention retention() const { return retention_; }
 
   const Model& model() const { return *model_; }
   const Graph& graph() const { return model_->graph(); }
@@ -175,8 +166,7 @@ class Session {
   const SessionStats& last_stats() const { return stats_; }
   const ScratchArena& scratch_arena() const { return arena_; }
 
-  // Bytes held by this session's activations: the planned block of a lean
-  // session, every node's tensor on a kPreserveAll one.
+  // Bytes held by this session's activations: the planned block.
   std::size_t activation_bytes() const;
 
  private:
@@ -184,17 +174,16 @@ class Session {
                               std::chrono::steady_clock::time_point deadline);
   // ASan builds only: makes step i's unpinned inputs and output addressable
   // (expose) or poisoned again, so a kernel that writes past its output
-  // inside the lean block trips ASan unless the bytes it hits belong to a
-  // tensor of the same step. A no-op in other builds.
+  // inside the block trips ASan unless the bytes it hits belong to a tensor
+  // of the same step. A no-op in other builds.
   void asan_step(std::size_t i, bool expose);
 
   const Model* model_;
-  Retention retention_;
   ScratchArena arena_;
-  // Lean: the activation block (with alignment slack, so the layout's
-  // 64-byte offsets are 64-byte addresses); empty when preserving all.
+  // The activation block, with alignment slack so the layout's 64-byte
+  // offsets are 64-byte addresses.
   Tensor block_;
-  // One per node id: views into block_ (lean) or owning tensors.
+  // One view into block_ per node id.
   std::vector<Tensor> activations_;
   // One wired context per plan step (inputs/output point into activations_,
   // arena/pool/prepared attached); built once, reused verbatim every invoke.

@@ -12,9 +12,7 @@ constexpr float kEmaMomentum = 0.9f;
 }  // namespace
 
 Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
-    : options_(options),
-      model_(model, &resolver_),
-      session_(&model_, Retention::kPreserveAll) {
+    : options_(options), model_(model, &resolver_), session_(&model_) {
   const std::size_t n = model->nodes.size();
   sample_mins_.resize(n);
   sample_maxs_.resize(n);
@@ -22,36 +20,45 @@ Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
   ema_max_.assign(n, 0.0f);
   global_min_.assign(n, 3.4e38f);
   global_max_.assign(n, -3.4e38f);
+  session_.set_observer(this);
 }
 
 void Calibrator::observe(const std::vector<Tensor>& inputs) {
-  MLX_CHECK_EQ(inputs.size(), model_.input_ids().size())
+  const std::vector<int>& input_ids = model_.input_ids();
+  MLX_CHECK_EQ(inputs.size(), input_ids.size())
       << "a calibration sample of model '" << model_.name()
       << "' holds one tensor per graph input";
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     session_.set_input(static_cast<int>(i), inputs[i]);
   }
-  session_.invoke();
-  for (const Node& n : model_.graph().nodes) {
-    // Every node, each graph input included, reads its own slot.
-    const Tensor& out = session_.node_output(n.id);
-    if (out.dtype() != DType::kF32 && n.type != OpType::kInput) continue;
-    TensorSummary s = summarize(out);
-    const auto id = static_cast<std::size_t>(n.id);
-    sample_mins_[id].push_back(s.min);
-    sample_maxs_[id].push_back(s.max);
-    global_min_[id] = std::min(global_min_[id], s.min);
-    global_max_[id] = std::max(global_max_[id], s.max);
-    if (samples_ == 0) {
-      ema_min_[id] = s.min;
-      ema_max_[id] = s.max;
-    } else {
-      const float m = kEmaMomentum;
-      ema_min_[id] = m * ema_min_[id] + (1.0f - m) * s.min;
-      ema_max_[id] = m * ema_max_[id] + (1.0f - m) * s.max;
-    }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    record(input_ids[i], inputs[i]);
   }
+  session_.invoke();
   ++samples_;
+}
+
+void Calibrator::on_step(const Node& node, const Tensor& output,
+                         double latency_ms) {
+  (void)latency_ms;
+  if (output.dtype() == DType::kF32) record(node.id, output);
+}
+
+void Calibrator::record(int node_id, const Tensor& value) {
+  const TensorSummary s = summarize(value);
+  const auto id = static_cast<std::size_t>(node_id);
+  sample_mins_[id].push_back(s.min);
+  sample_maxs_[id].push_back(s.max);
+  global_min_[id] = std::min(global_min_[id], s.min);
+  global_max_[id] = std::max(global_max_[id], s.max);
+  if (samples_ == 0) {
+    ema_min_[id] = s.min;
+    ema_max_[id] = s.max;
+  } else {
+    const float m = kEmaMomentum;
+    ema_min_[id] = m * ema_min_[id] + (1.0f - m) * s.min;
+    ema_max_[id] = m * ema_max_[id] + (1.0f - m) * s.max;
+  }
 }
 
 Calibrator::Range Calibrator::range(int node_id) const {

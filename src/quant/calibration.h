@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "src/interpreter/invoke_observer.h"
 #include "src/interpreter/session.h"
 
 namespace mlexray {
@@ -19,14 +20,16 @@ struct CalibrationOptions {
   double percentile = 99.5;  // for kPercentile (per-sample extremes)
 };
 
-class Calibrator {
+// The Calibrator observes its own session: each f32 layer's extremes are
+// read in on_step, while the activation block still holds the layer.
+class Calibrator : private InvokeObserver {
  public:
   // model must be a converted float inference model and outlive this object.
   Calibrator(const Graph* model, CalibrationOptions options = {});
 
   // Runs one representative sample through the float model and records
-  // every node's output extremes, read after invoke from a
-  // Retention::kPreserveAll session.
+  // every node's output extremes: each graph input's from the tensor handed
+  // in (of any dtype), each f32 layer's as its step runs.
   void observe(const std::vector<Tensor>& inputs);
 
   struct Range {
@@ -38,6 +41,11 @@ class Calibrator {
   Range range(int node_id) const;
 
  private:
+  void on_step(const Node& node, const Tensor& output,
+               double latency_ms) override;
+  // Folds one sample's extremes of a node into its running ranges.
+  void record(int node_id, const Tensor& value);
+
   CalibrationOptions options_;
   RefOpResolver resolver_;  // calibration uses reference float kernels
   Model model_;             // non-owning view of the caller's Graph

@@ -5,8 +5,8 @@
 // shape (NHWC for rank-4 activations).
 //
 // A tensor either owns its bytes or is a view: a non-owning window into a
-// lean Session's activation block (src/interpreter/session.h), the only
-// code that creates views. data(), raw_data(), byte_size(), shape() and
+// Session's activation block (src/interpreter/session.h), the only code that
+// creates views. data(), raw_data(), byte_size(), shape() and
 // quant() behave the same for both forms. AllocStats counts owned bytes only
 // (the session counts its block once). Copying a view gives an owning deep
 // copy. Assigning onto a view writes the bytes through when dtype and shape

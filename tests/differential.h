@@ -2,15 +2,18 @@
 // on the same inputs and compares them layer by layer (the paper's §3.4
 // method, applied to the runtime itself). Each side captures every layer of
 // every frame through the product's own capture path, an EdgeMLMonitor with
-// per_layer_outputs, so either side may be a lean session.
+// per_layer_outputs, while each step runs.
 //
 // A cell is a deployed graph and the frames it serves. A side is how one
-// session runs it: resolver, thread cap, retention, scalar or vector path.
-// The axes turn one knob of a base side and demand the same layers:
+// session runs it: resolver, thread cap, scalar or vector path. The base
+// capture runs on a fresh session, whose activation block is zeroed; every
+// other capture first serves the cell's last frame uncaptured, so each of
+// its frames reuses bytes another input left, and a kernel that reads its
+// output's old bytes shows. The axes turn one knob of the base and demand
+// the same layers:
+//  - warm: the base side on a warmed session;
 //  - resolver: the reference kernels against the optimized ones;
 //  - thread cap: t2 and t4 against t1, on a shared pool;
-//  - retention: a lean session, first warmed on another frame, against a
-//    kPreserveAll session at the same cap;
 //  - batch row: each row of a batch-b run against its batch-1 twin;
 //  - scalar path: force_scalar_kernels_for_testing against the vector path.
 // One rule decides "the same": equal dtype, size and bytes. The single
@@ -139,7 +142,6 @@ struct Side {
   const OpResolver* resolver = nullptr;
   int threads = 1;
   ThreadPool* pool = nullptr;  // shared; null gives the model its own
-  Retention retention = Retention::kLean;
   bool scalar = false;  // force_scalar_kernels_for_testing while it runs
 };
 
@@ -161,11 +163,14 @@ struct Capture {
   Trace trace;
 };
 
+// How a capture's session starts: fresh (its block zeroed) for the base,
+// warm (the cell's last frame served uncaptured first) for every other side.
+enum class Start { kFresh, kWarm };
+
 // Builds the side's model and session and serves every frame of the cell,
-// capturing each layer as the step runs. A lean side first serves the last
-// frame uncaptured, so every captured frame reuses bytes another input left.
+// capturing each layer as the step runs.
 inline Capture capture(const Graph& graph, const std::vector<Frame>& frames,
-                       const Side& side) {
+                       const Side& side, Start start = Start::kWarm) {
   MLX_CHECK(!frames.empty());
   const ScalarScope scalar(side.scalar);
   Capture r{side, nullptr, nullptr, {}};
@@ -173,13 +178,13 @@ inline Capture capture(const Graph& graph, const std::vector<Frame>& frames,
                                                 side.pool, side.threads)
                       : std::make_unique<Model>(&graph, side.resolver,
                                                 side.threads);
-  r.session = std::make_unique<Session>(r.model.get(), side.retention);
+  r.session = std::make_unique<Session>(r.model.get());
   const auto serve = [&](const Frame& frame) {
     for (std::size_t i = 0; i < frame.size(); ++i) {
       r.session->set_input(static_cast<int>(i), frame[i]);
     }
   };
-  if (side.retention == Retention::kLean) {
+  if (start == Start::kWarm) {
     serve(frames.back());
     r.session->invoke();
   }
@@ -199,8 +204,9 @@ inline Capture capture(const Graph& graph, const std::vector<Frame>& frames,
   return r;
 }
 
-inline Capture capture(const Cell& cell, const Side& side) {
-  return capture(cell.graph, cell.frames, side);
+inline Capture capture(const Cell& cell, const Side& side,
+                       Start start = Start::kWarm) {
+  return capture(cell.graph, cell.frames, side, start);
 }
 
 // --- the comparison ----------------------------------------------------------
@@ -277,7 +283,7 @@ inline ::testing::AssertionResult layers_agree(const Trace& want,
 
 // --- the axes ----------------------------------------------------------------
 
-// Resolver: the reference kernels, one thread, the base's retention.
+// Resolver: the reference kernels, one thread.
 inline Side reference_side(const Side& base, const OpResolver* ref) {
   Side side = base;
   side.resolver = ref;
@@ -292,13 +298,6 @@ inline Side capped_side(const Side& base, ThreadPool* pool, int threads) {
   Side side = base;
   side.pool = pool;
   side.threads = threads;
-  return side;
-}
-
-// Retention: the base side as a lean session.
-inline Side lean_side(const Side& base) {
-  Side side = base;
-  side.retention = Retention::kLean;
   return side;
 }
 

@@ -106,6 +106,48 @@ TEST(QuantileSketch, TracksExactQuantilesWithinRankBound) {
   EXPECT_EQ(sketch.weight(), 0u);
 }
 
+// Past ~2.1M items the top level compacts in place, and each top item then
+// stands for more inputs than a promoted survivor. A run entering the top,
+// promoted from below or merged from a sketch with a smaller shift, is
+// thinned to the top's weight; otherwise weight() overcounts and later
+// samples outweigh earlier ones. A stream whose second half lies above its
+// first shows both: 2^21 draws from [0, 1) then 2^21 from [1, 2) have
+// quartiles 0.5, 1.0 and 1.5, and so does its union with 3 * 2^20 draws
+// from [0, 2), a sketch with a smaller top shift, merged either way round.
+TEST(QuantileSketch, KeepsWeightAndQuartilesPastSaturation) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 21;
+  Pcg32 rng(7);
+  const auto stream = [&](QuantileSketch& sketch, std::uint64_t n, float lo,
+                          float hi) {
+    for (std::uint64_t i = 0; i < n; ++i) sketch.add(rng.uniform(lo, hi));
+  };
+  const auto expect_quartiles = [](const QuantileSketch& sketch,
+                                   std::uint64_t items, const char* what) {
+    EXPECT_NEAR(static_cast<double>(sketch.weight()),
+                static_cast<double>(items), 0.01 * static_cast<double>(items))
+        << what;
+    const double points[] = {0.25, 0.5, 0.75};
+    sketch.quantiles(points, [&](std::size_t i, float v) {
+      EXPECT_NEAR(v, 0.5 * static_cast<double>(i + 1), 0.1)
+          << what << ": quartile " << i + 1;
+    });
+  };
+  QuantileSketch two_phase;
+  stream(two_phase, kHalf, 0.0f, 1.0f);
+  stream(two_phase, kHalf, 1.0f, 2.0f);
+  expect_quartiles(two_phase, 2 * kHalf, "two-phase stream");
+
+  QuantileSketch uniform;
+  stream(uniform, 3 * kHalf / 2, 0.0f, 2.0f);
+  constexpr std::uint64_t kUnion = 2 * kHalf + 3 * kHalf / 2;
+  QuantileSketch into_uniform = uniform;
+  into_uniform.merge(two_phase);
+  expect_quartiles(into_uniform, kUnion, "two-phase merged into uniform");
+  QuantileSketch into_two_phase = two_phase;
+  into_two_phase.merge(uniform);
+  expect_quartiles(into_two_phase, kUnion, "uniform merged into two-phase");
+}
+
 // The mergeable-sketch contract the fleet aggregator rests on: a digest
 // merged over N shards answers like a digest of the concatenated stream.
 // Moments are exact either way; quantiles obey the same rank bound.
@@ -753,7 +795,7 @@ TEST(DigestCapture, QuantizedLayersTakeTheExactHistogramPath) {
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
   Model model(&qm, &opt);
-  Session session(&model, Retention::kPreserveAll);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_digests = true;
   EdgeMLMonitor monitor(opts);
@@ -770,9 +812,7 @@ TEST(DigestCapture, QuantizedLayersTakeTheExactHistogramPath) {
   int int8_digests = 0;
   for (std::size_t i = 0; i < f.layer_digests.size(); ++i) {
     const LayerDigest& d = f.layer_digests[i];
-    const Tensor& retained =
-        session.node_output(session.plan().steps()[i].node->id);
-    EXPECT_EQ(d.dtype, retained.dtype());
+    EXPECT_EQ(d.dtype, session.plan().steps()[i].node->output_dtype);
     if (d.integer_path()) {
       ++int8_digests;
       EXPECT_GT(d.scale, 0.0f) << "int digest lost its quant params";
@@ -995,62 +1035,55 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
   EXPECT_EQ(after.skipped_layout, 1u);
 }
 
-// A name's pooled sessions follow its canary: lean while none is enabled,
-// kPreserveAll while one diffs their layers after invoke. The sessions of a
-// warm lean pool cannot be diffed, so each counts one skipped_layout frame
-// and is destroyed on release; the sessions built after that are shadowed;
-// after disable_canary the pool converges back to lean.
-TEST(Canary, WarmLeanPoolConvergesToPreserveAllAndBack) {
+// A pooled session is one planned block whether or not a canary is
+// enabled: the canary replays a sampled frame from the released session's
+// inputs, so a pool warmed before enable_canary is shadowed from its first
+// sampled release, and enabling or disabling the canary destroys or builds
+// no session.
+TEST(Canary, WarmPoolIsShadowedAndStaysOneBlockPerSession) {
   BuiltinOpResolver opt;
   Pcg32 rng_a(431), rng_ref(431);
   Engine engine(&opt);
-  engine.load("m", conv_stack_graph(&rng_a));
+  const std::size_t block =
+      engine.load("m", conv_stack_graph(&rng_a)).activation_layout().block_bytes;
   Pcg32 drng(432);
   const Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
   constexpr std::size_t kPool = 3;
-  // kPool leases held at once, each checked for the retention it was
-  // built with, released together at the end.
-  const auto serve_pool = [&](Retention expected) {
+  // kPool leases held at once, each checked to hold one block, released
+  // together at the end.
+  const auto serve_pool = [&] {
     std::vector<SessionLease> leases;
     for (std::size_t i = 0; i < kPool; ++i) {
       leases.push_back(engine.acquire("m"));
-      EXPECT_EQ(leases.back()->retention(), expected) << "lease " << i;
+      EXPECT_EQ(leases.back()->activation_bytes(), block) << "lease " << i;
       leases.back()->set_input(0, input);
       leases.back()->invoke();
     }
   };
-  serve_pool(Retention::kLean);  // warms kPool lean sessions
+  serve_pool();  // warms kPool sessions
 
   CanaryOptions copts;
   copts.shadow_every = 1;
   engine.enable_canary("m", conv_stack_graph(&rng_ref), nullptr, copts);
-  serve_pool(Retention::kLean);  // the warm pool: skipped and destroyed
-  CanaryReport report = engine.canary_report("m");
-  EXPECT_EQ(report.skipped_layout, kPool);
-  EXPECT_EQ(report.shadowed, 0u);
-  EnginePoolStats stats = engine.pool_stats("m");
-  EXPECT_EQ(stats.sessions_destroyed, kPool);
-  EXPECT_EQ(stats.sessions_free, 0u);
-
-  serve_pool(Retention::kPreserveAll);  // rebuilt for the canary: shadowed
-  report = engine.canary_report("m");
-  EXPECT_EQ(report.shadowed, kPool);
-  EXPECT_EQ(report.skipped_layout, kPool);
+  serve_pool();  // the warm pool: every release shadowed
+  serve_pool();  // the same sessions again
+  const CanaryReport report = engine.canary_report("m");
+  EXPECT_EQ(report.shadowed, 2 * kPool);
+  EXPECT_EQ(report.skipped_layout, 0u);
+  EXPECT_EQ(report.skipped_busy, 0u);
   EXPECT_EQ(report.reference_errors, 0u);
   EXPECT_FALSE(report.drift.first_suspect.has_value()) << "same weights";
-  stats = engine.pool_stats("m");
-  EXPECT_EQ(stats.sessions_created, 2 * kPool);
-  EXPECT_EQ(stats.sessions_free, kPool);
+  for (const LayerDrift& layer : report.drift.drifts) {
+    EXPECT_EQ(layer.samples, 2 * kPool) << layer.layer;
+    EXPECT_LT(layer.error, 1e-9) << layer.layer;
+  }
 
   EXPECT_TRUE(engine.disable_canary("m"));
-  serve_pool(Retention::kPreserveAll);  // pooled before disable: destroyed
-  serve_pool(Retention::kLean);         // lean again
-  stats = engine.pool_stats("m");
-  EXPECT_EQ(stats.sessions_created, 3 * kPool);
-  EXPECT_EQ(stats.sessions_destroyed, 2 * kPool);
+  serve_pool();
+  const EnginePoolStats stats = engine.pool_stats("m");
+  EXPECT_EQ(stats.sessions_created, kPool);
+  EXPECT_EQ(stats.sessions_destroyed, 0u);
   EXPECT_EQ(stats.sessions_free, kPool);
-  EXPECT_EQ(stats.sessions_created - stats.sessions_destroyed,
-            stats.sessions_free + stats.leases_outstanding);
 }
 
 // --- fleet aggregation -------------------------------------------------------

@@ -153,6 +153,90 @@ TEST(Serialization, RejectsOutputShapeItsWeightsDoNotImply) {
   }
 }
 
+// Serializes `m` as crafted and expects loading it to throw MlxError
+// naming `node`.
+void expect_load_refuses(const Graph& m, const std::string& node,
+                         const std::string& craft) {
+  const auto bytes = serialize_model(m);
+  BinaryReader r(bytes);
+  try {
+    deserialize_model(r);
+    ADD_FAILURE() << craft << " loaded";
+  } catch (const MlxError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + node + "'"), std::string::npos)
+        << craft << ": " << e.what();
+  }
+}
+
+// The kernels read a bias, and a per-channel weight's scales and zero
+// points, by output channel: a model file whose weights hold fewer would
+// send them past the end, so loading refuses it.
+TEST(Serialization, RejectsConv2DWeightLengthsOffItsChannels) {
+  Pcg32 rng(6);
+  GraphBuilder b("crafted", &rng);
+  const int x = b.input(Shape{1, 4, 4, 2});
+  const int c =
+      b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kNone, "conv");
+  const Graph m = b.finish({c});
+  {
+    const auto bytes = serialize_model(m);
+    BinaryReader r(bytes);
+    EXPECT_NO_THROW(deserialize_model(r));
+  }
+  Graph short_bias = m;
+  short_bias.node(c).weights[1] = Tensor::f32(Shape{1});
+  expect_load_refuses(short_bias, "conv", "a 1-element bias over 8 channels");
+  Graph few_scales = m;
+  few_scales.node(c).weights[0].quant() =
+      QuantParams::per_channel_params({1.0f, 1.0f, 1.0f}, {0, 0, 0}, 0);
+  expect_load_refuses(few_scales, "conv", "3 filter scales for 8 channels");
+  Graph few_zero_points = m;
+  QuantParams& q = few_zero_points.node(c).weights[1].quant();
+  q.scales.assign(8, 1.0f);
+  q.zero_points.assign(7, 0);
+  expect_load_refuses(few_zero_points, "conv", "7 bias zero points");
+}
+
+TEST(Serialization, RejectsDepthwiseWeightShapesOffItsChannels) {
+  Pcg32 rng(7);
+  GraphBuilder b("crafted", &rng);
+  const int x = b.input(Shape{1, 4, 4, 4});
+  const int d = b.depthwise_conv2d(x, 3, 3, 1, Padding::kSame,
+                                   Activation::kNone, "dw");
+  const Graph m = b.finish({d});
+  Graph short_bias = m;
+  short_bias.node(d).weights[1] = Tensor::f32(Shape{2});
+  expect_load_refuses(short_bias, "dw", "a 2-element bias over 4 channels");
+  Graph deep_filter = m;
+  deep_filter.node(d).weights[0] = Tensor::f32(Shape{2, 3, 3, 4});
+  expect_load_refuses(deep_filter, "dw", "a [2, 3, 3, 4] filter");
+}
+
+TEST(Serialization, RejectsFullyConnectedWeightShapesOffItsChannels) {
+  Pcg32 rng(8);
+  GraphBuilder b("crafted", &rng);
+  const int x = b.input(Shape{1, 6});
+  const int fc = b.fully_connected(x, 5, Activation::kNone, "fc");
+  const Graph m = b.finish({fc});
+  Graph short_bias = m;
+  short_bias.node(fc).weights[1] = Tensor::f32(Shape{4});
+  expect_load_refuses(short_bias, "fc", "a 4-element bias over 5 outputs");
+  Graph rank3 = m;
+  rank3.node(fc).weights[0] = Tensor::f32(Shape{5, 6, 1});
+  expect_load_refuses(rank3, "fc", "a [5, 6, 1] weight");
+}
+
+TEST(Serialization, RejectsBatchNormWeightLengthsOffItsInput) {
+  const Graph m = tiny_model(10);
+  const int bn = find_node(m, "bn1");  // over c1's 4 channels
+  for (std::size_t w = 0; w < 4; ++w) {
+    Graph crafted = m;
+    crafted.node(bn).weights[w] = Tensor::f32(Shape{w % 2 == 0 ? 3 : 5});
+    expect_load_refuses(crafted, "bn1",
+                        "batch-norm weight " + std::to_string(w));
+  }
+}
+
 TEST(Serialization, RejectsGarbage) {
   BinaryWriter w;
   w.write_u32(0xdeadbeef);

@@ -178,21 +178,21 @@ TEST(Session, NodeOutputsRetained) {
   int x = b.input(Shape{1, 4, 4, 2});
   int r = b.relu(x, "r");
   int s = b.softmax(r, "s");
-  Graph m = b.finish({s});
+  const Graph m = every_node_an_output(b.finish({s}));
   RefOpResolver ref;
   Model model(&m, &ref);
-  Session session(&model, Retention::kPreserveAll);
+  Session session(&model);
   Tensor input = Tensor::f32(Shape{1, 4, 4, 2});
   input.fill(-1.0f);
   session.set_input(0, input);
   session.invoke();
-  // relu output of -1 inputs is all zeros; retained per-layer.
+  // relu output of -1 inputs is all zeros; an output, so pinned.
   TensorSummary sum = summarize(session.node_output(r));
   EXPECT_EQ(sum.max, 0.0f);
 }
 
 // x -> r1 -> r2 -> r3 -> softmax: r1 and r3 are never live together, so a
-// lean session's block holds four tensors where preserve-all holds five.
+// session's block holds four tensors where one per node would hold five.
 Graph relu_chain(Pcg32* rng) {
   GraphBuilder b("chain", rng);
   int x = b.input(Shape{1, 4, 4, 2});
@@ -203,16 +203,16 @@ Graph relu_chain(Pcg32* rng) {
   return b.finish({s});
 }
 
-// A lean session reuses its intermediate layers' bytes, so after invoke it
+// A session reuses its intermediate layers' bytes, so after invoke it
 // serves only graph inputs and outputs; reading any other node throws and
-// names the retention that keeps them.
-TEST(Session, LeanNodeOutputServesOnlyInputsAndOutputs) {
+// names the push path that reads it while its step runs. A graph whose
+// outputs list every node pins every layer, so its session serves them all.
+TEST(Session, NodeOutputServesOnlyInputsAndOutputs) {
   Pcg32 rng(31);
   Graph m = relu_chain(&rng);
   RefOpResolver ref;
   Model model(&m, &ref);
   Session session(&model);
-  EXPECT_EQ(session.retention(), Retention::kLean);
   Tensor input = Tensor::f32(Shape{1, 4, 4, 2});
   input.fill(0.25f);
   session.set_input(0, input);
@@ -222,29 +222,32 @@ TEST(Session, LeanNodeOutputServesOnlyInputsAndOutputs) {
   for (const char* name : {"r1", "r2", "r3"}) {
     try {
       session.node_output(node_id_by_name(m, name));
-      ADD_FAILURE() << name << " was served by a lean session";
+      ADD_FAILURE() << name << " was served after invoke";
     } catch (const MlxError& e) {
-      EXPECT_NE(std::string(e.what()).find("Retention::kPreserveAll"),
+      EXPECT_NE(std::string(e.what()).find("InvokeObserver"),
                 std::string::npos)
           << e.what();
     }
   }
-  Session full(&model, Retention::kPreserveAll);
+  const Graph all = every_node_an_output(m);
+  Model all_model(&all, &ref);
+  Session full(&all_model);
   full.set_input(0, input);
   full.invoke();
-  EXPECT_NO_THROW(full.node_output(node_id_by_name(m, "r2")));
+  EXPECT_NO_THROW(full.node_output(node_id_by_name(all, "r2")));
   EXPECT_TRUE(same_bytes(session.output(0), full.output(0)));
-  // Four regions live at once (ASan builds add a redzone to each).
+  // Four regions live at once, five when every node is pinned (ASan builds
+  // add a redzone to each).
   EXPECT_EQ(session.activation_bytes(),
             4 * (input.byte_size() + kLayoutRedzone));
-  EXPECT_EQ(full.activation_bytes(), 5 * input.byte_size());
+  EXPECT_EQ(full.activation_bytes(), 5 * (input.byte_size() + kLayoutRedzone));
 }
 
-// A lean session's block is one zeroed allocation and its activations are
-// views into it: a copy is an owning deep copy, assigning onto a view
-// writes through, and a mismatched assignment throws instead of turning
-// the view into an owner.
-TEST(Session, LeanActivationsAreViewsIntoOneBlock) {
+// A session's block is one zeroed allocation and its activations are views
+// into it: a copy is an owning deep copy, assigning onto a view writes
+// through, and a mismatched assignment throws instead of turning the view
+// into an owner.
+TEST(Session, ActivationsAreViewsIntoOneBlock) {
   Pcg32 rng(32);
   Graph m = relu_chain(&rng);
   RefOpResolver ref;

@@ -191,10 +191,12 @@ TEST(ImplicitGemmConv, Int8MatchesIm2colNaiveLoopExactly) {
     Calibrator calib(&m);
     Pcg32 crng(501);
     for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, crng)});
-    Graph qm = quantize_model(m, calib);
+    // Every node an output, so the conv's int8 input and output are
+    // readable after invoke.
+    const Graph qm = every_node_an_output(quantize_model(m, calib));
     BuiltinOpResolver opt;
     Model model(&qm, &opt, /*num_threads=*/2);
-    Session session(&model, Retention::kPreserveAll);
+    Session session(&model);
     session.set_input(0, random_input(in_shape, crng));
     session.invoke();
 

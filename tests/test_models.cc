@@ -123,18 +123,15 @@ std::vector<Cell> image_zoo_cells(
   return cells;
 }
 
-// The thread-cap and retention axes of one cell, against its base run
-// (optimized kernels, t1, kPreserveAll). At each cap on the shared pool the
-// cell matches the base layer by layer, and per_layer_drift names no
-// suspect. A lean session matches the kPreserveAll session of its cap at t1
-// and t2, and the lean t2 session's steady state allocates nothing. Returns
-// the fewest steps any cap put on the pool.
-int expect_caps_and_retention(const Cell& cell, const Capture& base,
-                              ThreadPool* pool,
-                              std::initializer_list<int> caps) {
-  const Capture lean_t1 = capture(cell, lean_side(base.side));
-  EXPECT_TRUE(layers_agree(base.trace, lean_t1.trace))
-      << cell.name << "/t1: retention";
+// The warm and thread-cap axes of one cell, against its base run
+// (optimized kernels, t1, a fresh session). A warmed t1 session matches the
+// base layer by layer; so does each cap on the shared pool, and
+// per_layer_drift names no suspect. The t2 session's steady state
+// allocates nothing. Returns the fewest steps any cap put on the pool.
+int expect_warm_and_caps(const Cell& cell, const Capture& base,
+                         ThreadPool* pool, std::initializer_list<int> caps) {
+  EXPECT_TRUE(layers_agree(base.trace, capture(cell, base.side).trace))
+      << cell.name << "/t1: warm";
   int pooled = std::numeric_limits<int>::max();
   for (int threads : caps) {
     const std::string where = cell.name + "/t" + std::to_string(threads);
@@ -143,11 +140,7 @@ int expect_caps_and_retention(const Cell& cell, const Capture& base,
     EXPECT_TRUE(layers_agree(base.trace, capped.trace))
         << where << ": thread cap";
     expect_no_suspect(capped.trace, base.trace, where + ": thread cap");
-    if (threads != 2) continue;
-    const Capture lean = capture(cell, lean_side(capped.side));
-    EXPECT_TRUE(layers_agree(capped.trace, lean.trace))
-        << where << ": retention";
-    expect_steady_state_clean(*lean.session, where + "/lean");
+    if (threads == 2) expect_steady_state_clean(*capped.session, where);
   }
   return pooled;
 }
@@ -155,7 +148,7 @@ int expect_caps_and_retention(const Cell& cell, const Capture& base,
 // The differential runner (tests/differential.h) over the image zoo: every
 // model x {f32, int8} x {b1, b8}, with seeded biases, four frames per cell.
 // Against the base run, every layer of every frame must hold:
-//  - thread cap and retention (expect_caps_and_retention), at t2 and t4;
+//  - warm and thread cap (expect_warm_and_caps), at t2 and t4;
 //  - scalar path: the kernels forced scalar;
 //  - resolver (int8): the reference kernels, and per_layer_drift at L-inf
 //    threshold 0 names no suspect;
@@ -172,11 +165,10 @@ TEST_P(ZooDifferential, EveryAxisMatchesLayerByLayer) {
   const std::vector<Cell> cells = image_zoo_cells(GetParam(), rng, {1, 8}, 4);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const Capture base =
-        capture(cell, {&opt, 1, &pool, Retention::kPreserveAll});
+    const Capture base = capture(cell, {&opt, 1, &pool}, Start::kFresh);
     EXPECT_GT(prepared_steps(base.model->plan(), cell.name), 0);
     // Without a step on the pool a cap would compare one thread to one.
-    EXPECT_GT(expect_caps_and_retention(cell, base, &pool, {2, 4}), 0)
+    EXPECT_GT(expect_warm_and_caps(cell, base, &pool, {2, 4}), 0)
         << cell.name;
     EXPECT_TRUE(
         layers_agree(base.trace, capture(cell, scalar_side(base.side)).trace))
@@ -282,14 +274,13 @@ std::vector<Cell> other_zoo_cells(Pcg32& rng) {
   return cells;
 }
 
-TEST(OtherZooDifferential, CapsAndRetentionMatchLayerByLayer) {
+TEST(OtherZooDifferential, WarmAndCapsMatchLayerByLayer) {
   ThreadPool pool(3);
   const BuiltinOpResolver opt;
   Pcg32 rng(13);
   for (const Cell& cell : other_zoo_cells(rng)) {
-    const Capture base =
-        capture(cell, {&opt, 1, &pool, Retention::kPreserveAll});
-    expect_caps_and_retention(cell, base, &pool, {2});
+    const Capture base = capture(cell, {&opt, 1, &pool}, Start::kFresh);
+    expect_warm_and_caps(cell, base, &pool, {2});
   }
 }
 

@@ -1,8 +1,9 @@
 // Push-based observability: the InvokeObserver -> TraceBuffer pipeline.
 //
 // Locks in the contracts the plan-integrated instrumentation claims:
-//  - observer capture is bit-exact with the session's retained node
-//    outputs, in the raw dtype (int8 activations stay int8 in the trace);
+//  - observer capture is bit-exact with the layers of a session whose graph
+//    pins every node, in the raw dtype (int8 activations stay int8 in the
+//    trace);
 //  - a steady-state instrumented invoke performs zero heap allocations,
 //    enforced with the same operator-new counter + AllocStats events
 //    test_kernel_grid.cc uses for bare invoke;
@@ -40,6 +41,24 @@ Graph quantized_conv_stack(Pcg32* rng, std::uint64_t calib_seed) {
   return quantize_model(m, calib);
 }
 
+// Every layer of `graph` on `input`, read after invoke from a session over
+// the graph with every node an output.
+struct PinnedRun {
+  PinnedRun(const Graph& graph, const OpResolver* resolver,
+            const Tensor& input)
+      : all(every_node_an_output(graph)), model(&all, resolver, 2),
+        session(&model) {
+    session.set_input(0, input);
+    session.invoke();
+  }
+  const Tensor& layer(int node_id) const {
+    return session.node_output(node_id);
+  }
+  Graph all;
+  Model model;
+  Session session;
+};
+
 // A monitored frame: the paper's instrumentation bracket.
 void run_frame(EdgeMLMonitor& monitor, Session& session,
                const Tensor& input) {
@@ -55,13 +74,15 @@ TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
   Graph m = conv_stack_graph(&rng);
   BuiltinOpResolver opt;
   Model model(&m, &opt, /*num_threads=*/2);
-  Session session(&model, Retention::kPreserveAll);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
   monitor.observe(session);
   Pcg32 drng(12);
-  run_frame(monitor, session, random_input(Shape{1, 16, 16, 8}, drng));
+  const Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
+  run_frame(monitor, session, input);
+  const PinnedRun pinned(m, &opt, input);
 
   const Trace& trace = monitor.trace();
   ASSERT_EQ(trace.frames.size(), 1u);
@@ -72,7 +93,7 @@ TEST(ObserverCapture, PushMatchesNodeOutputsBitExact) {
   std::size_t i = 0;
   for (const PlanStep& step : session.plan().steps()) {
     EXPECT_EQ(f.layer_names[i], step.node->name);
-    const Tensor& retained = session.node_output(step.node->id);
+    const Tensor& retained = pinned.layer(step.node->id);
     const Tensor& captured = f.layer_outputs[i];
     EXPECT_TRUE(same_bytes(captured, retained)) << "layer " << step.node->name;
     EXPECT_GE(f.layer_latency_ms[i], 0.0);
@@ -87,19 +108,21 @@ TEST(ObserverCapture, QuantizedLayersStayInt8InTrace) {
   Graph qm = quantized_conv_stack(&rng, 22);
   BuiltinOpResolver opt;
   Model model(&qm, &opt, /*num_threads=*/2);
-  Session session(&model, Retention::kPreserveAll);
+  Session session(&model);
   MonitorOptions opts;
   opts.per_layer_outputs = true;
   EdgeMLMonitor monitor(opts);
   monitor.observe(session);
   Pcg32 drng(23);
-  run_frame(monitor, session, random_input(Shape{1, 16, 16, 8}, drng));
+  const Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
+  run_frame(monitor, session, input);
+  const PinnedRun pinned(qm, &opt, input);
 
   const FrameTrace& f = monitor.trace().frames.at(0);
   int int8_layers = 0;
   std::size_t i = 0;
   for (const PlanStep& step : session.plan().steps()) {
-    const Tensor& retained = session.node_output(step.node->id);
+    const Tensor& retained = pinned.layer(step.node->id);
     const Tensor& captured = f.layer_outputs.at(i);
     // Raw-dtype capture: quantized activations are logged as int8 with
     // their quant params, not eagerly dequantized.

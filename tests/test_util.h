@@ -1,6 +1,7 @@
 // Helpers the test suites share: seeded random inputs, the small
-// conv -> depthwise -> conv -> FC graph the runtime suites serve, and the
-// exact tensor comparison. Header-only; each suite is one translation unit.
+// conv -> depthwise -> conv -> FC graph the runtime suites serve, a graph
+// whose every layer can be read after invoke, and the exact tensor
+// comparison. Header-only; each suite is one translation unit.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -45,6 +46,20 @@ inline Graph conv_stack_graph(Pcg32* rng, int batch = 1) {
 inline Graph conv_stack_graph(std::uint64_t seed, int batch = 1) {
   Pcg32 rng(seed);
   return conv_stack_graph(&rng, batch);
+}
+
+// `graph` with every node appended to its outputs (its own outputs keep
+// their indices). Outputs are pinned, so a Session over it serves every
+// layer through node_output after invoke: how a test inspects layers by
+// hand.
+inline Graph every_node_an_output(Graph graph) {
+  for (const Node& n : graph.nodes) {
+    if (std::find(graph.outputs.begin(), graph.outputs.end(), n.id) ==
+        graph.outputs.end()) {
+      graph.outputs.push_back(n.id);
+    }
+  }
+  return graph;
 }
 
 // The one exact comparison: the same dtype, the same byte size and the same
