@@ -9,28 +9,11 @@
 #include "bench/bench_util.h"
 #include "src/convert/converter.h"
 #include "src/core/pipelines.h"
-#include "src/interpreter/invoke_observer.h"
 #include "src/models/trained_models.h"
 #include "src/tensor/tensor_stats.h"
 
 namespace mlexray {
 namespace {
-
-// Copies one layer's output while its step runs (a Session keeps only the
-// graph inputs and outputs readable after invoke).
-class LayerCopy final : public InvokeObserver {
- public:
-  explicit LayerCopy(int node_id) : node_id_(node_id) {}
-  void on_step(const Node& node, const Tensor& output,
-               double latency_ms) override {
-    (void)latency_ms;
-    if (node.id == node_id_) value = output;
-  }
-  Tensor value;
-
- private:
-  int node_id_;
-};
 
 int run() {
   bench::print_header("Appendix A — text case-folding & segmentation bugs",
@@ -43,27 +26,27 @@ int run() {
   TextPipelineConfig raw = folded;
   raw.case_fold = false;
 
+  // The embedding is read after invoke, so it is made graph output 1
+  // (outputs are pinned: a Session keeps them readable).
+  nnlm.outputs.push_back(node_id_by_name(nnlm, "embedding"));
   RefOpResolver ref;
   Model model(&nnlm, &ref);
   Session session(&model);
-  LayerCopy embedding(node_id_by_name(nnlm, "embedding"));
-  session.set_observer(&embedding);
   double emb_drift = 0.0;
   int folded_correct = 0;
   int raw_correct = 0;
   for (const TextExample& t : texts) {
     session.set_input(0, encode_text(t.text, imdb_vocabulary(), folded));
     session.invoke();
-    Tensor folded_emb = embedding.value;
+    Tensor folded_emb = session.output(1);
     int folded_pred = argmax(session.output(0));
     session.set_input(0, encode_text(t.text, imdb_vocabulary(), raw));
     session.invoke();
-    emb_drift += normalized_rmse(embedding.value, folded_emb);
+    emb_drift += normalized_rmse(session.output(1), folded_emb);
     int raw_pred = argmax(session.output(0));
     folded_correct += folded_pred == t.label;
     raw_correct += raw_pred == t.label;
   }
-  session.set_observer(nullptr);
   emb_drift /= static_cast<double>(texts.size());
   double folded_acc = static_cast<double>(folded_correct) / texts.size();
   double raw_acc = static_cast<double>(raw_correct) / texts.size();

@@ -21,15 +21,18 @@
 // the reference cannot map are skipped (skipped_layout counts whole frames
 // whose input layout no longer matches).
 //
-// A sampled frame is replayed, not read back: the released session's graph
-// inputs (pinned, so readable after invoke) are copied into a fresh session
-// of the lease's Model and into the reference session, and each step's
-// output of both runs is copied as it runs. The plan is deterministic, so
-// the replay's layers are the served ones. Pooled sessions therefore stay
+// A sampled frame is replayed, not read back: the released session, whose
+// pinned graph inputs still hold the served frame, runs it again with an
+// observer that copies each step's output, and the reference session runs
+// the same inputs. The replay must reproduce the served graph outputs byte
+// for byte, or the frame is counted (replay_mismatches) and not diffed: a
+// production fault that depends on the session's state (a stale read, a
+// race) never hides behind a clean replay. Pooled sessions therefore stay
 // one planned block whether or not a canary is enabled, and a session
 // leased before enable_canary is shadowed like any other. The cost falls on
-// the sampled release only: one more production invoke and one session
-// built.
+// the sampled release only: one more production invoke, on the session
+// already owned by the releasing thread. A replay that fails poisons that
+// session, which release() then destroys like any poisoned session.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,9 @@ struct CanaryReport {
   // Sampled frames not diffed because a shadow invoke failed: the replay
   // of the served frame or the reference invoke.
   std::uint64_t reference_errors = 0;
+  // Sampled frames not diffed because the replay's graph outputs differ
+  // from the served ones: the served frame depended on the session's state.
+  std::uint64_t replay_mismatches = 0;
   // One row per reference plan step, in reference execution order: the
   // running mean normalized RMSE, and as samples the shadowed frames that
   // mapped the layer (a layer never mapped reports error 0, no suspect).

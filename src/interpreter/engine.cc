@@ -1,6 +1,7 @@
 #include "src/interpreter/engine.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/interpreter/invoke_observer.h"
 #include "src/tensor/tensor_stats.h"
@@ -15,7 +16,7 @@ constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 // invokes of the same graph.
 class StepCopies final : public InvokeObserver {
  public:
-  explicit StepCopies(std::size_t nodes) : outputs_(nodes) {}
+  explicit StepCopies(std::size_t nodes = 0) : outputs_(nodes) {}
 
   void on_step(const Node& node, const Tensor& output,
                double latency_ms) override {
@@ -30,6 +31,11 @@ class StepCopies final : public InvokeObserver {
  private:
   std::vector<Tensor> outputs_;
 };
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.dtype() == b.dtype() && a.byte_size() == b.byte_size() &&
+         std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()) == 0;
+}
 }  // namespace
 
 // One model name's canary: the reference Model + its single shadow Session,
@@ -40,17 +46,16 @@ struct Engine::CanaryState {
   CanaryOptions options;
   std::unique_ptr<Model> model;      // reference
   std::unique_ptr<Session> session;  // rebuilt if a reference invoke poisons it
-  // The reference session's layers of the last shadow, copied as it ran.
-  std::unique_ptr<StepCopies> reference_steps;
 
   // Counters are atomics because release_counter and skipped_busy are
   // bumped without the shadow lock. canary_report() is the only reader of
-  // the four report counters.
+  // the report counters.
   std::atomic<std::uint64_t> release_counter{0};
   std::atomic<std::uint64_t> shadowed{0};
   std::atomic<std::uint64_t> skipped_busy{0};
   std::atomic<std::uint64_t> skipped_layout{0};
   std::atomic<std::uint64_t> reference_errors{0};
+  std::atomic<std::uint64_t> replay_mismatches{0};
 
   // Everything below is guarded by shadow_mu: one shadow at a time, and a
   // contended sample is dropped (skipped_busy), never queued.
@@ -61,6 +66,12 @@ struct Engine::CanaryState {
   bool mapping_ok = false;
   std::vector<int> prod_node_for_step;  // prod node id per ref step; -1 unmapped
   std::vector<int> prod_input_ids;
+  // The last shadow's layers, copied as each step ran: the reference's, and
+  // the replay's on the released session (sized for the mapped version).
+  StepCopies reference_steps;
+  StepCopies replay_steps;
+  // The served frame's graph outputs, kept while the replay overwrites them.
+  std::vector<Tensor> served_outputs;
   CanaryObserver observer;
 
   void build_mapping(std::uint64_t version_id, const Graph& prod_graph) {
@@ -82,6 +93,8 @@ struct Engine::CanaryState {
       }
     }
     prod_input_ids = prod_inputs;
+    replay_steps = StepCopies(prod_graph.nodes.size());
+    served_outputs.assign(prod_graph.outputs.size(), Tensor());
     // Steps align by node name (per_layer_drift's rule): layers the
     // production graph renamed or dropped simply stop sampling.
     const auto& steps = model->plan().steps();
@@ -97,32 +110,45 @@ struct Engine::CanaryState {
     mapping_ok = true;
   }
 
-  // Requires shadow_mu held, and a lease on `version` (it pins the Model
-  // the replay runs on). prod is owned by the releasing thread until
-  // release() takes the pool lock.
-  void shadow_locked(const Version& version, const Session& prod) {
-    const Graph& prod_graph = version.model->graph();
+  // Requires shadow_mu held, and a lease on `version`. prod is the released
+  // session: the releasing thread owns it until release() takes the pool
+  // lock.
+  void shadow_locked(const Version& version, Session& prod) {
     if (mapped_version != version.version_id) {
-      build_mapping(version.version_id, prod_graph);
+      build_mapping(version.version_id, version.model->graph());
     }
     if (!mapping_ok) {
       skipped_layout.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // The served frame is replayed through a fresh session of the same
-    // Model, and through the reference, each step's output copied as it
-    // runs. The plan is deterministic, so the replay's layers are the
-    // served ones. Graph inputs are pinned: readable after invoke.
-    StepCopies served(prod_graph.nodes.size());
-    Session replay(version.model.get());
-    replay.set_observer(&served);
-    session->set_observer(reference_steps.get());
-    for (std::size_t i = 0; i < prod_input_ids.size(); ++i) {
-      const Tensor& input = prod.node_output(prod_input_ids[i]);
-      replay.set_input(static_cast<int>(i), input);
-      session->set_input(static_cast<int>(i), input);
+    // The served frame is replayed on the released session itself, whose
+    // pinned graph inputs still hold it, and each step's output is copied
+    // as it runs. The replay must reproduce the served graph outputs byte
+    // for byte: a fault that depends on the session's state (a stale read,
+    // a race) would otherwise hide behind a clean replay, so such a frame
+    // is counted and not diffed.
+    for (std::size_t i = 0; i < served_outputs.size(); ++i) {
+      served_outputs[i] = prod.output(static_cast<int>(i));
     }
-    if (!replay.try_invoke().ok() || !session->try_invoke().ok()) {
+    prod.set_observer(&replay_steps);
+    const bool replayed = prod.try_invoke().ok();
+    prod.set_observer(nullptr);
+    if (!replayed) {
+      reference_errors.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    for (std::size_t i = 0; i < served_outputs.size(); ++i) {
+      if (!same_bytes(served_outputs[i], prod.output(static_cast<int>(i)))) {
+        replay_mismatches.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    session->set_observer(&reference_steps);
+    for (std::size_t i = 0; i < prod_input_ids.size(); ++i) {
+      session->set_input(static_cast<int>(i),
+                         prod.node_output(prod_input_ids[i]));
+    }
+    if (!session->try_invoke().ok()) {
       reference_errors.fetch_add(1, std::memory_order_relaxed);
       if (session->poisoned()) {
         session = std::make_unique<Session>(model.get());
@@ -142,8 +168,8 @@ struct Engine::CanaryState {
       // (production) activations against the reference's, normalized by the
       // reference value range.
       const double err =
-          normalized_rmse(served.output(prod_id),
-                          reference_steps->output(steps[s].node->id));
+          normalized_rmse(replay_steps.output(prod_id),
+                          reference_steps.output(steps[s].node->id));
       err_sum[s] += err;
       ++err_count[s];
       if (observed) event.frame.add(steps[s].node->name, err, 1);
@@ -159,6 +185,8 @@ struct Engine::CanaryState {
     report.skipped_busy = skipped_busy.load(std::memory_order_relaxed);
     report.skipped_layout = skipped_layout.load(std::memory_order_relaxed);
     report.reference_errors = reference_errors.load(std::memory_order_relaxed);
+    report.replay_mismatches =
+        replay_mismatches.load(std::memory_order_relaxed);
     report.drift.threshold = options.drift_threshold;
     const auto& steps = model->plan().steps();
     report.drift.drifts.reserve(steps.size());
@@ -378,13 +406,14 @@ void Engine::release(Version* version, Session* session) {
   // leaseholder may have destroyed.
   session->set_observer(nullptr);
   // Canary shadowing runs here, before the pool lock: the releasing thread
-  // still owns the session (its inputs are the production frame being
-  // replayed) and the lease still pins version + entry. The sampled slow
-  // path pays a replay and a reference invoke; the common path pays one
-  // relaxed load.
+  // still owns the session (its inputs are the production frame it replays)
+  // and the lease still pins version + entry. The sampled slow path pays
+  // the replay and a reference invoke; the common path pays one relaxed
+  // load.
   const std::shared_ptr<CanaryState> canary =
       canary_for_pool(version->entry->name);
   if (canary != nullptr) maybe_shadow(*canary, version, session);
+  // Read after the shadow: a replay that poisoned the session destroys it.
   const bool poisoned = session->poisoned();
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = *version->entry;
@@ -491,8 +520,7 @@ void Engine::enable_canary(const std::string& name, Graph reference,
       std::move(reference), resolver != nullptr ? resolver : resolver_,
       pool_.get(), num_threads_);
   state->session = std::make_unique<Session>(state->model.get());
-  state->reference_steps =
-      std::make_unique<StepCopies>(state->model->graph().nodes.size());
+  state->reference_steps = StepCopies(state->model->graph().nodes.size());
   const std::size_t steps = state->model->plan().steps().size();
   state->err_sum.assign(steps, 0.0);
   state->err_count.assign(steps, 0);

@@ -46,9 +46,9 @@
 //
 // One kind of session. Every pooled session is one planned activation
 // block (src/interpreter/session.h), canary or not: a canary replays a
-// sampled frame from the released session's inputs instead of reading its
-// layers after invoke (src/drift/canary.h), so enabling or disabling one
-// never changes what the pool holds.
+// sampled frame on the released session, copying its layers as they run,
+// instead of reading them after invoke (src/drift/canary.h), so enabling or
+// disabling one never changes what the pool holds.
 #pragma once
 
 #include <atomic>

@@ -31,33 +31,41 @@ void Calibrator::observe(const std::vector<Tensor>& inputs) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     session_.set_input(static_cast<int>(i), inputs[i]);
   }
+  staged_.clear();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    record(input_ids[i], inputs[i]);
+    stage(input_ids[i], inputs[i]);
   }
   session_.invoke();
+  // The sample counts only once the invoke finished: an invoke that throws
+  // leaves every range as the last whole sample left it.
+  for (const Extremes& e : staged_) fold(e);
   ++samples_;
 }
 
 void Calibrator::on_step(const Node& node, const Tensor& output,
                          double latency_ms) {
   (void)latency_ms;
-  if (output.dtype() == DType::kF32) record(node.id, output);
+  if (output.dtype() == DType::kF32) stage(node.id, output);
 }
 
-void Calibrator::record(int node_id, const Tensor& value) {
+void Calibrator::stage(int node_id, const Tensor& value) {
   const TensorSummary s = summarize(value);
-  const auto id = static_cast<std::size_t>(node_id);
-  sample_mins_[id].push_back(s.min);
-  sample_maxs_[id].push_back(s.max);
-  global_min_[id] = std::min(global_min_[id], s.min);
-  global_max_[id] = std::max(global_max_[id], s.max);
+  staged_.push_back({static_cast<std::size_t>(node_id), s.min, s.max});
+}
+
+void Calibrator::fold(const Extremes& e) {
+  const std::size_t id = e.node;
+  sample_mins_[id].push_back(e.min);
+  sample_maxs_[id].push_back(e.max);
+  global_min_[id] = std::min(global_min_[id], e.min);
+  global_max_[id] = std::max(global_max_[id], e.max);
   if (samples_ == 0) {
-    ema_min_[id] = s.min;
-    ema_max_[id] = s.max;
+    ema_min_[id] = e.min;
+    ema_max_[id] = e.max;
   } else {
     const float m = kEmaMomentum;
-    ema_min_[id] = m * ema_min_[id] + (1.0f - m) * s.min;
-    ema_max_[id] = m * ema_max_[id] + (1.0f - m) * s.max;
+    ema_min_[id] = m * ema_min_[id] + (1.0f - m) * e.min;
+    ema_max_[id] = m * ema_max_[id] + (1.0f - m) * e.max;
   }
 }
 

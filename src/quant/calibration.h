@@ -29,7 +29,10 @@ class Calibrator : private InvokeObserver {
 
   // Runs one representative sample through the float model and records
   // every node's output extremes: each graph input's from the tensor handed
-  // in (of any dtype), each f32 layer's as its step runs.
+  // in (of any dtype), each f32 layer's as its step runs. They join the
+  // ranges only once the invoke has finished; if it throws, the ranges stay
+  // as the last whole sample left them (the session is then poisoned, so
+  // later observe() calls throw too).
   void observe(const std::vector<Tensor>& inputs);
 
   struct Range {
@@ -41,10 +44,19 @@ class Calibrator : private InvokeObserver {
   Range range(int node_id) const;
 
  private:
+  // One node's extremes in the sample being observed.
+  struct Extremes {
+    std::size_t node;
+    float min;
+    float max;
+  };
+
   void on_step(const Node& node, const Tensor& output,
                double latency_ms) override;
-  // Folds one sample's extremes of a node into its running ranges.
-  void record(int node_id, const Tensor& value);
+  // Summarizes a node's output into the staged sample.
+  void stage(int node_id, const Tensor& value);
+  // Folds one staged node into its running ranges.
+  void fold(const Extremes& e);
 
   CalibrationOptions options_;
   RefOpResolver resolver_;  // calibration uses reference float kernels
@@ -57,6 +69,7 @@ class Calibrator : private InvokeObserver {
   std::vector<float> ema_max_;
   std::vector<float> global_min_;
   std::vector<float> global_max_;
+  std::vector<Extremes> staged_;  // the sample in flight, in capture order
   int samples_ = 0;
 };
 

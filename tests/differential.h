@@ -6,12 +6,14 @@
 //
 // A cell is a deployed graph and the frames it serves. A side is how one
 // session runs it: resolver, thread cap, scalar or vector path. The base
-// capture runs on a fresh session, whose activation block is zeroed; every
-// other capture first serves the cell's last frame uncaptured, so each of
-// its frames reuses bytes another input left, and a kernel that reads its
-// output's old bytes shows. The axes turn one knob of the base and demand
-// the same layers:
-//  - warm: the base side on a warmed session;
+// capture pins every layer (Start::kPinned): each keeps its own region,
+// zeroed at first and holding its own previous frame after. Every other
+// capture runs the lean layout and first serves the cell's last frame
+// uncaptured, so its regions hold bytes other tensors left. A kernel that
+// reads its output's old bytes sees different bytes on the two, and shows
+// on every frame. The axes turn one knob of the base and demand the same
+// layers:
+//  - warm: the base side, lean and warmed;
 //  - resolver: the reference kernels against the optimized ones;
 //  - thread cap: t2 and t4 against t1, on a shared pool;
 //  - batch row: each row of a batch-b run against its batch-1 twin;
@@ -163,20 +165,24 @@ struct Capture {
   Trace trace;
 };
 
-// How a capture's session starts: fresh (its block zeroed) for the base,
-// warm (the cell's last frame served uncaptured first) for every other side.
-enum class Start { kFresh, kWarm };
+// How a capture's session starts. kPinned (the base): a fresh session over
+// every_node_an_output(graph), each layer in its own region. kWarm (every
+// other side): the graph's own lean layout, after serving the cell's last
+// frame uncaptured.
+enum class Start { kPinned, kWarm };
 
 // Builds the side's model and session and serves every frame of the cell,
-// capturing each layer as the step runs.
+// capturing each layer as the step runs. The trace holds the graph's own
+// outputs either way.
 inline Capture capture(const Graph& graph, const std::vector<Frame>& frames,
                        const Side& side, Start start = Start::kWarm) {
   MLX_CHECK(!frames.empty());
   const ScalarScope scalar(side.scalar);
   Capture r{side, nullptr, nullptr, {}};
-  r.model = side.pool ? std::make_unique<Model>(Graph(graph), side.resolver,
+  Graph run = start == Start::kPinned ? every_node_an_output(graph) : graph;
+  r.model = side.pool ? std::make_unique<Model>(std::move(run), side.resolver,
                                                 side.pool, side.threads)
-                      : std::make_unique<Model>(&graph, side.resolver,
+                      : std::make_unique<Model>(std::move(run), side.resolver,
                                                 side.threads);
   r.session = std::make_unique<Session>(r.model.get());
   const auto serve = [&](const Frame& frame) {
@@ -201,6 +207,14 @@ inline Capture capture(const Graph& graph, const std::vector<Frame>& frames,
   }
   monitor.unobserve(*r.session);
   r.trace = monitor.take_trace();
+  // A pinned run also captured every layer as a model output; keep the
+  // graph's own outputs (every_node_an_output keeps their indices).
+  for (std::size_t i = graph.outputs.size();
+       i < r.model->graph().outputs.size(); ++i) {
+    for (FrameTrace& frame : r.trace.frames) {
+      frame.tensors.erase(trace_keys::model_output_key(static_cast<int>(i)));
+    }
+  }
   return r;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/common/fault_injection.h"
 #include "src/convert/converter.h"
 #include "src/graph/builder.h"
 #include "src/interpreter/session.h"
@@ -253,6 +254,34 @@ TEST(Calibrator, EachGraphInputReadsItsOwnTensor) {
         << n.name;
   }
   EXPECT_EQ(quantizes, 2);
+}
+
+// A sample joins the ranges only once its invoke finishes: a kernel that
+// throws partway through leaves every range, the graph input's and those of
+// the layers that ran before the throw included, as the last whole sample
+// left it.
+TEST(Calibrator, SampleThatThrowsLeavesEveryRange) {
+  const Graph m = convert_for_inference(post_act_model(14));
+  CalibrationOptions opts;
+  opts.method = CalibrationOptions::Method::kMovingAverage;
+  Calibrator calib(&m, opts);
+  Pcg32 rng(15);
+  calib.observe({random_input(Shape{1, 8, 8, 3}, rng, -1.0f, 1.0f)});
+  std::vector<Calibrator::Range> before;
+  for (const Node& n : m.nodes) before.push_back(calib.range(n.id));
+  fault::Spec spec;
+  spec.skip = 2;  // the third step throws
+  spec.max_fires = 1;
+  fault::arm(fault_sites::kInvokeStep, spec);
+  EXPECT_THROW(
+      calib.observe({random_input(Shape{1, 8, 8, 3}, rng, -4.0f, 4.0f)}),
+      MlxError);
+  fault::disarm_all();
+  for (const Node& n : m.nodes) {
+    const Calibrator::Range r = calib.range(n.id);
+    EXPECT_EQ(r.min, before[static_cast<std::size_t>(n.id)].min) << n.name;
+    EXPECT_EQ(r.max, before[static_cast<std::size_t>(n.id)].max) << n.name;
+  }
 }
 
 TEST(QuantizeModel, StructureHasQuantizeAndDequantize) {

@@ -913,6 +913,7 @@ TEST(Canary, FirstSuspectMatchesOfflinePerLayerDrift) {
   EXPECT_EQ(online.skipped_busy, 0u);
   EXPECT_EQ(online.skipped_layout, 0u);
   EXPECT_EQ(online.reference_errors, 0u);
+  EXPECT_EQ(online.replay_mismatches, 0u);
   EXPECT_EQ(online.drift.threshold, offline.threshold);
   ASSERT_TRUE(online.drift.first_suspect.has_value());
   EXPECT_EQ(*online.drift.first_suspect, *offline.first_suspect)
@@ -1036,10 +1037,10 @@ TEST(Canary, SurvivesHotSwapByRemappingLayerNames) {
 }
 
 // A pooled session is one planned block whether or not a canary is
-// enabled: the canary replays a sampled frame from the released session's
-// inputs, so a pool warmed before enable_canary is shadowed from its first
-// sampled release, and enabling or disabling the canary destroys or builds
-// no session.
+// enabled: the canary replays a sampled frame on the released session, so a
+// pool warmed before enable_canary is shadowed from its first sampled
+// release, and enabling or disabling the canary destroys or builds no
+// session.
 TEST(Canary, WarmPoolIsShadowedAndStaysOneBlockPerSession) {
   BuiltinOpResolver opt;
   Pcg32 rng_a(431), rng_ref(431);
@@ -1072,6 +1073,7 @@ TEST(Canary, WarmPoolIsShadowedAndStaysOneBlockPerSession) {
   EXPECT_EQ(report.skipped_layout, 0u);
   EXPECT_EQ(report.skipped_busy, 0u);
   EXPECT_EQ(report.reference_errors, 0u);
+  EXPECT_EQ(report.replay_mismatches, 0u);
   EXPECT_FALSE(report.drift.first_suspect.has_value()) << "same weights";
   for (const LayerDrift& layer : report.drift.drifts) {
     EXPECT_EQ(layer.samples, 2 * kPool) << layer.layer;
@@ -1084,6 +1086,58 @@ TEST(Canary, WarmPoolIsShadowedAndStaysOneBlockPerSession) {
   EXPECT_EQ(stats.sessions_created, kPool);
   EXPECT_EQ(stats.sessions_destroyed, 0u);
   EXPECT_EQ(stats.sessions_free, kPool);
+}
+
+// The optimized kernels, except that the f32 FullyConnected adds its result
+// onto the bytes its output held before the step: what a session serves
+// then depends on the frames it served before.
+KernelFn g_fc_invoke = nullptr;
+
+void stale_fc(const KernelContext& ctx) {
+  const Tensor before = *ctx.output;  // an owning copy of the old bytes
+  g_fc_invoke(ctx);
+  float* out = ctx.output->data<float>();
+  for (std::int64_t i = 0; i < ctx.output->num_elements(); ++i) {
+    out[i] += before.data<float>()[i];
+  }
+}
+
+class StaleFcResolver final : public BuiltinOpResolver {
+ public:
+  StaleFcResolver() {
+    KernelEntry& fc = map_.at({OpType::kFullyConnected, false});
+    g_fc_invoke = fc.invoke;
+    fc.invoke = &stale_fc;
+  }
+};
+
+// A served frame that depends on the session's state is not reproduced by
+// its replay on the released session. The canary counts each such frame in
+// replay_mismatches and diffs none of them, so the fault is reported rather
+// than hidden behind a clean replay.
+TEST(Canary, ReplayThatMissesTheServedFrameIsCountedNotDiffed) {
+  const StaleFcResolver stale;
+  const BuiltinOpResolver opt;
+  Engine engine(&stale);
+  engine.load("m", conv_stack_graph(441));
+  CanaryOptions copts;
+  copts.shadow_every = 1;
+  engine.enable_canary("m", conv_stack_graph(441), &opt, copts);
+  Pcg32 drng(442);
+  const Tensor input = random_input(Shape{1, 16, 16, 8}, drng);
+  constexpr std::uint64_t kFrames = 3;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    SessionLease lease = engine.acquire("m");
+    lease->set_input(0, input);
+    lease->invoke();
+  }
+  const CanaryReport report = engine.canary_report("m");
+  EXPECT_EQ(report.replay_mismatches, kFrames);
+  EXPECT_EQ(report.shadowed, 0u);
+  EXPECT_EQ(report.reference_errors, 0u);
+  for (const LayerDrift& layer : report.drift.drifts) {
+    EXPECT_EQ(layer.samples, 0u) << layer.layer;
+  }
 }
 
 // --- fleet aggregation -------------------------------------------------------

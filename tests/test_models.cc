@@ -124,8 +124,8 @@ std::vector<Cell> image_zoo_cells(
 }
 
 // The warm and thread-cap axes of one cell, against its base run
-// (optimized kernels, t1, a fresh session). A warmed t1 session matches the
-// base layer by layer; so does each cap on the shared pool, and
+// (optimized kernels, t1, every layer pinned). A warmed lean t1 session
+// matches the base layer by layer; so does each cap on the shared pool, and
 // per_layer_drift names no suspect. The t2 session's steady state
 // allocates nothing. Returns the fewest steps any cap put on the pool.
 int expect_warm_and_caps(const Cell& cell, const Capture& base,
@@ -165,7 +165,7 @@ TEST_P(ZooDifferential, EveryAxisMatchesLayerByLayer) {
   const std::vector<Cell> cells = image_zoo_cells(GetParam(), rng, {1, 8}, 4);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const Capture base = capture(cell, {&opt, 1, &pool}, Start::kFresh);
+    const Capture base = capture(cell, {&opt, 1, &pool}, Start::kPinned);
     EXPECT_GT(prepared_steps(base.model->plan(), cell.name), 0);
     // Without a step on the pool a cap would compare one thread to one.
     EXPECT_GT(expect_warm_and_caps(cell, base, &pool, {2, 4}), 0)
@@ -279,7 +279,7 @@ TEST(OtherZooDifferential, WarmAndCapsMatchLayerByLayer) {
   const BuiltinOpResolver opt;
   Pcg32 rng(13);
   for (const Cell& cell : other_zoo_cells(rng)) {
-    const Capture base = capture(cell, {&opt, 1, &pool}, Start::kFresh);
+    const Capture base = capture(cell, {&opt, 1, &pool}, Start::kPinned);
     expect_warm_and_caps(cell, base, &pool, {2});
   }
 }
